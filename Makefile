@@ -37,7 +37,9 @@ test:
 # zero frontend recompiles, and that the router's cross-node
 # single-flight coalesced duplicate compiles. The observability gates on
 # top: the UB coverage hot path (evaluated/fired counters on every check
-# site) must not allocate, and the chaos run finishes by SIGKILLing a
+# site) must not allocate, partial-order-reduction bookkeeping must cost
+# the same bytes per logged decision on a deep recursion as on a shallow
+# one, and the chaos run finishes by SIGKILLing a
 # shard under a pinned trace id and asserting GET /v1/trace/{id}
 # assembles one Chrome trace with the router's failed forward + backoff
 # spans and spans from the surviving shard processes.
@@ -52,6 +54,7 @@ check: test
 	go test ./internal/interp/ -run 'ObserverPathAllocs' -count=1
 	go test ./internal/obs/ -run 'SpanNoCollector' -count=1
 	go test ./internal/obs/ -run 'TestCoverageLedgerAllocs' -count=1
+	go test ./internal/search/ -run 'TestPORBookkeepingLinear' -count=1
 	go test ./internal/interp/ -run '^$$' -bench BenchmarkObserverOverhead -benchtime 100x
 	go test ./internal/obs/ -run '^$$' -bench BenchmarkSpanOverhead -benchtime 100x
 	go test ./cmd/ubsuite/ -run TestContainmentGate -count=1

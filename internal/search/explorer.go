@@ -15,14 +15,17 @@ package search
 // operand footprints: if every pair of operands commutes, the siblings
 // are deferred — provably, every sibling order reaches the same machine
 // state, so only the count is recorded (OrdersPruned). The judgment is
-// per tree *node*, registered in a path-keyed registry, because a point
-// that looks independent on one visit can reveal a conflict on a later
-// visit through the same node (a nested alternative changes what an
-// operand does). The first visit that observes a conflict flips the node
-// to expanded and enqueues all deferred siblings — late, but exactly
-// once, and before any run that could need them exists (alternative runs
-// below the node are only enqueued by runs that already went through
-// this bookkeeping).
+// per tree *node*, because a point that looks independent on one visit
+// can reveal a conflict on a later visit through the same node (a nested
+// alternative changes what an operand does). The explorer keeps the
+// decision tree itself as the registry: one node per exact pick path,
+// children indexed by pick, and each run walks it once from the root
+// along its own picks — so the bookkeeping for a run costs time and
+// space linear in its trace. The first visit that observes a conflict
+// flips the node to expanded and enqueues all deferred siblings — late,
+// but exactly once, and before any run that could need them exists
+// (alternative runs below the node are only enqueued by runs that
+// already went through this bookkeeping).
 //
 // Dedup changes only who is responsible: a run that reaches a top-level
 // choice point whose machine state another run already claimed stops
@@ -30,7 +33,6 @@ package search
 
 import (
 	"context"
-	"encoding/binary"
 	"strconv"
 	"sync"
 
@@ -39,14 +41,32 @@ import (
 	"repro/internal/sema"
 )
 
-// pointNode is the POR registry entry for one decision-tree node.
-type pointNode struct {
+// node is one decision-tree node — the position reached by one exact
+// pick path from the root — and its POR registry entry. Identity is the
+// path itself, never a hash of it: two merged nodes would silently share
+// a judgment and lose exploration.
+type node struct {
+	kids []*node // indexed by the pick made at this position
 	// expanded: a conflict was observed through this node; all sibling
 	// orders are (or are being) enqueued, and later visits do nothing.
 	expanded bool
 	// pruned is the number of sibling branches currently deferred at
 	// this node (rolled back if the node is later expanded).
 	pruned int64
+}
+
+// child returns the node reached by pick c at this position, where n
+// choices are available, creating it on the first visit.
+func (nd *node) child(c, n int) *node {
+	if c >= len(nd.kids) {
+		nd.kids = append(nd.kids, make([]*node, max(n, c+1)-len(nd.kids))...)
+	}
+	k := nd.kids[c]
+	if k == nil {
+		k = &node{}
+		nd.kids[c] = k
+	}
+	return k
 }
 
 type explorer struct {
@@ -71,7 +91,7 @@ type explorer struct {
 	stopped   bool // stop dispatching new work now
 	seen      map[string]bool
 	outcomes  []Outcome
-	points    map[string]*pointNode // POR registry, keyed by pick path
+	root      node // POR registry: the decision tree from the empty path
 	pruned    int64
 	deduped   int64
 
@@ -87,7 +107,6 @@ func newExplorer(ctx context.Context, prog *sema.Program, opts Options, maxRuns 
 		por:     opts.POR,
 		dedup:   opts.Dedup,
 		seen:    make(map[string]bool),
-		points:  make(map[string]*pointNode),
 	}
 	e.cond = sync.NewCond(&e.mu)
 	return e
@@ -283,6 +302,9 @@ func (e *explorer) expandLocked(rec *recorder, room int) [][]int {
 		}
 		fresh = append(fresh, altPrefix(picks, g, c))
 	}
+	// nd is the tree node at depth, walked forward along picks; points
+	// are in firstPick order, so the walk visits each position once.
+	nd, depth := &e.root, 0
 	for _, pt := range rec.points {
 		if pt.firstPick >= limit {
 			break // points are in firstPick order
@@ -290,17 +312,15 @@ func (e *explorer) expandLocked(rec *recorder, room int) [][]int {
 		gEnd := pt.firstPick + pt.fanout // the point's Pick positions: [firstPick, gEnd)
 
 		if e.por && pt.canonical {
-			// Canonical visit: this run carries the node's POR judgment.
-			key := pathKey(picks[:pt.firstPick])
-			nd := e.points[key]
-			if nd == nil {
-				nd = &pointNode{}
-				e.points[key] = nd
+			// Canonical visit: this run carries the judgment of the node
+			// at picks[:firstPick].
+			for ; depth < pt.firstPick; depth++ {
+				nd = nd.child(picks[depth], rec.log[depth].N)
 			}
 			if nd.expanded {
 				continue
 			}
-			if pt.conflicted() {
+			if pt.conflicted(rec.accesses) {
 				// Conflict evidence (possibly found late, by a nested
 				// alternative's visit): expand every deferred sibling of
 				// the node, exactly once.
@@ -345,14 +365,4 @@ func altPrefix(picks []int, g, c int) []int {
 	copy(pre, picks[:g])
 	pre[g] = c
 	return pre
-}
-
-// pathKey encodes a pick path exactly (no hashing: a collision in the
-// POR registry would silently merge two nodes and lose exploration).
-func pathKey(picks []int) string {
-	b := make([]byte, 0, 2*len(picks))
-	for _, c := range picks {
-		b = binary.AppendUvarint(b, uint64(c))
-	}
-	return string(b)
 }

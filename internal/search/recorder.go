@@ -15,6 +15,13 @@ package search
 // OperandDone closes one operand of the innermost open point. Fanout-1
 // points make no Pick at all, so every logged decision belongs to a
 // point with alternatives.
+//
+// Footprints cost linear space in the trace. Every read and write is
+// logged once, in one flat per-run access log; an operand's footprint is
+// the range of that log between the operand's start and its
+// OperandDone, which includes the accesses of every point nested inside
+// it. The flag effects are likewise counter deltas taken at the same two
+// boundaries, so an event costs O(1) however deep the open points nest.
 
 import (
 	"strings"
@@ -23,15 +30,19 @@ import (
 	"repro/internal/obs"
 )
 
-// byteSpan is one contiguous footprint range: [off, off+n) on object obj.
-type byteSpan struct {
+// access is one logged memory access: [off, off+n) on object obj.
+type access struct {
 	obj, off, n int64
+	write       bool
 }
 
-func spansOverlap(a, b []byteSpan) bool {
+// accessesConflict reports whether any access of a overlaps one of b
+// with at least one of the pair a write.
+func accessesConflict(a, b []access) bool {
 	for i := range a {
 		for j := range b {
-			if a[i].obj == b[j].obj && a[i].off < b[j].off+b[j].n && b[j].off < a[i].off+a[i].n {
+			if (a[i].write || b[j].write) && a[i].obj == b[j].obj &&
+				a[i].off < b[j].off+b[j].n && b[j].off < a[i].off+a[i].n {
 				return true
 			}
 		}
@@ -40,13 +51,12 @@ func spansOverlap(a, b []byteSpan) bool {
 }
 
 // footprint is the observed effect set of one operand of one choice
-// point. Reads and writes come from observer events; the flag effects
-// come from counter deltas snapshotted around the operand (allocation,
-// lifetime ends, address exposure, output) or from builtin calls (RNG,
-// raw-memory builtins).
+// point. Reads and writes are the range [lo, hi) of the run's access
+// log; the flag effects come from counter deltas snapshotted around the
+// operand (allocation, lifetime ends, address exposure, output,
+// sequence points, builtin calls).
 type footprint struct {
-	reads  []byteSpan
-	writes []byteSpan
+	lo, hi int
 
 	alloc  bool // allocated an object (IDs are order-sensitive)
 	kills  bool // ended a lifetime (unevented effect; conflicts with all)
@@ -79,8 +89,8 @@ var pureBuiltins = map[string]bool{
 
 // conflicts reports whether two operand footprints fail to commute: if it
 // returns false, running them in either order reaches the same machine
-// state and produces the same observables.
-func (f *footprint) conflicts(g *footprint) bool {
+// state and produces the same observables. log is the run's access log.
+func (f *footprint) conflicts(g *footprint, log []access) bool {
 	if f.universal || g.universal {
 		return true
 	}
@@ -102,12 +112,10 @@ func (f *footprint) conflicts(g *footprint) bool {
 	if (f.barrier && g.hasAccess()) || (g.barrier && f.hasAccess()) {
 		return true // a sequence point flushes the sibling's pending accesses
 	}
-	return spansOverlap(f.writes, g.writes) ||
-		spansOverlap(f.writes, g.reads) ||
-		spansOverlap(f.reads, g.writes)
+	return accessesConflict(log[f.lo:f.hi], log[g.lo:g.hi])
 }
 
-func (f *footprint) hasAccess() bool { return len(f.reads)+len(f.writes) > 0 }
+func (f *footprint) hasAccess() bool { return f.hi > f.lo }
 
 // pointRec is one choice point of the run under reconstruction.
 type pointRec struct {
@@ -133,44 +141,48 @@ type pointRec struct {
 	killsSnap int64
 	synthSnap int64
 	outSnap   int
+	seqSnap   int
+	rngSnap   int
+	rawSnap   int
 }
 
 func (pt *pointRec) snap(r *recorder) {
 	st := r.in.MemStore()
+	pt.ops[pt.done].lo = len(r.accesses)
 	pt.objsSnap = st.NumObjects()
 	pt.killsSnap = st.Kills()
 	pt.synthSnap = r.in.SynthAddrCasts()
 	pt.outSnap = r.sink.Len()
+	pt.seqSnap = r.seqPoints
+	pt.rngSnap = r.rngCalls
+	pt.rawSnap = r.rawCalls
 }
 
 func (pt *pointRec) capture(r *recorder) {
 	f := &pt.ops[pt.done]
 	st := r.in.MemStore()
-	if st.NumObjects() != pt.objsSnap {
-		f.alloc = true
-	}
-	if st.Kills() != pt.killsSnap {
-		f.kills = true
-	}
-	if r.in.SynthAddrCasts() != pt.synthSnap {
-		f.synth = true
-	}
-	if r.sink.Len() != pt.outSnap {
-		f.output = true
-	}
+	f.hi = len(r.accesses)
+	f.alloc = st.NumObjects() != pt.objsSnap
+	f.kills = st.Kills() != pt.killsSnap
+	f.synth = r.in.SynthAddrCasts() != pt.synthSnap
+	f.output = r.sink.Len() != pt.outSnap
+	f.barrier = r.seqPoints != pt.seqSnap
+	f.rng = r.rngCalls != pt.rngSnap
+	f.universal = r.rawCalls != pt.rawSnap
 	pt.done++
 }
 
 // conflicted reports whether any pair of the point's operands fails to
-// commute. An incomplete point (a run error skipped an OperandDone)
-// always conflicts: pruning needs positive evidence about every operand.
-func (pt *pointRec) conflicted() bool {
+// commute, given the run's access log. An incomplete point (a run error
+// skipped an OperandDone) always conflicts: pruning needs positive
+// evidence about every operand.
+func (pt *pointRec) conflicted(log []access) bool {
 	if !pt.complete {
 		return true
 	}
 	for i := range pt.ops {
 		for j := i + 1; j < len(pt.ops); j++ {
-			if pt.ops[i].conflicts(&pt.ops[j]) {
+			if pt.ops[i].conflicts(&pt.ops[j], log) {
 				return true
 			}
 		}
@@ -194,6 +206,14 @@ type recorder struct {
 
 	stack  []*pointRec // open points, innermost last
 	points []*pointRec // every point, in open (= firstPick) order
+
+	// accesses is the run's access log: every read and write made while
+	// a point is open, in execution order. The counters tally the other
+	// evented effects over the same span; footprints are deltas of both.
+	accesses  []access
+	seqPoints int // sequence points passed
+	rngCalls  int // rand/srand calls
+	rawCalls  int // calls of builtins that touch memory without events
 
 	// groupLeft counts the Picks still to be drawn for the innermost
 	// point's permutation; 0 means the next Pick opens a new point.
@@ -280,45 +300,30 @@ func (r *recorder) OperandDone() {
 	}
 }
 
-// Event implements obs.Observer: attribute each memory access (and each
-// builtin's effect class) to the current operand of every open point —
-// an access inside a nested point is part of the enclosing operand too.
+// Event implements obs.Observer: log each memory access, and count each
+// sequence point and effectful builtin, while any point is open. The
+// enclosing operands of every open point see the entry through their
+// log ranges and counter deltas, so nothing here walks the stack.
 func (r *recorder) Event(ev *obs.Event) {
 	if !r.track || len(r.stack) == 0 {
 		return
 	}
 	switch ev.Kind {
-	case obs.EvRead:
-		s := byteSpan{obj: ev.Obj, off: ev.Off, n: ev.Size}
-		for _, pt := range r.stack {
-			f := &pt.ops[pt.done]
-			f.reads = append(f.reads, s)
-		}
-	case obs.EvWrite:
-		s := byteSpan{obj: ev.Obj, off: ev.Off, n: ev.Size}
-		for _, pt := range r.stack {
-			f := &pt.ops[pt.done]
-			f.writes = append(f.writes, s)
-		}
+	case obs.EvRead, obs.EvWrite:
+		r.accesses = append(r.accesses, access{obj: ev.Obj, off: ev.Off, n: ev.Size, write: ev.Kind == obs.EvWrite})
 	case obs.EvSeqPoint:
 		// Conservative: a callee-internal sequence point only clears the
 		// callee's own sets, but the event stream does not distinguish
 		// activations, so every flush is treated as a caller barrier.
-		for _, pt := range r.stack {
-			pt.ops[pt.done].barrier = true
-		}
+		r.seqPoints++
 	case obs.EvBuiltin:
-		if pureBuiltins[ev.Name] {
-			return
-		}
-		rng := ev.Name == "rand" || ev.Name == "srand"
-		for _, pt := range r.stack {
-			f := &pt.ops[pt.done]
-			if rng {
-				f.rng = true
-			} else {
-				f.universal = true
-			}
+		switch {
+		case pureBuiltins[ev.Name]:
+			// fully captured by its evented argument reads
+		case ev.Name == "rand" || ev.Name == "srand":
+			r.rngCalls++
+		default:
+			r.rawCalls++
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"repro/internal/ub"
 )
 
-func compile(t *testing.T, src string) *undefc.Program {
+func compile(t testing.TB, src string) *undefc.Program {
 	t.Helper()
 	prog, err := undefc.Compile(src, "test.c", undefc.Options{})
 	if err != nil {
