@@ -288,15 +288,17 @@ func TestCanceledContext(t *testing.T) {
 	}
 }
 
-// TestDeprecatedContextOption: the pre-redesign Options.Context shim must
-// keep working for callers that have not migrated to the ctx argument.
-func TestDeprecatedContextOption(t *testing.T) {
+// TestNilContext: both explorers treat a nil ctx as context.Background()
+// and search normally.
+func TestNilContext(t *testing.T) {
 	prog := compile(t, matrixPrograms[0].src)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	//lint:ignore SA1019 exercising the deprecated field on purpose
-	res := search.Explore(nil, prog, search.Options{Context: ctx}) //nolint:staticcheck
-	if res.Exhausted || res.Runs != 0 {
-		t.Errorf("deprecated Context ignored: runs=%d exhausted=%v", res.Runs, res.Exhausted)
+	var nilCtx context.Context
+	for name, res := range map[string]search.Result{
+		"Explore":    search.Explore(nilCtx, prog, search.Options{Parallelism: 2}),
+		"ExploreDFS": search.ExploreDFS(nilCtx, prog, search.Options{}),
+	} {
+		if !res.Exhausted || res.UB() == nil {
+			t.Errorf("%s(nil ctx): runs=%d exhausted=%v ub=%v", name, res.Runs, res.Exhausted, res.UB())
+		}
 	}
 }

@@ -98,10 +98,6 @@ type Options struct {
 	// worker goroutine. A slow callback backpressures the search, which
 	// is what a streaming consumer wants.
 	OnOutcome func(Outcome, Stats)
-	// Context is deprecated: pass the context to Explore instead. It is
-	// honored (when Explore's ctx argument is nil) so existing callers
-	// keep cancelling; new code should not set it.
-	Context context.Context
 }
 
 // Stats counts the work an exploration did. The JSON shape is part of the
@@ -153,12 +149,8 @@ func (r *Result) Deterministic() bool { return len(r.Outcomes) <= 1 }
 // fanning runs out over Options.Parallelism workers. ctx cancels the
 // search: in-flight runs stop at the next step poll and the frontier is
 // abandoned, returning the outcomes observed so far with Exhausted false.
-// A nil ctx falls back to the deprecated Options.Context, then to
-// context.Background().
+// A nil ctx means context.Background().
 func Explore(ctx context.Context, prog *sema.Program, opts Options) Result {
-	if ctx == nil {
-		ctx = opts.Context
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -193,10 +185,10 @@ func Explore(ctx context.Context, prog *sema.Program, opts Options) Result {
 // oracle implementation: the differential gate asserts that Explore (with
 // any Parallelism/POR/Dedup combination) finds exactly the outcome set
 // ExploreDFS finds. Only MaxRuns, MaxSteps, StopAtFirstUB, and Engine are
-// honored.
+// honored. ctx cancels the search; a nil ctx means context.Background().
 func ExploreDFS(ctx context.Context, prog *sema.Program, opts Options) Result {
 	if ctx == nil {
-		ctx = opts.Context
+		ctx = context.Background()
 	}
 	maxRuns := opts.MaxRuns
 	if maxRuns == 0 {
@@ -219,13 +211,13 @@ func ExploreDFS(ctx context.Context, prog *sema.Program, opts Options) Result {
 		if res.Runs >= maxRuns {
 			return res
 		}
-		if ctx != nil && ctx.Err() != nil {
+		if ctx.Err() != nil {
 			return res
 		}
 		tr := &interp.Trace{Prefix: append([]int{}, prefix...)}
 		runRes := interp.Run(prog, interp.Options{Engine: opts.Engine, Sched: tr, Budget: interp.Budget{MaxSteps: opts.MaxSteps}, Context: ctx})
 		res.Runs++
-		if ctx != nil && ctx.Err() != nil {
+		if ctx.Err() != nil {
 			// The run was interrupted mid-execution: its outcome is an
 			// artifact of the cancellation, not a program behavior.
 			res.Runs--
