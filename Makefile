@@ -39,10 +39,10 @@ test:
 # top: the UB coverage hot path (evaluated/fired counters on every check
 # site) must not allocate, partial-order-reduction bookkeeping must cost
 # the same bytes per logged decision on a deep recursion as on a shallow
-# one, and the chaos run finishes by SIGKILLing a
-# shard under a pinned trace id and asserting GET /v1/trace/{id}
-# assembles one Chrome trace with the router's failed forward + backoff
-# spans and spans from the surviving shard processes.
+# one, and the chaos run finishes by SIGKILLing a shard under a pinned
+# trace id and asserting GET /v1/trace/{id} assembles one Chrome trace
+# with the router's failed forward + backoff spans and spans from the
+# surviving shard processes.
 .PHONY: check
 check: test
 	go vet ./...

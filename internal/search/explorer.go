@@ -56,10 +56,11 @@ type node struct {
 }
 
 // child returns the node reached by pick c at this position, where n
-// choices are available, creating it on the first visit.
+// choices are available, creating it on the first visit. Replay is
+// deterministic, so every visit to a position sees the same n.
 func (nd *node) child(c, n int) *node {
-	if c >= len(nd.kids) {
-		nd.kids = append(nd.kids, make([]*node, max(n, c+1)-len(nd.kids))...)
+	if nd.kids == nil {
+		nd.kids = make([]*node, n)
 	}
 	k := nd.kids[c]
 	if k == nil {

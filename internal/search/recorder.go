@@ -301,9 +301,9 @@ func (r *recorder) OperandDone() {
 }
 
 // Event implements obs.Observer: log each memory access, and count each
-// sequence point and effectful builtin, while any point is open. The
-// enclosing operands of every open point see the entry through their
-// log ranges and counter deltas, so nothing here walks the stack.
+// sequence point and effectful builtin, while any point is open. Every
+// open point's current operand sees the entry through its log range and
+// counter deltas, so an event costs O(1) at any nesting depth.
 func (r *recorder) Event(ev *obs.Event) {
 	if !r.track || len(r.stack) == 0 {
 		return
