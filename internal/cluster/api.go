@@ -69,7 +69,7 @@ type ShardMetrics struct {
 }
 
 // ArtifactRouting is the router's own artifact machinery: the directory
-// behind the peer hints and the cluster-wide single-flight table.
+// behind the peer hints and the cluster-wide single-flight group.
 type ArtifactRouting struct {
 	// Coalesced counts forwards held behind an identical in-flight key —
 	// compiles the cluster did NOT run twice.

@@ -4,11 +4,11 @@ package cluster
 // frame itself, but it knows two things the shards cannot — which shard
 // last answered for a key (the directory, driving the X-Undefc-Artifact-
 // Peer hint on forwards) and which keys are being compiled right now
-// anywhere in the cluster (the flight table, generalizing the shards'
-// in-process single-flight across nodes: N clients submitting the same
-// cold translation unit through the router cost the cluster one compile,
-// with the followers forwarded only after the leader's flight lands —
-// onto a now-warm cache or a now-populated artifact store).
+// anywhere in the cluster (its single-flight group, generalizing the
+// shards' across nodes: N clients submitting the same cold translation
+// unit through the router cost the cluster one compile, with followers
+// forwarded only after the leader's forward reaches a shard — onto a
+// now-warm cache or a now-populated artifact store).
 
 import (
 	"container/list"
@@ -89,46 +89,6 @@ func (d *directory) len() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.lru.Len()
-}
-
-// flightTable is the cluster-wide single-flight registry. The first
-// request for a key becomes the leader and forwards immediately; later
-// requests for the same key get the leader's done channel and hold their
-// forward until it closes. No result is shared through the table — the
-// point is ordering, not caching: a follower released after the leader
-// finds the work already done wherever it lands (same shard: cache hit;
-// failover shard: artifact fetch), instead of racing a duplicate compile
-// through the cluster.
-type flightTable struct {
-	mu sync.Mutex
-	m  map[string]chan struct{}
-}
-
-func newFlightTable() *flightTable {
-	return &flightTable{m: make(map[string]chan struct{})}
-}
-
-// begin registers the caller as leader for key (wait == nil), or returns
-// the current leader's done channel to wait on.
-func (f *flightTable) begin(key string) (wait <-chan struct{}) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if ch, ok := f.m[key]; ok {
-		return ch
-	}
-	f.m[key] = make(chan struct{})
-	return nil
-}
-
-// end releases the leader's flight, waking every follower.
-func (f *flightTable) end(key string) {
-	f.mu.Lock()
-	ch := f.m[key]
-	delete(f.m, key)
-	f.mu.Unlock()
-	if ch != nil {
-		close(ch)
-	}
 }
 
 // enrichMetrics fans out to the shards' own /metrics (JSON) and grafts

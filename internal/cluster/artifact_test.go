@@ -121,10 +121,10 @@ func TestRouterSingleFlight(t *testing.T) {
 	// router, not at the shard.
 	<-g.arrived
 	deadline := time.After(5 * time.Second)
-	for rt.artCoalesced.Load() < followers {
+	for rt.flights.Stats().Parked < followers {
 		select {
 		case <-deadline:
-			t.Fatalf("only %d followers coalesced, want %d", rt.artCoalesced.Load(), followers)
+			t.Fatalf("only %d followers coalesced, want %d", rt.flights.Stats().Parked, followers)
 		case <-time.After(time.Millisecond):
 		}
 	}

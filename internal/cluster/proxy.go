@@ -131,11 +131,10 @@ type Router struct {
 
 	// Artifact routing state: the key→holder directory behind the
 	// X-Undefc-Artifact-Peer hint, and the cluster-wide single-flight
-	// table with its counters.
-	dir          *directory
-	flights      *flightTable
-	artHints     atomic.Int64
-	artCoalesced atomic.Int64
+	// group (its Parked count is the coalesced counter).
+	dir      *directory
+	flights  fault.Group[struct{}]
+	artHints atomic.Int64
 
 	mu         sync.Mutex
 	requests   map[string]int64
@@ -162,7 +161,6 @@ func NewRouter(cfg Config) (*Router, error) {
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		spans:      obs.NewSpanRing(0, 0),
 		dir:        newDirectory(cfg.DirectoryMax),
-		flights:    newFlightTable(),
 		requests:   make(map[string]int64),
 		delivered:  make(map[string]int64),
 		byInstance: make(map[string]map[string]int64),
@@ -285,40 +283,44 @@ func (rt *Router) handleKeyed(w http.ResponseWriter, r *http.Request) {
 	}
 	path := r.URL.Path
 	key := rt.routeKey(path, body)
-	rt.forward(w, r, path, key, body, rt.ring.Replicas(key))
+	replicas := rt.ring.Replicas(key)
+	artKey := ""
+
+	// Cluster-wide single-flight: identical /v1/analyze keys park behind
+	// the first. Once its forward reaches a shard they are released to
+	// find the work done wherever they land (cache hit, or artifact fetch
+	// on failover); if it reaches none, one follower leads instead. The
+	// forward timeout bounds the wait: a stuck leader cannot strand them.
+	if path == "/v1/analyze" && isArtifactKey(key) {
+		artKey = key
+		led := false
+		wait, cancel := context.WithTimeout(r.Context(), rt.cfg.ForwardTimeout)
+		rt.flights.Do(wait, key, func() (struct{}, error) {
+			led = true
+			return struct{}{}, rt.forward(w, r, path, artKey, body, replicas)
+		})
+		cancel()
+		if led || r.Context().Err() != nil {
+			return // answered, or the client left while parked
+		}
+	}
+	rt.forward(w, r, path, artKey, body, replicas)
 }
+
+// errUndelivered marks a leader's forward that reached no shard: it says
+// nothing about the key, so parked followers must not be released on it.
+var errUndelivered = fault.Transient(errors.New("forward reached no shard"))
 
 // forward runs the failover loop: walk the key's replica list, skipping
 // shards the health model rules out, with jittered exponential backoff
 // between attempts. A response from a shard — any status — ends the
 // loop, except 429 and draining 503, which fail over (the shard counted
-// nothing for them, so replaying elsewhere cannot double-count).
-func (rt *Router) forward(w http.ResponseWriter, r *http.Request, path, key string, body []byte, replicas []string) {
+// nothing for them, so replaying elsewhere cannot double-count). artKey
+// is an analyze request's source key, empty for every other request. It
+// returns errUndelivered unless a shard's answer reached the client.
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, path, artKey string, body []byte, replicas []string) error {
 	streaming := path == "/v1/batch" ||
 		(path == "/v1/explore" && strings.Contains(r.Header.Get("Accept"), "application/x-ndjson"))
-
-	// Cluster-wide single-flight: the first /v1/analyze for a source key
-	// leads; identical keys arriving while it is in flight wait here and
-	// find the work already done wherever they land. The wait is bounded
-	// by the forward timeout — a stuck leader delays followers, it cannot
-	// strand them.
-	artKey := ""
-	if path == "/v1/analyze" && isArtifactKey(key) {
-		artKey = key
-	}
-	if artKey != "" {
-		if wait := rt.flights.begin(artKey); wait != nil {
-			rt.artCoalesced.Add(1)
-			select {
-			case <-wait:
-			case <-time.After(rt.cfg.ForwardTimeout):
-			case <-r.Context().Done():
-				return // client gone while coalesced; nothing to answer
-			}
-		} else {
-			defer rt.flights.end(artKey)
-		}
-	}
 
 	// The trace identity survives failover: mint it once per logical
 	// request (or adopt the client's), not per attempt.
@@ -396,7 +398,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, path, key stri
 		if err != nil {
 			cancel()
 			rt.writeError(w, http.StatusInternalServerError, "internal-error", err.Error())
-			return
+			return errUndelivered
 		}
 		req.Header.Set("Content-Type", r.Header.Get("Content-Type"))
 		if accept := r.Header.Get("Accept"); accept != "" {
@@ -435,7 +437,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, path, key stri
 				// The client went away: the outbound context (derived from
 				// the request's) was cancelled under the shard, which is
 				// blameless. No one is left to answer or fail over for.
-				return
+				return errUndelivered
 			}
 			sh.errors.Add(1)
 			rt.fwdFailures.Add(1)
@@ -469,7 +471,10 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, path, key stri
 				// cancellation rippled into the upstream read — the shard
 				// is blameless, and no one is left to answer.
 			}
-			return
+			if lost != nil {
+				return errUndelivered
+			}
+			return nil
 		}
 
 		respBody, rerr := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
@@ -477,7 +482,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, path, key stri
 		cancel()
 		if rerr != nil {
 			if r.Context().Err() != nil {
-				return // client gone mid-read; the shard is blameless
+				return errUndelivered // client gone mid-read; the shard is blameless
 			}
 			// Response lost in transit before anything reached the client:
 			// replay is safe for the client; if the shard died, its counters
@@ -514,17 +519,18 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, path, key stri
 				rt.dir.record(artKey, sh.addr)
 			}
 		}
-		return
+		return nil
 	}
 	if last429 != nil {
 		rt.relayed429.Add(1)
 		rt.relay(w, last429, last429Body)
-		return
+		return errUndelivered
 	}
 	rt.noShards.Add(1)
 	w.Header().Set("Retry-After", "1")
 	rt.writeError(w, http.StatusServiceUnavailable, "no-shards",
 		fmt.Sprintf("no shard available for this request (%d in ring)", len(rt.shards)))
+	return errUndelivered
 }
 
 // relay copies a buffered upstream response to the client verbatim.
@@ -828,7 +834,7 @@ func (rt *Router) Metrics() *RouterMetrics {
 			UpstreamLost: rt.upstreamLost.Load(),
 		},
 		Artifact: &ArtifactRouting{
-			Coalesced:     rt.artCoalesced.Load(),
+			Coalesced:     rt.flights.Stats().Parked,
 			Hints:         rt.artHints.Load(),
 			DirectoryKeys: int64(rt.dir.len()),
 		},

@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -26,21 +25,23 @@ import (
 // compile failures (bad C) are cached as well — within one cache lifetime
 // a broken translation unit is compiled (and fails) exactly once, no
 // matter how many tools ask for it. Non-deterministic failures — contained
-// panics, injected transients, context cancellation — are NOT cached:
-// caching one would pin a spurious error onto a translation unit that
-// would compile fine on retry. Options.Includes is NOT part of the key:
-// callers must use a consistent include resolver for the lifetime of a
-// cache.
+// panics, injected transients, context cancellation — are neither cached
+// nor shared with callers waiting on the same compile (fault.Group):
+// either would pin a spurious error onto a translation unit that compiles
+// fine on retry. Options.Includes is NOT part of the key: callers must use
+// a consistent include resolver for the lifetime of a cache.
 type Cache struct {
-	mu      sync.Mutex
-	entries map[cacheKey]*cacheEntry
+	mu sync.Mutex
+	// entries holds completed deterministic results only; misses
+	// single-flight through flights.
+	entries map[cacheKey]cacheEntry
+	flights fault.Group[*sema.Program]
 
-	// Counters, guarded by mu. A lookup that finds an entry counts as a
-	// hit even when the compile is still in flight (the caller shares it
-	// rather than redoing it, which is the point); a hit on a still-compiling
-	// entry additionally counts as a single-flight wait.
+	// Counters, guarded by mu. A lookup served another caller's result —
+	// a completed entry or a shared in-flight compile — counts as a hit;
+	// a lookup that runs the miss path counts as a miss. Single-flight
+	// waits are the flight group's Parked count.
 	hits, misses, errors int64
-	waits                int64
 	evictions            int64
 	compileTime          time.Duration
 	// artifactHits counts misses served by decoding a stored artifact;
@@ -54,22 +55,6 @@ type Cache struct {
 
 	// observer, when set, receives EvCacheHit/EvCacheMiss per lookup.
 	observer obs.Observer
-
-	// onEvict, when set, is called with the evicted entry's program
-	// whenever a completed entry that produced one is dropped (Invalidate;
-	// failure evictions carry no program). Derived caches keyed by the
-	// *sema.Program pointer — the vm's compiled-code cache — hook this so
-	// they never outlive the program interning that makes their key sound.
-	onEvict func(*sema.Program)
-}
-
-// SetEvictHook installs fn to run for every evicted entry that holds a
-// program. The hook runs outside the cache lock and must be safe for
-// concurrent use. Set it before sharing the cache across goroutines.
-func (c *Cache) SetEvictHook(fn func(*sema.Program)) {
-	c.mu.Lock()
-	c.onEvict = fn
-	c.mu.Unlock()
 }
 
 // SetObserver attaches an observer to the cache: every lookup emits an
@@ -122,14 +107,13 @@ type cacheKey struct {
 }
 
 type cacheEntry struct {
-	done chan struct{} // closed when prog/err are set
 	prog *sema.Program
 	err  error
 }
 
 // NewCache returns an empty compile cache.
 func NewCache() *Cache {
-	return &Cache{entries: make(map[cacheKey]*cacheEntry)}
+	return &Cache{entries: make(map[cacheKey]cacheEntry)}
 }
 
 // CacheStats is a snapshot of a cache's counters. It is the only way to
@@ -141,13 +125,14 @@ type CacheStats struct {
 	Hits   int64 `json:"hits"`   // lookups served from an existing (possibly in-flight) entry
 	Misses int64 `json:"misses"` // lookups that triggered a frontend pass
 	Errors int64 `json:"errors"` // misses whose compile failed (each failure counted once)
-	// Waits counts single-flight waits: hits that found the entry still
+	// Waits counts single-flight waits: lookups that found the unit still
 	// compiling and blocked on the in-flight frontend pass instead of
-	// starting their own.
+	// starting their own. A waiter that re-runs the compile after a
+	// non-deterministic failure counts as a wait and a miss.
 	Waits int64 `json:"waits"`
-	// Evictions counts entries dropped from the cache: non-cacheable
-	// failures (transient, contained panic, cancellation) plus explicit
-	// Invalidate calls.
+	// Evictions counts compile results dropped instead of cached: the
+	// non-deterministic failures (transient, contained panic,
+	// cancellation).
 	Evictions int64 `json:"evictions"`
 	// CompileTime is the total wall time spent inside actual frontend
 	// passes (misses only; waiting on another caller's compile is free).
@@ -163,11 +148,11 @@ type CacheStats struct {
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, Errors: c.errors, Waits: c.waits, Evictions: c.evictions, CompileTime: c.compileTime, ArtifactHits: c.artifactHits, Compiles: c.compiles}
+	return CacheStats{Hits: c.hits, Misses: c.misses, Errors: c.errors, Waits: c.flights.Stats().Parked, Evictions: c.evictions, CompileTime: c.compileTime, ArtifactHits: c.artifactHits, Compiles: c.compiles}
 }
 
-// Len reports the number of cached translation units (including failures
-// and in-flight compiles).
+// Len reports the number of cached translation units (including
+// deterministic failures; in-flight compiles are not yet cached).
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -202,29 +187,55 @@ func (c *Cache) CompileCtx(ctx context.Context, src, file string, opts Options) 
 }
 
 // compile reports how the result was obtained in its third return: "hit"
-// (served from an existing entry), "artifact" (miss served by the artifact
-// tier), or "miss" (ran the frontend).
+// (served another caller's result), "artifact" (miss served by the
+// artifact tier), or "miss" (ran the frontend).
 func (c *Cache) compile(src, file string, opts Options) (prog *sema.Program, err error, how string) {
 	k := makeKey(src, file, opts)
-
-	c.mu.Lock()
-	if e, ok := c.entries[k]; ok {
-		c.hits++
-		select {
-		case <-e.done:
-		default:
-			c.waits++
-		}
-		o := c.observer
-		c.mu.Unlock()
-		if o != nil {
-			o.Event(&obs.Event{Kind: obs.EvCacheHit, Name: file})
-		}
-		<-e.done
+	if e, ok := c.lookup(k, file); ok {
 		return e.prog, e.err, "hit"
 	}
-	e := &cacheEntry{done: make(chan struct{})}
-	c.entries[k] = e
+	// Waiters do not stop with their caller's ctx, so every lookup ends
+	// as a hit or a miss.
+	how = "hit"
+	prog, err, shared := c.flights.Do(context.Background(), sourceKeyOf(k), func() (p *sema.Program, ferr error) {
+		// A flight may have landed between the lookup above and this one.
+		if e, ok := c.lookup(k, file); ok {
+			return e.prog, e.err
+		}
+		p, ferr, how = c.fill(k, src, file, opts)
+		return p, ferr
+	})
+	if shared {
+		c.countHit(file)
+	}
+	return prog, err, how
+}
+
+// lookup returns the completed entry for k, counting a hit when there is one.
+func (c *Cache) lookup(k cacheKey, file string) (cacheEntry, bool) {
+	c.mu.Lock()
+	e, ok := c.entries[k]
+	c.mu.Unlock()
+	if ok {
+		c.countHit(file)
+	}
+	return e, ok
+}
+
+func (c *Cache) countHit(file string) {
+	c.mu.Lock()
+	c.hits++
+	o := c.observer
+	c.mu.Unlock()
+	if o != nil {
+		o.Event(&obs.Event{Kind: obs.EvCacheHit, Name: file})
+	}
+}
+
+// fill is the miss path: the artifact tier, then the frontend. It caches
+// the result only when it is deterministic.
+func (c *Cache) fill(k cacheKey, src, file string, opts Options) (prog *sema.Program, err error, how string) {
+	c.mu.Lock()
 	c.misses++
 	arts := c.artifacts
 	o := c.observer
@@ -237,18 +248,16 @@ func (c *Cache) compile(src, file string, opts Options) (prog *sema.Program, err
 	start := time.Now()
 	if arts != nil {
 		if p, ok := arts.Load(sourceKeyOf(k), opts); ok {
-			e.prog = p
-			how = "artifact"
+			prog, how = p, "artifact"
 		}
 	}
-	if e.prog == nil {
-		e.prog, e.err = Compile(src, file, opts)
-		if e.err == nil && arts != nil {
-			arts.Store(sourceKeyOf(k), e.prog)
+	if prog == nil {
+		prog, err = Compile(src, file, opts)
+		if err == nil && arts != nil {
+			arts.Store(sourceKeyOf(k), prog)
 		}
 	}
 	elapsed := time.Since(start)
-	close(e.done)
 
 	c.mu.Lock()
 	c.compileTime += elapsed
@@ -257,63 +266,16 @@ func (c *Cache) compile(src, file string, opts Options) (prog *sema.Program, err
 	} else {
 		c.compiles++
 	}
-	if e.err != nil {
+	if err != nil {
 		c.errors++
-		if !cacheable(e.err) {
-			// Callers already waiting on e.done still see this result;
-			// future lookups recompile.
-			if c.entries[k] == e {
-				delete(c.entries, k)
-				c.evictions++
-			}
-		}
+	}
+	if fault.Deterministic(err) {
+		c.entries[k] = cacheEntry{prog, err}
+	} else {
+		c.evictions++
 	}
 	c.mu.Unlock()
-	return e.prog, e.err, how
-}
-
-// cacheable reports whether a compile error is deterministic — a property
-// of the translation unit rather than of this particular attempt.
-func cacheable(err error) bool {
-	if fault.IsTransient(err) {
-		return false
-	}
-	if _, ok := fault.AsInternal(err); ok {
-		return false
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	return true
-}
-
-// Invalidate drops the cache entry for (src, file, opts) so the next
-// Compile reruns the frontend. In-flight entries are left alone — evicting
-// one would let two compiles for the same key race. It reports whether an
-// entry was removed; the runner's retry path calls this before retrying a
-// transient failure.
-func (c *Cache) Invalidate(src, file string, opts Options) bool {
-	k := makeKey(src, file, opts)
-	c.mu.Lock()
-	e, ok := c.entries[k]
-	if !ok {
-		c.mu.Unlock()
-		return false
-	}
-	select {
-	case <-e.done:
-	default:
-		c.mu.Unlock()
-		return false // still compiling
-	}
-	delete(c.entries, k)
-	c.evictions++
-	hook := c.onEvict
-	c.mu.Unlock()
-	if hook != nil && e.prog != nil {
-		hook(e.prog)
-	}
-	return true
+	return prog, err, how
 }
 
 // SourceKey renders the cache identity of (src, file, opts) — the key

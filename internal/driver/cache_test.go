@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/ctypes"
-	"repro/internal/sema"
 )
 
 const cacheTestSrc = `
@@ -210,38 +209,5 @@ func TestCacheStatsConcurrent(t *testing.T) {
 	}
 	if st.Errors != 1 {
 		t.Errorf("errors = %d, want 1", st.Errors)
-	}
-}
-
-// TestCacheEvictHook pins the coherence contract with program-keyed
-// derived caches (the vm's compiled code): Invalidate hands the evicted
-// entry's program to the hook exactly once; failure entries, which carry
-// no program, never reach it.
-func TestCacheEvictHook(t *testing.T) {
-	c := NewCache()
-	var evicted []*sema.Program
-	c.SetEvictHook(func(p *sema.Program) { evicted = append(evicted, p) })
-
-	prog, err := c.Compile(cacheTestSrc, "t.c", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Invalidate(cacheTestSrc, "t.c", Options{}) {
-		t.Fatal("Invalidate found no entry")
-	}
-	if len(evicted) != 1 || evicted[0] != prog {
-		t.Fatalf("hook saw %d programs, want exactly the invalidated one", len(evicted))
-	}
-	if c.Invalidate(cacheTestSrc, "t.c", Options{}) {
-		t.Error("second Invalidate removed something")
-	}
-
-	// A cached compile failure holds no program: evicting it is silent.
-	if _, err := c.Compile("int main(void) { return }", "bad.c", Options{}); err == nil {
-		t.Fatal("expected a compile error")
-	}
-	c.Invalidate("int main(void) { return }", "bad.c", Options{})
-	if len(evicted) != 1 {
-		t.Errorf("hook saw %d programs after failure eviction, want 1", len(evicted))
 	}
 }

@@ -50,26 +50,3 @@ func TestCacheDoesNotCacheNondeterministicErrors(t *testing.T) {
 		t.Fatalf("compile after contained panic: %v (fault was cached)", err)
 	}
 }
-
-func TestCacheInvalidate(t *testing.T) {
-	c := NewCache()
-	if c.Invalidate(cacheTestSrc, "t.c", Options{}) {
-		t.Error("Invalidate on empty cache returned true")
-	}
-	if _, err := c.Compile(cacheTestSrc, "t.c", Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if !c.Invalidate(cacheTestSrc, "t.c", Options{}) {
-		t.Error("Invalidate missed a cached entry")
-	}
-	if c.Len() != 0 {
-		t.Errorf("cache len = %d after invalidate, want 0", c.Len())
-	}
-	if _, err := c.Compile(cacheTestSrc, "t.c", Options{}); err != nil {
-		t.Fatal(err)
-	}
-	st := c.Stats()
-	if st.Misses != 2 || st.Evictions != 1 {
-		t.Errorf("stats = %d misses / %d evictions, want 2/1", st.Misses, st.Evictions)
-	}
-}

@@ -69,9 +69,7 @@ type Options struct {
 	// (tools.Config.Engine); it must match. When "vm", the runner warms
 	// the compiled closure code right after each case's shared frontend
 	// pass — so the first tool to reach a cell never pays the bytecode
-	// compile inside its measured analysis — and wires the compile cache's
-	// eviction hook to vm.Forget, keeping the two program-keyed caches
-	// coherent across Invalidate-driven retries.
+	// compile inside its measured analysis.
 	Engine string
 	// OnCell, when set, is invoked for every completed matrix cell as soon
 	// as its report exists — the streaming hook batch servers use to emit
@@ -170,9 +168,6 @@ func RunMatrix(s *suite.Suite, ts []tools.Tool, opts Options) (*MatrixResult, er
 	cache := opts.Cache
 	if cache == nil {
 		cache = driver.NewCache()
-	}
-	if opts.Engine == "vm" {
-		cache.SetEvictHook(vm.Forget)
 	}
 	copts := driver.Options{Model: opts.Model, Defines: opts.Defines, Injector: opts.Injector}
 	before := cache.Stats()
@@ -288,16 +283,15 @@ feed:
 
 // runCell produces the report for one case×tool cell: the analysis runs
 // under the runner's containment guard and per-cell watchdog, and a
-// transient failure is retried once (after invalidating the cached compile
-// so the retry redoes the frontend). Deterministic failures — including
-// contained panics — are quarantined as-is: retrying a panic would just
+// transient failure is retried once (the compile cache never keeps a
+// transient failure, so the retry redoes the frontend). Deterministic
+// failures — including contained panics — are quarantined as-is: retrying a panic would just
 // crash the same way again, and the manifest should carry the first stack.
 func runCell(ctx context.Context, cache *driver.Cache, t tools.Tool, c *suite.Case, copts driver.Options, opts Options) tools.Report {
 	ctx, sp := obs.StartSpan(ctx, "cell")
 	rep := analyzeCell(ctx, cache, t, c, copts, opts)
 	if rep.Transient && ctx.Err() == nil {
 		time.Sleep(retryBackoff)
-		cache.Invalidate(c.Source, c.Name+".c", copts)
 		rep = analyzeCell(ctx, cache, t, c, copts, opts)
 		rep.Retried = true
 	}

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/driver"
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/search"
@@ -319,6 +320,14 @@ type CoalesceStats struct {
 	// HitRate is Followers / (Leaders + Followers), the fraction of
 	// requests that paid nothing.
 	HitRate float64 `json:"hit_rate"`
+}
+
+func coalesceStats(g fault.GroupStats) CoalesceStats {
+	s := CoalesceStats{Leaders: g.Led, Followers: g.Shared}
+	if s.Leaders+s.Followers > 0 {
+		s.HitRate = float64(s.Followers) / float64(s.Leaders+s.Followers)
+	}
+	return s
 }
 
 // MetricsResponse is the body of GET /metrics.

@@ -90,9 +90,14 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// produce identical results, so the second shares the first's flight.
 	key := fmt.Sprintf("%s|%s|%d|%s|%v",
 		driver.SourceKey(req.Source, file, copts), tool.Name(), req.MaxSteps, timeout, req.Metrics)
-	out, coalesced := s.coalesce.do(key, func() outcome {
+	// Followers share only a deterministic outcome (see runAnalysis).
+	out, err, coalesced := s.flights.Do(ctx, key, func() (outcome, error) {
 		return s.runAnalysis(ctx, req.Source, file, tool, copts)
 	})
+	if out.status == 0 { // this request's own wait ended: its client is gone
+		out = outcome{status: http.StatusServiceUnavailable, errCode: "cancelled",
+			errMsg: "request ended while waiting for a coalesced analysis: " + err.Error()}
+	}
 	if hsp.Recording() {
 		hsp.SetAttr("tool", tool.Name())
 		hsp.SetAttr("model", s.cfg.Model)
@@ -157,9 +162,26 @@ func (s *Server) adoptTrace(w http.ResponseWriter, r *http.Request, sample bool)
 	return ctx, traceID
 }
 
+// outcome is the product of one analysis flight: either a response body
+// or an API error, plus the HTTP status to serve it with. Followers copy
+// the value, so an outcome must stay plain data (the embedded ToolResult
+// pointers — UB, Fault, Metrics — are written once by the leader and
+// only read after its flight completes).
+type outcome struct {
+	status int
+	resp   AnalyzeResponse
+	// errCode/errMsg, when set, mean the flight produced no analysis (the
+	// leader was refused admission); the handler serves an ErrorResponse.
+	errCode string
+	errMsg  string
+}
+
 // runAnalysis is the leader's flight: admission, then one guarded
-// compile+run through the shared cache.
-func (s *Server) runAnalysis(ctx context.Context, src, file string, tool tools.Tool, copts driver.Options) outcome {
+// compile+run through the shared cache. The error is non-nil when the
+// outcome belongs to this attempt rather than to the request — a
+// refusal, a contained panic or a transient report — so followers must
+// not share it.
+func (s *Server) runAnalysis(ctx context.Context, src, file string, tool tools.Tool, copts driver.Options) (outcome, error) {
 	qstart := time.Now()
 	_, qsp := obs.StartSpan(ctx, "queue")
 	release, err := s.queue.Acquire(ctx)
@@ -167,11 +189,11 @@ func (s *Server) runAnalysis(ctx context.Context, src, file string, tool tools.T
 	if errors.Is(err, ErrQueueFull) {
 		return outcome{status: http.StatusTooManyRequests, errCode: "queue-full",
 			errMsg: fmt.Sprintf("admission queue at capacity (%d executing, %d waiting); retry later",
-				s.cfg.Concurrency, s.cfg.QueueDepth)}
+				s.cfg.Concurrency, s.cfg.QueueDepth)}, fault.Transient(err)
 	}
 	if err != nil {
 		return outcome{status: http.StatusServiceUnavailable, errCode: "cancelled",
-			errMsg: "request ended while waiting for admission: " + err.Error()}
+			errMsg: "request ended while waiting for admission: " + err.Error()}, err
 	}
 	defer release()
 	queueNS := time.Since(qstart).Nanoseconds()
@@ -215,12 +237,16 @@ func (s *Server) runAnalysis(ctx context.Context, src, file string, tool tools.T
 	if rep.Verdict == tools.InternalError {
 		status = http.StatusInternalServerError
 	}
+	var ferr error
+	if rep.Verdict == tools.InternalError || rep.Transient {
+		ferr = fault.Transient(errors.New(rep.Detail))
+	}
 	return outcome{status: status, resp: AnalyzeResponse{
 		Schema:  APISchema,
 		File:    file,
 		Result:  runner.ToolResultFrom(tool.Name(), rep),
 		QueueNS: queueNS,
-	}}
+	}}, ferr
 }
 
 // ---------- /v1/batch ----------

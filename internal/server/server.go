@@ -176,7 +176,7 @@ type Server struct {
 	model    *ctypes.Model
 	cache    *driver.Cache
 	queue    *queue
-	coalesce *coalescer
+	flights  fault.Group[outcome] // coalesces identical in-flight analyze requests
 	mux      *http.ServeMux
 	start    time.Time
 	draining atomic.Bool
@@ -239,7 +239,7 @@ func New(cfg Config) (*Server, error) {
 		model:      model,
 		cache:      driver.NewCache(),
 		queue:      newQueue(cfg.Concurrency, cfg.QueueDepth),
-		coalesce:   newCoalescer(),
+		flights:    fault.Group[outcome]{Yield: true},
 		start:      time.Now(),
 		instance:   newInstanceID(),
 		requests:   make(map[string]int64),
@@ -250,11 +250,6 @@ func New(cfg Config) (*Server, error) {
 		s.traces = obs.NewTraceBuffer(cfg.TraceBufferSize)
 	}
 	s.spans = obs.NewSpanRing(0, 0)
-	if cfg.Engine == "vm" {
-		// Keep the compiled-code cache coherent with the compile cache: an
-		// invalidated program's bytecode goes with it.
-		s.cache.SetEvictHook(vm.Forget)
-	}
 	if cfg.ArtifactDir != "" {
 		tier, err := artifact.NewTier(artifact.Config{
 			Dir:          cfg.ArtifactDir,
@@ -391,7 +386,7 @@ func (s *Server) Metrics() *MetricsResponse {
 		Warm:          s.warmed.Load(),
 		ServiceEWMANS: s.ewmaServiceNS.Load(),
 		Queue:         s.queue.Stats(),
-		Coalesce:      s.coalesce.Stats(),
+		Coalesce:      coalesceStats(s.flights.Stats()),
 		Cache:         s.cache.Stats(),
 		Draining:      s.draining.Load(),
 	}

@@ -323,6 +323,96 @@ func TestCoalesceConcurrent(t *testing.T) {
 	}
 }
 
+// TestCoalesceLeaderRefusalNotShared: a leader refused admission (its
+// client hung up while it queued) must not hand its refusal to the
+// followers coalesced onto it. With the one slot held by another key, the
+// leader for K queues, three followers park on it, and the leader is
+// cancelled: one follower re-leads on its own request, and all three get
+// 200 with one shared analysis.
+func TestCoalesceLeaderRefusalNotShared(t *testing.T) {
+	rules, err := fault.ParseSpec("server.handle=delay:1ms*1~hold.c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := fault.NewInjector(1, rules...)
+	holding, free := make(chan struct{}), make(chan struct{})
+	inj.OnFire(func(fault.Hit) { close(holding); <-free })
+	srv, ts := newTestServer(t, Config{Concurrency: 1, Injector: inj})
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		post(t, ts.URL, "/v1/analyze", AnalyzeRequest{Source: "int main(void){return 0;}", File: "hold.c"})
+	}()
+	<-holding
+
+	body, _ := json.Marshal(AnalyzeRequest{Source: "int main(void){int x; return x;}", File: "k.c"})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/analyze", bytes.NewReader(body))
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	waitFor("the leader to queue", func() bool { return srv.queue.Stats().Depth == 1 })
+
+	const followers = 3
+	replies := make([]AnalyzeResponse, followers)
+	statuses := make([]int, followers)
+	for i := 0; i < followers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, b := post(t, ts.URL, "/v1/analyze", AnalyzeRequest{Source: "int main(void){int x; return x;}", File: "k.c"})
+			statuses[i] = resp.StatusCode
+			json.Unmarshal(b, &replies[i])
+		}(i)
+	}
+	waitFor("the followers to park", func() bool { return srv.flights.Stats().Parked == followers })
+
+	cancel()
+	<-leaderDone
+	waitFor("the leader's admission to be cancelled", func() bool { return srv.queue.Stats().Cancelled == 1 })
+	close(free)
+	wg.Wait()
+
+	coalesced := 0
+	for i := range replies {
+		if statuses[i] != http.StatusOK {
+			t.Fatalf("follower %d: status %d, want 200", i, statuses[i])
+		}
+		if replies[i].Result.Verdict != replies[0].Result.Verdict {
+			t.Errorf("follower %d: verdict %v differs from %v", i, replies[i].Result.Verdict, replies[0].Result.Verdict)
+		}
+		if replies[i].Coalesced {
+			coalesced++
+		}
+	}
+	if coalesced != followers-1 {
+		t.Errorf("coalesced replies = %d, want %d (one follower re-leads)", coalesced, followers-1)
+	}
+	if cs := srv.CacheStats(); cs.Misses != 2 {
+		t.Errorf("compiles = %d, want 2 (hold.c and one for k.c)", cs.Misses)
+	}
+	if st := metrics(t, ts.URL).Coalesce; st.Leaders != 3 || st.Followers != followers-1 {
+		t.Errorf("coalesce stats = %+v, want 3 leaders / %d followers", st, followers-1)
+	}
+}
+
 // TestQueueBackpressure exercises the admission queue directly: capacity
 // concurrency=1 depth=1 means one executes, one waits, the third is
 // refused immediately, and a waiter whose context ends is released.
@@ -449,24 +539,6 @@ func TestQueueFullHTTP(t *testing.T) {
 		t.Errorf("429 body = %s, want code queue-full", body)
 	}
 	wg.Wait()
-}
-
-// TestCoalescerForgetsCompletedFlights pins the no-stale-results property:
-// coalescing is in-flight deduplication only, so a key is re-run once its
-// flight completes.
-func TestCoalescerForgetsCompletedFlights(t *testing.T) {
-	c := newCoalescer()
-	runs := 0
-	fn := func() outcome { runs++; return outcome{status: 200} }
-	if _, follower := c.do("k", fn); follower {
-		t.Fatal("first call was a follower")
-	}
-	if _, follower := c.do("k", fn); follower {
-		t.Fatal("second sequential call was a follower")
-	}
-	if runs != 2 {
-		t.Fatalf("fn ran %d times, want 2 (one per completed flight)", runs)
-	}
 }
 
 // TestBadRequests sweeps the request-validation edges.

@@ -155,18 +155,6 @@ func lockedLookup(prog *sema.Program) *cacheEntry {
 	return ent
 }
 
-// Forget drops prog's compiled code. The driver's program cache calls
-// this from its eviction hook so the two caches do not hold programs
-// past each other's lifetimes.
-func Forget(prog *sema.Program) {
-	codeCache.Lock()
-	if el, ok := codeCache.entries[prog]; ok {
-		delete(codeCache.entries, prog)
-		codeCache.lru.Remove(el)
-	}
-	codeCache.Unlock()
-}
-
 // CacheStats is a snapshot of the compiled-code cache counters.
 type CacheStats struct {
 	Hits      uint64 `json:"hits"`
