@@ -12,7 +12,8 @@ test:
 # end-to-end containment
 # gate (a panic injected at every site must degrade gracefully, never
 # crash the suite, and fail exactly one cell — the compile site across a
-# schedule matrix, -j 1,2,4,8 each under GOMAXPROCS=1 and 2), replay the fuzz seed corpora, run the daemon
+# schedule matrix, -j 1,2,4,8 each under GOMAXPROCS=1 and 2), replay
+# the fuzz seed corpora, run the daemon
 # lifecycle smoke test (boot on a free port, one analyze round-trip,
 # SIGTERM drain), and hold the bytecode VM to its fidelity contract:
 # the absolute golden event sequence, the full Figure-2 differential
