@@ -133,7 +133,7 @@ type Router struct {
 	// X-Undefc-Artifact-Peer hint, and the cluster-wide single-flight
 	// group (its Parked count is the coalesced counter).
 	dir      *directory
-	flights  fault.Group[struct{}]
+	flights  fault.Group[string, struct{}]
 	artHints atomic.Int64
 
 	mu         sync.Mutex

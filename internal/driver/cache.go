@@ -35,7 +35,7 @@ type Cache struct {
 	// entries holds completed deterministic results only; misses
 	// single-flight through flights.
 	entries map[cacheKey]cacheEntry
-	flights fault.Group[*sema.Program]
+	flights fault.Group[cacheKey, *sema.Program]
 
 	// Counters, guarded by mu. A lookup served another caller's result —
 	// a completed entry or a shared in-flight compile — counts as a hit;
@@ -197,7 +197,7 @@ func (c *Cache) compile(src, file string, opts Options) (prog *sema.Program, err
 	// Waiters do not stop with their caller's ctx, so every lookup ends
 	// as a hit or a miss.
 	how = "hit"
-	prog, err, shared := c.flights.Do(context.Background(), sourceKeyOf(k), func() (p *sema.Program, ferr error) {
+	prog, err, shared := c.flights.Do(context.Background(), k, func() (p *sema.Program, ferr error) {
 		// A flight may have landed between the lookup above and this one.
 		if e, ok := c.lookup(k, file); ok {
 			return e.prog, e.err
@@ -206,27 +206,33 @@ func (c *Cache) compile(src, file string, opts Options) (prog *sema.Program, err
 		return p, ferr
 	})
 	if shared {
-		c.countHit(file)
+		c.mu.Lock()
+		c.hits++
+		o := c.observer
+		c.mu.Unlock()
+		hitEvent(o, file)
 	}
 	return prog, err, how
 }
 
-// lookup returns the completed entry for k, counting a hit when there is one.
+// lookup returns the completed entry for k, counting a hit when there is
+// one. The map read, the count and the observer read share one critical
+// section: this is the hot path of a warm cache.
 func (c *Cache) lookup(k cacheKey, file string) (cacheEntry, bool) {
 	c.mu.Lock()
 	e, ok := c.entries[k]
+	if ok {
+		c.hits++
+	}
+	o := c.observer
 	c.mu.Unlock()
 	if ok {
-		c.countHit(file)
+		hitEvent(o, file)
 	}
 	return e, ok
 }
 
-func (c *Cache) countHit(file string) {
-	c.mu.Lock()
-	c.hits++
-	o := c.observer
-	c.mu.Unlock()
+func hitEvent(o obs.Observer, file string) {
 	if o != nil {
 		o.Event(&obs.Event{Kind: obs.EvCacheHit, Name: file})
 	}

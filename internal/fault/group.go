@@ -3,7 +3,6 @@ package fault
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -34,16 +33,9 @@ func Deterministic(err error) bool {
 // in-flight deduplication, never a result cache.
 //
 // The zero Group is ready to use and must not be copied after first use.
-type Group[V any] struct {
-	// Yield makes each leader yield once between publishing its flight
-	// and running fn, so that on a single-P runtime duplicates that have
-	// already arrived can find the flight before a short CPU-bound fn
-	// completes. Request coalescing needs it; a fixed worker pool does
-	// not, and there it only turns would-be hits into waits (EXPERIMENTS.md).
-	Yield bool
-
+type Group[K comparable, V any] struct {
 	mu sync.Mutex
-	m  map[string]*flight[V]
+	m  map[K]*flight[V]
 
 	led, shared, parked atomic.Int64
 }
@@ -71,14 +63,14 @@ type GroupStats struct {
 }
 
 // Stats snapshots the call counters.
-func (g *Group[V]) Stats() GroupStats {
+func (g *Group[K, V]) Stats() GroupStats {
 	return GroupStats{Led: g.led.Load(), Shared: g.shared.Load(), Parked: g.parked.Load()}
 }
 
 // Do runs fn once per concurrent key. shared reports that v and err came
 // from another caller's run. A follower stops waiting when ctx ends and
 // returns ctx.Err(); the flight it left carries on.
-func (g *Group[V]) Do(ctx context.Context, key string, fn func() (V, error)) (v V, err error, shared bool) {
+func (g *Group[K, V]) Do(ctx context.Context, key K, fn func() (V, error)) (v V, err error, shared bool) {
 	g.mu.Lock()
 	f := g.m[key]
 	if f == nil {
@@ -114,9 +106,9 @@ func (g *Group[V]) Do(ctx context.Context, key string, fn func() (V, error)) (v 
 }
 
 // publish registers a new flight for key. Callers hold g.mu.
-func (g *Group[V]) publish(key string) *flight[V] {
+func (g *Group[K, V]) publish(key K) *flight[V] {
 	if g.m == nil {
-		g.m = make(map[string]*flight[V])
+		g.m = make(map[K]*flight[V])
 	}
 	f := &flight[V]{done: make(chan struct{}), err: errAbandoned}
 	g.m[key] = f
@@ -126,7 +118,7 @@ func (g *Group[V]) publish(key string) *flight[V] {
 // lead runs fn for flight f, then classifies, forgets and publishes the
 // result, in that order: a follower never sees an unclassified result,
 // and a caller arriving after the flight completes starts a fresh one.
-func (g *Group[V]) lead(key string, f *flight[V], fn func() (V, error)) (V, error, bool) {
+func (g *Group[K, V]) lead(key K, f *flight[V], fn func() (V, error)) (V, error, bool) {
 	g.led.Add(1)
 	defer func() {
 		g.mu.Lock()
@@ -134,9 +126,6 @@ func (g *Group[V]) lead(key string, f *flight[V], fn func() (V, error)) (V, erro
 		g.mu.Unlock()
 		close(f.done)
 	}()
-	if g.Yield {
-		runtime.Gosched()
-	}
 	v, err := fn()
 	f.v, f.err, f.det = v, err, Deterministic(err)
 	return v, err, false

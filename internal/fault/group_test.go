@@ -20,7 +20,7 @@ type groupResult struct {
 // followers and waits until all of them are parked on the leader's flight.
 // It returns a function that waits for every caller and reports the
 // leader's result first.
-func parkFollowers(t *testing.T, g *Group[int], n int, entered <-chan struct{}, fn func() (int, error)) func() []groupResult {
+func parkFollowers(t *testing.T, g *Group[string, int], n int, entered <-chan struct{}, fn func() (int, error)) func() []groupResult {
 	t.Helper()
 	res := make([]groupResult, n+1)
 	var wg sync.WaitGroup
@@ -40,7 +40,7 @@ func parkFollowers(t *testing.T, g *Group[int], n int, entered <-chan struct{}, 
 	return func() []groupResult { wg.Wait(); return res }
 }
 
-func waitParked(t *testing.T, g *Group[int], n int64) {
+func waitParked(t *testing.T, g *Group[string, int], n int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for g.Stats().Parked < n {
@@ -67,7 +67,7 @@ func TestGroupInternalErrorNotShared(t *testing.T) {
 		{"persists", true, n + 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var g Group[int]
+			var g Group[string, int]
 			var runs atomic.Int64
 			entered, release := make(chan struct{}), make(chan struct{})
 			wait := parkFollowers(t, &g, n, entered, func() (int, error) {
@@ -110,7 +110,7 @@ func TestGroupInternalErrorNotShared(t *testing.T) {
 // work (bad C) is shared with every follower from one run.
 func TestGroupSharesDeterministicError(t *testing.T) {
 	const n = 8
-	var g Group[int]
+	var g Group[string, int]
 	var runs atomic.Int64
 	bad := errors.New("syntax error")
 	entered, release := make(chan struct{}), make(chan struct{})
@@ -134,7 +134,7 @@ func TestGroupSharesDeterministicError(t *testing.T) {
 // TestGroupFollowerCancel: a follower whose ctx ends stops waiting with
 // ctx.Err(); the flight carries on and still serves the other followers.
 func TestGroupFollowerCancel(t *testing.T) {
-	var g Group[int]
+	var g Group[string, int]
 	entered, release := make(chan struct{}), make(chan struct{})
 	wait := parkFollowers(t, &g, 1, entered, func() (int, error) {
 		close(entered)
@@ -175,7 +175,7 @@ func TestGroupForgetsCompletedKeys(t *testing.T) {
 		{"internal error", Contain(StageServe, "k", "boom")},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var g Group[int]
+			var g Group[string, int]
 			runs := 0
 			fn := func() (int, error) { runs++; return runs, tc.err }
 			for i := 1; i <= 2; i++ {
@@ -194,7 +194,7 @@ func TestGroupForgetsCompletedKeys(t *testing.T) {
 // TestGroupLeaderPanic: a leader whose fn panics abandons its flight; a
 // parked follower re-runs instead of waiting forever.
 func TestGroupLeaderPanic(t *testing.T) {
-	var g Group[int]
+	var g Group[string, int]
 	entered, release := make(chan struct{}), make(chan struct{})
 	var runs atomic.Int64
 	res := make(chan groupResult, 1)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strings"
 	"time"
 
@@ -90,8 +91,13 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// produce identical results, so the second shares the first's flight.
 	key := fmt.Sprintf("%s|%s|%d|%s|%v",
 		driver.SourceKey(req.Source, file, copts), tool.Name(), req.MaxSteps, timeout, req.Metrics)
-	// Followers share only a deterministic outcome (see runAnalysis).
+	// Followers share only a deterministic outcome (see runAnalysis). The
+	// leader yields once before running: a ~100 µs CPU-bound analysis never
+	// yields on its own, so on a single-P runtime it would finish before any
+	// duplicate that has already arrived could find its flight
+	// (EXPERIMENTS.md, "Coalescing needs a scheduling point").
 	out, err, coalesced := s.flights.Do(ctx, key, func() (outcome, error) {
+		runtime.Gosched()
 		return s.runAnalysis(ctx, req.Source, file, tool, copts)
 	})
 	if out.status == 0 { // this request's own wait ended: its client is gone

@@ -176,7 +176,7 @@ type Server struct {
 	model    *ctypes.Model
 	cache    *driver.Cache
 	queue    *queue
-	flights  fault.Group[outcome] // coalesces identical in-flight analyze requests
+	flights  fault.Group[string, outcome] // coalesces identical in-flight analyze requests
 	mux      *http.ServeMux
 	start    time.Time
 	draining atomic.Bool
@@ -239,7 +239,6 @@ func New(cfg Config) (*Server, error) {
 		model:      model,
 		cache:      driver.NewCache(),
 		queue:      newQueue(cfg.Concurrency, cfg.QueueDepth),
-		flights:    fault.Group[outcome]{Yield: true},
 		start:      time.Now(),
 		instance:   newInstanceID(),
 		requests:   make(map[string]int64),
