@@ -44,7 +44,9 @@ test:
 # one, and the chaos run finishes by SIGKILLing a shard under a pinned
 # trace id and asserting GET /v1/trace/{id} assembles one Chrome trace
 # with the router's failed forward + backoff spans and spans from the
-# surviving shard processes.
+# surviving shard processes. Last, the benchmark module (perfbench/, a
+# nested module the root `go build ./...` skips) is vetted and tested,
+# because it imports the obs, server and cluster APIs.
 .PHONY: check
 check: test
 	go vet ./...
@@ -67,6 +69,7 @@ check: test
 	go test ./internal/search/ -run 'TestDifferentialGate|TestExploreConfigMatrix' -count=1
 	go test -race ./internal/search/ -count=1
 	go run ./cmd/undefbench -cluster 3 -kill 1 -c 12 -d 6s -inject 'cluster.forward=error%0.01' -seed 1
+	cd perfbench && go vet ./... && go test -count=1 ./...
 
 # Engine speedup: the pre-compiled program, tree-vs-vm dispatch benchmark
 # (reported in EXPERIMENTS.md).

@@ -292,7 +292,6 @@ func runBatch(files []string, model *ctypes.Model, engine string, budget interp.
 	}
 	sharded := obs.NewSharded()
 	cache := driver.NewCache()
-	cache.SetObserver(sharded.Shard())
 	reports := make([]tools.Report, len(files))
 	ctx := context.Background()
 
@@ -326,6 +325,8 @@ func runBatch(files []string, model *ctypes.Model, engine string, budget interp.
 	}
 	close(work)
 	wg.Wait()
+	metrics, st := sharded.Snapshot(), cache.Stats()
+	metrics.CacheHits, metrics.CacheMisses = st.Hits, st.Misses
 
 	if asJSON {
 		out := struct {
@@ -333,7 +334,7 @@ func runBatch(files []string, model *ctypes.Model, engine string, budget interp.
 			Files   []runner.ToolResult `json:"files"`
 			Names   []string            `json:"names"`
 			Metrics *obs.Snapshot       `json:"metrics"`
-		}{Schema: runner.Schema, Metrics: sharded.Snapshot()}
+		}{Schema: runner.Schema, Metrics: metrics}
 		exit := 0
 		for i, rep := range reports {
 			out.Names = append(out.Names, files[i])
@@ -364,10 +365,9 @@ func runBatch(files []string, model *ctypes.Model, engine string, budget interp.
 			fmt.Printf("%s: %s — %s\n", files[i], rep.Verdict, rep.Detail)
 		}
 	}
-	st := cache.Stats()
 	fmt.Printf("%d files, %d undefined (%d compiles, %d cache hits)\n",
 		len(files), flagged, st.Misses, st.Hits)
-	fmt.Printf("metrics: %s\n", sharded.Snapshot().Summary())
+	fmt.Printf("metrics: %s\n", metrics.Summary())
 	return exit
 }
 

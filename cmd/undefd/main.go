@@ -25,15 +25,17 @@
 //	                 e.g. 'server.handle=panic%0.01'
 //	-inject-seed n   seed for probabilistic injection rules
 //	-trace-sample N  trace every Nth analyze request end to end; traced
-//	                 responses carry a trace_id resolvable at
-//	                 GET /v1/trace/{id} as Chrome trace-event JSON
+//	                 responses carry a trace_id for GET /v1/trace/{id}
 //	-flight N        flight-recorder ring size per analysis (-1 auto:
 //	                 armed when -inject is; 0 off)
 //
 // Observability routes (every response also carries X-Undefc-Trace-Id):
 //
-//	GET /v1/spans/{trace}  this process's retained spans for one trace
-//	                       (bounded ring; always on, no sampling needed)
+//	GET /v1/trace/{id}     one trace as Chrome trace-event JSON, served
+//	                       from the span ring: any sampled or forwarded
+//	                       trace still retained (last 4,096 spans / 4 MiB)
+//	GET /v1/spans/{trace}  the same ring's spans for one trace, wire form
+//	                       (always on, no sampling needed)
 //	GET /v1/coverage       the UB check-site coverage ledger — per-behavior
 //	                       evaluated/fired counters and dead coverage; the
 //	                       router's route merges every shard's ledger, and

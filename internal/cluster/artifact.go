@@ -14,8 +14,6 @@ import (
 	"container/list"
 	"context"
 	"encoding/json"
-	"io"
-	"net/http"
 	"sync"
 
 	"repro/internal/obs"
@@ -97,50 +95,23 @@ func (d *directory) len() int {
 // path — Metrics() itself stays network-free — and a shard that cannot
 // answer within the probe budget simply contributes no block.
 func (rt *Router) enrichMetrics(ctx context.Context, m *RouterMetrics) {
-	var (
-		wg    sync.WaitGroup
-		covMu sync.Mutex
-		cov   *obs.CoverageLedger
-	)
-	for i := range m.Shards {
-		wg.Add(1)
-		go func(sm *ShardMetrics) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout*4)
-			defer cancel()
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+sm.Addr+"/metrics", nil)
-			if err != nil {
-				return
+	var cov *obs.CoverageLedger
+	rt.fanOut(ctx, "/metrics", 16<<20, func(i int, body []byte) {
+		var sr server.MetricsResponse
+		if json.Unmarshal(body, &sr) != nil {
+			return
+		}
+		sm := &m.Shards[i] // Metrics lists the shards in ring order
+		sm.Cache = &sr.Cache
+		sm.Artifact = sr.Artifact
+		sm.Latency = sr.Latency
+		if sr.Coverage != nil {
+			if cov == nil {
+				cov = &obs.CoverageLedger{Schema: obs.CoverageSchema}
 			}
-			req.Header.Set("Accept", "application/json")
-			resp, err := rt.client.Do(req)
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-				return
-			}
-			var sr server.MetricsResponse
-			if json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(&sr) != nil {
-				return
-			}
-			cache := sr.Cache
-			sm.Cache = &cache
-			sm.Artifact = sr.Artifact
-			sm.Latency = sr.Latency
-			if sr.Coverage != nil {
-				covMu.Lock()
-				if cov == nil {
-					cov = &obs.CoverageLedger{Schema: obs.CoverageSchema}
-				}
-				cov.Add(sr.Coverage)
-				covMu.Unlock()
-			}
-		}(&m.Shards[i])
-	}
-	wg.Wait()
+			cov.Add(sr.Coverage)
+		}
+	})
 
 	agg := &ClusterAggregate{}
 	for i := range m.Shards {

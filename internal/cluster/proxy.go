@@ -10,7 +10,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -511,7 +510,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, path, artKey s
 		rt.relay(w, resp, respBody)
 		rt.fwdDelivered.Add(1)
 		if path == "/v1/analyze" {
-			rt.countDelivered(respBody, sh.instanceID())
+			rt.countDelivered(resp.Header.Get("X-Undefc-Verdict"), sh.instanceID())
 			if artKey != "" && resp.StatusCode == http.StatusOK {
 				// The shard that just answered compiled (or fetched) the
 				// program: it is now the directory's best guess for where
@@ -590,15 +589,14 @@ func (rt *Router) relayStream(w http.ResponseWriter, resp *http.Response, sh *sh
 	}
 }
 
-// countDelivered parses an analyze response body and counts its verdict
-// once — the moment of delivery — in both the total and the per-instance
-// tallies. Error bodies (no result) count nothing, matching the shard.
-func (rt *Router) countDelivered(body []byte, instance string) {
-	var resp server.AnalyzeResponse
-	if json.Unmarshal(body, &resp) != nil || resp.Result.Tool == "" {
+// countDelivered counts a delivered analyze verdict once — the moment of
+// delivery — in both the total and the per-instance tallies. The shard
+// stamps X-Undefc-Verdict exactly when it counts a verdict itself, so an
+// error body (no header) counts nothing here either.
+func (rt *Router) countDelivered(v, instance string) {
+	if v == "" {
 		return
 	}
-	v := resp.Result.Verdict.String()
 	rt.mu.Lock()
 	rt.delivered[v]++
 	m := rt.byInstance[instance]
@@ -636,68 +634,29 @@ func (rt *Router) handleTrace(w http.ResponseWriter, r *http.Request) {
 	// Every shard is asked, even ones the health model would skip for
 	// forwarding: the fetch is cheap, a dead shard fails fast, and a
 	// recovering shard may still hold the spans that matter.
-	type contribution struct {
-		idx   int
-		name  string
-		spans []obs.Span
-	}
-	var (
-		mu       sync.Mutex
-		wg       sync.WaitGroup
-		contribs []contribution
-	)
-	for i, sh := range rt.shards {
-		wg.Add(1)
-		go func(i int, sh *shard) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.ProbeTimeout*4)
-			defer cancel()
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+sh.addr+"/v1/spans/"+raw, nil)
-			if err != nil {
-				return
-			}
-			resp, err := rt.client.Do(req)
-			if err != nil {
-				return
-			}
-			body, rerr := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-			resp.Body.Close()
-			if rerr != nil || resp.StatusCode != http.StatusOK {
-				return
-			}
-			var sr server.SpansResponse
-			if json.Unmarshal(body, &sr) != nil || len(sr.Spans) == 0 {
-				return
-			}
-			spans := make([]obs.Span, 0, len(sr.Spans))
-			for _, sj := range sr.Spans {
-				sp, serr := obs.SpanFromJSON(sj)
-				if serr != nil {
-					continue
-				}
+	rt.fanOut(r.Context(), "/v1/spans/"+raw, 64<<20, func(i int, body []byte) {
+		var sr server.SpansResponse
+		if json.Unmarshal(body, &sr) != nil {
+			return
+		}
+		spans := make([]obs.Span, 0, len(sr.Spans))
+		for _, sj := range sr.Spans {
+			if sp, serr := obs.SpanFromJSON(sj); serr == nil {
 				spans = append(spans, sp)
 			}
-			if len(spans) == 0 {
-				return
-			}
-			name := "shard " + sh.addr
-			if sr.Instance != "" {
-				// The instance distinguishes incarnations: a shard that died
-				// and was replaced at the same address shows up as a distinct
-				// process row, which is exactly what a failover trace needs.
-				name += " (" + sr.Instance + ")"
-			}
-			mu.Lock()
-			contribs = append(contribs, contribution{idx: i, name: name, spans: spans})
-			mu.Unlock()
-		}(i, sh)
-	}
-	wg.Wait()
-	// Ring order, not answer order, so the assembled trace is deterministic.
-	sort.Slice(contribs, func(a, b int) bool { return contribs[a].idx < contribs[b].idx })
-	for _, c := range contribs {
-		procs = append(procs, obs.ProcessSpans{Name: c.name, Spans: c.spans})
-	}
+		}
+		if len(spans) == 0 {
+			return
+		}
+		name := "shard " + rt.shards[i].addr
+		if sr.Instance != "" {
+			// The instance distinguishes incarnations: a shard that died
+			// and was replaced at the same address shows up as a distinct
+			// process row, which is exactly what a failover trace needs.
+			name += " (" + sr.Instance + ")"
+		}
+		procs = append(procs, obs.ProcessSpans{Name: name, Spans: spans})
+	})
 	if len(procs) == 0 {
 		rt.writeError(w, http.StatusNotFound, "not-found", "no process recorded spans for that trace")
 		return
@@ -706,6 +665,44 @@ func (rt *Router) handleTrace(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(obs.AssembleChromeTrace(procs))
+}
+
+// fanOut GETs path from every shard in parallel, each under the probe
+// budget (ProbeTimeout*4), reading at most limit bytes of each answer.
+// Once every shard has answered or timed out, it hands each 200 body to
+// decode with the shard's ring index, one call at a time in ring order,
+// so decode needs no lock and its results come out deterministic. A
+// shard that fails contributes nothing.
+func (rt *Router) fanOut(ctx context.Context, path string, limit int64, decode func(i int, body []byte)) {
+	bodies := make([][]byte, len(rt.shards))
+	var wg sync.WaitGroup
+	for i, sh := range rt.shards {
+		wg.Add(1)
+		go func(i int, sh *shard) {
+			defer wg.Done()
+			ctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout*4)
+			defer cancel()
+			req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+sh.addr+path, nil)
+			if err != nil {
+				return
+			}
+			resp, err := rt.client.Do(req)
+			if err != nil {
+				return
+			}
+			body, err := io.ReadAll(io.LimitReader(resp.Body, limit))
+			resp.Body.Close()
+			if err == nil && resp.StatusCode == http.StatusOK {
+				bodies[i] = body
+			}
+		}(i, sh)
+	}
+	wg.Wait()
+	for i, body := range bodies {
+		if body != nil {
+			decode(i, body)
+		}
+	}
 }
 
 // handleSpans serves the router's own span ring for one trace in the
@@ -742,39 +739,12 @@ func (rt *Router) handleSpans(w http.ResponseWriter, r *http.Request) {
 // a shard is unreachable.
 func (rt *Router) handleCoverage(w http.ResponseWriter, r *http.Request) {
 	led := obs.CoverageSnapshot()
-	var (
-		mu sync.Mutex
-		wg sync.WaitGroup
-	)
-	for _, sh := range rt.shards {
-		wg.Add(1)
-		go func(sh *shard) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.ProbeTimeout*4)
-			defer cancel()
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+sh.addr+"/v1/coverage", nil)
-			if err != nil {
-				return
-			}
-			resp, err := rt.client.Do(req)
-			if err != nil {
-				return
-			}
-			body, rerr := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-			resp.Body.Close()
-			if rerr != nil || resp.StatusCode != http.StatusOK {
-				return
-			}
-			var sl obs.CoverageLedger
-			if json.Unmarshal(body, &sl) != nil {
-				return
-			}
-			mu.Lock()
+	rt.fanOut(r.Context(), "/v1/coverage", 16<<20, func(_ int, body []byte) {
+		var sl obs.CoverageLedger
+		if json.Unmarshal(body, &sl) == nil {
 			led.Add(&sl)
-			mu.Unlock()
-		}(sh)
-	}
-	wg.Wait()
+		}
+	})
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -58,6 +58,7 @@ func newFakeShard(t *testing.T, instance string) *fakeShard {
 			io.WriteString(w, `{"schema":"undefc.api/v1","error":{"code":"draining","message":"draining"}}`)
 		default:
 			f.served.Add(1)
+			w.Header().Set("X-Undefc-Verdict", "accepted")
 			io.WriteString(w, `{"schema":"undefc.api/v1","file":"t.c","result":{"tool":"kcc","verdict":"accepted","run_ns":1}}`)
 		}
 	})

@@ -52,18 +52,6 @@ type Cache struct {
 	// artifacts, when set, is the second-level miss path: a miss consults
 	// it before running the frontend, and stores successful compiles back.
 	artifacts Artifacts
-
-	// observer, when set, receives EvCacheHit/EvCacheMiss per lookup.
-	observer obs.Observer
-}
-
-// SetObserver attaches an observer to the cache: every lookup emits an
-// EvCacheHit or EvCacheMiss event named after the translation unit. Set it
-// before sharing the cache across goroutines.
-func (c *Cache) SetObserver(o obs.Observer) {
-	c.mu.Lock()
-	c.observer = o
-	c.mu.Unlock()
 }
 
 // ArtifactFormat is the compiled-program artifact format version. It is
@@ -191,7 +179,7 @@ func (c *Cache) CompileCtx(ctx context.Context, src, file string, opts Options) 
 // artifact tier), or "miss" (ran the frontend).
 func (c *Cache) compile(src, file string, opts Options) (prog *sema.Program, err error, how string) {
 	k := makeKey(src, file, opts)
-	if e, ok := c.lookup(k, file); ok {
+	if e, ok := c.lookup(k); ok {
 		return e.prog, e.err, "hit"
 	}
 	// Waiters do not stop with their caller's ctx, so every lookup ends
@@ -199,7 +187,7 @@ func (c *Cache) compile(src, file string, opts Options) (prog *sema.Program, err
 	how = "hit"
 	prog, err, shared := c.flights.Do(context.Background(), k, func() (p *sema.Program, ferr error) {
 		// A flight may have landed between the lookup above and this one.
-		if e, ok := c.lookup(k, file); ok {
+		if e, ok := c.lookup(k); ok {
 			return e.prog, e.err
 		}
 		p, ferr, how = c.fill(k, src, file, opts)
@@ -208,34 +196,22 @@ func (c *Cache) compile(src, file string, opts Options) (prog *sema.Program, err
 	if shared {
 		c.mu.Lock()
 		c.hits++
-		o := c.observer
 		c.mu.Unlock()
-		hitEvent(o, file)
 	}
 	return prog, err, how
 }
 
 // lookup returns the completed entry for k, counting a hit when there is
-// one. The map read, the count and the observer read share one critical
-// section: this is the hot path of a warm cache.
-func (c *Cache) lookup(k cacheKey, file string) (cacheEntry, bool) {
+// one. The map read and the count share one critical section: this is
+// the hot path of a warm cache.
+func (c *Cache) lookup(k cacheKey) (cacheEntry, bool) {
 	c.mu.Lock()
 	e, ok := c.entries[k]
 	if ok {
 		c.hits++
 	}
-	o := c.observer
 	c.mu.Unlock()
-	if ok {
-		hitEvent(o, file)
-	}
 	return e, ok
-}
-
-func hitEvent(o obs.Observer, file string) {
-	if o != nil {
-		o.Event(&obs.Event{Kind: obs.EvCacheHit, Name: file})
-	}
 }
 
 // fill is the miss path: the artifact tier, then the frontend. It caches
@@ -244,11 +220,7 @@ func (c *Cache) fill(k cacheKey, src, file string, opts Options) (prog *sema.Pro
 	c.mu.Lock()
 	c.misses++
 	arts := c.artifacts
-	o := c.observer
 	c.mu.Unlock()
-	if o != nil {
-		o.Event(&obs.Event{Kind: obs.EvCacheMiss, Name: file})
-	}
 
 	how = "miss"
 	start := time.Now()

@@ -10,6 +10,7 @@ import (
 	"io"
 	"sort"
 	"strconv"
+	"time"
 )
 
 // ChromeEvent is one trace-event line ("X" complete events only).
@@ -29,23 +30,25 @@ type ChromeTrace struct {
 	TraceEvents []ChromeEvent `json:"traceEvents"`
 }
 
-// ChromeTraceFrom converts a span set into trace events. Timestamps are
-// rebased to the earliest span start, each trace gets its own thread row
-// (tid = trace ID), and events are ordered by start time then span ID so
-// the output is stable for a given span set.
+// ChromeTraceFrom converts a span set into trace events on one process
+// row, with timestamps rebased to the earliest span start.
 func ChromeTraceFrom(spans []*Span) *ChromeTrace {
-	sorted := append([]*Span{}, spans...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if !sorted[i].Start.Equal(sorted[j].Start) {
-			return sorted[i].Start.Before(sorted[j].Start)
+	var base time.Time
+	for i, s := range spans {
+		if i == 0 || s.Start.Before(base) {
+			base = s.Start
 		}
-		return sorted[i].ID < sorted[j].ID
-	})
-	tr := &ChromeTrace{TraceEvents: []ChromeEvent{}}
-	if len(sorted) == 0 {
-		return tr
 	}
-	base := sorted[0].Start
+	return &ChromeTrace{TraceEvents: chromeEvents([]ChromeEvent{}, spans, 1, base)}
+}
+
+// chromeEvents appends one "X" event per span to evs: process row pid,
+// one thread row per trace (tid = trace ID), timestamps in microseconds
+// since base, ordered by start time then span ID so the output is stable
+// for a given span set.
+func chromeEvents(evs []ChromeEvent, spans []*Span, pid int, base time.Time) []ChromeEvent {
+	sorted := append([]*Span{}, spans...)
+	sort.Slice(sorted, func(i, j int) bool { return spanBefore(sorted[i], sorted[j]) })
 	for _, s := range sorted {
 		args := map[string]string{
 			"span":   strconv.FormatUint(s.ID, 10),
@@ -54,17 +57,25 @@ func ChromeTraceFrom(spans []*Span) *ChromeTrace {
 		for _, a := range s.Attrs {
 			args[a.Key] = a.Val
 		}
-		tr.TraceEvents = append(tr.TraceEvents, ChromeEvent{
+		evs = append(evs, ChromeEvent{
 			Name: s.Name,
 			Ph:   "X",
 			TS:   s.Start.Sub(base).Microseconds(),
 			Dur:  s.Dur.Microseconds(),
-			PID:  1,
+			PID:  pid,
 			TID:  s.TraceID,
 			Args: args,
 		})
 	}
-	return tr
+	return evs
+}
+
+// spanBefore orders spans by start time, then span ID.
+func spanBefore(a, b *Span) bool {
+	if !a.Start.Equal(b.Start) {
+		return a.Start.Before(b.Start)
+	}
+	return a.ID < b.ID
 }
 
 // WriteChromeTrace renders the spans as an indented trace-event JSON file.

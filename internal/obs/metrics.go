@@ -30,9 +30,8 @@ type Metrics struct {
 	// pass/fire are indexed by ub.Behavior.Code (1-based; index 0 unused).
 	pass, fire []atomic.Int64
 
-	sched                  atomic.Int64
-	cacheHits, cacheMisses atomic.Int64
-	faults                 atomic.Int64
+	sched  atomic.Int64
+	faults atomic.Int64
 
 	mu       sync.Mutex
 	builtins map[string]int64
@@ -82,10 +81,6 @@ func (m *Metrics) Event(ev *Event) {
 		m.mu.Lock()
 		m.builtins[ev.Name]++
 		m.mu.Unlock()
-	case EvCacheHit:
-		m.cacheHits.Add(1)
-	case EvCacheMiss:
-		m.cacheMisses.Add(1)
 	case EvFault:
 		m.faults.Add(1)
 	}
@@ -104,8 +99,6 @@ func (m *Metrics) Snapshot() *Snapshot {
 		ChecksPassed:   m.checksPassed.Load(),
 		ChecksFired:    m.checksFired.Load(),
 		SchedChoices:   m.sched.Load(),
-		CacheHits:      m.cacheHits.Load(),
-		CacheMisses:    m.cacheMisses.Load(),
 		Faults:         m.faults.Load(),
 	}
 	for c := 0; c < numAccessClasses; c++ {

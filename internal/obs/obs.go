@@ -48,10 +48,6 @@ const (
 	EvSched
 	// EvBuiltin: a library builtin named Name was called.
 	EvBuiltin
-	// EvCacheHit / EvCacheMiss: the shared compile cache served (or had to
-	// compile) the translation unit named Name.
-	EvCacheHit
-	EvCacheMiss
 	// EvFault: a pipeline panic was contained in the stage named Name while
 	// processing the unit in Detail (the fault-containment layer's event).
 	EvFault
@@ -75,10 +71,6 @@ func (k EventKind) String() string {
 		return "sched"
 	case EvBuiltin:
 		return "builtin"
-	case EvCacheHit:
-		return "cache-hit"
-	case EvCacheMiss:
-		return "cache-miss"
 	case EvFault:
 		return "fault"
 	}
@@ -147,7 +139,7 @@ type Event struct {
 	Choice int
 	Fanout int
 
-	// EvBuiltin/EvCacheHit/EvCacheMiss: the builtin or file name.
+	// EvBuiltin: the builtin name.
 	// EvFault: the pipeline stage that panicked.
 	Name string
 
@@ -174,8 +166,6 @@ func (e *Event) String() string {
 		return fmt.Sprintf("sched pick %d/%d", e.Choice, e.Fanout)
 	case EvBuiltin:
 		return fmt.Sprintf("builtin %s %s", e.Name, e.Pos)
-	case EvCacheHit, EvCacheMiss:
-		return fmt.Sprintf("%s %s", e.Kind, e.Name)
 	case EvFault:
 		return fmt.Sprintf("FAULT contained in %s (%s)", e.Name, e.Detail)
 	}

@@ -25,8 +25,6 @@ func TestMetricsCounting(t *testing.T) {
 		{Kind: EvCheck, Pos: pos, Behavior: ub.IndeterminateValue, Fired: true},
 		{Kind: EvSched, Choice: 1, Fanout: 2},
 		{Kind: EvBuiltin, Name: "printf"},
-		{Kind: EvCacheHit, Name: "a.c"},
-		{Kind: EvCacheMiss, Name: "b.c"},
 	}
 	for i := range events {
 		m.Event(&events[i])
@@ -54,9 +52,6 @@ func TestMetricsCounting(t *testing.T) {
 	}
 	if s.SchedChoices != 1 || s.BuiltinCalls["printf"] != 1 {
 		t.Fatalf("sched/builtins wrong: %d / %v", s.SchedChoices, s.BuiltinCalls)
-	}
-	if s.CacheHits != 1 || s.CacheMisses != 1 {
-		t.Fatalf("cache = %d/%d, want 1/1", s.CacheHits, s.CacheMisses)
 	}
 }
 

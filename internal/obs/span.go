@@ -170,36 +170,6 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	return context.WithValue(ctx, traceCtxKey{}, &traceCtx{col: tc.col, traceID: tc.traceID, parent: s.ID}), s
 }
 
-// TeeCollector fans each completed span out to several collectors,
-// dropping nils — the span-side Multi. It returns nil when every argument
-// is nil (preserving the no-collector fast path) and the collector itself
-// when only one remains. The server tees spans into its TraceBuffer (the
-// whole-trace store behind /v1/trace) and its SpanRing (the per-span
-// store behind /v1/spans) this way.
-func TeeCollector(cols ...Collector) Collector {
-	var live teeCollector
-	for _, c := range cols {
-		if c != nil {
-			live = append(live, c)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return live
-}
-
-type teeCollector []Collector
-
-func (t teeCollector) CollectSpan(s *Span) {
-	for _, c := range t {
-		c.CollectSpan(s)
-	}
-}
-
 // SpanBuffer is the simplest collector: it keeps every span, in end order.
 // The CLIs use it to write one whole-process trace file (-trace-out).
 type SpanBuffer struct {
@@ -219,61 +189,4 @@ func (b *SpanBuffer) Spans() []*Span {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return append([]*Span{}, b.spans...)
-}
-
-// TraceBuffer retains the span trees of the last Cap completed traces —
-// the store behind the service's GET /v1/trace/{id}. A trace completes
-// when its root span (Parent == 0) ends; completed traces are evicted
-// oldest-first beyond Cap. Callers must eventually end the root of every
-// trace they start (the server does so in a handler defer), or the entry
-// stays in the open set.
-type TraceBuffer struct {
-	mu     sync.Mutex
-	cap    int
-	traces map[uint64][]*Span
-	order  []uint64 // completion order of finished traces
-}
-
-// NewTraceBuffer returns a buffer retaining up to cap completed traces
-// (cap <= 0 means 128).
-func NewTraceBuffer(cap int) *TraceBuffer {
-	if cap <= 0 {
-		cap = 128
-	}
-	return &TraceBuffer{cap: cap, traces: make(map[uint64][]*Span)}
-}
-
-// CollectSpan implements Collector.
-func (b *TraceBuffer) CollectSpan(s *Span) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.traces[s.TraceID] = append(b.traces[s.TraceID], s)
-	if s.Parent != 0 {
-		return
-	}
-	// Root ended: the trace is complete.
-	b.order = append(b.order, s.TraceID)
-	for len(b.order) > b.cap {
-		delete(b.traces, b.order[0])
-		b.order = b.order[1:]
-	}
-}
-
-// Get returns the spans of a completed or in-flight trace (end order), or
-// nil when the ID is unknown or already evicted.
-func (b *TraceBuffer) Get(id uint64) []*Span {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	spans := b.traces[id]
-	if spans == nil {
-		return nil
-	}
-	return append([]*Span{}, spans...)
-}
-
-// Len reports the number of retained traces (completed and in-flight).
-func (b *TraceBuffer) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.traces)
 }

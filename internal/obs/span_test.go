@@ -126,31 +126,6 @@ func TestTraceIDRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTraceBufferEviction(t *testing.T) {
-	b := NewTraceBuffer(2)
-	var ids []uint64
-	for i := 0; i < 3; i++ {
-		ctx, id := WithTrace(context.Background(), b)
-		ids = append(ids, id)
-		ctx, root := StartSpan(ctx, "root")
-		_, c := StartSpan(ctx, "child")
-		c.End()
-		root.End()
-	}
-	if b.Get(ids[0]) != nil {
-		t.Fatal("oldest trace not evicted at capacity 2")
-	}
-	for _, id := range ids[1:] {
-		spans := b.Get(id)
-		if len(spans) != 2 {
-			t.Fatalf("trace %x has %d spans, want 2", id, len(spans))
-		}
-	}
-	if b.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", b.Len())
-	}
-}
-
 func TestChromeTraceFrom(t *testing.T) {
 	buf := &SpanBuffer{}
 	ctx, _ := WithTrace(context.Background(), buf)

@@ -107,12 +107,7 @@ func (r *SpanRing) Get(traceID uint64) []Span {
 			out = append(out, *s)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].Start.Equal(out[j].Start) {
-			return out[i].Start.Before(out[j].Start)
-		}
-		return out[i].ID < out[j].ID
-	})
+	sort.Slice(out, func(i, j int) bool { return spanBefore(&out[i], &out[j]) })
 	return out
 }
 

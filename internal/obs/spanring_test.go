@@ -130,12 +130,10 @@ func TestSpanRingConcurrent(t *testing.T) {
 
 // TestCollectorsConcurrentMultiWorkerTraces runs many goroutines each
 // recording its own trace through the StartSpan API into one shared
-// TraceBuffer + SpanRing tee — the server's exact collector wiring — and
-// checks every trace arrives complete in both stores.
+// SpanRing — the server's exact collector wiring — and checks every trace
+// arrives complete: one root, every child parented on it.
 func TestCollectorsConcurrentMultiWorkerTraces(t *testing.T) {
-	buf := NewTraceBuffer(64)
 	ring := NewSpanRing(4096, 4<<20)
-	col := TeeCollector(buf, ring)
 	const workers = 16
 	const children = 5
 	traceIDs := make([]uint64, workers)
@@ -145,7 +143,7 @@ func TestCollectorsConcurrentMultiWorkerTraces(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			ctx := WithTraceID(context.Background(), col, traceIDs[w])
+			ctx := WithTraceID(context.Background(), ring, traceIDs[w])
 			ctx, root := StartSpan(ctx, "root")
 			var inner sync.WaitGroup
 			for c := 0; c < children; c++ {
@@ -163,36 +161,20 @@ func TestCollectorsConcurrentMultiWorkerTraces(t *testing.T) {
 	}
 	wg.Wait()
 	for w, tid := range traceIDs {
-		spans := buf.Get(tid)
+		spans := ring.Get(tid)
 		if len(spans) != children+1 {
-			t.Fatalf("worker %d: TraceBuffer holds %d spans, want %d", w, len(spans), children+1)
+			t.Fatalf("worker %d: SpanRing holds %d spans, want %d", w, len(spans), children+1)
 		}
-		roots := 0
-		for _, s := range spans {
-			if s.TraceID != tid {
-				t.Fatalf("worker %d: foreign span in trace", w)
+		// Get orders by start time: the root opened before its children.
+		root := spans[0]
+		if root.Name != "root" || root.Parent != 0 {
+			t.Fatalf("worker %d: first span %q (parent %d), want the root", w, root.Name, root.Parent)
+		}
+		for _, s := range spans[1:] {
+			if s.TraceID != tid || s.Name != "child" || s.Parent != root.ID {
+				t.Fatalf("worker %d: span %q trace %x parent %d, want a child of %d in %x",
+					w, s.Name, s.TraceID, s.Parent, root.ID, tid)
 			}
-			if s.Parent == 0 {
-				roots++
-			} else if s.Parent != spans[len(spans)-1].ID && s.Name != "child" {
-				t.Fatalf("worker %d: unexpected span %q", w, s.Name)
-			}
 		}
-		if roots != 1 {
-			t.Fatalf("worker %d: %d roots, want 1", w, roots)
-		}
-		if got := ring.Get(tid); len(got) != children+1 {
-			t.Fatalf("worker %d: SpanRing holds %d spans, want %d", w, len(got), children+1)
-		}
-	}
-}
-
-func TestTeeCollectorNilHandling(t *testing.T) {
-	if TeeCollector(nil, nil) != nil {
-		t.Fatal("all-nil tee is not nil")
-	}
-	buf := &SpanBuffer{}
-	if c := TeeCollector(nil, buf); c != Collector(buf) {
-		t.Fatal("single-collector tee did not collapse")
 	}
 }

@@ -7,11 +7,7 @@ package obs
 // several processes — the router and every shard a request touched —
 // into one Chrome trace with one named process row per node.
 
-import (
-	"sort"
-	"strconv"
-	"time"
-)
+import "time"
 
 // SpanJSON is one span on the wire (undefc.spans/v1 entries).
 type SpanJSON struct {
@@ -95,32 +91,11 @@ func AssembleChromeTrace(procs []ProcessSpans) *ChromeTrace {
 			PID:  pid,
 			Args: map[string]string{"name": p.Name},
 		})
-		spans := append([]Span{}, p.Spans...)
-		sort.Slice(spans, func(i, j int) bool {
-			if !spans[i].Start.Equal(spans[j].Start) {
-				return spans[i].Start.Before(spans[j].Start)
-			}
-			return spans[i].ID < spans[j].ID
-		})
-		for i := range spans {
-			s := &spans[i]
-			args := map[string]string{
-				"span":   strconv.FormatUint(s.ID, 10),
-				"parent": strconv.FormatUint(s.Parent, 10),
-			}
-			for _, a := range s.Attrs {
-				args[a.Key] = a.Val
-			}
-			tr.TraceEvents = append(tr.TraceEvents, ChromeEvent{
-				Name: s.Name,
-				Ph:   "X",
-				TS:   s.Start.Sub(base).Microseconds(),
-				Dur:  s.Dur.Microseconds(),
-				PID:  pid,
-				TID:  s.TraceID,
-				Args: args,
-			})
+		ptrs := make([]*Span, len(p.Spans))
+		for i := range p.Spans {
+			ptrs[i] = &p.Spans[i]
 		}
+		tr.TraceEvents = chromeEvents(tr.TraceEvents, ptrs, pid, base)
 	}
 	return tr
 }

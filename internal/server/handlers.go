@@ -128,7 +128,9 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if traceID != 0 {
 		resp.TraceID = obs.FormatTraceID(traceID)
 	}
-	s.countVerdict("analyze", resp.Result.Verdict.String())
+	// The header lets a router count the delivered verdict without
+	// decoding the body, and it can never disagree with this shard's tally.
+	w.Header().Set("X-Undefc-Verdict", s.countVerdict("analyze", resp.Result.Verdict.String()))
 	writeJSON(w, out.status, resp)
 	e2e := time.Since(start)
 	s.latE2E.Observe(e2e)
@@ -144,23 +146,16 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 // response carries the ID back in the same header.
 func (s *Server) adoptTrace(w http.ResponseWriter, r *http.Request, sample bool) (context.Context, uint64) {
 	ctx := r.Context()
-	// s.traces is a typed pointer: box it only when non-nil, or the tee
-	// would keep a nil collector alive inside a non-nil interface.
-	var traceBuf obs.Collector
-	if s.traces != nil {
-		traceBuf = s.traces
-	}
-	col := obs.TeeCollector(traceBuf, s.spans)
 	var traceID uint64
 	if fwd := r.Header.Get("X-Undefc-Trace-Id"); fwd != "" {
 		if id, perr := obs.ParseTraceID(fwd); perr == nil && id != 0 {
 			traceID = id
-			ctx = obs.WithTraceID(ctx, col, id)
+			ctx = obs.WithTraceID(ctx, s.spans, id)
 		}
 	}
 	if traceID == 0 && sample && s.cfg.TraceSample > 0 &&
 		s.sampleCtr.Add(1)%uint64(s.cfg.TraceSample) == 0 {
-		ctx, traceID = obs.WithTrace(ctx, col)
+		ctx, traceID = obs.WithTrace(ctx, s.spans)
 	}
 	if traceID != 0 {
 		w.Header().Set("X-Undefc-Trace-Id", obs.FormatTraceID(traceID))
@@ -625,38 +620,39 @@ func finishExploreSpan(sp *obs.Span, res search.Result) {
 
 // ---------- /v1/trace ----------
 
-// handleTrace serves a sampled request trace as Chrome trace-event JSON
-// (load it in chrome://tracing or https://ui.perfetto.dev). The id is the
-// 16-hex-digit trace_id a traced /v1/analyze response carried.
+// handleTrace serves one trace's spans from the span ring as Chrome
+// trace-event JSON (load it in chrome://tracing or
+// https://ui.perfetto.dev). The id is the 16-hex-digit trace_id a traced
+// /v1/analyze response carried, whether this shard sampled the request
+// or a router forwarded its identity.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if s.traces == nil {
-		writeError(w, http.StatusNotFound, "tracing-disabled",
-			"tracing is off: start the server with a trace sample rate")
-		return
-	}
 	idStr := strings.TrimPrefix(r.URL.Path, "/v1/trace/")
 	id, err := obs.ParseTraceID(idStr)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad-request", "trace id: "+err.Error())
 		return
 	}
-	spans := s.traces.Get(id)
+	spans := s.spans.Get(id)
 	if len(spans) == 0 {
 		writeError(w, http.StatusNotFound, "not-found",
-			"no such trace (not sampled, still in flight, or evicted): "+idStr)
+			"no such trace (not traced, still in flight, or evicted): "+idStr)
 		return
 	}
+	ptrs := make([]*obs.Span, len(spans))
+	for i := range spans {
+		ptrs[i] = &spans[i]
+	}
 	w.Header().Set("Content-Type", "application/json")
-	obs.WriteChromeTrace(w, spans)
+	obs.WriteChromeTrace(w, ptrs)
 }
 
 // ---------- /v1/spans ----------
 
 // handleSpans serves this process's retained spans for one trace ID from
 // the always-on span ring, in the explicit wire form — the per-node feed a
-// cluster router stitches into a cross-node trace. Unlike /v1/trace it
-// answers even when local sampling is off: any request that arrived with a
-// trace identity left spans here (until byte pressure evicts them).
+// cluster router stitches into a cross-node trace. Any request that
+// arrived with a trace identity left spans here (until the ring's slot or
+// byte bound evicts them).
 func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 	idStr := strings.TrimPrefix(r.URL.Path, "/v1/spans/")
 	id, err := obs.ParseTraceID(idStr)

@@ -104,6 +104,60 @@ func TestTraceGolden(t *testing.T) {
 	}
 }
 
+// TestForwardedTraceSamplingOff checks that a shard which samples nothing
+// still serves the trace of a request that arrived with a trace identity
+// (as a router forwards it): /v1/trace renders the same spans /v1/spans
+// lists, both read from the one span ring.
+func TestForwardedTraceSamplingOff(t *testing.T) {
+	_, ts := newTestServer(t, Config{TraceSample: 0})
+	const id = "00000000000000cd"
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/analyze",
+		bytes.NewReader(readFixture(t, "analyze_request.json")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Undefc-Trace-Id", id)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("analyze status = %d", resp.StatusCode)
+	}
+
+	get := func(path string, v any) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %d, want 200", path, resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var tr obs.ChromeTrace
+	get("/v1/trace/"+id, &tr)
+	var sr SpansResponse
+	get("/v1/spans/"+id, &sr)
+
+	var fromTrace, fromSpans []string
+	for _, e := range tr.TraceEvents {
+		fromTrace = append(fromTrace, e.Args["span"])
+	}
+	for _, s := range sr.Spans {
+		fromSpans = append(fromSpans, strconv.FormatUint(s.ID, 10))
+	}
+	// Both endpoints order by start time, then span ID.
+	if len(fromTrace) == 0 || strings.Join(fromTrace, ",") != strings.Join(fromSpans, ",") {
+		t.Errorf("span IDs: /v1/trace %v, /v1/spans %v; want the same non-empty list", fromTrace, fromSpans)
+	}
+}
+
 // TestTraceSampling checks the every-Nth contract: with TraceSample=2,
 // alternate requests carry a trace_id and the others do not.
 func TestTraceSampling(t *testing.T) {

@@ -15,7 +15,7 @@
 //	POST /v1/analyze   one source → one undefc.report/v1 tool result
 //	POST /v1/batch     case set → NDJSON stream of per-cell results
 //	POST /v1/explore   evaluation-order search (§2.5.2)
-//	GET  /v1/trace/    sampled whole-request trace, Chrome trace JSON
+//	GET  /v1/trace/    one retained trace from the span ring, Chrome trace JSON
 //	GET  /v1/spans/    this process's retained spans for one trace ID
 //	GET  /v1/coverage  the UB check-site coverage ledger
 //	GET  /healthz      liveness ("ok", or 503 "draining")
@@ -95,14 +95,13 @@ type Config struct {
 	// fires per admitted analysis and the injector is threaded into the
 	// frontend and the tools (their own sites).
 	Injector *fault.Injector
-	// TraceSample enables request tracing: every Nth /v1/analyze request
-	// is traced end to end (handle → queue → compile → interp) and its
-	// span tree is retrievable as Chrome trace-event JSON from
-	// GET /v1/trace/{id}. 0 disables tracing; 1 traces everything.
+	// TraceSample enables local request sampling: every Nth /v1/analyze
+	// request is traced end to end (handle → queue → compile → interp) and
+	// its span tree is retrievable as Chrome trace-event JSON from
+	// GET /v1/trace/{id} while its spans stay in the span ring. 0 samples
+	// nothing (forwarded trace identities are still recorded); 1 traces
+	// everything.
 	TraceSample int
-	// TraceBufferSize bounds the completed traces retained for /v1/trace
-	// (default 128, oldest evicted first).
-	TraceBufferSize int
 	// Flight is the per-analysis flight-recorder ring size: when a request
 	// is quarantined, times out, or is cancelled, its result carries the
 	// last Flight abstract-machine events. 0 means "auto": armed at
@@ -153,9 +152,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxExploreRuns <= 0 {
 		c.MaxExploreRuns = 5000
 	}
-	if c.TraceBufferSize <= 0 {
-		c.TraceBufferSize = 128
-	}
 	if c.Flight == 0 && c.Injector != nil {
 		c.Flight = obs.DefaultFlightEvents
 	}
@@ -193,15 +189,14 @@ type Server struct {
 	// adaptive Retry-After derives from it and the queue backlog.
 	ewmaServiceNS atomic.Int64
 
-	// traces retains sampled span trees for /v1/trace/{id}; nil when
-	// tracing is off. sampleCtr drives the 1-in-TraceSample decision.
-	traces    *obs.TraceBuffer
+	// sampleCtr drives the 1-in-TraceSample decision.
 	sampleCtr atomic.Uint64
-	// spans is the always-on bounded span ring behind GET /v1/spans/{trace}:
-	// whenever a request carries a trace identity (forwarded by a router or
-	// sampled here), its completed spans are teed into the ring, so a
-	// router can stitch this shard's contribution into a cross-node trace
-	// even when the shard itself samples nothing.
+	// spans is the always-on bounded span ring behind GET /v1/trace/{id}
+	// and GET /v1/spans/{trace}: whenever a request carries a trace
+	// identity (forwarded by a router or sampled here), its completed
+	// spans land in the ring, so a router can stitch this shard's
+	// contribution into a cross-node trace even when the shard itself
+	// samples nothing.
 	spans *obs.SpanRing
 
 	// Server-side latency distributions (lock-free histograms, exposed on
@@ -244,9 +239,6 @@ func New(cfg Config) (*Server, error) {
 		requests:   make(map[string]int64),
 		verdicts:   make(map[string]int64),
 		batchCells: make(map[string]int64),
-	}
-	if cfg.TraceSample > 0 {
-		s.traces = obs.NewTraceBuffer(cfg.TraceBufferSize)
 	}
 	s.spans = obs.NewSpanRing(0, 0)
 	if cfg.ArtifactDir != "" {
@@ -349,7 +341,9 @@ func (s *Server) route(path, method string, h http.HandlerFunc) {
 	})
 }
 
-func (s *Server) countVerdict(kind, verdict string) {
+// countVerdict tallies one verdict and returns it, so a caller can stamp
+// the same value on the response it is about to write.
+func (s *Server) countVerdict(kind, verdict string) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if kind == "batch" {
@@ -357,6 +351,7 @@ func (s *Server) countVerdict(kind, verdict string) {
 	} else {
 		s.verdicts[verdict]++
 	}
+	return verdict
 }
 
 func (s *Server) countPanic() {

@@ -154,6 +154,10 @@ func TestAnalyzeGolden(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Errorf("Content-Type = %q, want application/json", ct)
 	}
+	// The verdict header is what a router counts deliveries from.
+	if v := resp.Header.Get("X-Undefc-Verdict"); v != "flagged" {
+		t.Errorf("X-Undefc-Verdict = %q, want flagged", v)
+	}
 	golden(t, "analyze_response.json", normalize(t, raw.Bytes()))
 }
 
