@@ -4,7 +4,8 @@ test:
 	go build ./... && go test ./...
 
 # Tier-1.5: concurrency hygiene, observability, fault-containment, and
-# serving gates — vet everything, run the worker-pool, compile-cache,
+# serving gates — fail if any Go file is not gofmt-formatted, vet
+# everything, run the worker-pool, compile-cache,
 # shared-program, fault, observability, and server packages under the
 # race detector, fail if the nil-observer step path allocates, fail if
 # starting a span without a collector installed allocates, smoke-run
@@ -41,7 +42,8 @@ test:
 # top: the UB coverage hot path (evaluated/fired counters on every check
 # site) must not allocate, partial-order-reduction bookkeeping must cost
 # the same bytes per logged decision on a deep recursion as on a shallow
-# one, and the chaos run finishes by SIGKILLing a shard under a pinned
+# one, scheduling up to 8 operands must not allocate, the search must stay
+# under its pinned heap objects per logged decision, and the chaos run finishes by SIGKILLing a shard under a pinned
 # trace id and asserting GET /v1/trace/{id} assembles one Chrome trace
 # with the router's failed forward + backoff spans and spans from the
 # surviving shard processes. Last, the benchmark module (perfbench/, a
@@ -49,6 +51,7 @@ test:
 # because it imports the obs, server and cluster APIs.
 .PHONY: check
 check: test
+	test -z "$$(gofmt -l .)"
 	go vet ./...
 	go test -race ./internal/runner/... ./internal/driver/... ./internal/tools/... ./internal/obs/... ./internal/fault/...
 	go test -race ./internal/server/...
@@ -58,7 +61,8 @@ check: test
 	go test ./internal/interp/ -run 'ObserverPathAllocs' -count=1
 	go test ./internal/obs/ -run 'SpanNoCollector' -count=1
 	go test ./internal/obs/ -run 'TestCoverageLedgerAllocs' -count=1
-	go test ./internal/search/ -run 'TestPORBookkeepingLinear' -count=1
+	go test ./internal/search/ -run 'TestPORBookkeepingLinear|TestExploreAllocsPerDecision' -count=1
+	go test ./internal/interp/ -run 'TestOrderAllocs' -count=1
 	go test ./internal/interp/ -run '^$$' -bench BenchmarkObserverOverhead -benchtime 100x
 	go test ./internal/obs/ -run '^$$' -bench BenchmarkSpanOverhead -benchtime 100x
 	go test ./cmd/ubsuite/ -run TestContainmentGate -count=1

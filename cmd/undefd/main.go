@@ -164,18 +164,18 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		cfgFlight = -1 // explicitly off
 	}
 	srv, err := server.New(server.Config{
-		Model:          *model,
-		Engine:         *engine,
-		Concurrency:    *concurrency,
-		QueueDepth:     *queueDepth,
-		DefaultTimeout: *timeout,
-		MaxTimeout:     *maxTimeout,
-		MaxSteps:       *maxSteps,
-		MaxExploreRuns: *exploreRuns,
-		Injector:       injector,
-		TraceSample:    *traceSample,
-		Flight:         cfgFlight,
-		ShardID:        *shardID,
+		Model:            *model,
+		Engine:           *engine,
+		Concurrency:      *concurrency,
+		QueueDepth:       *queueDepth,
+		DefaultTimeout:   *timeout,
+		MaxTimeout:       *maxTimeout,
+		MaxSteps:         *maxSteps,
+		MaxExploreRuns:   *exploreRuns,
+		Injector:         injector,
+		TraceSample:      *traceSample,
+		Flight:           cfgFlight,
+		ShardID:          *shardID,
 		ArtifactDir:      *artifactDir,
 		ArtifactMaxBytes: *artifactMax,
 		ArtifactPeers:    splitAddrs(*peers),

@@ -214,9 +214,9 @@ type encoder struct {
 	strs map[string]int
 }
 
-func (e *encoder) putByte(b byte)  { e.buf = append(e.buf, b) }
-func (e *encoder) putU(v uint64)   { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *encoder) putI(v int64)    { e.buf = binary.AppendVarint(e.buf, v) }
+func (e *encoder) putByte(b byte) { e.buf = append(e.buf, b) }
+func (e *encoder) putU(v uint64)  { e.buf = binary.AppendUvarint(e.buf, v) }
+func (e *encoder) putI(v int64)   { e.buf = binary.AppendVarint(e.buf, v) }
 func (e *encoder) putF64(v float64) {
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
 }

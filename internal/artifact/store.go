@@ -102,10 +102,10 @@ type Store struct {
 	total   int64
 	clock   int64
 
-	hits, misses, corrupt       int64
-	stores, storeErrors         int64
-	evictions                   int64
-	bytesStored                 int64
+	hits, misses, corrupt int64
+	stores, storeErrors   int64
+	evictions             int64
+	bytesStored           int64
 }
 
 type storeEntry struct {

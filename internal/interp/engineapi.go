@@ -54,14 +54,16 @@ func (in *Interp) Step(pos token.Pos) error { return in.step(pos) }
 func (in *Interp) SeqPt() { in.seqPoint() }
 
 // Order consults the scheduler for an evaluation order over n
-// unsequenced operands and reports the choice to the observer.
-func (in *Interp) Order(n int) []int { return in.order(n) }
+// unsequenced operands and reports the choice to the observer. The order
+// is built in perm's backing array (grown only when it is too small), so
+// an engine passing a stack buffer schedules without allocating.
+func (in *Interp) Order(perm []int, n int) []int { return in.order(perm, n) }
 
 // Order1 is the single-operand scheduling point: no Pick is consulted
 // (there is no choice), but the EvSched event is still reported, exactly
-// as in.order(1) would.
+// as in.order(perm, 1) would.
 func (in *Interp) Order1() {
-	if in.obs != nil {
+	if in.obsKinds.Has(obs.EvSched) {
 		in.obsEv = obs.Event{Kind: obs.EvSched, Choice: 0, Fanout: 1}
 		in.obs.Event(&in.obsEv)
 	}
@@ -97,7 +99,7 @@ func (in *Interp) Order2() (first, second int) {
 		panic("interp: scheduler Pick(2) out of range")
 	}
 	in.sched.Pick(1)
-	if in.obs != nil {
+	if in.obsKinds.Has(obs.EvSched) {
 		in.obsEv = obs.Event{Kind: obs.EvSched, Choice: first, Fanout: 2}
 		in.obs.Event(&in.obsEv)
 	}

@@ -441,7 +441,8 @@ func (in *Interp) evalBinary(e *cast.Binary) (mem.Value, error) {
 
 	// Other binary operators: operands are unsequenced — ask the scheduler.
 	var xv, yv mem.Value
-	for _, which := range in.order(2) {
+	first, second := in.Order2()
+	for _, which := range [2]int{first, second} {
 		var err error
 		if which == 0 {
 			xv, err = in.eval(e.X)
@@ -779,7 +780,8 @@ func (in *Interp) shift(op cast.BinaryOp, xv, yv mem.Value, t *ctypes.Type, pos 
 // pointer.
 func (in *Interp) evalPtrAdd(xe, ie cast.Expr, pos token.Pos) (mem.Value, error) {
 	var xv, iv mem.Value
-	for _, which := range in.order(2) {
+	first, second := in.Order2()
+	for _, which := range [2]int{first, second} {
 		var err error
 		if which == 0 {
 			xv, err = in.eval(xe)
@@ -1001,7 +1003,8 @@ func (in *Interp) evalAssign(e *cast.Assign) (mem.Value, error) {
 	// after both.
 	var lv LV
 	var rv mem.Value
-	for _, which := range in.order(2) {
+	first, second := in.Order2()
+	for _, which := range [2]int{first, second} {
 		var err error
 		if which == 0 {
 			lv, err = in.lvalOf(e.L)

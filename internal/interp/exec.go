@@ -704,7 +704,8 @@ func (in *Interp) evalCall(e *cast.Call) (mem.Value, error) {
 	// unspecified order (§2.5.2's setDenom example).
 	n := len(e.Args) + 1
 	vals := make([]mem.Value, n)
-	for _, which := range in.order(n) {
+	var buf [8]int // the order for up to 8 operands, on the stack
+	for _, which := range in.order(buf[:0], n) {
 		var err error
 		if which == 0 {
 			vals[0], err = in.eval(e.Fn)

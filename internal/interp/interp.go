@@ -143,8 +143,15 @@ type Interp struct {
 	// exposes one as conflicting with any operand that allocates.
 	synthCasts int64
 
-	obs     obs.Observer    // nil = no events (fast path)
-	obsEv   obs.Event       // scratch event, reused so emission never allocates
+	obs obs.Observer // nil = no events (fast path)
+	// obsKinds is the set of event kinds obs consumes (empty without an
+	// observer): every emission site tests its kind here, so an event the
+	// observer would discard is never built.
+	obsKinds obs.KindSet
+	obsEv    obs.Event // scratch event, reused so emission never allocates
+	// cov counts this run's check evaluations; RunMachine adds it to the
+	// global coverage ledger when the run ends, however it ends.
+	cov     *obs.CoverageTally
 	encBuf  []mem.Byte      // scratch for encode, reused so stores never allocate
 	ctxDone <-chan struct{} // cached Options.Context.Done(); nil = no deadline
 	ctx     context.Context
@@ -284,6 +291,8 @@ func New(prog *sema.Program, opts Options) *Interp {
 	}
 	in.budget = opts.Budget.WithDefaults()
 	in.obs = opts.Observer
+	in.obsKinds = obs.KindsWanted(opts.Observer)
+	in.cov = obs.NewCoverageTally()
 	if opts.Context != nil {
 		in.ctx = opts.Context
 		in.ctxDone = opts.Context.Done()
@@ -304,6 +313,9 @@ func Run(prog *sema.Program, opts Options) Result {
 // state digests through the Interp it constructed — and must be called at
 // most once per Interp.
 func (in *Interp) RunMachine() Result {
+	// Deferred, so a run that panics (and is contained further up) still
+	// adds its counts and the ledger totals stay exact.
+	defer in.flushCoverage()
 	engine, err := engineFor(in.opts.Engine)
 	if err != nil {
 		return Result{ExitCode: 1, Err: err}
@@ -402,7 +414,7 @@ func (in *Interp) buildArgs(mainFn *cast.FuncDef) ([]mem.Value, error) {
 var SiteStep = fault.RegisterSite("interp.step")
 
 // step charges one unit of the execution budget. The observability hook is
-// a single nil check; the cancellation poll fires every 1024 steps so the
+// a single bit test; the cancellation poll fires every 1024 steps so the
 // hot loop never touches channel state in the common case. An armed
 // injector disables that batching — fault-injection runs trade speed for a
 // deterministic interleaving of delays and cancellation.
@@ -423,7 +435,7 @@ func (in *Interp) step(pos token.Pos) error {
 		default:
 		}
 	}
-	if in.obs != nil {
+	if in.obsKinds.Has(obs.EvStep) {
 		in.obsEv = obs.Event{Kind: obs.EvStep, Pos: pos}
 		in.obs.Event(&in.obsEv)
 	}
@@ -448,7 +460,7 @@ func (in *Interp) seqPoint() {
 	if len(in.opts.Monitors) > 0 {
 		in.opts.Monitors.Observe(spec.Event{Kind: spec.EvSeqPoint})
 	}
-	if in.obs != nil {
+	if in.obsKinds.Has(obs.EvSeqPoint) {
 		in.obsEv = obs.Event{Kind: obs.EvSeqPoint, Size: int64(flushed)}
 		in.obs.Event(&in.obsEv)
 	}
@@ -479,8 +491,8 @@ func (in *Interp) funcName() string {
 // the interpreter funnels through here, which makes it the single emission
 // point for fired-check events.
 func (in *Interp) ubError(b *ub.Behavior, pos token.Pos, format string, args ...any) *ub.Error {
-	obs.CoverageHit(b.Code, true)
-	if in.obs != nil {
+	in.coverageHit(b.Code, true)
+	if in.obsKinds.Has(obs.EvCheck) {
 		in.obsEv = obs.Event{Kind: obs.EvCheck, Pos: pos, Behavior: b, Fired: true}
 		in.obs.Event(&in.obsEv)
 	}

@@ -74,21 +74,3 @@ func (t *Trace) Pick(n int) int {
 	t.pos++
 	return c
 }
-
-// order asks the scheduler for a complete evaluation order of n operands.
-func order(s Scheduler, n int) []int {
-	if n == 1 {
-		return []int{0}
-	}
-	remaining := make([]int, n)
-	for i := range remaining {
-		remaining[i] = i
-	}
-	out := make([]int, 0, n)
-	for len(remaining) > 0 {
-		k := s.Pick(len(remaining))
-		out = append(out, remaining[k])
-		remaining = append(remaining[:k], remaining[k+1:]...)
-	}
-	return out
-}

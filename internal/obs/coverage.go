@@ -15,9 +15,11 @@ package obs
 //     read-only afterwards, so snapshots read it without locks.
 //   - At run time the two check funnels (interp.ubError and
 //     interp.obsCheckPass, which the VM reaches through the same exported
-//     wrappers) bump one fixed-size atomic counter each: CoverageHit is a
-//     single indexed atomic add, allocation-free, and independent of
-//     whether an Observer is installed — the ledger is always on.
+//     wrappers) count into the run's own CoverageTally, which the
+//     interpreter adds to the shared atomic counters once, when the run
+//     ends — however it ends. Counting is allocation-free and
+//     independent of whether an Observer is installed: the ledger is
+//     always on. CoverageHit adds one evaluation directly.
 //
 // Counter totals are order-independent sums, so a parallel matrix run
 // (-j 8) and both engines produce identical ledgers by construction.
@@ -100,6 +102,52 @@ func CoverageHit(code int, fired bool) {
 	if fired {
 		coverageFired[code].Add(1)
 	}
+}
+
+// CoverageTally counts check evaluations for one goroutine — one
+// interpreter run — so the hot path touches no shared cache line. Flush
+// adds the counts to the ledger.
+type CoverageTally struct {
+	counts  [][2]int64 // indexed like the ledger: {evaluated, fired}
+	touched []int      // codes with a non-zero count, for Flush
+}
+
+var tallyPool = sync.Pool{New: func() any {
+	return &CoverageTally{counts: make([][2]int64, len(coverageEvaluated)), touched: make([]int, 0, 16)}
+}}
+
+// NewCoverageTally returns an empty tally, reused from earlier flushed
+// ones where possible.
+func NewCoverageTally() *CoverageTally { return tallyPool.Get().(*CoverageTally) }
+
+// Hit counts one check evaluation, as CoverageHit does for the ledger.
+func (t *CoverageTally) Hit(code int, fired bool) {
+	if code < 1 || code >= len(t.counts) {
+		code = 0
+	}
+	c := &t.counts[code]
+	if c[0] == 0 {
+		t.touched = append(t.touched, code)
+	}
+	c[0]++
+	if fired {
+		c[1]++
+	}
+}
+
+// Flush adds the tally to the ledger and recycles it; t must not be used
+// afterwards.
+func (t *CoverageTally) Flush() {
+	for _, code := range t.touched {
+		c := &t.counts[code]
+		coverageEvaluated[code].Add(c[0])
+		if c[1] != 0 {
+			coverageFired[code].Add(c[1])
+		}
+		*c = [2]int64{}
+	}
+	t.touched = t.touched[:0]
+	tallyPool.Put(t)
 }
 
 // ResetCoverage zeroes the counters (registry entries persist). Test and

@@ -108,8 +108,44 @@ func TestCoverageHitConcurrent(t *testing.T) {
 	ResetCoverage()
 }
 
+// TestCoverageTallyFlush: per-worker tallies, flushed concurrently, add
+// up to the same ledger as direct hits, and a recycled tally starts empty.
+func TestCoverageTallyFlush(t *testing.T) {
+	ResetCoverage()
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for run := 0; run < 10; run++ {
+				tl := NewCoverageTally()
+				for i := 0; i < 1000; i++ {
+					tl.Hit(31, i%10 == 0)
+					tl.Hit(16, false)
+				}
+				tl.Hit(-5, true) // out of range: absorbed by slot 0
+				tl.Flush()
+			}
+		}()
+	}
+	wg.Wait()
+	for _, c := range []struct {
+		code            int
+		evaluated, fire int64
+	}{{31, 80000, 8000}, {16, 80000, 0}, {0, 80, 80}} {
+		if got := coverageEvaluated[c.code].Load(); got != c.evaluated {
+			t.Errorf("code %d evaluated %d, want %d", c.code, got, c.evaluated)
+		}
+		if got := coverageFired[c.code].Load(); got != c.fire {
+			t.Errorf("code %d fired %d, want %d", c.code, got, c.fire)
+		}
+	}
+	ResetCoverage()
+}
+
 // TestCoverageLedgerAllocs is the make-check gate: the ledger hot path —
-// one CoverageHit per check evaluation — must not allocate.
+// one tally Hit (or direct CoverageHit) per check evaluation — must not
+// allocate.
 func TestCoverageLedgerAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() {
 		CoverageHit(16, false)
@@ -117,5 +153,14 @@ func TestCoverageLedgerAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("CoverageHit allocates %.1f per run, want 0", n)
 	}
+	tl := NewCoverageTally()
+	if n := testing.AllocsPerRun(1000, func() {
+		tl.Hit(16, false)
+		tl.Hit(16, true)
+		tl.Hit(31, false)
+	}); n != 0 {
+		t.Fatalf("CoverageTally.Hit allocates %.1f per run, want 0", n)
+	}
+	tl.Flush()
 	ResetCoverage()
 }

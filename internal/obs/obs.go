@@ -178,6 +178,43 @@ type Observer interface {
 	Event(ev *Event)
 }
 
+// KindSet is a set of event kinds, one bit per EventKind.
+type KindSet uint16
+
+// AllKinds holds every event kind.
+const AllKinds KindSet = 1<<numEventKinds - 1
+
+// KindsOf returns the set holding exactly the given kinds.
+func KindsOf(kinds ...EventKind) KindSet {
+	var s KindSet
+	for _, k := range kinds {
+		s |= 1 << k
+	}
+	return s
+}
+
+// Has reports whether k is in s.
+func (s KindSet) Has(k EventKind) bool { return s&(1<<k) != 0 }
+
+// KindFilter is an optional Observer extension: an observer that consumes
+// only some event kinds declares them, and the emitter skips building the
+// rest. Emitters read Kinds once, when the observer is installed.
+type KindFilter interface {
+	Kinds() KindSet
+}
+
+// KindsWanted reports the kinds an emitter must deliver to o: none for a
+// nil observer, the declared set for a KindFilter, every kind otherwise.
+func KindsWanted(o Observer) KindSet {
+	if o == nil {
+		return 0
+	}
+	if f, ok := o.(KindFilter); ok {
+		return f.Kinds()
+	}
+	return AllKinds
+}
+
 // Multi fans one event stream out to several observers, dropping nils. It
 // returns nil when every argument is nil — preserving the emitter's
 // nil-observer fast path — and the observer itself when only one remains.

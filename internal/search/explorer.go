@@ -33,6 +33,7 @@ package search
 
 import (
 	"context"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -44,9 +45,15 @@ import (
 // node is one decision-tree node — the position reached by one exact
 // pick path from the root — and its POR registry entry. Identity is the
 // path itself, never a hash of it: two merged nodes would silently share
-// a judgment and lose exploration.
+// a judgment and lose exploration. Nodes live in explorer.nodes and refer
+// to their children by index, so the tree holds no pointers for the
+// garbage collector to scan.
 type node struct {
-	kids []*node // indexed by the pick made at this position
+	// kids is the index in explorer.kids of this node's first child slot
+	// (one slot per pick, holding the child's index in explorer.nodes, 0
+	// until visited: the root is no node's child), or -1 before the first
+	// descent.
+	kids int32
 	// expanded: a conflict was observed through this node; all sibling
 	// orders are (or are being) enqueued, and later visits do nothing.
 	expanded bool
@@ -55,19 +62,31 @@ type node struct {
 	pruned int64
 }
 
-// child returns the node reached by pick c at this position, where n
-// choices are available, creating it on the first visit. Replay is
-// deterministic, so every visit to a position sees the same n.
-func (nd *node) child(c, n int) *node {
-	if nd.kids == nil {
-		nd.kids = make([]*node, n)
+// child returns the index of the node reached by pick c from node nd,
+// where n choices are available, creating it on the first visit. Replay
+// is deterministic, so every visit to a position sees the same n. Called
+// with e.mu held.
+func (e *explorer) child(nd int32, c, n int) int32 {
+	k := e.nodes[nd].kids
+	if k < 0 {
+		k = int32(len(e.kids))
+		e.nodes[nd].kids = k
+		e.kids = extend(e.kids, n)
 	}
-	k := nd.kids[c]
-	if k == nil {
-		k = &node{}
-		nd.kids[c] = k
+	slot := &e.kids[int(k)+c]
+	if *slot == 0 {
+		*slot = int32(len(e.nodes))
+		e.nodes = append(e.nodes, node{kids: -1})
 	}
-	return k
+	return *slot
+}
+
+// extend returns s with n zero elements appended, growing its backing
+// array only when it lacks room.
+func extend[T any](s []T, n int) []T {
+	s = slices.Grow(s, n)[:len(s)+n]
+	clear(s[len(s)-n:])
+	return s
 }
 
 type explorer struct {
@@ -92,9 +111,12 @@ type explorer struct {
 	stopped   bool // stop dispatching new work now
 	seen      map[string]bool
 	outcomes  []Outcome
-	root      node // POR registry: the decision tree from the empty path
-	pruned    int64
-	deduped   int64
+	// nodes and kids are the POR registry: the decision tree from the
+	// empty path, rooted at nodes[0] (see node).
+	nodes   []node
+	kids    []int32
+	pruned  int64
+	deduped int64
 
 	cbMu sync.Mutex // serializes OnOutcome
 }
@@ -108,6 +130,7 @@ func newExplorer(ctx context.Context, prog *sema.Program, opts Options, maxRuns 
 		por:     opts.POR,
 		dedup:   opts.Dedup,
 		seen:    make(map[string]bool),
+		nodes:   []node{{kids: -1}},
 	}
 	e.cond = sync.NewCond(&e.mu)
 	return e
@@ -141,6 +164,7 @@ func (e *explorer) worker() {
 	// runs) so the tracing layer can follow an exploration across the
 	// pool. Free when no collector is installed.
 	_, sp := obs.StartSpan(e.ctx, "search.worker")
+	rec := newRecorder(e)
 	runs := 0
 	for {
 		e.mu.Lock()
@@ -155,7 +179,7 @@ func (e *explorer) worker() {
 		e.queue = e.queue[:len(e.queue)-1]
 		e.mu.Unlock()
 
-		e.runOne(p)
+		e.runOne(rec, p)
 		runs++
 
 		e.mu.Lock()
@@ -170,9 +194,9 @@ func (e *explorer) worker() {
 	sp.End()
 }
 
-// runOne executes one prefix and folds the result (outcome, expansion,
-// stats) into the shared state.
-func (e *explorer) runOne(prefix []int) {
+// runOne executes one prefix with the worker's recorder and folds the
+// result (outcome, expansion, stats) into the shared state.
+func (e *explorer) runOne(rec *recorder, prefix []int) {
 	e.mu.Lock()
 	if e.stopped {
 		e.mu.Unlock()
@@ -192,7 +216,7 @@ func (e *explorer) runOne(prefix []int) {
 		return
 	}
 
-	rec := newRecorder(e, prefix)
+	rec.reset(prefix)
 	iopts := interp.Options{
 		Engine:  e.opts.Engine,
 		Sched:   rec,
@@ -290,10 +314,10 @@ func (e *explorer) expandLocked(rec *recorder, room int) [][]int {
 		limit = rec.dedupHit
 		e.deduped++
 	}
-	picks := make([]int, len(rec.log))
-	for i, c := range rec.log {
-		picks[i] = c.Picked
+	for _, c := range rec.log {
+		rec.picks = append(rec.picks, c.Picked)
 	}
+	picks := rec.picks
 
 	var fresh [][]int
 	add := func(g, c int) {
@@ -305,8 +329,10 @@ func (e *explorer) expandLocked(rec *recorder, room int) [][]int {
 	}
 	// nd is the tree node at depth, walked forward along picks; points
 	// are in firstPick order, so the walk visits each position once.
-	nd, depth := &e.root, 0
-	for _, pt := range rec.points {
+	var nd int32 // the root
+	depth := 0
+	for i := range rec.points {
+		pt := &rec.points[i]
 		if pt.firstPick >= limit {
 			break // points are in firstPick order
 		}
@@ -316,31 +342,32 @@ func (e *explorer) expandLocked(rec *recorder, room int) [][]int {
 			// Canonical visit: this run carries the judgment of the node
 			// at picks[:firstPick].
 			for ; depth < pt.firstPick; depth++ {
-				nd = nd.child(picks[depth], rec.log[depth].N)
+				nd = e.child(nd, picks[depth], rec.log[depth].N)
 			}
-			if nd.expanded {
+			cur := &e.nodes[nd]
+			if cur.expanded {
 				continue
 			}
-			if pt.conflicted(rec.accesses) {
+			if pt.conflicted(rec) {
 				// Conflict evidence (possibly found late, by a nested
 				// alternative's visit): expand every deferred sibling of
 				// the node, exactly once.
-				nd.expanded = true
-				e.pruned -= nd.pruned
-				nd.pruned = 0
+				cur.expanded = true
+				e.pruned -= cur.pruned
+				cur.pruned = 0
 				for g := pt.firstPick; g < gEnd; g++ {
 					n := rec.log[g].N
 					for c := 1; c < n; c++ {
 						add(g, c)
 					}
 				}
-			} else if pt.firstPick >= p && nd.pruned == 0 {
+			} else if pt.firstPick >= p && cur.pruned == 0 {
 				// Independent point, first (responsible) visit: defer the
 				// siblings and record how many branches that suppressed.
 				for g := pt.firstPick; g < gEnd; g++ {
-					nd.pruned += int64(rec.log[g].N - 1)
+					cur.pruned += int64(rec.log[g].N - 1)
 				}
-				e.pruned += nd.pruned
+				e.pruned += cur.pruned
 			}
 			continue
 		}

@@ -117,7 +117,9 @@ func (f *footprint) conflicts(g *footprint, log []access) bool {
 
 func (f *footprint) hasAccess() bool { return f.hi > f.lo }
 
-// pointRec is one choice point of the run under reconstruction.
+// pointRec is one choice point of the run under reconstruction. Points
+// live by value in the recorder's points slab and are addressed by index,
+// so the slab is reused from run to run.
 type pointRec struct {
 	// firstPick is the log position of the point's Pick(n) — the node of
 	// the decision tree the point sits at is identified by the pick path
@@ -133,7 +135,9 @@ type pointRec struct {
 	// point is never pruned (its unseen operands could conflict).
 	complete bool
 	done     int // operands finished so far = index of the current bucket
-	ops      []footprint
+	// opsLo locates the point's footprints: the range [opsLo,
+	// opsLo+fanout) of the recorder's ops slab, one per operand.
+	opsLo int
 
 	// Counter snapshots taken at the start of the current operand; the
 	// deltas at OperandDone set the footprint's flag effects.
@@ -148,7 +152,7 @@ type pointRec struct {
 
 func (pt *pointRec) snap(r *recorder) {
 	st := r.in.MemStore()
-	pt.ops[pt.done].lo = len(r.accesses)
+	r.ops[pt.opsLo+pt.done].lo = len(r.accesses)
 	pt.objsSnap = st.NumObjects()
 	pt.killsSnap = st.Kills()
 	pt.synthSnap = r.in.SynthAddrCasts()
@@ -159,7 +163,7 @@ func (pt *pointRec) snap(r *recorder) {
 }
 
 func (pt *pointRec) capture(r *recorder) {
-	f := &pt.ops[pt.done]
+	f := &r.ops[pt.opsLo+pt.done]
 	st := r.in.MemStore()
 	f.hi = len(r.accesses)
 	f.alloc = st.NumObjects() != pt.objsSnap
@@ -173,16 +177,17 @@ func (pt *pointRec) capture(r *recorder) {
 }
 
 // conflicted reports whether any pair of the point's operands fails to
-// commute, given the run's access log. An incomplete point (a run error
-// skipped an OperandDone) always conflicts: pruning needs positive
-// evidence about every operand.
-func (pt *pointRec) conflicted(log []access) bool {
+// commute, given the run's footprints and access log. An incomplete point
+// (a run error skipped an OperandDone) always conflicts: pruning needs
+// positive evidence about every operand.
+func (pt *pointRec) conflicted(r *recorder) bool {
 	if !pt.complete {
 		return true
 	}
-	for i := range pt.ops {
-		for j := i + 1; j < len(pt.ops); j++ {
-			if pt.ops[i].conflicts(&pt.ops[j], log) {
+	ops := r.ops[pt.opsLo : pt.opsLo+pt.fanout]
+	for i := range ops {
+		for j := i + 1; j < len(ops); j++ {
+			if ops[i].conflicts(&ops[j], r.accesses) {
 				return true
 			}
 		}
@@ -190,7 +195,10 @@ func (pt *pointRec) conflicted(log []access) bool {
 	return false
 }
 
-// recorder drives and observes one run.
+// recorder drives and observes one run. Each explorer worker keeps one
+// recorder and resets it between runs, so its slabs — the log, the access
+// log, the points and their footprints — are allocated once per worker,
+// not once per run.
 type recorder struct {
 	exp    *explorer
 	prefix []int
@@ -199,13 +207,16 @@ type recorder struct {
 
 	log []interp.Choice
 	pos int
+	// picks is expandLocked's scratch: the run's pick path.
+	picks []int
 
 	// track enables footprint reconstruction (set iff POR is on; the
 	// recorder is also installed as the run's Observer only then).
 	track bool
 
-	stack  []*pointRec // open points, innermost last
-	points []*pointRec // every point, in open (= firstPick) order
+	stack  []int32     // open points as indexes into points, innermost last
+	points []pointRec  // every point, in open (= firstPick) order
+	ops    []footprint // every point's footprints; see pointRec.opsLo
 
 	// accesses is the run's access log: every read and write made while
 	// a point is open, in execution order. The counters tally the other
@@ -224,16 +235,49 @@ type recorder struct {
 	// bookkeeping stop at this position — the owning run is responsible
 	// for the subtree.
 	dedupHit int
+
+	// outHash is the FNV-1a state over the first outHashed bytes of the
+	// run's output, so the dedup key hashes each output byte once.
+	outHash   uint64
+	outHashed int
 }
 
-func newRecorder(e *explorer, prefix []int) *recorder {
-	return &recorder{
-		exp:      e,
-		prefix:   prefix,
-		sink:     &strings.Builder{},
-		track:    e.por,
-		dedupHit: -1,
+func newRecorder(e *explorer) *recorder {
+	return &recorder{exp: e, track: e.por}
+}
+
+// reset prepares r for a run of prefix: every slab is truncated in place
+// and every other field starts fresh. The sink is new each run because
+// the run's Outcome keeps the string it returns.
+func (r *recorder) reset(prefix []int) {
+	*r = recorder{
+		exp:       r.exp,
+		prefix:    prefix,
+		sink:      &strings.Builder{},
+		log:       r.log[:0],
+		picks:     r.picks[:0],
+		track:     r.track,
+		stack:     r.stack[:0],
+		points:    r.points[:0],
+		ops:       r.ops[:0],
+		accesses:  r.accesses[:0],
+		dedupHit:  -1,
+		outHash:   fnvOffset,
+		outHashed: 0,
 	}
+}
+
+// outputDigest is the FNV-1a hash of the output so far, extended over
+// only the bytes written since the last call.
+func (r *recorder) outputDigest() uint64 {
+	s := r.sink.String()
+	h := r.outHash
+	for i := r.outHashed; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime
+	}
+	r.outHash, r.outHashed = h, len(s)
+	return h
 }
 
 // Pick implements interp.Scheduler: replay the prefix, then leftmost —
@@ -253,24 +297,24 @@ func (r *recorder) Pick(n int) int {
 			// Top-level choice point in fresh territory: hash the machine
 			// state; if another run owns it, the subtree below is theirs.
 			key := r.in.StateDigest()
-			key ^= hashOutput(r.sink.String())
+			key ^= r.outputDigest()
 			if !r.exp.claimState(key) {
 				r.dedupHit = r.pos
 			}
 		}
-		pt := &pointRec{firstPick: r.pos, fanout: n, canonical: true, ops: make([]footprint, n)}
+		r.points = append(r.points, pointRec{firstPick: r.pos, fanout: n, canonical: true, opsLo: len(r.ops)})
+		r.ops = extend(r.ops, n)
+		top := len(r.points) - 1
 		if r.track {
-			pt.snap(r)
+			r.points[top].snap(r)
 		}
-		r.stack = append(r.stack, pt)
-		r.points = append(r.points, pt)
+		r.stack = append(r.stack, int32(top))
 		r.groupLeft = n
 	}
 	if r.groupLeft > 0 {
 		r.groupLeft--
-		top := r.stack[len(r.stack)-1]
 		if c != 0 {
-			top.canonical = false
+			r.points[r.stack[len(r.stack)-1]].canonical = false
 		}
 	}
 	r.log = append(r.log, interp.Choice{N: n, Picked: c})
@@ -284,7 +328,7 @@ func (r *recorder) OperandDone() {
 	if len(r.stack) == 0 {
 		return
 	}
-	top := r.stack[len(r.stack)-1]
+	top := &r.points[r.stack[len(r.stack)-1]]
 	if r.track {
 		top.capture(r)
 	} else {
@@ -328,11 +372,14 @@ func (r *recorder) Event(ev *obs.Event) {
 	}
 }
 
-func hashOutput(s string) uint64 {
-	var h uint64 = 1469598103934665603
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
+// Kinds implements obs.KindFilter: the interpreter builds no event the
+// recorder would discard, such as steps and check passes.
+func (r *recorder) Kinds() obs.KindSet {
+	return obs.KindsOf(obs.EvRead, obs.EvWrite, obs.EvSeqPoint, obs.EvBuiltin)
 }
+
+// FNV-1a, 64-bit.
+const (
+	fnvOffset uint64 = 1469598103934665603
+	fnvPrime  uint64 = 1099511628211
+)

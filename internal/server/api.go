@@ -371,7 +371,7 @@ type MetricsResponse struct {
 	// handled at least one analyze request. Deltas between two readings
 	// (HistogramSnapshot.Sub) give windowed quantiles; undefbench uses
 	// exactly that to compare server-side against client-observed latency.
-	Latency  map[string]*obs.HistogramSnapshot `json:"latency,omitempty"`
+	Latency map[string]*obs.HistogramSnapshot `json:"latency,omitempty"`
 	// Coverage is the process-lifetime UB check-site coverage ledger (also
 	// served alone on GET /v1/coverage); a cluster router sums shard
 	// ledgers into its aggregate through this field.

@@ -867,7 +867,8 @@ func (c *compiler) compileCall(e *cast.Call) cexpr {
 			}
 			in.OperandDone()
 		default:
-			for _, which := range in.Order(n) {
+			var buf [8]int // the order for up to 8 operands, on the stack
+			for _, which := range in.Order(buf[:0], n) {
 				if which == 0 {
 					vals[0], err = cfn(in)
 				} else {
