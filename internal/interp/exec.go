@@ -867,7 +867,7 @@ func (in *Interp) InvokeUser(fd *cast.FuncDef, args []mem.Value, pos token.Pos, 
 	f := &frame{fn: fd, locals: make(map[*cast.Symbol]mem.ObjID)}
 	f.blockStack = append(f.blockStack, nil)
 	in.frames = append(in.frames, f)
-	in.seq = append(in.seq, newSeqState())
+	in.pushSeq()
 	defer func() {
 		for _, ids := range f.blockStack {
 			for _, id := range ids {

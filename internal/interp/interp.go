@@ -176,7 +176,21 @@ type seqState struct {
 	read    seqSet
 }
 
-func newSeqState() *seqState { return &seqState{} }
+// pushSeq opens an empty sequence-point state for a new activation. The
+// states of returned activations stay above the stack's top, so each call
+// depth reuses one state — and the backing arrays of its sets — instead of
+// allocating a new one per call.
+func (in *Interp) pushSeq() {
+	if n := len(in.seq); n < cap(in.seq) {
+		if s := in.seq[:n+1][n]; s != nil {
+			s.written.Clear()
+			s.read.Clear()
+			in.seq = in.seq[:n+1]
+			return
+		}
+	}
+	in.seq = append(in.seq, &seqState{})
+}
 
 // seqSpill is the set size past which a seqSet abandons its linear-scan
 // slice for a map. Almost every full expression touches well under this
@@ -359,7 +373,7 @@ func (in *Interp) ExecuteWith(call CallFunc) (int, error) {
 	if err != nil {
 		return in.exitCode(err)
 	}
-	in.seq = append(in.seq, newSeqState())
+	in.pushSeq()
 	v, err := call(mainFn, args, mainFn.P)
 	if err != nil {
 		return in.exitCode(err)
@@ -531,7 +545,7 @@ func (in *Interp) initGlobals() error {
 		in.globals[d.Sym] = o.ID
 		in.markQualRanges(o.ID, 0, d.Type)
 	}
-	in.seq = append(in.seq, newSeqState())
+	in.pushSeq()
 	defer func() { in.seq = in.seq[:len(in.seq)-1] }()
 	for _, d := range in.prog.Globals {
 		if len(d.Plan) == 0 {

@@ -25,7 +25,7 @@ func benchInterp(tb testing.TB, o obs.Observer) *Interp {
 		tb.Fatal(err)
 	}
 	in := New(prog, Options{Observer: o, Budget: Budget{MaxSteps: 1 << 62}})
-	in.seq = append(in.seq, newSeqState())
+	in.pushSeq()
 	return in
 }
 

@@ -33,7 +33,6 @@ package search
 
 import (
 	"context"
-	"slices"
 	"strconv"
 	"sync"
 
@@ -51,8 +50,8 @@ import (
 type node struct {
 	// kids is the index in explorer.kids of this node's first child slot
 	// (one slot per pick, holding the child's index in explorer.nodes, 0
-	// until visited: the root is no node's child), or -1 before the first
-	// descent.
+	// until visited: the root is no node's child), or 0 before the first
+	// descent (kids[0] is a sentinel no node owns).
 	kids int32
 	// expanded: a conflict was observed through this node; all sibling
 	// orders are (or are being) enqueued, and later visits do nothing.
@@ -68,7 +67,7 @@ type node struct {
 // with e.mu held.
 func (e *explorer) child(nd int32, c, n int) int32 {
 	k := e.nodes[nd].kids
-	if k < 0 {
+	if k == 0 {
 		k = int32(len(e.kids))
 		e.nodes[nd].kids = k
 		e.kids = extend(e.kids, n)
@@ -76,15 +75,22 @@ func (e *explorer) child(nd int32, c, n int) int32 {
 	slot := &e.kids[int(k)+c]
 	if *slot == 0 {
 		*slot = int32(len(e.nodes))
-		e.nodes = append(e.nodes, node{kids: -1})
+		e.nodes = extend(e.nodes, 1)
 	}
 	return *slot
 }
 
-// extend returns s with n zero elements appended, growing its backing
-// array only when it lacks room.
+// extend returns s with n zero elements appended. A full backing array is
+// replaced by one twice the needed size: append grows large slices by
+// only about 1.25x, which for a tree of ~10^5 nodes allocates several
+// times its final size.
 func extend[T any](s []T, n int) []T {
-	s = slices.Grow(s, n)[:len(s)+n]
+	if len(s)+n > cap(s) {
+		grown := make([]T, len(s), 2*(len(s)+n))
+		copy(grown, s)
+		s = grown
+	}
+	s = s[:len(s)+n]
 	clear(s[len(s)-n:])
 	return s
 }
@@ -130,7 +136,8 @@ func newExplorer(ctx context.Context, prog *sema.Program, opts Options, maxRuns 
 		por:     opts.POR,
 		dedup:   opts.Dedup,
 		seen:    make(map[string]bool),
-		nodes:   []node{{kids: -1}},
+		nodes:   make([]node, 1),
+		kids:    make([]int32, 1),
 	}
 	e.cond = sync.NewCond(&e.mu)
 	return e
@@ -342,7 +349,11 @@ func (e *explorer) expandLocked(rec *recorder, room int) [][]int {
 			// Canonical visit: this run carries the judgment of the node
 			// at picks[:firstPick].
 			for ; depth < pt.firstPick; depth++ {
-				nd = e.child(nd, picks[depth], rec.log[depth].N)
+				// A forced pick (the last of a permutation, Pick(1))
+				// names no branch, so it gets no node of its own.
+				if n := rec.log[depth].N; n > 1 {
+					nd = e.child(nd, picks[depth], n)
+				}
 			}
 			cur := &e.nodes[nd]
 			if cur.expanded {

@@ -126,6 +126,9 @@ type pointRec struct {
 	// up to (excluding) this position.
 	firstPick int
 	fanout    int
+	// opsLo locates the point's footprints: the range [opsLo,
+	// opsLo+fanout) of the recorder's ops slab, one per operand.
+	opsLo int
 	// canonical reports that every decision of this point's group was 0
 	// (the leftmost order) — only canonical visits carry POR bookkeeping
 	// for the node, so each node is judged by exactly one order shape.
@@ -134,10 +137,14 @@ type pointRec struct {
 	// run that errors mid-point leaves it incomplete, and an incomplete
 	// point is never pruned (its unseen operands could conflict).
 	complete bool
-	done     int // operands finished so far = index of the current bucket
-	// opsLo locates the point's footprints: the range [opsLo,
-	// opsLo+fanout) of the recorder's ops slab, one per operand.
-	opsLo int
+}
+
+// openPoint is a point whose operands are still being evaluated: its
+// index in the points slab and the state of its current operand. Only
+// open points need it, so it lives on the recorder's stack.
+type openPoint struct {
+	pt   int32
+	done int // operands finished so far = index of the current footprint
 
 	// Counter snapshots taken at the start of the current operand; the
 	// deltas at OperandDone set the footprint's flag effects.
@@ -150,30 +157,29 @@ type pointRec struct {
 	rawSnap   int
 }
 
-func (pt *pointRec) snap(r *recorder) {
+func (op *openPoint) snap(r *recorder) {
 	st := r.in.MemStore()
-	r.ops[pt.opsLo+pt.done].lo = len(r.accesses)
-	pt.objsSnap = st.NumObjects()
-	pt.killsSnap = st.Kills()
-	pt.synthSnap = r.in.SynthAddrCasts()
-	pt.outSnap = r.sink.Len()
-	pt.seqSnap = r.seqPoints
-	pt.rngSnap = r.rngCalls
-	pt.rawSnap = r.rawCalls
+	r.ops[r.points[op.pt].opsLo+op.done].lo = len(r.accesses)
+	op.objsSnap = st.NumObjects()
+	op.killsSnap = st.Kills()
+	op.synthSnap = r.in.SynthAddrCasts()
+	op.outSnap = r.sink.Len()
+	op.seqSnap = r.seqPoints
+	op.rngSnap = r.rngCalls
+	op.rawSnap = r.rawCalls
 }
 
-func (pt *pointRec) capture(r *recorder) {
-	f := &r.ops[pt.opsLo+pt.done]
+func (op *openPoint) capture(r *recorder) {
+	f := &r.ops[r.points[op.pt].opsLo+op.done]
 	st := r.in.MemStore()
 	f.hi = len(r.accesses)
-	f.alloc = st.NumObjects() != pt.objsSnap
-	f.kills = st.Kills() != pt.killsSnap
-	f.synth = r.in.SynthAddrCasts() != pt.synthSnap
-	f.output = r.sink.Len() != pt.outSnap
-	f.barrier = r.seqPoints != pt.seqSnap
-	f.rng = r.rngCalls != pt.rngSnap
-	f.universal = r.rawCalls != pt.rawSnap
-	pt.done++
+	f.alloc = st.NumObjects() != op.objsSnap
+	f.kills = st.Kills() != op.killsSnap
+	f.synth = r.in.SynthAddrCasts() != op.synthSnap
+	f.output = r.sink.Len() != op.outSnap
+	f.barrier = r.seqPoints != op.seqSnap
+	f.rng = r.rngCalls != op.rngSnap
+	f.universal = r.rawCalls != op.rawSnap
 }
 
 // conflicted reports whether any pair of the point's operands fails to
@@ -214,7 +220,7 @@ type recorder struct {
 	// recorder is also installed as the run's Observer only then).
 	track bool
 
-	stack  []int32     // open points as indexes into points, innermost last
+	stack  []openPoint // open points, innermost last
 	points []pointRec  // every point, in open (= firstPick) order
 	ops    []footprint // every point's footprints; see pointRec.opsLo
 
@@ -302,19 +308,18 @@ func (r *recorder) Pick(n int) int {
 				r.dedupHit = r.pos
 			}
 		}
-		r.points = append(r.points, pointRec{firstPick: r.pos, fanout: n, canonical: true, opsLo: len(r.ops)})
+		r.points = append(r.points, pointRec{firstPick: r.pos, fanout: n, opsLo: len(r.ops), canonical: true})
 		r.ops = extend(r.ops, n)
-		top := len(r.points) - 1
+		r.stack = append(r.stack, openPoint{pt: int32(len(r.points) - 1)})
 		if r.track {
-			r.points[top].snap(r)
+			r.stack[len(r.stack)-1].snap(r)
 		}
-		r.stack = append(r.stack, int32(top))
 		r.groupLeft = n
 	}
 	if r.groupLeft > 0 {
 		r.groupLeft--
 		if c != 0 {
-			r.points[r.stack[len(r.stack)-1]].canonical = false
+			r.points[r.stack[len(r.stack)-1].pt].canonical = false
 		}
 	}
 	r.log = append(r.log, interp.Choice{N: n, Picked: c})
@@ -328,14 +333,13 @@ func (r *recorder) OperandDone() {
 	if len(r.stack) == 0 {
 		return
 	}
-	top := &r.points[r.stack[len(r.stack)-1]]
+	top := &r.stack[len(r.stack)-1]
 	if r.track {
 		top.capture(r)
-	} else {
-		top.done++
 	}
-	if top.done == top.fanout {
-		top.complete = true
+	top.done++
+	if pt := &r.points[top.pt]; top.done == pt.fanout {
+		pt.complete = true
 		r.stack = r.stack[:len(r.stack)-1]
 		return
 	}
