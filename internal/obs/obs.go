@@ -181,8 +181,8 @@ type Observer interface {
 // KindSet is a set of event kinds, one bit per EventKind.
 type KindSet uint16
 
-// AllKinds holds every event kind.
-const AllKinds KindSet = 1<<numEventKinds - 1
+// allKinds holds every event kind.
+const allKinds KindSet = 1<<numEventKinds - 1
 
 // KindsOf returns the set holding exactly the given kinds.
 func KindsOf(kinds ...EventKind) KindSet {
@@ -212,7 +212,7 @@ func KindsWanted(o Observer) KindSet {
 	if f, ok := o.(KindFilter); ok {
 		return f.Kinds()
 	}
-	return AllKinds
+	return allKinds
 }
 
 // Multi fans one event stream out to several observers, dropping nils. It

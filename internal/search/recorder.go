@@ -257,19 +257,18 @@ func newRecorder(e *explorer) *recorder {
 // the run's Outcome keeps the string it returns.
 func (r *recorder) reset(prefix []int) {
 	*r = recorder{
-		exp:       r.exp,
-		prefix:    prefix,
-		sink:      &strings.Builder{},
-		log:       r.log[:0],
-		picks:     r.picks[:0],
-		track:     r.track,
-		stack:     r.stack[:0],
-		points:    r.points[:0],
-		ops:       r.ops[:0],
-		accesses:  r.accesses[:0],
-		dedupHit:  -1,
-		outHash:   fnvOffset,
-		outHashed: 0,
+		exp:      r.exp,
+		prefix:   prefix,
+		sink:     &strings.Builder{},
+		log:      r.log[:0],
+		picks:    r.picks[:0],
+		track:    r.track,
+		stack:    r.stack[:0],
+		points:   r.points[:0],
+		ops:      r.ops[:0],
+		accesses: r.accesses[:0],
+		dedupHit: -1,
+		outHash:  fnvOffset,
 	}
 }
 
