@@ -43,12 +43,13 @@ test:
 # site) must not allocate, partial-order-reduction bookkeeping must cost
 # the same bytes per logged decision on a deep recursion as on a shallow
 # one, scheduling up to 8 operands must not allocate, the search must stay
-# under its pinned heap objects per logged decision, and the chaos run finishes by SIGKILLing a shard under a pinned
-# trace id and asserting GET /v1/trace/{id} assembles one Chrome trace
-# with the router's failed forward + backoff spans and spans from the
-# surviving shard processes. Last, the benchmark module (perfbench/, a
-# nested module the root `go build ./...` skips) is vetted and tested,
-# because it imports the obs, server and cluster APIs.
+# under its pinned heap objects per logged decision, and the chaos run
+# finishes by SIGKILLing a shard under a pinned trace id and asserting
+# GET /v1/trace/{id} assembles one Chrome trace with the router's failed
+# forward + backoff spans and spans from the surviving shard processes.
+# Last, the benchmark module (perfbench/, a nested module the root
+# `go build ./...` skips) is vetted and tested, because it imports the
+# obs, server and cluster APIs.
 .PHONY: check
 check: test
 	test -z "$$(gofmt -l .)"
