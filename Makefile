@@ -18,12 +18,14 @@ test:
 # lifecycle smoke test (boot on a free port, one analyze round-trip,
 # SIGTERM drain), and hold the bytecode VM to its fidelity contract:
 # the absolute golden event sequence, the full Figure-2 differential
-# against the tree walker, and the parallel 4-tool matrix under the
-# race detector (one compiled program shared by 8 workers). The search
-# gates: the parallel POR explorer must report byte-identical outcome
-# sets to the sequential DFS oracle on every suite case with choice
-# points, for both engines, and the whole search package must be
-# race-clean (workers share the frontier, the POR registry and the
+# against the tree walker, and an interp-level parallel matrix under the
+# race detector (8 goroutines calling interp.Run over every Juliet
+# program × the 4 tool profiles, each program's compiled code shared).
+# The VM is a test and probe engine only: no binary, example or the root
+# package may link it. The search gates: the parallel POR explorer must
+# report byte-identical outcome sets to the sequential DFS oracle on
+# every suite case with choice points, and the whole search package must
+# be race-clean (workers share the frontier, the POR registry and the
 # dedup table). The cluster gates: the ring/breaker/failover package
 # race-clean, the router smoke (one shard + one router, analyze
 # round-trip, clean SIGTERM drains), and the chaos gate — 3 real shard
@@ -71,6 +73,7 @@ check: test
 	go test ./cmd/undefd/ -run 'TestDaemonSmoke|TestRouterSmoke' -count=1
 	go test ./internal/vm/ -run 'TestGoldenEventSequenceVM|TestEngineDiff' -count=1
 	go test -race ./internal/vm/ -run TestMatrixParallelVM -count=1
+	test -z "$$(go list -deps ./cmd/... ./examples/... . | grep -x repro/internal/vm)"
 	go test ./internal/search/ -run 'TestDifferentialGate|TestExploreConfigMatrix' -count=1
 	go test -race ./internal/search/ -count=1
 	go run ./cmd/undefbench -cluster 3 -kill 1 -c 12 -d 6s -inject 'cluster.forward=error%0.01' -seed 1

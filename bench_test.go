@@ -20,6 +20,7 @@ import (
 	"repro/internal/search"
 	"repro/internal/suite"
 	"repro/internal/tools"
+	_ "repro/internal/vm" // registers the "vm" engine BenchmarkInterpOnly compares
 )
 
 // BenchmarkFigure2 regenerates the full Juliet-class comparison table
@@ -37,29 +38,21 @@ func BenchmarkFigure2(b *testing.B) {
 }
 
 // BenchmarkFigure2Parallel regenerates the same table on the worker-pool
-// executor with all CPUs, once per execution engine. Compare against
-// BenchmarkFigure2 (the single-worker baseline): the §5.1.2 point is that
-// the case×tool matrix is embarrassingly parallel once the frontend pass
-// is shared. The tree/vm pair isolates the engines end-to-end — note each
-// iteration uses a fresh compile cache, so the vm recompiles its bytecode
-// per iteration (the serving path amortizes it; see BenchmarkInterpOnly
-// for the steady-state engine comparison).
+// executor with all CPUs. Compare against BenchmarkFigure2 (the
+// single-worker baseline): the §5.1.2 point is that the case×tool matrix
+// is embarrassingly parallel once the frontend pass is shared.
 func BenchmarkFigure2Parallel(b *testing.B) {
 	s := suite.Juliet()
-	for _, engine := range []string{"tree", "vm"} {
-		b.Run(engine, func(b *testing.B) {
-			ts := tools.All(tools.Config{Engine: engine})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				fig, err := runner.RunJulietOpts(s, ts, runner.Options{Engine: engine})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if fig.Overall["kcc"].Flagged == 0 {
-					b.Fatal("empty figure")
-				}
-			}
-		})
+	ts := tools.All(tools.Config{})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fig, err := runner.RunJulietOpts(s, ts, runner.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if fig.Overall["kcc"].Flagged == 0 {
+			b.Fatal("empty figure")
+		}
 	}
 }
 

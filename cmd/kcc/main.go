@@ -13,9 +13,8 @@
 //
 // Flags:
 //
-//	-model   LP64 (default), ILP32, or INT8 (§2.5.1's 8-byte-int model)
-//	-engine  execution engine: tree (the reference walker, default) or vm
-//	         (pre-compiled closure code; identical verdicts, faster)
+//	-model   LP64 (default), ILP32, or INT8 (§2.5.1's 8-byte-int model);
+//	         case-insensitive
 //	-search  explore all evaluation orders (§2.5.2) instead of one run
 //	-print-config  print the configuration cell tree (Figure 1) and exit
 //	-catalog print the undefined behavior catalog and exit
@@ -56,7 +55,6 @@ import (
 
 func main() {
 	modelFlag := flag.String("model", "LP64", "implementation-defined model: LP64, ILP32, or INT8")
-	engineFlag := flag.String("engine", "", "execution engine: tree (default) or vm")
 	searchFlag := flag.Bool("search", false, "search all evaluation orders (§2.5.2)")
 	printConfig := flag.Bool("print-config", false, "print the configuration cell tree (Figure 1)")
 	catalog := flag.Bool("catalog", false, "print the undefined behavior catalog")
@@ -88,19 +86,9 @@ func main() {
 		return
 	}
 
-	model := ctypes.LP64()
-	switch *modelFlag {
-	case "LP64":
-	case "ILP32":
-		model = ctypes.ILP32()
-	case "INT8":
-		model = ctypes.Int8()
-	default:
-		fmt.Fprintf(os.Stderr, "kcc: unknown model %q\n", *modelFlag)
-		os.Exit(2)
-	}
-	if !engineKnown(*engineFlag) {
-		fmt.Fprintf(os.Stderr, "kcc: unknown engine %q (want one of %v)\n", *engineFlag, interp.Engines())
+	model, err := ctypes.ModelFor(*modelFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "kcc: %v\n", err)
 		os.Exit(2)
 	}
 
@@ -115,7 +103,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *batch {
-		code := runBatch(flag.Args(), model, *engineFlag, budget, *jobs, tracer, *jsonFlag, *timeout)
+		code := runBatch(flag.Args(), model, budget, *jobs, tracer, *jsonFlag, *timeout)
 		printCoverage()
 		os.Exit(code)
 	}
@@ -134,7 +122,7 @@ func main() {
 	if *jsonFlag {
 		// The report path runs the kcc analysis tool (metrics on, program
 		// output captured) and emits the canonical single-file report.
-		kcc := tools.KCC(tools.Config{Model: model, Engine: *engineFlag, Budget: budget, Metrics: true, Observer: tracer, Timeout: *timeout})
+		kcc := tools.KCC(tools.Config{Model: model, Budget: budget, Metrics: true, Observer: tracer, Timeout: *timeout})
 		var rep tools.Report
 		if *traceOut == "" {
 			rep = kcc.Analyze(string(src), file)
@@ -191,12 +179,11 @@ func main() {
 	}
 
 	if *searchFlag {
-		runSearch(prog, *engineFlag)
+		runSearch(prog)
 		return
 	}
 
 	opts := interp.Options{
-		Engine:   *engineFlag,
 		Out:      os.Stdout,
 		Budget:   budget,
 		Observer: tracer,
@@ -273,20 +260,7 @@ func startTrace(path string) (context.Context, func()) {
 // per-worker shards (no cross-CPU contention) and merged at the end.
 // Returns the exit code: 1 when any file is flagged, crashed,
 // inconclusive, or unreadable.
-// engineKnown reports whether name is a registered execution engine.
-func engineKnown(name string) bool {
-	if name == "" {
-		return true
-	}
-	for _, e := range interp.Engines() {
-		if e == name {
-			return true
-		}
-	}
-	return false
-}
-
-func runBatch(files []string, model *ctypes.Model, engine string, budget interp.Budget, jobs int, tracer obs.Observer, asJSON bool, timeout time.Duration) int {
+func runBatch(files []string, model *ctypes.Model, budget interp.Budget, jobs int, tracer obs.Observer, asJSON bool, timeout time.Duration) int {
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
@@ -303,7 +277,7 @@ func runBatch(files []string, model *ctypes.Model, engine string, budget interp.
 			defer wg.Done()
 			// One tool (and one metrics shard) per worker: workers never
 			// share a counter cache line.
-			kcc := tools.KCC(tools.Config{Model: model, Engine: engine, Budget: budget,
+			kcc := tools.KCC(tools.Config{Model: model, Budget: budget,
 				Observer: obs.Multi(tracer, sharded.Shard()), Timeout: timeout})
 			for i := range work {
 				src, err := os.ReadFile(files[i])
@@ -371,8 +345,8 @@ func runBatch(files []string, model *ctypes.Model, engine string, budget interp.
 	return exit
 }
 
-func runSearch(prog *sema.Program, engine string) {
-	res := search.Explore(context.Background(), prog, search.Options{MaxRuns: 5000, Engine: engine, POR: true})
+func runSearch(prog *sema.Program) {
+	res := search.Explore(context.Background(), prog, search.Options{MaxRuns: 5000, POR: true})
 	fmt.Printf("explored %d executions (exhausted: %v, %d orders pruned)\n",
 		res.Runs, res.Exhausted, res.Stats.OrdersPruned)
 	for i, o := range res.Outcomes {

@@ -37,7 +37,6 @@ import (
 
 func main() {
 	maxRuns := flag.Int("max-runs", 5000, "maximum executions to try")
-	engine := flag.String("engine", "", "execution engine: tree (default) or vm")
 	stopFirst := flag.Bool("stop-at-first-ub", false, "stop as soon as any UB is found")
 	par := flag.Int("j", 0, "parallel search workers (0 = GOMAXPROCS)")
 	por := flag.String("por", "on", "partial-order reduction: on or off")
@@ -85,7 +84,6 @@ func main() {
 	opts := search.Options{
 		MaxRuns:       *maxRuns,
 		StopAtFirstUB: *stopFirst,
-		Engine:        *engine,
 		Parallelism:   *par,
 		POR:           porOn,
 		Dedup:         dedupOn,

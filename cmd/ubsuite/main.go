@@ -6,9 +6,7 @@
 //	ubsuite -catalog        # §5.2.1 classification counts
 //
 // Suite runs execute the case×tool matrix on a worker pool with a shared
-// compile cache; -j sets the worker count (default: all CPUs). -engine
-// selects the execution engine (tree, the reference walker, or vm, the
-// pre-compiled closure code — identical verdicts, faster).
+// compile cache; -j sets the worker count (default: all CPUs).
 //
 // Observability:
 //
@@ -41,7 +39,6 @@ import (
 	"os"
 
 	"repro/internal/fault"
-	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/suite"
@@ -52,7 +49,6 @@ import (
 
 func main() {
 	suiteFlag := flag.String("suite", "juliet", "suite to run: juliet, own, or torture")
-	engineFlag := flag.String("engine", "", "execution engine: tree (default) or vm")
 	catalog := flag.Bool("catalog", false, "print the §5.2.1 classification counts")
 	timing := flag.Bool("time", true, "include per-tool timing")
 	jobs := flag.Int("j", 0, "parallel workers for the case×tool matrix (0 = GOMAXPROCS)")
@@ -93,11 +89,11 @@ func main() {
 	}
 
 	collect := *jsonFlag || *metricsFlag
-	cfg := tools.Config{Engine: *engineFlag, Metrics: collect, Injector: injector, Flight: cfgFlight}
-	opts := runner.Options{Parallelism: *jobs, CaseTimeout: *caseTimeout, Injector: injector, Engine: *engineFlag}
+	cfg := tools.Config{Metrics: collect, Injector: injector, Flight: cfgFlight}
+	opts := runner.Options{Parallelism: *jobs, CaseTimeout: *caseTimeout, Injector: injector}
 
 	if *coverageFlag {
-		os.Exit(runCoverage(cfg, opts, *engineFlag))
+		os.Exit(runCoverage(cfg, opts))
 	}
 
 	// -trace-out installs a span collector on the run context; every matrix
@@ -198,8 +194,7 @@ func main() {
 	case "torture":
 		pass, fail := 0, 0
 		for _, tc := range suite.Torture() {
-			res := undefc.RunSource(tc.Source, tc.Name+".c",
-				undefc.Options{Exec: interp.Options{Engine: *engineFlag}})
+			res := undefc.RunSource(tc.Source, tc.Name+".c", undefc.Options{})
 			if res.Err == nil && res.UB == nil &&
 				res.ExitCode == tc.ExitCode && res.Output == tc.Output {
 				pass++
@@ -224,8 +219,8 @@ func main() {
 // under every tool, then the torture-lite positives — and prints the UB
 // check-site coverage ledger the runs accumulated. Counters are
 // order-independent atomic sums and the render is code-sorted, so the
-// report is byte-identical across -j values and engines.
-func runCoverage(cfg tools.Config, opts runner.Options, engine string) int {
+// report is byte-identical across -j values.
+func runCoverage(cfg tools.Config, opts runner.Options) int {
 	obs.ResetCoverage()
 	cases := 0
 	for _, s := range []*suite.Suite{suite.Juliet(), suite.Own()} {
@@ -236,8 +231,7 @@ func runCoverage(cfg tools.Config, opts runner.Options, engine string) int {
 		cases += len(s.Cases)
 	}
 	for _, tc := range suite.Torture() {
-		undefc.RunSource(tc.Source, tc.Name+".c",
-			undefc.Options{Exec: interp.Options{Engine: engine}})
+		undefc.RunSource(tc.Source, tc.Name+".c", undefc.Options{})
 		cases++
 	}
 	fmt.Printf("coverage over %d cases (juliet + own matrices, torture-lite)\n\n", cases)

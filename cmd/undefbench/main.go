@@ -120,7 +120,6 @@ func main() {
 	heavy := flag.Int("heavy", 0, "pad every request with N synthetic functions (scales frontend work per request)")
 	seed := flag.Int64("seed", 1, "workload RNG seed")
 	explore := flag.Bool("explore", false, "drive the streamed /v1/explore endpoint and audit its frames")
-	engine := flag.String("engine", "", "with -spawn: execution engine for the server (tree or vm)")
 	injectSpec := flag.String("inject", "", "with -spawn: fault-injection rules for the server")
 	injectSeed := flag.Uint64("inject-seed", 1, "seed for probabilistic injection rules")
 	asJSON := flag.Bool("json", false, "emit the report as JSON")
@@ -158,7 +157,7 @@ func main() {
 	if *spawn {
 		var stop func()
 		var err error
-		base, stop, err = spawnServer(*engine, *injectSpec, *injectSeed)
+		base, stop, err = spawnServer(*injectSpec, *injectSeed)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "undefbench: %v\n", err)
 			os.Exit(1)
@@ -572,7 +571,7 @@ func printReport(rep *report, after, before *server.MetricsResponse) {
 // spawnServer starts an in-process service on a loopback port — the same
 // server the daemon mounts, minus the process boundary — and returns its
 // address and a stop function.
-func spawnServer(engine, injectSpec string, injectSeed uint64) (string, func(), error) {
+func spawnServer(injectSpec string, injectSeed uint64) (string, func(), error) {
 	var injector *fault.Injector
 	if injectSpec != "" {
 		rules, err := fault.ParseSpec(injectSpec)
@@ -581,7 +580,7 @@ func spawnServer(engine, injectSpec string, injectSeed uint64) (string, func(), 
 		}
 		injector = fault.NewInjector(injectSeed, rules...)
 	}
-	srv, err := server.New(server.Config{Engine: engine, Injector: injector})
+	srv, err := server.New(server.Config{Injector: injector})
 	if err != nil {
 		return "", nil, err
 	}

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/ctypes"
 	"repro/internal/driver"
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -145,7 +146,7 @@ type Router struct {
 // Start arms the prober and Handler is mounted on a listener.
 func NewRouter(cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
-	if _, err := server.ModelFor(cfg.Model); err != nil {
+	if _, err := ctypes.ModelFor(cfg.Model); err != nil {
 		return nil, err
 	}
 	ring, err := NewRing(cfg.Shards, cfg.VNodes)
@@ -253,7 +254,7 @@ func (rt *Router) routeKey(path string, body []byte) string {
 	if name == "" {
 		name = rt.cfg.Model
 	}
-	model, err := server.ModelFor(name)
+	model, err := ctypes.ModelFor(name)
 	if err != nil {
 		return fmt.Sprintf("raw:%x", hash64(string(body)))
 	}

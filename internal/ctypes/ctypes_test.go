@@ -367,3 +367,23 @@ func TestBasicOf(t *testing.T) {
 	}()
 	Basic(Ptr)
 }
+
+func TestModelFor(t *testing.T) {
+	tests := []struct {
+		name, want string
+	}{
+		{"", "LP64"},
+		{"LP64", "LP64"},
+		{"ilp32", "ILP32"},
+		{"INT8", "INT8"},
+	}
+	for _, tt := range tests {
+		m, err := ModelFor(tt.name)
+		if err != nil || m.Name != tt.want {
+			t.Errorf("ModelFor(%q) = %v, %v; want %s", tt.name, m, err, tt.want)
+		}
+	}
+	if m, err := ModelFor("PDP11"); err == nil {
+		t.Errorf("ModelFor(PDP11) = %v, want an error", m)
+	}
+}

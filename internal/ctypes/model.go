@@ -1,6 +1,9 @@
 package ctypes
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Model captures the implementation-defined parameters of a C implementation
 // (C11 §3.19.1, §6.2.5). The paper's §2.5.1 shows that whether a program is
@@ -63,6 +66,22 @@ func Int8() *Model {
 		CharSigned: true,
 		MaxAlign:   16,
 	}
+}
+
+// ModelFor resolves a model name, case-insensitively: "" and "LP64" name
+// LP64, "ILP32" and "INT8" the other two. Every surface that accepts a
+// model name (kcc, the server, the cluster router) parses it here, so they
+// agree on the source-identity hash the compile caches key on.
+func ModelFor(name string) (*Model, error) {
+	switch strings.ToUpper(name) {
+	case "", "LP64":
+		return LP64(), nil
+	case "ILP32":
+		return ILP32(), nil
+	case "INT8":
+		return Int8(), nil
+	}
+	return nil, fmt.Errorf("unknown model %q (want LP64, ILP32, or INT8)", name)
 }
 
 // SizeOf returns the size of t in bytes under m, or an error for

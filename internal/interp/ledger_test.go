@@ -13,6 +13,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/ub"
+	_ "repro/internal/vm" // registers the "vm" engine
 )
 
 func coverageRow(t *testing.T, code int) obs.CoverageRow {

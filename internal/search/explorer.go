@@ -225,7 +225,6 @@ func (e *explorer) runOne(rec *recorder, prefix []int) {
 
 	rec.reset(prefix)
 	iopts := interp.Options{
-		Engine:  e.opts.Engine,
 		Sched:   rec,
 		Out:     rec.sink,
 		Budget:  interp.Budget{MaxSteps: e.opts.MaxSteps},

@@ -37,7 +37,7 @@ func sameKeys(a, b search.Result) bool {
 }
 
 // matrixPrograms are the order-sensitive shapes the search exists for;
-// every engine × POR × dedup × parallelism combination must report the
+// every POR × dedup × parallelism combination must report the
 // same behavior set as the sequential DFS oracle on each of them.
 var matrixPrograms = []struct {
 	name string
@@ -88,33 +88,30 @@ func TestExploreConfigMatrix(t *testing.T) {
 	ctx := context.Background()
 	for _, p := range matrixPrograms {
 		prog := compile(t, p.src)
-		for _, engine := range []string{"tree", "vm"} {
-			oracle := search.ExploreDFS(ctx, prog, search.Options{MaxRuns: 4096, Engine: engine})
-			if !oracle.Exhausted {
-				t.Fatalf("%s/%s: oracle did not exhaust in 4096 runs", p.name, engine)
-			}
-			for _, por := range []bool{false, true} {
-				for _, dedup := range []bool{false, true} {
-					for _, par := range []int{1, 4} {
-						name := fmt.Sprintf("%s/%s/por=%v/dedup=%v/j%d", p.name, engine, por, dedup, par)
-						res := search.Explore(ctx, prog, search.Options{
-							MaxRuns:     8192,
-							Engine:      engine,
-							Parallelism: par,
-							POR:         por,
-							Dedup:       dedup,
-						})
-						if !res.Exhausted {
-							t.Errorf("%s: not exhausted after %d runs", name, res.Runs)
-							continue
-						}
-						if !sameKeys(oracle, res) {
-							t.Errorf("%s: outcome sets differ\noracle:  %v\nexplore: %v",
-								name, keySet(oracle), keySet(res))
-						}
-						if res.Stats.Parallelism != par {
-							t.Errorf("%s: stats parallelism = %d", name, res.Stats.Parallelism)
-						}
+		oracle := search.ExploreDFS(ctx, prog, search.Options{MaxRuns: 4096})
+		if !oracle.Exhausted {
+			t.Fatalf("%s: oracle did not exhaust in 4096 runs", p.name)
+		}
+		for _, por := range []bool{false, true} {
+			for _, dedup := range []bool{false, true} {
+				for _, par := range []int{1, 4} {
+					name := fmt.Sprintf("%s/por=%v/dedup=%v/j%d", p.name, por, dedup, par)
+					res := search.Explore(ctx, prog, search.Options{
+						MaxRuns:     8192,
+						Parallelism: par,
+						POR:         por,
+						Dedup:       dedup,
+					})
+					if !res.Exhausted {
+						t.Errorf("%s: not exhausted after %d runs", name, res.Runs)
+						continue
+					}
+					if !sameKeys(oracle, res) {
+						t.Errorf("%s: outcome sets differ\noracle:  %v\nexplore: %v",
+							name, keySet(oracle), keySet(res))
+					}
+					if res.Stats.Parallelism != par {
+						t.Errorf("%s: stats parallelism = %d", name, res.Stats.Parallelism)
 					}
 				}
 			}

@@ -18,7 +18,6 @@ import (
 	"repro/internal/runner"
 	"repro/internal/search"
 	"repro/internal/ub"
-	"repro/internal/vm"
 )
 
 // APISchema identifies the service wire format. Consumers should reject
@@ -359,9 +358,6 @@ type MetricsResponse struct {
 	Queue    QueueStats        `json:"queue"`
 	Coalesce CoalesceStats     `json:"coalesce"`
 	Cache    driver.CacheStats `json:"cache"`
-	// Bytecode is the compiled-code cache of the "vm" engine, present only
-	// when the server runs with Config.Engine "vm".
-	Bytecode *vm.CacheStats `json:"bytecode,omitempty"`
 	// Artifact is the content-addressed artifact tier under the compile
 	// cache, present only when the server runs with Config.ArtifactDir.
 	Artifact *artifact.Stats `json:"artifact,omitempty"`
@@ -399,7 +395,6 @@ type ConfigResponse struct {
 	Model          string   `json:"model"`
 	ShardID        string   `json:"shard_id,omitempty"`
 	Defines        []string `json:"defines,omitempty"`
-	Engine         string   `json:"engine,omitempty"`
 	Concurrency    int      `json:"concurrency"`
 	QueueDepth     int      `json:"queue_depth"`
 	DefaultTimeout string   `json:"default_timeout"`

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/ctypes"
 	"repro/internal/driver"
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -44,7 +45,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	model := s.model
 	if req.Model != "" {
 		var err error
-		if model, err = ModelFor(req.Model); err != nil {
+		if model, err = ctypes.ModelFor(req.Model); err != nil {
 			writeError(w, http.StatusBadRequest, "bad-request", err.Error())
 			return
 		}
@@ -56,7 +57,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	tcfg := tools.Config{
 		Model:    model,
-		Engine:   s.cfg.Engine,
 		Budget:   s.budgetFor(req.MaxSteps),
 		Metrics:  req.Metrics,
 		Timeout:  timeout,
@@ -77,8 +77,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Tracing: every cfg.TraceSample-th analyze request gets a trace
-	// context; its span tree lands in s.traces when the root ends and is
-	// served by GET /v1/trace/{id}. A request arriving from a cluster
+	// context; its span tree lands in the span ring when the root ends and
+	// is served by GET /v1/trace/{id}. A request arriving from a cluster
 	// router may carry X-Undefc-Trace-Id — a trace the router already
 	// sampled — in which case this hop adopts that identity instead of
 	// minting one, so the spans recorded here are retrievable under the
@@ -106,7 +106,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	if hsp.Recording() {
 		hsp.SetAttr("tool", tool.Name())
-		hsp.SetAttr("model", s.cfg.Model)
+		hsp.SetAttr("model", model.Name)
 		hsp.SetAttr("coalesced", fmt.Sprintf("%v", coalesced))
 		if out.errCode != "" {
 			hsp.SetAttr("error", out.errCode)
@@ -290,7 +290,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	model := s.model
 	if req.Model != "" {
 		var err error
-		if model, err = ModelFor(req.Model); err != nil {
+		if model, err = ctypes.ModelFor(req.Model); err != nil {
 			writeError(w, http.StatusBadRequest, "bad-request", err.Error())
 			return
 		}
@@ -300,7 +300,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad-request", "case_timeout: "+err.Error())
 		return
 	}
-	tcfg := tools.Config{Model: model, Engine: s.cfg.Engine, Budget: s.budgetFor(req.MaxSteps), Metrics: req.Metrics, Injector: s.cfg.Injector, Flight: s.cfg.Flight}
+	tcfg := tools.Config{Model: model, Budget: s.budgetFor(req.MaxSteps), Metrics: req.Metrics, Injector: s.cfg.Injector, Flight: s.cfg.Flight}
 	toolNames := req.Tools
 	if len(toolNames) == 0 {
 		toolNames = []string{"kcc"}
@@ -446,7 +446,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	model := s.model
 	if req.Model != "" {
 		var err error
-		if model, err = ModelFor(req.Model); err != nil {
+		if model, err = ctypes.ModelFor(req.Model); err != nil {
 			writeError(w, http.StatusBadRequest, "bad-request", err.Error())
 			return
 		}
@@ -527,7 +527,6 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		MaxRuns:       maxRuns,
 		MaxSteps:      req.MaxSteps,
 		StopAtFirstUB: req.StopAtFirstUB,
-		Engine:        s.cfg.Engine,
 		Parallelism:   par,
 		POR:           por,
 		Dedup:         dedup,
@@ -771,7 +770,6 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 		Model:          s.cfg.Model,
 		ShardID:        s.cfg.ShardID,
 		Defines:        s.cfg.Defines,
-		Engine:         s.cfg.Engine,
 		Concurrency:    s.cfg.Concurrency,
 		QueueDepth:     s.cfg.QueueDepth,
 		DefaultTimeout: s.cfg.DefaultTimeout.String(),

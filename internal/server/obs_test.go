@@ -104,6 +104,38 @@ func TestTraceGolden(t *testing.T) {
 	}
 }
 
+// TestTraceHandleSpanModel checks that the handle span records the model
+// the request resolved to, not the server's default.
+func TestTraceHandleSpanModel(t *testing.T) {
+	_, ts := newTestServer(t, Config{TraceSample: 1})
+	resp, body := postRaw(t, ts.URL, "/v1/analyze", []byte(`{"source":"int main(void){return 0;}","model":"ILP32"}`))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d\n%s", resp.StatusCode, body)
+	}
+	var ar AnalyzeResponse
+	if err := json.Unmarshal(body, &ar); err != nil {
+		t.Fatal(err)
+	}
+	traceResp, err := http.Get(ts.URL + "/v1/trace/" + ar.TraceID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer traceResp.Body.Close()
+	var tr obs.ChromeTrace
+	if err := json.NewDecoder(traceResp.Body).Decode(&tr); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range tr.TraceEvents {
+		if e.Name == "handle" {
+			if got := e.Args["model"]; got != "ILP32" {
+				t.Errorf("handle span model = %q, want ILP32", got)
+			}
+			return
+		}
+	}
+	t.Fatalf("trace %s has no handle span: %+v", ar.TraceID, tr.TraceEvents)
+}
+
 // TestForwardedTraceSamplingOff checks that a shard which samples nothing
 // still serves the trace of a request that arrived with a trace identity
 // (as a router forwards it): /v1/trace renders the same spans /v1/spans

@@ -55,13 +55,6 @@ func writePrometheus(w http.ResponseWriter, m *MetricsResponse) {
 	promCounter(w, "undefc_cache_artifact_hits_total", "Cache misses served by the artifact tier instead of a compile.", m.Cache.ArtifactHits)
 	promCounter(w, "undefc_cache_compiles_total", "Cache misses that ran the frontend.", m.Cache.Compiles)
 
-	if b := m.Bytecode; b != nil {
-		promCounter(w, "undefc_bytecode_hits_total", "Compiled-code cache hits (vm engine).", int64(b.Hits))
-		promCounter(w, "undefc_bytecode_misses_total", "Compiled-code cache misses (bytecode compiles).", int64(b.Misses))
-		promCounter(w, "undefc_bytecode_evictions_total", "Compiled-code cache entries dropped.", int64(b.Evictions))
-		promGauge(w, "undefc_bytecode_cached", "Programs with compiled code resident.", float64(b.Size))
-	}
-
 	if a := m.Artifact; a != nil {
 		promCounter(w, "undefc_artifact_disk_hits_total", "Artifact loads served from the local store.", a.DiskHits)
 		promCounter(w, "undefc_artifact_disk_misses_total", "Artifact loads the local store could not serve.", a.DiskMisses)

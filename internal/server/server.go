@@ -44,7 +44,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/search"
 	"repro/internal/tools"
-	"repro/internal/vm"
 )
 
 // SiteHandle is the fault-injection site fired at the top of every
@@ -63,12 +62,6 @@ type Config struct {
 	// Defines are macro definitions applied to every compile, before any
 	// per-request defines.
 	Defines []string
-	// Engine selects the execution engine for every analysis ("" or
-	// "tree": the reference tree walker; "vm": pre-compiled closure code).
-	// The engines are verdict- and event-equivalent; "vm" amortizes one
-	// bytecode compile per translation unit across the requests the
-	// compile cache coalesces onto it.
-	Engine string
 	// Concurrency bounds simultaneously executing analyses (default:
 	// GOMAXPROCS).
 	Concurrency int
@@ -222,11 +215,8 @@ type Server struct {
 // an unknown default model.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	model, err := ModelFor(cfg.Model)
+	model, err := ctypes.ModelFor(cfg.Model)
 	if err != nil {
-		return nil, err
-	}
-	if err := validEngine(cfg.Engine); err != nil {
 		return nil, err
 	}
 	s := &Server{
@@ -384,10 +374,6 @@ func (s *Server) Metrics() *MetricsResponse {
 		Cache:         s.cache.Stats(),
 		Draining:      s.draining.Load(),
 	}
-	if s.cfg.Engine == "vm" {
-		st := vm.Stats()
-		m.Bytecode = &st
-	}
 	if s.artifacts != nil {
 		st := s.artifacts.Stats()
 		m.Artifact = &st
@@ -473,35 +459,6 @@ func (s *Server) retryAfterSeconds() int {
 // setRetryAfter stamps the adaptive pacing hint on a backpressure reply.
 func (s *Server) setRetryAfter(h http.Header) {
 	h.Set("Retry-After", fmt.Sprint(s.retryAfterSeconds()))
-}
-
-// ModelFor resolves the implementation-defined model names the CLIs use.
-// Exported for the cluster router, which must compute the same
-// source-identity hash the shards' compile caches key on.
-func ModelFor(name string) (*ctypes.Model, error) {
-	switch strings.ToUpper(name) {
-	case "", "LP64":
-		return ctypes.LP64(), nil
-	case "ILP32":
-		return ctypes.ILP32(), nil
-	case "INT8":
-		return ctypes.Int8(), nil
-	}
-	return nil, fmt.Errorf("unknown model %q (want LP64, ILP32, or INT8)", name)
-}
-
-// validEngine checks a configured engine name against the registry, so a
-// daemon started with a typo'd -engine fails at startup, not per request.
-func validEngine(name string) error {
-	if name == "" {
-		return nil
-	}
-	for _, e := range interp.Engines() {
-		if e == name {
-			return nil
-		}
-	}
-	return fmt.Errorf("unknown engine %q (want one of %v)", name, interp.Engines())
 }
 
 // toolFor resolves a request's tool name to a configured analysis tool.

@@ -1,62 +1,90 @@
 package vm_test
 
 // The concurrency half of the immutability contract: one *Code is shared
-// by every interpreter executing the same program, and the runner drives
-// four tool profiles per case across a worker pool. Run under -race (the
-// make check gate does), this test is the proof that compiled closures
-// never write shared state.
+// by every interpreter executing the same program, under any of the four
+// tool profiles, on any goroutine. Run under -race (the make check gate
+// does), this test is the proof that compiled closures never write
+// shared state.
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
-	"repro/internal/runner"
+	undefc "repro"
+	"repro/internal/interp"
 	"repro/internal/suite"
-	"repro/internal/tools"
 	"repro/internal/vm"
 )
 
-// TestMatrixParallelVM runs the full Figure-2 matrix on 8 workers with
-// the vm engine — every cell of a case shares that case's compiled code —
-// and cross-checks each cell's verdict against a tree-engine run of the
-// same matrix.
+// verdict is what a tool reads off one execution: the fired UB, the
+// non-UB error, or the exit code.
+func verdict(res interp.Result) string {
+	switch {
+	case res.UB != nil:
+		return fmt.Sprintf("UB %05d %s %s (exit %d)", res.UB.Behavior.Code, res.UB.Pos, res.UB.Msg, res.ExitCode)
+	case res.Err != nil:
+		return fmt.Sprintf("error %s (exit %d)", res.Err, res.ExitCode)
+	}
+	return fmt.Sprintf("exit %d", res.ExitCode)
+}
+
+// TestMatrixParallelVM runs every Juliet program under the four tool
+// profiles on 8 goroutines, calling interp.Run directly. Each program is
+// compiled once, so all four vm runs of a case share its *sema.Program
+// and therefore its cached *Code; every run is checked against a
+// tree-walker run of the same cell.
 func TestMatrixParallelVM(t *testing.T) {
 	s := suite.Juliet()
+	progs := make([]*undefc.Program, len(s.Cases))
+	for i, c := range s.Cases {
+		prog, err := undefc.Compile(c.Source, c.Name+".c", undefc.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		progs[i] = prog
+	}
+	profs := profiles()
+	names := []string{"kcc", "memcheck", "checkpointer", "valueanal"}
 	vm.ResetStats()
 
-	run := func(engine string) *runner.MatrixResult {
-		ts := tools.All(tools.Config{Engine: engine})
-		m, err := runner.RunMatrix(s, ts, runner.Options{Parallelism: 8, Engine: engine})
-		if err != nil {
-			t.Fatalf("engine %q: %v", engine, err)
-		}
-		if len(m.Failures) > 0 {
-			t.Fatalf("engine %q: %d failed cells, first: %+v", engine, len(m.Failures), m.Failures[0])
-		}
-		return m
-	}
-	tree := run("tree")
-	vmm := run("vm")
-
-	names := []string{"kcc", "memcheck", "checkpointer", "valueanal"}
-	for ci := range s.Cases {
-		for ti := range names {
-			tv, vv := tree.Reports[ci][ti].Verdict, vmm.Reports[ci][ti].Verdict
-			if tv != vv {
-				t.Errorf("%s × %s: verdict tree=%v vm=%v", s.Cases[ci].Name, names[ti], tv, vv)
+	type cell struct{ ci, pi int }
+	cells := make(chan cell)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for c := range cells {
+				prof := profs[names[c.pi]]
+				tree := verdict(interp.Run(progs[c.ci], interp.Options{Profile: prof}))
+				got := verdict(interp.Run(progs[c.ci], interp.Options{Engine: "vm", Profile: prof}))
+				if got != tree {
+					t.Errorf("%s × %s: tree=%s vm=%s", s.Cases[c.ci].Name, names[c.pi], tree, got)
+				}
 			}
+		}()
+	}
+	// Case-major order keeps a case's four cells in flight together, so
+	// they contend for the same compiled code.
+	for ci := range progs {
+		for pi := range names {
+			cells <- cell{ci, pi}
 		}
 	}
+	close(cells)
+	wg.Wait()
 
-	// The warm pass compiles each program once; the four tools' executions
-	// hit. The suite is larger than the LRU cap, so a handful of entries
-	// can be evicted between warm and use under parallelism — but a miss
-	// count near the execution count (5 lookups per case) would mean the
-	// single-flight or the interning key is broken.
+	// Each program compiles once and its other three profile runs hit. The
+	// suite is larger than the LRU cap, so a handful of entries can be
+	// evicted between runs under parallelism — but a miss count near the
+	// execution count (4 lookups per case) would mean the single-flight or
+	// the interning key is broken.
 	st := vm.Stats()
 	if limit := uint64(len(s.Cases) + len(s.Cases)/4); st.Misses > limit {
 		t.Errorf("bytecode compiles = %d for %d cases; cache is not deduplicating", st.Misses, len(s.Cases))
 	}
 	if st.Hits < st.Misses {
-		t.Errorf("bytecode cache hits = %d < misses = %d across a 4-tool matrix", st.Hits, st.Misses)
+		t.Errorf("bytecode cache hits = %d < misses = %d across a 4-profile matrix", st.Hits, st.Misses)
 	}
 }

@@ -13,12 +13,14 @@
 //
 // Compiled code is immutable and position-independent with respect to
 // interpreter state: a single *Code is shared by any number of
-// concurrent *interp.Interp instances (the runner executes the same
-// program under four tool profiles at once). The UB-check profile is
-// read from the interpreter at run time, never baked in.
+// concurrent *interp.Interp instances (one program may run under four
+// tool profiles at once). The UB-check profile is read from the
+// interpreter at run time, never baked in.
 //
 // The package registers itself as the "vm" engine; select it with
-// interp.Options{Engine: "vm"} or the -engine=vm flag of the tools.
+// interp.Options{Engine: "vm"}. It is a test and probe engine: no
+// binary links it, so only importers (its differential tests and the
+// benchmark's layer probe) can select it.
 package vm
 
 import (
@@ -42,7 +44,7 @@ func init() {
 // engine-independent path, so the event stream preceding main is
 // identical across engines by construction.
 func Run(in *interp.Interp) (int, error) {
-	code := CodeFor(in.Program())
+	code := codeFor(in.Program())
 	return in.ExecuteWith(func(fd *cast.FuncDef, args []mem.Value, pos token.Pos) (mem.Value, error) {
 		return code.call(in, fd, args, pos)
 	})
@@ -124,9 +126,9 @@ var codeCache = struct {
 	lru:     list.New(),
 }
 
-// CodeFor returns the compiled code for prog, compiling at most once per
+// codeFor returns the compiled code for prog, compiling at most once per
 // cached program. Safe for concurrent use.
-func CodeFor(prog *sema.Program) *Code {
+func codeFor(prog *sema.Program) *Code {
 	codeCache.Lock()
 	ent := lockedLookup(prog)
 	codeCache.Unlock()
@@ -157,10 +159,10 @@ func lockedLookup(prog *sema.Program) *cacheEntry {
 
 // CacheStats is a snapshot of the compiled-code cache counters.
 type CacheStats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Size      int    `json:"size"`
+	Hits      uint64
+	Misses    uint64
+	Evictions uint64
+	Size      int
 }
 
 // Stats reports the compiled-code cache counters.
