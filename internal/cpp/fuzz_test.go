@@ -10,19 +10,26 @@ import (
 	"repro/internal/cpp"
 )
 
+// fuzzSeeds seeds FuzzCPP; TestCPPOutputGolden pins their output too.
+var fuzzSeeds = []string{
+	"#define X(a,b) a##b\nint v = X(1,2);\n",
+	"#include <stdio.h>\nint main(void){ printf(\"hi\"); }\n",
+	"#if defined(A) && B\n#elif !C\n#else\n#endif\n",
+	"#define REC REC x\nREC\n",
+	"#define STR(x) #x\nchar *s = STR(a \"b\" c);\n",
+	"#ifdef UNCLOSED\n",
+	"#define\n#undef\n#include\n#if\n",
+	"#line 42 \"other.c\"\n__LINE__ __FILE__\n",
+}
+
 // FuzzCPP asserts the preprocessor's crash-freedom contract: any input —
 // unbalanced conditionals, self-referential macros, truncated directives —
 // either expands or returns an error, never panics. Includes resolve only
 // against the built-in libc headers (no filesystem access while fuzzing).
 func FuzzCPP(f *testing.F) {
-	f.Add("#define X(a,b) a##b\nint v = X(1,2);\n")
-	f.Add("#include <stdio.h>\nint main(void){ printf(\"hi\"); }\n")
-	f.Add("#if defined(A) && B\n#elif !C\n#else\n#endif\n")
-	f.Add("#define REC REC x\nREC\n")
-	f.Add("#define STR(x) #x\nchar *s = STR(a \"b\" c);\n")
-	f.Add("#ifdef UNCLOSED\n")
-	f.Add("#define\n#undef\n#include\n#if\n")
-	f.Add("#line 42 \"other.c\"\n__LINE__ __FILE__\n")
+	for _, s := range fuzzSeeds {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		pp := cpp.New(cheaders.Resolver())
 		out, err := pp.Run(src, "fuzz.c")
