@@ -45,7 +45,11 @@ test:
 # site) must not allocate, partial-order-reduction bookkeeping must cost
 # the same bytes per logged decision on a deep recursion as on a shallow
 # one, scheduling up to 8 operands must not allocate, the search must stay
-# under its pinned heap objects per logged decision, and the chaos run
+# under its pinned heap objects per logged decision, the preprocessor
+# must reproduce its pinned LP64 output for every suite, torture and fuzz
+# input (also on 8 goroutines at once under the race detector), allocate
+# at most 5x the bytes for 4x the macro uses and includes, and stay under
+# its pinned heap objects per suite unit, and the chaos run
 # finishes by SIGKILLing a shard under a pinned trace id and asserting
 # GET /v1/trace/{id} assembles one Chrome trace with the router's failed
 # forward + backoff spans and spans from the surviving shard processes.
@@ -66,6 +70,8 @@ check: test
 	go test ./internal/obs/ -run 'TestCoverageLedgerAllocs' -count=1
 	go test ./internal/search/ -run 'TestPORBookkeepingLinear|TestExploreAllocsPerDecision' -count=1
 	go test ./internal/interp/ -run 'TestOrderAllocs' -count=1
+	go test ./internal/cpp/ -run 'TestCPPOutputGolden|TestCPPLinear|TestCPPAllocsPerUnit' -count=1
+	go test -race ./internal/cpp/ -run TestCPPConcurrentGolden -count=1
 	go test ./internal/interp/ -run '^$$' -bench BenchmarkObserverOverhead -benchtime 100x
 	go test ./internal/obs/ -run '^$$' -bench BenchmarkSpanOverhead -benchtime 100x
 	go test ./cmd/ubsuite/ -run TestContainmentGate -count=1

@@ -1,17 +1,24 @@
 // Package cheaders provides the C standard library headers served to
 // #include by the preprocessor. The declarations match the native builtins
-// implemented in internal/interp; the constants match the LP64 model (the
-// model of the paper's experiments). Programs compiled under other models
-// should avoid limits.h or define their own bounds.
+// implemented in internal/interp. The exact-width types and the integer
+// limits come from the predefined data-model macros (__INT64_TYPE__,
+// __LONG_MAX__, ...), which the driver sets from the compilation's model.
+//
+// The headers are scanned once, when the package is initialized; every
+// preprocessor that includes one splices the same scanned tokens.
 package cheaders
 
 import "repro/internal/cpp"
 
 // Resolver serves the built-in headers.
-func Resolver() cpp.Resolver { return cpp.MapResolver(Headers) }
+func Resolver() cpp.Resolver { return builtin }
 
-// Headers maps header names to their contents.
-var Headers = map[string]string{
+var builtin = cpp.NewHeaderSet(headers)
+
+// headers maps header names to their contents. An edit must keep the
+// lines that emit tokens where they are, or the line markers of every
+// unit that includes the header move.
+var headers = map[string]string{
 	"stddef.h": `#ifndef _STDDEF_H
 #define _STDDEF_H
 #define NULL ((void*)0)
@@ -115,44 +122,52 @@ void __assert_fail(const char *expr, const char *file, int line);
 #define UCHAR_MAX 255
 #define CHAR_MIN SCHAR_MIN
 #define CHAR_MAX SCHAR_MAX
-#define SHRT_MIN (-32767-1)
-#define SHRT_MAX 32767
-#define USHRT_MAX 65535
-#define INT_MIN (-2147483647-1)
-#define INT_MAX 2147483647
-#define UINT_MAX 4294967295u
-#define LONG_MIN (-9223372036854775807L-1)
-#define LONG_MAX 9223372036854775807L
-#define ULONG_MAX 18446744073709551615uL
-#define LLONG_MIN (-9223372036854775807LL-1)
-#define LLONG_MAX 9223372036854775807LL
-#define ULLONG_MAX 18446744073709551615uLL
+#define SHRT_MIN (-__SHRT_MAX__-1)
+#define SHRT_MAX __SHRT_MAX__
+#define USHRT_MAX __USHRT_MAX__
+#define INT_MIN (-__INT_MAX__-1)
+#define INT_MAX __INT_MAX__
+#define UINT_MAX __UINT_MAX__
+#define LONG_MIN (-__LONG_MAX__-1)
+#define LONG_MAX __LONG_MAX__
+#define ULONG_MAX __ULONG_MAX__
+#define LLONG_MIN (-__LONG_LONG_MAX__-1)
+#define LLONG_MAX __LONG_LONG_MAX__
+#define ULLONG_MAX __ULONG_LONG_MAX__
 #endif
 `,
 	"stdint.h": `#ifndef _STDINT_H
 #define _STDINT_H
-typedef signed char int8_t;
-typedef unsigned char uint8_t;
-typedef short int16_t;
-typedef unsigned short uint16_t;
-typedef int int32_t;
-typedef unsigned int uint32_t;
-typedef long int64_t;
-typedef unsigned long uint64_t;
-typedef long intptr_t;
-typedef unsigned long uintptr_t;
-#define INT8_MAX 127
+__KCC_IF_INT8__(typedef __INT8_TYPE__ int8_t;)
+__KCC_IF_INT8__(typedef __UINT8_TYPE__ uint8_t;)
+__KCC_IF_INT16__(typedef __INT16_TYPE__ int16_t;)
+__KCC_IF_INT16__(typedef __UINT16_TYPE__ uint16_t;)
+__KCC_IF_INT32__(typedef __INT32_TYPE__ int32_t;)
+__KCC_IF_INT32__(typedef __UINT32_TYPE__ uint32_t;)
+__KCC_IF_INT64__(typedef __INT64_TYPE__ int64_t;)
+__KCC_IF_INT64__(typedef __UINT64_TYPE__ uint64_t;)
+typedef __INTPTR_TYPE__ intptr_t;
+typedef __UINTPTR_TYPE__ uintptr_t;
+#ifdef __INT8_TYPE__
+#define INT8_MAX __INT8_MAX__
 #define INT8_MIN (-128)
-#define UINT8_MAX 255
-#define INT16_MAX 32767
+#define UINT8_MAX __UINT8_MAX__
+#endif
+#ifdef __INT16_TYPE__
+#define INT16_MAX __INT16_MAX__
 #define INT16_MIN (-32768)
-#define UINT16_MAX 65535
-#define INT32_MAX 2147483647
-#define INT32_MIN (-2147483647-1)
-#define UINT32_MAX 4294967295u
-#define INT64_MAX 9223372036854775807L
-#define INT64_MIN (-9223372036854775807L-1)
-#define UINT64_MAX 18446744073709551615uL
+#define UINT16_MAX __UINT16_MAX__
+#endif
+#ifdef __INT32_TYPE__
+#define INT32_MAX __INT32_MAX__
+#define INT32_MIN (-__INT32_MAX__-1)
+#define UINT32_MAX __UINT32_MAX__
+#endif
+#ifdef __INT64_TYPE__
+#define INT64_MAX __INT64_MAX__
+#define INT64_MIN (-__INT64_MAX__-1)
+#define UINT64_MAX __UINT64_MAX__
+#endif
 #endif
 `,
 	"float.h": `#ifndef _FLOAT_H

@@ -42,11 +42,17 @@ type ChainResolver []Resolver
 
 // Resolve implements Resolver.
 func (c ChainResolver) Resolve(name string, system bool, fromDir string) (string, string, error) {
+	return first(c, name, func(r Resolver) (string, string, error) { return r.Resolve(name, system, fromDir) })
+}
+
+// first returns the first answer of c's resolvers that is not an error,
+// or else the first error.
+func first[T any](c ChainResolver, name string, resolve func(Resolver) (T, string, error)) (T, string, error) {
 	var firstErr error
 	for _, r := range c {
-		content, path, err := r.Resolve(name, system, fromDir)
+		v, path, err := resolve(r)
 		if err == nil {
-			return content, path, nil
+			return v, path, nil
 		}
 		if firstErr == nil {
 			firstErr = err
@@ -55,7 +61,8 @@ func (c ChainResolver) Resolve(name string, system bool, fromDir string) (string
 	if firstErr == nil {
 		firstErr = fmt.Errorf("include file %q not found", name)
 	}
-	return "", "", firstErr
+	var zero T
+	return zero, "", firstErr
 }
 
 // FSResolver serves "..." includes from the filesystem relative to the
@@ -78,7 +85,55 @@ func (FSResolver) Resolve(name string, system bool, fromDir string) (string, str
 	return string(b), p, nil
 }
 
-// Macro is a preprocessor macro definition.
+// HeaderSet is an immutable set of in-memory headers, each scanned once
+// when the set is built. Including one of them splices its scanned tokens
+// into the unit instead of scanning its text again; the tokens are only
+// read, so preprocessors on any number of goroutines share them.
+type HeaderSet struct {
+	text map[string]string
+	toks map[string][]ppTok
+}
+
+// NewHeaderSet scans headers (name → contents) into a HeaderSet. A
+// header's tokens depend only on its text and name, never on macros.
+func NewHeaderSet(headers map[string]string) *HeaderSet {
+	h := &HeaderSet{text: make(map[string]string, len(headers)), toks: make(map[string][]ppTok, len(headers))}
+	for name, content := range headers {
+		h.text[name] = content
+		h.toks[name] = scan(content, name)
+	}
+	return h
+}
+
+// Resolve implements Resolver. Like MapResolver, it serves both the
+// <name> and "name" forms.
+func (h *HeaderSet) Resolve(name string, system bool, fromDir string) (string, string, error) {
+	return MapResolver(h.text).Resolve(name, system, fromDir)
+}
+
+// resolveTokens resolves an include to its tokens and canonical name: a
+// HeaderSet answers with its shared tokens, and the content any other
+// resolver returns is scanned.
+func resolveTokens(r Resolver, name string, system bool, fromDir string) ([]ppTok, string, error) {
+	switch r := r.(type) {
+	case *HeaderSet:
+		if toks, ok := r.toks[name]; ok {
+			return toks, name, nil
+		}
+	case ChainResolver:
+		return first(r, name, func(sub Resolver) ([]ppTok, string, error) {
+			return resolveTokens(sub, name, system, fromDir)
+		})
+	}
+	content, path, err := r.Resolve(name, system, fromDir)
+	if err != nil {
+		return nil, "", err
+	}
+	return scan(content, path), path, nil
+}
+
+// Macro is a preprocessor macro definition. Macros are never changed once
+// defined, so preprocessors share the predefined ones.
 type Macro struct {
 	Name     string
 	FuncLike bool
@@ -96,27 +151,45 @@ type condState struct {
 	file       string
 }
 
+// frame is one token list on the worklist: a file, an included header or
+// a macro replacement, with toks[i] its next token. Frames only read their
+// tokens; a built-in header's frame reads the HeaderSet's shared slice.
+type frame struct {
+	toks []ppTok
+	i    int
+}
+
 // Preprocessor expands one translation unit.
 type Preprocessor struct {
 	resolver Resolver
-	macros   map[string]*Macro
-	conds    []condState
-	in       []ppTok // token worklist (front = next)
-	out      strings.Builder
-	outFile  string
-	outLine  int
-	depth    int // include nesting depth
-	counter  int // __COUNTER__
+	// macros holds the unit's definitions, and a nil entry for each name
+	// it #undefs; both shadow the shared predefined table.
+	macros map[string]*Macro
+	conds  []condState
+	// stack is the token worklist: the next token is the top frame's next
+	// token. Pushing an include or a macro replacement costs as much as
+	// the tokens pushed, never the rest of the unit. Frames below base
+	// belong to the unit around an expandList and read as exhausted.
+	stack   []frame
+	base    int
+	out     strings.Builder
+	outFile string
+	outLine int
+	depth   int   // include nesting depth
+	counter int   // __COUNTER__
+	dynamic ppTok // expand's __LINE__, __FILE__ or __COUNTER__ token
 }
 
 const maxIncludeDepth = 40
 
+// includeEnd is pushed under every included file: taking it pops the
+// include depth.
+var includeEnd = []ppTok{{kind: ppIncludeEnd}}
+
 // New returns a preprocessor resolving includes through r (FSResolver and
 // the built-in libc headers are sensible defaults; see Preprocess).
 func New(r Resolver) *Preprocessor {
-	pp := &Preprocessor{resolver: r, macros: make(map[string]*Macro)}
-	pp.predefine()
-	return pp
+	return &Preprocessor{resolver: r, macros: make(map[string]*Macro)}
 }
 
 // Preprocess runs src (named file) through a fresh preprocessor with the
@@ -126,46 +199,87 @@ func Preprocess(src, file string, r Resolver) (string, error) {
 	return pp.Run(src, file)
 }
 
-func (pp *Preprocessor) predefine() {
-	def := func(name, body string) {
-		sc := newPPScanner(body, "<builtin>")
-		var toks []ppTok
-		for {
-			t := sc.next()
-			if t.kind == ppEOF || t.isPunct("\n") {
-				break
-			}
-			toks = append(toks, t)
+// predefined is the macro table every preprocessor starts from, built
+// once and shared read-only: a unit's own definitions and #undefs shadow
+// it (see macro). The data-model macros hold the LP64 values; the driver
+// redefines them for other models. Their names are GCC's, and the
+// unsigned maxima that GCC computes in its limits.h follow the same
+// pattern.
+var predefined = func() map[string]*Macro {
+	pp := &Preprocessor{macros: make(map[string]*Macro)}
+	for _, d := range []string{
+		"__STDC__=1",
+		"__STDC_VERSION__=201112L",
+		"__STDC_HOSTED__=1",
+		"__KCC__=1",
+		"__x86_64__=1",
+		// Deterministic date/time: reproducibility beats realism here.
+		`__DATE__="Jan  1 2015"`,
+		`__TIME__="00:00:00"`,
+		// __FILE__, __LINE__, __COUNTER__, __func__ handled specially.
+
+		"__SHRT_MAX__=32767",
+		"__USHRT_MAX__=65535",
+		"__INT_MAX__=2147483647",
+		"__UINT_MAX__=4294967295u",
+		"__LONG_MAX__=9223372036854775807L",
+		"__ULONG_MAX__=18446744073709551615uL",
+		"__LONG_LONG_MAX__=9223372036854775807LL",
+		"__ULONG_LONG_MAX__=18446744073709551615uLL",
+		"__INT8_TYPE__=signed char",
+		"__UINT8_TYPE__=unsigned char",
+		"__INT8_MAX__=127",
+		"__UINT8_MAX__=255",
+		"__INT16_TYPE__=short",
+		"__UINT16_TYPE__=unsigned short",
+		"__INT16_MAX__=32767",
+		"__UINT16_MAX__=65535",
+		"__INT32_TYPE__=int",
+		"__UINT32_TYPE__=unsigned int",
+		"__INT32_MAX__=2147483647",
+		"__UINT32_MAX__=4294967295u",
+		"__INT64_TYPE__=long",
+		"__UINT64_TYPE__=unsigned long",
+		"__INT64_MAX__=9223372036854775807L",
+		"__UINT64_MAX__=18446744073709551615uL",
+		"__INTPTR_TYPE__=long",
+		"__UINTPTR_TYPE__=unsigned long",
+		// __KCC_IF_INTn__(decl) is decl when the model has an n-bit
+		// integer type and empty when it has none (C11 §7.20.1.1:3).
+		"__KCC_IF_INT8__(decl)=decl",
+		"__KCC_IF_INT16__(decl)=decl",
+		"__KCC_IF_INT32__(decl)=decl",
+		"__KCC_IF_INT64__(decl)=decl",
+	} {
+		if err := pp.Define(d); err != nil {
+			panic(err)
 		}
-		pp.macros[name] = &Macro{Name: name, Body: toks}
 	}
-	def("__STDC__", "1")
-	def("__STDC_VERSION__", "201112L")
-	def("__STDC_HOSTED__", "1")
-	def("__KCC__", "1")
-	def("__x86_64__", "1")
-	// Deterministic date/time: reproducibility beats realism here.
-	def("__DATE__", `"Jan  1 2015"`)
-	def("__TIME__", `"00:00:00"`)
-	// __FILE__, __LINE__, __COUNTER__, __func__ handled specially.
+	return pp.macros
+}()
+
+// Define adds a command-line style definition, as #define would: "NAME"
+// defines NAME as 1, "NAME=VALUE" as VALUE, and "F(a,b)=BODY" a
+// function-like macro.
+func (pp *Preprocessor) Define(d string) error {
+	name, val, ok := strings.Cut(d, "=")
+	if !ok {
+		val = "1"
+	}
+	const file = "<command line>"
+	return pp.define(ppTok{file: file, line: 1}, scanLine(name+" "+val, file))
 }
 
-// Define adds a command-line style definition ("NAME" or "NAME=VALUE").
-func (pp *Preprocessor) Define(d string) {
-	name, val := d, "1"
-	if i := strings.IndexByte(d, '='); i >= 0 {
-		name, val = d[:i], d[i+1:]
+// Undef removes a definition, as #undef would.
+func (pp *Preprocessor) Undef(name string) { pp.macros[name] = nil }
+
+// macro returns the definition of name, or nil. The unit's definitions,
+// and the nil entries its #undefs leave, shadow the predefined table.
+func (pp *Preprocessor) macro(name string) *Macro {
+	if m, ok := pp.macros[name]; ok {
+		return m
 	}
-	sc := newPPScanner(val, "<cmdline>")
-	var toks []ppTok
-	for {
-		t := sc.next()
-		if t.kind == ppEOF || t.isPunct("\n") {
-			break
-		}
-		toks = append(toks, t)
-	}
-	pp.macros[name] = &Macro{Name: name, Body: toks}
+	return predefined[name]
 }
 
 func (pp *Preprocessor) errorf(t ppTok, format string, args ...any) error {
@@ -174,61 +288,106 @@ func (pp *Preprocessor) errorf(t ppTok, format string, args ...any) error {
 
 // Run preprocesses src and returns the expanded translation unit.
 func (pp *Preprocessor) Run(src, file string) (string, error) {
-	pp.in = pp.scanFile(src, file)
+	if pp.stack == nil {
+		pp.stack = make([]frame, 0, 16)
+	}
+	pp.stack = append(pp.stack[:0], frame{toks: scan(src, file)})
+	pp.base = 0
 	pp.outFile = ""
 	pp.outLine = 0
+	// Most units include a header or two: leave room for their text.
+	pp.out.Grow(len(src) + 1024)
 	for {
-		if len(pp.in) == 0 {
-			break
-		}
-		t := pp.in[0]
-		if t.kind == ppEOF || t.kind == ppIncludeEnd {
-			if t.kind == ppIncludeEnd {
-				pp.depth--
+		t := pp.next()
+		switch {
+		case t.kind == ppEOF:
+			if len(pp.conds) > 0 {
+				c := pp.conds[len(pp.conds)-1]
+				return "", &Error{File: c.file, Line: c.line, Msg: "unterminated #if"}
 			}
-			pp.in = pp.in[1:]
-			continue
-		}
-		if t.isPunct("\n") {
-			pp.in = pp.in[1:]
-			continue
-		}
-		if t.isPunct("#") && t.bol {
-			if err := pp.directive(); err != nil {
+			pp.out.WriteByte('\n')
+			return pp.out.String(), nil
+		case t.kind == ppIncludeEnd:
+			pp.depth--
+		case t.isPunct("\n"):
+		case t.isPunct("#") && t.bol:
+			if err := pp.directive(t); err != nil {
 				return "", err
 			}
-			continue
-		}
-		if !pp.active() {
-			pp.skipLine()
-			continue
-		}
-		expanded, err := pp.expandOne()
-		if err != nil {
-			return "", err
-		}
-		for _, e := range expanded {
-			pp.emit(e)
+		case !pp.active():
+			pp.takeLine()
+		default:
+			e, err := pp.expand(t)
+			if err != nil {
+				return "", err
+			}
+			if e != nil {
+				pp.emit(e)
+			}
 		}
 	}
-	if len(pp.conds) > 0 {
-		c := pp.conds[len(pp.conds)-1]
-		return "", &Error{File: c.file, Line: c.line, Msg: "unterminated #if"}
-	}
-	pp.out.WriteByte('\n')
-	return pp.out.String(), nil
 }
 
-func (pp *Preprocessor) scanFile(src, file string) []ppTok {
+// scan tokenizes one file, without its EOF.
+func scan(src, file string) []ppTok {
+	sc := newPPScanner(src, file)
+	toks := make([]ppTok, 0, len(src)/ppBytesPerToken+1)
+	for {
+		t := sc.next()
+		if t.kind == ppEOF {
+			return toks
+		}
+		toks = append(toks, t)
+	}
+}
+
+// ppBytesPerToken sizes scan's slice: the suite units average 2.3 source
+// bytes per preprocessing token, newlines included.
+const ppBytesPerToken = 2
+
+// scanLine tokenizes src up to its first newline.
+func scanLine(src, file string) []ppTok {
 	sc := newPPScanner(src, file)
 	var toks []ppTok
 	for {
 		t := sc.next()
-		toks = append(toks, t)
-		if t.kind == ppEOF {
+		if t.kind == ppEOF || t.isPunct("\n") {
 			return toks
 		}
+		toks = append(toks, t)
 	}
+}
+
+// push puts toks on top of the worklist, to be read before anything
+// already there.
+func (pp *Preprocessor) push(toks []ppTok) {
+	if len(toks) > 0 {
+		pp.stack = append(pp.stack, frame{toks: toks})
+	}
+}
+
+// eof is what an exhausted worklist reads as.
+var eof = ppTok{kind: ppEOF}
+
+// peek returns the next token without taking it, dropping exhausted
+// frames. Tokens are read in place and must not be written.
+func (pp *Preprocessor) peek() *ppTok {
+	for n := len(pp.stack); n > pp.base; n-- {
+		if f := &pp.stack[n-1]; f.i < len(f.toks) {
+			return &f.toks[f.i]
+		}
+		pp.stack = pp.stack[:n-1]
+	}
+	return &eof
+}
+
+// next takes the next token.
+func (pp *Preprocessor) next() *ppTok {
+	t := pp.peek()
+	if n := len(pp.stack); n > pp.base {
+		pp.stack[n-1].i++
+	}
+	return t
 }
 
 func (pp *Preprocessor) active() bool {
@@ -241,30 +400,27 @@ func (pp *Preprocessor) active() bool {
 }
 
 // takeLine removes and returns the tokens up to (not including) the next
-// newline or EOF; the newline itself is consumed.
+// newline; the newline itself is consumed. A directive line never leaves
+// the file it starts in, so the line is a slice of that file's tokens,
+// which are never written.
 func (pp *Preprocessor) takeLine() []ppTok {
-	var line []ppTok
-	for len(pp.in) > 0 {
-		t := pp.in[0]
-		if t.kind == ppIncludeEnd {
-			// Leave the marker for Run to account for.
-			break
-		}
-		pp.in = pp.in[1:]
-		if t.kind == ppEOF || t.isPunct("\n") {
-			break
-		}
-		line = append(line, t)
+	if t := pp.peek(); t.kind == ppIncludeEnd || t.kind == ppEOF {
+		// Leave the include marker for Run to account for.
+		return nil
 	}
-	return line
+	f := &pp.stack[len(pp.stack)-1]
+	start := f.i
+	for f.i < len(f.toks) {
+		f.i++
+		if f.toks[f.i-1].isPunct("\n") {
+			return f.toks[start : f.i-1]
+		}
+	}
+	return f.toks[start:]
 }
 
-func (pp *Preprocessor) skipLine() { pp.takeLine() }
-
-// directive handles one preprocessing directive (cursor is at '#').
-func (pp *Preprocessor) directive() error {
-	hash := pp.in[0]
-	pp.in = pp.in[1:]
+// directive handles one preprocessing directive; hash, its '#', is taken.
+func (pp *Preprocessor) directive(hash *ppTok) error {
 	line := pp.takeLine()
 	if len(line) == 0 {
 		return nil // null directive
@@ -275,7 +431,7 @@ func (pp *Preprocessor) directive() error {
 		if !pp.active() {
 			return nil
 		}
-		return pp.errorf(hash, "invalid preprocessing directive")
+		return pp.errorf(*hash, "invalid preprocessing directive")
 	}
 	switch name.text {
 	case "ifdef", "ifndef":
@@ -286,7 +442,7 @@ func (pp *Preprocessor) directive() error {
 				return pp.errorf(name, "#%s expects a single identifier", name.text)
 			}
 		} else {
-			_, defined := pp.macros[args[0].text]
+			defined := pp.macro(args[0].text) != nil
 			taken = defined == (name.text == "ifdef")
 		}
 		pp.conds = append(pp.conds, condState{
@@ -359,7 +515,7 @@ func (pp *Preprocessor) directive() error {
 		if len(args) != 1 || args[0].kind != ppIdent {
 			return pp.errorf(name, "#undef expects a single identifier")
 		}
-		delete(pp.macros, args[0].text)
+		pp.Undef(args[0].text)
 		return nil
 	case "error":
 		return pp.errorf(name, "#error %s", tokensText(args))
@@ -421,22 +577,14 @@ func (pp *Preprocessor) include(dir ppTok, args []ppTok) error {
 			return pp.errorf(dir, "malformed #include")
 		}
 	}
-	content, path, err := pp.resolver.Resolve(name, system, filepath.Dir(dir.file))
+	toks, _, err := resolveTokens(pp.resolver, name, system, filepath.Dir(dir.file))
 	if err != nil {
 		return pp.errorf(dir, "%v", err)
 	}
-	toks := pp.scanFile(content, path)
-	// Drop the trailing EOF of the included file, splice its tokens in, and
-	// follow them with an end marker that pops the include depth.
-	if n := len(toks); n > 0 && toks[n-1].kind == ppEOF {
-		toks = toks[:n-1]
-	}
+	// Read the file's tokens next, then the marker that pops the depth.
 	pp.depth++
-	spliced := make([]ppTok, 0, len(toks)+1+len(pp.in))
-	spliced = append(spliced, toks...)
-	spliced = append(spliced, ppTok{kind: ppIncludeEnd, file: path, line: 0})
-	spliced = append(spliced, pp.in...)
-	pp.in = spliced
+	pp.push(includeEnd)
+	pp.push(toks)
 	return nil
 }
 
@@ -468,19 +616,25 @@ func (pp *Preprocessor) define(dir ppTok, args []ppTok) error {
 		}
 		rest = rest[i+1:]
 	}
-	m.Body = append([]ppTok{}, rest...)
+	m.Body = rest // a slice of the directive line, never written
 	pp.macros[m.Name] = m
 	return nil
 }
 
 // emit writes one token to the output, inserting newlines or line markers to
 // keep output lines in sync with the token's origin.
-func (pp *Preprocessor) emit(t ppTok) {
+func (pp *Preprocessor) emit(t *ppTok) {
 	if t.file != pp.outFile || t.line < pp.outLine || t.line > pp.outLine+8 {
 		if pp.outLine != 0 {
 			pp.out.WriteByte('\n')
 		}
-		fmt.Fprintf(&pp.out, "# %d %q\n", t.line, t.file)
+		var buf [128]byte
+		m := append(buf[:0], "# "...)
+		m = strconv.AppendInt(m, int64(t.line), 10)
+		m = append(m, ' ')
+		m = strconv.AppendQuote(m, t.file)
+		m = append(m, '\n')
+		pp.out.Write(m)
 		pp.outFile = t.file
 		pp.outLine = t.line
 	}

@@ -308,6 +308,45 @@ func TestCmdlineDefine(t *testing.T) {
 	}
 }
 
+func TestCmdlineFunctionLikeDefine(t *testing.T) {
+	p := New(MapResolver(nil))
+	for _, d := range []string{"SQ(x)=((x)*(x))", "FLAG", "EMPTY="} {
+		if err := p.Define(d); err != nil {
+			t.Fatalf("Define(%q): %v", d, err)
+		}
+	}
+	out, err := p.Run("int y = SQ(3) + FLAG EMPTY;", "t.c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := normalize(out); got != "int y = ( ( 3 ) * ( 3 ) ) + 1 ;" {
+		t.Errorf("got %q", got)
+	}
+	if err := p.Define("1X=2"); err == nil {
+		t.Error("Define of a non-identifier succeeded")
+	}
+}
+
+// TestSpliceInLiteral: a backslash-newline inside a string or character
+// literal is cut out, also when it ends the file, and a newline after it
+// ends the literal as it would end the spliced line.
+func TestSpliceInLiteral(t *testing.T) {
+	for src, want := range map[string]string{
+		"char *s = \"ab\\\ncd\";": `char * s = "abcd" ;`,
+		"\"ab\\\n":                `"ab`,
+		"'\\\n":                   `'`,
+		"\"ab\\\n\ncd\"":          `"ab cd "`,
+	} {
+		out, err := Preprocess(src, "t.c", MapResolver(nil))
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		if got := normalize(out); got != want {
+			t.Errorf("%q: got %q, want %q", src, got, want)
+		}
+	}
+}
+
 func TestPragmaIgnored(t *testing.T) {
 	if got := pp(t, "#pragma pack(1)\nint x;", nil); got != "int x ;" {
 		t.Errorf("got %q", got)

@@ -6,73 +6,74 @@ import (
 	"strings"
 )
 
-// expandOne pops the next token from the worklist and fully macro-expands it,
-// returning the tokens to emit. Function-like macro invocations may consume
-// further tokens (including across newlines, per the standard).
-func (pp *Preprocessor) expandOne() ([]ppTok, error) {
-	t := pp.in[0]
-	pp.in = pp.in[1:]
-	return pp.expandTok(t)
-}
-
-// expandTok expands t against the worklist pp.in.
-func (pp *Preprocessor) expandTok(t ppTok) ([]ppTok, error) {
-	if t.kind != ppIdent {
-		return []ppTok{t}, nil
-	}
-	if t.hideset[t.text] {
-		return []ppTok{t}, nil
+// expand handles t, just taken from the worklist. It returns the token to
+// emit, or nil when t invoked a macro whose replacement now sits on top of
+// the worklist for rescanning. Function-like macro invocations may consume
+// further tokens (including across newlines, per the standard). The token
+// returned is only valid until the next call.
+func (pp *Preprocessor) expand(t *ppTok) (*ppTok, error) {
+	if t.kind != ppIdent || t.hideset[t.text] {
+		return t, nil
 	}
 	// Dynamic predefined macros.
 	switch t.text {
 	case "__LINE__":
-		return []ppTok{{kind: ppNumber, text: strconv.Itoa(t.line), file: t.file, line: t.line, ws: t.ws}}, nil
+		pp.dynamic = ppTok{kind: ppNumber, text: strconv.Itoa(t.line), file: t.file, line: t.line, ws: t.ws}
+		return &pp.dynamic, nil
 	case "__FILE__":
-		return []ppTok{{kind: ppString, text: strconv.Quote(t.file), file: t.file, line: t.line, ws: t.ws}}, nil
+		pp.dynamic = ppTok{kind: ppString, text: strconv.Quote(t.file), file: t.file, line: t.line, ws: t.ws}
+		return &pp.dynamic, nil
 	case "__COUNTER__":
 		pp.counter++
-		return []ppTok{{kind: ppNumber, text: strconv.Itoa(pp.counter - 1), file: t.file, line: t.line, ws: t.ws}}, nil
+		pp.dynamic = ppTok{kind: ppNumber, text: strconv.Itoa(pp.counter - 1), file: t.file, line: t.line, ws: t.ws}
+		return &pp.dynamic, nil
 	}
-	m, ok := pp.macros[t.text]
-	if !ok {
-		return []ppTok{t}, nil
+	m := pp.macro(t.text)
+	if m == nil {
+		return t, nil
 	}
+	inv := *t
 	if !m.FuncLike {
-		body := substituteObject(m, t)
-		// Rescan: push body onto worklist front and expand from there.
-		pp.in = append(body, pp.in...)
-		if len(body) == 0 {
-			return nil, nil
-		}
-		return pp.expandOne()
+		pp.push(inheritSpace(substituteObject(m, inv), inv))
+		return nil, nil
 	}
 	// Function-like: only expands if followed by '('.
 	if !pp.nextIsLParen() {
-		return []ppTok{t}, nil
+		return t, nil
 	}
-	args, err := pp.gatherArgs(t, m)
+	args, err := pp.gatherArgs(inv, m)
 	if err != nil {
 		return nil, err
 	}
-	body, err := pp.substituteFunc(m, t, args)
+	body, err := pp.substituteFunc(m, inv, args)
 	if err != nil {
 		return nil, err
 	}
-	pp.in = append(body, pp.in...)
-	if len(body) == 0 {
-		return nil, nil
+	pp.push(inheritSpace(body, inv))
+	return nil, nil
+}
+
+// inheritSpace gives a replacement's first token the invocation's leading
+// whitespace, as GCC does, so that a macro expanding to another macro
+// stringizes like one expanding to the final tokens.
+func inheritSpace(body []ppTok, inv ppTok) []ppTok {
+	if len(body) > 0 {
+		body[0].ws = inv.ws
 	}
-	return pp.expandOne()
+	return body
 }
 
 // nextIsLParen reports whether the next significant token is '('.
 func (pp *Preprocessor) nextIsLParen() bool {
-	for i := 0; i < len(pp.in); i++ {
-		t := pp.in[i]
-		if t.isPunct("\n") || t.kind == ppIncludeEnd {
-			continue
+	for n := len(pp.stack); n > pp.base; n-- {
+		f := &pp.stack[n-1]
+		for i := f.i; i < len(f.toks); i++ {
+			t := &f.toks[i]
+			if t.isPunct("\n") || t.kind == ppIncludeEnd {
+				continue
+			}
+			return t.isPunct("(")
 		}
-		return t.isPunct("(")
 	}
 	return false
 }
@@ -81,15 +82,13 @@ func (pp *Preprocessor) nextIsLParen() bool {
 // nested parentheses do not separate arguments.
 func (pp *Preprocessor) gatherArgs(inv ppTok, m *Macro) ([][]ppTok, error) {
 	// Skip to and consume '('.
-	for len(pp.in) > 0 {
-		t := pp.in[0]
+	for {
+		t := pp.next()
 		if t.kind == ppIncludeEnd {
 			pp.depth--
-			pp.in = pp.in[1:]
 			continue
 		}
-		pp.in = pp.in[1:]
-		if t.isPunct("(") {
+		if t.kind == ppEOF || t.isPunct("(") {
 			break
 		}
 	}
@@ -97,11 +96,7 @@ func (pp *Preprocessor) gatherArgs(inv ppTok, m *Macro) ([][]ppTok, error) {
 	var cur []ppTok
 	depth := 0
 	for {
-		if len(pp.in) == 0 {
-			return nil, pp.errorf(inv, "unterminated invocation of macro %s", m.Name)
-		}
-		t := pp.in[0]
-		pp.in = pp.in[1:]
+		t := pp.next()
 		switch {
 		case t.kind == ppEOF:
 			return nil, pp.errorf(inv, "unterminated invocation of macro %s", m.Name)
@@ -112,7 +107,7 @@ func (pp *Preprocessor) gatherArgs(inv ppTok, m *Macro) ([][]ppTok, error) {
 			continue // newlines inside macro args are whitespace
 		case t.isPunct("("):
 			depth++
-			cur = append(cur, t)
+			cur = append(cur, *t)
 		case t.isPunct(")"):
 			if depth == 0 {
 				args = append(args, cur)
@@ -134,53 +129,59 @@ func (pp *Preprocessor) gatherArgs(inv ppTok, m *Macro) ([][]ppTok, error) {
 				return args, nil
 			}
 			depth--
-			cur = append(cur, t)
+			cur = append(cur, *t)
 		case t.isPunct(",") && depth == 0:
 			if m.Variadic && len(args) >= len(m.Params) {
 				// Comma belongs to __VA_ARGS__.
-				cur = append(cur, t)
+				cur = append(cur, *t)
 				continue
 			}
 			args = append(args, cur)
 			cur = nil
 		default:
-			cur = append(cur, t)
+			cur = append(cur, *t)
 		}
 	}
 }
 
 // expandList fully expands a detached token list (used for #if operands and
-// macro arguments) without touching the main worklist.
+// macro arguments). The worklist around it reads as exhausted meanwhile.
 func (pp *Preprocessor) expandList(toks []ppTok) ([]ppTok, error) {
-	saved := pp.in
-	pp.in = append(append([]ppTok{}, toks...), ppTok{kind: ppEOF})
-	var out []ppTok
-	for len(pp.in) > 0 && pp.in[0].kind != ppEOF {
-		e, err := pp.expandOne()
+	base, height := pp.base, len(pp.stack)
+	defer func() { pp.stack, pp.base = pp.stack[:height], base }()
+	pp.base = height
+	pp.push(toks)
+	out := make([]ppTok, 0, len(toks))
+	for {
+		t := pp.next()
+		if t.kind == ppEOF {
+			return out, nil
+		}
+		e, err := pp.expand(t)
 		if err != nil {
-			pp.in = saved
 			return nil, err
 		}
-		out = append(out, e...)
+		if e != nil {
+			out = append(out, *e)
+		}
 	}
-	pp.in = saved
-	return out, nil
 }
 
 // substituteObject produces the replacement list of an object-like macro.
 func substituteObject(m *Macro, inv ppTok) []ppTok {
 	out := make([]ppTok, 0, len(m.Body))
+	hs := expansionHideset(inv, m.Name)
 	for i := 0; i < len(m.Body); i++ {
 		t := m.Body[i]
 		// Handle ## in object-like bodies.
 		if i+2 < len(m.Body) && m.Body[i+1].isPunct("##") {
 			pasted := pasteTokens(t, m.Body[i+2], inv)
-			pasted = relocate(pasted, inv, m.Name)
+			pasted = relocate(pasted, inv, hs)
 			out = append(out, pasted)
 			i += 2
 			continue
 		}
-		out = append(out, relocate(t, inv, m.Name))
+		out = append(out, relocate(t, inv, hs))
 	}
 	return out
 }
@@ -223,13 +224,14 @@ func (pp *Preprocessor) substituteFunc(m *Macro, inv ppTok, args [][]ppTok) ([]p
 	}
 
 	var out []ppTok
+	hs := expansionHideset(inv, m.Name)
 	body := m.Body
 	for i := 0; i < len(body); i++ {
 		t := body[i]
 		// Stringize: # param
 		if t.isPunct("#") && i+1 < len(body) && body[i+1].kind == ppIdent {
 			if pi := paramIdx(body[i+1].text); pi >= 0 {
-				out = append(out, relocate(stringize(argFor(pi)), inv, m.Name))
+				out = append(out, relocate(stringize(argFor(pi)), inv, hs))
 				i++
 				continue
 			}
@@ -265,7 +267,7 @@ func (pp *Preprocessor) substituteFunc(m *Macro, inv ppTok, args [][]ppTok) ([]p
 				pasted = append(append(append([]ppTok{}, lhs[:len(lhs)-1]...), mid), rhs[1:]...)
 			}
 			for _, p := range pasted {
-				out = append(out, relocate(p, inv, m.Name))
+				out = append(out, relocate(p, inv, hs))
 			}
 			i += 2
 			continue
@@ -274,26 +276,34 @@ func (pp *Preprocessor) substituteFunc(m *Macro, inv ppTok, args [][]ppTok) ([]p
 		if t.kind == ppIdent {
 			if pi := paramIdx(t.text); pi >= 0 {
 				for _, a := range expandedFor(pi) {
-					out = append(out, relocate(a, inv, m.Name))
+					out = append(out, relocate(a, inv, hs))
 				}
 				continue
 			}
 		}
-		out = append(out, relocate(t, inv, m.Name))
+		out = append(out, relocate(t, inv, hs))
 	}
 	return out, nil
 }
 
+// expansionHideset is the hideset every token substituted for inv, an
+// invocation of the macro name, gains: inv's own plus name.
+func expansionHideset(inv ppTok, name string) map[string]bool {
+	hs := make(map[string]bool, len(inv.hideset)+1)
+	for k := range inv.hideset {
+		hs[k] = true
+	}
+	hs[name] = true
+	return hs
+}
+
 // relocate stamps a substituted token with the invocation site's position and
-// extends its hideset with the macro being expanded.
-func relocate(t ppTok, inv ppTok, macroName string) ppTok {
+// extends its hideset with hs, the expansion's hideset.
+func relocate(t ppTok, inv ppTok, hs map[string]bool) ppTok {
 	t.file = inv.file
 	t.line = inv.line
 	t.bol = false
-	t = t.withHide(macroName)
-	for n := range inv.hideset {
-		t = t.withHide(n)
-	}
+	t.hideset = union(t.hideset, hs)
 	return t
 }
 
@@ -344,7 +354,7 @@ func (pp *Preprocessor) evalCondition(toks []ppTok, dir ppTok) (int64, error) {
 				return 0, pp.errorf(dir, "malformed defined()")
 			}
 			val := "0"
-			if _, ok := pp.macros[name]; ok {
+			if pp.macro(name) != nil {
 				val = "1"
 			}
 			pre = append(pre, ppTok{kind: ppNumber, text: val, file: t.file, line: t.line})

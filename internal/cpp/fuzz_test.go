@@ -3,6 +3,7 @@
 package cpp_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -26,15 +27,22 @@ var fuzzSeeds = []string{
 // unbalanced conditionals, self-referential macros, truncated directives —
 // either expands or returns an error, never panics. Includes resolve only
 // against the built-in libc headers (no filesystem access while fuzzing).
+//
+// Every preprocessor shares the scanned built-in headers and the
+// predefined macro table, so a second preprocessor must give the same
+// result on the same input: a run that wrote to either would not.
 func FuzzCPP(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		pp := cpp.New(cheaders.Resolver())
-		out, err := pp.Run(src, "fuzz.c")
+		out, err := cpp.New(cheaders.Resolver()).Run(src, "fuzz.c")
 		if err == nil && strings.Contains(out, "\x00") && !strings.Contains(src, "\x00") {
 			t.Error("preprocessor invented NUL bytes")
+		}
+		out2, err2 := cpp.New(cheaders.Resolver()).Run(src, "fuzz.c")
+		if out2 != out || fmt.Sprint(err2) != fmt.Sprint(err) {
+			t.Errorf("second preprocessor differs: %q, %v; first %q, %v", out2, err2, out, err)
 		}
 	})
 }

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/cheaders"
@@ -137,5 +138,35 @@ func TestCPPOutputGolden(t *testing.T) {
 		if got := preprocessDigest(in); got != w {
 			t.Errorf("%s: output digest %s, golden %s", in.id, got, w)
 		}
+	}
+}
+
+// TestCPPConcurrentGolden preprocesses every pinned input on 8 goroutines
+// at once, each starting at a different input, and checks every result
+// against the golden. The preprocessors share the scanned built-in headers
+// and the predefined macro table; run it under -race.
+func TestCPPConcurrentGolden(t *testing.T) {
+	ins := goldenInputs(t)
+	want := readGolden(t)
+	const workers = 8
+	var wg sync.WaitGroup
+	errs := make(chan string, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := range ins {
+				in := ins[(i+w*len(ins)/workers)%len(ins)]
+				if got := preprocessDigest(in); got != want[in.id] {
+					errs <- fmt.Sprintf("worker %d, %s: digest %s, golden %s", w, in.id, got, want[in.id])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

@@ -42,22 +42,27 @@ func (t ppTok) isPunct(s string) bool { return t.kind == ppPunct && t.text == s 
 
 func (t ppTok) pos() string { return fmt.Sprintf("%s:%d", t.file, t.line) }
 
-func (t ppTok) withHide(names ...string) ppTok {
-	hs := make(map[string]bool, len(t.hideset)+len(names))
-	for k := range t.hideset {
-		hs[k] = true
+// union returns the hideset a ∪ b, reusing b when a adds nothing to it.
+// Hidesets are never written once built, so tokens may share them.
+func union(a, b map[string]bool) map[string]bool {
+	for k := range a {
+		if !b[k] {
+			u := make(map[string]bool, len(a)+len(b))
+			for k := range b {
+				u[k] = true
+			}
+			for k := range a {
+				u[k] = true
+			}
+			return u
+		}
 	}
-	for _, n := range names {
-		hs[n] = true
-	}
-	t.hideset = hs
-	return t
+	return b
 }
 
-// spliceLines removes backslash-newline sequences, keeping a record of how
-// many lines were spliced so the scanner can keep line numbers accurate.
-// We implement it directly in the scanner instead; this helper normalizes
-// line endings.
+// normalizeNewlines turns CRLF line endings into LF. Backslash-newline
+// splices are not removed here: the scanner skips them as it goes, so that
+// it can keep counting physical lines.
 func normalizeNewlines(s string) string {
 	return strings.ReplaceAll(s, "\r\n", "\n")
 }
@@ -72,8 +77,8 @@ type ppScanner struct {
 	ws   bool
 }
 
-func newPPScanner(src, file string) *ppScanner {
-	return &ppScanner{src: normalizeNewlines(src), file: file, line: 1, bol: true}
+func newPPScanner(src, file string) ppScanner {
+	return ppScanner{src: normalizeNewlines(src), file: file, line: 1, bol: true}
 }
 
 func (s *ppScanner) peek() byte {
@@ -214,45 +219,60 @@ func (s *ppScanner) next() ppTok {
 	return tok
 }
 
+// scanQuoted scans a string or character literal. Its spelling is a slice
+// of the source unless a backslash-newline splice has to be cut out.
 func (s *ppScanner) scanQuoted() string {
-	quote := s.peek()
-	var b strings.Builder
-	b.WriteByte(s.bump())
+	start := s.off
+	quote := s.bump()
+	var b []byte // the spelling so far, once a splice was cut out
 	for s.peek() != 0 && s.peek() != '\n' {
-		s.skipSplices()
-		c := s.peek()
-		if c == '\\' && s.peekAt(1) != '\n' && s.peekAt(1) != 0 {
-			b.WriteByte(s.bump())
-			b.WriteByte(s.bump())
+		if s.peek() == '\\' && s.peekAt(1) == '\n' {
+			if b == nil {
+				b = []byte(s.src[start:s.off])
+			}
+			s.skipSplices()
 			continue
 		}
-		b.WriteByte(s.bump())
+		from := s.off
+		c := s.bump()
+		if c == '\\' && s.peek() != '\n' && s.peek() != 0 {
+			s.bump()
+		}
+		if b != nil {
+			b = append(b, s.src[from:s.off]...)
+		}
 		if c == quote {
 			break
 		}
 	}
-	return b.String()
+	if b != nil {
+		return string(b)
+	}
+	return s.src[start:s.off]
 }
 
-var ppPuncts = []string{
-	"...", "<<=", ">>=",
-	"->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
-	"*=", "/=", "%=", "+=", "-=", "&=", "^=", "|=", "##",
-	"[", "]", "(", ")", "{", "}", ".", "&", "*", "+", "-", "~", "!",
-	"/", "%", "<", ">", "^", "|", "?", ":", ";", "=", ",", "#",
-}
-
+// scanPunct scans the longest punctuator at the cursor, or returns "".
 func (s *ppScanner) scanPunct() string {
 	rest := s.src[s.off:]
-	for _, p := range ppPuncts {
-		if strings.HasPrefix(rest, p) {
-			for range p {
-				s.bump()
-			}
+	for n := min(3, len(rest)); n > 0; n-- {
+		if p := rest[:n]; isPunctuator(p) {
+			s.off += n
 			return p
 		}
 	}
 	return ""
+}
+
+func isPunctuator(p string) bool {
+	switch p {
+	case "...", "<<=", ">>=",
+		"->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
+		"*=", "/=", "%=", "+=", "-=", "&=", "^=", "|=", "##",
+		"[", "]", "(", ")", "{", "}", ".", "&", "*", "+", "-", "~", "!",
+		"/", "%", "<", ">", "^", "|", "?", ":", ";", "=", ",", "#":
+		return true
+	}
+	return false
 }
 
 func isIdentStart(c byte) bool {

@@ -59,8 +59,10 @@ type Cache struct {
 // build with a different codec shape are never even addressed: bumping it
 // invalidates every previously stored artifact at the key layer (asserted
 // by TestArtifactFormatBumpInvalidatesKeys). Bump it whenever the
-// sema.Program surface or the internal/artifact codec changes.
-const ArtifactFormat = 1
+// sema.Program surface or the internal/artifact codec changes, or what a
+// source compiles to does, as when the built-in headers began to follow
+// the data model (format 2).
+const ArtifactFormat = 2
 
 // artifactFormat is the stamp actually folded into keys; a variable only
 // so the invalidation test can bump it and prove every key moves.

@@ -55,8 +55,13 @@ func Compile(src, file string, opts Options) (prog *sema.Program, err error) {
 	}
 	resolvers = append(resolvers, cpp.FSResolver{})
 	pp := cpp.New(resolvers)
+	if *model != lp64 {
+		defineModel(pp, model)
+	}
 	for _, d := range opts.Defines {
-		pp.Define(d)
+		// A malformed definition, such as one whose name is not an
+		// identifier, could never be expanded; it is skipped.
+		_ = pp.Define(d)
 	}
 	expanded, err := pp.Run(src, file)
 	if err != nil {

@@ -77,6 +77,16 @@ int main(void){ return 2; }
 	}
 }
 
+// TestFacadeFunctionLikeDefine: a define with a parameter list defines a
+// function-like macro, as -D does.
+func TestFacadeFunctionLikeDefine(t *testing.T) {
+	res := undefc.RunSource("int main(void){ return SQ(3); }", "sq.c",
+		undefc.Options{Defines: []string{"SQ(x)=((x)*(x))"}})
+	if res.ExitCode != 9 || res.Err != nil {
+		t.Errorf("exit = %d, err %v, want 9", res.ExitCode, res.Err)
+	}
+}
+
 func TestFacadeExecOptions(t *testing.T) {
 	var sb strings.Builder
 	res := undefc.RunSource(`
@@ -125,5 +135,50 @@ func TestFacadeKCCTranscript(t *testing.T) {
 		if !strings.Contains(rep, want) {
 			t.Errorf("report missing %q:\n%s", want, rep)
 		}
+	}
+}
+
+// TestHeadersFollowModel compiles one program against the built-in
+// <stdint.h> and <limits.h> under each data model: the exact-width types
+// and the limits follow the model, and INT8, which has no 32-bit type,
+// declares no int32_t (C11 §7.20.1.1:3).
+func TestHeadersFollowModel(t *testing.T) {
+	const src = `#include <stdio.h>
+#include <stdint.h>
+#include <limits.h>
+int main(void) {
+	long big = LONG_MAX;
+	printf("int64_t %d intptr_t %d int16_t %d\n", (int)sizeof(int64_t), (int)sizeof(intptr_t), (int)sizeof(int16_t));
+	printf("LONG_MAX %d INT64_MAX %d UINT64_MAX %d\n", big == LONG_MAX && big > 0, INT64_MAX > 0, UINT64_MAX > 0);
+	printf("wide int %d wide long %d\n", INT_MAX > 2147483647, LONG_MAX > 2147483647);
+#ifdef INT32_MAX
+	printf("int32_t %d %d\n", (int)sizeof(int32_t), INT32_MIN < 0 && UINT32_MAX > INT32_MAX);
+#else
+	printf("no int32_t\n");
+#endif
+	return 0;
+}
+`
+	for _, tc := range []struct {
+		model *ctypes.Model
+		want  string
+	}{
+		{ctypes.LP64(), "int64_t 8 intptr_t 8 int16_t 2\nLONG_MAX 1 INT64_MAX 1 UINT64_MAX 1\nwide int 0 wide long 1\nint32_t 4 1\n"},
+		{ctypes.ILP32(), "int64_t 8 intptr_t 4 int16_t 2\nLONG_MAX 1 INT64_MAX 1 UINT64_MAX 1\nwide int 0 wide long 0\nint32_t 4 1\n"},
+		{ctypes.Int8(), "int64_t 8 intptr_t 8 int16_t 2\nLONG_MAX 1 INT64_MAX 1 UINT64_MAX 1\nwide int 1 wide long 1\nno int32_t\n"},
+	} {
+		res := undefc.RunSource(src, "model.c", undefc.Options{Model: tc.model})
+		if res.Err != nil || res.UB != nil || res.ExitCode != 0 {
+			t.Errorf("%s: exit %d, err %v, ub %v", tc.model.Name, res.ExitCode, res.Err, res.UB)
+			continue
+		}
+		if res.Output != tc.want {
+			t.Errorf("%s: output\n%s\nwant\n%s", tc.model.Name, res.Output, tc.want)
+		}
+	}
+	// A program may declare the name INT8 leaves free.
+	own := "#include <stdint.h>\ntypedef long int32_t;\nint main(void){ return sizeof(int32_t) == 8 ? 0 : 1; }\n"
+	if res := undefc.RunSource(own, "own.c", undefc.Options{Model: ctypes.Int8()}); res.ExitCode != 0 || res.Err != nil {
+		t.Errorf("INT8 own int32_t: exit %d, err %v", res.ExitCode, res.Err)
 	}
 }
