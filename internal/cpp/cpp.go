@@ -306,7 +306,9 @@ func (pp *Preprocessor) Run(src, file string) (string, error) {
 				return "", &Error{File: c.file, Line: c.line, Msg: "unterminated #if"}
 			}
 			pp.out.WriteByte('\n')
-			return pp.out.String(), nil
+			// Copy out the text: compiled programs keep substrings of it,
+			// and they should not keep the builder's spare capacity.
+			return strings.Clone(pp.out.String()), nil
 		case t.kind == ppIncludeEnd:
 			pp.depth--
 		case t.isPunct("\n"):
