@@ -298,32 +298,26 @@ func TestElseWithoutIf(t *testing.T) {
 
 func TestCmdlineDefine(t *testing.T) {
 	p := New(MapResolver(nil))
-	p.Define("DEBUG=2")
-	out, err := p.Run("int x = DEBUG;", "t.c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := normalize(out); got != "int x = 2 ;" {
-		t.Errorf("got %q", got)
-	}
-}
-
-func TestCmdlineFunctionLikeDefine(t *testing.T) {
-	p := New(MapResolver(nil))
-	for _, d := range []string{"SQ(x)=((x)*(x))", "FLAG", "EMPTY="} {
+	for _, d := range []string{"DEBUG=2", "SQ(x)=((x)*(x))", "FLAG", "EMPTY="} {
 		if err := p.Define(d); err != nil {
 			t.Fatalf("Define(%q): %v", d, err)
 		}
 	}
-	out, err := p.Run("int y = SQ(3) + FLAG EMPTY;", "t.c")
+	out, err := p.Run("int x = DEBUG + SQ(3) + FLAG EMPTY;", "t.c")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := normalize(out); got != "int y = ( ( 3 ) * ( 3 ) ) + 1 ;" {
+	if got := normalize(out); got != "int x = 2 + ( ( 3 ) * ( 3 ) ) + 1 ;" {
 		t.Errorf("got %q", got)
 	}
 	if err := p.Define("1X=2"); err == nil {
 		t.Error("Define of a non-identifier succeeded")
+	}
+}
+
+func TestPragmaIgnored(t *testing.T) {
+	if got := pp(t, "#pragma pack(1)\nint x;", nil); got != "int x ;" {
+		t.Errorf("got %q", got)
 	}
 }
 
@@ -344,12 +338,6 @@ func TestSpliceInLiteral(t *testing.T) {
 		if got := normalize(out); got != want {
 			t.Errorf("%q: got %q, want %q", src, got, want)
 		}
-	}
-}
-
-func TestPragmaIgnored(t *testing.T) {
-	if got := pp(t, "#pragma pack(1)\nint x;", nil); got != "int x ;" {
-		t.Errorf("got %q", got)
 	}
 }
 
