@@ -44,7 +44,8 @@ test:
 # top: the UB coverage hot path (evaluated/fired counters on every check
 # site) must not allocate, partial-order-reduction bookkeeping must cost
 # the same bytes per logged decision on a deep recursion as on a shallow
-# one, scheduling up to 8 operands must not allocate, the search must stay
+# one, scheduling up to 8 operands must not allocate, a user call must stay
+# under its pinned heap objects (frames are reused), the search must stay
 # under its pinned heap objects per logged decision, the preprocessor
 # must reproduce its pinned LP64 output for every suite, torture and fuzz
 # input (also on 8 goroutines at once under the race detector), allocate
@@ -69,7 +70,7 @@ check: test
 	go test ./internal/obs/ -run 'SpanNoCollector' -count=1
 	go test ./internal/obs/ -run 'TestCoverageLedgerAllocs' -count=1
 	go test ./internal/search/ -run 'TestPORBookkeepingLinear|TestExploreAllocsPerDecision' -count=1
-	go test ./internal/interp/ -run 'TestOrderAllocs' -count=1
+	go test ./internal/interp/ -run 'TestOrderAllocs|TestCallAllocs' -count=1
 	go test ./internal/cpp/ -run 'TestCPPOutputGolden|TestCPPLinear|TestCPPAllocsPerUnit' -count=1
 	go test -race ./internal/cpp/ -run TestCPPConcurrentGolden -count=1
 	go test ./internal/interp/ -run '^$$' -bench BenchmarkObserverOverhead -benchtime 100x

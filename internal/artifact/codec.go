@@ -187,6 +187,10 @@ func Decode(data []byte) (p *sema.Program, err error) {
 	if d.off != len(d.data) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.data)-d.off)
 	}
+	if len(d.slotted) > 0 {
+		s := d.slotted[0]
+		return nil, fmt.Errorf("%w: symbol %q has slot %d outside any function", ErrCorrupt, s.Name, s.Slot)
+	}
 	for _, t := range d.types {
 		t.RestoreDecay()
 	}
@@ -673,6 +677,24 @@ type decoder struct {
 	// types collects every generally-decoded type for the decay-cache
 	// restore pass once the whole graph is in place.
 	types []*ctypes.Type
+	// slotted holds the frame-slotted symbols met inside the functions
+	// being decoded, innermost function last; funcDef checks its own
+	// against its NumSlots (see noteSlot).
+	slotted []*cast.Symbol
+}
+
+// noteSlot notes a symbol met while decoding. Slots index an activation's
+// locals, so a symbol with a slot must belong to the function whose
+// body it occurs in and lie in 1..NumSlots; funcDef checks that once the
+// count is decoded. Refs are noted too: a shared symbol used in a
+// function's body must fit that function.
+func (d *decoder) noteSlot(s *cast.Symbol) {
+	switch {
+	case s.Slot < 0:
+		d.fail("symbol %q has negative slot %d", s.Name, s.Slot)
+	case s.Slot > 0:
+		d.slotted = append(d.slotted, s)
+	}
 }
 
 func (d *decoder) fail(format string, args ...any) {
@@ -847,7 +869,9 @@ func (d *decoder) symbol() *cast.Symbol {
 	case tagNil:
 		return nil
 	case tagRef:
-		return refObj[*cast.Symbol](d)
+		s := refObj[*cast.Symbol](d)
+		d.noteSlot(s)
+		return s
 	case tagSymbol:
 		s := &cast.Symbol{}
 		d.reg(s)
@@ -858,6 +882,7 @@ func (d *decoder) symbol() *cast.Symbol {
 		s.Pos = d.pos()
 		s.EnumVal = d.i()
 		s.Slot = int(d.i())
+		d.noteSlot(s)
 		s.FuncDef = d.funcDef()
 		s.Referenced = d.bool()
 		return s
@@ -876,6 +901,7 @@ func (d *decoder) funcDef() *cast.FuncDef {
 	case tagFuncDef:
 		f := &cast.FuncDef{}
 		d.reg(f)
+		mark := len(d.slotted)
 		f.Name = d.str()
 		f.Type = d.typ()
 		if n := d.count(); n > 0 {
@@ -894,6 +920,12 @@ func (d *decoder) funcDef() *cast.FuncDef {
 		f.Sym = d.symbol()
 		f.P = d.pos()
 		f.NumSlots = int(d.i())
+		for _, s := range d.slotted[mark:] {
+			if s.Slot > f.NumSlots {
+				d.fail("function %q: symbol %q has slot %d, want 1..%d", f.Name, s.Name, s.Slot, f.NumSlots)
+			}
+		}
+		d.slotted = d.slotted[:mark]
 		if n := d.count(); n > 0 {
 			f.Labels = make(map[string]*cast.Label, n)
 			for i := 0; i < n; i++ {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	undefc "repro"
@@ -236,6 +237,31 @@ func TestDecodeCorrupt(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsBadSlots: a function whose symbols' slots fall outside
+// 1..NumSlots would make the interpreter index past an activation's
+// locals, so the decoder refuses it as corrupt.
+func TestDecodeRejectsBadSlots(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(p *undefc.Program)
+	}{
+		{"slot past NumSlots", func(p *undefc.Program) { p.Funcs["add"].Params[1].Slot = 3 }},
+		{"NumSlots too small", func(p *undefc.Program) { p.Funcs["add"].NumSlots = 1 }},
+		{"negative slot", func(p *undefc.Program) { p.Funcs["add"].Params[0].Slot = -1 }},
+		{"slotted file-scope symbol", func(p *undefc.Program) { p.Symbols["msg"].Slot = 1 }},
+	} {
+		prog := compileTricky(t) // a private copy: the test may break it
+		tc.mutate(prog)
+		data, err := artifact.Encode(prog)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", tc.name, err)
+		}
+		if _, err := artifact.Decode(data); !errors.Is(err, artifact.ErrCorrupt) {
+			t.Errorf("%s: decode returned %v, want ErrCorrupt", tc.name, err)
+		}
+	}
+}
+
 func TestDecodeVersionSkew(t *testing.T) {
 	payload := append([]byte("ubcp"), binary.AppendUvarint(nil, uint64(driver.ArtifactFormat)+1)...)
 	_, err := artifact.Decode(payload)
@@ -314,6 +340,52 @@ func diffOutcome(t *testing.T, name, engine string, want, got outcome) {
 	}
 }
 
+// slotsOf renders every function's frame layout: NumSlots, then the slot
+// of each parameter and block-scope declaration in source order.
+func slotsOf(p *undefc.Program) string {
+	var b strings.Builder
+	var walk func(s cast.Stmt)
+	walk = func(s cast.Stmt) {
+		switch s := s.(type) {
+		case *cast.DeclStmt:
+			for _, d := range s.Decls {
+				fmt.Fprintf(&b, " %s=%d", d.Name, d.Sym.Slot)
+			}
+		case *cast.Compound:
+			for _, st := range s.List {
+				walk(st)
+			}
+		case *cast.If:
+			walk(s.Then)
+			walk(s.Else)
+		case *cast.While:
+			walk(s.Body)
+		case *cast.DoWhile:
+			walk(s.Body)
+		case *cast.For:
+			walk(s.Init)
+			walk(s.Body)
+		case *cast.Switch:
+			walk(s.Body)
+		case *cast.Case:
+			walk(s.Stmt)
+		case *cast.Default:
+			walk(s.Stmt)
+		case *cast.Label:
+			walk(s.Stmt)
+		}
+	}
+	for _, f := range p.Unit.Funcs {
+		fmt.Fprintf(&b, "%s/%d:", f.Name, f.NumSlots)
+		for _, prm := range f.Params {
+			fmt.Fprintf(&b, " %s=%d", prm.Name, prm.Slot)
+		}
+		walk(f.Body)
+		b.WriteString("; ")
+	}
+	return b.String()
+}
+
 // TestArtifactRoundTripGate is the CI differential gate: for every case of
 // both paper suites, decode(encode(P)) must produce byte-identical
 // verdicts AND observer event streams under both engines. The original
@@ -340,6 +412,9 @@ func TestArtifactRoundTripGate(t *testing.T) {
 					continue
 				}
 				cases++
+				if want, got := slotsOf(prog), slotsOf(dec); want != got {
+					t.Errorf("%s: decoded frame slots %s, fresh compile %s", c.Name, got, want)
+				}
 				for _, engine := range []string{"tree", "vm"} {
 					diffOutcome(t, c.Name, engine, runProg(prog, engine), runProg(dec, engine))
 				}

@@ -65,8 +65,12 @@ type Symbol struct {
 	// EnumVal is the value for enum-constant symbols.
 	EnumVal int64
 
-	// Global symbols: index into the program's global list.
-	// Locals: frame slot assigned by sema (unique within the function).
+	// Slot is the symbol's frame slot, assigned by sema: parameters and
+	// block-scope objects (static ones included) are numbered 1..NumSlots
+	// of their function, uniquely, so the interpreter indexes an
+	// activation's locals by it. 0 means "not a frame slot": file-scope
+	// symbols, functions, and block-scope extern and function
+	// declarations, which all resolve to file-scope objects.
 	Slot int
 
 	// FuncDef is set for functions that have a definition.
@@ -462,7 +466,8 @@ type FuncDef struct {
 	Body   *Compound
 	Sym    *Symbol
 	P      token.Pos
-	// NumSlots is the number of local-variable slots, set by sema.
+	// NumSlots is the number of frame slots (the highest Symbol.Slot of
+	// its parameters and block-scope objects), set by sema.
 	NumSlots int
 	// Labels maps label names to their statements, set by sema.
 	Labels map[string]*Label

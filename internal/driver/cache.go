@@ -61,8 +61,9 @@ type Cache struct {
 // by TestArtifactFormatBumpInvalidatesKeys). Bump it whenever the
 // sema.Program surface or the internal/artifact codec changes, or what a
 // source compiles to does, as when the built-in headers began to follow
-// the data model (format 2).
-const ArtifactFormat = 2
+// the data model (format 2) and when sema began numbering the frame
+// slots the interpreter indexes locals by (format 3).
+const ArtifactFormat = 3
 
 // artifactFormat is the stamp actually folded into keys; a variable only
 // so the invalidation test can bump it and prove every key moves.

@@ -44,9 +44,38 @@ func (e *InternalError) Error() string {
 	return fmt.Sprintf("internal error in %s stage (%s): %s", e.Stage, e.Unit, e.Value)
 }
 
+// Relayed is a panic recovered on one goroutine and raised again on
+// another, whose caller can contain it: a pool of workers relays a
+// worker's panic to the goroutine that started the pool. Value is the
+// original panic value and Stack the stack of the goroutine it happened
+// on, which is the evidence worth keeping.
+type Relayed struct {
+	Value any
+	Stack string
+}
+
+// Relay wraps a value recovered in a deferred handler, capturing the
+// panicking goroutine's stack. A value relayed before keeps its origin.
+func Relay(r any) *Relayed {
+	if p, ok := r.(*Relayed); ok {
+		return p
+	}
+	return &Relayed{Value: r, Stack: string(debug.Stack())}
+}
+
+// Error renders the original value and stack, so even an uncontained
+// relayed panic shows where it happened.
+func (p *Relayed) Error() string {
+	return fmt.Sprintf("%v\n\nrelayed from:\n%s", p.Value, p.Stack)
+}
+
 // Contain converts a recovered panic value into an *InternalError,
 // capturing the current stack. Call it from a deferred recover handler.
+// A Relayed panic is reported by its original value and stack.
 func Contain(stage, unit string, r any) *InternalError {
+	if p, ok := r.(*Relayed); ok {
+		return &InternalError{Stage: stage, Unit: unit, Value: fmt.Sprint(p.Value), Stack: p.Stack}
+	}
 	return &InternalError{
 		Stage: stage,
 		Unit:  unit,

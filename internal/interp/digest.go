@@ -25,14 +25,13 @@ func (in *Interp) StateDigest() uint64 {
 	h = mem.HashMix(h, uint64(len(in.frames)))
 	for _, f := range in.frames {
 		h = mem.HashString(h, f.fn.Name)
-		// Locals bind symbols to objects; map iteration order is
-		// arbitrary, so fold each binding independently and combine with
-		// addition (order-independent).
-		var acc uint64
-		for sym, id := range f.locals {
-			acc += mem.HashMix(mem.HashString(mem.HashSeed, sym.Name), uint64(id))
+		// Fold every bound slot with its object. Slots, unlike names,
+		// tell shadowed locals apart.
+		for slot, id := range f.locals {
+			if id != 0 {
+				h = mem.HashMix(mem.HashMix(h, uint64(slot)), uint64(id))
+			}
 		}
-		h = mem.HashMix(h, acc)
 		h = mem.HashMix(h, uint64(len(f.blockStack)))
 	}
 	h = mem.HashMix(h, uint64(len(in.seq)))

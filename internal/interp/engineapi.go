@@ -190,15 +190,16 @@ func (in *Interp) PtrAddSub(op cast.BinaryOp, xv, yv mem.Value, pos token.Pos) (
 // activation's locals, then globals).
 func (in *Interp) LookupObj(sym *cast.Symbol) (mem.ObjID, bool) { return in.lookupObj(sym) }
 
-// SetLocal binds a symbol to an object in the current activation.
-func (in *Interp) SetLocal(sym *cast.Symbol, id mem.ObjID) { in.curFrame().locals[sym] = id }
+// SetLocal binds a frame slot (cast.Symbol.Slot) of the current
+// activation to an object.
+func (in *Interp) SetLocal(slot int, id mem.ObjID) { in.curFrame().locals[slot] = id }
 
-// LocalObj reports the current activation's binding of a symbol, without
-// the fallthrough to globals LookupObj performs (declaration execution
-// must not mistake a shadowed global for an allocated local).
-func (in *Interp) LocalObj(sym *cast.Symbol) (mem.ObjID, bool) {
-	id, ok := in.curFrame().locals[sym]
-	return id, ok
+// LocalObj reports the current activation's binding of a frame slot,
+// without the fallthrough to globals LookupObj performs (declaration
+// execution must not mistake a shadowed global for an allocated local).
+func (in *Interp) LocalObj(slot int) (mem.ObjID, bool) {
+	id := in.curFrame().locals[slot]
+	return id, id != 0
 }
 
 // TrackBlockObj registers an object for lifetime termination at the exit
@@ -207,22 +208,12 @@ func (in *Interp) TrackBlockObj(id mem.ObjID) { in.trackBlockObj(id) }
 
 // PushBlock enters a lexical block: objects tracked after this call have
 // their lifetime ended by the matching PopBlock.
-func (in *Interp) PushBlock() {
-	f := in.curFrame()
-	f.blockStack = append(f.blockStack, nil)
-}
+func (in *Interp) PushBlock() { in.curFrame().pushBlock() }
 
 // PopBlock exits the current lexical block, ending the lifetime of every
 // object it tracked (C11 §6.2.4). Engines call it deferred, exactly like
 // the tree walker, so teardown also runs on the error path.
-func (in *Interp) PopBlock() {
-	f := in.curFrame()
-	objs := f.blockStack[len(f.blockStack)-1]
-	for _, id := range objs {
-		in.store.Kill(id)
-	}
-	f.blockStack = f.blockStack[:len(f.blockStack)-1]
-}
+func (in *Interp) PopBlock() { in.popBlock(in.curFrame()) }
 
 // AllocLocal begins the lifetime of a non-VLA automatic object at block
 // entry (the tree walker's lifetime pre-pass).

@@ -119,12 +119,15 @@ func (in *Interp) loadOrDecay(lv LV, pos token.Pos) (mem.Value, error) {
 }
 
 func (in *Interp) funcPtr(name string, pos token.Pos) (mem.Value, error) {
-	id, ok := in.funcObj[name]
+	d, ok := in.funcObj[name]
 	if !ok {
 		return nil, in.ubError(ub.Catalog[82], pos, "Use of undefined function %q", name)
 	}
-	sym := in.prog.Symbols[name]
-	return mem.Ptr{T: sym.Type.Decay(), Base: id, Off: 0}, nil
+	if d.ptr == nil {
+		d.ptr = mem.Ptr{T: in.prog.Symbols[name].Type.Decay(), Base: d.id, Off: 0}
+		in.funcObj[name] = d
+	}
+	return d.ptr, nil
 }
 
 // lvalOf evaluates an expression to an LV (the paper's [L] : T).
@@ -235,18 +238,16 @@ func (in *Interp) derefLValue(v mem.Value, t *ctypes.Type, pos token.Pos) (LV, e
 	return LV{Base: p.Base, Off: p.Off, T: t}, nil
 }
 
-// lookupObj resolves a symbol to its current object.
+// lookupObj resolves a symbol to its current object: a frame slot of the
+// current activation (only its locals are visible), else a file-scope
+// object.
 func (in *Interp) lookupObj(sym *cast.Symbol) (mem.ObjID, bool) {
-	for i := len(in.frames) - 1; i >= 0; i-- {
-		if id, ok := in.frames[i].locals[sym]; ok {
-			return id, true
-		}
-		break // only the current activation's locals are visible
+	if sym.Slot > 0 && len(in.frames) > 0 {
+		id := in.curFrame().locals[sym.Slot]
+		return id, id != 0
 	}
-	if id, ok := in.globals[sym]; ok {
-		return id, true
-	}
-	return 0, false
+	id, ok := in.globals[sym]
+	return id, ok
 }
 
 // trackBlockObj registers an object for lifetime termination at the exit of
@@ -257,7 +258,7 @@ func (in *Interp) trackBlockObj(id mem.ObjID) {
 	}
 	f := in.curFrame()
 	if len(f.blockStack) == 0 {
-		f.blockStack = append(f.blockStack, nil)
+		f.pushBlock()
 	}
 	f.blockStack[len(f.blockStack)-1] = append(f.blockStack[len(f.blockStack)-1], id)
 }

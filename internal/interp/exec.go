@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"slices"
+
 	"repro/internal/cast"
 	"repro/internal/ctypes"
 	"repro/internal/mem"
@@ -124,14 +126,8 @@ func (in *Interp) exec(s cast.Stmt) (Ctrl, error) {
 // containing that label instead of the beginning (goto into the block).
 func (in *Interp) execBlock(blk *cast.Compound, resumeLabel string) (Ctrl, error) {
 	f := in.curFrame()
-	f.blockStack = append(f.blockStack, nil)
-	defer func() {
-		objs := f.blockStack[len(f.blockStack)-1]
-		for _, id := range objs {
-			in.store.Kill(id)
-		}
-		f.blockStack = f.blockStack[:len(f.blockStack)-1]
-	}()
+	f.pushBlock()
+	defer in.popBlock(f)
 
 	// Lifetime pre-pass: allocate non-VLA automatic objects.
 	for _, s := range blk.List {
@@ -344,14 +340,8 @@ func (in *Interp) execDoWhile(s *cast.DoWhile, resuming bool, label ...string) (
 
 func (in *Interp) execFor(s *cast.For, resuming bool, label ...string) (Ctrl, error) {
 	f := in.curFrame()
-	f.blockStack = append(f.blockStack, nil)
-	defer func() {
-		objs := f.blockStack[len(f.blockStack)-1]
-		for _, id := range objs {
-			in.store.Kill(id)
-		}
-		f.blockStack = f.blockStack[:len(f.blockStack)-1]
-	}()
+	f.pushBlock()
+	defer in.popBlock(f)
 	if !resuming && s.Init != nil {
 		if ds, ok := s.Init.(*cast.DeclStmt); ok {
 			for _, d := range ds.Decls {
@@ -477,14 +467,8 @@ func (in *Interp) execFrom(body cast.Stmt, target cast.Stmt) (Ctrl, error) {
 
 func (in *Interp) execBlockFrom(blk *cast.Compound, target cast.Stmt) (Ctrl, error) {
 	f := in.curFrame()
-	f.blockStack = append(f.blockStack, nil)
-	defer func() {
-		objs := f.blockStack[len(f.blockStack)-1]
-		for _, id := range objs {
-			in.store.Kill(id)
-		}
-		f.blockStack = f.blockStack[:len(f.blockStack)-1]
-	}()
+	f.pushBlock()
+	defer in.popBlock(f)
 	for _, s := range blk.List {
 		if ds, ok := s.(*cast.DeclStmt); ok {
 			for _, d := range ds.Decls {
@@ -591,11 +575,6 @@ func (in *Interp) allocLocal(d *cast.Decl) error {
 	if d.Storage == cast.SStatic || d.Storage == cast.SExtern || d.Type.VLA {
 		return nil
 	}
-	f := in.curFrame()
-	if _, exists := f.locals[d.Sym]; exists {
-		// Re-entering the block (loop iteration): the old object was
-		// killed at block exit; allocate a fresh one.
-	}
 	if !d.Type.IsComplete() {
 		return in.ubError(ub.Catalog[0], d.P, "Object %q has incomplete type %s", d.Name, d.Type)
 	}
@@ -604,7 +583,9 @@ func (in *Interp) allocLocal(d *cast.Decl) error {
 	if err != nil {
 		return err
 	}
-	f.locals[d.Sym] = o.ID
+	// Re-entering the block (a loop iteration) rebinds the slot: the old
+	// object was killed at block exit.
+	in.curFrame().locals[d.Sym.Slot] = o.ID
 	in.trackBlockObj(o.ID)
 	in.markQualRanges(o.ID, 0, d.Type)
 	return nil
@@ -636,7 +617,7 @@ func (in *Interp) execDecl(d *cast.Decl) error {
 				}
 			}
 		}
-		f.locals[d.Sym] = id
+		f.locals[d.Sym.Slot] = id
 		return nil
 
 	case d.Storage == cast.SExtern:
@@ -677,19 +658,19 @@ func (in *Interp) execDecl(d *cast.Decl) error {
 		if err != nil {
 			return err
 		}
-		f.locals[d.Sym] = o.ID
+		f.locals[d.Sym.Slot] = o.ID
 		in.trackBlockObj(o.ID)
 		return nil
 	}
 
 	// Ordinary automatic object: already allocated at block entry; run
 	// the initializer now.
-	id, ok := f.locals[d.Sym]
-	if !ok {
+	id := f.locals[d.Sym.Slot]
+	if id == 0 {
 		if err := in.allocLocal(d); err != nil {
 			return err
 		}
-		id = f.locals[d.Sym]
+		id = f.locals[d.Sym.Slot]
 	}
 	if d.Init == nil {
 		return nil // stays indeterminate (§4.3.3)
@@ -703,7 +684,13 @@ func (in *Interp) evalCall(e *cast.Call) (mem.Value, error) {
 	// The function designator and the arguments are evaluated in an
 	// unspecified order (§2.5.2's setDenom example).
 	n := len(e.Args) + 1
-	vals := make([]mem.Value, n)
+	var vbuf [8]mem.Value // the operands of calls with up to 7 arguments
+	var vals []mem.Value
+	if n <= len(vbuf) {
+		vals = vbuf[:n]
+	} else {
+		vals = make([]mem.Value, n)
+	}
 	var buf [8]int // the order for up to 8 operands, on the stack
 	for _, which := range in.order(buf[:0], n) {
 		var err error
@@ -719,7 +706,11 @@ func (in *Interp) evalCall(e *cast.Call) (mem.Value, error) {
 			in.OperandDone()
 		}
 	}
-	return in.FinishCall(e, vals, in.callUser)
+	fd, args, v, err := in.resolveCall(e, vals)
+	if fd == nil {
+		return v, err
+	}
+	return in.callUser(fd, args, e.P)
 }
 
 // CallFunc invokes a user-defined function with already-converted
@@ -734,34 +725,47 @@ type CallFunc func(fd *cast.FuncDef, args []mem.Value, pos token.Pos) (mem.Value
 // designator (index 0) followed by the evaluated arguments, in source
 // order.
 func (in *Interp) FinishCall(e *cast.Call, vals []mem.Value, call CallFunc) (mem.Value, error) {
+	fd, args, v, err := in.resolveCall(e, vals)
+	if fd == nil {
+		return v, err
+	}
+	return call(fd, args, e.P)
+}
+
+// resolveCall is FinishCall up to the user-function invocation: it returns
+// the called definition and its converted arguments, or, with a nil fd,
+// the call's value or error when a builtin ran or a check failed. The
+// arguments are a slice of vals, which never escapes, so a caller may
+// pass stack storage.
+func (in *Interp) resolveCall(e *cast.Call, vals []mem.Value) (*cast.FuncDef, []mem.Value, mem.Value, error) {
 	// Sequence point after evaluating designator and arguments
 	// (C11 §6.5.2.2:10).
 	in.seqPoint()
 
 	fnv, err := in.usable(vals[0], e.P)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	fp, ok := fnv.(mem.Ptr)
 	if !ok {
-		return nil, in.ubError(ub.InvalidDeref, e.P, "Calling a non-function value")
+		return nil, nil, nil, in.ubError(ub.InvalidDeref, e.P, "Calling a non-function value")
 	}
 	if fp.IsNull() {
-		return nil, in.ubError(ub.InvalidDeref, e.P, "Calling a null function pointer")
+		return nil, nil, nil, in.ubError(ub.InvalidDeref, e.P, "Calling a null function pointer")
 	}
 	name, isFunc := in.objFunc[fp.Base]
 	if !isFunc {
-		return nil, in.ubError(ub.BadFuncPtrCall, e.P, "Calling a pointer that does not point to a function")
+		return nil, nil, nil, in.ubError(ub.BadFuncPtrCall, e.P, "Calling a pointer that does not point to a function")
 	}
 	if err := in.observe(spec.Event{Kind: spec.EvCall, Pos: e.P, Name: name}); err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	args := vals[1:]
 	for i := range args {
 		if args[i], err = in.usable(args[i], e.P); err != nil {
 			// Raw bytes may be passed if they are concrete; usable
 			// already converted those.
-			return nil, err
+			return nil, nil, nil, err
 		}
 	}
 
@@ -769,22 +773,25 @@ func (in *Interp) FinishCall(e *cast.Call, vals []mem.Value, call CallFunc) (mem
 	if bi, isBuiltin := builtins[name]; isBuiltin {
 		if _, userDefined := in.prog.Funcs[name]; !userDefined {
 			in.obsBuiltin(name, e.P)
-			v, berr := bi(in, args, e)
+			// A builtin is called through a func value, which the
+			// compiler must assume keeps its arguments: a copy keeps
+			// vals on the caller's stack.
+			v, berr := bi(in, slices.Clone(args), e)
 			if berr == errSilentOOB {
 				// Unwatched out-of-bounds library access: the operation
 				// "succeeded" against neighboring memory.
 				if e.T == nil || e.T.Kind == ctypes.Void {
-					return mem.Void{}, nil
+					return nil, nil, mem.Void{}, nil
 				}
-				return in.zeroOf(e.T), nil
+				return nil, nil, in.zeroOf(e.T), nil
 			}
-			return v, berr
+			return nil, nil, v, berr
 		}
 	}
 
 	fd, defined := in.prog.Funcs[name]
 	if !defined {
-		return nil, in.ubError(ub.Catalog[82], e.P,
+		return nil, nil, nil, in.ubError(ub.Catalog[82], e.P,
 			"Calling undefined function %q", name)
 	}
 
@@ -796,7 +803,7 @@ func (in *Interp) FinishCall(e *cast.Call, vals []mem.Value, call CallFunc) (mem
 	}
 	if in.prof.CallMismatch && callType.Kind == ctypes.Func {
 		if !ctypes.Compatible(callType, fd.Type) {
-			return nil, in.ubError(ub.BadFuncPtrCall, e.P,
+			return nil, nil, nil, in.ubError(ub.BadFuncPtrCall, e.P,
 				"Calling function %q through an incompatible type (%s, defined as %s)",
 				name, callType, fd.Type)
 		}
@@ -806,7 +813,7 @@ func (in *Interp) FinishCall(e *cast.Call, vals []mem.Value, call CallFunc) (mem
 	// bypass static checking; C11 §6.5.2.2:6).
 	if len(args) != len(fd.Params) && !fd.Type.Variadic {
 		if in.prof.CallMismatch {
-			return nil, in.ubError(ub.BadCallNoProto, e.P,
+			return nil, nil, nil, in.ubError(ub.BadCallNoProto, e.P,
 				"Function %q called with %d arguments but defined with %d",
 				name, len(args), len(fd.Params))
 		}
@@ -829,7 +836,7 @@ func (in *Interp) FinishCall(e *cast.Call, vals []mem.Value, call CallFunc) (mem
 				continue // pointer representation matches
 			}
 			if !ctypes.Compatible(at, pt) {
-				return nil, in.ubError(ub.BadCallArgs, e.P,
+				return nil, nil, nil, in.ubError(ub.BadCallArgs, e.P,
 					"Function %q called without a prototype with argument %d of type %s (parameter has type %s)",
 					name, i+1, at, p.Type)
 			}
@@ -842,11 +849,11 @@ func (in *Interp) FinishCall(e *cast.Call, vals []mem.Value, call CallFunc) (mem
 		}
 		cv, err := in.convertForStore(args[i], p.Type, e.P)
 		if err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
 		args[i] = cv
 	}
-	return call(fd, args, e.P)
+	return fd, args, nil, nil
 }
 
 // callUser invokes a user-defined function with converted arguments,
@@ -864,17 +871,10 @@ func (in *Interp) InvokeUser(fd *cast.FuncDef, args []mem.Value, pos token.Pos, 
 	if len(in.frames) >= in.budget.MaxCallDepth {
 		return nil, &BudgetError{Msg: "call depth exceeded in " + fd.Name}
 	}
-	f := &frame{fn: fd, locals: make(map[*cast.Symbol]mem.ObjID)}
-	f.blockStack = append(f.blockStack, nil)
-	in.frames = append(in.frames, f)
+	f := in.pushFrame(fd)
 	in.pushSeq()
 	defer func() {
-		for _, ids := range f.blockStack {
-			for _, id := range ids {
-				in.store.Kill(id)
-			}
-		}
-		in.frames = in.frames[:len(in.frames)-1]
+		in.popFrame()
 		in.seq = in.seq[:len(in.seq)-1]
 	}()
 
@@ -888,7 +888,7 @@ func (in *Interp) InvokeUser(fd *cast.FuncDef, args []mem.Value, pos token.Pos, 
 		if i < len(args) {
 			in.storeRaw(o, 0, p.Type, args[i])
 		}
-		f.locals[p] = o.ID
+		f.locals[p.Slot] = o.ID
 		in.trackBlockObj(o.ID)
 		in.markQualRanges(o.ID, 0, p.Type)
 	}

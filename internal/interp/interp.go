@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/cast"
@@ -119,7 +120,7 @@ type Interp struct {
 	globals map[*cast.Symbol]mem.ObjID
 	statics map[*cast.Decl]mem.ObjID // static locals, allocated once
 	strLits map[*cast.StringLit]mem.ObjID
-	funcObj map[string]mem.ObjID
+	funcObj map[string]funcDesig
 	objFunc map[mem.ObjID]string
 
 	prof *Profile
@@ -161,11 +162,78 @@ type Interp struct {
 
 // frame is one function activation: the paper's `local` cell.
 type frame struct {
-	fn     *cast.FuncDef
-	locals map[*cast.Symbol]mem.ObjID
+	fn *cast.FuncDef
+	// locals binds the function's frame slots (cast.Symbol.Slot, 1..
+	// fn.NumSlots) to their current objects; 0 is unbound. Index 0 is
+	// never a slot.
+	locals []mem.ObjID
 	// blockStack tracks objects allocated per lexical block so their
 	// lifetime ends at block exit (C11 §6.2.4).
 	blockStack [][]mem.ObjID
+}
+
+// pushFrame opens the activation of fd. Like pushSeq, each call depth
+// reuses one frame, its locals array and its block lists, so a call
+// allocates no bookkeeping once its depth has been reached before.
+func (in *Interp) pushFrame(fd *cast.FuncDef) *frame {
+	n := len(in.frames)
+	var f *frame
+	if n < cap(in.frames) {
+		f = in.frames[:n+1][n]
+	}
+	if f == nil {
+		f = &frame{}
+		in.frames = append(in.frames, f)
+	} else {
+		in.frames = in.frames[:n+1]
+	}
+	f.fn = fd
+	f.locals = slices.Grow(f.locals[:0], fd.NumSlots+1)[:fd.NumSlots+1]
+	clear(f.locals)
+	f.blockStack = f.blockStack[:0]
+	f.pushBlock()
+	return f
+}
+
+// popFrame ends the current activation: every object its blocks still
+// track dies with it.
+func (in *Interp) popFrame() {
+	f := in.curFrame()
+	for _, ids := range f.blockStack {
+		for _, id := range ids {
+			in.store.Kill(id)
+		}
+	}
+	in.frames = in.frames[:len(in.frames)-1]
+}
+
+// pushBlock opens a lexical block, reusing the list of a block that
+// exited at this depth.
+func (f *frame) pushBlock() {
+	n := len(f.blockStack)
+	if n < cap(f.blockStack) {
+		f.blockStack = f.blockStack[:n+1]
+		f.blockStack[n] = f.blockStack[n][:0]
+		return
+	}
+	f.blockStack = append(f.blockStack, nil)
+}
+
+// popBlock closes f's innermost block, ending the lifetime of every
+// object it tracked (C11 §6.2.4).
+func (in *Interp) popBlock(f *frame) {
+	n := len(f.blockStack) - 1
+	for _, id := range f.blockStack[n] {
+		in.store.Kill(id)
+	}
+	f.blockStack = f.blockStack[:n]
+}
+
+// funcDesig is the designator object of one function and, once the run
+// first takes its address, the pointer to it, boxed once per run.
+type funcDesig struct {
+	id  mem.ObjID
+	ptr mem.Value
 }
 
 // seqState is the sequence-point state of one activation: the paper's
@@ -282,7 +350,7 @@ func New(prog *sema.Program, opts Options) *Interp {
 		globals:      make(map[*cast.Symbol]mem.ObjID),
 		statics:      make(map[*cast.Decl]mem.ObjID),
 		strLits:      make(map[*cast.StringLit]mem.ObjID),
-		funcObj:      make(map[string]mem.ObjID),
+		funcObj:      make(map[string]funcDesig),
 		objFunc:      make(map[mem.ObjID]string),
 		volatileLocs: make(map[mem.Loc]struct{}),
 		rngState:     0x2545F4914F6CDD1D,
@@ -520,7 +588,7 @@ func (in *Interp) initGlobals() error {
 	for name, sym := range in.prog.Symbols {
 		if sym.Kind == cast.SymFunc {
 			o := in.store.AllocFunc(name)
-			in.funcObj[name] = o.ID
+			in.funcObj[name] = funcDesig{id: o.ID}
 			in.objFunc[o.ID] = name
 		}
 	}

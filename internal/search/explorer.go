@@ -36,6 +36,7 @@ import (
 	"strconv"
 	"sync"
 
+	"repro/internal/fault"
 	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/sema"
@@ -125,6 +126,14 @@ type explorer struct {
 	deduped int64
 
 	cbMu sync.Mutex // serializes OnOutcome
+
+	// par is the worker count; the caller's goroutine is worker one and
+	// helpers counts the other workers started so far (see run).
+	par, helpers int
+	wg           sync.WaitGroup // the started helpers
+	// panicked is the first panic any worker recovered; run raises it
+	// again on the caller's goroutine.
+	panicked *fault.Relayed
 }
 
 func newExplorer(ctx context.Context, prog *sema.Program, opts Options, maxRuns int) *explorer {
@@ -150,20 +159,38 @@ func (e *explorer) claimState(key uint64) bool {
 	return !loaded
 }
 
-// run seeds the frontier with the root prefix and blocks until the pool
-// drains (or the search stops early).
+// run seeds the frontier with the root prefix and works it off on the
+// calling goroutine, the first worker, until the pool drains (or the
+// search stops early). The other par-1 workers start only once a finished
+// run has put work on the frontier, so a one-run exploration starts no
+// goroutine and runs on the caller's already-grown stack. A panic in any
+// worker stops the search and is raised again here, on the caller's
+// goroutine, as a *fault.Relayed carrying the worker's value and stack:
+// the caller's containment holds whichever goroutine ran the run.
 func (e *explorer) run(par int) {
 	e.queue = [][]int{{}}
 	e.pending = 1
-	var wg sync.WaitGroup
-	for i := 0; i < par; i++ {
-		wg.Add(1)
+	e.par = par
+	e.worker()
+	e.wg.Wait()
+	if e.panicked != nil {
+		panic(e.panicked)
+	}
+}
+
+// startHelpersLocked starts the workers that are not running yet, once
+// the frontier holds work for them. Called with e.mu held.
+func (e *explorer) startHelpersLocked() {
+	if e.helpers == e.par-1 || len(e.queue) == 0 {
+		return
+	}
+	e.wg.Add(e.par - 1 - e.helpers)
+	for ; e.helpers < e.par-1; e.helpers++ {
 		go func() {
-			defer wg.Done()
+			defer e.wg.Done()
 			e.worker()
 		}()
 	}
-	wg.Wait()
 }
 
 func (e *explorer) worker() {
@@ -171,8 +198,15 @@ func (e *explorer) worker() {
 	// runs) so the tracing layer can follow an exploration across the
 	// pool. Free when no collector is installed.
 	_, sp := obs.StartSpan(e.ctx, "search.worker")
-	rec := newRecorder(e)
 	runs := 0
+	defer func() {
+		if r := recover(); r != nil {
+			e.stop(fault.Relay(r))
+		}
+		sp.SetAttr("runs", strconv.Itoa(runs))
+		sp.End()
+	}()
+	rec := newRecorder(e)
 	for {
 		e.mu.Lock()
 		for !e.stopped && e.pending > 0 && len(e.queue) == 0 {
@@ -197,8 +231,19 @@ func (e *explorer) worker() {
 			e.cond.Broadcast()
 		}
 	}
-	sp.SetAttr("runs", strconv.Itoa(runs))
-	sp.End()
+}
+
+// stop ends the search after a worker panicked, keeping the first panic
+// for run to raise.
+func (e *explorer) stop(p *fault.Relayed) {
+	e.mu.Lock()
+	if e.panicked == nil {
+		e.panicked = p
+	}
+	e.stopped = true
+	e.truncated = true
+	e.mu.Unlock()
+	e.cond.Broadcast()
 }
 
 // runOne executes one prefix with the worker's recorder and folds the
@@ -251,13 +296,26 @@ func (e *explorer) runOne(rec *recorder, prefix []int) {
 		Trace:    append([]int{}, prefix...),
 	}
 
-	var deliver bool
-	var snap Stats
+	deliver, snap := e.fold(rec, out)
+	e.cond.Broadcast()
+	if deliver && e.opts.OnOutcome != nil {
+		e.deliver(out, snap)
+	}
+}
+
+// fold merges one finished run into the shared state: its expansion goes
+// on the frontier (starting the helpers if they are not running yet) and
+// a new behavior is recorded. It reports whether out is new and, if so,
+// the stats to deliver it with. The deferred unlock keeps e.mu usable by
+// the other workers even if a bug panics here.
+func (e *explorer) fold(rec *recorder, out Outcome) (deliver bool, snap Stats) {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	fresh := e.expandLocked(rec, e.maxRuns-e.runs-len(e.queue))
 	if !e.stopped && len(fresh) > 0 {
 		e.queue = append(e.queue, fresh...)
 		e.pending += len(fresh)
+		e.startHelpersLocked()
 	}
 	if k := out.Key(); !e.seen[k] {
 		e.seen[k] = true
@@ -271,14 +329,15 @@ func (e *explorer) runOne(rec *recorder, prefix []int) {
 	if deliver && e.opts.OnOutcome != nil {
 		snap = e.statsLocked()
 	}
-	e.mu.Unlock()
-	e.cond.Broadcast()
+	return deliver, snap
+}
 
-	if deliver && e.opts.OnOutcome != nil {
-		e.cbMu.Lock()
-		e.opts.OnOutcome(out, snap)
-		e.cbMu.Unlock()
-	}
+// deliver calls OnOutcome, one call at a time. The deferred unlock lets
+// the other workers deliver (or stop) if the callback panics.
+func (e *explorer) deliver(out Outcome, snap Stats) {
+	e.cbMu.Lock()
+	defer e.cbMu.Unlock()
+	e.opts.OnOutcome(out, snap)
 }
 
 // cancelRun retracts a run the context interrupted and stops the pool.

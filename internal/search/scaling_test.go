@@ -55,13 +55,14 @@ func TestPORBookkeepingLinear(t *testing.T) {
 
 // TestExploreAllocsPerDecision pins the search's allocation count: heap
 // objects per logged decision on fibR(14) at a cap of 16 runs. The
-// interpreter's calls still allocate (frames, locals, objects), but the
+// interpreter's calls still allocate (parameter objects), but the
 // scheduling path, the recorder and the decision tree do not allocate per
-// decision. Measured 1.98 objects per decision (6.54 when each choice
-// point built its order in fresh slices, each run a fresh recorder and
-// each call a fresh sequence-point state); the pin sits about 25% above.
+// decision. Measured 0.85 objects per decision (1.98 with a fresh frame,
+// locals map and operand slice per call; 6.54 when each choice point
+// also built its order in fresh slices, each run a fresh recorder and
+// each call a fresh sequence-point state); pinned at 1.5.
 func TestExploreAllocsPerDecision(t *testing.T) {
-	const pin = 2.5
+	const pin = 1.5
 	_, objects, perRun := porCostPerDecision(t, fmt.Sprintf(fibR, 14), 16)
 	t.Logf("fibR(14): %d decisions/run, %.2f objects/decision", perRun, objects)
 	if objects > pin {

@@ -65,11 +65,13 @@ type Options struct {
 	MaxSteps int64
 	// StopAtFirstUB ends the search as soon as any UB is found.
 	StopAtFirstUB bool
-	// Parallelism is the number of worker goroutines executing runs
-	// (0 or negative = GOMAXPROCS). Workers pull decision prefixes from a
+	// Parallelism is the number of workers executing runs (0 or
+	// negative = GOMAXPROCS). Workers pull decision prefixes from a
 	// shared frontier; every run is an independent interpreter instance,
 	// so outcomes are byte-identical to a sequential search — only
-	// discovery order varies.
+	// discovery order varies. The goroutine calling Explore is the first
+	// worker; the other Parallelism-1 start only once a finished run has
+	// put work on the frontier, so a one-run exploration starts none.
 	Parallelism int
 	// POR enables partial-order reduction: a choice point whose operands
 	// provably commute (disjoint read/write footprints, no allocation
@@ -89,7 +91,8 @@ type Options struct {
 	// discovery order, with a stats snapshot taken at delivery time.
 	// Calls are serialized (never concurrent) but may come from any
 	// worker goroutine. A slow callback backpressures the search, which
-	// is what a streaming consumer wants.
+	// is what a streaming consumer wants. A panic in it, as in any run,
+	// stops the search and is raised again on Explore's caller.
 	OnOutcome func(Outcome, Stats)
 }
 
@@ -106,7 +109,9 @@ type Stats struct {
 	StatesDeduped int64 `json:"states_deduped"`
 	// WallNS is the wall-clock duration of the whole search.
 	WallNS int64 `json:"wall_ns"`
-	// Parallelism is the resolved worker count.
+	// Parallelism is the resolved worker count: the most workers the
+	// search could use. Helpers start only when the frontier has work,
+	// so fewer may have run.
 	Parallelism int `json:"parallelism"`
 }
 
@@ -139,10 +144,14 @@ func (r *Result) UB() *ub.Error {
 func (r *Result) Deterministic() bool { return len(r.Outcomes) <= 1 }
 
 // Explore runs prog under every evaluation order (up to the budget),
-// fanning runs out over Options.Parallelism workers. ctx cancels the
-// search: in-flight runs stop at the next step poll and the frontier is
-// abandoned, returning the outcomes observed so far with Exhausted false.
-// A nil ctx means context.Background().
+// fanning runs out over Options.Parallelism workers, the calling
+// goroutine first. ctx cancels the search: in-flight runs stop at the
+// next step poll and the frontier is abandoned, returning the outcomes
+// observed so far with Exhausted false. A nil ctx means
+// context.Background(). A panic on any worker stops the search and
+// panics again on the caller's goroutine with a *fault.Relayed that
+// carries the worker's panic value and stack, so fault.Guard around
+// Explore contains it.
 func Explore(ctx context.Context, prog *sema.Program, opts Options) Result {
 	if ctx == nil {
 		ctx = context.Background()

@@ -2,9 +2,14 @@ package search_test
 
 import (
 	"context"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	undefc "repro"
+	"repro/internal/fault"
 	"repro/internal/search"
 	"repro/internal/ub"
 )
@@ -147,5 +152,59 @@ int main(void) {
 	}
 	if res.Runs != 1 {
 		t.Errorf("should stop after first run, ran %d", res.Runs)
+	}
+}
+
+// goroutineID reads the current goroutine's id from its stack header.
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return strings.Fields(string(buf))[1]
+}
+
+// TestWorkerPanicContained: a panic on any search worker stops the search
+// and is raised again on Explore's caller, so the caller's fault.Guard
+// contains it, with the panicking worker's value and stack, whichever
+// goroutine ran the run. Every order of the program prints a different
+// output, so every run delivers an outcome.
+func TestWorkerPanicContained(t *testing.T) {
+	prog := compile(t, `
+#include <stdio.h>
+int g;
+int f(int x) { g = g * 10 + x; return 0; }
+int main(void) { f(1) + f(2) + f(3) + f(4); printf("%d\n", g); return 0; }
+`)
+	for _, par := range []int{1, 2, 4} {
+		for _, onHelper := range []bool{false, true} {
+			if onHelper && par == 1 {
+				continue // a single worker is the caller
+			}
+			caller := goroutineID()
+			var panicked atomic.Bool
+			opts := search.Options{MaxRuns: 16, Parallelism: par, OnOutcome: func(search.Outcome, search.Stats) {
+				if onHelper && goroutineID() == caller {
+					// Hand the helpers the chance to deliver.
+					time.Sleep(5 * time.Millisecond)
+					return
+				}
+				panicked.Store(true)
+				panic("boom")
+			}}
+			err := fault.Guard(fault.StageAnalyze, "test.c", func() error {
+				search.Explore(context.Background(), prog, opts)
+				return nil
+			})
+			if !panicked.Load() {
+				t.Errorf("par %d, helper %v: no worker panicked", par, onHelper)
+				continue
+			}
+			ie, ok := fault.AsInternal(err)
+			if !ok {
+				t.Fatalf("par %d, helper %v: Guard returned %v, want a contained panic", par, onHelper, err)
+			}
+			if ie.Value != "boom" || !strings.Contains(ie.Stack, "(*explorer).deliver") {
+				t.Errorf("par %d, helper %v: contained value %q, stack:\n%s\nwant value boom and the worker's stack", par, onHelper, ie.Value, ie.Stack)
+			}
+		}
 	}
 }

@@ -64,6 +64,10 @@ type checker struct {
 	switches  []*cast.Switch
 	labels    map[string]*cast.Label
 	gotos     []*cast.Goto
+	// slots counts the frame slots handed out in the current function:
+	// parameters and block-scope objects, numbered from 1 (see
+	// cast.Symbol.Slot).
+	slots int
 	// vlaScopes tracks whether the current block has VLA declarations
 	// (for the goto-into-VLA-scope check).
 	sawReturnValue bool
@@ -264,6 +268,7 @@ func (c *checker) funcDef(fd *cast.FuncDef) error {
 	c.curFunc = fd
 	c.labels = make(map[string]*cast.Label)
 	c.gotos = nil
+	c.slots = 0
 	c.sawReturnValue = false
 	c.sawPlainReturn = false
 	defer func() {
@@ -281,12 +286,15 @@ func (c *checker) funcDef(fd *cast.FuncDef) error {
 		if err := c.sized(param.Type, fd.P, fmt.Sprintf("parameter %q", param.Name)); err != nil {
 			return err
 		}
+		c.slots++
+		param.Slot = c.slots
 		c.declare(param)
 	}
 	if err := c.stmts(fd.Body.List); err != nil {
 		return err
 	}
 	c.popScope()
+	fd.NumSlots = c.slots
 
 	fd.Labels = c.labels
 	for _, g := range c.gotos {
@@ -448,6 +456,12 @@ func (c *checker) localDecl(d *cast.Decl) error {
 		}
 	}
 	sym := &cast.Symbol{Name: d.Name, Type: d.Type, Kind: cast.SymObject, Storage: d.Storage, Pos: d.P}
+	if d.Storage != cast.SExtern {
+		// Every block-scope object, static or automatic, gets its own
+		// slot, so shadowed names never share one.
+		c.slots++
+		sym.Slot = c.slots
+	}
 	d.Sym = sym
 	// The new declaration is in scope inside its own initializer
 	// (C11 §6.2.1:7), so `int x = x;` reads the indeterminate new x —

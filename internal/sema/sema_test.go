@@ -436,3 +436,100 @@ func TestProgramFileIsSet(t *testing.T) {
 		t.Errorf("Program.File = %q, want test.c", prog.File)
 	}
 }
+
+// blockDecls collects the block-scope declarations of a statement tree.
+func blockDecls(s cast.Stmt, out *[]*cast.Decl) {
+	switch s := s.(type) {
+	case *cast.DeclStmt:
+		*out = append(*out, s.Decls...)
+	case *cast.Compound:
+		for _, inner := range s.List {
+			blockDecls(inner, out)
+		}
+	case *cast.If:
+		blockDecls(s.Then, out)
+		if s.Else != nil {
+			blockDecls(s.Else, out)
+		}
+	case *cast.While:
+		blockDecls(s.Body, out)
+	case *cast.DoWhile:
+		blockDecls(s.Body, out)
+	case *cast.For:
+		if s.Init != nil {
+			blockDecls(s.Init, out)
+		}
+		blockDecls(s.Body, out)
+	case *cast.Switch:
+		blockDecls(s.Body, out)
+	case *cast.Label:
+		blockDecls(s.Stmt, out)
+	case *cast.Case:
+		blockDecls(s.Stmt, out)
+	case *cast.Default:
+		blockDecls(s.Stmt, out)
+	}
+}
+
+// TestFrameSlots: sema numbers every parameter and block-scope object of a
+// function, static ones included, with its own slot in 1..NumSlots —
+// shadowed names and VLAs too — and leaves slot 0 to file-scope objects,
+// functions, and block-scope extern and function declarations.
+func TestFrameSlots(t *testing.T) {
+	prog := check(t, `
+int g;
+int f(int a, int b) {
+	int x = a;
+	static int calls;
+	extern int g;
+	int h(int);
+	{
+		int x = b;
+		char vla[a];
+		for (int i = 0; i < 2; i++) { int x = i; calls += x; }
+		x += vla[0];
+	}
+	return x + calls + g;
+}
+int main(void) { int x = 1; return f(x, 2); }
+`)
+	wantSlotted := map[string]int{"f": 8, "main": 1} // a b x calls x vla i x; x
+	for name, fd := range prog.Funcs {
+		var decls []*cast.Decl
+		blockDecls(fd.Body, &decls)
+		seen := map[int]string{}
+		take := func(sym *cast.Symbol) {
+			if sym.Slot < 1 || sym.Slot > fd.NumSlots {
+				t.Errorf("%s: %s has slot %d, want 1..%d", name, sym.Name, sym.Slot, fd.NumSlots)
+				return
+			}
+			if prev, dup := seen[sym.Slot]; dup {
+				t.Errorf("%s: %s and %s share slot %d", name, prev, sym.Name, sym.Slot)
+			}
+			seen[sym.Slot] = sym.Name
+		}
+		for _, p := range fd.Params {
+			take(p)
+		}
+		for _, d := range decls {
+			if d.Storage == cast.SExtern || d.Sym.Kind == cast.SymFunc {
+				if d.Sym.Slot != 0 {
+					t.Errorf("%s: %s (extern or function) has slot %d, want 0", name, d.Name, d.Sym.Slot)
+				}
+				continue
+			}
+			take(d.Sym)
+		}
+		if len(seen) != wantSlotted[name] || fd.NumSlots != wantSlotted[name] {
+			t.Errorf("%s: %d slotted symbols, NumSlots %d, want %d", name, len(seen), fd.NumSlots, wantSlotted[name])
+		}
+		if fd.Sym.Slot != 0 {
+			t.Errorf("function %s has slot %d, want 0", name, fd.Sym.Slot)
+		}
+	}
+	for name, sym := range prog.Symbols {
+		if sym.Slot != 0 {
+			t.Errorf("file-scope %s has slot %d, want 0", name, sym.Slot)
+		}
+	}
+}

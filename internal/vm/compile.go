@@ -967,7 +967,7 @@ func (c *compiler) compileDecl(d *cast.Decl) cdecl {
 	case d.Storage == cast.SStatic:
 		plan := c.compilePlan(d.Plan)
 		size := c.model.Size(d.Type)
-		sym, name, t := d.Sym, d.Name, d.Type
+		slot, name, t := d.Sym.Slot, d.Name, d.Type
 		return func(in *interp.Interp) error {
 			id, done := in.StaticObj(d)
 			if !done {
@@ -985,7 +985,7 @@ func (c *compiler) compileDecl(d *cast.Decl) cdecl {
 					}
 				}
 			}
-			in.SetLocal(sym, id)
+			in.SetLocal(slot, id)
 			return nil
 		}
 
@@ -998,7 +998,7 @@ func (c *compiler) compileDecl(d *cast.Decl) cdecl {
 			csize = c.compileExpr(d.VLASize)
 		}
 		esize := c.model.Size(d.Type.Elem)
-		pos, sym, name, t := d.P, d.Sym, d.Name, d.Type
+		pos, slot, name, t := d.P, d.Sym.Slot, d.Name, d.Type
 		return func(in *interp.Interp) error {
 			var n int64 = -1
 			if csize != nil {
@@ -1030,7 +1030,7 @@ func (c *compiler) compileDecl(d *cast.Decl) cdecl {
 			if err != nil {
 				return err
 			}
-			in.SetLocal(sym, o.ID)
+			in.SetLocal(slot, o.ID)
 			in.TrackBlockObj(o.ID)
 			return nil
 		}
@@ -1041,14 +1041,14 @@ func (c *compiler) compileDecl(d *cast.Decl) cdecl {
 	plan := c.compilePlan(d.Plan)
 	hasInit := d.Init != nil
 	zeroFill := d.ZeroFill
-	sym := d.Sym
+	slot := d.Sym.Slot
 	return func(in *interp.Interp) error {
-		id, ok := in.LocalObj(sym)
+		id, ok := in.LocalObj(slot)
 		if !ok {
 			if err := in.AllocLocal(d); err != nil {
 				return err
 			}
-			id, _ = in.LocalObj(sym)
+			id, _ = in.LocalObj(slot)
 		}
 		if !hasInit {
 			return nil // stays indeterminate (§4.3.3)
