@@ -44,13 +44,19 @@ test:
 # top: the UB coverage hot path (evaluated/fired counters on every check
 # site) must not allocate, partial-order-reduction bookkeeping must cost
 # the same bytes per logged decision on a deep recursion as on a shallow
-# one, scheduling up to 8 operands must not allocate, a user call must stay
-# under its pinned heap objects (frames are reused), the search must stay
+# one, scheduling up to 8 operands must not allocate, a user call and a
+# run's setup must stay under their pinned heap objects (frames are
+# reused, objects come from the store's slab and bytes are plain values),
+# function pointers must print the same on 20 concurrent runs of one
+# program under the race detector and two interpreters of one program
+# must reach one state digest, the search must stay
 # under its pinned heap objects per logged decision, the preprocessor
 # must reproduce its pinned LP64 output for every suite, torture and fuzz
 # input (also on 8 goroutines at once under the race detector), allocate
 # at most 5x the bytes for 4x the macro uses and includes, and stay under
-# its pinned heap objects per suite unit, and the chaos run
+# its pinned heap objects per suite unit, the whole frontend must
+# reproduce its pinned artifact encoding for every suite, torture and
+# fuzz-seed unit under LP64 and ILP32, and the chaos run
 # finishes by SIGKILLing a shard under a pinned trace id and asserting
 # GET /v1/trace/{id} assembles one Chrome trace with the router's failed
 # forward + backoff spans and spans from the surviving shard processes.
@@ -70,9 +76,11 @@ check: test
 	go test ./internal/obs/ -run 'SpanNoCollector' -count=1
 	go test ./internal/obs/ -run 'TestCoverageLedgerAllocs' -count=1
 	go test ./internal/search/ -run 'TestPORBookkeepingLinear|TestExploreAllocsPerDecision' -count=1
-	go test ./internal/interp/ -run 'TestOrderAllocs|TestCallAllocs' -count=1
+	go test ./internal/interp/ -run 'TestOrderAllocs|TestCallAllocs|TestRunSetupAllocs' -count=1
+	go test -race ./internal/interp/ -run 'TestFuncPtrOutputDeterministic|TestStateDigestAcrossNew' -count=1
 	go test ./internal/cpp/ -run 'TestCPPOutputGolden|TestCPPLinear|TestCPPAllocsPerUnit' -count=1
 	go test -race ./internal/cpp/ -run TestCPPConcurrentGolden -count=1
+	go test ./internal/driver/ -run TestFrontendGolden -count=1
 	go test ./internal/interp/ -run '^$$' -bench BenchmarkObserverOverhead -benchtime 100x
 	go test ./internal/obs/ -run '^$$' -bench BenchmarkSpanOverhead -benchtime 100x
 	go test ./cmd/ubsuite/ -run TestContainmentGate -count=1

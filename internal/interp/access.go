@@ -212,9 +212,6 @@ func (in *Interp) read(lv LV, pos token.Pos) (mem.Value, error) {
 		// Unchecked out-of-bounds read: the adjacent memory of a real
 		// stack frame — concretely, zero bytes.
 		data = make([]mem.Byte, n)
-		for i := range data {
-			data[i] = mem.Concrete{B: 0}
-		}
 	} else {
 		data = o.Data[lv.Off : lv.Off+n]
 	}
@@ -227,7 +224,7 @@ func (in *Interp) decode(o *mem.Object, lv LV, data []mem.Byte, pos token.Pos) (
 	t := lv.T
 	switch {
 	case t.Kind == ctypes.Ptr:
-		p, res := mem.DecodePtr(in.model, t, data)
+		p, res := in.store.DecodePtr(in.model, t, data)
 		switch res {
 		case mem.PtrOK:
 			return p, nil
@@ -305,23 +302,11 @@ func (in *Interp) decode(o *mem.Object, lv LV, data []mem.Byte, pos token.Pos) (
 }
 
 // concretize renders bytes as the concrete octets a real execution would
-// see: pointer fragments become bytes of the synthetic address,
-// indeterminate bytes become zero. Used only under reduced profiles.
+// see (mem.Store.Concretize), counting every synthetic address it makes
+// visible. Used only under reduced profiles.
 func (in *Interp) concretize(data []mem.Byte) []mem.Byte {
-	out := make([]mem.Byte, len(data))
-	for i, b := range data {
-		switch b := b.(type) {
-		case mem.Concrete:
-			out[i] = b
-		case mem.PtrFrag:
-			if b.P.Base > mem.NullBase {
-				in.synthCasts++ // a synthetic address (allocation-order dependent) became visible
-			}
-			out[i] = mem.Concrete{B: uint8(synthAddr(b.P) >> (8 * uint(b.Idx)))}
-		default:
-			out[i] = mem.Concrete{B: 0}
-		}
-	}
+	out, exposed := in.store.Concretize(data)
+	in.synthCasts += int64(exposed)
 	return out
 }
 
@@ -408,7 +393,10 @@ func (in *Interp) write(lv LV, v mem.Value, pos token.Pos) error {
 	if lv.Bit {
 		return in.writeBitField(o, lv, v, pos)
 	}
-	data := in.encode(v, lv.T)
+	data, err := in.encode(v, lv.T)
+	if err != nil {
+		return err
+	}
 	copy(o.Data[lv.Off:lv.Off+n], data)
 	return nil
 }

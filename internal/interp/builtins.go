@@ -98,7 +98,7 @@ func (in *Interp) argPtr(args []mem.Value, i int, pos token.Pos) (mem.Ptr, error
 		return v, nil
 	case mem.Int:
 		if v.Bits == 0 {
-			return mem.Ptr{T: ctypes.PointerTo(ctypes.TVoid), Base: mem.NullBase}, nil
+			return mem.Ptr{T: voidPtrType, Base: mem.NullBase}, nil
 		}
 	}
 	return mem.Ptr{}, in.ubError(ub.NullLibArg, pos, "Library function expected a pointer argument")
@@ -178,13 +178,15 @@ func (in *Interp) cString(p mem.Ptr, pos token.Pos) (string, error) {
 			}
 			return b.String(), nil // fallback: the next frame byte was 0
 		}
-		switch by := o.Data[off].(type) {
-		case mem.Concrete:
-			if by.B == 0 {
+		by := o.Data[off]
+		c, concrete := by.Octet()
+		switch {
+		case concrete:
+			if c == 0 {
 				return b.String(), nil
 			}
-			b.WriteByte(by.B)
-		case mem.Unknown:
+			b.WriteByte(c)
+		case by.IsUnknown():
 			if in.prof.Uninit {
 				return "", in.ubError(ub.IndeterminateValue, pos,
 					"Reading uninitialized bytes as a string")
@@ -228,9 +230,9 @@ func biSprintf(in *Interp, args []mem.Value, e *cast.Call) (mem.Value, error) {
 		return nil, err
 	}
 	for i := 0; i < len(s); i++ {
-		o.Data[dst.Off+int64(i)] = mem.Concrete{B: s[i]}
+		o.Data[dst.Off+int64(i)] = mem.Concrete(s[i])
 	}
-	o.Data[dst.Off+int64(len(s))] = mem.Concrete{B: 0}
+	o.Data[dst.Off+int64(len(s))] = mem.Concrete(0)
 	return mem.Int{T: ctypes.TInt, Bits: uint64(len(s))}, nil
 }
 
@@ -258,9 +260,9 @@ func biSnprintf(in *Interp, args []mem.Value, e *cast.Call) (mem.Value, error) {
 			return nil, err
 		}
 		for i := 0; i < len(out); i++ {
-			o.Data[dst.Off+int64(i)] = mem.Concrete{B: out[i]}
+			o.Data[dst.Off+int64(i)] = mem.Concrete(out[i])
 		}
-		o.Data[dst.Off+int64(len(out))] = mem.Concrete{B: 0}
+		o.Data[dst.Off+int64(len(out))] = mem.Concrete(0)
 	}
 	return mem.Int{T: ctypes.TInt, Bits: uint64(len(s))}, nil
 }
@@ -414,7 +416,7 @@ func (in *Interp) formatPrintf(args []mem.Value, fmtIdx int, pos token.Pos) (str
 			if p.IsNull() {
 				out.WriteString("(nil)")
 			} else {
-				out.WriteString(fmt.Sprintf("0x%x", synthAddr(p)))
+				out.WriteString(fmt.Sprintf("0x%x", p.SynthAddr()))
 			}
 		case 'f', 'e', 'g', 'E', 'G':
 			v, err := nextArg()
@@ -486,7 +488,7 @@ func (in *Interp) voidPtr(e *cast.Call) *ctypes.Type {
 	if e.T != nil && e.T.Kind == ctypes.Ptr {
 		return e.T
 	}
-	return ctypes.PointerTo(ctypes.TVoid)
+	return voidPtrType
 }
 
 func biCalloc(in *Interp, args []mem.Value, e *cast.Call) (mem.Value, error) {
@@ -728,9 +730,8 @@ func (in *Interp) copyBytes(dst, src mem.Ptr, n int64, pos token.Pos) (mem.Value
 	if err != nil {
 		return nil, err
 	}
-	tmp := make([]mem.Byte, n)
-	copy(tmp, so.Data[src.Off:src.Off+n])
-	copy(do.Data[dst.Off:dst.Off+n], tmp)
+	// copy is memmove: overlapping ranges need no temporary.
+	copy(do.Data[dst.Off:dst.Off+n], so.Data[src.Off:src.Off+n])
 	return dst, nil
 }
 
@@ -753,7 +754,7 @@ func biMemset(in *Interp, args []mem.Value, e *cast.Call) (mem.Value, error) {
 		return nil, err
 	}
 	for i := int64(0); i < cnt; i++ {
-		o.Data[dst.Off+i] = mem.Concrete{B: byte(cv.Bits)}
+		o.Data[dst.Off+i] = mem.Concrete(byte(cv.Bits))
 	}
 	return dst, nil
 }
@@ -781,18 +782,18 @@ func biMemcmp(in *Interp, args []mem.Value, e *cast.Call) (mem.Value, error) {
 		return nil, err
 	}
 	for i := int64(0); i < cnt; i++ {
-		ab, aok := ao.Data[a.Off+i].(mem.Concrete)
-		bb, bok := bo.Data[b.Off+i].(mem.Concrete)
+		ab, aok := ao.Data[a.Off+i].Octet()
+		bb, bok := bo.Data[b.Off+i].Octet()
 		if !aok || !bok {
 			if in.prof.Uninit {
 				return nil, in.ubError(ub.IndeterminateValue, e.P,
 					"memcmp on bytes without a determinate value")
 			}
-			ab, bb = mem.Concrete{B: 0}, mem.Concrete{B: 0}
+			ab, bb = 0, 0
 		}
-		if ab.B != bb.B {
+		if ab != bb {
 			r := int64(1)
-			if ab.B < bb.B {
+			if ab < bb {
 				r = -1
 			}
 			return mem.MakeInt(in.model, ctypes.TInt, uint64(r)), nil
@@ -820,7 +821,7 @@ func biMemchr(in *Interp, args []mem.Value, e *cast.Call) (mem.Value, error) {
 		return nil, err
 	}
 	for i := int64(0); i < cnt; i++ {
-		if b, ok := o.Data[p.Off+i].(mem.Concrete); ok && b.B == byte(cv.Bits) {
+		if b, ok := o.Data[p.Off+i].Octet(); ok && b == byte(cv.Bits) {
 			return mem.Ptr{T: in.voidPtr(e), Base: p.Base, Off: p.Off + i}, nil
 		}
 	}
@@ -861,9 +862,9 @@ func biStrcpy(in *Interp, args []mem.Value, e *cast.Call) (mem.Value, error) {
 		return nil, err
 	}
 	for i := 0; i < len(s); i++ {
-		o.Data[dst.Off+int64(i)] = mem.Concrete{B: s[i]}
+		o.Data[dst.Off+int64(i)] = mem.Concrete(s[i])
 	}
-	o.Data[dst.Off+int64(len(s))] = mem.Concrete{B: 0}
+	o.Data[dst.Off+int64(len(s))] = mem.Concrete(0)
 	return dst, nil
 }
 
@@ -897,20 +898,20 @@ func biStrncpy(in *Interp, args []mem.Value, e *cast.Call) (mem.Value, error) {
 		if src.Off+i >= so.Size {
 			return nil, in.ubError(ub.StrFuncBadPtr, e.P, "strncpy reads past the source object")
 		}
-		b, ok := so.Data[src.Off+i].(mem.Concrete)
+		b, ok := so.Data[src.Off+i].Octet()
 		if !ok {
 			if in.prof.Uninit {
 				return nil, in.ubError(ub.IndeterminateValue, e.P, "strncpy on indeterminate bytes")
 			}
-			b = mem.Concrete{B: 0}
+			b = 0
 		}
-		o.Data[dst.Off+i] = b
-		if b.B == 0 {
+		o.Data[dst.Off+i] = mem.Concrete(b)
+		if b == 0 {
 			break
 		}
 	}
 	for ; i < n; i++ {
-		o.Data[dst.Off+i] = mem.Concrete{B: 0}
+		o.Data[dst.Off+i] = mem.Concrete(0)
 	}
 	return dst, nil
 }
@@ -938,9 +939,9 @@ func biStrcat(in *Interp, args []mem.Value, e *cast.Call) (mem.Value, error) {
 		return nil, err
 	}
 	for i := 0; i < len(s); i++ {
-		o.Data[dst.Off+int64(len(d)+i)] = mem.Concrete{B: s[i]}
+		o.Data[dst.Off+int64(len(d)+i)] = mem.Concrete(s[i])
 	}
-	o.Data[dst.Off+int64(len(d)+len(s))] = mem.Concrete{B: 0}
+	o.Data[dst.Off+int64(len(d)+len(s))] = mem.Concrete(0)
 	return dst, nil
 }
 
@@ -974,9 +975,9 @@ func biStrncat(in *Interp, args []mem.Value, e *cast.Call) (mem.Value, error) {
 		return nil, err
 	}
 	for i := 0; i < len(s); i++ {
-		o.Data[dst.Off+int64(len(d)+i)] = mem.Concrete{B: s[i]}
+		o.Data[dst.Off+int64(len(d)+i)] = mem.Concrete(s[i])
 	}
-	o.Data[dst.Off+int64(len(d)+len(s))] = mem.Concrete{B: 0}
+	o.Data[dst.Off+int64(len(d)+len(s))] = mem.Concrete(0)
 	return dst, nil
 }
 
@@ -1048,17 +1049,16 @@ func biStrchr(in *Interp, args []mem.Value, e *cast.Call) (mem.Value, error) {
 		return nil, err
 	}
 	target := byte(cv.Bits)
-	charPtr := ctypes.PointerTo(ctypes.TChar)
 	for i := 0; i <= len(s); i++ {
 		var c byte
 		if i < len(s) {
 			c = s[i]
 		}
 		if c == target {
-			return mem.Ptr{T: charPtr, Base: p.Base, Off: p.Off + int64(i)}, nil
+			return mem.Ptr{T: charPtrType, Base: p.Base, Off: p.Off + int64(i)}, nil
 		}
 	}
-	return mem.Ptr{T: charPtr, Base: mem.NullBase}, nil
+	return mem.Ptr{T: charPtrType, Base: mem.NullBase}, nil
 }
 
 func biStrrchr(in *Interp, args []mem.Value, e *cast.Call) (mem.Value, error) {
@@ -1075,17 +1075,16 @@ func biStrrchr(in *Interp, args []mem.Value, e *cast.Call) (mem.Value, error) {
 		return nil, err
 	}
 	target := byte(cv.Bits)
-	charPtr := ctypes.PointerTo(ctypes.TChar)
 	for i := len(s); i >= 0; i-- {
 		var c byte
 		if i < len(s) {
 			c = s[i]
 		}
 		if c == target {
-			return mem.Ptr{T: charPtr, Base: p.Base, Off: p.Off + int64(i)}, nil
+			return mem.Ptr{T: charPtrType, Base: p.Base, Off: p.Off + int64(i)}, nil
 		}
 	}
-	return mem.Ptr{T: charPtr, Base: mem.NullBase}, nil
+	return mem.Ptr{T: charPtrType, Base: mem.NullBase}, nil
 }
 
 func biStrstr(in *Interp, args []mem.Value, e *cast.Call) (mem.Value, error) {
@@ -1106,11 +1105,10 @@ func biStrstr(in *Interp, args []mem.Value, e *cast.Call) (mem.Value, error) {
 		return nil, err
 	}
 	idx := strings.Index(h, n)
-	charPtr := ctypes.PointerTo(ctypes.TChar)
 	if idx < 0 {
-		return mem.Ptr{T: charPtr, Base: mem.NullBase}, nil
+		return mem.Ptr{T: charPtrType, Base: mem.NullBase}, nil
 	}
-	return mem.Ptr{T: charPtr, Base: hp.Base, Off: hp.Off + int64(idx)}, nil
+	return mem.Ptr{T: charPtrType, Base: hp.Base, Off: hp.Off + int64(idx)}, nil
 }
 
 // ---------- ctype.h ----------

@@ -20,15 +20,15 @@ func (in *Interp) usable(v mem.Value, pos token.Pos) (mem.Value, error) {
 		}
 		return in.zeroOf(v.T), nil
 	case RawByte:
-		if c, ok := v.B.(mem.Concrete); ok {
-			return mem.MakeInt(in.model, v.T, uint64(c.B)), nil
+		if c, ok := v.B.Octet(); ok {
+			return mem.MakeInt(in.model, v.T, uint64(c)), nil
 		}
-		if f, isFrag := v.B.(mem.PtrFrag); isFrag {
+		if p, idx, isFrag := in.store.Frag(v.B); isFrag {
 			if in.prof.Alias {
 				return nil, in.ubError(ub.TrapRepresentation, pos,
 					"Using a byte of a pointer representation as a number")
 			}
-			return mem.MakeInt(in.model, v.T, synthAddr(f.P)>>(8*uint(f.Idx))&0xff), nil
+			return mem.MakeInt(in.model, v.T, p.SynthAddr()>>(8*uint(idx))&0xff), nil
 		}
 		if in.prof.Uninit {
 			return nil, in.ubError(ub.IndeterminateValue, pos,
@@ -40,15 +40,6 @@ func (in *Interp) usable(v mem.Value, pos token.Pos) (mem.Value, error) {
 			"Using the (nonexistent) value of a void expression")
 	}
 	return v, nil
-}
-
-// synthAddr gives a pointer a stable integer rendering for ptr→int casts
-// and %p. The mapping is deliberately not invertible into provenance.
-func synthAddr(p mem.Ptr) uint64 {
-	if p.IsNull() {
-		return 0
-	}
-	return 0x10000000 + uint64(p.Base)<<16 + uint64(p.Off)
 }
 
 // convert converts v to type to (C11 §6.3). Conversions that the standard
@@ -141,7 +132,7 @@ func (in *Interp) convert(v mem.Value, to *ctypes.Type, pos token.Pos) (mem.Valu
 			if val.Base > mem.NullBase {
 				in.synthCasts++ // the synthetic address is allocation-order dependent
 			}
-			return mem.MakeInt(in.model, to, synthAddr(val)), nil
+			return mem.MakeInt(in.model, to, val.SynthAddr()), nil
 		case to.Kind == ctypes.Ptr:
 			out := val
 			out.T = to

@@ -157,8 +157,8 @@ func (in *Interp) CheckPtrUsable(p mem.Ptr, pos token.Pos) *ub.Error {
 
 // StoreRaw writes a value's representation without the UB checks (legal
 // only for initialization).
-func (in *Interp) StoreRaw(o *mem.Object, off int64, t *ctypes.Type, v mem.Value) {
-	in.storeRaw(o, off, t, v)
+func (in *Interp) StoreRaw(o *mem.Object, off int64, t *ctypes.Type, v mem.Value) error {
+	return in.storeRaw(o, off, t, v)
 }
 
 // ---------- operators ----------

@@ -119,15 +119,11 @@ func (in *Interp) loadOrDecay(lv LV, pos token.Pos) (mem.Value, error) {
 }
 
 func (in *Interp) funcPtr(name string, pos token.Pos) (mem.Value, error) {
-	d, ok := in.funcObj[name]
+	i, ok := in.funcs.Lookup(name)
 	if !ok {
 		return nil, in.ubError(ub.Catalog[82], pos, "Use of undefined function %q", name)
 	}
-	if d.ptr == nil {
-		d.ptr = mem.Ptr{T: in.prog.Symbols[name].Type.Decay(), Base: d.id, Off: 0}
-		in.funcObj[name] = d
-	}
-	return d.ptr, nil
+	return in.funcs.Ptr(i), nil
 }
 
 // lvalOf evaluates an expression to an LV (the paper's [L] : T).
@@ -903,7 +899,7 @@ func (in *Interp) ptrSub(x, y mem.Ptr, pos token.Pos) (mem.Value, error) {
 			return nil, in.ubError(ub.PtrSubDifferent, pos,
 				"Subtracting pointers that point into different objects")
 		}
-		d := int64(synthAddr(x)) - int64(synthAddr(y))
+		d := int64(x.SynthAddr()) - int64(y.SynthAddr())
 		if x.T.Kind == ctypes.Ptr && x.T.Elem.IsComplete() {
 			d /= in.model.Size(x.T.Elem)
 		}
@@ -933,8 +929,8 @@ func (in *Interp) ptrCompare(op cast.BinaryOp, x, y mem.Ptr, pos token.Pos) (mem
 				"Relational comparison of pointers to different objects")
 		}
 		// Fallback: compare the synthetic concrete addresses.
-		x = mem.Ptr{T: x.T, Base: mem.NullBase, Off: int64(synthAddr(x))}
-		y = mem.Ptr{T: y.T, Base: mem.NullBase, Off: int64(synthAddr(y))}
+		x = mem.Ptr{T: x.T, Base: mem.NullBase, Off: int64(x.SynthAddr())}
+		y = mem.Ptr{T: y.T, Base: mem.NullBase, Off: int64(y.SynthAddr())}
 	}
 	var b bool
 	switch op {
@@ -1074,9 +1070,14 @@ func decayed(t *ctypes.Type) *ctypes.Type {
 	return t
 }
 
-// voidPtrType is the void* type used for null and forged comparisons —
-// shared so pointer equality tests never allocate a type.
-var voidPtrType = ctypes.PointerTo(ctypes.TVoid)
+// voidPtrType and charPtrType are the void* and char* types of the
+// pointers the interpreter makes itself (null and forged comparisons,
+// library results). They are shared so no such pointer allocates a type,
+// and so the same address stored twice is one pointer-table entry.
+var (
+	voidPtrType = ctypes.PointerTo(ctypes.TVoid)
+	charPtrType = ctypes.PointerTo(ctypes.TChar)
+)
 
 // ---------- conditions ----------
 

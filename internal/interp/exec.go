@@ -753,10 +753,11 @@ func (in *Interp) resolveCall(e *cast.Call, vals []mem.Value) (*cast.FuncDef, []
 	if fp.IsNull() {
 		return nil, nil, nil, in.ubError(ub.InvalidDeref, e.P, "Calling a null function pointer")
 	}
-	name, isFunc := in.objFunc[fp.Base]
-	if !isFunc {
+	fo, ok := in.store.Obj(fp.Base)
+	if !ok || fo.Kind != mem.ObjFunc {
 		return nil, nil, nil, in.ubError(ub.BadFuncPtrCall, e.P, "Calling a pointer that does not point to a function")
 	}
+	name := fo.Name
 	if err := in.observe(spec.Event{Kind: spec.EvCall, Pos: e.P, Name: name}); err != nil {
 		return nil, nil, nil, err
 	}
@@ -886,7 +887,9 @@ func (in *Interp) InvokeUser(fd *cast.FuncDef, args []mem.Value, pos token.Pos, 
 			return nil, err
 		}
 		if i < len(args) {
-			in.storeRaw(o, 0, p.Type, args[i])
+			if err := in.storeRaw(o, 0, p.Type, args[i]); err != nil {
+				return nil, err
+			}
 		}
 		f.locals[p.Slot] = o.ID
 		in.trackBlockObj(o.ID)

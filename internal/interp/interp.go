@@ -120,8 +120,7 @@ type Interp struct {
 	globals map[*cast.Symbol]mem.ObjID
 	statics map[*cast.Decl]mem.ObjID // static locals, allocated once
 	strLits map[*cast.StringLit]mem.ObjID
-	funcObj map[string]funcDesig
-	objFunc map[mem.ObjID]string
+	funcs   *sema.FuncTable // the program's designators, objects 1..len
 
 	prof *Profile
 
@@ -154,6 +153,7 @@ type Interp struct {
 	// global coverage ledger when the run ends, however it ends.
 	cov     *obs.CoverageTally
 	encBuf  []mem.Byte      // scratch for encode, reused so stores never allocate
+	encArr  [16]mem.Byte    // encBuf's first backing array
 	ctxDone <-chan struct{} // cached Options.Context.Done(); nil = no deadline
 	ctx     context.Context
 
@@ -227,13 +227,6 @@ func (in *Interp) popBlock(f *frame) {
 		in.store.Kill(id)
 	}
 	f.blockStack = f.blockStack[:n]
-}
-
-// funcDesig is the designator object of one function and, once the run
-// first takes its address, the pointer to it, boxed once per run.
-type funcDesig struct {
-	id  mem.ObjID
-	ptr mem.Value
 }
 
 // seqState is the sequence-point state of one activation: the paper's
@@ -350,11 +343,11 @@ func New(prog *sema.Program, opts Options) *Interp {
 		globals:      make(map[*cast.Symbol]mem.ObjID),
 		statics:      make(map[*cast.Decl]mem.ObjID),
 		strLits:      make(map[*cast.StringLit]mem.ObjID),
-		funcObj:      make(map[string]funcDesig),
-		objFunc:      make(map[mem.ObjID]string),
+		funcs:        prog.Designators(),
 		volatileLocs: make(map[mem.Loc]struct{}),
 		rngState:     0x2545F4914F6CDD1D,
 	}
+	in.encBuf = in.encArr[:0]
 	in.out = opts.Out
 	if in.out == nil {
 		in.outBuf = &strings.Builder{}
@@ -479,13 +472,18 @@ func (in *Interp) buildArgs(mainFn *cast.FuncDef) ([]mem.Value, error) {
 			return nil, err
 		}
 		for j := 0; j < len(a); j++ {
-			so.Data[j] = mem.Concrete{B: a[j]}
+			so.Data[j] = mem.Concrete(a[j])
 		}
-		so.Data[len(a)] = mem.Concrete{B: 0}
+		so.Data[len(a)] = mem.Concrete(0)
 		p := mem.Ptr{T: ctypes.PointerTo(ctypes.TChar), Base: so.ID, Off: 0}
-		copy(arr.Data[int64(i)*in.model.SizePtr:], mem.EncodePtr(in.model, p))
+		enc, err := in.encode(p, p.T)
+		if err != nil {
+			return nil, err
+		}
+		copy(arr.Data[int64(i)*in.model.SizePtr:], enc)
 	}
-	copy(arr.Data[int64(len(argv))*in.model.SizePtr:], mem.EncodePtr(in.model, mem.Ptr{T: ctypes.PointerTo(ctypes.TChar), Base: mem.NullBase}))
+	// arr.Data's last pointer stays all-zero bytes: the terminating NULL.
+	clear(arr.Data[int64(len(argv))*in.model.SizePtr:])
 	argvVal := mem.Ptr{T: ptrTy, Base: arr.ID, Off: 0}
 	out := []mem.Value{argc, argvVal}
 	return out[:len(mainFn.Params)], nil
@@ -584,13 +582,10 @@ func (in *Interp) ubError(b *ub.Behavior, pos token.Pos, format string, args ...
 // ---------- global initialization ----------
 
 func (in *Interp) initGlobals() error {
-	// Allocate function designator objects first (forward references).
-	for name, sym := range in.prog.Symbols {
-		if sym.Kind == cast.SymFunc {
-			o := in.store.AllocFunc(name)
-			in.funcObj[name] = funcDesig{id: o.ID}
-			in.objFunc[o.ID] = name
-		}
+	// Allocate function designator objects first (forward references),
+	// in the program's declaration order: designator i is object i+1.
+	for _, sym := range in.funcs.Syms {
+		in.store.AllocFunc(sym.Name)
 	}
 	// Allocate all global objects (zero-initialized), then run
 	// initializers in source order.
@@ -691,7 +686,7 @@ func (in *Interp) initAssign(obj mem.ObjID, as cast.InitAssign) error {
 			if i < int64(len(lit.Value)) {
 				b = lit.Value[i]
 			}
-			o.Data[as.Offset+i] = mem.Concrete{B: b}
+			o.Data[as.Offset+i] = mem.Concrete(b)
 		}
 		return nil
 	}
@@ -703,45 +698,48 @@ func (in *Interp) initAssign(obj mem.ObjID, as cast.InitAssign) error {
 	if err != nil {
 		return err
 	}
-	in.storeRaw(o, as.Offset, as.Type, v)
-	return nil
+	return in.storeRaw(o, as.Offset, as.Type, v)
 }
 
 // storeRaw writes a value's representation without the UB checks (used only
 // for initialization, which is always allowed).
-func (in *Interp) storeRaw(o *mem.Object, off int64, t *ctypes.Type, v mem.Value) {
-	data := in.encode(v, t)
-	for i, b := range data {
-		if off+int64(i) < o.Size {
-			o.Data[off+int64(i)] = b
-		}
+func (in *Interp) storeRaw(o *mem.Object, off int64, t *ctypes.Type, v mem.Value) error {
+	data, err := in.encode(v, t)
+	if err != nil {
+		return err
 	}
+	if off < o.Size {
+		copy(o.Data[off:], data)
+	}
+	return nil
 }
 
 // encode renders a value as bytes of type t. The returned slice is
 // scratch storage owned by the interpreter: it is valid only until the
 // next encode call. Every caller copies it into object storage
-// immediately, so stores never allocate for scalar values.
-func (in *Interp) encode(v mem.Value, t *ctypes.Type) []mem.Byte {
+// immediately, so stores never allocate for scalar values. Encoding a
+// pointer fails only when the store's pointer table is over its limit.
+func (in *Interp) encode(v mem.Value, t *ctypes.Type) ([]mem.Byte, error) {
 	switch v := v.(type) {
 	case mem.Int:
 		in.encBuf = mem.AppendInt(in.encBuf[:0], in.model, t, v.Bits)
-		return in.encBuf
 	case mem.Float:
 		in.encBuf = mem.AppendFloat(in.encBuf[:0], in.model, t, v.F)
-		return in.encBuf
 	case mem.Ptr:
-		in.encBuf = mem.AppendPtr(in.encBuf[:0], in.model, v)
-		return in.encBuf
+		var err error
+		if in.encBuf, err = in.store.AppendPtr(in.encBuf[:0], in.model, v); err != nil {
+			return nil, err
+		}
 	case mem.Bytes:
 		// Already a private copy (decode copies aggregates out of the
 		// object); callers only read it.
-		return v.Data
+		return v.Data, nil
 	case RawByte:
 		in.encBuf = append(in.encBuf[:0], v.B)
-		return in.encBuf
+	default:
+		return nil, nil
 	}
-	return nil
+	return in.encBuf, nil
 }
 
 // RawByte and noReturn are defined in the mem package (they are values);
@@ -762,9 +760,9 @@ func (in *Interp) stringLitObj(lit *cast.StringLit) (mem.ObjID, error) {
 		return 0, err
 	}
 	for i, b := range lit.Value {
-		o.Data[i] = mem.Concrete{B: b}
+		o.Data[i] = mem.Concrete(b)
 	}
-	o.Data[len(lit.Value)] = mem.Concrete{B: 0}
+	o.Data[len(lit.Value)] = mem.Concrete(0)
 	in.strLits[lit] = o.ID
 	return o.ID, nil
 }

@@ -399,6 +399,26 @@ int main(void) {
 `, 6, "")
 }
 
+// TestMemmoveOverlap: memmove copies overlapping ranges in both
+// directions as if through a temporary, pointer fragments included.
+func TestMemmoveOverlap(t *testing.T) {
+	expectOK(t, `
+#include <stdio.h>
+#include <string.h>
+int main(void) {
+	char up[11] = "0123456789", down[11] = "0123456789";
+	memmove(up + 3, up, 6);
+	memmove(down, down + 3, 6);
+	int x = 1, y = 2, z = 3;
+	int *ps[4] = { &x, &y, &z, 0 };
+	memmove(ps + 1, ps, 3 * sizeof ps[0]);
+	memmove(ps, ps + 1, 2 * sizeof ps[0]);
+	printf("%s %s %d %d %d %d\n", up, down, *ps[0], *ps[1], *ps[2], *ps[3]);
+	return 0;
+}
+`, 0, "0120123459 3456786789 1 2 2 3\n")
+}
+
 func TestStructByteCopy(t *testing.T) {
 	// §4.3.3: copying a struct byte-by-byte must copy uninitialized
 	// padding without error.

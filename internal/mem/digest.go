@@ -31,20 +31,20 @@ func HashString(h uint64, s string) uint64 {
 }
 
 // digestByte folds one symbolic byte into h, tagged by representation so
-// Concrete{0}, Unknown{0}, and a pointer fragment can never collide
-// structurally.
-func digestByte(h uint64, b Byte) uint64 {
-	switch b := b.(type) {
-	case Concrete:
-		return HashMix(h, 1<<56|uint64(b.B))
-	case PtrFrag:
-		h = HashMix(h, 2<<56|uint64(b.Idx))
-		h = HashMix(h, uint64(b.P.Base))
-		return HashMix(h, uint64(b.P.Off))
-	case Unknown:
-		return HashMix(h, 3<<56|uint64(b.ID))
+// Concrete(0), an unknown byte, and a pointer fragment can never collide
+// structurally. A fragment folds its pointer's base and offset, not its
+// table index, so equal pointers hash equally whichever entry holds them.
+func (s *Store) digestByte(h uint64, b Byte) uint64 {
+	switch b.kind {
+	case kindConcrete:
+		return HashMix(h, 1<<56|uint64(b.b))
+	case kindFrag:
+		p := s.ptrs[b.id]
+		h = HashMix(h, 2<<56|uint64(b.b))
+		h = HashMix(h, uint64(p.Base))
+		return HashMix(h, uint64(p.Off))
 	default:
-		return HashMix(h, 4<<56)
+		return HashMix(h, 3<<56|uint64(b.id))
 	}
 }
 
@@ -63,7 +63,7 @@ func (s *Store) Digest(h uint64) uint64 {
 		h = HashMix(h, tag)
 		h = HashMix(h, uint64(o.Size))
 		for _, b := range o.Data {
-			h = digestByte(h, b)
+			h = s.digestByte(h, b)
 		}
 	}
 	return HashMix(h, uint64(s.unknownSeq))

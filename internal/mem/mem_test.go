@@ -1,8 +1,10 @@
 package mem
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/ctypes"
 )
@@ -53,11 +55,12 @@ func TestFloatRoundTrip(t *testing.T) {
 func TestPtrRoundTrip(t *testing.T) {
 	pt := ctypes.PointerTo(ctypes.TInt)
 	p := Ptr{T: pt, Base: 7, Off: 12}
-	enc := EncodePtr(m, p)
+	s := NewStore()
+	enc := encodePtr(t, s, p)
 	if len(enc) != 8 {
 		t.Fatalf("pointer is %d bytes", len(enc))
 	}
-	got, res := DecodePtr(m, pt, enc)
+	got, res := s.DecodePtr(m, pt, enc)
 	if res != PtrOK || got != p {
 		t.Errorf("round trip: %v %v", got, res)
 	}
@@ -69,23 +72,28 @@ func TestPtrPartialReassembly(t *testing.T) {
 	pt := ctypes.PointerTo(ctypes.TInt)
 	p := Ptr{T: pt, Base: 7, Off: 12}
 	q := Ptr{T: pt, Base: 9, Off: 0}
-	pe, qe := EncodePtr(m, p), EncodePtr(m, q)
+	s := NewStore()
+	pe, qe := encodePtr(t, s, p), encodePtr(t, s, q)
 
 	// Mixed fragments: torn.
 	mixed := append(append([]Byte{}, pe[:4]...), qe[4:]...)
-	if _, res := DecodePtr(m, pt, mixed); res != PtrTorn {
+	if _, res := s.DecodePtr(m, pt, mixed); res != PtrTorn {
 		t.Errorf("mixed fragments decoded: %v", res)
 	}
 	// Out of order: torn.
 	swapped := append([]Byte{}, pe...)
 	swapped[0], swapped[1] = swapped[1], swapped[0]
-	if _, res := DecodePtr(m, pt, swapped); res != PtrTorn {
+	if _, res := s.DecodePtr(m, pt, swapped); res != PtrTorn {
 		t.Errorf("out-of-order fragments decoded: %v", res)
 	}
 	// One byte replaced by an unknown: indeterminate.
 	withUnknown := append([]Byte{}, pe...)
-	withUnknown[3] = Unknown{ID: 1}
-	if _, res := DecodePtr(m, pt, withUnknown); res != PtrIndeterminate {
+	o, err := s.Alloc(ObjAuto, 1, "u", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withUnknown[3] = o.Data[0]
+	if _, res := s.DecodePtr(m, pt, withUnknown); res != PtrIndeterminate {
 		t.Errorf("unknown byte decoded: %v", res)
 	}
 }
@@ -93,14 +101,17 @@ func TestPtrPartialReassembly(t *testing.T) {
 func TestNullPtrEncoding(t *testing.T) {
 	pt := ctypes.PointerTo(ctypes.TChar)
 	null := Ptr{T: pt, Base: NullBase}
-	enc := EncodePtr(m, null)
+	s := NewStore()
+	enc := encodePtr(t, s, null)
 	for _, b := range enc {
-		c, ok := b.(Concrete)
-		if !ok || c.B != 0 {
+		if c, ok := b.Octet(); !ok || c != 0 {
 			t.Fatalf("null pointer encoding has non-zero byte %v", b)
 		}
 	}
-	got, res := DecodePtr(m, pt, enc)
+	if s.PtrEntries() != 0 {
+		t.Errorf("null pointer took %d table entries", s.PtrEntries())
+	}
+	got, res := s.DecodePtr(m, pt, enc)
 	if res != PtrOK || !got.IsNull() {
 		t.Errorf("null decode: %v %v", got, res)
 	}
@@ -109,7 +120,7 @@ func TestNullPtrEncoding(t *testing.T) {
 func TestForgedPtr(t *testing.T) {
 	pt := ctypes.PointerTo(ctypes.TInt)
 	forged := EncodeInt(m, ctypes.TULong, 0xdeadbeef)
-	if _, res := DecodePtr(m, pt, forged); res != PtrFromBytes {
+	if _, res := NewStore().DecodePtr(m, pt, forged); res != PtrFromBytes {
 		t.Errorf("forged pointer: %v", res)
 	}
 }
@@ -132,7 +143,7 @@ func TestIndeterminateRead(t *testing.T) {
 
 func TestPointerBytesAsInt(t *testing.T) {
 	p := Ptr{T: ctypes.PointerTo(ctypes.TInt), Base: 3, Off: 0}
-	enc := EncodePtr(m, p)
+	enc := encodePtr(t, NewStore(), p)
 	if _, res := DecodeInt(m, ctypes.TULong, enc); res != DecodePointerBytes {
 		t.Errorf("pointer bytes read as integer: %v", res)
 	}
@@ -218,9 +229,115 @@ func TestTruthiness(t *testing.T) {
 
 func TestUnknownBytesDistinct(t *testing.T) {
 	s := NewStore()
-	a := s.FreshUnknown().(Unknown)
-	b := s.FreshUnknown().(Unknown)
-	if a.ID == b.ID {
+	o, err := s.Alloc(ObjAuto, 2, "x", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := o.Data[0], o.Data[1]
+	if !a.IsUnknown() || !b.IsUnknown() || a == b {
 		t.Error("unknown bytes must be distinguishable")
+	}
+}
+
+// encodePtr encodes p through s's pointer table.
+func encodePtr(t *testing.T, s *Store, p Ptr) []Byte {
+	t.Helper()
+	enc, err := s.AppendPtr(nil, m, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc
+}
+
+// TestByteIsSmallAndPointerFree: a byte is a 16-byte value with no Go
+// pointers, and its zero value is the concrete octet 0.
+func TestByteIsSmallAndPointerFree(t *testing.T) {
+	if n := unsafe.Sizeof(Byte{}); n > 16 {
+		t.Errorf("Byte is %d bytes, want at most 16", n)
+	}
+	if c, ok := (Byte{}).Octet(); !ok || c != 0 {
+		t.Error("the zero Byte is not the concrete octet 0")
+	}
+	bt := reflect.TypeOf(Byte{})
+	for i := 0; i < bt.NumField(); i++ {
+		switch k := bt.Field(i).Type.Kind(); k {
+		case reflect.Uint8, reflect.Int64:
+		default:
+			t.Errorf("Byte field %s is a %s, not a plain integer", bt.Field(i).Name, k)
+		}
+	}
+}
+
+// TestPtrTableOneEntryPerPointer: every distinct pointer gets one table
+// entry, however often and in whatever order it is stored, and pointers
+// that differ only in type are distinct.
+func TestPtrTableOneEntryPerPointer(t *testing.T) {
+	pt := ctypes.PointerTo(ctypes.TInt)
+	s := NewStore()
+	first := map[Ptr]Byte{}
+	for round := 0; round < 3; round++ {
+		for off := int64(0); off < 100; off++ {
+			for _, ty := range []*ctypes.Type{pt, ctypes.PointerTo(ctypes.TChar)} {
+				p := Ptr{T: ty, Base: 7, Off: off}
+				enc := encodePtr(t, s, p)
+				if b, ok := first[p]; ok && b != enc[0] {
+					t.Fatalf("%v changed table entry on round %d", p, round)
+				}
+				first[p] = enc[0]
+				if got, res := s.DecodePtr(m, ty, enc); res != PtrOK || got != p {
+					t.Fatalf("decode %v: %v %v", p, got, res)
+				}
+			}
+		}
+	}
+	if s.PtrEntries() != len(first) {
+		t.Errorf("%d table entries for %d distinct pointers", s.PtrEntries(), len(first))
+	}
+}
+
+// TestPtrTableCountsAgainstLimit: table entries count against MaxBytes,
+// so storing ever new pointers ends in ErrLimit.
+func TestPtrTableCountsAgainstLimit(t *testing.T) {
+	pt := ctypes.PointerTo(ctypes.TInt)
+	s := NewStore()
+	s.MaxBytes = 1000
+	var err error
+	for off := int64(0); off < 1000 && err == nil; off++ {
+		_, err = s.AppendPtr(nil, m, Ptr{T: pt, Base: 1, Off: off})
+	}
+	if err != ErrLimit {
+		t.Fatalf("storing 1000 distinct pointers under a 1000-byte limit: %v, want ErrLimit", err)
+	}
+	if _, err := s.Alloc(ObjHeap, 1000-int64(s.PtrEntries())*ptrEntryBytes+1, "x", nil); err != ErrLimit {
+		t.Errorf("allocation past the table's share of the limit: %v, want ErrLimit", err)
+	}
+}
+
+// TestSlabAndArena: objects carved from shared chunks stay independent.
+func TestSlabAndArena(t *testing.T) {
+	s := NewStore()
+	var objs []*Object
+	for i := 0; i < 200; i++ {
+		o, err := s.Alloc(ObjAuto, int64(i%70), "x", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.Zero(0, o.Size)
+		objs = append(objs, o)
+	}
+	for i, o := range objs {
+		if got, _ := s.Obj(o.ID); got != o || int64(len(o.Data)) != o.Size || int64(cap(o.Data)) != o.Size {
+			t.Fatalf("object %d: lookup %p vs %p, len %d cap %d size %d", i, got, o, len(o.Data), cap(o.Data), o.Size)
+		}
+		for j := range o.Data {
+			o.Data[j] = Concrete(uint8(i))
+		}
+	}
+	for i, o := range objs {
+		for _, b := range o.Data {
+			if c, _ := b.Octet(); c != uint8(i) {
+				t.Fatalf("object %d's bytes were overwritten by a neighbor", i)
+			}
+		}
 	}
 }

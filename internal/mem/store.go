@@ -2,12 +2,15 @@ package mem
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"unsafe"
 
 	"repro/internal/ctypes"
 )
 
 // ObjKind classifies an object's storage duration and provenance.
-type ObjKind int
+type ObjKind uint8
 
 // Object kinds.
 const (
@@ -37,18 +40,17 @@ func (k ObjKind) String() string {
 // Object is one allocated object: the memory cell entry B ↦ obj(Len, bytes).
 type Object struct {
 	ID   ObjID
-	Kind ObjKind
 	Size int64
 	Data []Byte
+	Kind ObjKind
 
 	// Live is false once the object's lifetime has ended (scope exit,
 	// free); the bytes are retained so dangling uses can be diagnosed.
 	Live bool
 
-	// Name is the declared name (diagnostics), FuncName the designated
-	// function for ObjFunc.
-	Name     string
-	FuncName string
+	// Name is the declared name (diagnostics); for ObjFunc, the
+	// designated function.
+	Name string
 
 	// DeclType is the object's declared/effective type (for the
 	// strict-aliasing check, C11 §6.5:7); nil for heap objects until a
@@ -68,12 +70,29 @@ type Loc struct {
 // allocated densely from 1, so the "map" is a slice indexed by ObjID-1 —
 // every load and store resolves its object with one bounds check instead
 // of a hash lookup.
+//
+// Objects are carved from a slab and small objects' bytes from a chunked
+// arena, both owned by the store, so an allocation rarely reaches the Go
+// heap. The pointer table holds the pointers whose fragments are stored
+// in object bytes (see Byte).
 type Store struct {
 	objs        []*Object // objs[id-1] is the object with base id
 	unknownSeq  int64
-	notWritable map[Loc]struct{}
+	notWritable map[Loc]struct{} // nil until the first const object
 
-	// Limits (failure injection / runaway guards).
+	slab      []Object // unused tail of the current object slab
+	arena     []Byte   // unused tail of the current data chunk
+	arenaSize int      // size of the current data chunk
+
+	// ptrs is the pointer table: fragment bytes name their pointer by
+	// index, and each distinct pointer has one entry. ptrIndex is an
+	// open-addressed hash index over it (1+entry, 0 = empty slot), kept
+	// at most half full, that finds a pointer's existing entry.
+	ptrs     []Ptr
+	ptrIndex []int32
+
+	// Limits (failure injection / runaway guards). MaxBytes bounds the
+	// live objects' bytes plus the pointer table's.
 	MaxObjects int
 	MaxBytes   int64
 	liveBytes  int64
@@ -85,35 +104,55 @@ type Store struct {
 	kills int64
 }
 
+// Slab and arena sizing. Slabs and chunks grow with the store, so a
+// short run pays for a few objects and bytes, not hundreds. Objects of at
+// most arenaObjMax bytes share arena chunks; larger ones get their own
+// slice.
+const (
+	slabMin       = 8
+	slabMax       = 256
+	arenaChunkMin = 64
+	arenaChunkMax = 1024
+	arenaObjMax   = 64
+	ptrIndexMin   = 32
+)
+
+// ptrEntryBytes is what one pointer-table entry counts against MaxBytes:
+// its size in memory, with its share of the index.
+const ptrEntryBytes = int64(unsafe.Sizeof(Ptr{}) + 2*unsafe.Sizeof(int32(0)))
+
 // NewStore returns an empty memory.
 func NewStore() *Store {
 	return &Store{
-		notWritable: make(map[Loc]struct{}),
-		MaxObjects:  1 << 20,
-		MaxBytes:    1 << 24, // 16 MiB of C bytes (each costs ~16x in Go)
+		MaxObjects: 1 << 20,
+		MaxBytes:   1 << 24, // 16 MiB of C bytes (16 bytes of Go memory each)
 	}
 }
 
 // ErrLimit is returned when an allocation exceeds the store's limits.
 var ErrLimit = fmt.Errorf("memory limit exceeded")
 
+// usedBytes is what counts against MaxBytes.
+func (s *Store) usedBytes() int64 { return s.liveBytes + int64(len(s.ptrs))*ptrEntryBytes }
+
 // Alloc creates a new live object of size bytes, all indeterminate.
 func (s *Store) Alloc(kind ObjKind, size int64, name string, declType *ctypes.Type) (*Object, error) {
-	if len(s.objs) >= s.MaxObjects || s.liveBytes+size > s.MaxBytes || size < 0 {
+	if len(s.objs) >= s.MaxObjects || s.usedBytes()+size > s.MaxBytes || size < 0 {
 		return nil, ErrLimit
 	}
-	o := &Object{
-		ID:       ObjID(len(s.objs) + 1),
-		Kind:     kind,
-		Size:     size,
-		Data:     make([]Byte, size),
-		Live:     true,
-		Name:     name,
-		DeclType: declType,
-	}
+	// The slab slot is zero: set only what differs, field by field, so no
+	// whole-struct copy runs the GC's bulk write barrier.
+	o := s.newObject()
+	o.ID = ObjID(len(s.objs) + 1)
+	o.Kind = kind
+	o.Size = size
+	o.Data = s.carve(size)
+	o.Live = true
+	o.Name = name
+	o.DeclType = declType
 	for i := range o.Data {
 		s.unknownSeq++
-		o.Data[i] = Unknown{ID: s.unknownSeq}
+		o.Data[i] = Byte{kind: kindUnknown, id: s.unknownSeq}
 	}
 	s.objs = append(s.objs, o)
 	s.liveBytes += size
@@ -122,9 +161,41 @@ func (s *Store) Alloc(kind ObjKind, size int64, name string, declType *ctypes.Ty
 
 // AllocFunc creates the designator object for a function.
 func (s *Store) AllocFunc(name string) *Object {
-	o := &Object{ID: ObjID(len(s.objs) + 1), Kind: ObjFunc, Size: 0, Live: true, Name: name, FuncName: name}
+	o := s.newObject()
+	o.ID = ObjID(len(s.objs) + 1)
+	o.Kind = ObjFunc
+	o.Live = true
+	o.Name = name
 	s.objs = append(s.objs, o)
 	return o
+}
+
+// newObject hands out the next slot of the object slab. A new slab also
+// makes room in objs for all of its objects.
+func (s *Store) newObject() *Object {
+	if len(s.slab) == 0 {
+		n := min(max(len(s.objs), slabMin), slabMax)
+		s.slab = make([]Object, n)
+		s.objs = slices.Grow(s.objs, n)
+	}
+	o := &s.slab[0]
+	s.slab = s.slab[1:]
+	return o
+}
+
+// carve returns n zero (concrete 0) bytes for a new object. The slice is
+// capped at n, so no append can reach a neighbor's bytes.
+func (s *Store) carve(n int64) []Byte {
+	if n > arenaObjMax {
+		return make([]Byte, n)
+	}
+	if int64(len(s.arena)) < n {
+		s.arenaSize = min(max(2*s.arenaSize, arenaChunkMin), arenaChunkMax)
+		s.arena = make([]Byte, s.arenaSize)
+	}
+	d := s.arena[:n:n]
+	s.arena = s.arena[n:]
+	return d
 }
 
 // Obj looks up an object by base. It returns objects whose lifetime has
@@ -148,13 +219,16 @@ func (s *Store) Kill(id ObjID) {
 
 // Zero fills [off, off+n) with concrete zero bytes.
 func (o *Object) Zero(off, n int64) {
-	for i := off; i < off+n && i < o.Size; i++ {
-		o.Data[i] = Concrete{B: 0}
+	if off < o.Size {
+		clear(o.Data[off:min(off+n, o.Size)])
 	}
 }
 
 // MarkNotWritable records [off, off+n) of obj as const (paper §4.2.2).
 func (s *Store) MarkNotWritable(obj ObjID, off, n int64) {
+	if s.notWritable == nil {
+		s.notWritable = make(map[Loc]struct{})
+	}
 	for i := off; i < off+n; i++ {
 		s.notWritable[Loc{Obj: obj, Off: i}] = struct{}{}
 	}
@@ -173,17 +247,156 @@ func (s *Store) IsNotWritable(obj ObjID, off, n int64) bool {
 	return false
 }
 
-// FreshUnknown returns a new indeterminate byte.
-func (s *Store) FreshUnknown() Byte {
-	s.unknownSeq++
-	return Unknown{ID: s.unknownSeq}
-}
-
 // NumObjects reports how many objects (live or dead) the store tracks.
 func (s *Store) NumObjects() int { return len(s.objs) }
+
+// PtrEntries reports the size of the pointer table.
+func (s *Store) PtrEntries() int { return len(s.ptrs) }
 
 // LiveBytes reports the total size of live objects.
 func (s *Store) LiveBytes() int64 { return s.liveBytes }
 
 // Kills reports how many object lifetimes have ended so far.
 func (s *Store) Kills() int64 { return s.kills }
+
+// ---------- pointer fragments ----------
+
+// AppendPtr appends the representation of p to buf: its fragments, the
+// paper's subObject(p, i) bytes. A null pointer is encoded as all-zero
+// concrete bytes so that memset(&p, 0, sizeof p) produces a null pointer,
+// as on real hardware. A non-null pointer's fragments name its
+// pointer-table entry, which is added the first time the pointer is
+// stored; a table grown past MaxBytes yields ErrLimit.
+func (s *Store) AppendPtr(buf []Byte, m *ctypes.Model, p Ptr) ([]Byte, error) {
+	n := int(m.SizePtr)
+	if p.IsNull() {
+		for i := 0; i < n; i++ {
+			buf = append(buf, Concrete(0))
+		}
+		return buf, nil
+	}
+	id, err := s.ptrEntry(p)
+	if err != nil {
+		return buf, err
+	}
+	for i := 0; i < n; i++ {
+		buf = append(buf, Byte{kind: kindFrag, b: uint8(i), id: id})
+	}
+	return buf, nil
+}
+
+// ptrEntry returns p's pointer-table index, adding an entry for a pointer
+// not stored before.
+func (s *Store) ptrEntry(p Ptr) (int64, error) {
+	if 2*len(s.ptrs) >= len(s.ptrIndex) {
+		s.growPtrIndex()
+	}
+	mask := uint64(len(s.ptrIndex) - 1)
+	for i := ptrHash(p) & mask; ; i = (i + 1) & mask {
+		e := s.ptrIndex[i]
+		if e == 0 {
+			if s.usedBytes()+ptrEntryBytes > s.MaxBytes || len(s.ptrs) >= math.MaxInt32 {
+				return 0, ErrLimit
+			}
+			s.ptrs = append(s.ptrs, p)
+			s.ptrIndex[i] = int32(len(s.ptrs))
+			return int64(len(s.ptrs) - 1), nil
+		}
+		if s.ptrs[e-1] == p {
+			return int64(e - 1), nil
+		}
+	}
+}
+
+// growPtrIndex doubles the pointer index (ptrIndexMin slots at first)
+// and re-inserts every entry.
+func (s *Store) growPtrIndex() {
+	if s.ptrIndex == nil {
+		s.ptrs = make([]Ptr, 0, ptrIndexMin/2)
+	}
+	s.ptrIndex = make([]int32, max(ptrIndexMin, 2*len(s.ptrIndex)))
+	mask := uint64(len(s.ptrIndex) - 1)
+	for e, p := range s.ptrs {
+		i := ptrHash(p) & mask
+		for s.ptrIndex[i] != 0 {
+			i = (i + 1) & mask
+		}
+		s.ptrIndex[i] = int32(e + 1)
+	}
+}
+
+// ptrHash hashes a pointer's base and offset; pointers that differ only
+// in type share a probe sequence and are told apart by comparison.
+func ptrHash(p Ptr) uint64 { return HashMix(HashMix(HashSeed, uint64(p.Base)), uint64(p.Off)) }
+
+// Frag resolves a pointer fragment to its pointer and its index within
+// the pointer's representation; ok is false for any other byte.
+func (s *Store) Frag(b Byte) (p Ptr, idx int, ok bool) {
+	if b.kind != kindFrag {
+		return Ptr{}, 0, false
+	}
+	return s.ptrs[b.id], int(b.b), true
+}
+
+// DecodePtr reassembles a pointer of type t from its bytes. Only a complete,
+// in-order set of fragments of a single pointer yields the pointer back
+// (§4.3.2: "this allows the reconstruction of the original pointer, but
+// only if given all the bytes"). Fragments belong to the same pointer when
+// their table entries are equal. All-zero concrete bytes yield null.
+func (s *Store) DecodePtr(m *ctypes.Model, t *ctypes.Type, data []Byte) (Ptr, DecodePtrResult) {
+	if len(data) == 0 {
+		return Ptr{}, PtrTorn
+	}
+	if first := data[0]; first.kind == kindFrag {
+		p := s.ptrs[first.id]
+		for i, b := range data {
+			if b.kind == kindUnknown {
+				return Ptr{}, PtrIndeterminate
+			}
+			if b.kind != kindFrag || int(b.b) != i || b.id != first.id && s.ptrs[b.id] != p {
+				return Ptr{}, PtrTorn
+			}
+		}
+		p.T = t
+		return p, PtrOK
+	}
+	allZero := true
+	for _, b := range data {
+		switch b.kind {
+		case kindConcrete:
+			if b.b != 0 {
+				allZero = false
+			}
+		case kindUnknown:
+			return Ptr{}, PtrIndeterminate
+		default:
+			return Ptr{}, PtrTorn
+		}
+	}
+	if allZero {
+		return Ptr{T: t, Base: NullBase}, PtrOK
+	}
+	return Ptr{}, PtrFromBytes
+}
+
+// Concretize renders data as the concrete octets a real execution would
+// see: pointer fragments become bytes of their pointer's synthetic
+// address, indeterminate bytes become zero. exposed counts the fragments
+// of pointers into objects, each of which made an allocation-order
+// dependent address visible.
+func (s *Store) Concretize(data []Byte) (out []Byte, exposed int) {
+	out = make([]Byte, len(data))
+	for i, b := range data {
+		switch b.kind {
+		case kindConcrete:
+			out[i] = b
+		case kindFrag:
+			p := s.ptrs[b.id]
+			if p.Base > NullBase {
+				exposed++
+			}
+			out[i] = Concrete(uint8(p.SynthAddr() >> (8 * uint(b.b))))
+		}
+	}
+	return out, exposed
+}

@@ -6,6 +6,14 @@
 // semantics (§4.3.1). Memory is a map from object bases to byte arrays;
 // a byte is either a concrete octet, a pointer fragment subObject(p, i)
 // (§4.3.2), or an indeterminate unknown byte (§4.3.3).
+//
+// A Byte is a small tagged union with no Go pointers in it, so object
+// data costs 16 bytes per C byte and the garbage collector never scans
+// it. A pointer fragment names its pointer by an index into the owning
+// Store's pointer table, which gets one entry per stored pointer (not one
+// per byte); fragments are therefore only meaningful to the Store that
+// made them, and pointer encoding, decoding, concretization and the state
+// digest are Store methods.
 package mem
 
 import (
@@ -125,6 +133,16 @@ func (v Ptr) isValue()            {}
 // IsNull reports whether v is a null pointer.
 func (v Ptr) IsNull() bool { return v.Base == NullBase }
 
+// SynthAddr gives the pointer a stable integer rendering for ptr→int
+// casts, %p and arithmetic reads of its fragments. The mapping is
+// deliberately not invertible into provenance.
+func (v Ptr) SynthAddr() uint64 {
+	if v.IsNull() {
+		return 0
+	}
+	return 0x10000000 + uint64(v.Base)<<16 + uint64(v.Off)
+}
+
 func (v Ptr) String() string {
 	if v.IsNull() {
 		return "NULL:" + v.T.String()
@@ -190,29 +208,31 @@ func IsTruthy(v Value) (bool, bool) {
 
 // ---------- bytes ----------
 
-// Byte is one byte of the object representation.
-type Byte interface{ isByte() }
-
-// Concrete is an ordinary octet.
-type Concrete struct{ B uint8 }
-
-func (Concrete) isByte() {}
-
-// PtrFrag is byte Idx of the representation of pointer P — the paper's
-// subObject(p, i). A pointer can only be reconstituted from all of its
-// fragments, in order (§4.3.2).
-type PtrFrag struct {
-	P   Ptr
-	Idx int
+// Byte is one byte of the object representation: a concrete octet, a
+// pointer fragment subObject(p, i), or an indeterminate unknown(N). The
+// zero Byte is the concrete octet 0.
+type Byte struct {
+	kind byteKind
+	b    uint8 // the octet, or the fragment's index within its pointer
+	id   int64 // the unknown's identity, or the fragment's pointer-table entry
 }
 
-func (PtrFrag) isByte() {}
+type byteKind uint8
 
-// Unknown is an indeterminate byte — the paper's unknown(N). ID
-// distinguishes independent indeterminate values.
-type Unknown struct{ ID int64 }
+const (
+	kindConcrete byteKind = iota
+	kindFrag
+	kindUnknown
+)
 
-func (Unknown) isByte() {}
+// Concrete returns the ordinary octet b.
+func Concrete(b uint8) Byte { return Byte{b: b} }
+
+// Octet returns the byte's value and true if it is a concrete octet.
+func (b Byte) Octet() (uint8, bool) { return b.b, b.kind == kindConcrete }
+
+// IsUnknown reports whether b is indeterminate — the paper's unknown(N).
+func (b Byte) IsUnknown() bool { return b.kind == kindUnknown }
 
 // ---------- encoding ----------
 
@@ -227,7 +247,7 @@ func EncodeInt(m *ctypes.Model, t *ctypes.Type, bits uint64) []Byte {
 func AppendInt(buf []Byte, m *ctypes.Model, t *ctypes.Type, bits uint64) []Byte {
 	n := m.Size(t)
 	for i := int64(0); i < n; i++ {
-		buf = append(buf, Concrete{B: uint8(bits >> (8 * i))})
+		buf = append(buf, Concrete(uint8(bits>>(8*i))))
 	}
 	return buf
 }
@@ -238,7 +258,7 @@ type DecodeIntResult int
 // Decode outcomes.
 const (
 	DecodeOK            DecodeIntResult = iota
-	DecodeIndeterminate                 // contains Unknown bytes
+	DecodeIndeterminate                 // contains unknown bytes
 	DecodePointerBytes                  // contains pointer fragments
 )
 
@@ -246,12 +266,12 @@ const (
 func DecodeInt(m *ctypes.Model, t *ctypes.Type, data []Byte) (uint64, DecodeIntResult) {
 	var bits uint64
 	for i, b := range data {
-		switch b := b.(type) {
-		case Concrete:
-			bits |= uint64(b.B) << (8 * i)
-		case Unknown:
+		switch b.kind {
+		case kindConcrete:
+			bits |= uint64(b.b) << (8 * i)
+		case kindUnknown:
 			return 0, DecodeIndeterminate
-		case PtrFrag:
+		default:
 			return 0, DecodePointerBytes
 		}
 	}
@@ -260,17 +280,7 @@ func DecodeInt(m *ctypes.Model, t *ctypes.Type, data []Byte) (uint64, DecodeIntR
 
 // EncodeFloat renders a floating value as concrete bytes.
 func EncodeFloat(m *ctypes.Model, t *ctypes.Type, f float64) []Byte {
-	switch m.Size(t) {
-	case 4:
-		return EncodeInt(m, ctypes.TUInt, uint64(math.Float32bits(float32(f))))
-	default:
-		b := EncodeInt(m, ctypes.TULongLong, math.Float64bits(f))
-		// long double: pad to the model's size with zero bytes.
-		for int64(len(b)) < m.Size(t) {
-			b = append(b, Concrete{B: 0})
-		}
-		return b
-	}
+	return AppendFloat(nil, m, t, f)
 }
 
 // AppendFloat is the allocation-free sibling of EncodeFloat.
@@ -281,8 +291,9 @@ func AppendFloat(buf []Byte, m *ctypes.Model, t *ctypes.Type, f float64) []Byte 
 	default:
 		start := len(buf)
 		buf = AppendInt(buf, m, ctypes.TULongLong, math.Float64bits(f))
+		// long double: pad to the model's size with zero bytes.
 		for int64(len(buf)-start) < n {
-			buf = append(buf, Concrete{B: 0})
+			buf = append(buf, Concrete(0))
 		}
 		return buf
 	}
@@ -303,35 +314,12 @@ func DecodeFloat(m *ctypes.Model, t *ctypes.Type, data []Byte) (float64, DecodeI
 			return 0, res
 		}
 		for _, b := range data[8:] {
-			if _, ok := b.(Concrete); !ok {
+			if b.kind != kindConcrete {
 				return 0, DecodeIndeterminate
 			}
 		}
 		return math.Float64frombits(bits), DecodeOK
 	}
-}
-
-// EncodePtr splits a pointer into fragments (the paper's subObject bytes).
-// A null pointer is encoded as all-zero concrete bytes so that
-// memset(&p, 0, sizeof p) produces a null pointer, as on real hardware.
-func EncodePtr(m *ctypes.Model, p Ptr) []Byte {
-	return AppendPtr(nil, m, p)
-}
-
-// AppendPtr is the allocation-free sibling of EncodePtr (the fragment
-// boxes themselves still allocate; the slice header does not).
-func AppendPtr(buf []Byte, m *ctypes.Model, p Ptr) []Byte {
-	n := int(m.SizePtr)
-	if p.IsNull() {
-		for i := 0; i < n; i++ {
-			buf = append(buf, Concrete{B: 0})
-		}
-		return buf
-	}
-	for i := 0; i < n; i++ {
-		buf = append(buf, PtrFrag{P: p, Idx: i})
-	}
-	return buf
 }
 
 // DecodePtrResult describes the outcome of reassembling a pointer.
@@ -344,44 +332,3 @@ const (
 	PtrFromBytes                     // arbitrary concrete bytes (forged pointer)
 	PtrTorn                          // fragments of different pointers, or out of order
 )
-
-// DecodePtr reassembles a pointer of type t from its bytes. Only a complete,
-// in-order set of fragments of a single pointer yields the pointer back
-// (§4.3.2: "this allows the reconstruction of the original pointer, but
-// only if given all the bytes"). All-zero concrete bytes yield null.
-func DecodePtr(m *ctypes.Model, t *ctypes.Type, data []Byte) (Ptr, DecodePtrResult) {
-	if len(data) == 0 {
-		return Ptr{}, PtrTorn
-	}
-	if first, ok := data[0].(PtrFrag); ok {
-		for i, b := range data {
-			if _, unk := b.(Unknown); unk {
-				return Ptr{}, PtrIndeterminate
-			}
-			f, ok := b.(PtrFrag)
-			if !ok || f.Idx != i || f.P != first.P {
-				return Ptr{}, PtrTorn
-			}
-		}
-		p := first.P
-		p.T = t
-		return p, PtrOK
-	}
-	allZero := true
-	for _, b := range data {
-		switch b := b.(type) {
-		case Concrete:
-			if b.B != 0 {
-				allZero = false
-			}
-		case Unknown:
-			return Ptr{}, PtrIndeterminate
-		case PtrFrag:
-			return Ptr{}, PtrTorn
-		}
-	}
-	if allZero {
-		return Ptr{T: t, Base: NullBase}, PtrOK
-	}
-	return Ptr{}, PtrFromBytes
-}

@@ -13,6 +13,7 @@ package sema
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/cast"
 	"repro/internal/ctypes"
@@ -37,7 +38,9 @@ func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 // own structures, keyed by AST pointers where needed, and only read the
 // Program. One *Program may therefore be shared freely across concurrent
 // analyses; driver.Cache and the parallel runner rely on this
-// (enforced by tools.TestConcurrentSharedProgram under -race).
+// (enforced by tools.TestConcurrentSharedProgram under -race). The one
+// field written after Check is the function-designator table, which
+// Designators builds once under a sync.Once before any reader sees it.
 type Program struct {
 	Model *ctypes.Model
 	// File is the translation unit's source file name — the unit label
@@ -50,6 +53,9 @@ type Program struct {
 	Symbols map[string]*cast.Symbol // file-scope symbols by name
 	// StaticUB collects statically detected undefined behaviors.
 	StaticUB []*ub.Error
+
+	funcTabOnce sync.Once
+	funcTab     *FuncTable
 }
 
 // checker carries the state of one checking pass.

@@ -913,7 +913,7 @@ func (c *compiler) compileInitAssign(as cast.InitAssign) cinit {
 				if i < int64(len(val)) {
 					b = val[i]
 				}
-				o.Data[off+i] = mem.Concrete{B: b}
+				o.Data[off+i] = mem.Concrete(b)
 			}
 			return nil
 		}
@@ -934,8 +934,7 @@ func (c *compiler) compileInitAssign(as cast.InitAssign) cinit {
 		if err != nil {
 			return err
 		}
-		in.StoreRaw(o, off, t, v)
-		return nil
+		return in.StoreRaw(o, off, t, v)
 	}
 }
 
