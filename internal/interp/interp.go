@@ -584,8 +584,8 @@ func (in *Interp) ubError(b *ub.Behavior, pos token.Pos, format string, args ...
 func (in *Interp) initGlobals() error {
 	// Allocate function designator objects first (forward references),
 	// in the program's declaration order: designator i is object i+1.
-	for _, sym := range in.funcs.Syms {
-		in.store.AllocFunc(sym.Name)
+	for i := range in.funcs.Len() {
+		in.store.AllocFunc(in.funcs.Name(i))
 	}
 	// Allocate all global objects (zero-initialized), then run
 	// initializers in source order.

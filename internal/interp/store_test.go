@@ -148,7 +148,7 @@ func TestPtrTableLimit(t *testing.T) {
 func TestRunSetupAllocs(t *testing.T) {
 	const pin = 78
 	prog := compileT(t, setupSrc)
-	if n := len(prog.Designators().Syms); n < 8 {
+	if n := prog.Designators().Len(); n < 8 {
 		t.Fatalf("program has %d designators, want at least 8", n)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
@@ -156,7 +156,7 @@ func TestRunSetupAllocs(t *testing.T) {
 			t.Fatalf("%v %v", res.Err, res.UB)
 		}
 	})
-	t.Logf("%.0f heap objects per run, %d designators", allocs, len(prog.Designators().Syms))
+	t.Logf("%.0f heap objects per run, %d designators", allocs, prog.Designators().Len())
 	if allocs > pin {
 		t.Errorf("%.0f heap objects per run, want at most %d", allocs, pin)
 	}

@@ -2,6 +2,7 @@ package sema
 
 import (
 	"slices"
+	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -16,31 +17,42 @@ import (
 // table order, so designator i is object i+1 on every run, and so are
 // the synthetic addresses and state digests that depend on it.
 type FuncTable struct {
-	Syms   []*cast.Symbol              // the designated functions' file-scope symbols
-	byName []int32                     // Syms indices sorted by name
-	ptrs   []atomic.Pointer[mem.Value] // pointers to the designators, boxed on first use
+	entries []funcEntry
 }
+
+// funcEntry is designator i's entry, plus the ith step of the table's
+// name order. One slice holds both, so a table is one allocation.
+type funcEntry struct {
+	sym    *cast.Symbol              // the designated function's file-scope symbol
+	ptr    atomic.Pointer[mem.Value] // the pointer to the designator, boxed on first use
+	byName int32                     // the index of the ith designator by name
+}
+
+// Len is the number of designators.
+func (t *FuncTable) Len() int { return len(t.entries) }
+
+// Name is designator i's function.
+func (t *FuncTable) Name(i int) string { return t.entries[i].sym.Name }
 
 // Lookup returns the index of name's designator.
 func (t *FuncTable) Lookup(name string) (int, bool) {
-	i, ok := slices.BinarySearchFunc(t.byName, name, func(j int32, name string) int {
-		return strings.Compare(t.Syms[j].Name, name)
-	})
-	if !ok {
+	k := sort.Search(len(t.entries), func(k int) bool { return t.Name(int(t.entries[k].byName)) >= name })
+	if k == len(t.entries) || t.Name(int(t.entries[k].byName)) != name {
 		return 0, false
 	}
-	return int(t.byName[i]), true
+	return int(t.entries[k].byName), true
 }
 
 // Ptr returns the pointer to designator i. It is boxed once per program
 // and only for designators some run uses; runs that race to box it box
 // equal values.
 func (t *FuncTable) Ptr(i int) mem.Value {
-	if p := t.ptrs[i].Load(); p != nil {
+	e := &t.entries[i]
+	if p := e.ptr.Load(); p != nil {
 		return *p
 	}
-	v := mem.Value(mem.Ptr{T: t.Syms[i].Type.Decay(), Base: mem.ObjID(i + 1)})
-	t.ptrs[i].Store(&v)
+	v := mem.Value(mem.Ptr{T: e.sym.Type.Decay(), Base: mem.ObjID(i + 1)})
+	e.ptr.Store(&v)
 	return v
 }
 
@@ -49,22 +61,12 @@ func (t *FuncTable) Ptr(i int) mem.Value {
 // program; it is not part of the program's encoded form.
 func (p *Program) Designators() *FuncTable {
 	p.funcTabOnce.Do(func() { p.funcTab = buildFuncTable(p) })
-	return p.funcTab
+	return &p.funcTab
 }
 
-func buildFuncTable(p *Program) *FuncTable {
-	n := 0
-	for _, sym := range p.Symbols {
-		if sym.Kind == cast.SymFunc {
-			n++
-		}
-	}
-	t := &FuncTable{
-		Syms:   make([]*cast.Symbol, 0, n),
-		byName: make([]int32, n),
-		ptrs:   make([]atomic.Pointer[mem.Value], n),
-	}
-	seen := make(map[*cast.Symbol]bool, n)
+func buildFuncTable(p *Program) FuncTable {
+	var syms []*cast.Symbol
+	seen := make(map[*cast.Symbol]bool)
 	for _, n := range p.Unit.Order {
 		var name string
 		switch n := n.(type) {
@@ -75,25 +77,28 @@ func buildFuncTable(p *Program) *FuncTable {
 		}
 		if sym, ok := p.Symbols[name]; ok && sym.Kind == cast.SymFunc && !seen[sym] {
 			seen[sym] = true
-			t.Syms = append(t.Syms, sym)
+			syms = append(syms, sym)
 		}
 	}
-	if len(t.Syms) < n {
-		// Functions declared only at block scope, by name.
-		var rest []*cast.Symbol
-		for _, sym := range p.Symbols {
-			if sym.Kind == cast.SymFunc && !seen[sym] {
-				rest = append(rest, sym)
-			}
+	// Functions declared only at block scope, by name.
+	var rest []*cast.Symbol
+	for _, sym := range p.Symbols {
+		if sym.Kind == cast.SymFunc && !seen[sym] {
+			rest = append(rest, sym)
 		}
-		slices.SortFunc(rest, func(a, b *cast.Symbol) int { return strings.Compare(a.Name, b.Name) })
-		t.Syms = append(t.Syms, rest...)
 	}
-	for i := range t.byName {
-		t.byName[i] = int32(i)
+	slices.SortFunc(rest, func(a, b *cast.Symbol) int { return strings.Compare(a.Name, b.Name) })
+	syms = append(syms, rest...)
+
+	byName := make([]int32, len(syms))
+	for i := range byName {
+		byName[i] = int32(i)
 	}
-	slices.SortFunc(t.byName, func(a, b int32) int {
-		return strings.Compare(t.Syms[a].Name, t.Syms[b].Name)
-	})
+	slices.SortFunc(byName, func(a, b int32) int { return strings.Compare(syms[a].Name, syms[b].Name) })
+	t := FuncTable{entries: make([]funcEntry, len(syms))}
+	for i, sym := range syms {
+		t.entries[i].sym = sym
+		t.entries[i].byName = byName[i]
+	}
 	return t
 }

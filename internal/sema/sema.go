@@ -55,7 +55,7 @@ type Program struct {
 	StaticUB []*ub.Error
 
 	funcTabOnce sync.Once
-	funcTab     *FuncTable
+	funcTab     FuncTable
 }
 
 // checker carries the state of one checking pass.
