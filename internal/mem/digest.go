@@ -35,16 +35,16 @@ func HashString(h uint64, s string) uint64 {
 // structurally. A fragment folds its pointer's base and offset, not its
 // table index, so equal pointers hash equally whichever entry holds them.
 func (s *Store) digestByte(h uint64, b Byte) uint64 {
-	switch b.kind {
+	switch b.kind() {
 	case kindConcrete:
-		return HashMix(h, 1<<56|uint64(b.b))
+		return HashMix(h, 1<<56|uint64(b.low()))
 	case kindFrag:
-		p := s.ptrs[b.id]
-		h = HashMix(h, 2<<56|uint64(b.b))
+		p := s.ptrs[b.id()]
+		h = HashMix(h, 2<<56|uint64(b.low()))
 		h = HashMix(h, uint64(p.Base))
 		return HashMix(h, uint64(p.Off))
 	default:
-		return HashMix(h, 3<<56|uint64(b.id))
+		return HashMix(h, 3<<56|uint64(b.id()))
 	}
 }
 

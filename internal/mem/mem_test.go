@@ -239,6 +239,19 @@ func TestUnknownBytesDistinct(t *testing.T) {
 	}
 }
 
+func TestBytePacking(t *testing.T) {
+	for _, c := range []struct {
+		k   byteKind
+		low uint8
+		id  int64
+	}{{kindConcrete, 0xff, 0}, {kindFrag, 7, 1<<40 + 3}, {kindUnknown, 0, idMask}, {kindUnknown, 0, 1}} {
+		b := makeByte(c.k, c.low, c.id)
+		if b.kind() != c.k || b.low() != c.low || b.id() != c.id {
+			t.Errorf("makeByte(%d, %d, %d) reads back %d, %d, %d", c.k, c.low, c.id, b.kind(), b.low(), b.id())
+		}
+	}
+}
+
 // encodePtr encodes p through s's pointer table.
 func encodePtr(t *testing.T, s *Store, p Ptr) []Byte {
 	t.Helper()
@@ -249,11 +262,12 @@ func encodePtr(t *testing.T, s *Store, p Ptr) []Byte {
 	return enc
 }
 
-// TestByteIsSmallAndPointerFree: a byte is a 16-byte value with no Go
-// pointers, and its zero value is the concrete octet 0.
+// TestByteIsSmallAndPointerFree: a byte is a one-word value with no Go
+// pointers, its zero value is the concrete octet 0, and its fields
+// survive packing.
 func TestByteIsSmallAndPointerFree(t *testing.T) {
-	if n := unsafe.Sizeof(Byte{}); n > 16 {
-		t.Errorf("Byte is %d bytes, want at most 16", n)
+	if n := unsafe.Sizeof(Byte{}); n > 8 {
+		t.Errorf("Byte is %d bytes, want at most 8", n)
 	}
 	if c, ok := (Byte{}).Octet(); !ok || c != 0 {
 		t.Error("the zero Byte is not the concrete octet 0")
@@ -261,7 +275,7 @@ func TestByteIsSmallAndPointerFree(t *testing.T) {
 	bt := reflect.TypeOf(Byte{})
 	for i := 0; i < bt.NumField(); i++ {
 		switch k := bt.Field(i).Type.Kind(); k {
-		case reflect.Uint8, reflect.Int64:
+		case reflect.Uint64:
 		default:
 			t.Errorf("Byte field %s is a %s, not a plain integer", bt.Field(i).Name, k)
 		}

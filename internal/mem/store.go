@@ -152,7 +152,7 @@ func (s *Store) Alloc(kind ObjKind, size int64, name string, declType *ctypes.Ty
 	o.DeclType = declType
 	for i := range o.Data {
 		s.unknownSeq++
-		o.Data[i] = Byte{kind: kindUnknown, id: s.unknownSeq}
+		o.Data[i] = makeByte(kindUnknown, 0, s.unknownSeq)
 	}
 	s.objs = append(s.objs, o)
 	s.liveBytes += size
@@ -171,12 +171,15 @@ func (s *Store) AllocFunc(name string) *Object {
 }
 
 // newObject hands out the next slot of the object slab. A new slab also
-// makes room in objs for all of its objects.
+// makes room in objs for all of its objects; objs at least doubles when it
+// grows, so a long run copies it rarely.
 func (s *Store) newObject() *Object {
 	if len(s.slab) == 0 {
 		n := min(max(len(s.objs), slabMin), slabMax)
 		s.slab = make([]Object, n)
-		s.objs = slices.Grow(s.objs, n)
+		if cap(s.objs) < len(s.objs)+n {
+			s.objs = slices.Grow(s.objs, max(n, len(s.objs)))
+		}
 	}
 	o := &s.slab[0]
 	s.slab = s.slab[1:]
@@ -280,7 +283,7 @@ func (s *Store) AppendPtr(buf []Byte, m *ctypes.Model, p Ptr) ([]Byte, error) {
 		return buf, err
 	}
 	for i := 0; i < n; i++ {
-		buf = append(buf, Byte{kind: kindFrag, b: uint8(i), id: id})
+		buf = append(buf, makeByte(kindFrag, uint8(i), id))
 	}
 	return buf, nil
 }
@@ -332,10 +335,10 @@ func ptrHash(p Ptr) uint64 { return HashMix(HashMix(HashSeed, uint64(p.Base)), u
 // Frag resolves a pointer fragment to its pointer and its index within
 // the pointer's representation; ok is false for any other byte.
 func (s *Store) Frag(b Byte) (p Ptr, idx int, ok bool) {
-	if b.kind != kindFrag {
+	if b.kind() != kindFrag {
 		return Ptr{}, 0, false
 	}
-	return s.ptrs[b.id], int(b.b), true
+	return s.ptrs[b.id()], int(b.low()), true
 }
 
 // DecodePtr reassembles a pointer of type t from its bytes. Only a complete,
@@ -347,13 +350,13 @@ func (s *Store) DecodePtr(m *ctypes.Model, t *ctypes.Type, data []Byte) (Ptr, De
 	if len(data) == 0 {
 		return Ptr{}, PtrTorn
 	}
-	if first := data[0]; first.kind == kindFrag {
-		p := s.ptrs[first.id]
+	if first := data[0]; first.kind() == kindFrag {
+		p := s.ptrs[first.id()]
 		for i, b := range data {
-			if b.kind == kindUnknown {
+			if b.kind() == kindUnknown {
 				return Ptr{}, PtrIndeterminate
 			}
-			if b.kind != kindFrag || int(b.b) != i || b.id != first.id && s.ptrs[b.id] != p {
+			if b.kind() != kindFrag || int(b.low()) != i || b.id() != first.id() && s.ptrs[b.id()] != p {
 				return Ptr{}, PtrTorn
 			}
 		}
@@ -362,9 +365,9 @@ func (s *Store) DecodePtr(m *ctypes.Model, t *ctypes.Type, data []Byte) (Ptr, De
 	}
 	allZero := true
 	for _, b := range data {
-		switch b.kind {
+		switch b.kind() {
 		case kindConcrete:
-			if b.b != 0 {
+			if b.low() != 0 {
 				allZero = false
 			}
 		case kindUnknown:
@@ -387,15 +390,15 @@ func (s *Store) DecodePtr(m *ctypes.Model, t *ctypes.Type, data []Byte) (Ptr, De
 func (s *Store) Concretize(data []Byte) (out []Byte, exposed int) {
 	out = make([]Byte, len(data))
 	for i, b := range data {
-		switch b.kind {
+		switch b.kind() {
 		case kindConcrete:
 			out[i] = b
 		case kindFrag:
-			p := s.ptrs[b.id]
+			p := s.ptrs[b.id()]
 			if p.Base > NullBase {
 				exposed++
 			}
-			out[i] = Concrete(uint8(p.SynthAddr() >> (8 * uint(b.b))))
+			out[i] = Concrete(uint8(p.SynthAddr() >> (8 * uint(b.low()))))
 		}
 	}
 	return out, exposed

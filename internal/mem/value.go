@@ -209,13 +209,12 @@ func IsTruthy(v Value) (bool, bool) {
 // ---------- bytes ----------
 
 // Byte is one byte of the object representation: a concrete octet, a
-// pointer fragment subObject(p, i), or an indeterminate unknown(N). The
-// zero Byte is the concrete octet 0.
-type Byte struct {
-	kind byteKind
-	b    uint8 // the octet, or the fragment's index within its pointer
-	id   int64 // the unknown's identity, or the fragment's pointer-table entry
-}
+// pointer fragment subObject(p, i), or an indeterminate unknown(N). It is
+// one word: the kind in the top two bits, an identity in the bits below
+// them (the unknown's, or the fragment's pointer-table entry) and, in the
+// low eight bits, the octet or the fragment's index within its pointer.
+// The zero Byte is the concrete octet 0.
+type Byte struct{ w uint64 }
 
 type byteKind uint8
 
@@ -225,14 +224,28 @@ const (
 	kindUnknown
 )
 
+const (
+	kindShift = 62
+	idShift   = 8
+	idMask    = 1<<(kindShift-idShift) - 1
+)
+
+func makeByte(k byteKind, low uint8, id int64) Byte {
+	return Byte{uint64(k)<<kindShift | uint64(id)&idMask<<idShift | uint64(low)}
+}
+
+func (b Byte) kind() byteKind { return byteKind(b.w >> kindShift) }
+func (b Byte) low() uint8     { return uint8(b.w) }
+func (b Byte) id() int64      { return int64(b.w >> idShift & idMask) }
+
 // Concrete returns the ordinary octet b.
-func Concrete(b uint8) Byte { return Byte{b: b} }
+func Concrete(b uint8) Byte { return Byte{uint64(b)} }
 
 // Octet returns the byte's value and true if it is a concrete octet.
-func (b Byte) Octet() (uint8, bool) { return b.b, b.kind == kindConcrete }
+func (b Byte) Octet() (uint8, bool) { return b.low(), b.kind() == kindConcrete }
 
 // IsUnknown reports whether b is indeterminate — the paper's unknown(N).
-func (b Byte) IsUnknown() bool { return b.kind == kindUnknown }
+func (b Byte) IsUnknown() bool { return b.kind() == kindUnknown }
 
 // ---------- encoding ----------
 
@@ -266,9 +279,9 @@ const (
 func DecodeInt(m *ctypes.Model, t *ctypes.Type, data []Byte) (uint64, DecodeIntResult) {
 	var bits uint64
 	for i, b := range data {
-		switch b.kind {
+		switch b.kind() {
 		case kindConcrete:
-			bits |= uint64(b.b) << (8 * i)
+			bits |= uint64(b.low()) << (8 * i)
 		case kindUnknown:
 			return 0, DecodeIndeterminate
 		default:
@@ -314,7 +327,7 @@ func DecodeFloat(m *ctypes.Model, t *ctypes.Type, data []Byte) (float64, DecodeI
 			return 0, res
 		}
 		for _, b := range data[8:] {
-			if b.kind != kindConcrete {
+			if b.kind() != kindConcrete {
 				return 0, DecodeIndeterminate
 			}
 		}
