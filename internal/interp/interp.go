@@ -487,7 +487,7 @@ func (in *Interp) buildArgs(mainFn *cast.FuncDef) ([]mem.Value, error) {
 		}
 		copy(arr.Data[int64(i)*in.model.SizePtr:], enc)
 	}
-	// arr.Data's last pointer stays all-zero bytes: the terminating NULL.
+	// The last pointer is the terminating NULL: all-zero bytes.
 	clear(arr.Data[int64(len(argv))*in.model.SizePtr:])
 	argvVal := mem.Ptr{T: ptrTy, Base: arr.ID, Off: 0}
 	out := []mem.Value{argc, argvVal}

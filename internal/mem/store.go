@@ -125,7 +125,7 @@ const ptrEntryBytes = int64(unsafe.Sizeof(Ptr{}) + 2*unsafe.Sizeof(int32(0)))
 func NewStore() *Store {
 	return &Store{
 		MaxObjects: 1 << 20,
-		MaxBytes:   1 << 24, // 16 MiB of C bytes (16 bytes of Go memory each)
+		MaxBytes:   1 << 24, // 16 MiB of C bytes (8 bytes of Go memory each)
 	}
 }
 

@@ -8,12 +8,12 @@
 // (§4.3.2), or an indeterminate unknown byte (§4.3.3).
 //
 // A Byte is a small tagged union with no Go pointers in it, so object
-// data costs 16 bytes per C byte and the garbage collector never scans
+// data costs 8 bytes per C byte and the garbage collector never scans
 // it. A pointer fragment names its pointer by an index into the owning
-// Store's pointer table, which gets one entry per stored pointer (not one
-// per byte); fragments are therefore only meaningful to the Store that
-// made them, and pointer encoding, decoding, concretization and the state
-// digest are Store methods.
+// Store's pointer table, which gets one entry per distinct stored
+// pointer (not one per byte); fragments are therefore only meaningful to
+// the Store that made them, and pointer encoding, decoding,
+// concretization and the state digest are Store methods.
 package mem
 
 import (
