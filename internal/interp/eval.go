@@ -119,16 +119,11 @@ func (in *Interp) loadOrDecay(lv LV, pos token.Pos) (mem.Value, error) {
 }
 
 func (in *Interp) funcPtr(name string, pos token.Pos) (mem.Value, error) {
-	// Most designator uses repeat the previous one (a loop or a recursion
-	// calling one function), so the last lookup is remembered.
-	if name != in.lastFunc.name {
-		i, ok := in.funcs.Lookup(name)
-		if !ok {
-			return nil, in.ubError(ub.Catalog[82], pos, "Use of undefined function %q", name)
-		}
-		in.lastFunc.name, in.lastFunc.idx = name, i
+	i, ok := in.funcs.Lookup(name)
+	if !ok {
+		return nil, in.ubError(ub.Catalog[82], pos, "Use of undefined function %q", name)
 	}
-	return in.funcs.Ptr(in.lastFunc.idx), nil
+	return in.funcs.Ptr(i), nil
 }
 
 // lvalOf evaluates an expression to an LV (the paper's [L] : T).

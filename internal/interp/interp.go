@@ -121,11 +121,6 @@ type Interp struct {
 	statics map[*cast.Decl]mem.ObjID // static locals, allocated once
 	strLits map[*cast.StringLit]mem.ObjID
 	funcs   *sema.FuncTable // the program's designators, objects 1..len
-	// lastFunc is funcPtr's last lookup in funcs.
-	lastFunc struct {
-		name string
-		idx  int
-	}
 
 	prof *Profile
 

@@ -104,10 +104,10 @@ func TestStateDigestAcrossNew(t *testing.T) {
 	}
 }
 
-// TestPtrTableBounded: storing one pointer 100,000 times keeps the store's
-// pointer table at one entry per distinct pointer (address and type
-// object): &x reaches it under two type objects, the & expression's and
-// the conditional's, and &y under one.
+// TestPtrTableBounded: storing pointers to objects 100,000 times adds
+// nothing to the store's pointer table: their fragments hold the address.
+// &x reaches p and q under two type objects, the & expression's and the
+// conditional's.
 func TestPtrTableBounded(t *testing.T) {
 	prog := compileT(t, `int main(void) {
 	int x, y, *p, *q;
@@ -118,19 +118,51 @@ func TestPtrTableBounded(t *testing.T) {
 	if res := in.RunMachine(); res.Err != nil || res.UB != nil {
 		t.Fatalf("%v %v", res.Err, res.UB)
 	}
-	if n := in.store.PtrEntries(); n > 3 {
-		t.Errorf("pointer table has %d entries after storing 3 distinct pointers 200,000 times", n)
+	if n := in.store.PtrEntries(); n != 0 {
+		t.Errorf("pointer table has %d entries after storing pointers to objects 200,000 times", n)
+	}
+}
+
+// TestPtrWalkLargeBuffer: a pointer walked over a 700,000-byte buffer
+// stores 700,000 distinct addresses, and the run stays inside the default
+// limits.
+func TestPtrWalkLargeBuffer(t *testing.T) {
+	prog := compileT(t, `static char buf[700000];
+int main(void) {
+	for (char *p = buf; p < buf + sizeof buf; p++) *p = 1;
+	return buf[sizeof buf - 1] - 1;
+}`)
+	if res := Run(prog, Options{}); res.Err != nil || res.UB != nil || res.ExitCode != 0 {
+		t.Errorf("err %v, UB %v, exit %d; want a clean exit 0", res.Err, res.UB, res.ExitCode)
+	}
+}
+
+// TestPtrHalvesOfEqualPointers: the bytes of two pointers to one object
+// are interchangeable, even when the pointers were computed with
+// different type objects (here the & expression's and the
+// conditional's), so a pointer assembled from half of each reads back.
+func TestPtrHalvesOfEqualPointers(t *testing.T) {
+	prog := compileT(t, `#include <string.h>
+int main(void) {
+	int x = 1, y = 2, c = 1;
+	int *p = &x, *q = c ? &x : &y, *r;
+	memcpy(&r, &p, sizeof r / 2);
+	memcpy((char *)&r + sizeof r / 2, (char *)&q + sizeof r / 2, sizeof r / 2);
+	return *r - 1;
+}`)
+	if res := Run(prog, Options{}); res.Err != nil || res.UB != nil || res.ExitCode != 0 {
+		t.Errorf("err %v, UB %v, exit %d; want a clean exit 0", res.Err, res.UB, res.ExitCode)
 	}
 }
 
 // TestPtrTableLimit: the pointer table counts against the store's byte
-// limit, so a loop storing ever new pointers ends in the memory-limit
-// error like a runaway allocation.
+// limit, so a loop storing ever new pointers forged from large integers
+// ends in the memory-limit error like a runaway allocation.
 func TestPtrTableLimit(t *testing.T) {
 	prog := compileT(t, `int main(void) {
-	char a[1000], *p;
-	for (int i = 0; i < 1000; i++) p = &a[i];
-	return p == a;
+	char *p;
+	for (long i = 0; i < 1000; i++) p = (char *)(0x100000000L + i);
+	return p != 0;
 }`)
 	in := New(prog, Options{})
 	in.store.MaxBytes = 2000

@@ -32,14 +32,13 @@ func HashString(h uint64, s string) uint64 {
 
 // digestByte folds one symbolic byte into h, tagged by representation so
 // Concrete(0), an unknown byte, and a pointer fragment can never collide
-// structurally. A fragment folds its pointer's base and offset, not its
-// table index, so equal pointers hash equally whichever entry holds them.
+// structurally. A fragment folds its pointer's base and offset.
 func (s *Store) digestByte(h uint64, b Byte) uint64 {
 	switch b.kind() {
 	case kindConcrete:
 		return HashMix(h, 1<<56|uint64(b.low()))
 	case kindFrag:
-		p := s.ptrs[b.id()]
+		p := s.fragPtr(b.id())
 		h = HashMix(h, 2<<56|uint64(b.low()))
 		h = HashMix(h, uint64(p.Base))
 		return HashMix(h, uint64(p.Off))

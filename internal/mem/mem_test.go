@@ -282,22 +282,49 @@ func TestByteIsSmallAndPointerFree(t *testing.T) {
 	}
 }
 
-// TestPtrTableOneEntryPerPointer: every distinct pointer gets one table
-// entry, however often and in whatever order it is stored, and pointers
-// that differ only in type are distinct.
+// TestPtrFragInline: pointers into and just past objects name their
+// address in the fragment itself, so storing them, however many, adds no
+// table entry; pointers that differ only in type have one representation.
+func TestPtrFragInline(t *testing.T) {
+	ip, cp := ctypes.PointerTo(ctypes.TInt), ctypes.PointerTo(ctypes.TChar)
+	s := NewStore()
+	for _, base := range []ObjID{InvalidBase, 1, 7, 1<<fragBaseBits - 2} {
+		for _, off := range []int64{0, 1, 100_000, 1<<fragOffBits - 1} {
+			p := Ptr{T: ip, Base: base, Off: off}
+			enc := encodePtr(t, s, p)
+			if got, res := s.DecodePtr(m, ip, enc); res != PtrOK || got != p {
+				t.Fatalf("decode %v: %v %v", p, got, res)
+			}
+			if other := encodePtr(t, s, Ptr{T: cp, Base: base, Off: off}); other[0] != enc[0] {
+				t.Fatalf("%v is represented differently as a char pointer", p)
+			}
+		}
+	}
+	if s.PtrEntries() != 0 {
+		t.Errorf("%d table entries for pointers that fit inline", s.PtrEntries())
+	}
+}
+
+// TestPtrTableOneEntryPerPointer: an address that does not fit inline
+// gets one table entry, however often, in whatever order and with
+// whatever type it is stored.
 func TestPtrTableOneEntryPerPointer(t *testing.T) {
-	pt := ctypes.PointerTo(ctypes.TInt)
 	s := NewStore()
 	first := map[Ptr]Byte{}
 	for round := 0; round < 3; round++ {
 		for off := int64(0); off < 100; off++ {
-			for _, ty := range []*ctypes.Type{pt, ctypes.PointerTo(ctypes.TChar)} {
-				p := Ptr{T: ty, Base: 7, Off: off}
+			for _, ty := range []*ctypes.Type{ctypes.PointerTo(ctypes.TInt), ctypes.PointerTo(ctypes.TChar)} {
+				addr := Ptr{Base: InvalidBase, Off: 1<<40 + off}
+				if off%2 == 1 {
+					addr = Ptr{Base: 3, Off: -off}
+				}
+				p := addr
+				p.T = ty
 				enc := encodePtr(t, s, p)
-				if b, ok := first[p]; ok && b != enc[0] {
+				if b, ok := first[addr]; ok && b != enc[0] {
 					t.Fatalf("%v changed table entry on round %d", p, round)
 				}
-				first[p] = enc[0]
+				first[addr] = enc[0]
 				if got, res := s.DecodePtr(m, ty, enc); res != PtrOK || got != p {
 					t.Fatalf("decode %v: %v %v", p, got, res)
 				}
@@ -305,19 +332,19 @@ func TestPtrTableOneEntryPerPointer(t *testing.T) {
 		}
 	}
 	if s.PtrEntries() != len(first) {
-		t.Errorf("%d table entries for %d distinct pointers", s.PtrEntries(), len(first))
+		t.Errorf("%d table entries for %d distinct addresses", s.PtrEntries(), len(first))
 	}
 }
 
 // TestPtrTableCountsAgainstLimit: table entries count against MaxBytes,
-// so storing ever new pointers ends in ErrLimit.
+// so storing ever new out-of-line pointers ends in ErrLimit.
 func TestPtrTableCountsAgainstLimit(t *testing.T) {
 	pt := ctypes.PointerTo(ctypes.TInt)
 	s := NewStore()
 	s.MaxBytes = 1000
 	var err error
 	for off := int64(0); off < 1000 && err == nil; off++ {
-		_, err = s.AppendPtr(nil, m, Ptr{T: pt, Base: 1, Off: off})
+		_, err = s.AppendPtr(nil, m, Ptr{T: pt, Base: InvalidBase, Off: 1<<40 + off})
 	}
 	if err != ErrLimit {
 		t.Fatalf("storing 1000 distinct pointers under a 1000-byte limit: %v, want ErrLimit", err)

@@ -73,8 +73,8 @@ type Loc struct {
 //
 // Objects are carved from a slab and small objects' bytes from a chunked
 // arena, both owned by the store, so an allocation rarely reaches the Go
-// heap. The pointer table holds the pointers whose fragments are stored
-// in object bytes (see Byte).
+// heap. The pointer table holds the few stored addresses that a pointer
+// fragment cannot name inline (see fragID).
 type Store struct {
 	objs        []*Object // objs[id-1] is the object with base id
 	unknownSeq  int64
@@ -84,10 +84,11 @@ type Store struct {
 	arena     []Byte   // unused tail of the current data chunk
 	arenaSize int      // size of the current data chunk
 
-	// ptrs is the pointer table: fragment bytes name their pointer by
-	// index, and each distinct pointer has one entry. ptrIndex is an
+	// ptrs is the pointer table: the addresses whose fragments cannot
+	// hold them inline (see fragID), one entry each. ptrIndex is an
 	// open-addressed hash index over it (1+entry, 0 = empty slot), kept
-	// at most half full, that finds a pointer's existing entry.
+	// at most half full, that finds an address's existing entry. Both
+	// stay nil in a run that stores no such pointer.
 	ptrs     []Ptr
 	ptrIndex []int32
 
@@ -264,12 +265,26 @@ func (s *Store) Kills() int64 { return s.kills }
 
 // ---------- pointer fragments ----------
 
+// A fragment's identity names its pointer's address: the base and offset
+// themselves when they fit, which they do for every pointer into or one
+// past an object under the default limits, and otherwise (a pointer
+// forged from a large integer, or one far outside its object) fragTable
+// plus the address's pointer-table entry. Equal addresses get equal
+// identities either way, so the fragments of one pointer are recognized
+// by comparing identities, and pointer walks over any object add nothing
+// to the table. The pointer's type is not part of its representation.
+const (
+	fragOffBits  = 28 // offsets 0 .. 2^28-1
+	fragBaseBits = 25 // bases -1 .. 2^25-2, stored plus one
+	fragTable    = 1 << (fragOffBits + fragBaseBits)
+)
+
 // AppendPtr appends the representation of p to buf: its fragments, the
 // paper's subObject(p, i) bytes. A null pointer is encoded as all-zero
 // concrete bytes so that memset(&p, 0, sizeof p) produces a null pointer,
-// as on real hardware. A non-null pointer's fragments name its
-// pointer-table entry, which is added the first time the pointer is
-// stored; a table grown past MaxBytes yields ErrLimit.
+// as on real hardware. An address that needs a pointer-table entry gets
+// it the first time it is stored; a table grown past MaxBytes yields
+// ErrLimit.
 func (s *Store) AppendPtr(buf []Byte, m *ctypes.Model, p Ptr) ([]Byte, error) {
 	n := int(m.SizePtr)
 	if p.IsNull() {
@@ -278,7 +293,7 @@ func (s *Store) AppendPtr(buf []Byte, m *ctypes.Model, p Ptr) ([]Byte, error) {
 		}
 		return buf, nil
 	}
-	id, err := s.ptrEntry(p)
+	id, err := s.fragID(p)
 	if err != nil {
 		return buf, err
 	}
@@ -286,6 +301,23 @@ func (s *Store) AppendPtr(buf []Byte, m *ctypes.Model, p Ptr) ([]Byte, error) {
 		buf = append(buf, makeByte(kindFrag, uint8(i), id))
 	}
 	return buf, nil
+}
+
+// fragID returns the identity of p's fragments.
+func (s *Store) fragID(p Ptr) (int64, error) {
+	if b := int64(p.Base) + 1; b >= 0 && b < 1<<fragBaseBits && p.Off >= 0 && p.Off < 1<<fragOffBits {
+		return b<<fragOffBits | p.Off, nil
+	}
+	e, err := s.ptrEntry(Ptr{Base: p.Base, Off: p.Off})
+	return fragTable | e, err
+}
+
+// fragPtr returns the address a fragment identity names, with no type.
+func (s *Store) fragPtr(id int64) Ptr {
+	if id&fragTable != 0 {
+		return s.ptrs[id&^fragTable]
+	}
+	return Ptr{Base: ObjID(id>>fragOffBits - 1), Off: id & (1<<fragOffBits - 1)}
 }
 
 // ptrEntry returns p's pointer-table index, adding an entry for a pointer
@@ -328,38 +360,39 @@ func (s *Store) growPtrIndex() {
 	}
 }
 
-// ptrHash hashes a pointer's base and offset; pointers that differ only
-// in type share a probe sequence and are told apart by comparison.
+// ptrHash hashes a pointer's base and offset.
 func ptrHash(p Ptr) uint64 { return HashMix(HashMix(HashSeed, uint64(p.Base)), uint64(p.Off)) }
 
-// Frag resolves a pointer fragment to its pointer and its index within
-// the pointer's representation; ok is false for any other byte.
+// Frag resolves a pointer fragment to its pointer's address (with no
+// type) and its index within the pointer's representation; ok is false
+// for any other byte.
 func (s *Store) Frag(b Byte) (p Ptr, idx int, ok bool) {
 	if b.kind() != kindFrag {
 		return Ptr{}, 0, false
 	}
-	return s.ptrs[b.id()], int(b.low()), true
+	return s.fragPtr(b.id()), int(b.low()), true
 }
 
 // DecodePtr reassembles a pointer of type t from its bytes. Only a complete,
 // in-order set of fragments of a single pointer yields the pointer back
 // (§4.3.2: "this allows the reconstruction of the original pointer, but
 // only if given all the bytes"). Fragments belong to the same pointer when
-// their table entries are equal. All-zero concrete bytes yield null.
+// they name the same address, whatever the types the pointers were stored
+// with. All-zero concrete bytes yield null.
 func (s *Store) DecodePtr(m *ctypes.Model, t *ctypes.Type, data []Byte) (Ptr, DecodePtrResult) {
 	if len(data) == 0 {
 		return Ptr{}, PtrTorn
 	}
 	if first := data[0]; first.kind() == kindFrag {
-		p := s.ptrs[first.id()]
 		for i, b := range data {
 			if b.kind() == kindUnknown {
 				return Ptr{}, PtrIndeterminate
 			}
-			if b.kind() != kindFrag || int(b.low()) != i || b.id() != first.id() && s.ptrs[b.id()] != p {
+			if b.kind() != kindFrag || int(b.low()) != i || b.id() != first.id() {
 				return Ptr{}, PtrTorn
 			}
 		}
+		p := s.fragPtr(first.id())
 		p.T = t
 		return p, PtrOK
 	}
@@ -394,7 +427,7 @@ func (s *Store) Concretize(data []Byte) (out []Byte, exposed int) {
 		case kindConcrete:
 			out[i] = b
 		case kindFrag:
-			p := s.ptrs[b.id()]
+			p := s.fragPtr(b.id())
 			if p.Base > NullBase {
 				exposed++
 			}

@@ -9,11 +9,12 @@
 //
 // A Byte is a small tagged union with no Go pointers in it, so object
 // data costs 8 bytes per C byte and the garbage collector never scans
-// it. A pointer fragment names its pointer by an index into the owning
-// Store's pointer table, which gets one entry per distinct stored
-// pointer (not one per byte); fragments are therefore only meaningful to
-// the Store that made them, and pointer encoding, decoding,
-// concretization and the state digest are Store methods.
+// it. A pointer fragment names its pointer's base and offset inline;
+// only an address too large for that (a pointer forged from a big
+// integer) is named by an entry in the owning Store's pointer table.
+// Fragments are therefore only meaningful to the Store that made them,
+// and pointer encoding, decoding, concretization and the state digest are
+// Store methods.
 package mem
 
 import (
@@ -211,8 +212,9 @@ func IsTruthy(v Value) (bool, bool) {
 // Byte is one byte of the object representation: a concrete octet, a
 // pointer fragment subObject(p, i), or an indeterminate unknown(N). It is
 // one word: the kind in the top two bits, an identity in the bits below
-// them (the unknown's, or the fragment's pointer-table entry) and, in the
-// low eight bits, the octet or the fragment's index within its pointer.
+// them (the unknown's, or the address of the fragment's pointer) and, in
+// the low eight bits, the octet or the fragment's index within its
+// pointer.
 // The zero Byte is the concrete octet 0.
 type Byte struct{ w uint64 }
 

@@ -44,8 +44,10 @@ func (t *FuncTable) Lookup(name string) (int, bool) {
 }
 
 // Ptr returns the pointer to designator i. It is boxed once per program
-// and only for designators some run uses; runs that race to box it box
-// equal values.
+// and only for designators some run uses: over the 796 suite and torture
+// programs, which have 6,375 designators, the tables hold 0.22 MB after
+// one run of each, and 0.35 MB if every pointer were boxed when the table
+// is built. Runs that race to box a pointer box equal values.
 func (t *FuncTable) Ptr(i int) mem.Value {
 	e := &t.entries[i]
 	if p := e.ptr.Load(); p != nil {
