@@ -123,7 +123,13 @@ func (in *Interp) funcPtr(name string, pos token.Pos) (mem.Value, error) {
 	if !ok {
 		return nil, in.ubError(ub.Catalog[82], pos, "Use of undefined function %q", name)
 	}
-	return in.funcs.Ptr(i), nil
+	if in.funcVals == nil {
+		in.funcVals = make([]mem.Value, in.funcs.Len())
+	}
+	if in.funcVals[i] == nil {
+		in.funcVals[i] = in.funcs.Ptr(i)
+	}
+	return in.funcVals[i], nil
 }
 
 // lvalOf evaluates an expression to an LV (the paper's [L] : T).

@@ -121,6 +121,9 @@ type Interp struct {
 	statics map[*cast.Decl]mem.ObjID // static locals, allocated once
 	strLits map[*cast.StringLit]mem.ObjID
 	funcs   *sema.FuncTable // the program's designators, objects 1..len
+	// funcVals[i] is designator i's pointer, boxed on the run's first use;
+	// nil until the run uses a designator.
+	funcVals []mem.Value
 
 	prof *Profile
 

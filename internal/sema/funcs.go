@@ -4,7 +4,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/cast"
 	"repro/internal/mem"
@@ -23,9 +22,8 @@ type FuncTable struct {
 // funcEntry is designator i's entry, plus the ith step of the table's
 // name order. One slice holds both, so a table is one allocation.
 type funcEntry struct {
-	sym    *cast.Symbol              // the designated function's file-scope symbol
-	ptr    atomic.Pointer[mem.Value] // the pointer to the designator, boxed on first use
-	byName int32                     // the index of the ith designator by name
+	sym    *cast.Symbol // the designated function's file-scope symbol
+	byName int32        // the index of the ith designator by name
 }
 
 // Len is the number of designators.
@@ -43,19 +41,9 @@ func (t *FuncTable) Lookup(name string) (int, bool) {
 	return int(t.entries[k].byName), true
 }
 
-// Ptr returns the pointer to designator i. It is boxed once per program
-// and only for designators some run uses: over the 796 suite and torture
-// programs, which have 6,375 designators, the tables hold 0.22 MB after
-// one run of each, and 0.35 MB if every pointer were boxed when the table
-// is built. Runs that race to box a pointer box equal values.
-func (t *FuncTable) Ptr(i int) mem.Value {
-	e := &t.entries[i]
-	if p := e.ptr.Load(); p != nil {
-		return *p
-	}
-	v := mem.Value(mem.Ptr{T: e.sym.Type.Decay(), Base: mem.ObjID(i + 1)})
-	e.ptr.Store(&v)
-	return v
+// Ptr returns the pointer to designator i.
+func (t *FuncTable) Ptr(i int) mem.Ptr {
+	return mem.Ptr{T: t.entries[i].sym.Type.Decay(), Base: mem.ObjID(i + 1)}
 }
 
 // Designators returns the program's function-designator table. It is

@@ -35,8 +35,7 @@ int main(void) {
 		if j, ok := tab.Lookup(name); !ok || j != i {
 			t.Errorf("Lookup(%s) = %d, %v; want %d", name, j, ok, i)
 		}
-		p, ok := tab.Ptr(i).(mem.Ptr)
-		if !ok || p.Base != mem.ObjID(i+1) || p.Off != 0 {
+		if p := tab.Ptr(i); p.Base != mem.ObjID(i+1) || p.Off != 0 {
 			t.Errorf("designator %d's pointer is %v, want object %d", i, tab.Ptr(i), i+1)
 		}
 	}
