@@ -1,6 +1,8 @@
 package parser
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/cast"
@@ -68,6 +70,131 @@ func TestDeclaratorTypes(t *testing.T) {
 		}
 		if got := tu.Decls[0].Type.String(); got != tt.want {
 			t.Errorf("%q: type = %q, want %q", tt.src, got, tt.want)
+		}
+	}
+
+	// The same derivations spelled out in full: where each qualifier
+	// sits, array lengths, and prototype versus old-style parameter lists.
+	shapes := []struct{ src, want string }{
+		{"int (*(*fp)(int))[3];", "ptr to func(int) returning ptr to array[3] of int"},
+		{"void (*signal(int, void (*)(int)))(int);",
+			"func(int, ptr to func(int) returning void) returning ptr to func(int) returning void"},
+		{"char *(*a[2])(void);", "array[2] of ptr to func(void) returning ptr to char"},
+		{"int (*p)[4];", "ptr to array[4] of int"},
+		{"int a[2][3];", "array[2] of array[3] of int"},
+		{"int *const *volatile q;", "volatile ptr to const ptr to int"},
+		{"int (*const r)();", "const ptr to func() returning int"},
+		{"int f(int a[3], int g(void), ...);", "func(ptr to int, ptr to func(void) returning int, ...) returning int"},
+		{"int ((*(g))[2])[5];", "ptr to array[2] of array[5] of int"},
+		{"extern int e[];", "array[] of int"},
+	}
+	for _, tt := range shapes {
+		tu := parse(t, tt.src)
+		if got := shape(tu.Decls[0].Type); got != tt.want {
+			t.Errorf("%q: shape = %q, want %q", tt.src, got, tt.want)
+		}
+	}
+
+	// Abstract declarators: the operand type of sizeof and the target
+	// type of a cast.
+	abstract := []struct{ src, want string }{
+		{"unsigned long s = sizeof(int (*(*)(int))[3]);", "ptr to func(int) returning ptr to array[3] of int"},
+		{"unsigned long s = sizeof(char *[2]);", "array[2] of ptr to char"},
+		{"unsigned long s = sizeof(int (*[2])[4]);", "array[2] of ptr to array[4] of int"},
+		{"int (*q)(int) = (int (*)(int))0;", "ptr to func(int) returning int"},
+		{"void *v = (void (*(*)(void))(long))0;", "ptr to func(void) returning ptr to func(long) returning void"},
+	}
+	for _, tt := range abstract {
+		tu := parse(t, tt.src)
+		var got *ctypes.Type
+		switch e := tu.Decls[0].Init.(type) {
+		case *cast.SizeofType:
+			got = e.Of
+		case *cast.Cast:
+			got = e.To
+		default:
+			t.Fatalf("%q: initializer is %T", tt.src, e)
+		}
+		if s := shape(got); s != tt.want {
+			t.Errorf("%q: shape = %q, want %q", tt.src, s, tt.want)
+		}
+	}
+
+	// Invalid derivations and variable dimensions, with the position
+	// each is reported at.
+	errs := []struct{ src, want string }{
+		{"int f[3](void);", "test.c:1:6: array of functions"},
+		{"int g(void)(void);", "test.c:1:6: function returning function"},
+		{"int h(void)[3];", "test.c:1:6: function returning array"},
+		{"int (*k)(void)(int);", "test.c:1:9: function returning function"},
+		{"int (*m[2])(void)[3];", "test.c:1:12: function returning array"},
+		{"int n(void)[2](int);", "test.c:1:12: array of functions"},
+		{"unsigned long s = sizeof(int [2](void));", "test.c:1:30: array of functions"},
+		{"void f(int n) { int a[2][n]; }", "test.c:1:25: only the outermost array dimension may be variable"},
+		{"void f(int n) { int a[n][n]; }", "test.c:1:25: only the outermost array dimension may be variable"},
+		{"void f(int n) { int b(void)[n]; }", "test.c:1:28: only the outermost array dimension may be variable"},
+		{"void f(int n) { int (*p[n]); }", "test.c:1:27: variable length array in grouped declarator is not supported"},
+		{"void f(int n) { unsigned long s = sizeof(int [n]); }", "test.c:1:46: variable length array in type name is not supported"},
+	}
+	for _, tt := range errs {
+		if got := parseErr(t, tt.src).Error(); got != tt.want {
+			t.Errorf("%q: error = %q, want %q", tt.src, got, tt.want)
+		}
+	}
+}
+
+// shape spells out t's derivations outermost first, each with its own
+// qualifiers.
+func shape(t *ctypes.Type) string {
+	q := ""
+	if t.Qual != 0 {
+		q = t.Qual.String() + " "
+	}
+	switch t.Kind {
+	case ctypes.Ptr:
+		return q + "ptr to " + shape(t.Elem)
+	case ctypes.Array:
+		n := ""
+		if t.ArrayLen >= 0 {
+			n = strconv.FormatInt(t.ArrayLen, 10)
+		}
+		return q + "array[" + n + "] of " + shape(t.Elem)
+	case ctypes.Func:
+		var ps []string
+		for _, p := range t.Params {
+			ps = append(ps, shape(p.Type))
+		}
+		if t.Variadic {
+			ps = append(ps, "...")
+		}
+		if len(ps) == 0 && !t.OldStyle {
+			ps = append(ps, "void")
+		}
+		return q + "func(" + strings.Join(ps, ", ") + ") returning " + shape(t.Elem)
+	}
+	return t.String()
+}
+
+// TestLexErrorBeatsParseError pins which diagnostic a unit with both
+// kinds of error reports: the lexical one, wherever it is, and an
+// unexpected end of file at the last token's position.
+func TestLexErrorBeatsParseError(t *testing.T) {
+	tests := []struct{ src, want string }{
+		{"int x = ;\nint y;\nint z = @;\n", `test.c:3:9: unexpected character "@"`},
+		{"int x;\nint y;\n@\n", `test.c:3:1: unexpected character "@"`},
+		{"int x = ;\n/* open", "test.c:2:1: unterminated block comment"},
+		{"int main(void) {\n  return 0;\n", "test.c:2:11: unterminated block"},
+		{"int x", "test.c:1:5: expected ;, found EOF"},
+		{"", ""},
+	}
+	for _, tt := range tests {
+		_, err := Parse(tt.src, "test.c", ctypes.LP64())
+		got := ""
+		if err != nil {
+			got = err.Error()
+		}
+		if got != tt.want {
+			t.Errorf("%q: error = %q, want %q", tt.src, got, tt.want)
 		}
 	}
 }
