@@ -54,7 +54,10 @@ test:
 # must reproduce its pinned LP64 output for every suite, torture and fuzz
 # input (also on 8 goroutines at once under the race detector), allocate
 # at most 5x the bytes for 4x the macro uses and includes, and stay under
-# its pinned heap objects per suite unit, the whole frontend must
+# its pinned heap objects per suite unit, lexing and parsing and
+# checking must each stay under their pinned heap objects per suite
+# unit (tokens stream into the parser, declarators are a value stack and
+# scopes one binding table), the whole frontend must
 # reproduce its pinned artifact encoding for every suite, torture and
 # fuzz-seed unit under LP64 and ILP32, and the chaos run
 # finishes by SIGKILLing a shard under a pinned trace id and asserting
@@ -79,6 +82,7 @@ check: test
 	go test ./internal/interp/ -run 'TestOrderAllocs|TestCallAllocs|TestRunSetupAllocs' -count=1
 	go test -race ./internal/interp/ -run 'TestFuncPtrOutputDeterministic|TestStateDigestAcrossNew' -count=1
 	go test ./internal/cpp/ -run 'TestCPPOutputGolden|TestCPPLinear|TestCPPAllocsPerUnit' -count=1
+	go test ./internal/parser/ ./internal/sema/ -run 'TestParserAllocsPerUnit|TestSemaAllocsPerUnit' -count=1
 	go test -race ./internal/cpp/ -run TestCPPConcurrentGolden -count=1
 	go test ./internal/driver/ -run TestFrontendGolden -count=1
 	go test ./internal/interp/ -run '^$$' -bench BenchmarkObserverOverhead -benchtime 100x

@@ -117,9 +117,7 @@ func (lx *Lexer) skipWhitespaceAndComments() error {
 		c := lx.peek()
 		switch {
 		case isSpace(c):
-			atBOL := lx.col == 1
 			lx.advance()
-			_ = atBOL
 		case c == '/' && lx.peekAt(1) == '/':
 			for lx.off < len(lx.src) && lx.peek() != '\n' {
 				lx.advance()
@@ -412,7 +410,7 @@ func (lx *Lexer) scanPunct(pos token.Pos) (token.Token, error) {
 	c := lx.peek()
 	if k, ok := punct1[c]; ok {
 		lx.advance()
-		return token.Token{Kind: k, Text: string(c), Pos: pos}, nil
+		return token.Token{Kind: k, Text: rest[:1], Pos: pos}, nil
 	}
 	return token.Token{}, lx.errorf(pos, "unexpected character %q", string(c))
 }

@@ -24,7 +24,7 @@ func (p *Parser) constEvalFull(e cast.Expr) (int64, error) {
 	case *cast.IntLit:
 		return int64(e.Value), nil
 	case *cast.Ident:
-		if info, ok := p.lookupName(e.Name); ok && info.kind == nameEnumConst {
+		if info, ok := p.names.Lookup(e.Name); ok && info.kind == nameEnumConst {
 			return info.val, nil
 		}
 		return 0, fmt.Errorf("%s: %q is not a constant", e.Pos(), e.Name)

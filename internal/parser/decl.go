@@ -1,6 +1,8 @@
 package parser
 
 import (
+	"slices"
+
 	"repro/internal/cast"
 	"repro/internal/ctypes"
 	"repro/internal/token"
@@ -17,7 +19,7 @@ type declSpec struct {
 // declSpecifiers parses storage-class specifiers, type specifiers, and type
 // qualifiers.
 func (p *Parser) declSpecifiers() (declSpec, error) {
-	spec := declSpec{pos: p.cur().Pos, storage: cast.SAuto}
+	spec := declSpec{pos: p.tok.Pos, storage: cast.SAuto}
 	sawStorage := false
 
 	// Type specifier accumulation (C11 §6.7.2:2 lists the valid combos).
@@ -32,7 +34,7 @@ func (p *Parser) declSpecifiers() (declSpec, error) {
 	)
 
 	for {
-		t := p.cur()
+		t := p.tok
 		switch t.Kind {
 		case token.KwTypedef, token.KwExtern, token.KwStatic, token.KwAuto, token.KwRegister:
 			if sawStorage {
@@ -131,7 +133,7 @@ func (p *Parser) declSpecifiers() (declSpec, error) {
 			if _, err := p.expect(token.LParen); err != nil {
 				return spec, err
 			}
-			if p.startsTypeName(p.cur()) {
+			if p.startsTypeName(p.tok) {
 				if _, err := p.typeName(); err != nil {
 					return spec, err
 				}
@@ -150,7 +152,7 @@ func (p *Parser) declSpecifiers() (declSpec, error) {
 		case token.Ident:
 			// A typedef name acts as the sole type specifier.
 			if base == nil && !sawAnySpec && p.isTypeName(t.Text) {
-				info, _ := p.lookupName(t.Text)
+				info, _ := p.names.Lookup(t.Text)
 				base = info.typ
 				sawAnySpec = true
 				p.next()
@@ -163,7 +165,7 @@ func (p *Parser) declSpecifiers() (declSpec, error) {
 	}
 done:
 	if !sawAnySpec && quals == 0 && !sawStorage && !spec.inline {
-		return spec, p.errorf(p.cur().Pos, "expected declaration specifiers, found %v", p.cur())
+		return spec, p.errorf(p.tok.Pos, "expected declaration specifiers, found %v", p.tok)
 	}
 	if base == nil {
 		var err error
@@ -276,20 +278,20 @@ func (p *Parser) structOrUnionSpecifier() (*ctypes.Type, error) {
 			return nil, p.errorf(kw.Pos, "%s with neither tag nor member list", kw.Text)
 		}
 		// Reference: find existing tag or create an incomplete type.
-		if t, ok := p.lookupTag(tag); ok {
+		if t, ok := p.tags.Lookup(tag); ok {
 			if t.Kind != kind {
 				return nil, p.errorf(kw.Pos, "tag %q redeclared as a different kind", tag)
 			}
 			return t, nil
 		}
 		t := &ctypes.Type{Kind: kind, Tag: tag, Incomplete: true}
-		p.declareTag(tag, t)
+		p.tags.Declare(tag, t)
 		return t, nil
 	}
 	// Definition.
 	var t *ctypes.Type
 	if tag != "" {
-		if existing, ok := p.lookupTagLocal(tag); ok {
+		if existing, ok := p.tags.LookupLocal(tag); ok {
 			if existing.Kind != kind {
 				return nil, p.errorf(kw.Pos, "tag %q redeclared as a different kind", tag)
 			}
@@ -302,7 +304,7 @@ func (p *Parser) structOrUnionSpecifier() (*ctypes.Type, error) {
 	if t == nil {
 		t = &ctypes.Type{Kind: kind, Tag: tag, Incomplete: true}
 		if tag != "" {
-			p.declareTag(tag, t)
+			p.tags.Declare(tag, t)
 		}
 	}
 	p.next() // {
@@ -350,7 +352,7 @@ func (p *Parser) structDeclaration() ([]ctypes.Field, error) {
 	for {
 		var name string
 		ty := spec.typ
-		pos := p.cur().Pos
+		pos := p.tok.Pos
 		if !p.at(token.Colon) {
 			name, ty, pos, err = p.declarator(spec.typ)
 			if err != nil {
@@ -401,7 +403,7 @@ func (p *Parser) enumSpecifier() (*ctypes.Type, error) {
 		if tag == "" {
 			return nil, p.errorf(kw.Pos, "enum with neither tag nor enumerator list")
 		}
-		if t, ok := p.lookupTag(tag); ok {
+		if t, ok := p.tags.Lookup(tag); ok {
 			if t.Kind != ctypes.Enum {
 				return nil, p.errorf(kw.Pos, "tag %q redeclared as a different kind", tag)
 			}
@@ -410,15 +412,15 @@ func (p *Parser) enumSpecifier() (*ctypes.Type, error) {
 		// Forward enum references are a constraint violation in C, but
 		// widely accepted; create an int-compatible type.
 		t := &ctypes.Type{Kind: ctypes.Enum, Tag: tag}
-		p.declareTag(tag, t)
+		p.tags.Declare(tag, t)
 		return t, nil
 	}
 	t := &ctypes.Type{Kind: ctypes.Enum, Tag: tag}
 	if tag != "" {
-		if _, exists := p.lookupTagLocal(tag); exists {
+		if _, exists := p.tags.LookupLocal(tag); exists {
 			return nil, p.errorf(kw.Pos, "redefinition of enum %s", tag)
 		}
-		p.declareTag(tag, t)
+		p.tags.Declare(tag, t)
 	}
 	p.next() // {
 	next := int64(0)
@@ -441,7 +443,7 @@ func (p *Parser) enumSpecifier() (*ctypes.Type, error) {
 		if !p.model.InRange(ctypes.TInt, next) {
 			return nil, p.errorf(nameTok.Pos, "enumerator value %d not representable as int", next)
 		}
-		p.declareName(nameTok.Text, nameInfo{kind: nameEnumConst, val: next})
+		p.names.Declare(nameTok.Text, nameInfo{kind: nameEnumConst, val: next})
 		next++
 		if !p.accept(token.Comma) {
 			break
@@ -455,37 +457,69 @@ func (p *Parser) enumSpecifier() (*ctypes.Type, error) {
 
 // ---------- declarators ----------
 
-// typeFn transforms a base type into the declared type, applied inside-out.
-type typeFn func(*ctypes.Type) (*ctypes.Type, error)
-
-func identityFn(t *ctypes.Type) (*ctypes.Type, error) { return t, nil }
+// declOp is one derivation a declarator applies to its base type: a
+// pointer, an array or a function.
+type declOp struct {
+	kind     ctypes.Kind  // Ptr, Array or Func
+	quals    ctypes.Quals // Ptr
+	n        int64        // Array: length, -1 if incomplete
+	vla      bool         // Array
+	params   []ctypes.Param
+	variadic bool
+	oldStyle bool
+	pos      token.Pos // Array: its '[', Func: its '('
+}
 
 // declarator parses a (possibly abstract) declarator against base.
 func (p *Parser) declarator(base *ctypes.Type) (string, *ctypes.Type, token.Pos, error) {
-	pos := p.cur().Pos
-	name, fn, vla, err := p.declaratorFn()
+	pos := p.tok.Pos
+	mark := len(p.ops)
+	name, vla, err := p.declaratorOps()
 	if err != nil {
 		return "", nil, pos, err
 	}
-	ty, err := fn(base)
-	if err != nil {
-		return "", nil, pos, err
+	ops := p.ops[mark:]
+	p.ops = p.ops[:mark]
+	ty := base
+	for i := range ops {
+		op := &ops[i]
+		switch op.kind {
+		case ctypes.Ptr:
+			ty = ctypes.PointerTo(ty).Qualified(op.quals)
+		case ctypes.Array:
+			if ty.Kind == ctypes.Func {
+				return "", nil, pos, p.errorf(op.pos, "array of functions")
+			}
+			ty = ctypes.ArrayOf(ty, op.n)
+			ty.VLA = op.vla
+		case ctypes.Func:
+			if ty.Kind == ctypes.Func {
+				return "", nil, pos, p.errorf(op.pos, "function returning function")
+			}
+			if ty.Kind == ctypes.Array {
+				return "", nil, pos, p.errorf(op.pos, "function returning array")
+			}
+			ty = ctypes.FuncType(ty, op.params, op.variadic)
+			ty.OldStyle = op.oldStyle
+		}
 	}
 	p.pendingVLA = vla
 	return name, ty, pos, nil
 }
 
-// declaratorFn parses pointer prefix + direct declarator, returning the name
-// and the type transformer. The VLA size expression of the outermost
-// variable array dimension, if any, is returned as well.
-func (p *Parser) declaratorFn() (string, typeFn, cast.Expr, error) {
-	// Pointer prefix.
-	var ptrQuals []ctypes.Quals
+// declaratorOps parses a pointer prefix and a direct declarator — `ident`,
+// `( declarator )` or nothing (abstract), then array and function
+// suffixes — and pushes its derivations onto p.ops in the order they
+// apply to the base type: the pointers left to right, the suffixes right
+// to left (the leftmost binds outermost), then the grouped declarator's.
+// It returns the declared name and the size expression of the outermost
+// variable array dimension, if any.
+func (p *Parser) declaratorOps() (string, cast.Expr, error) {
 	for p.at(token.Star) {
 		p.next()
 		var q ctypes.Quals
 		for {
-			switch p.cur().Kind {
+			switch p.tok.Kind {
 			case token.KwConst:
 				q |= ctypes.QConst
 				p.next()
@@ -501,49 +535,29 @@ func (p *Parser) declaratorFn() (string, typeFn, cast.Expr, error) {
 			}
 			break
 		}
-		ptrQuals = append(ptrQuals, q)
+		p.ops = append(p.ops, declOp{kind: ctypes.Ptr, quals: q})
 	}
-	name, directFn, vla, err := p.directDeclaratorFn()
-	if err != nil {
-		return "", nil, nil, err
-	}
-	fn := func(base *ctypes.Type) (*ctypes.Type, error) {
-		t := base
-		for _, q := range ptrQuals {
-			t = ctypes.PointerTo(t).Qualified(q)
-		}
-		return directFn(t)
-	}
-	return name, fn, vla, nil
-}
-
-// directDeclaratorFn parses `ident`, `( declarator )`, or an abstract
-// declarator, followed by array/function suffixes.
-func (p *Parser) directDeclaratorFn() (string, typeFn, cast.Expr, error) {
-	var (
-		name    string
-		innerFn typeFn = identityFn
-	)
+	var name string
+	inner := len(p.ops)
 	switch {
 	case p.at(token.Ident):
 		name = p.next().Text
 	case p.at(token.LParen) && p.isGroupedDeclarator():
 		p.next()
-		var err error
 		var innerVLA cast.Expr
-		name, innerFn, innerVLA, err = p.declaratorFn()
+		var err error
+		name, innerVLA, err = p.declaratorOps()
 		if err != nil {
-			return "", nil, nil, err
+			return "", nil, err
 		}
 		if innerVLA != nil {
-			return "", nil, nil, p.errorf(p.cur().Pos, "variable length array in grouped declarator is not supported")
+			return "", nil, p.errorf(p.tok.Pos, "variable length array in grouped declarator is not supported")
 		}
 		if _, err := p.expect(token.RParen); err != nil {
-			return "", nil, nil, err
+			return "", nil, err
 		}
 	}
-	// Suffixes, applied left to right; the leftmost binds outermost.
-	var suffixes []typeFn
+	suffixes := len(p.ops)
 	var vlaExpr cast.Expr
 	for {
 		switch {
@@ -560,13 +574,13 @@ func (p *Parser) directDeclaratorFn() (string, typeFn, cast.Expr, error) {
 			switch {
 			case p.at(token.RBracket):
 				// incomplete []
-			case p.at(token.Star) && p.peek(1).Kind == token.RBracket:
+			case p.at(token.Star) && p.ahead.Kind == token.RBracket:
 				p.next()
 				isVLA = true
 			default:
 				e, err := p.assignExpr()
 				if err != nil {
-					return "", nil, nil, err
+					return "", nil, err
 				}
 				if v, err := p.constEval(e); err == nil {
 					n = v
@@ -576,52 +590,31 @@ func (p *Parser) directDeclaratorFn() (string, typeFn, cast.Expr, error) {
 				}
 			}
 			if _, err := p.expect(token.RBracket); err != nil {
-				return "", nil, nil, err
+				return "", nil, err
 			}
 			if isVLA {
-				if vlaExpr != nil || len(suffixes) > 0 {
-					return "", nil, nil, p.errorf(lb.Pos, "only the outermost array dimension may be variable")
+				if vlaExpr != nil || len(p.ops) > suffixes {
+					return "", nil, p.errorf(lb.Pos, "only the outermost array dimension may be variable")
 				}
 				vlaExpr = sizeExpr
 			}
-			suffixes = append(suffixes, func(elem *ctypes.Type) (*ctypes.Type, error) {
-				if elem.Kind == ctypes.Func {
-					return nil, p.errorf(lb.Pos, "array of functions")
-				}
-				t := ctypes.ArrayOf(elem, n)
-				t.VLA = isVLA
-				return t, nil
-			})
+			p.ops = append(p.ops, declOp{kind: ctypes.Array, n: n, vla: isVLA, pos: lb.Pos})
 		case p.at(token.LParen):
 			lp := p.next()
 			params, variadic, oldStyle, err := p.parameterList()
 			if err != nil {
-				return "", nil, nil, err
+				return "", nil, err
 			}
-			suffixes = append(suffixes, func(ret *ctypes.Type) (*ctypes.Type, error) {
-				if ret.Kind == ctypes.Func {
-					return nil, p.errorf(lp.Pos, "function returning function")
-				}
-				if ret.Kind == ctypes.Array {
-					return nil, p.errorf(lp.Pos, "function returning array")
-				}
-				ft := ctypes.FuncType(ret, params, variadic)
-				ft.OldStyle = oldStyle
-				return ft, nil
-			})
+			p.ops = append(p.ops, declOp{kind: ctypes.Func, params: params,
+				variadic: variadic, oldStyle: oldStyle, pos: lp.Pos})
 		default:
-			fn := func(base *ctypes.Type) (*ctypes.Type, error) {
-				t := base
-				var err error
-				for i := len(suffixes) - 1; i >= 0; i-- {
-					t, err = suffixes[i](t)
-					if err != nil {
-						return nil, err
-					}
-				}
-				return innerFn(t)
-			}
-			return name, fn, vlaExpr, nil
+			// p.ops[inner:] holds the grouped declarator's derivations,
+			// then the suffixes left to right. Reversing it all puts the
+			// suffixes first and in order; reversing the tail puts the
+			// grouped ones back in theirs.
+			slices.Reverse(p.ops[inner:])
+			slices.Reverse(p.ops[inner+len(p.ops)-suffixes:])
+			return name, vlaExpr, nil
 		}
 	}
 }
@@ -630,7 +623,7 @@ func (p *Parser) directDeclaratorFn() (string, typeFn, cast.Expr, error) {
 // the start of a direct declarator. A '(' starts a parameter list if the
 // next token begins a type name or is ')'.
 func (p *Parser) isGroupedDeclarator() bool {
-	nxt := p.peek(1)
+	nxt := p.ahead
 	if nxt.Kind == token.RParen {
 		return false // `()` — old-style function
 	}
@@ -644,7 +637,7 @@ func (p *Parser) parameterList() ([]ctypes.Param, bool, bool, error) {
 		return nil, false, true, nil // old-style ()
 	}
 	// (void) — no parameters.
-	if p.at(token.KwVoid) && p.peek(1).Kind == token.RParen {
+	if p.at(token.KwVoid) && p.ahead.Kind == token.RParen {
 		p.next()
 		p.next()
 		return nil, false, false, nil
@@ -679,7 +672,7 @@ func (p *Parser) parameterList() ([]ctypes.Param, bool, bool, error) {
 		}
 		params = append(params, ctypes.Param{Name: name, Type: ty})
 		if name != "" {
-			p.declareName(name, nameInfo{kind: nameOrdinary})
+			p.names.Declare(name, nameInfo{kind: nameOrdinary})
 		}
 		if !p.accept(token.Comma) {
 			break

@@ -34,7 +34,7 @@ func (p *Parser) assignExpr() (cast.Expr, error) {
 	}
 	var op cast.BinaryOp
 	hasOp := false
-	switch p.cur().Kind {
+	switch p.tok.Kind {
 	case token.Assign:
 	case token.MulAssign:
 		op, hasOp = cast.BMul, true
@@ -125,7 +125,7 @@ func (p *Parser) binaryExpr(minPrec int) (cast.Expr, error) {
 		return nil, err
 	}
 	for {
-		prec, ok := binPrec[p.cur().Kind]
+		prec, ok := binPrec[p.tok.Kind]
 		if !ok || prec < minPrec {
 			return lhs, nil
 		}
@@ -142,7 +142,7 @@ func (p *Parser) binaryExpr(minPrec int) (cast.Expr, error) {
 
 // castExpr parses `(type-name) cast-expr` or a unary expression.
 func (p *Parser) castExpr() (cast.Expr, error) {
-	if p.at(token.LParen) && p.startsTypeName(p.peek(1)) {
+	if p.at(token.LParen) && p.startsTypeName(p.ahead) {
 		lp := p.next()
 		ty, err := p.typeName()
 		if err != nil {
@@ -173,7 +173,7 @@ func (p *Parser) castExpr() (cast.Expr, error) {
 }
 
 func (p *Parser) unaryExpr() (cast.Expr, error) {
-	t := p.cur()
+	t := p.tok
 	mk := func(op cast.UnaryOp) (cast.Expr, error) {
 		p.next()
 		var x cast.Expr
@@ -210,7 +210,7 @@ func (p *Parser) unaryExpr() (cast.Expr, error) {
 		return mk(cast.UNot)
 	case token.KwSizeof:
 		p.next()
-		if p.at(token.LParen) && p.startsTypeName(p.peek(1)) {
+		if p.at(token.LParen) && p.startsTypeName(p.ahead) {
 			p.next()
 			ty, err := p.typeName()
 			if err != nil {
@@ -260,7 +260,7 @@ func (p *Parser) postfixExpr() (cast.Expr, error) {
 
 func (p *Parser) postfixSuffixes(e cast.Expr) (cast.Expr, error) {
 	for {
-		t := p.cur()
+		t := p.tok
 		switch t.Kind {
 		case token.LBracket:
 			p.next()
@@ -319,11 +319,11 @@ func (p *Parser) postfixSuffixes(e cast.Expr) (cast.Expr, error) {
 }
 
 func (p *Parser) primaryExpr() (cast.Expr, error) {
-	t := p.cur()
+	t := p.tok
 	switch t.Kind {
 	case token.Ident:
 		p.next()
-		if info, ok := p.lookupName(t.Text); ok && info.kind == nameEnumConst {
+		if info, ok := p.names.Lookup(t.Text); ok && info.kind == nameEnumConst {
 			lit := &cast.IntLit{Value: uint64(info.val)}
 			lit.P = t.Pos
 			lit.T = ctypes.TInt
@@ -454,6 +454,6 @@ func (p *Parser) intLitType(v lexer.IntLitValue) *ctypes.Type {
 // later, so we wrap everything in a GenericSel node... To stay lean, we
 // parse it and immediately error: _Generic is rarely needed by the suites.
 func (p *Parser) genericSelection() (cast.Expr, error) {
-	t := p.cur()
+	t := p.tok
 	return nil, p.errorf(t.Pos, "_Generic is not supported")
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/cast"
 	"repro/internal/ctypes"
 	"repro/internal/lexer"
+	"repro/internal/scope"
 	"repro/internal/token"
 )
 
@@ -41,42 +42,48 @@ type nameInfo struct {
 	val  int64        // enum constant value
 }
 
-// scope is one level of the declaration environment.
-type scope struct {
-	names map[string]nameInfo
-	tags  map[string]*ctypes.Type // struct/union/enum tags
-}
-
-// Parser parses one translation unit.
+// Parser parses one translation unit. It reads tokens from the lexer
+// as it goes and keeps only the current token and the one after it: the
+// grammar needs one token of lookahead and never backtracks.
 type Parser struct {
-	toks   []token.Token
-	pos    int
+	lx    lexer.Lexer
+	tok   token.Token // current token
+	ahead token.Token // the token after it
+	// last is the position of the last token read; the EOF token
+	// carries it.
+	last token.Pos
+	// done is set once the lexer reached the end of its input or failed;
+	// lexErr is its error, which Parse reports over any parse error.
+	done   bool
+	lexErr error
 	model  *ctypes.Model
-	scopes []*scope
-	file   string
+	names  scope.Table[nameInfo]
+	tags   scope.Table[*ctypes.Type] // struct/union/enum tags
+	// ops is the derivation stack declarators build their types on.
+	ops  []declOp
+	file string
 	// pendingVLA holds the size expression of the most recently parsed
 	// declarator's variable array dimension; consumers take and clear it.
 	pendingVLA cast.Expr
 }
 
-// New returns a parser over preprocessed source text.
-func New(src, file string, model *ctypes.Model) (*Parser, error) {
-	toks, err := lexer.Tokens(src, file)
-	if err != nil {
-		return nil, err
-	}
-	p := &Parser{toks: toks, model: model, file: file}
-	p.pushScope()
-	return p, nil
-}
-
-// Parse parses src (already preprocessed) into a translation unit.
+// Parse parses src (already preprocessed) into a translation unit. A
+// lexical error anywhere in src is reported in preference to a parse
+// error.
 func Parse(src, file string, model *ctypes.Model) (*cast.TranslationUnit, error) {
-	p, err := New(src, file, model)
-	if err != nil {
-		return nil, err
+	first := token.Pos{File: file, Line: 1, Col: 1}
+	p := &Parser{lx: *lexer.New(src, file), last: first, model: model, file: file}
+	p.pushScope()
+	p.tok = p.read()
+	p.ahead = p.read()
+	tu, err := p.TranslationUnit()
+	for err != nil && !p.done {
+		p.read()
 	}
-	return p.TranslationUnit()
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
+	return tu, err
 }
 
 func (p *Parser) errorf(pos token.Pos, format string, args ...any) error {
@@ -85,96 +92,61 @@ func (p *Parser) errorf(pos token.Pos, format string, args ...any) error {
 
 // ---------- token cursor ----------
 
-func (p *Parser) cur() token.Token {
-	if p.pos >= len(p.toks) {
-		last := token.Pos{File: p.file, Line: 1, Col: 1}
-		if len(p.toks) > 0 {
-			last = p.toks[len(p.toks)-1].Pos
+// read returns the lexer's next token, or EOF at the last token's
+// position once the input is used up or has failed to lex.
+func (p *Parser) read() token.Token {
+	if !p.done {
+		t, err := p.lx.Next()
+		if err == nil && t.Kind != token.EOF {
+			p.last = t.Pos
+			return t
 		}
-		return token.Token{Kind: token.EOF, Pos: last}
+		p.done, p.lexErr = true, err
 	}
-	return p.toks[p.pos]
-}
-
-func (p *Parser) peek(n int) token.Token {
-	if p.pos+n >= len(p.toks) {
-		return token.Token{Kind: token.EOF}
-	}
-	return p.toks[p.pos+n]
+	return token.Token{Kind: token.EOF, Pos: p.last}
 }
 
 func (p *Parser) next() token.Token {
-	t := p.cur()
-	p.pos++
+	t := p.tok
+	p.tok = p.ahead
+	p.ahead = p.read()
 	return t
 }
 
-func (p *Parser) at(k token.Kind) bool { return p.cur().Kind == k }
+func (p *Parser) at(k token.Kind) bool { return p.tok.Kind == k }
 
 func (p *Parser) accept(k token.Kind) bool {
 	if p.at(k) {
-		p.pos++
+		p.next()
 		return true
 	}
 	return false
 }
 
 func (p *Parser) expect(k token.Kind) (token.Token, error) {
-	t := p.cur()
+	t := p.tok
 	if t.Kind != k {
 		return t, p.errorf(t.Pos, "expected %v, found %v", k, t)
 	}
-	p.pos++
+	p.next()
 	return t, nil
 }
 
 // ---------- scopes ----------
 
 func (p *Parser) pushScope() {
-	p.scopes = append(p.scopes, &scope{
-		names: make(map[string]nameInfo),
-		tags:  make(map[string]*ctypes.Type),
-	})
+	p.names.Push()
+	p.tags.Push()
 }
 
-func (p *Parser) popScope() { p.scopes = p.scopes[:len(p.scopes)-1] }
-
-func (p *Parser) declareName(name string, info nameInfo) {
-	p.scopes[len(p.scopes)-1].names[name] = info
-}
-
-func (p *Parser) lookupName(name string) (nameInfo, bool) {
-	for i := len(p.scopes) - 1; i >= 0; i-- {
-		if info, ok := p.scopes[i].names[name]; ok {
-			return info, true
-		}
-	}
-	return nameInfo{}, false
-}
-
-// lookupTag finds a struct/union/enum tag in any enclosing scope.
-func (p *Parser) lookupTag(tag string) (*ctypes.Type, bool) {
-	for i := len(p.scopes) - 1; i >= 0; i-- {
-		if t, ok := p.scopes[i].tags[tag]; ok {
-			return t, true
-		}
-	}
-	return nil, false
-}
-
-// lookupTagLocal finds a tag in the innermost scope only.
-func (p *Parser) lookupTagLocal(tag string) (*ctypes.Type, bool) {
-	t, ok := p.scopes[len(p.scopes)-1].tags[tag]
-	return t, ok
-}
-
-func (p *Parser) declareTag(tag string, t *ctypes.Type) {
-	p.scopes[len(p.scopes)-1].tags[tag] = t
+func (p *Parser) popScope() {
+	p.names.Pop()
+	p.tags.Pop()
 }
 
 // isTypeName reports whether the identifier currently names a type.
 func (p *Parser) isTypeName(name string) bool {
-	info, ok := p.lookupName(name)
+	info, ok := p.names.Lookup(name)
 	return ok && info.kind == nameTypedef
 }
 
@@ -274,11 +246,11 @@ func (p *Parser) functionDef(name string, ty *ctypes.Type, pos token.Pos, spec d
 	fd := &cast.FuncDef{Name: name, Type: ty, P: pos}
 	// Register the function name in the current (file) scope so the body
 	// can refer to it (recursion).
-	p.declareName(name, nameInfo{kind: nameOrdinary})
+	p.names.Declare(name, nameInfo{kind: nameOrdinary})
 	p.pushScope()
 	for _, param := range ty.Params {
 		if param.Name != "" {
-			p.declareName(param.Name, nameInfo{kind: nameOrdinary})
+			p.names.Declare(param.Name, nameInfo{kind: nameOrdinary})
 		}
 		sym := &cast.Symbol{Name: param.Name, Type: param.Type, Kind: cast.SymObject, Pos: pos}
 		fd.Params = append(fd.Params, sym)
@@ -335,9 +307,9 @@ func (p *Parser) registerDecl(spec declSpec, name string, ty *ctypes.Type) {
 		return
 	}
 	if spec.storage == cast.STypedef {
-		p.declareName(name, nameInfo{kind: nameTypedef, typ: ty})
+		p.names.Declare(name, nameInfo{kind: nameTypedef, typ: ty})
 	} else {
-		p.declareName(name, nameInfo{kind: nameOrdinary})
+		p.names.Declare(name, nameInfo{kind: nameOrdinary})
 	}
 }
 

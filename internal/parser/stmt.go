@@ -16,7 +16,7 @@ func (p *Parser) compound() (*cast.Compound, error) {
 	c.P = lb.Pos
 	for !p.at(token.RBrace) {
 		if p.at(token.EOF) {
-			return nil, p.errorf(p.cur().Pos, "unterminated block")
+			return nil, p.errorf(p.tok.Pos, "unterminated block")
 		}
 		s, err := p.blockItem()
 		if err != nil {
@@ -39,10 +39,10 @@ func (p *Parser) blockItem() (cast.Stmt, error) {
 		return nil, nil
 	}
 	// `ident:` is a label even if ident names a type.
-	if p.at(token.Ident) && p.peek(1).Kind == token.Colon {
+	if p.at(token.Ident) && p.ahead.Kind == token.Colon {
 		return p.statement()
 	}
-	if p.startsDecl(p.cur()) {
+	if p.startsDecl(p.tok) {
 		return p.declStmt()
 	}
 	return p.statement()
@@ -50,7 +50,7 @@ func (p *Parser) blockItem() (cast.Stmt, error) {
 
 // declStmt parses a block-scope declaration.
 func (p *Parser) declStmt() (cast.Stmt, error) {
-	pos := p.cur().Pos
+	pos := p.tok.Pos
 	spec, err := p.declSpecifiers()
 	if err != nil {
 		return nil, err
@@ -74,7 +74,7 @@ func (p *Parser) declStmt() (cast.Stmt, error) {
 
 // statement parses one statement.
 func (p *Parser) statement() (cast.Stmt, error) {
-	t := p.cur()
+	t := p.tok
 	switch t.Kind {
 	case token.LBrace:
 		p.pushScope()
@@ -250,7 +250,7 @@ func (p *Parser) statement() (cast.Stmt, error) {
 		s.P = t.Pos
 		return s, nil
 	case token.Ident:
-		if p.peek(1).Kind == token.Colon {
+		if p.ahead.Kind == token.Colon {
 			name := p.next()
 			p.next() // :
 			inner, err := p.statement()
@@ -287,7 +287,7 @@ func (p *Parser) forStmt() (cast.Stmt, error) {
 	// Init clause.
 	switch {
 	case p.accept(token.Semi):
-	case p.startsDecl(p.cur()):
+	case p.startsDecl(p.tok):
 		init, err := p.declStmt()
 		if err != nil {
 			return nil, err

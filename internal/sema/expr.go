@@ -61,7 +61,7 @@ func (c *checker) exprInner(e cast.Expr) (*ctypes.Type, error) {
 		return e.T, nil
 
 	case *cast.Ident:
-		sym, ok := c.lookup(e.Name)
+		sym, ok := c.scopes.Lookup(e.Name)
 		if !ok {
 			return nil, c.errorf(e.P, "use of undeclared identifier %q", e.Name)
 		}

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/cast"
 	"repro/internal/ctypes"
+	"repro/internal/scope"
 	"repro/internal/token"
 	"repro/internal/ub"
 )
@@ -62,13 +63,13 @@ type Program struct {
 type checker struct {
 	model  *ctypes.Model
 	prog   *Program
-	scopes []map[string]*cast.Symbol
+	scopes scope.Table[*cast.Symbol]
 
 	// Current function context.
 	curFunc   *cast.FuncDef
 	loopDepth int
 	switches  []*cast.Switch
-	labels    map[string]*cast.Label
+	labels    map[string]*cast.Label // made at the function's first label
 	gotos     []*cast.Goto
 	// slots counts the frame slots handed out in the current function:
 	// parameters and block-scope objects, numbered from 1 (see
@@ -90,7 +91,7 @@ func Check(tu *cast.TranslationUnit, model *ctypes.Model) (*Program, error) {
 		Symbols: make(map[string]*cast.Symbol),
 	}
 	c := &checker{model: model, prog: prog}
-	c.pushScope()
+	c.scopes.Push()
 	for _, n := range tu.Order {
 		switch n := n.(type) {
 		case *cast.Decl:
@@ -103,7 +104,7 @@ func Check(tu *cast.TranslationUnit, model *ctypes.Model) (*Program, error) {
 			}
 		}
 	}
-	c.popScope()
+	c.scopes.Pop()
 	return prog, nil
 }
 
@@ -122,6 +123,15 @@ func (c *checker) sized(t *ctypes.Type, pos token.Pos, what string) error {
 	return nil
 }
 
+// sizedDecl is sized for a declaration of a kind ("variable", "parameter")
+// named name; the message is formatted only when the check fails.
+func (c *checker) sizedDecl(t *ctypes.Type, pos token.Pos, kind, name string) error {
+	if _, err := c.model.SizeOf(t); err != nil {
+		return c.errorf(pos, "%s %q: %v", kind, name, err)
+	}
+	return nil
+}
+
 func (c *checker) staticUB(b *ub.Behavior, pos token.Pos, format string, args ...any) {
 	fn := ""
 	if c.curFunc != nil {
@@ -134,24 +144,9 @@ func (c *checker) staticUB(b *ub.Behavior, pos token.Pos, format string, args ..
 
 // ---------- scopes ----------
 
-func (c *checker) pushScope() {
-	c.scopes = append(c.scopes, make(map[string]*cast.Symbol))
-}
+func (c *checker) declare(sym *cast.Symbol) { c.scopes.Declare(sym.Name, sym) }
 
-func (c *checker) popScope() { c.scopes = c.scopes[:len(c.scopes)-1] }
-
-func (c *checker) declare(sym *cast.Symbol) { c.scopes[len(c.scopes)-1][sym.Name] = sym }
-
-func (c *checker) lookup(name string) (*cast.Symbol, bool) {
-	for i := len(c.scopes) - 1; i >= 0; i-- {
-		if s, ok := c.scopes[i][name]; ok {
-			return s, true
-		}
-	}
-	return nil, false
-}
-
-func (c *checker) atFileScope() bool { return len(c.scopes) == 1 }
+func (c *checker) atFileScope() bool { return c.scopes.Depth() == 1 }
 
 // ---------- file-scope declarations ----------
 
@@ -165,11 +160,12 @@ func (c *checker) fileScopeDecl(d *cast.Decl) error {
 		kind = cast.SymFunc
 	}
 	if kind == cast.SymObject && d.Storage != cast.SExtern && d.Type.IsComplete() {
-		if err := c.sized(d.Type, d.P, fmt.Sprintf("variable %q", d.Name)); err != nil {
+		if err := c.sizedDecl(d.Type, d.P, "variable", d.Name); err != nil {
 			return err
 		}
 	}
-	if existing, ok := c.scopes[0][d.Name]; ok {
+	// At file scope the innermost scope is the file's.
+	if existing, ok := c.scopes.LookupLocal(d.Name); ok {
 		// Redeclaration: types must be compatible.
 		if !ctypes.Compatible(existing.Type, d.Type) {
 			return c.errorf(d.P, "conflicting types for %q (%s vs %s)", d.Name, existing.Type, d.Type)
@@ -253,7 +249,7 @@ func (c *checker) checkTypeUB(t *ctypes.Type, pos token.Pos, name string) {
 
 func (c *checker) funcDef(fd *cast.FuncDef) error {
 	c.checkTypeUB(fd.Type, fd.P, fd.Name)
-	if prev, ok := c.scopes[0][fd.Name]; ok {
+	if prev, ok := c.scopes.LookupLocal(fd.Name); ok {
 		if !ctypes.Compatible(prev.Type, fd.Type) {
 			return c.errorf(fd.P, "conflicting types for function %q", fd.Name)
 		}
@@ -272,7 +268,7 @@ func (c *checker) funcDef(fd *cast.FuncDef) error {
 	c.prog.Funcs[fd.Name] = fd
 
 	c.curFunc = fd
-	c.labels = make(map[string]*cast.Label)
+	c.labels = nil
 	c.gotos = nil
 	c.slots = 0
 	c.sawReturnValue = false
@@ -281,7 +277,7 @@ func (c *checker) funcDef(fd *cast.FuncDef) error {
 		c.curFunc = nil
 	}()
 
-	c.pushScope()
+	c.scopes.Push()
 	for i, param := range fd.Params {
 		if param.Name == "" {
 			return c.errorf(fd.P, "parameter %d of %q has no name", i+1, fd.Name)
@@ -289,7 +285,7 @@ func (c *checker) funcDef(fd *cast.FuncDef) error {
 		if !param.Type.IsComplete() {
 			return c.errorf(fd.P, "parameter %q has incomplete type %s", param.Name, param.Type)
 		}
-		if err := c.sized(param.Type, fd.P, fmt.Sprintf("parameter %q", param.Name)); err != nil {
+		if err := c.sizedDecl(param.Type, fd.P, "parameter", param.Name); err != nil {
 			return err
 		}
 		c.slots++
@@ -299,7 +295,7 @@ func (c *checker) funcDef(fd *cast.FuncDef) error {
 	if err := c.stmts(fd.Body.List); err != nil {
 		return err
 	}
-	c.popScope()
+	c.scopes.Pop()
 	fd.NumSlots = c.slots
 
 	fd.Labels = c.labels
@@ -457,7 +453,7 @@ func (c *checker) localDecl(d *cast.Decl) error {
 			return c.errorf(d.P, "variable %q has incomplete type %s", d.Name, d.Type)
 		}
 	} else if d.Type.IsComplete() && d.Storage != cast.SExtern {
-		if err := c.sized(d.Type, d.P, fmt.Sprintf("variable %q", d.Name)); err != nil {
+		if err := c.sizedDecl(d.Type, d.P, "variable", d.Name); err != nil {
 			return err
 		}
 	}

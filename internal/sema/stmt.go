@@ -30,9 +30,9 @@ func (c *checker) stmt(s cast.Stmt) error {
 		}
 		return nil
 	case *cast.Compound:
-		c.pushScope()
+		c.scopes.Push()
 		err := c.stmts(s.List)
-		c.popScope()
+		c.scopes.Pop()
 		return err
 	case *cast.If:
 		if _, err := c.expr(s.Cond); err != nil {
@@ -74,8 +74,8 @@ func (c *checker) stmt(s cast.Stmt) error {
 		}
 		return nil
 	case *cast.For:
-		c.pushScope()
-		defer c.popScope()
+		c.scopes.Push()
+		defer c.scopes.Pop()
 		if s.Init != nil {
 			if err := c.stmt(s.Init); err != nil {
 				return err
@@ -150,6 +150,9 @@ func (c *checker) stmt(s cast.Stmt) error {
 	case *cast.Label:
 		if _, dup := c.labels[s.Name]; dup {
 			return c.errorf(s.P, "duplicate label %q", s.Name)
+		}
+		if c.labels == nil {
+			c.labels = make(map[string]*cast.Label)
 		}
 		c.labels[s.Name] = s
 		return c.stmt(s.Stmt)
