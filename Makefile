@@ -82,8 +82,8 @@ check: test
 	go test ./internal/interp/ -run 'TestOrderAllocs|TestCallAllocs|TestRunSetupAllocs' -count=1
 	go test -race ./internal/interp/ -run 'TestFuncPtrOutputDeterministic|TestStateDigestAcrossNew' -count=1
 	go test ./internal/cpp/ -run 'TestCPPOutputGolden|TestCPPLinear|TestCPPAllocsPerUnit' -count=1
-	go test ./internal/parser/ ./internal/sema/ -run 'TestParserAllocsPerUnit|TestSemaAllocsPerUnit' -count=1
 	go test -race ./internal/cpp/ -run TestCPPConcurrentGolden -count=1
+	go test ./internal/parser/ ./internal/sema/ -run 'TestParserAllocsPerUnit|TestSemaAllocsPerUnit' -count=1
 	go test ./internal/driver/ -run TestFrontendGolden -count=1
 	go test ./internal/interp/ -run '^$$' -bench BenchmarkObserverOverhead -benchtime 100x
 	go test ./internal/obs/ -run '^$$' -bench BenchmarkSpanOverhead -benchtime 100x

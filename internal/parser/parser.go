@@ -71,8 +71,8 @@ type Parser struct {
 // lexical error anywhere in src is reported in preference to a parse
 // error.
 func Parse(src, file string, model *ctypes.Model) (*cast.TranslationUnit, error) {
-	first := token.Pos{File: file, Line: 1, Col: 1}
-	p := &Parser{lx: *lexer.New(src, file), last: first, model: model, file: file}
+	p := &Parser{lx: *lexer.New(src, file), model: model, file: file,
+		last: token.Pos{File: file, Line: 1, Col: 1}}
 	p.pushScope()
 	p.tok = p.read()
 	p.ahead = p.read()
