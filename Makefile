@@ -36,7 +36,8 @@ test:
 # open → half-open → closed cycle — now extended with the artifact-tier
 # gates: the whole suite runs every artifact round-trip differentially
 # (a decoded program must analyze byte-identically to the compiled
-# original on every suite case, both engines), the artifact package is
+# original on every suite case and on units no suite reaches, such as
+# a switch without default, both engines), the artifact package is
 # race-clean, and the chaos run additionally audits that the restarted
 # shard answers warmed keys by artifact fetch (disk, then peer) with
 # zero frontend recompiles, and that the router's cross-node

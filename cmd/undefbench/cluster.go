@@ -86,17 +86,16 @@ type clusterReport struct {
 	// Artifact-tier audit. ClusterFetches / ClusterCompiles split the
 	// cluster's cache misses into artifact-served and frontend-compiled
 	// (the fetch-vs-recompile ratio); RouterCoalesced counts forwards the
-	// router held behind an identical in-flight key; RouterHints counts
-	// forwards stamped with a directory hint. DiskFetches / PeerFetches /
-	// ProbeRecompiles are the restarted shard's counter deltas over the
-	// cold-restart probes, and ColdRestartOK is the gate: the SIGKILLed-
-	// and-restarted shard answered its first repeat-key requests by
-	// fetching (disk, then peer), never by recompiling. CoalesceOK gates
-	// RouterCoalesced > 0 whenever the workload had duplicates to coalesce.
+	// router held behind an identical in-flight body. DiskFetches /
+	// PeerFetches / ProbeRecompiles are the restarted shard's counter
+	// deltas over the cold-restart probes, and ColdRestartOK is the gate:
+	// the SIGKILLed-and-restarted shard answered its first repeat-key
+	// requests by fetching (disk, then peer), never by recompiling.
+	// CoalesceOK gates RouterCoalesced > 0 whenever the workload had
+	// duplicates to coalesce.
 	ClusterFetches  int64 `json:"cluster_fetches"`
 	ClusterCompiles int64 `json:"cluster_compiles"`
 	RouterCoalesced int64 `json:"router_coalesced"`
-	RouterHints     int64 `json:"router_hints"`
 	DiskFetches     int64 `json:"disk_fetches"`
 	PeerFetches     int64 `json:"peer_fetches"`
 	ProbeRecompiles int64 `json:"probe_recompiles"`
@@ -444,7 +443,7 @@ func probeAnalyze(client *http.Client, addr, src, file string) error {
 }
 
 // auditArtifacts fills the artifact-tier verdicts: the cluster-wide
-// fetch-vs-recompile split, the router's coalescing/hint counters, and —
+// fetch-vs-recompile split, the router's coalescing counter, and —
 // when the chaos killed and restarted a shard — the cold-restart gate:
 // the restarted shard must answer a repeat of a pre-kill key from its
 // surviving disk store, and a key it never saw by fetching from a peer,
@@ -458,7 +457,6 @@ func auditArtifacts(client *http.Client, url string, ports []string, procs []*ex
 	}
 	if rm.Artifact != nil {
 		rep.RouterCoalesced = rm.Artifact.Coalesced
-		rep.RouterHints = rm.Artifact.Hints
 	}
 	if rm.Aggregate != nil {
 		rep.ClusterFetches = rm.Aggregate.Cache.ArtifactHits
@@ -774,8 +772,8 @@ func printClusterReport(rep *clusterReport) {
 	if total := rep.ClusterFetches + rep.ClusterCompiles; total > 0 {
 		ratio = fmt.Sprintf("%.0f%% fetched", 100*float64(rep.ClusterFetches)/float64(total))
 	}
-	fmt.Printf("  artifacts: %d fetched vs %d compiled cluster-wide (%s) · router coalesced %d · hinted %d\n",
-		rep.ClusterFetches, rep.ClusterCompiles, ratio, rep.RouterCoalesced, rep.RouterHints)
+	fmt.Printf("  artifacts: %d fetched vs %d compiled cluster-wide (%s) · router coalesced %d\n",
+		rep.ClusterFetches, rep.ClusterCompiles, ratio, rep.RouterCoalesced)
 	if rep.Killed > 0 {
 		fmt.Printf("  restart:   %d disk fetches, %d peer fetches, %d recompiles over the cold-restart probes\n",
 			rep.DiskFetches, rep.PeerFetches, rep.ProbeRecompiles)

@@ -79,6 +79,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/ctypes"
 	"repro/internal/fault"
 	"repro/internal/server"
 )
@@ -117,6 +118,10 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if _, err := ctypes.ModelFor(*model); err != nil {
+		fmt.Fprintf(stderr, "undefd: -model: %v\n", err)
+		return 2
+	}
 
 	var injector *fault.Injector
 	if *injectSpec != "" {
@@ -133,7 +138,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		return runRouter(routerOpts{
 			addr:          *addr,
 			shards:        *shards,
-			model:         *model,
 			probeInterval: *probeInterval,
 			drain:         *drain,
 			traceSample:   *traceSample,
@@ -263,7 +267,6 @@ func splitAddrs(s string) []string {
 type routerOpts struct {
 	addr          string
 	shards        string
-	model         string
 	probeInterval time.Duration
 	drain         time.Duration
 	traceSample   int
@@ -287,7 +290,6 @@ func runRouter(opts routerOpts, stdout, stderr io.Writer, ready chan<- string) i
 	rt, err := cluster.NewRouter(cluster.Config{
 		Shards:        addrs,
 		ProbeInterval: opts.probeInterval,
-		Model:         opts.model,
 		TraceSample:   opts.traceSample,
 		Injector:      opts.injector,
 		Seed:          opts.seed,

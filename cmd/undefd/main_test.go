@@ -219,4 +219,9 @@ func TestDaemonBadFlags(t *testing.T) {
 	if code := run([]string{"-model", "PDP11"}, &stdout, &stderr, nil); code != 2 {
 		t.Errorf("bad model: exit = %d, want 2", code)
 	}
+	// Router mode checks -model at flag parse too; the unusable -addr
+	// makes a missed check exit 1 at listen instead of serving.
+	if code := run([]string{"-router", "-shards", "127.0.0.1:1", "-addr", "127.0.0.1:-1", "-model", "PDP11"}, &stdout, &stderr, nil); code != 2 {
+		t.Errorf("router with bad model: exit = %d, want 2", code)
+	}
 }

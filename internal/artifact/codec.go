@@ -632,7 +632,13 @@ func (e *encoder) stmt(s cast.Stmt) {
 		for _, c := range s.Cases {
 			e.stmt(c)
 		}
-		e.stmt(s.Dflt)
+		if s.Dflt == nil {
+			// A nil *cast.Default is not a nil cast.Stmt: encode the
+			// absent default as the nil statement it stands for.
+			e.putByte(tagNil)
+		} else {
+			e.stmt(s.Dflt)
+		}
 	case *cast.Case:
 		e.putByte(tagCase)
 		e.pos(s.P)

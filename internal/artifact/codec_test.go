@@ -390,8 +390,12 @@ func slotsOf(p *undefc.Program) string {
 // both paper suites, decode(encode(P)) must produce byte-identical
 // verdicts AND observer event streams under both engines. The original
 // program is the oracle — any divergence is a codec bug by definition.
+// The codec group adds units no suite case covers; each must compile.
 func TestArtifactRoundTripGate(t *testing.T) {
-	suites := []*suite.Suite{suite.Juliet(), suite.Own()}
+	codec := &suite.Suite{Name: "codec", Cases: []suite.Case{
+		{Name: "switch_no_default", Source: "int main(void) { switch (1) { case 1: break; } return 0; }"},
+	}}
+	suites := []*suite.Suite{suite.Juliet(), suite.Own(), codec}
 	cases := 0
 	for _, s := range suites {
 		s := s
@@ -399,6 +403,9 @@ func TestArtifactRoundTripGate(t *testing.T) {
 			for _, c := range s.Cases {
 				prog, err := undefc.Compile(c.Source, c.Name+".c", undefc.Options{})
 				if err != nil {
+					if s == codec {
+						t.Errorf("%s: compile: %v", c.Name, err)
+					}
 					continue // compile failures never reach the artifact tier
 				}
 				data, err := artifact.Encode(prog)

@@ -10,10 +10,8 @@ import (
 )
 
 // Fetcher pulls artifact frames from peer shards over the cluster's
-// `GET /v1/artifact/{key}` endpoint. The router's directory hint (the
-// shard that compiled the key) is tried first; the static peer list is
-// the sweep fallback, so an artifact is found even when the directory is
-// cold or the hinted shard just died.
+// `GET /v1/artifact/{key}` endpoint, sweeping the static peer list in
+// order: a dead or empty peer costs one failed try before the next.
 type Fetcher struct {
 	// Self is this shard's own address; it is skipped wherever it
 	// appears so a shard never fetches from itself.
@@ -36,10 +34,10 @@ func baseURL(addr string) string {
 	return "http://" + addr
 }
 
-// Fetch tries the hinted peer then the remaining peers and returns the
-// first validated frame. errs counts failed attempts (transport errors,
-// bad status, torn/corrupt bodies) — the mid-fetch-peer-death counter.
-func (f *Fetcher) Fetch(ctx context.Context, key, hint string) (frame []byte, from string, errs int64, ok bool) {
+// Fetch tries the peers in order and returns the first validated frame.
+// errs counts failed attempts (transport errors, bad status, torn/corrupt
+// bodies) — the mid-fetch-peer-death counter.
+func (f *Fetcher) Fetch(ctx context.Context, key string) (frame []byte, from string, errs int64, ok bool) {
 	perTry := f.PerTry
 	if perTry <= 0 {
 		perTry = 750 * time.Millisecond
@@ -55,17 +53,10 @@ func (f *Fetcher) Fetch(ctx context.Context, key, hint string) (frame []byte, fr
 	ctx, cancel := context.WithTimeout(ctx, budget)
 	defer cancel()
 
-	var candidates []string
-	if hint != "" && hint != f.Self {
-		candidates = append(candidates, hint)
-	}
-	for _, p := range f.Peers {
-		if p == "" || p == f.Self || p == hint {
+	for _, addr := range f.Peers {
+		if addr == "" || addr == f.Self {
 			continue
 		}
-		candidates = append(candidates, p)
-	}
-	for _, addr := range candidates {
 		if ctx.Err() != nil {
 			break
 		}

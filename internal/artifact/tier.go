@@ -28,10 +28,10 @@ type Config struct {
 }
 
 // Tier is the content-addressed artifact tier: driver.Cache's
-// second-level miss path. Load order is local disk → hinted peer → peer
-// sweep → miss; every degradation (corrupt frame, version skew, torn
-// fetch, dead peer) is counted and falls through to the compile path —
-// the tier can slow a miss down, never wrong a verdict.
+// second-level miss path. Load order is local disk → peer sweep → miss;
+// every degradation (corrupt frame, version skew, torn fetch, dead peer)
+// is counted and falls through to the compile path — the tier can slow
+// a miss down, never wrong a verdict.
 type Tier struct {
 	disk  *Store
 	fetch *Fetcher
@@ -67,8 +67,8 @@ func NewTier(cfg Config) (*Tier, error) {
 
 // Load implements driver.Artifacts: it returns the stored program for
 // key if any tier has a valid artifact, degrading through corruption to
-// a miss. opts.ArtifactPeer, when set, names the shard to try first.
-func (t *Tier) Load(key string, opts driver.Options) (*sema.Program, bool) {
+// a miss.
+func (t *Tier) Load(key string) (*sema.Program, bool) {
 	if !validKey(key) {
 		return nil, false
 	}
@@ -82,7 +82,7 @@ func (t *Tier) Load(key string, opts driver.Options) (*sema.Program, bool) {
 		t.disk.discardCorrupt(key, nil)
 	}
 	if t.fetch != nil {
-		frame, _, errs, ok := t.fetch.Fetch(context.Background(), key, opts.ArtifactPeer)
+		frame, _, errs, ok := t.fetch.Fetch(context.Background(), key)
 		atomic.AddInt64(&t.peerErrors, errs)
 		if ok {
 			payload, perr := parseFrame(frame)

@@ -61,7 +61,7 @@ func TestTierDiskRoundTripAndRestart(t *testing.T) {
 	tier := newTier(t, artifact.Config{Dir: dir})
 	storeOne(t, tier, key)
 
-	prog, ok := tier.Load(key, driver.Options{})
+	prog, ok := tier.Load(key)
 	if !ok || prog == nil {
 		t.Fatal("disk load missed a freshly stored artifact")
 	}
@@ -72,7 +72,7 @@ func TestTierDiskRoundTripAndRestart(t *testing.T) {
 	// A new tier on the same dir is the SIGKILL+restart scenario: the
 	// frame survives and the first Load decodes instead of recompiling.
 	revived := newTier(t, artifact.Config{Dir: dir})
-	if _, ok := revived.Load(key, driver.Options{}); !ok {
+	if _, ok := revived.Load(key); !ok {
 		t.Fatal("restarted tier missed the persisted artifact")
 	}
 	if st := revived.Stats(); st.DiskHits != 1 || st.DiskEntries != 1 {
@@ -94,7 +94,7 @@ func TestTierTruncatedFile(t *testing.T) {
 	if err := os.Truncate(path, info.Size()/2); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := tier.Load(key, driver.Options{}); ok {
+	if _, ok := tier.Load(key); ok {
 		t.Fatal("truncated artifact loaded as valid")
 	}
 	st := tier.Stats()
@@ -121,7 +121,7 @@ func TestTierBadChecksum(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := tier.Load(key, driver.Options{}); ok {
+	if _, ok := tier.Load(key); ok {
 		t.Fatal("checksum-corrupt artifact loaded as valid")
 	}
 	if st := tier.Stats(); st.Corrupt == 0 {
@@ -129,7 +129,7 @@ func TestTierBadChecksum(t *testing.T) {
 	}
 }
 
-func TestTierPeerFetchWithHintAndWriteThrough(t *testing.T) {
+func TestTierPeerSweepWriteThrough(t *testing.T) {
 	key := tierKey(t)
 	source := newTier(t, artifact.Config{Dir: t.TempDir()})
 	storeOne(t, source, key)
@@ -145,16 +145,16 @@ func TestTierPeerFetchWithHintAndWriteThrough(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	// The hinted peer is tried first; the configured peer list here is a
-	// dead address, so success proves the hint path.
-	cold := newTier(t, artifact.Config{Dir: t.TempDir(), Peers: []string{"127.0.0.1:1"}})
-	prog, ok := cold.Load(key, driver.Options{ArtifactPeer: srv.URL})
+	// The sweep meets a dead address first and must go on to the live
+	// peer behind it.
+	cold := newTier(t, artifact.Config{Dir: t.TempDir(), Peers: []string{"127.0.0.1:1", srv.URL}})
+	prog, ok := cold.Load(key)
 	if !ok || prog == nil {
-		t.Fatal("peer fetch via hint failed")
+		t.Fatal("peer sweep past a dead peer failed")
 	}
 	st := cold.Stats()
-	if st.PeerHits != 1 || st.BytesFetched == 0 {
-		t.Fatalf("stats = %+v, want 1 peer hit with bytes", st)
+	if st.PeerHits != 1 || st.PeerErrors != 1 || st.BytesFetched == 0 {
+		t.Fatalf("stats = %+v, want 1 peer hit with bytes after 1 failed try", st)
 	}
 	if st.Stores != 1 {
 		t.Fatalf("stats = %+v, want fetched frame written through to disk", st)
@@ -163,7 +163,7 @@ func TestTierPeerFetchWithHintAndWriteThrough(t *testing.T) {
 		t.Fatalf("source stats = %+v, want 1 served frame", sst)
 	}
 	// Second load is a pure local disk hit — no peer involved.
-	if _, ok := cold.Load(key, driver.Options{}); !ok {
+	if _, ok := cold.Load(key); !ok {
 		t.Fatal("write-through frame not readable locally")
 	}
 	if st := cold.Stats(); st.DiskHits != 1 || st.PeerHits != 1 {
@@ -187,7 +187,7 @@ func TestTierPeerSweepFallback(t *testing.T) {
 
 	// No hint: the peer list alone must find the artifact.
 	cold := newTier(t, artifact.Config{Dir: t.TempDir(), Peers: []string{srv.URL}})
-	if _, ok := cold.Load(key, driver.Options{}); !ok {
+	if _, ok := cold.Load(key); !ok {
 		t.Fatal("peer sweep failed")
 	}
 	if st := cold.Stats(); st.PeerHits != 1 {
@@ -220,7 +220,7 @@ func TestTierMidFetchPeerDeath(t *testing.T) {
 	defer srv.Close()
 
 	cold := newTier(t, artifact.Config{Dir: t.TempDir(), Peers: []string{srv.URL}})
-	prog, ok := cold.Load(key, driver.Options{})
+	prog, ok := cold.Load(key)
 	if ok || prog != nil {
 		t.Fatal("torn peer fetch returned a program")
 	}
@@ -241,7 +241,7 @@ func TestTierPeerServesGarbage(t *testing.T) {
 	}))
 	defer srv.Close()
 	cold := newTier(t, artifact.Config{Dir: t.TempDir(), Peers: []string{srv.URL}})
-	if _, ok := cold.Load(key, driver.Options{}); ok {
+	if _, ok := cold.Load(key); ok {
 		t.Fatal("garbage peer response accepted")
 	}
 	if st := cold.Stats(); st.PeerErrors == 0 {
@@ -280,10 +280,10 @@ func TestStoreLRUGC(t *testing.T) {
 		t.Fatalf("stats = %+v, store exceeds its byte cap", st)
 	}
 	// The most recent key must have survived; the oldest must be gone.
-	if _, ok := tier.Load(keys[len(keys)-1], driver.Options{}); !ok {
+	if _, ok := tier.Load(keys[len(keys)-1]); !ok {
 		t.Error("most recently stored artifact was evicted")
 	}
-	if _, ok := tier.Load(keys[0], driver.Options{}); ok {
+	if _, ok := tier.Load(keys[0]); ok {
 		t.Error("oldest artifact survived a full-cap sweep")
 	}
 }

@@ -68,16 +68,12 @@ type ShardMetrics struct {
 	Latency  map[string]*obs.HistogramSnapshot `json:"latency,omitempty"`
 }
 
-// ArtifactRouting is the router's own artifact machinery: the directory
-// behind the peer hints and the cluster-wide single-flight group.
+// ArtifactRouting is the router's own artifact machinery: the
+// cluster-wide single-flight group.
 type ArtifactRouting struct {
-	// Coalesced counts forwards held behind an identical in-flight key —
-	// compiles the cluster did NOT run twice.
+	// Coalesced counts analyze forwards held behind an identical
+	// in-flight body — compiles the cluster did NOT run twice.
 	Coalesced int64 `json:"coalesced"`
-	// Hints counts forwards stamped with an X-Undefc-Artifact-Peer header.
-	Hints int64 `json:"hints"`
-	// DirectoryKeys is the current key→holder directory size.
-	DirectoryKeys int64 `json:"directory_keys"`
 }
 
 // ClusterAggregate sums the per-shard cache and artifact counters over

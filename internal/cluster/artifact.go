@@ -1,93 +1,19 @@
 package cluster
 
-// The router's side of the artifact tier: it never stores or decodes a
-// frame itself, but it knows two things the shards cannot — which shard
-// last answered for a key (the directory, driving the X-Undefc-Artifact-
-// Peer hint on forwards) and which keys are being compiled right now
-// anywhere in the cluster (its single-flight group, generalizing the
-// shards' across nodes: N clients submitting the same cold translation
-// unit through the router cost the cluster one compile, with followers
-// forwarded only after the leader's forward reaches a shard — onto a
-// now-warm cache or a now-populated artifact store).
+// The router's side of the artifact tier: it never stores, decodes or
+// locates a frame itself (a shard's fetcher sweeps its peers for that).
+// It reports the shards' cache and artifact counters on /metrics; its
+// single-flight group (proxy.go) holds identical analyze bodies so N
+// clients submitting the same cold translation unit cost the cluster one
+// compile.
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
-	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/server"
 )
-
-// isArtifactKey reports whether a ring key is a driver.SourceKey — the
-// only keys the artifact machinery acts on (batch and unparseable bodies
-// route on raw-bytes keys with a prefix, which fail this test).
-func isArtifactKey(key string) bool {
-	if len(key) != 64 {
-		return false
-	}
-	for i := 0; i < len(key); i++ {
-		c := key[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
-// directory is a bounded LRU of key → the shard address that most
-// recently delivered an analyze answer for it — which, with the artifact
-// tier armed, is the shard whose store holds the compiled frame. It is a
-// hint, never an authority: a wrong entry costs one failed peer try
-// before the fetcher sweeps or the shard compiles.
-type directory struct {
-	mu  sync.Mutex
-	max int
-	m   map[string]*list.Element
-	lru *list.List // front = most recently recorded
-}
-
-type dirEntry struct {
-	key, addr string
-}
-
-func newDirectory(max int) *directory {
-	return &directory{max: max, m: make(map[string]*list.Element), lru: list.New()}
-}
-
-func (d *directory) record(key, addr string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if el, ok := d.m[key]; ok {
-		el.Value = dirEntry{key, addr}
-		d.lru.MoveToFront(el)
-		return
-	}
-	d.m[key] = d.lru.PushFront(dirEntry{key, addr})
-	for d.lru.Len() > d.max {
-		oldest := d.lru.Back()
-		d.lru.Remove(oldest)
-		delete(d.m, oldest.Value.(dirEntry).key)
-	}
-}
-
-func (d *directory) lookup(key string) (string, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	el, ok := d.m[key]
-	if !ok {
-		return "", false
-	}
-	d.lru.MoveToFront(el)
-	return el.Value.(dirEntry).addr, true
-}
-
-func (d *directory) len() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.lru.Len()
-}
 
 // enrichMetrics fans out to the shards' own /metrics (JSON) and grafts
 // each shard's compile-cache and artifact-tier counters onto its entry,

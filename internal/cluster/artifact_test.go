@@ -11,48 +11,7 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/driver"
 )
-
-func TestIsArtifactKey(t *testing.T) {
-	good := driver.SourceKey("int main(void){return 0;}", "t.c", driver.Options{})
-	if !isArtifactKey(good) {
-		t.Errorf("real SourceKey %q rejected", good)
-	}
-	for _, bad := range []string{"", "batch:abc", "raw:deadbeef",
-		strings.Repeat("g", 64), strings.Repeat("A", 64), strings.Repeat("0", 63)} {
-		if isArtifactKey(bad) {
-			t.Errorf("key %q accepted", bad)
-		}
-	}
-}
-
-func TestDirectoryLRU(t *testing.T) {
-	d := newDirectory(3)
-	for i := 0; i < 5; i++ {
-		d.record(fmt.Sprintf("k%d", i), fmt.Sprintf("s%d", i))
-	}
-	if d.len() != 3 {
-		t.Fatalf("directory holds %d keys, want the 3-entry cap honored", d.len())
-	}
-	if _, ok := d.lookup("k0"); ok {
-		t.Error("oldest key survived past the cap")
-	}
-	if addr, ok := d.lookup("k4"); !ok || addr != "s4" {
-		t.Errorf("lookup(k4) = %q, %v", addr, ok)
-	}
-	// Re-recording moves a key to the front; an update replaces the holder.
-	d.lookup("k2") // freshen
-	d.record("k5", "s5")
-	if _, ok := d.lookup("k2"); !ok {
-		t.Error("freshened key was evicted before a staler one")
-	}
-	d.record("k2", "elsewhere")
-	if addr, _ := d.lookup("k2"); addr != "elsewhere" {
-		t.Errorf("updated holder = %q, want elsewhere", addr)
-	}
-}
 
 // gateShard is a shard whose /v1/analyze parks until released, so a test
 // can observe exactly how many requests the router lets through while one
@@ -61,7 +20,6 @@ type gateShard struct {
 	ts      *httptest.Server
 	arrived chan struct{}
 	release chan struct{}
-	hints   chan string
 }
 
 func newGateShard(t *testing.T) *gateShard {
@@ -69,7 +27,6 @@ func newGateShard(t *testing.T) *gateShard {
 	g := &gateShard{
 		arrived: make(chan struct{}, 16),
 		release: make(chan struct{}),
-		hints:   make(chan string, 16),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
@@ -78,7 +35,6 @@ func newGateShard(t *testing.T) *gateShard {
 	})
 	mux.HandleFunc("/v1/analyze", func(w http.ResponseWriter, r *http.Request) {
 		g.arrived <- struct{}{}
-		g.hints <- r.Header.Get("X-Undefc-Artifact-Peer")
 		<-g.release
 		w.Header().Set("X-Undefc-Instance", "gate")
 		w.Header().Set("Content-Type", "application/json")
@@ -157,58 +113,96 @@ func TestRouterSingleFlight(t *testing.T) {
 	}
 }
 
-// TestRouterArtifactHintOnFailover pins the directory: once a shard has
-// answered for a key, a later forward of the same key to a DIFFERENT
-// shard carries the holder's address as the artifact-peer hint.
-func TestRouterArtifactHintOnFailover(t *testing.T) {
-	a, b := newFakeShard(t, "inst-a"), newFakeShard(t, "inst-b")
-	rt, ts := newTestRouter(t, Config{
-		Shards: []string{a.addr(), b.addr()},
-		Retry:  RetryPolicy{MaxAttempts: 3, Base: time.Millisecond, Max: 2 * time.Millisecond},
-	})
-	body := analyzeBody()
-	ordered := orderShards(rt, body, a, b)
-
-	resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+// TestRouterRoutesOnBodyBytes pins placement on the raw request bytes:
+// equal bodies reach the ring owner of their hash every time, bodies the
+// router could not read as an analyze request (non-JSON, no source, a
+// batch) still route and get the shard's answer, and the single-flight
+// key is the body too — a different body is not held behind an
+// in-flight one, an equal body is.
+func TestRouterRoutesOnBodyBytes(t *testing.T) {
+	fakes := []*fakeShard{newFakeShard(t, "inst-a"), newFakeShard(t, "inst-b"), newFakeShard(t, "inst-c")}
+	instanceOf := map[string]string{}
+	var addrs []string
+	for _, f := range fakes {
+		addrs = append(addrs, f.addr())
+		instanceOf[f.addr()] = f.instance
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	key := rt.routeKey("/v1/analyze", body)
-	if holder, ok := rt.dir.lookup(key); !ok || holder != ordered[0].addr() {
-		t.Fatalf("directory holder = %q, %v; want primary %s recorded", holder, ok, ordered[0].addr())
+	rt, ts := newTestRouter(t, Config{Shards: addrs})
+	post := func(path string, body []byte) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode, resp.Header.Get("X-Undefc-Instance")
+	}
+	for _, body := range [][]byte{
+		analyzeBody(),
+		[]byte(`{"source": "int main(void){return 0;}", "file": "t.c"}`),
+		[]byte("not json at all"),
+		[]byte(`{"file":"t.c"}`),
+	} {
+		want := instanceOf[rt.ring.Owner(hash64(body))]
+		for i := 0; i < 3; i++ {
+			if st, inst := post("/v1/analyze", body); st != http.StatusOK || inst != want {
+				t.Errorf("analyze %q (try %d) = %d from %q, want 200 from the owner %q", body, i, st, inst, want)
+			}
+		}
+	}
+	batch := []byte(`{"suite":"own","tools":["kcc"]}`)
+	if st, inst := post("/v1/batch", batch); st != http.StatusOK || inst != instanceOf[rt.ring.Owner(hash64(batch))] {
+		t.Errorf("batch = %d from %q, want 200 from the owner of its bytes", st, inst)
 	}
 
-	// Saturate the primary: the failover forward to the secondary must be
-	// stamped with the primary's address.
-	ordered[0].mode.Store("429")
-	hint := make(chan string, 1)
-	ordered[1].onAnalyze.Store(func(r *http.Request) {
+	g := newGateShard(t)
+	grt, gts := newTestRouter(t, Config{Shards: []string{g.addr()}})
+	var release sync.Once
+	releaseGate := func() { release.Do(func() { close(g.release) }) }
+	t.Cleanup(releaseGate) // a failed check must not leave the shard parked
+	var wg sync.WaitGroup
+	send := func(body []byte) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(gts.URL+"/v1/analyze", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("analyze %q = %d", body, resp.StatusCode)
+			}
+		}()
+	}
+	arrive := func(what string) {
+		t.Helper()
 		select {
-		case hint <- r.Header.Get("X-Undefc-Artifact-Peer"):
-		default:
+		case <-g.arrived:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s never reached the shard", what)
 		}
-	})
-	resp, err = http.Post(ts.URL+"/v1/analyze", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("failover analyze = %d", resp.StatusCode)
-	}
-	select {
-	case h := <-hint:
-		if h != ordered[0].addr() {
-			t.Errorf("failover hint = %q, want the recorded holder %s", h, ordered[0].addr())
+	send(analyzeBody())
+	arrive("the leader")
+	send([]byte("not json at all"))
+	arrive("a different body")
+	send(analyzeBody())
+	deadline := time.After(5 * time.Second)
+	for grt.flights.Stats().Parked < 1 {
+		select {
+		case <-deadline:
+			t.Fatal("an equal body was not held behind the in-flight one")
+		case <-time.After(time.Millisecond):
 		}
-	default:
-		t.Error("failover forward carried no artifact-peer hint")
 	}
-	if m := rt.Metrics(); m.Artifact.Hints == 0 || m.Artifact.DirectoryKeys == 0 {
-		t.Errorf("metrics artifact = %+v, want hints and directory keys counted", m.Artifact)
+	releaseGate()
+	wg.Wait()
+	if n := grt.Metrics().Artifact.Coalesced; n != 1 {
+		t.Errorf("coalesced = %d, want only the equal body held", n)
 	}
 }
 

@@ -15,8 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/ctypes"
-	"repro/internal/driver"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/server"
@@ -45,10 +43,6 @@ type Config struct {
 	BreakerFailures    int
 	BreakerCooldown    time.Duration
 	BreakerMaxCooldown time.Duration
-	// Model and Defines mirror the shards' serving defaults so the router
-	// computes the same driver.SourceKey a shard's compile cache uses.
-	Model   string
-	Defines []string
 	// TraceSample forwards a fresh trace ID with every Nth /v1/analyze
 	// request (X-Undefc-Trace-Id); the shard adopts it, so the trace is
 	// retrievable from that shard's /v1/trace/{id}. 0 disables.
@@ -61,9 +55,6 @@ type Config struct {
 	Injector *fault.Injector
 	// Seed makes backoff and breaker jitter replayable (default 1).
 	Seed int64
-	// DirectoryMax bounds the key→shard artifact directory (default 4096
-	// entries, LRU).
-	DirectoryMax int
 }
 
 func (c Config) withDefaults() Config {
@@ -85,9 +76,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.DirectoryMax <= 0 {
-		c.DirectoryMax = 4096
 	}
 	return c
 }
@@ -129,12 +117,9 @@ type Router struct {
 	noShards     atomic.Int64
 	upstreamLost atomic.Int64
 
-	// Artifact routing state: the key→holder directory behind the
-	// X-Undefc-Artifact-Peer hint, and the cluster-wide single-flight
-	// group (its Parked count is the coalesced counter).
-	dir      *directory
-	flights  fault.Group[string, struct{}]
-	artHints atomic.Int64
+	// flights is the cluster-wide single-flight group over analyze body
+	// hashes; its Parked count is the coalesced counter.
+	flights fault.Group[uint64, struct{}]
 
 	mu         sync.Mutex
 	requests   map[string]int64
@@ -146,9 +131,6 @@ type Router struct {
 // Start arms the prober and Handler is mounted on a listener.
 func NewRouter(cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
-	if _, err := ctypes.ModelFor(cfg.Model); err != nil {
-		return nil, err
-	}
 	ring, err := NewRing(cfg.Shards, cfg.VNodes)
 	if err != nil {
 		return nil, err
@@ -160,7 +142,6 @@ func NewRouter(cfg Config) (*Router, error) {
 		start:      time.Now(),
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		spans:      obs.NewSpanRing(0, 0),
-		dir:        newDirectory(cfg.DirectoryMax),
 		requests:   make(map[string]int64),
 		delivered:  make(map[string]int64),
 		byInstance: make(map[string]map[string]int64),
@@ -231,43 +212,12 @@ func (rt *Router) shardFor(addr string) *shard {
 	return nil
 }
 
-// routeKey computes the ring key for a request body: driver.SourceKey
-// over (source, file, model, defines), exactly the identity the shards'
-// compile caches use — so identical sources land on the shard that
-// already has them compiled. Bodies that do not parse (the shard will
-// answer 400) and batch bodies (no single source) key on the raw bytes:
-// still deterministic, still balanced.
-func (rt *Router) routeKey(path string, body []byte) string {
-	if path == "/v1/batch" {
-		return fmt.Sprintf("batch:%x", hash64(string(body)))
-	}
-	var req struct {
-		Source  string   `json:"source"`
-		File    string   `json:"file"`
-		Model   string   `json:"model"`
-		Defines []string `json:"defines"`
-	}
-	if err := json.Unmarshal(body, &req); err != nil || req.Source == "" {
-		return fmt.Sprintf("raw:%x", hash64(string(body)))
-	}
-	name := req.Model
-	if name == "" {
-		name = rt.cfg.Model
-	}
-	model, err := ctypes.ModelFor(name)
-	if err != nil {
-		return fmt.Sprintf("raw:%x", hash64(string(body)))
-	}
-	file := req.File
-	if file == "" {
-		file = "request.c"
-	}
-	defines := append(append([]string{}, rt.cfg.Defines...), req.Defines...)
-	return driver.SourceKey(req.Source, file, driver.Options{Model: model, Defines: defines})
-}
-
 // handleKeyed is the forwarding path for the three /v1 analysis routes:
-// consistent-hash the body, then forward with bounded failover.
+// consistent-hash the raw body bytes, then forward with bounded failover.
+// Placement needs no parse: equal bodies are equal requests, so they
+// reach the same shard, whose compile cache keys on the real source
+// identity. Bodies that differ only in JSON spelling may land apart and
+// at worst cost a peer fetch or one more compile.
 func (rt *Router) handleKeyed(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
 	body, err := io.ReadAll(r.Body)
@@ -282,29 +232,29 @@ func (rt *Router) handleKeyed(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	path := r.URL.Path
-	key := rt.routeKey(path, body)
-	replicas := rt.ring.Replicas(key)
-	artKey := ""
+	h := hash64(body)
+	replicas := rt.ring.Replicas(h)
 
-	// Cluster-wide single-flight: identical /v1/analyze keys park behind
+	// Cluster-wide single-flight: identical /v1/analyze bodies park behind
 	// the first. Once its forward reaches a shard they are released to
 	// find the work done wherever they land (cache hit, or artifact fetch
 	// on failover); if it reaches none, one follower leads instead. The
 	// forward timeout bounds the wait: a stuck leader cannot strand them.
-	if path == "/v1/analyze" && isArtifactKey(key) {
-		artKey = key
+	// Every follower still forwards its own body, so a hash collision
+	// costs a wait, never a wrong answer.
+	if path == "/v1/analyze" {
 		led := false
 		wait, cancel := context.WithTimeout(r.Context(), rt.cfg.ForwardTimeout)
-		rt.flights.Do(wait, key, func() (struct{}, error) {
+		rt.flights.Do(wait, h, func() (struct{}, error) {
 			led = true
-			return struct{}{}, rt.forward(w, r, path, artKey, body, replicas)
+			return struct{}{}, rt.forward(w, r, path, body, replicas)
 		})
 		cancel()
 		if led || r.Context().Err() != nil {
 			return // answered, or the client left while parked
 		}
 	}
-	rt.forward(w, r, path, artKey, body, replicas)
+	rt.forward(w, r, path, body, replicas)
 }
 
 // errUndelivered marks a leader's forward that reached no shard: it says
@@ -315,10 +265,9 @@ var errUndelivered = fault.Transient(errors.New("forward reached no shard"))
 // shards the health model rules out, with jittered exponential backoff
 // between attempts. A response from a shard — any status — ends the
 // loop, except 429 and draining 503, which fail over (the shard counted
-// nothing for them, so replaying elsewhere cannot double-count). artKey
-// is an analyze request's source key, empty for every other request. It
+// nothing for them, so replaying elsewhere cannot double-count). It
 // returns errUndelivered unless a shard's answer reached the client.
-func (rt *Router) forward(w http.ResponseWriter, r *http.Request, path, artKey string, body []byte, replicas []string) error {
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, path string, body []byte, replicas []string) error {
 	streaming := path == "/v1/batch" ||
 		(path == "/v1/explore" && strings.Contains(r.Header.Get("Accept"), "application/x-ndjson"))
 
@@ -409,16 +358,6 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, path, artKey s
 		}
 		if attempt > 1 {
 			req.Header.Set("X-Undefc-Replay", "1")
-		}
-		if artKey != "" {
-			// Steer the shard's artifact fetch at whoever answered for
-			// this key last — decisive on failover, when the replacement
-			// shard is cold but the original's store (or a peer that
-			// fetched from it) still holds the frame.
-			if holder, ok := rt.dir.lookup(artKey); ok && holder != sh.addr {
-				req.Header.Set("X-Undefc-Artifact-Peer", holder)
-				rt.artHints.Add(1)
-			}
 		}
 		fsp := startSpan("forward")
 		if fsp.Recording() {
@@ -512,12 +451,6 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, path, artKey s
 		rt.fwdDelivered.Add(1)
 		if path == "/v1/analyze" {
 			rt.countDelivered(resp.Header.Get("X-Undefc-Verdict"), sh.instanceID())
-			if artKey != "" && resp.StatusCode == http.StatusOK {
-				// The shard that just answered compiled (or fetched) the
-				// program: it is now the directory's best guess for where
-				// this key's artifact lives.
-				rt.dir.record(artKey, sh.addr)
-			}
 		}
 		return nil
 	}
@@ -804,11 +737,7 @@ func (rt *Router) Metrics() *RouterMetrics {
 			NoShards:     rt.noShards.Load(),
 			UpstreamLost: rt.upstreamLost.Load(),
 		},
-		Artifact: &ArtifactRouting{
-			Coalesced:     rt.flights.Stats().Parked,
-			Hints:         rt.artHints.Load(),
-			DirectoryKeys: int64(rt.dir.len()),
-		},
+		Artifact: &ArtifactRouting{Coalesced: rt.flights.Stats().Parked},
 	}
 	for _, sh := range rt.shards {
 		state := "ready"

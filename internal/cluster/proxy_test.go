@@ -28,9 +28,6 @@ type fakeShard struct {
 	served   atomic.Int64
 	// mode: "ok", "429", "draining", "torn-stream", "stall-stream"
 	mode atomic.Value
-	// onAnalyze, when set to a func(*http.Request), observes each
-	// /v1/analyze request before it is answered (header assertions).
-	onAnalyze atomic.Value
 }
 
 func newFakeShard(t *testing.T, instance string) *fakeShard {
@@ -43,9 +40,6 @@ func newFakeShard(t *testing.T, instance string) *fakeShard {
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("/v1/analyze", func(w http.ResponseWriter, r *http.Request) {
-		if fn, ok := f.onAnalyze.Load().(func(*http.Request)); ok && fn != nil {
-			fn(r)
-		}
 		w.Header().Set("X-Undefc-Instance", f.instance)
 		w.Header().Set("Content-Type", "application/json")
 		switch f.mode.Load() {
@@ -144,7 +138,7 @@ func analyzeBody() []byte {
 // will try them for the given body, so tests can script "first replica
 // misbehaves, second serves".
 func orderShards(rt *Router, body []byte, shards ...*fakeShard) []*fakeShard {
-	reps := rt.ring.Replicas(rt.routeKey("/v1/analyze", body))
+	reps := rt.ring.Replicas(hash64(body))
 	var out []*fakeShard
 	for _, addr := range reps {
 		for _, f := range shards {

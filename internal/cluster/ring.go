@@ -1,27 +1,28 @@
 // Package cluster turns N undefd shards into one fault-tolerant service:
-// a front router consistent-hashes each request's source identity
-// (driver.SourceKey) onto a shard ring so identical translation units land
-// on the shard that already has them compiled, a per-shard health model
-// (periodic /readyz probes plus passive error and latency signals) feeds a
-// per-shard circuit breaker (closed → open → half-open), and a bounded
-// retry policy with jittered exponential backoff fails a request over to
-// the next ring replica when its home shard is down, draining, or
-// answering 429 — while preserving the single-box serving invariants:
-// every response a client receives is counted exactly once in the
-// router's delivered tally, streams that lose their upstream end in a
-// typed trailer error rather than a truncated body, and a draining shard
-// leaves the ring before its listener closes.
+// a front router consistent-hashes each request's raw body bytes onto a
+// shard ring so identical requests land on the shard that already has
+// them compiled (the shard alone computes the source identity,
+// driver.SourceKey, its cache and artifact store key on), a per-shard
+// health model (periodic /readyz probes plus passive error and latency
+// signals) feeds a per-shard circuit breaker (closed → open →
+// half-open), and a bounded retry policy with jittered exponential
+// backoff fails a request over to the next ring replica when its home
+// shard is down, draining, or answering 429 — while preserving the
+// single-box serving invariants: every response a client receives is
+// counted exactly once in the router's delivered tally, streams that
+// lose their upstream end in a typed trailer error rather than a
+// truncated body, and a draining shard leaves the ring before its
+// listener closes.
 package cluster
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 )
 
 // Ring is a consistent-hash ring over shard addresses. Each shard owns
-// VNodes points on the ring; a key routes to the shard owning the first
-// point at or after the key's hash, and its failover replicas are the
+// VNodes points on the ring; a key hash routes to the shard owning the
+// first point at or after it, and its failover replicas are the
 // next distinct shards clockwise. The ring itself is immutable — shard
 // liveness is the breaker's business, not the ring's — so routing stays
 // deterministic across shard deaths and restarts: a recovered shard gets
@@ -61,7 +62,7 @@ func NewRing(shards []string, vnodes int) (*Ring, error) {
 		}
 		seen[s] = true
 		for v := 0; v < vnodes; v++ {
-			r.points = append(r.points, ringPoint{hash: hash64(fmt.Sprintf("%s#%d", s, v)), shard: i})
+			r.points = append(r.points, ringPoint{hash: hash64([]byte(fmt.Sprintf("%s#%d", s, v))), shard: i})
 		}
 	}
 	sort.Slice(r.points, func(a, b int) bool { return r.points[a].hash < r.points[b].hash })
@@ -71,15 +72,15 @@ func NewRing(shards []string, vnodes int) (*Ring, error) {
 // Shards returns the ring's member addresses in construction order.
 func (r *Ring) Shards() []string { return append([]string(nil), r.shards...) }
 
-// Replicas returns every shard in the key's preference order: the owner
-// first, then each distinct shard met walking the ring clockwise. A
-// router that exhausts the list has tried the whole cluster.
-func (r *Ring) Replicas(key string) []string {
-	h := hash64(key)
+// Replicas returns every shard in the preference order of a key hash
+// (hash64 of the key): the owner first, then each distinct shard met
+// walking the ring clockwise. A router that exhausts the list has tried
+// the whole cluster.
+func (r *Ring) Replicas(h uint64) []string {
 	// First point at or after h (wrapping).
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	out := make([]string, 0, len(r.shards))
-	seen := make(map[int]bool, len(r.shards))
+	seen := make([]bool, len(r.shards))
 	for n := 0; n < len(r.points) && len(out) < len(r.shards); n++ {
 		p := r.points[(i+n)%len(r.points)]
 		if !seen[p.shard] {
@@ -90,11 +91,16 @@ func (r *Ring) Replicas(key string) []string {
 	return out
 }
 
-// Owner returns the key's home shard (Replicas' first entry).
-func (r *Ring) Owner(key string) string { return r.Replicas(key)[0] }
+// Owner returns the key hash's home shard (Replicas' first entry).
+func (r *Ring) Owner(h uint64) string { return r.Replicas(h)[0] }
 
-func hash64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
+// hash64 is 64-bit FNV-1a over b, read in place: a router hashes whole
+// request bodies (batches up to 16 MiB) with it.
+func hash64(b []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	return h
 }

@@ -23,8 +23,8 @@ func TestRingDeterministicAndBalanced(t *testing.T) {
 	const keys = 10000
 	for i := 0; i < keys; i++ {
 		k := fmt.Sprintf("source-key-%d", i)
-		own := a.Owner(k)
-		if got := b.Owner(k); got != own {
+		own := a.Owner(hash64([]byte(k)))
+		if got := b.Owner(hash64([]byte(k))); got != own {
 			t.Fatalf("ring disagreement on %q: %s vs %s", k, own, got)
 		}
 		counts[own]++
@@ -47,12 +47,13 @@ func TestRingReplicas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reps := r.Replicas("some-key")
+	h := hash64([]byte("some-key"))
+	reps := r.Replicas(h)
 	if len(reps) != len(shards) {
 		t.Fatalf("replicas = %v, want all %d shards", reps, len(shards))
 	}
-	if reps[0] != r.Owner("some-key") {
-		t.Errorf("replicas[0] = %s, owner = %s", reps[0], r.Owner("some-key"))
+	if reps[0] != r.Owner(h) {
+		t.Errorf("replicas[0] = %s, owner = %s", reps[0], r.Owner(h))
 	}
 	seen := map[string]bool{}
 	for _, s := range reps {

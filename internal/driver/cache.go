@@ -76,8 +76,7 @@ type Artifacts interface {
 	// Load returns the stored program for key if one is available locally
 	// or from a peer. Implementations must never return a wrong program:
 	// corrupt, torn, or version-skewed artifacts degrade to (nil, false).
-	// opts carries the ArtifactPeer fetch hint.
-	Load(key string, opts Options) (*sema.Program, bool)
+	Load(key string) (*sema.Program, bool)
 	// Store persists a freshly compiled program under key, best effort.
 	Store(key string, prog *sema.Program)
 }
@@ -228,7 +227,7 @@ func (c *Cache) fill(k cacheKey, src, file string, opts Options) (prog *sema.Pro
 	how = "miss"
 	start := time.Now()
 	if arts != nil {
-		if p, ok := arts.Load(sourceKeyOf(k), opts); ok {
+		if p, ok := arts.Load(sourceKeyOf(k)); ok {
 			prog, how = p, "artifact"
 		}
 	}

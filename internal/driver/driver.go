@@ -29,11 +29,6 @@ type Options struct {
 	// frontend runs. It is deliberately NOT part of the cache key: fault
 	// injection perturbs execution, not the compiled artifact.
 	Injector *fault.Injector
-	// ArtifactPeer is a router-provided hint (the X-Undefc-Artifact-Peer
-	// header) naming the shard most likely to already hold this key's
-	// compiled artifact. Like Injector it is NOT part of the cache key:
-	// it steers where an artifact is fetched from, not what is compiled.
-	ArtifactPeer string
 }
 
 // Compile preprocesses, parses, and type-checks one C source file. A panic

@@ -11,6 +11,15 @@ import (
 func (c *checker) checkInit(d *cast.Decl) error {
 	switch init := d.Init.(type) {
 	case *cast.InitList:
+		// C11 6.7.9p3: the object must have a complete type, or be an
+		// array of unknown size whose elements do.
+		obj := d.Type
+		if obj.Kind == ctypes.Array && obj.ArrayLen < 0 {
+			obj = obj.Elem
+		}
+		if !obj.IsComplete() {
+			return c.errorf(d.P, "variable %q has incomplete type %s", d.Name, d.Type)
+		}
 		ty, plan, err := c.buildInitPlan(d.Type, init, d.P)
 		if err != nil {
 			return err

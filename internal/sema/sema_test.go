@@ -245,6 +245,29 @@ func TestInitErrors(t *testing.T) {
 	}
 }
 
+// TestInitIncompleteType: a braced initializer for an object of
+// incomplete type gets the same diagnostic as the uninitialized
+// declaration (C11 6.7.9p3) at file, block and static block scope,
+// instead of asking for the layout of the incomplete type.
+func TestInitIncompleteType(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{"struct pair p = {1, 2};",
+			`variable "p" has incomplete type struct pair`},
+		{"int main(void) { struct pair p = {1, 2}; return 0; }",
+			`variable "p" has incomplete type struct pair`},
+		{"int main(void) { static struct pair p = {1, 2}; return 0; }",
+			`variable "p" has incomplete type struct pair`},
+		{"int main(void) { struct pair a[] = {{1, 2}}; return 0; }",
+			`variable "a" has incomplete type struct pair[]`},
+	} {
+		if err := checkErr(t, tc.src); !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Check(%q) = %v, want %q", tc.src, err, tc.want)
+		}
+	}
+	// A non-braced initializer keeps its run-time verdict.
+	check(t, "struct pair *q; int main(void) { struct pair p = *q; return 0; }")
+}
+
 func TestSwitchChecking(t *testing.T) {
 	prog := check(t, `
 int main(void) {

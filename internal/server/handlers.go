@@ -69,12 +69,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defines := append(append([]string{}, s.cfg.Defines...), req.Defines...)
-	copts := driver.Options{
-		Model: model, Defines: defines, Injector: s.cfg.Injector,
-		// The router's directory hint: the shard most likely to already
-		// hold this key's compiled artifact. Not part of the cache key.
-		ArtifactPeer: r.Header.Get("X-Undefc-Artifact-Peer"),
-	}
+	copts := driver.Options{Model: model, Defines: defines, Injector: s.cfg.Injector}
 
 	// Tracing: every cfg.TraceSample-th analyze request gets a trace
 	// context; its span tree lands in the span ring when the root ends and
