@@ -22,7 +22,10 @@ test:
 # race detector (8 goroutines calling interp.Run over every Juliet
 # program × the 4 tool profiles, each program's compiled code shared).
 # The VM is a test and probe engine only: no binary, example or the root
-# package may link it. The search gates: the parallel POR explorer must
+# package may link it. Every other package must be linked: a
+# repro/internal package that no binary, example, the root package or the
+# benchmark module reaches fails the check (the offenders are printed), so
+# unused code is deleted rather than kept. The search gates: the parallel POR explorer must
 # report byte-identical outcome sets to the sequential DFS oracle on
 # every suite case with choice points, and the whole search package must
 # be race-clean (workers share the frontier, the POR registry and the
@@ -94,6 +97,7 @@ check: test
 	go test ./internal/vm/ -run 'TestGoldenEventSequenceVM|TestEngineDiff' -count=1
 	go test -race ./internal/vm/ -run TestMatrixParallelVM -count=1
 	test -z "$$(go list -deps ./cmd/... ./examples/... . | grep -x repro/internal/vm)"
+	deps=$$(go list -deps ./cmd/... ./examples/... . && cd perfbench && go list -deps ./...) && ! go list ./internal/... | grep -vxF "$$deps"
 	go test ./internal/search/ -run 'TestDifferentialGate|TestExploreConfigMatrix' -count=1
 	go test -race ./internal/search/ -count=1
 	go run ./cmd/undefbench -cluster 3 -kill 1 -c 12 -d 6s -inject 'cluster.forward=error%0.01' -seed 1

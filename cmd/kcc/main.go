@@ -119,27 +119,24 @@ func main() {
 	// before any exit on a traced path (os.Exit skips defers).
 	ctx, finishTrace := startTrace(*traceOut)
 
+	// One compile path: without -trace-out, ctx carries no collector and
+	// the "compile" span costs nothing.
+	cstart := time.Now()
+	prog, err := driver.NewCache().CompileCtx(ctx, string(src), file, driver.Options{Model: model})
+	compile := time.Since(cstart)
+
 	if *jsonFlag {
 		// The report path runs the kcc analysis tool (metrics on, program
-		// output captured) and emits the canonical single-file report.
+		// output captured) and emits the canonical single-file report,
+		// charging the frontend to it like compileAndDelegate does.
 		kcc := tools.KCC(tools.Config{Model: model, Budget: budget, Metrics: true, Observer: tracer, Timeout: *timeout})
 		var rep tools.Report
-		if *traceOut == "" {
-			rep = kcc.Analyze(string(src), file)
+		if err != nil {
+			rep = tools.Report{Verdict: tools.Inconclusive, Detail: "compile: " + err.Error()}
 		} else {
-			// The traced equivalent of Analyze: compile under the "compile"
-			// span, analyze under "interp", charge the frontend to the
-			// report like compileAndDelegate does.
-			cstart := time.Now()
-			prog, cerr := driver.NewCache().CompileCtx(ctx, string(src), file, driver.Options{Model: model})
-			compile := time.Since(cstart)
-			if cerr != nil {
-				rep = tools.Report{Verdict: tools.Inconclusive, Detail: "compile: " + cerr.Error(), CompileDuration: compile}
-			} else {
-				rep = kcc.AnalyzeProgram(ctx, prog, file)
-				rep.CompileDuration = compile
-			}
+			rep = kcc.AnalyzeProgram(ctx, prog, file)
 		}
+		rep.CompileDuration = compile
 		finishTrace()
 		printCoverage()
 		if err := runner.WriteJSON(os.Stdout, runner.FileReportFrom(file, kcc.Name(), rep)); err != nil {
@@ -152,12 +149,6 @@ func main() {
 		return
 	}
 
-	var prog *sema.Program
-	if *traceOut == "" {
-		prog, err = driver.Compile(string(src), file, driver.Options{Model: model})
-	} else {
-		prog, err = driver.NewCache().CompileCtx(ctx, string(src), file, driver.Options{Model: model})
-	}
 	if err != nil {
 		finishTrace()
 		fmt.Fprintf(os.Stderr, "kcc: %v\n", err)

@@ -13,19 +13,17 @@ import (
 // `GET /v1/artifact/{key}` endpoint, sweeping the static peer list in
 // order: a dead or empty peer costs one failed try before the next.
 type Fetcher struct {
-	// Self is this shard's own address; it is skipped wherever it
-	// appears so a shard never fetches from itself.
-	Self string
 	// Peers are the other shards' addresses ("host:port" or full URLs).
 	Peers []string
-	// PerTry bounds each attempt (default 750ms).
-	PerTry time.Duration
-	// Budget bounds the whole fetch across all candidates (default 2s):
-	// peer fetch must stay decisively cheaper than just recompiling.
-	Budget time.Duration
-	// Client, when nil, uses a dedicated client with sane pooling.
-	Client *http.Client
 }
+
+const (
+	// fetchPerTry bounds each attempt.
+	fetchPerTry = 750 * time.Millisecond
+	// fetchBudget bounds the whole fetch across all candidates: peer
+	// fetch must stay decisively cheaper than just recompiling.
+	fetchBudget = 2 * time.Second
+)
 
 func baseURL(addr string) string {
 	if strings.Contains(addr, "://") {
@@ -38,29 +36,17 @@ func baseURL(addr string) string {
 // errs counts failed attempts (transport errors, bad status, torn/corrupt
 // bodies) — the mid-fetch-peer-death counter.
 func (f *Fetcher) Fetch(ctx context.Context, key string) (frame []byte, from string, errs int64, ok bool) {
-	perTry := f.PerTry
-	if perTry <= 0 {
-		perTry = 750 * time.Millisecond
-	}
-	budget := f.Budget
-	if budget <= 0 {
-		budget = 2 * time.Second
-	}
-	client := f.Client
-	if client == nil {
-		client = fetchClient
-	}
-	ctx, cancel := context.WithTimeout(ctx, budget)
+	ctx, cancel := context.WithTimeout(ctx, fetchBudget)
 	defer cancel()
 
 	for _, addr := range f.Peers {
-		if addr == "" || addr == f.Self {
+		if addr == "" {
 			continue
 		}
 		if ctx.Err() != nil {
 			break
 		}
-		data, err := f.fetchOne(ctx, client, addr, key, perTry)
+		data, err := fetchOne(ctx, addr, key)
 		if err != nil {
 			if err != ErrNotFound {
 				errs++
@@ -72,14 +58,14 @@ func (f *Fetcher) Fetch(ctx context.Context, key string) (frame []byte, from str
 	return nil, "", errs, false
 }
 
-func (f *Fetcher) fetchOne(ctx context.Context, client *http.Client, addr, key string, perTry time.Duration) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, perTry)
+func fetchOne(ctx context.Context, addr, key string) ([]byte, error) {
+	ctx, cancel := context.WithTimeout(ctx, fetchPerTry)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL(addr)+"/v1/artifact/"+key, nil)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := client.Do(req)
+	resp, err := fetchClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +94,7 @@ func (f *Fetcher) fetchOne(ctx context.Context, client *http.Client, addr, key s
 	return data, nil
 }
 
-// fetchClient is the default transport for peer fetches: small pool,
+// fetchClient is the transport for peer fetches: small pool,
 // short dial timeout — a dead peer must fail fast.
 var fetchClient = &http.Client{
 	Transport: &http.Transport{

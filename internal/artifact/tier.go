@@ -2,9 +2,7 @@ package artifact
 
 import (
 	"context"
-	"net/http"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/driver"
 	"repro/internal/sema"
@@ -16,15 +14,9 @@ type Config struct {
 	Dir string
 	// MaxBytes caps the local store; <= 0 means uncapped.
 	MaxBytes int64
-	// Self is this shard's own listen address, excluded from peer sweeps.
-	Self string
 	// Peers are sibling shard addresses for the fetch tier; empty
 	// disables peer fetch (pure local disk tier).
 	Peers []string
-	// FetchTimeout bounds each peer attempt (default 750ms).
-	FetchTimeout time.Duration
-	// Client overrides the peer-fetch HTTP client (tests).
-	Client *http.Client
 }
 
 // Tier is the content-addressed artifact tier: driver.Cache's
@@ -55,12 +47,7 @@ func NewTier(cfg Config) (*Tier, error) {
 	}
 	t := &Tier{disk: disk}
 	if len(cfg.Peers) > 0 {
-		t.fetch = &Fetcher{
-			Self:   cfg.Self,
-			Peers:  cfg.Peers,
-			PerTry: cfg.FetchTimeout,
-			Client: cfg.Client,
-		}
+		t.fetch = &Fetcher{Peers: cfg.Peers}
 	}
 	return t, nil
 }

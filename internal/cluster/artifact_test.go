@@ -15,11 +15,14 @@ import (
 
 // gateShard is a shard whose /v1/analyze parks until released, so a test
 // can observe exactly how many requests the router lets through while one
-// is in flight.
+// is in flight. A test registers t.Cleanup(g.open) after building the
+// router over it, so a failed check releases the parked handlers before
+// the servers close instead of hanging on them.
 type gateShard struct {
 	ts      *httptest.Server
 	arrived chan struct{}
 	release chan struct{}
+	once    sync.Once
 }
 
 func newGateShard(t *testing.T) *gateShard {
@@ -47,6 +50,10 @@ func newGateShard(t *testing.T) *gateShard {
 
 func (g *gateShard) addr() string { return strings.TrimPrefix(g.ts.URL, "http://") }
 
+// open releases the parked /v1/analyze handlers and lets later ones
+// through; it may be called more than once.
+func (g *gateShard) open() { g.once.Do(func() { close(g.release) }) }
+
 // TestRouterSingleFlight pins the cross-node coalescing contract: while
 // one analyze for a key is in flight, identical submissions are held at
 // the router — the shard sees exactly one request until the leader
@@ -54,6 +61,7 @@ func (g *gateShard) addr() string { return strings.TrimPrefix(g.ts.URL, "http://
 func TestRouterSingleFlight(t *testing.T) {
 	g := newGateShard(t)
 	rt, ts := newTestRouter(t, Config{Shards: []string{g.addr()}})
+	t.Cleanup(g.open)
 
 	const followers = 3
 	var wg sync.WaitGroup
@@ -90,7 +98,7 @@ func TestRouterSingleFlight(t *testing.T) {
 	default:
 	}
 
-	close(g.release)
+	g.open()
 	wg.Wait()
 	close(statuses)
 	for st := range statuses {
@@ -158,9 +166,7 @@ func TestRouterRoutesOnBodyBytes(t *testing.T) {
 
 	g := newGateShard(t)
 	grt, gts := newTestRouter(t, Config{Shards: []string{g.addr()}})
-	var release sync.Once
-	releaseGate := func() { release.Do(func() { close(g.release) }) }
-	t.Cleanup(releaseGate) // a failed check must not leave the shard parked
+	t.Cleanup(g.open)
 	var wg sync.WaitGroup
 	send := func(body []byte) {
 		wg.Add(1)
@@ -199,7 +205,7 @@ func TestRouterRoutesOnBodyBytes(t *testing.T) {
 		case <-time.After(time.Millisecond):
 		}
 	}
-	releaseGate()
+	g.open()
 	wg.Wait()
 	if n := grt.Metrics().Artifact.Coalesced; n != 1 {
 		t.Errorf("coalesced = %d, want only the equal body held", n)

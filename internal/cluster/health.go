@@ -95,17 +95,11 @@ type prober struct {
 	done sync.WaitGroup
 }
 
-func newProber(shards []*shard, interval, timeout time.Duration, injector *fault.Injector) *prober {
-	if interval <= 0 {
-		interval = 250 * time.Millisecond
-	}
-	if timeout <= 0 {
-		timeout = interval
-	}
+func newProber(shards []*shard, interval time.Duration, injector *fault.Injector) *prober {
 	return &prober{
 		shards:   shards,
 		interval: interval,
-		client:   &http.Client{Timeout: timeout},
+		client:   &http.Client{Timeout: interval},
 		injector: injector,
 		stop:     make(chan struct{}),
 	}

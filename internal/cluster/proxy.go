@@ -24,33 +24,16 @@ import (
 type Config struct {
 	// Shards are the undefd shard addresses (host:port) forming the ring.
 	Shards []string
-	// VNodes is the virtual-node count per shard (default 64).
-	VNodes int
 	// ProbeInterval is the /readyz health-probe period (default 250ms);
-	// ProbeTimeout bounds one probe (default: the interval).
+	// it also bounds one probe.
 	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
-	// ForwardTimeout bounds one forward attempt (default 35s — above the
-	// shards' own 30s request ceiling, so a shard always answers with its
-	// own structured timeout verdict before the router gives up on it;
-	// abandoning a shard that is still working is how replays double-count).
-	ForwardTimeout time.Duration
 	// Retry is the failover policy (default: 3 attempts, 10ms–500ms
 	// full-jitter backoff).
 	Retry RetryPolicy
-	// BreakerFailures, BreakerCooldown, BreakerMaxCooldown tune the
-	// per-shard breakers (defaults 3, 500ms, 30s).
-	BreakerFailures    int
-	BreakerCooldown    time.Duration
-	BreakerMaxCooldown time.Duration
 	// TraceSample forwards a fresh trace ID with every Nth /v1/analyze
 	// request (X-Undefc-Trace-Id); the shard adopts it, so the trace is
 	// retrievable from that shard's /v1/trace/{id}. 0 disables.
 	TraceSample int
-	// MaxBodyBytes bounds a request body (default 17 MiB, above the
-	// shards' 16 MiB batch ceiling so the shard's own 413 stays the
-	// authoritative answer).
-	MaxBodyBytes int64
 	// Injector arms the cluster.probe / cluster.forward fault sites.
 	Injector *fault.Injector
 	// Seed makes backoff and breaker jitter replayable (default 1).
@@ -58,27 +41,26 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.VNodes <= 0 {
-		c.VNodes = DefaultVNodes
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 250 * time.Millisecond
 	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = c.ProbeInterval
-	}
-	if c.ForwardTimeout <= 0 {
-		c.ForwardTimeout = 35 * time.Second
-	}
 	c.Retry = c.Retry.withDefaults()
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 17 << 20
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 	return c
 }
+
+const (
+	// forwardTimeout bounds one forward attempt. It sits above the shards'
+	// own 30s request ceiling, so a shard always answers with its own
+	// structured timeout verdict before the router gives up on it;
+	// abandoning a shard that is still working is how replays double-count.
+	forwardTimeout = 35 * time.Second
+	// maxBodyBytes bounds a request body. It sits above the shards' 16 MiB
+	// batch ceiling so the shard's own 413 stays the authoritative answer.
+	maxBodyBytes = 17 << 20
+)
 
 // Router is the cluster front end: one HTTP handler that owns the ring,
 // the shard health model, and the failover loop. It serves the same
@@ -131,7 +113,7 @@ type Router struct {
 // Start arms the prober and Handler is mounted on a listener.
 func NewRouter(cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
-	ring, err := NewRing(cfg.Shards, cfg.VNodes)
+	ring, err := NewRing(cfg.Shards, DefaultVNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -147,10 +129,11 @@ func NewRouter(cfg Config) (*Router, error) {
 		byInstance: make(map[string]map[string]int64),
 	}
 	for i, addr := range ring.Shards() {
-		b := NewBreaker(cfg.BreakerFailures, cfg.BreakerCooldown, cfg.BreakerMaxCooldown, cfg.Seed+int64(i))
+		// Zeros take the breaker defaults: 3 failures, 500ms–30s cooldown.
+		b := NewBreaker(0, 0, 0, cfg.Seed+int64(i))
 		rt.shards = append(rt.shards, newShard(addr, b))
 	}
-	rt.prober = newProber(rt.shards, cfg.ProbeInterval, cfg.ProbeTimeout, cfg.Injector)
+	rt.prober = newProber(rt.shards, cfg.ProbeInterval, cfg.Injector)
 	rt.mux = http.NewServeMux()
 	rt.route("/v1/analyze", http.MethodPost, rt.handleKeyed)
 	rt.route("/v1/explore", http.MethodPost, rt.handleKeyed)
@@ -219,13 +202,13 @@ func (rt *Router) shardFor(addr string) *shard {
 // identity. Bodies that differ only in JSON spelling may land apart and
 // at worst cost a peer fetch or one more compile.
 func (rt *Router) handleKeyed(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			rt.writeError(w, http.StatusRequestEntityTooLarge, "too-large",
-				fmt.Sprintf("request body exceeds %d bytes", rt.cfg.MaxBodyBytes))
+				fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes))
 			return
 		}
 		rt.writeError(w, http.StatusBadRequest, "bad-request", "body: "+err.Error())
@@ -244,7 +227,7 @@ func (rt *Router) handleKeyed(w http.ResponseWriter, r *http.Request) {
 	// costs a wait, never a wrong answer.
 	if path == "/v1/analyze" {
 		led := false
-		wait, cancel := context.WithTimeout(r.Context(), rt.cfg.ForwardTimeout)
+		wait, cancel := context.WithTimeout(r.Context(), forwardTimeout)
 		rt.flights.Do(wait, h, func() (struct{}, error) {
 			led = true
 			return struct{}{}, rt.forward(w, r, path, body, replicas)
@@ -342,7 +325,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, path string, b
 			continue
 		}
 
-		ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.ForwardTimeout)
+		ctx, cancel := context.WithTimeout(r.Context(), forwardTimeout)
 		req, err := http.NewRequestWithContext(ctx, r.Method, "http://"+sh.addr+path, bytes.NewReader(body))
 		if err != nil {
 			cancel()
@@ -602,7 +585,7 @@ func (rt *Router) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // fanOut GETs path from every shard in parallel, each under the probe
-// budget (ProbeTimeout*4), reading at most limit bytes of each answer.
+// budget (four probe intervals), reading at most limit bytes of each answer.
 // Once every shard has answered or timed out, it hands each 200 body to
 // decode with the shard's ring index, one call at a time in ring order,
 // so decode needs no lock and its results come out deterministic. A
@@ -614,7 +597,7 @@ func (rt *Router) fanOut(ctx context.Context, path string, limit int64, decode f
 		wg.Add(1)
 		go func(i int, sh *shard) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout*4)
+			ctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeInterval*4)
 			defer cancel()
 			req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+sh.addr+path, nil)
 			if err != nil {

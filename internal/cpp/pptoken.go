@@ -6,10 +6,7 @@
 // that downstream positions refer to the original source.
 package cpp
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // ppTok is a preprocessing token. The preprocessor works on a coarser token
 // class than the real lexer: any punctuator is kept as its text.
@@ -39,8 +36,6 @@ const (
 func (t ppTok) isIdent(s string) bool { return t.kind == ppIdent && t.text == s }
 
 func (t ppTok) isPunct(s string) bool { return t.kind == ppPunct && t.text == s }
-
-func (t ppTok) pos() string { return fmt.Sprintf("%s:%d", t.file, t.line) }
 
 // union returns the hideset a ∪ b, reusing b when a adds nothing to it.
 // Hidesets are never written once built, so tokens may share them.

@@ -5,10 +5,6 @@ package ctypes
 // pointed-to types.
 func Compatible(a, b *Type) bool { return compatible(a, b, true) }
 
-// CompatibleQual reports compatibility including top-level qualifiers
-// (needed for pointer assignment checks, C11 §6.5.16.1:1).
-func CompatibleQual(a, b *Type) bool { return compatible(a, b, false) }
-
 func compatible(a, b *Type, ignoreTopQual bool) bool {
 	if a == b {
 		return true

@@ -122,9 +122,6 @@ func (in *Interp) ConvertForStore(v mem.Value, t *ctypes.Type, pos token.Pos) (m
 	return in.convertForStore(v, t, pos)
 }
 
-// ZeroOf builds the zero value of t.
-func (in *Interp) ZeroOf(t *ctypes.Type) mem.Value { return in.zeroOf(t) }
-
 // ---------- checked memory access ----------
 
 // ReadLV performs a checked read of an LV.
@@ -241,9 +238,6 @@ func (in *Interp) StringLitObj(lit *cast.StringLit) (mem.ObjID, error) { return 
 func (in *Interp) FuncPtr(name string, pos token.Pos) (mem.Value, error) {
 	return in.funcPtr(name, pos)
 }
-
-// FrameFunc reports the function of the current activation.
-func (in *Interp) FrameFunc() *cast.FuncDef { return in.curFrame().fn }
 
 // ---------- diagnostics and events ----------
 

@@ -869,7 +869,7 @@ func (in *Interp) callUser(fd *cast.FuncDef, args []mem.Value, pos token.Pos) (m
 // control signal to the call's value (§6.9.1). body executes fd's body —
 // the tree walker passes in.exec(fd.Body), the VM its compiled code.
 func (in *Interp) InvokeUser(fd *cast.FuncDef, args []mem.Value, pos token.Pos, body func() (Ctrl, error)) (mem.Value, error) {
-	if len(in.frames) >= in.budget.MaxCallDepth {
+	if len(in.frames) >= maxCallDepth {
 		return nil, &BudgetError{Msg: "call depth exceeded in " + fd.Name}
 	}
 	f := in.pushFrame(fd)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cast"
-	"repro/internal/ctypes"
 )
 
 // constEval evaluates an integer constant expression at parse time (array
@@ -173,13 +172,4 @@ func (p *Parser) constEvalFull(e cast.Expr) (int64, error) {
 		return 0, fmt.Errorf("%s: comma operator not allowed in constant expression", e.Pos())
 	}
 	return 0, fmt.Errorf("%s: not a constant expression", e.Pos())
-}
-
-// constEvalType is a convenience wrapper used by tests.
-func (p *Parser) constEvalType(e cast.Expr, t *ctypes.Type) (int64, error) {
-	v, err := p.constEval(e)
-	if err != nil {
-		return 0, err
-	}
-	return int64(p.model.Wrap(t, uint64(v))), nil
 }

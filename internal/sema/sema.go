@@ -146,8 +146,6 @@ func (c *checker) staticUB(b *ub.Behavior, pos token.Pos, format string, args ..
 
 func (c *checker) declare(sym *cast.Symbol) { c.scopes.Declare(sym.Name, sym) }
 
-func (c *checker) atFileScope() bool { return c.scopes.Depth() == 1 }
-
 // ---------- file-scope declarations ----------
 
 func (c *checker) fileScopeDecl(d *cast.Decl) error {

@@ -391,18 +391,17 @@ type ExploreMetrics struct {
 // ConfigResponse is the body of GET /debug/config: the effective serving
 // configuration after defaulting.
 type ConfigResponse struct {
-	Schema         string   `json:"schema"`
-	Model          string   `json:"model"`
-	ShardID        string   `json:"shard_id,omitempty"`
-	Defines        []string `json:"defines,omitempty"`
-	Concurrency    int      `json:"concurrency"`
-	QueueDepth     int      `json:"queue_depth"`
-	DefaultTimeout string   `json:"default_timeout"`
-	MaxTimeout     string   `json:"max_timeout"`
-	MaxSourceBytes int64    `json:"max_source_bytes"`
-	MaxBatchCases  int      `json:"max_batch_cases"`
-	MaxExploreRuns int      `json:"max_explore_runs"`
-	InjectorArmed  bool     `json:"injector_armed,omitempty"`
+	Schema         string `json:"schema"`
+	Model          string `json:"model"`
+	ShardID        string `json:"shard_id,omitempty"`
+	Concurrency    int    `json:"concurrency"`
+	QueueDepth     int    `json:"queue_depth"`
+	DefaultTimeout string `json:"default_timeout"`
+	MaxTimeout     string `json:"max_timeout"`
+	MaxSourceBytes int64  `json:"max_source_bytes"`
+	MaxBatchCases  int    `json:"max_batch_cases"`
+	MaxExploreRuns int    `json:"max_explore_runs"`
+	InjectorArmed  bool   `json:"injector_armed,omitempty"`
 	// TraceSample is the 1-in-N analyze-tracing rate (0 = tracing off);
 	// FlightEvents is the armed flight-recorder ring size (0 = off).
 	TraceSample  int `json:"trace_sample,omitempty"`

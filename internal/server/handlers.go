@@ -68,8 +68,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad-request", err.Error())
 		return
 	}
-	defines := append(append([]string{}, s.cfg.Defines...), req.Defines...)
-	copts := driver.Options{Model: model, Defines: defines, Injector: s.cfg.Injector}
+	copts := driver.Options{Model: model, Defines: req.Defines, Injector: s.cfg.Injector}
 
 	// Tracing: every cfg.TraceSample-th analyze request gets a trace
 	// context; its span tree lands in the span ring when the root ends and
@@ -268,9 +267,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad-request", "need a suite name or a case list")
 		return
 	default:
-		if len(req.Cases) > s.cfg.MaxBatchCases {
+		if len(req.Cases) > maxBatchCases {
 			writeError(w, http.StatusRequestEntityTooLarge, "too-large",
-				fmt.Sprintf("%d cases exceeds the %d-case limit", len(req.Cases), s.cfg.MaxBatchCases))
+				fmt.Sprintf("%d cases exceeds the %d-case limit", len(req.Cases), maxBatchCases))
 			return
 		}
 		su = &suite.Suite{Name: "batch"}
@@ -351,13 +350,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	enc.Encode(BatchHeader{Schema: APISchema, Suite: su.Name, Cases: len(su.Cases), Tools: names})
 	flush()
 
-	defines := append(append([]string{}, s.cfg.Defines...), req.Defines...)
 	opts := runner.Options{
 		Parallelism: par,
 		Context:     ctx,
 		Cache:       s.cache,
 		Model:       model,
-		Defines:     defines,
+		Defines:     req.Defines,
 		CaseTimeout: caseTimeout,
 		Injector:    s.cfg.Injector,
 		OnCell: func(c runner.Cell) {
@@ -493,7 +491,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(actx, timeout)
 	defer cancel()
 	ctx, sp := obs.StartSpan(ctx, "explore")
-	copts := driver.Options{Model: model, Defines: s.cfg.Defines, Injector: s.cfg.Injector}
+	copts := driver.Options{Model: model, Injector: s.cfg.Injector}
 
 	// Compile outside the guard-and-stream block: a compile error (or a
 	// fault before the search starts) is still a clean HTTP error in both
@@ -764,13 +762,12 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 		Schema:         APISchema,
 		Model:          s.cfg.Model,
 		ShardID:        s.cfg.ShardID,
-		Defines:        s.cfg.Defines,
 		Concurrency:    s.cfg.Concurrency,
 		QueueDepth:     s.cfg.QueueDepth,
 		DefaultTimeout: s.cfg.DefaultTimeout.String(),
 		MaxTimeout:     s.cfg.MaxTimeout.String(),
 		MaxSourceBytes: s.cfg.MaxSourceBytes,
-		MaxBatchCases:  s.cfg.MaxBatchCases,
+		MaxBatchCases:  maxBatchCases,
 		MaxExploreRuns: s.cfg.MaxExploreRuns,
 		InjectorArmed:  s.cfg.Injector != nil,
 		TraceSample:    s.cfg.TraceSample,

@@ -59,9 +59,6 @@ type Config struct {
 	// response carries it as X-Undefc-Shard, so clients and audits can
 	// attribute answers to ring members.
 	ShardID string
-	// Defines are macro definitions applied to every compile, before any
-	// per-request defines.
-	Defines []string
 	// Concurrency bounds simultaneously executing analyses (default:
 	// GOMAXPROCS).
 	Concurrency int
@@ -76,8 +73,6 @@ type Config struct {
 	// MaxSourceBytes bounds an analyze/explore request body; batch bodies
 	// get 16× (default 1 MiB).
 	MaxSourceBytes int64
-	// MaxBatchCases bounds a caller-supplied batch (default 4096).
-	MaxBatchCases int
 	// MaxExploreRuns is the default evaluation-order budget of a
 	// /v1/explore search when the request names none (default 5000).
 	MaxExploreRuns int
@@ -113,8 +108,6 @@ type Config struct {
 	// ArtifactPeers are sibling shard addresses to fetch missing
 	// artifacts from before falling back to a local compile.
 	ArtifactPeers []string
-	// ArtifactFetchTimeout bounds each peer-fetch attempt (default 750ms).
-	ArtifactFetchTimeout time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -139,9 +132,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxSourceBytes <= 0 {
 		c.MaxSourceBytes = 1 << 20
 	}
-	if c.MaxBatchCases <= 0 {
-		c.MaxBatchCases = 4096
-	}
 	if c.MaxExploreRuns <= 0 {
 		c.MaxExploreRuns = 5000
 	}
@@ -156,6 +146,9 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// maxBatchCases bounds a caller-supplied batch.
+const maxBatchCases = 4096
 
 // Server is one service instance: a compile cache, an admission queue,
 // a request coalescer, and the counters behind /metrics. It is inert
@@ -233,10 +226,9 @@ func New(cfg Config) (*Server, error) {
 	s.spans = obs.NewSpanRing(0, 0)
 	if cfg.ArtifactDir != "" {
 		tier, err := artifact.NewTier(artifact.Config{
-			Dir:          cfg.ArtifactDir,
-			MaxBytes:     cfg.ArtifactMaxBytes,
-			Peers:        cfg.ArtifactPeers,
-			FetchTimeout: cfg.ArtifactFetchTimeout,
+			Dir:      cfg.ArtifactDir,
+			MaxBytes: cfg.ArtifactMaxBytes,
+			Peers:    cfg.ArtifactPeers,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("artifact tier: %w", err)
@@ -284,7 +276,7 @@ func (s *Server) Instance() string { return s.instance }
 // router only ever routes to shards whose pipeline has proven itself
 // end to end at least once.
 func (s *Server) Warmup(ctx context.Context) error {
-	copts := driver.Options{Model: s.model, Defines: s.cfg.Defines}
+	copts := driver.Options{Model: s.model}
 	_, err := s.cache.CompileCtx(ctx, "int main(void) { return 0; }", "warmup.c", copts)
 	if err != nil {
 		return err

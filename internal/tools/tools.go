@@ -156,9 +156,6 @@ type Report struct {
 	Retried bool
 }
 
-// TotalDuration is the end-to-end wall time of the analysis.
-func (r Report) TotalDuration() time.Duration { return r.CompileDuration + r.RunDuration }
-
 // Tool analyzes C programs.
 //
 // AnalyzeProgram is the fast path: it analyzes an already-compiled
