@@ -77,7 +77,7 @@ func benchmarkToolCost(b *testing.B, tool tools.Tool) {
 	src, name := s.Cases[0].Source, s.Cases[0].Name
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep := tool.Analyze(src, name+".c")
+		rep := tools.Analyze(context.Background(), driver.NewCache(), tool, src, name+".c", driver.Options{})
 		if rep.Verdict == tools.Inconclusive {
 			b.Fatalf("inconclusive: %s", rep.Detail)
 		}

@@ -62,3 +62,37 @@ func golden(t *testing.T, name string, got []byte) {
 		t.Errorf("output differs from %s:\n--- got\n%s\n--- want\n%s", path, got, want)
 	}
 }
+
+// TestEveryExitFinishes: -trace-out writes its file and -coverage prints
+// the ledger on the exits that end a run early, translation-time UB and
+// -search among them.
+func TestEveryExitFinishes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		code int
+	}{
+		{"static-ub", []string{"testdata/zero_array.c"}, 1},
+		{"search", []string{"-search", "testdata/unseq.c"}, 1},
+		{"print-config", []string{"-print-config", "testdata/ok.c"}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			trace := filepath.Join(t.TempDir(), "trace.json")
+			var stdout, stderr bytes.Buffer
+			args := append([]string{"-trace-out", trace, "-coverage"}, tc.args...)
+			if code := run(args, &stdout, &stderr); code != tc.code {
+				t.Errorf("exit %d, want %d (stderr %q)", code, tc.code, stderr.String())
+			}
+			data, err := os.ReadFile(trace)
+			if err != nil {
+				t.Fatalf("no trace file: %v", err)
+			}
+			if !bytes.Contains(data, []byte(`"name": "compile"`)) {
+				t.Errorf("trace has no compile span:\n%s", data)
+			}
+			if !bytes.Contains(stderr.Bytes(), []byte("UB check-site coverage ledger")) {
+				t.Errorf("no coverage ledger on stderr:\n%s", stderr.String())
+			}
+		})
+	}
+}

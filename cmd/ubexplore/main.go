@@ -24,7 +24,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -89,19 +88,12 @@ func main() {
 		Dedup:         dedupOn,
 	}
 
-	var enc *json.Encoder
+	var st *server.ExploreStream
 	if *stream {
-		enc = json.NewEncoder(os.Stdout)
-		enc.Encode(server.ExploreHeader{
-			Schema: server.APISchema, File: file,
-			MaxRuns: *maxRuns, Parallelism: *par, POR: porOn, Dedup: dedupOn,
+		st = server.NewExploreStream(os.Stdout, server.ExploreHeader{
+			File: file, MaxRuns: *maxRuns, Parallelism: *par, POR: porOn, Dedup: dedupOn,
 		})
-		opts.OnOutcome = func(o search.Outcome, st search.Stats) {
-			enc.Encode(server.ExploreOutcomeLine{
-				ExploreOutcome: server.ExploreOutcomeFrom(o),
-				Runs:           st.OrdersExplored,
-			})
-		}
+		opts.OnOutcome = st.Outcome
 	}
 
 	res := search.Explore(ctx, prog, opts)
@@ -109,14 +101,7 @@ func main() {
 
 	switch {
 	case *stream:
-		enc.Encode(server.ExploreTrailer{
-			Done:          true,
-			Runs:          res.Runs,
-			Exhausted:     res.Exhausted,
-			Deterministic: res.Deterministic(),
-			Outcomes:      len(res.Outcomes),
-			Stats:         &res.Stats,
-		})
+		st.Trailer(res, 0, nil)
 	case *asJSON:
 		if err := runner.WriteJSON(os.Stdout, server.ExploreResponseFrom(file, res)); err != nil {
 			fmt.Fprintf(os.Stderr, "ubexplore: %v\n", err)

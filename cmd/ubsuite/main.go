@@ -33,7 +33,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -100,38 +99,9 @@ func main() {
 	// cell then records its cell → compile → interp spans, and finishTrace
 	// writes the forest as Chrome trace-event JSON. Called on every exit
 	// path of the matrix suites (idempotent; a no-op when tracing is off).
-	finishTrace := func() {}
-	if *traceOut != "" {
-		buf := &obs.SpanBuffer{}
-		ctx, _ := obs.WithTrace(context.Background(), buf)
-		ctx, root := obs.StartSpan(ctx, "suite")
-		root.SetAttr("suite", *suiteFlag)
-		opts.Context = ctx
-		done := false
-		finishTrace = func() {
-			if done {
-				return
-			}
-			done = true
-			root.End()
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ubsuite: -trace-out: %v\n", err)
-				return
-			}
-			spans := buf.Spans()
-			if err := obs.WriteChromeTrace(f, spans); err == nil {
-				err = f.Close()
-			} else {
-				f.Close()
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ubsuite: -trace-out: %v\n", err)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "ubsuite: wrote %d spans to %s\n", len(spans), *traceOut)
-		}
-	}
+	ctx, root, finishTrace := obs.TraceFile(*traceOut, "ubsuite", "suite", os.Stderr)
+	root.SetAttr("suite", *suiteFlag)
+	opts.Context = ctx
 	switch *suiteFlag {
 	case "juliet":
 		s := suite.Juliet()

@@ -6,8 +6,11 @@ package obs
 // straight into a flame view with no further tooling.
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strconv"
 	"time"
@@ -83,4 +86,42 @@ func WriteChromeTrace(w io.Writer, spans []*Span) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(ChromeTraceFrom(spans))
+}
+
+// TraceFile arms span collection for a command's -trace-out flag. The
+// returned context carries a collector and a root span named root, which
+// the caller may annotate. finish ends the root, writes the collected
+// spans to path as Chrome trace-event JSON and reports "<prog>: wrote N
+// spans to <path>" (or the failure) on log; it is idempotent, so a command
+// may defer it and also call it before printing its result. With path
+// empty, TraceFile returns a background context, a nil span and a no-op.
+func TraceFile(path, prog, root string, log io.Writer) (context.Context, *Span, func()) {
+	if path == "" {
+		return context.Background(), nil, func() {}
+	}
+	buf := &SpanBuffer{}
+	ctx, _ := WithTrace(context.Background(), buf)
+	ctx, sp := StartSpan(ctx, root)
+	done := false
+	return ctx, sp, func() {
+		if done {
+			return
+		}
+		done = true
+		sp.End()
+		spans := buf.Spans()
+		f, err := os.Create(path)
+		if err == nil {
+			if err = WriteChromeTrace(f, spans); err == nil {
+				err = f.Close()
+			} else {
+				f.Close()
+			}
+		}
+		if err != nil {
+			fmt.Fprintf(log, "%s: -trace-out: %v\n", prog, err)
+			return
+		}
+		fmt.Fprintf(log, "%s: wrote %d spans to %s\n", prog, len(spans), path)
+	}
 }

@@ -296,8 +296,7 @@ func (s *HistogramSnapshot) Mean() float64 {
 }
 
 // ShardedHistogram hands out per-goroutine shards and merges them at read
-// time, mirroring the Sharded metrics collector: each worker observes only
-// into its own shard (no cross-CPU contention), and bucket addition is
+// time: each worker observes only into its own shard (no cross-CPU contention), and bucket addition is
 // commutative so the merged snapshot is scheduling-independent.
 type ShardedHistogram struct {
 	mu     sync.Mutex

@@ -14,8 +14,8 @@ import (
 // are atomics and the per-behavior tallies are fixed-size atomic arrays, so
 // one Metrics may observe several goroutines at once without locks on the
 // hot path (only the builtin-call map takes a mutex, and builtin calls are
-// rare next to steps). For contention-free fan-in across a worker pool,
-// hand each goroutine its own shard via Sharded.
+// rare next to steps). A worker pool collects one Metrics per analysis
+// and merges the snapshots with Snapshot.Add.
 type Metrics struct {
 	steps atomic.Int64
 
@@ -141,41 +141,6 @@ func (m *Metrics) Snapshot() *Snapshot {
 // paper's error reports print ("Error: 00016").
 func CheckKey(code int) string { return fmt.Sprintf("%05d", code) }
 
-// Sharded hands out per-goroutine Metrics shards and merges them on
-// demand: each worker increments only its own shard (no cross-CPU
-// contention at all), and Snapshot folds the shards together. Counter
-// addition is commutative, so the merged snapshot is deterministic no
-// matter how work was scheduled across shards.
-type Sharded struct {
-	mu     sync.Mutex
-	shards []*Metrics
-}
-
-// NewSharded returns an empty shard set.
-func NewSharded() *Sharded { return &Sharded{} }
-
-// Shard registers and returns a new shard. Call once per goroutine and
-// reuse the result; a shard is an Observer like any other.
-func (s *Sharded) Shard() *Metrics {
-	m := NewMetrics()
-	s.mu.Lock()
-	s.shards = append(s.shards, m)
-	s.mu.Unlock()
-	return m
-}
-
-// Snapshot merges every shard into one frozen view.
-func (s *Sharded) Snapshot() *Snapshot {
-	s.mu.Lock()
-	shards := append([]*Metrics{}, s.shards...)
-	s.mu.Unlock()
-	out := &Snapshot{}
-	for _, m := range shards {
-		out.Add(m.Snapshot())
-	}
-	return out
-}
-
 // CheckCount tallies one behavior's check evaluations.
 type CheckCount struct {
 	Section string `json:"section"`
@@ -215,7 +180,7 @@ type Snapshot struct {
 	StepsPerCase *Hist `json:"steps_per_case,omitempty"`
 }
 
-// Add accumulates o counter-wise (shard or suite merging). Nil is a no-op.
+// Add accumulates o counter-wise (per-run or suite merging). Nil is a no-op.
 func (s *Snapshot) Add(o *Snapshot) {
 	if o == nil {
 		return

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/token"
@@ -52,32 +51,6 @@ func TestMetricsCounting(t *testing.T) {
 	}
 	if s.SchedChoices != 1 || s.BuiltinCalls["printf"] != 1 {
 		t.Fatalf("sched/builtins wrong: %d / %v", s.SchedChoices, s.BuiltinCalls)
-	}
-}
-
-// TestShardedConcurrent drives shards from several goroutines (meaningful
-// under -race) and checks the merge is exact.
-func TestShardedConcurrent(t *testing.T) {
-	sh := NewSharded()
-	const workers, perWorker = 8, 1000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m := sh.Shard()
-			ev := Event{Kind: EvStep}
-			rd := Event{Kind: EvRead, Class: ClassStatic, Size: 1}
-			for i := 0; i < perWorker; i++ {
-				m.Event(&ev)
-				m.Event(&rd)
-			}
-		}()
-	}
-	wg.Wait()
-	s := sh.Snapshot()
-	if s.Steps != workers*perWorker || s.MemReads != workers*perWorker {
-		t.Fatalf("merged steps/reads = %d/%d, want %d", s.Steps, s.MemReads, workers*perWorker)
 	}
 }
 

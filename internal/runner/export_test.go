@@ -2,10 +2,12 @@ package runner
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
 
+	"repro/internal/driver"
 	"repro/internal/obs"
 	"repro/internal/suite"
 	"repro/internal/tools"
@@ -136,7 +138,8 @@ func TestSuiteReportSchema(t *testing.T) {
 // TestFileReportShape covers the kcc -json single-file schema.
 func TestFileReportShape(t *testing.T) {
 	kcc := tools.KCC(tools.Config{Metrics: true})
-	rep := kcc.Analyze("int main(void){ int x = 0; return (x = 1) + (x = 2); }", "unseq.c")
+	rep := tools.Analyze(context.Background(), driver.NewCache(), kcc,
+		"int main(void){ int x = 0; return (x = 1) + (x = 2); }", "unseq.c", driver.Options{})
 	fr := FileReportFrom("unseq.c", kcc.Name(), rep)
 	var buf bytes.Buffer
 	if err := WriteJSON(&buf, fr); err != nil {

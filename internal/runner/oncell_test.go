@@ -20,18 +20,10 @@ type countingTool struct {
 
 func (t *countingTool) Name() string { return "counting" }
 
-func (t *countingTool) Analyze(src, file string) Report {
-	panic("unused")
-}
-
 func (t *countingTool) AnalyzeProgram(ctx context.Context, prog *sema.Program, file string) tools.Report {
 	t.calls.Add(1)
 	return tools.Report{Verdict: tools.Accepted}
 }
-
-// Report aliases tools.Report so countingTool.Analyze can name it without
-// another import line.
-type Report = tools.Report
 
 func onCellSuite(n int) *suite.Suite {
 	s := &suite.Suite{Name: "oncell-probe"}

@@ -32,7 +32,7 @@ import (
 )
 
 // SiteAnalyze is the fault-injection site fired before each matrix cell;
-// the unit is "<case>.c".
+// the unit is the case's file name (see unitFile).
 var SiteAnalyze = fault.RegisterSite("runner.analyze")
 
 // retryBackoff is the pause before retrying a transient cell failure.
@@ -56,9 +56,9 @@ type Options struct {
 	// Defines are extra macro definitions for the frontend pass.
 	Defines []string
 	// CaseTimeout, when positive, is the per-cell watchdog: each case×tool
-	// analysis runs under its own context deadline, and an expiry is
-	// reported as a Timeout verdict for that cell only — distinct from
-	// whole-run cancellation, which yields Cancelled/Skipped cells.
+	// compile and analysis runs under its own context deadline, and an
+	// expiry is reported as a Timeout verdict for that cell only — distinct
+	// from whole-run cancellation, which yields Cancelled/Skipped cells.
 	CaseTimeout time.Duration
 	// Injector, when set, fires the runner.analyze site per cell and is
 	// threaded into the shared frontend (driver.compile site). Tools carry
@@ -297,9 +297,12 @@ func runCell(ctx context.Context, cache *driver.Cache, t tools.Tool, c *suite.Ca
 	return rep
 }
 
-// analyzeCell is one guarded attempt at a cell.
+// analyzeCell is one guarded attempt at a cell: tools.Analyze compiles
+// through the cache (one frontend pass per case, shared across tools and
+// workers) and runs the tool. The report carries only the tool's own
+// RunDuration; the shared compile is accounted once, in FrontendStats.
 func analyzeCell(ctx context.Context, cache *driver.Cache, t tools.Tool, c *suite.Case, copts driver.Options, opts Options) tools.Report {
-	unit := c.Name + ".c"
+	unit := unitFile(c.Name)
 	if opts.CaseTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opts.CaseTimeout)
@@ -310,7 +313,7 @@ func analyzeCell(ctx context.Context, cache *driver.Cache, t tools.Tool, c *suit
 		if err := opts.Injector.Fire(SiteAnalyze, unit); err != nil {
 			return err
 		}
-		rep = analyzeShared(ctx, cache, t, c, copts)
+		rep = tools.Analyze(ctx, cache, t, c.Source, unit, copts)
 		return nil
 	})
 	if err != nil {
@@ -319,20 +322,14 @@ func analyzeCell(ctx context.Context, cache *driver.Cache, t tools.Tool, c *suit
 	return rep
 }
 
-// analyzeShared compiles through the cache (one frontend pass per case,
-// shared across tools and workers) and runs the tool's fast path. The
-// report carries only the tool's own RunDuration — the shared compile is
-// accounted once, in FrontendStats, not once per tool.
-func analyzeShared(ctx context.Context, cache *driver.Cache, t tools.Tool, c *suite.Case, copts driver.Options) tools.Report {
-	prog, err := cache.CompileCtx(ctx, c.Source, c.Name+".c", copts)
-	if err != nil {
-		rep := tools.ReportFromError(err)
-		if rep.Verdict == tools.Inconclusive {
-			rep.Detail = "compile: " + err.Error()
-		}
-		return rep
+// unitFile is the file name a case compiles under: a name that already
+// ends in ".c" (a path given to kcc -batch) is used as it is, any other
+// gets ".c" appended.
+func unitFile(name string) string {
+	if strings.HasSuffix(name, ".c") {
+		return name
 	}
-	return t.AnalyzeProgram(ctx, prog, c.Name+".c")
+	return name + ".c"
 }
 
 // ToolScore aggregates one tool's results over a set of cases.

@@ -37,9 +37,6 @@ func (t *Table[V]) Pop() {
 	t.binds = t.binds[:m]
 }
 
-// Depth is the number of open scopes.
-func (t *Table[V]) Depth() int { return len(t.marks) }
-
 // Declare binds name to v in the innermost scope, replacing a binding
 // the scope already has for it.
 func (t *Table[V]) Declare(name string, v V) {

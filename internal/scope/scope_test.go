@@ -23,9 +23,6 @@ func TestShadowAndRestore(t *testing.T) {
 	if v, _ := tb.Lookup("y"); v != 2 {
 		t.Errorf("y = %d, want 2", v)
 	}
-	if tb.Depth() != 2 {
-		t.Errorf("depth = %d", tb.Depth())
-	}
 	tb.Pop()
 	if v, _ := tb.Lookup("x"); v != 1 {
 		t.Errorf("x after pop = %d, want 1", v)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strings"
@@ -20,6 +21,69 @@ import (
 	"repro/internal/suite"
 	"repro/internal/tools"
 )
+
+// ---------- request prelude ----------
+
+// prelude is what every analysis request resolves before it runs.
+type prelude struct {
+	model   *ctypes.Model
+	timeout time.Duration
+	// par is the request's parallelism, clamped to [1, Config.Concurrency]:
+	// one admission slot covers the whole request.
+	par int
+}
+
+// resolve resolves the knobs /v1/analyze, /v1/batch and /v1/explore
+// share: the data model, the watchdog (timeoutField names it in an error)
+// and the parallelism. It answers 400 itself when a knob is malformed.
+func (s *Server) resolve(w http.ResponseWriter, model, timeoutField, timeout string, par int) (prelude, bool) {
+	p := prelude{model: s.model, par: min(max(par, 1), s.cfg.Concurrency)}
+	if model != "" {
+		m, err := ctypes.ModelFor(model)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "bad-request", err.Error())
+			return p, false
+		}
+		p.model = m
+	}
+	d, err := parseTimeout(timeout, s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad-request", timeoutField+": "+err.Error())
+		return p, false
+	}
+	p.timeout = d
+	return p, true
+}
+
+// admit takes an admission slot for one request, recorded as a "queue"
+// span, and returns how long the request waited for it. A refusal comes
+// back as the outcome to serve instead: 429 queue-full when the wait line
+// is at capacity, 503 cancelled when the request ended while it waited.
+func (s *Server) admit(ctx context.Context) (release func(), wait time.Duration, refusal *outcome) {
+	start := time.Now()
+	_, sp := obs.StartSpan(ctx, "queue")
+	release, err := s.queue.Acquire(ctx)
+	sp.End()
+	if errors.Is(err, ErrQueueFull) {
+		return nil, 0, &outcome{status: http.StatusTooManyRequests, errCode: "queue-full",
+			errMsg: fmt.Sprintf("admission queue at capacity (%d executing, %d waiting); retry later",
+				s.cfg.Concurrency, s.cfg.QueueDepth)}
+	}
+	if err != nil {
+		return nil, 0, &outcome{status: http.StatusServiceUnavailable, errCode: "cancelled",
+			errMsg: "request ended while waiting for admission: " + err.Error()}
+	}
+	return release, time.Since(start), nil
+}
+
+// writeRefusal serves an outcome that carries no analysis; backpressure
+// statuses get the adaptive Retry-After.
+func (s *Server) writeRefusal(w http.ResponseWriter, out *outcome) {
+	if out.status == http.StatusTooManyRequests || out.status == http.StatusServiceUnavailable {
+		s.setRetryAfter(w.Header())
+	}
+	writeError(w, out.status, out.errCode, out.errMsg)
+}
 
 // ---------- /v1/analyze ----------
 
@@ -42,33 +106,21 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if file == "" {
 		file = "request.c"
 	}
-	model := s.model
-	if req.Model != "" {
-		var err error
-		if model, err = ctypes.ModelFor(req.Model); err != nil {
-			writeError(w, http.StatusBadRequest, "bad-request", err.Error())
-			return
-		}
-	}
-	timeout, err := parseTimeout(req.Timeout, s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad-request", "timeout: "+err.Error())
+	p, ok := s.resolve(w, req.Model, "timeout", req.Timeout, 0)
+	if !ok {
 		return
 	}
-	tcfg := tools.Config{
-		Model:    model,
+	tool, err := toolFor(req.Tool, tools.Config{
 		Budget:   s.budgetFor(req.MaxSteps),
 		Metrics:  req.Metrics,
-		Timeout:  timeout,
 		Injector: s.cfg.Injector,
 		Flight:   s.cfg.Flight,
-	}
-	tool, err := toolFor(req.Tool, tcfg)
+	})
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad-request", err.Error())
 		return
 	}
-	copts := driver.Options{Model: model, Defines: req.Defines, Injector: s.cfg.Injector}
+	copts := driver.Options{Model: p.model, Defines: req.Defines, Injector: s.cfg.Injector}
 
 	// Tracing: every cfg.TraceSample-th analyze request gets a trace
 	// context; its span tree lands in the span ring when the root ends and
@@ -84,7 +136,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// knob that changes the analysis: two requests with equal keys would
 	// produce identical results, so the second shares the first's flight.
 	key := fmt.Sprintf("%s|%s|%d|%s|%v",
-		driver.SourceKey(req.Source, file, copts), tool.Name(), req.MaxSteps, timeout, req.Metrics)
+		driver.SourceKey(req.Source, file, copts), tool.Name(), req.MaxSteps, p.timeout, req.Metrics)
 	// Followers share only a deterministic outcome (see runAnalysis). The
 	// leader yields once before running: a ~100 µs CPU-bound analysis never
 	// yields on its own, so on a single-P runtime it would finish before any
@@ -92,7 +144,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// (EXPERIMENTS.md, "Coalescing needs a scheduling point").
 	out, err, coalesced := s.flights.Do(ctx, key, func() (outcome, error) {
 		runtime.Gosched()
-		return s.runAnalysis(ctx, req.Source, file, tool, copts)
+		return s.runAnalysis(ctx, req.Source, file, tool, copts, p.timeout)
 	})
 	if out.status == 0 { // this request's own wait ended: its client is gone
 		out = outcome{status: http.StatusServiceUnavailable, errCode: "cancelled",
@@ -100,7 +152,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	if hsp.Recording() {
 		hsp.SetAttr("tool", tool.Name())
-		hsp.SetAttr("model", model.Name)
+		hsp.SetAttr("model", p.model.Name)
 		hsp.SetAttr("coalesced", fmt.Sprintf("%v", coalesced))
 		if out.errCode != "" {
 			hsp.SetAttr("error", out.errCode)
@@ -110,10 +162,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		hsp.End()
 	}
 	if out.errCode != "" {
-		if out.status == http.StatusTooManyRequests || out.status == http.StatusServiceUnavailable {
-			s.setRetryAfter(w.Header())
-		}
-		writeError(w, out.status, out.errCode, out.errMsg)
+		s.writeRefusal(w, &out)
 		s.latE2E.Observe(time.Since(start))
 		return
 	}
@@ -172,54 +221,39 @@ type outcome struct {
 }
 
 // runAnalysis is the leader's flight: admission, then one guarded
-// compile+run through the shared cache. The error is non-nil when the
+// tools.Analyze through the shared cache. The error is non-nil when the
 // outcome belongs to this attempt rather than to the request — a
 // refusal, a contained panic or a transient report — so followers must
 // not share it.
-func (s *Server) runAnalysis(ctx context.Context, src, file string, tool tools.Tool, copts driver.Options) (outcome, error) {
-	qstart := time.Now()
-	_, qsp := obs.StartSpan(ctx, "queue")
-	release, err := s.queue.Acquire(ctx)
-	qsp.End()
-	if errors.Is(err, ErrQueueFull) {
-		return outcome{status: http.StatusTooManyRequests, errCode: "queue-full",
-			errMsg: fmt.Sprintf("admission queue at capacity (%d executing, %d waiting); retry later",
-				s.cfg.Concurrency, s.cfg.QueueDepth)}, fault.Transient(err)
-	}
-	if err != nil {
-		return outcome{status: http.StatusServiceUnavailable, errCode: "cancelled",
-			errMsg: "request ended while waiting for admission: " + err.Error()}, err
+func (s *Server) runAnalysis(ctx context.Context, src, file string, tool tools.Tool, copts driver.Options, timeout time.Duration) (outcome, error) {
+	release, wait, refusal := s.admit(ctx)
+	if refusal != nil {
+		return *refusal, fault.Transient(errors.New(refusal.errMsg))
 	}
 	defer release()
-	queueNS := time.Since(qstart).Nanoseconds()
+	queueNS := wait.Nanoseconds()
 	s.latQueue.ObserveNS(queueNS)
 
 	// The run is detached from the leader's request context on purpose:
 	// followers coalescing onto this flight must not be cancelled by the
-	// leader's client hanging up. The per-request watchdog
-	// (tools.Config.Timeout) bounds it instead. RebindTrace keeps the
-	// trace identity across the detach so compile/interp spans still land
-	// in the leader's span tree.
-	runCtx := obs.RebindTrace(context.Background(), ctx)
+	// leader's client hanging up. The request's timeout bounds it instead,
+	// compile and run together. RebindTrace keeps the trace identity
+	// across the detach so compile/interp spans still land in the
+	// leader's span tree.
+	runCtx, cancel := context.WithTimeout(obs.RebindTrace(context.Background(), ctx), timeout)
+	defer cancel()
 
 	var rep tools.Report
 	gerr := fault.Guard(fault.StageServe, file, func() error {
 		if err := s.cfg.Injector.Fire(SiteHandle, file); err != nil {
 			return err
 		}
-		cstart := time.Now()
-		prog, cerr := s.cache.CompileCtx(runCtx, src, file, copts)
-		s.latCompile.Observe(time.Since(cstart))
-		if cerr != nil {
-			rep = tools.ReportFromError(cerr)
-			if rep.Verdict == tools.Inconclusive {
-				rep.Detail = "compile: " + cerr.Error()
-			}
-			return nil
+		start := time.Now()
+		rep = tools.Analyze(runCtx, s.cache, tool, src, file, copts)
+		s.latCompile.Observe(time.Since(start) - rep.RunDuration)
+		if rep.RunDuration > 0 { // a failed compile runs nothing
+			s.latRun.Observe(rep.RunDuration)
 		}
-		s.warmed.Store(true) // any successful compile counts as warm
-		rep = tool.AnalyzeProgram(runCtx, prog, file)
-		s.latRun.Observe(rep.RunDuration)
 		return nil
 	})
 	if gerr != nil {
@@ -281,20 +315,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			su.Cases = append(su.Cases, suite.Case{Name: c.Name, Source: c.Source, Bad: c.Bad, Class: c.Class})
 		}
 	}
-	model := s.model
-	if req.Model != "" {
-		var err error
-		if model, err = ctypes.ModelFor(req.Model); err != nil {
-			writeError(w, http.StatusBadRequest, "bad-request", err.Error())
-			return
-		}
-	}
-	caseTimeout, err := parseTimeout(req.CaseTimeout, s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad-request", "case_timeout: "+err.Error())
+	p, ok := s.resolve(w, req.Model, "case_timeout", req.CaseTimeout, req.Parallelism)
+	if !ok {
 		return
 	}
-	tcfg := tools.Config{Model: model, Budget: s.budgetFor(req.MaxSteps), Metrics: req.Metrics, Injector: s.cfg.Injector, Flight: s.cfg.Flight}
+	tcfg := tools.Config{Budget: s.budgetFor(req.MaxSteps), Metrics: req.Metrics, Injector: s.cfg.Injector, Flight: s.cfg.Flight}
 	toolNames := req.Tools
 	if len(toolNames) == 0 {
 		toolNames = []string{"kcc"}
@@ -308,60 +333,37 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		ts = append(ts, t)
 	}
-	par := req.Parallelism
-	if par <= 0 {
-		par = 1
-	}
-	if par > s.cfg.Concurrency {
-		par = s.cfg.Concurrency
-	}
 
 	// A forwarded trace identity covers the whole batch: the runner's
 	// per-cell spans land in the span ring under it (minting is analyze-only;
 	// a batch is traced when its caller decided to trace it).
 	ctx, traceID := s.adoptTrace(w, r, false)
-
-	// One admission slot covers the whole batch; its internal parallelism
-	// is the request's own (clamped) knob.
-	release, err := s.queue.Acquire(ctx)
-	if errors.Is(err, ErrQueueFull) {
-		s.setRetryAfter(w.Header())
-		writeError(w, http.StatusTooManyRequests, "queue-full", "admission queue at capacity; retry later")
-		return
-	}
-	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, "cancelled", err.Error())
+	release, _, refusal := s.admit(ctx)
+	if refusal != nil {
+		s.writeRefusal(w, refusal)
 		return
 	}
 	defer release()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	enc := json.NewEncoder(w)
+	nd := newNDJSON(w)
 	names := make([]string, len(ts))
 	for i, t := range ts {
 		names[i] = t.Name()
 	}
-	enc.Encode(BatchHeader{Schema: APISchema, Suite: su.Name, Cases: len(su.Cases), Tools: names})
-	flush()
+	nd.line(BatchHeader{Schema: APISchema, Suite: su.Name, Cases: len(su.Cases), Tools: names})
 
 	opts := runner.Options{
-		Parallelism: par,
+		Parallelism: p.par,
 		Context:     ctx,
 		Cache:       s.cache,
-		Model:       model,
+		Model:       p.model,
 		Defines:     req.Defines,
-		CaseTimeout: caseTimeout,
+		CaseTimeout: p.timeout,
 		Injector:    s.cfg.Injector,
 		OnCell: func(c runner.Cell) {
 			s.countVerdict("batch", c.Report.Verdict.String())
-			enc.Encode(BatchCellLine{Case: c.Case, ToolResult: runner.ToolResultFrom(c.Tool, c.Report)})
-			flush()
+			nd.line(BatchCellLine{Case: c.Case, ToolResult: runner.ToolResultFrom(c.Tool, c.Report)})
 		},
 	}
 	unit := "batch:" + su.Name
@@ -397,8 +399,26 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		trailer.Error = &APIError{Code: code, Message: gerr.Error()}
 	}
-	enc.Encode(trailer)
-	flush()
+	nd.line(trailer)
+}
+
+// ndjson writes newline-delimited JSON lines, flushing after each one when
+// the writer can (a streamed HTTP response).
+type ndjson struct {
+	enc     *json.Encoder
+	flusher http.Flusher
+}
+
+func newNDJSON(w io.Writer) ndjson {
+	flusher, _ := w.(http.Flusher)
+	return ndjson{enc: json.NewEncoder(w), flusher: flusher}
+}
+
+func (nd ndjson) line(v any) {
+	nd.enc.Encode(v)
+	if nd.flusher != nil {
+		nd.flusher.Flush()
+	}
 }
 
 // ---------- /v1/explore ----------
@@ -423,6 +443,50 @@ func wantsNDJSON(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")
 }
 
+// ExploreStream writes the streamed explore form: one ExploreHeader line,
+// one ExploreOutcomeLine per distinct behavior as the search discovers
+// it, and one ExploreTrailer line. /v1/explore and ubexplore -stream both
+// write through it.
+type ExploreStream struct {
+	nd       ndjson
+	outcomes int
+}
+
+// NewExploreStream writes h, stamped with the API schema, to w.
+func NewExploreStream(w io.Writer, h ExploreHeader) *ExploreStream {
+	st := &ExploreStream{nd: newNDJSON(w)}
+	h.Schema = APISchema
+	st.nd.line(h)
+	return st
+}
+
+// Outcome writes one distinct behavior; it is a search.Options.OnOutcome,
+// whose calls the search serializes.
+func (st *ExploreStream) Outcome(o search.Outcome, stats search.Stats) {
+	st.outcomes++
+	st.nd.line(ExploreOutcomeLine{ExploreOutcome: ExploreOutcomeFrom(o), Runs: stats.OrdersExplored})
+}
+
+// Trailer writes the accounting line. traceID, when non-zero, is echoed;
+// fail, when non-nil, is the contained panic that ended the search.
+func (st *ExploreStream) Trailer(res search.Result, traceID uint64, fail error) {
+	t := ExploreTrailer{
+		Done:          fail == nil,
+		Runs:          res.Runs,
+		Exhausted:     res.Exhausted,
+		Deterministic: res.Deterministic(),
+		Outcomes:      st.outcomes,
+		Stats:         &res.Stats,
+	}
+	if traceID != 0 {
+		t.TraceID = obs.FormatTraceID(traceID)
+	}
+	if fail != nil {
+		t.Error = &APIError{Code: "internal-error", Message: fail.Error()}
+	}
+	st.nd.line(t)
+}
+
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	var req ExploreRequest
 	if !decodeJSON(w, r, s.cfg.MaxSourceBytes, &req) {
@@ -436,17 +500,8 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	if file == "" {
 		file = "request.c"
 	}
-	model := s.model
-	if req.Model != "" {
-		var err error
-		if model, err = ctypes.ModelFor(req.Model); err != nil {
-			writeError(w, http.StatusBadRequest, "bad-request", err.Error())
-			return
-		}
-	}
-	timeout, err := parseTimeout(req.Timeout, s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad-request", "timeout: "+err.Error())
+	p, ok := s.resolve(w, req.Model, "timeout", req.Timeout, req.Parallelism)
+	if !ok {
 		return
 	}
 	por, err := onOff(req.POR, true)
@@ -463,38 +518,23 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	if maxRuns <= 0 {
 		maxRuns = s.cfg.MaxExploreRuns
 	}
-	// One admission slot covers the whole search; its internal
-	// parallelism is the request's own (clamped) knob — same rule as
-	// /v1/batch.
-	par := req.Parallelism
-	if par <= 0 {
-		par = 1
-	}
-	if par > s.cfg.Concurrency {
-		par = s.cfg.Concurrency
-	}
-	release, err := s.queue.Acquire(r.Context())
-	if errors.Is(err, ErrQueueFull) {
-		s.setRetryAfter(w.Header())
-		writeError(w, http.StatusTooManyRequests, "queue-full", "admission queue at capacity; retry later")
-		return
-	}
-	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, "cancelled", err.Error())
-		return
-	}
-	defer release()
 
 	// As with batch, a forwarded trace identity makes the search's spans
 	// retrievable from the ring; exploration never mints its own.
 	actx, traceID := s.adoptTrace(w, r, false)
-	ctx, cancel := context.WithTimeout(actx, timeout)
+	release, _, refusal := s.admit(actx)
+	if refusal != nil {
+		s.writeRefusal(w, refusal)
+		return
+	}
+	defer release()
+	ctx, cancel := context.WithTimeout(actx, p.timeout)
 	defer cancel()
 	ctx, sp := obs.StartSpan(ctx, "explore")
-	copts := driver.Options{Model: model, Injector: s.cfg.Injector}
+	copts := driver.Options{Model: p.model, Injector: s.cfg.Injector}
 
-	// Compile outside the guard-and-stream block: a compile error (or a
-	// fault before the search starts) is still a clean HTTP error in both
+	// Compile before anything is written: a compile error (or a fault
+	// before the search starts) is still a clean HTTP error in both
 	// response forms, because nothing is on the wire yet.
 	var prog *sema.Program
 	gerr := fault.Guard(fault.StageServe, file, func() error {
@@ -520,84 +560,41 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		MaxRuns:       maxRuns,
 		MaxSteps:      req.MaxSteps,
 		StopAtFirstUB: req.StopAtFirstUB,
-		Parallelism:   par,
+		Parallelism:   p.par,
 		POR:           por,
 		Dedup:         dedup,
 	}
 	if sopts.MaxSteps <= 0 {
 		sopts.MaxSteps = s.cfg.MaxSteps
 	}
-
-	if !wantsNDJSON(r) {
-		var resp *ExploreResponse
-		gerr := fault.Guard(fault.StageServe, file, func() error {
-			res := search.Explore(ctx, prog, sopts)
-			resp = ExploreResponseFrom(file, res)
-			s.countExplore(res.Stats)
-			finishExploreSpan(sp, res)
-			return nil
-		})
-		if gerr != nil {
-			sp.End()
-			s.countPanic()
-			writeError(w, http.StatusInternalServerError, "internal-error", gerr.Error())
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-
-	// Streamed form: header, one line per distinct behavior as the
-	// frontier discovers it, trailer with the accounting. Once the header
-	// is on the wire, failures travel in the trailer (as in /v1/batch).
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.Encode(ExploreHeader{
-		Schema: APISchema, File: file,
-		MaxRuns: maxRuns, Parallelism: par, POR: por, Dedup: dedup,
-	})
-	flush()
-
-	outcomes := 0
-	sopts.OnOutcome = func(o search.Outcome, st search.Stats) {
-		// OnOutcome calls are serialized by the search, so the encoder
-		// and counter need no extra locking.
-		outcomes++
-		line := ExploreOutcomeLine{ExploreOutcome: ExploreOutcomeFrom(o), Runs: st.OrdersExplored}
-		enc.Encode(line)
-		flush()
+	// The streamed form sends the header now and one line per distinct
+	// behavior as the frontier discovers it; once the header is on the
+	// wire, a failure travels in the trailer (as in /v1/batch).
+	var stream *ExploreStream
+	if wantsNDJSON(r) {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		stream = NewExploreStream(w, ExploreHeader{File: file, MaxRuns: maxRuns, Parallelism: p.par, POR: por, Dedup: dedup})
+		sopts.OnOutcome = stream.Outcome
 	}
 	var res search.Result
 	gerr = fault.Guard(fault.StageServe, file, func() error {
 		res = search.Explore(ctx, prog, sopts)
 		return nil
 	})
-	trailer := ExploreTrailer{
-		Done:          gerr == nil,
-		Runs:          res.Runs,
-		Exhausted:     res.Exhausted,
-		Deterministic: res.Deterministic(),
-		Outcomes:      outcomes,
-		Stats:         &res.Stats,
-	}
-	if traceID != 0 {
-		trailer.TraceID = obs.FormatTraceID(traceID)
-	}
 	if gerr != nil {
 		s.countPanic()
-		trailer.Error = &APIError{Code: "internal-error", Message: gerr.Error()}
 	} else {
 		s.countExplore(res.Stats)
 	}
 	finishExploreSpan(sp, res)
-	enc.Encode(trailer)
-	flush()
+	switch {
+	case stream != nil:
+		stream.Trailer(res, traceID, gerr)
+	case gerr != nil:
+		writeError(w, http.StatusInternalServerError, "internal-error", gerr.Error())
+	default:
+		writeJSON(w, http.StatusOK, ExploreResponseFrom(file, res))
+	}
 }
 
 func finishExploreSpan(sp *obs.Span, res search.Result) {
@@ -724,7 +721,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		s.setRetryAfter(w.Header())
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintln(w, "draining")
-	case !s.warmed.Load():
+	case !s.warm():
 		s.setRetryAfter(w.Header())
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintln(w, "cold")

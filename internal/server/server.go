@@ -167,10 +167,6 @@ type Server struct {
 	// cluster router watches it to detect restarts, because a restart
 	// resets every counter below.
 	instance string
-	// warmed flips once the compile cache has produced its first program:
-	// /readyz answers 503 "cold" until then, so a router never hashes
-	// traffic onto a shard that would pay a cold-cache penalty spike.
-	warmed atomic.Bool
 	// ewmaServiceNS tracks recent analyze service time (α=1/8); the
 	// adaptive Retry-After derives from it and the queue backlog.
 	ewmaServiceNS atomic.Int64
@@ -278,11 +274,16 @@ func (s *Server) Instance() string { return s.instance }
 func (s *Server) Warmup(ctx context.Context) error {
 	copts := driver.Options{Model: s.model}
 	_, err := s.cache.CompileCtx(ctx, "int main(void) { return 0; }", "warmup.c", copts)
-	if err != nil {
-		return err
-	}
-	s.warmed.Store(true)
-	return nil
+	return err
+}
+
+// warm reports whether the compile cache has produced a program (Warmup,
+// or any successful compile): /readyz answers 503 "cold" until then, so a
+// router never hashes traffic onto a shard that would pay a cold-cache
+// penalty spike.
+func (s *Server) warm() bool {
+	st := s.cache.Stats()
+	return st.Compiles+st.ArtifactHits > st.Errors
 }
 
 // newInstanceID draws a random 64-bit boot identity.
@@ -359,7 +360,7 @@ func (s *Server) Metrics() *MetricsResponse {
 		UptimeNS:      time.Since(s.start).Nanoseconds(),
 		Instance:      s.instance,
 		ShardID:       s.cfg.ShardID,
-		Warm:          s.warmed.Load(),
+		Warm:          s.warm(),
 		ServiceEWMANS: s.ewmaServiceNS.Load(),
 		Queue:         s.queue.Stats(),
 		Coalesce:      coalesceStats(s.flights.Stats()),

@@ -26,13 +26,8 @@ func ValueAnalysisAI(cfg Config) Tool { return &aiTool{cfg: cfg} }
 // Name implements Tool.
 func (t *aiTool) Name() string { return "V. Analysis (AI)" }
 
-// Analyze implements Tool.
-func (t *aiTool) Analyze(src, file string) Report {
-	return compileAndDelegate(t, src, file, t.cfg.Model)
-}
-
 // AnalyzeProgram implements Tool. The abstract interpretation is not
-// cancelable mid-run; ctx only bounds the fault-containment watchdog.
+// cancelable mid-run; ctx only carries the trace.
 func (t *aiTool) AnalyzeProgram(ctx context.Context, prog *sema.Program, file string) Report {
 	return guarded(ctx, t.Name(), t.cfg, file, func(ctx context.Context, _ *obs.Flight) Report {
 		return t.analyze(prog)

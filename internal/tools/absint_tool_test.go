@@ -20,7 +20,7 @@ func TestAIValueAnalysisOnJuliet(t *testing.T) {
 	falsePos := 0
 	inconclusive := 0
 	for _, c := range s.Cases {
-		rep := ai.Analyze(c.Source, c.Name+".c")
+		rep := analyze(ai, c.Source, c.Name+".c")
 		if rep.Verdict == Inconclusive {
 			inconclusive++
 			continue
@@ -71,7 +71,7 @@ func TestAIValueAnalysisOnJuliet(t *testing.T) {
 // one terminates on programs that loop forever (the fixpoint converges).
 func TestAITerminatesOnLoops(t *testing.T) {
 	ai := ValueAnalysisAI(Config{})
-	rep := ai.Analyze(`
+	rep := analyze(ai, `
 int main(void) {
 	int x = 0;
 	while (1) { x = x < 100 ? x + 1 : 0; }
@@ -89,7 +89,7 @@ int main(void) {
 // see sequence-point violations.
 func TestAIBlindToSequencing(t *testing.T) {
 	ai := ValueAnalysisAI(Config{})
-	rep := ai.Analyze("int main(void){ int x = 0; return (x = 1) + (x = 2); }", "unseq.c")
+	rep := analyze(ai, "int main(void){ int x = 0; return (x = 1) + (x = 2); }", "unseq.c")
 	if rep.Verdict != Accepted {
 		t.Errorf("verdict = %v (%s), want accepted", rep.Verdict, rep.Detail)
 	}

@@ -54,15 +54,28 @@ func TestAnalyzeProgramContainsInjectedPanic(t *testing.T) {
 	}
 }
 
+// TestAnalyzeProgramWatchdogTimeout: the caller's context deadline is the
+// analysis' watchdog; a run that outlives it reports Timeout.
 func TestAnalyzeProgramWatchdogTimeout(t *testing.T) {
-	prog, err := driver.Compile(slowLoopSrc, "slow.c", driver.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tool := KCC(Config{Timeout: 20 * time.Millisecond})
-	rep := tool.AnalyzeProgram(context.Background(), prog, "slow.c")
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	rep := Analyze(ctx, driver.NewCache(), KCC(Config{}), slowLoopSrc, "slow.c", driver.Options{})
 	if rep.Verdict != Timeout {
 		t.Fatalf("verdict = %v (%s), want timeout", rep.Verdict, rep.Detail)
+	}
+}
+
+// TestAnalyzeDeadlineCoversCompile: the deadline bounds the compile too. A
+// deadline that has passed by the time the program is compiled reports
+// Timeout without running it, even for a program that would finish
+// before the interpreter's first context poll.
+func TestAnalyzeDeadlineCoversCompile(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	<-ctx.Done()
+	rep := Analyze(ctx, driver.NewCache(), KCC(Config{}), trivialSrc, "t.c", driver.Options{})
+	if rep.Verdict != Timeout || rep.RunDuration != 0 {
+		t.Fatalf("report = %+v, want timeout with no run", rep)
 	}
 }
 

@@ -26,14 +26,8 @@ func KCCSearch(cfg Config) Tool {
 // Name implements Tool.
 func (t *searchTool) Name() string { return "kcc -search" }
 
-// Analyze implements Tool.
-func (t *searchTool) Analyze(src, file string) Report {
-	return compileAndDelegate(t, src, file, t.cfg.Model)
-}
-
-// AnalyzeProgram implements Tool. ctx bounds the fault-containment
-// watchdog and cancels the search itself (in-flight runs stop at the
-// next step poll).
+// AnalyzeProgram implements Tool. ctx cancels the search itself
+// (in-flight runs stop at the next step poll).
 func (t *searchTool) AnalyzeProgram(ctx context.Context, prog *sema.Program, file string) Report {
 	return guarded(ctx, t.Name(), t.cfg, file, func(ctx context.Context, _ *obs.Flight) Report {
 		return t.analyze(ctx, prog)

@@ -16,12 +16,12 @@ int main(void) {
 `
 
 func TestSearchFindsOrderDependentUB(t *testing.T) {
-	single := KCC(Config{}).Analyze(setDenomSrc, "setdenom.c")
+	single := analyze(KCC(Config{}), setDenomSrc, "setdenom.c")
 	if single.Verdict != Accepted {
 		t.Fatalf("single-run kcc on the GCC order should accept, got %v (%s)",
 			single.Verdict, single.Detail)
 	}
-	searching := KCCSearch(Config{}).Analyze(setDenomSrc, "setdenom.c")
+	searching := analyze(KCCSearch(Config{}), setDenomSrc, "setdenom.c")
 	if searching.Verdict != Flagged {
 		t.Fatalf("kcc -search must find the division by zero, got %v (%s)",
 			searching.Verdict, searching.Detail)
@@ -29,7 +29,7 @@ func TestSearchFindsOrderDependentUB(t *testing.T) {
 }
 
 func TestSearchAcceptsDefined(t *testing.T) {
-	rep := KCCSearch(Config{}).Analyze(`
+	rep := analyze(KCCSearch(Config{}), `
 int add(int a, int b) { return a + b; }
 int main(void) { return add(1, 2) + add(3, 4) - 10; }
 `, "defined.c")
@@ -39,7 +39,7 @@ int main(void) { return add(1, 2) + add(3, 4) - 10; }
 }
 
 func TestSearchFlagsOrderIndependentUB(t *testing.T) {
-	rep := KCCSearch(Config{}).Analyze(
+	rep := analyze(KCCSearch(Config{}),
 		"int main(void){ int z = 0; return 1 / z; }", "div.c")
 	if rep.Verdict != Flagged {
 		t.Errorf("got %v (%s)", rep.Verdict, rep.Detail)
@@ -47,7 +47,7 @@ func TestSearchFlagsOrderIndependentUB(t *testing.T) {
 }
 
 func TestSearchStaticUB(t *testing.T) {
-	rep := KCCSearch(Config{}).Analyze("int a[0]; int main(void){ return 0; }", "z.c")
+	rep := analyze(KCCSearch(Config{}), "int a[0]; int main(void){ return 0; }", "z.c")
 	if rep.Verdict != Flagged {
 		t.Errorf("got %v (%s)", rep.Verdict, rep.Detail)
 	}

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/ctypes"
 	"repro/internal/driver"
 	"repro/internal/fault"
 	"repro/internal/interp"
@@ -45,9 +44,10 @@ const (
 	// Inconclusive: compile failure, budget exhaustion, or other
 	// non-verdict.
 	Inconclusive
-	// Timeout: the per-case watchdog (Config.Timeout) expired mid-run.
-	// Distinct from Cancelled so a slow case is never confused with an
-	// operator stopping the whole suite.
+	// Timeout: the analysis' context deadline expired; it bounds the
+	// compile and the run together (see Analyze). Distinct from Cancelled
+	// so a slow case is never confused with an operator stopping the
+	// whole suite.
 	Timeout
 	// InternalError: the pipeline itself panicked on this case; the panic
 	// was contained (Report.Fault carries the stack) and the run went on.
@@ -127,15 +127,16 @@ func (v *Verdict) UnmarshalJSON(data []byte) error {
 // Report is a tool's result on one program.
 //
 // Wall time is split so that shared frontend work is never mis-attributed:
-// CompileDuration is the frontend pass this report actually paid for
-// (zero on the AnalyzeProgram fast path, where the caller compiled — once,
-// possibly for several tools), and RunDuration is the tool's own analysis.
+// CompileDuration is frontend time charged to this report by its caller
+// (zero unless the caller compiled for this report alone; a shared
+// cache accounts its compiles in its own Stats), and RunDuration is the
+// tool's own analysis.
 type Report struct {
 	Verdict  Verdict
 	UB       *ub.Error // when Flagged
 	Detail   string
 	ExitCode int
-	// CompileDuration is the frontend time this analysis paid itself.
+	// CompileDuration is the frontend time charged to this analysis.
 	CompileDuration time.Duration
 	// RunDuration is the tool's own analysis time (the §5.1.2 cost).
 	RunDuration time.Duration
@@ -158,38 +159,46 @@ type Report struct {
 
 // Tool analyzes C programs.
 //
-// AnalyzeProgram is the fast path: it analyzes an already-compiled
-// translation unit, so a caller holding one immutable *sema.Program (see
-// the contract on sema.Program) can fan it out to several tools — or
-// several goroutines — paying for the frontend once. It honors ctx inside
-// the interpretation loop, so cancellation stops a case mid-run (the report
-// comes back Inconclusive). Analyze is the self-contained convenience
-// wrapper: compile, then delegate to AnalyzeProgram with context.Background.
+// AnalyzeProgram analyzes an already-compiled translation unit, so a caller
+// holding one immutable *sema.Program (see the contract on sema.Program)
+// can fan it out to several tools, or several goroutines, paying for the
+// frontend once. It honors ctx inside the interpretation loop, so
+// cancellation stops a case mid-run. Analyze is the one way from source
+// to report.
 type Tool interface {
 	Name() string
-	Analyze(src, file string) Report
 	AnalyzeProgram(ctx context.Context, prog *sema.Program, file string) Report
 }
 
-// compileAndDelegate implements the Analyze contract shared by every tool:
-// run the frontend, charge its cost to CompileDuration, delegate the rest.
-func compileAndDelegate(t Tool, src, file string, model *ctypes.Model) Report {
-	start := time.Now()
-	prog, err := driver.Compile(src, file, driver.Options{Model: model})
-	compile := time.Since(start)
+// Analyze compiles src through cache and runs t's AnalyzeProgram on the
+// program. It is the one place a compile failure becomes a report: a
+// contained panic keeps its InternalError verdict, and any other compile
+// error is Inconclusive with a "compile: " detail and no run time.
+//
+// ctx's deadline is the analysis' only watchdog, and it bounds compile and
+// run together. The compile is shared through the cache and runs to
+// completion; when ctx has ended by then, the report is Timeout (or
+// Cancelled) and nothing runs. The report's CompileDuration stays zero:
+// the cache's Stats account the compile.
+func Analyze(ctx context.Context, cache *driver.Cache, t Tool, src, file string, opts driver.Options) Report {
+	prog, err := cache.CompileCtx(ctx, src, file, opts)
 	if err != nil {
-		return Report{Verdict: Inconclusive, Detail: "compile: " + err.Error(), CompileDuration: compile}
+		rep := ReportFromError(err)
+		if rep.Verdict == Inconclusive {
+			rep.Detail = "compile: " + err.Error()
+		}
+		return rep
 	}
-	rep := t.AnalyzeProgram(context.Background(), prog, file)
-	rep.CompileDuration = compile
-	return rep
+	if err := ctx.Err(); err != nil {
+		return ReportFromError(err)
+	}
+	return t.AnalyzeProgram(ctx, prog, file)
 }
 
 // guarded is the fault-containment boundary shared by every tool's
-// AnalyzeProgram: it arms the per-case watchdog, fires the tools.analyze
-// injection site, and converts a panic anywhere in the analysis into an
-// InternalError report — one berserk case must not take down the worker
-// that ran it.
+// AnalyzeProgram: it fires the tools.analyze injection site and converts a
+// panic anywhere in the analysis into an InternalError report — one
+// berserk case must not take down the worker that ran it.
 //
 // It is also the observability boundary: the "interp" span brackets the
 // whole analysis (annotated with tool, file, verdict, and the fired UB
@@ -203,11 +212,6 @@ func guarded(ctx context.Context, name string, cfg Config, file string, fn func(
 	var fr *obs.Flight
 	if cfg.Flight > 0 {
 		fr = obs.NewFlight(cfg.Flight)
-	}
-	if cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
-		defer cancel()
 	}
 	var rep Report
 	err := fault.Guard(fault.StageAnalyze, file, func() error {
@@ -249,7 +253,7 @@ func guarded(ctx context.Context, name string, cfg Config, file string, fn func(
 }
 
 // ReportFromError classifies a pipeline error into the verdict taxonomy:
-// contained panics become InternalError (with the captured stack), watchdog
+// contained panics become InternalError (with the captured stack), deadline
 // expiry becomes Timeout, run cancellation becomes Cancelled, and anything
 // else is Inconclusive — marked Transient when the fault layer says the
 // failure is non-deterministic.
@@ -268,7 +272,6 @@ func ReportFromError(err error) Report {
 
 // Config bounds and instruments tool executions.
 type Config struct {
-	Model *ctypes.Model
 	// Budget bounds each execution; zero fields take interp.DefaultBudget
 	// values.
 	Budget interp.Budget
@@ -278,11 +281,6 @@ type Config struct {
 	// Observer additionally receives the raw event stream (tracing). It
 	// composes with Metrics via obs.Multi.
 	Observer obs.Observer
-	// Timeout, when positive, is the per-case wall-clock watchdog: each
-	// guarded analysis runs under a context deadline and reports Timeout
-	// when it expires. It layers on Budget — the budget bounds abstract
-	// work, the watchdog bounds real time.
-	Timeout time.Duration
 	// Injector, when set, fires the tools.analyze site before each guarded
 	// analysis and is handed to the interpreter (interp.step site).
 	Injector *fault.Injector
@@ -305,11 +303,6 @@ type profileTool struct {
 
 // Name implements Tool.
 func (t *profileTool) Name() string { return t.name }
-
-// Analyze implements Tool.
-func (t *profileTool) Analyze(src, file string) Report {
-	return compileAndDelegate(t, src, file, t.cfg.Model)
-}
 
 // AnalyzeProgram implements Tool.
 func (t *profileTool) AnalyzeProgram(ctx context.Context, prog *sema.Program, file string) Report {

@@ -1,10 +1,18 @@
 package tools
 
 import (
+	"context"
+	"strings"
 	"testing"
 
+	"repro/internal/driver"
 	"repro/internal/interp"
 )
+
+// analyze runs t on src through Analyze with a fresh cache.
+func analyze(t Tool, src, file string) Report {
+	return Analyze(context.Background(), driver.NewCache(), t, src, file, driver.Options{})
+}
 
 // capability matrix tests: each tool must catch exactly what its detection
 // principle can see. The paper's Figure 2/3 shape rests on this.
@@ -33,7 +41,7 @@ func runMatrix(t *testing.T, cases []expectation) {
 			"va": c.va, "kcc": c.kcc,
 		}
 		for tn, tool := range toolset {
-			rep := tool.Analyze(c.src, c.name+".c")
+			rep := analyze(tool, c.src, c.name+".c")
 			if rep.Verdict != want[tn] {
 				t.Errorf("%s / %s: verdict %v (%s), want %v",
 					c.name, tn, rep.Verdict, rep.Detail, want[tn])
@@ -195,14 +203,14 @@ func TestToolNames(t *testing.T) {
 }
 
 func TestInconclusiveOnBadSource(t *testing.T) {
-	rep := KCC(Config{}).Analyze("int main(void { return 0; }", "bad.c")
-	if rep.Verdict != Inconclusive {
-		t.Errorf("verdict = %v", rep.Verdict)
+	rep := analyze(KCC(Config{}), "int main(void { return 0; }", "bad.c")
+	if rep.Verdict != Inconclusive || !strings.HasPrefix(rep.Detail, "compile: ") || rep.RunDuration != 0 {
+		t.Errorf("report = %+v, want inconclusive with a compile: detail and no run", rep)
 	}
 }
 
 func TestInconclusiveOnBudget(t *testing.T) {
-	rep := KCC(Config{Budget: interp.Budget{MaxSteps: 1000}}).Analyze(
+	rep := analyze(KCC(Config{Budget: interp.Budget{MaxSteps: 1000}}),
 		"int main(void){ while (1) { } return 0; }", "loop.c")
 	if rep.Verdict != Inconclusive {
 		t.Errorf("verdict = %v (%s)", rep.Verdict, rep.Detail)
