@@ -7,7 +7,8 @@ test:
 # serving gates — fail if any Go file is not gofmt-formatted, vet
 # everything, run the worker-pool, compile-cache,
 # shared-program, fault, observability, and server packages under the
-# race detector, fail if the nil-observer step path allocates, fail if
+# race detector (kcc too: kcc -batch shares one compile cache across the
+# runner's workers), fail if the nil-observer step path allocates, fail if
 # starting a span without a collector installed allocates, smoke-run
 # the observer-overhead and span-overhead benchmarks, exercise the
 # end-to-end containment
@@ -74,7 +75,7 @@ test:
 check: test
 	test -z "$$(gofmt -l .)"
 	go vet ./...
-	go test -race ./internal/runner/... ./internal/driver/... ./internal/tools/... ./internal/obs/... ./internal/fault/...
+	go test -race ./internal/runner/... ./internal/driver/... ./internal/tools/... ./cmd/kcc/... ./internal/obs/... ./internal/fault/...
 	go test -race ./internal/server/...
 	go test -race ./internal/cluster/...
 	go test -race ./internal/artifact/...

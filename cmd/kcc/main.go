@@ -105,7 +105,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// ctx carries the span collector when -trace-out is set. The ledger
 	// goes to stderr so it composes with both the program's stdout and the
 	// -json report body.
-	ctx, _, finishTrace := obs.TraceFile(*traceOut, "kcc", "kcc", stderr)
+	ctx, _, finishTrace := obs.TraceFile(context.Background(), *traceOut, "kcc", "kcc", stderr)
 	defer func() {
 		finishTrace()
 		if *coverageFlag {

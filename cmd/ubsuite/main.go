@@ -33,6 +33,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -99,7 +100,7 @@ func main() {
 	// cell then records its cell → compile → interp spans, and finishTrace
 	// writes the forest as Chrome trace-event JSON. Called on every exit
 	// path of the matrix suites (idempotent; a no-op when tracing is off).
-	ctx, root, finishTrace := obs.TraceFile(*traceOut, "ubsuite", "suite", os.Stderr)
+	ctx, root, finishTrace := obs.TraceFile(context.Background(), *traceOut, "ubsuite", "suite", os.Stderr)
 	root.SetAttr("suite", *suiteFlag)
 	opts.Context = ctx
 	switch *suiteFlag {

@@ -89,18 +89,18 @@ func WriteChromeTrace(w io.Writer, spans []*Span) error {
 }
 
 // TraceFile arms span collection for a command's -trace-out flag. The
-// returned context carries a collector and a root span named root, which
-// the caller may annotate. finish ends the root, writes the collected
+// returned context, derived from ctx, carries a collector and a root span
+// named root, which the caller may annotate. finish ends the root, writes the collected
 // spans to path as Chrome trace-event JSON and reports "<prog>: wrote N
 // spans to <path>" (or the failure) on log; it is idempotent, so a command
 // may defer it and also call it before printing its result. With path
-// empty, TraceFile returns a background context, a nil span and a no-op.
-func TraceFile(path, prog, root string, log io.Writer) (context.Context, *Span, func()) {
+// empty, TraceFile returns ctx, a nil span and a no-op.
+func TraceFile(ctx context.Context, path, prog, root string, log io.Writer) (context.Context, *Span, func()) {
 	if path == "" {
-		return context.Background(), nil, func() {}
+		return ctx, nil, func() {}
 	}
 	buf := &SpanBuffer{}
-	ctx, _ := WithTrace(context.Background(), buf)
+	ctx, _ = WithTrace(ctx, buf)
 	ctx, sp := StartSpan(ctx, root)
 	done := false
 	return ctx, sp, func() {

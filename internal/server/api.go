@@ -341,8 +341,8 @@ type MetricsResponse struct {
 	// ShardID is the operator-assigned shard name, set when the server
 	// runs as a cluster shard.
 	ShardID string `json:"shard_id,omitempty"`
-	// Warm reports whether the compile cache has completed at least one
-	// compile (the /readyz cold gate).
+	// Warm reports whether the compile cache has produced a program (the
+	// /readyz cold gate).
 	Warm bool `json:"warm,omitempty"`
 	// ServiceEWMANS is the smoothed per-request service time feeding the
 	// adaptive Retry-After calculation.
