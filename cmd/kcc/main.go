@@ -155,6 +155,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	prog, err := cache.CompileCtx(ctx, string(src), file, copts)
+	if err == nil {
+		err = ctx.Err() // -timeout covers the compile too
+	}
 	if err != nil {
 		fmt.Fprintf(stderr, "kcc: %v\n", err)
 		return 1

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -94,5 +95,26 @@ func TestEveryExitFinishes(t *testing.T) {
 				t.Errorf("no coverage ledger on stderr:\n%s", stderr.String())
 			}
 		})
+	}
+}
+
+// TestTimeoutCoversCompile: -timeout bounds compile and run together, so
+// a deadline that passes during the compile ends a program that would
+// finish before the interpreter's first deadline poll.
+func TestTimeoutCoversCompile(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-timeout", "1ns", "testdata/ok.c"}, "kcc: context deadline exceeded"},
+		{[]string{"-json", "-timeout", "1ns", "testdata/ok.c"}, `"verdict": "timeout"`},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(tc.args, &stdout, &stderr); code != 1 {
+			t.Errorf("%v: exit %d, want 1", tc.args, code)
+		}
+		if out := stdout.String() + stderr.String(); !strings.Contains(out, tc.want) {
+			t.Errorf("%v: output %q lacks %q", tc.args, out, tc.want)
+		}
 	}
 }
