@@ -22,8 +22,10 @@ test:
 # against the tree walker, and an interp-level parallel matrix under the
 # race detector (8 goroutines calling interp.Run over every Juliet
 # program × the 4 tool profiles, each program's compiled code shared).
-# The VM is a test and probe engine only: no binary, example or the root
-# package may link it. Every other package must be linked: a
+# The VM and the abstract interpreter (internal/absint, the Value
+# Analysis ablation) are test and probe code only: no binary, example or
+# the root package may link either; the benchmark module still does.
+# Every other package must be linked: a
 # repro/internal package that no binary, example, the root package or the
 # benchmark module reaches fails the check (the offenders are printed), so
 # unused code is deleted rather than kept. The search gates: the parallel POR explorer must
@@ -98,6 +100,7 @@ check: test
 	go test ./internal/vm/ -run 'TestGoldenEventSequenceVM|TestEngineDiff' -count=1
 	go test -race ./internal/vm/ -run TestMatrixParallelVM -count=1
 	test -z "$$(go list -deps ./cmd/... ./examples/... . | grep -x repro/internal/vm)"
+	test -z "$$(go list -deps ./cmd/... ./examples/... . | grep -x repro/internal/absint)"
 	deps=$$(go list -deps ./cmd/... ./examples/... . && cd perfbench && go list -deps ./...) && ! go list ./internal/... | grep -vxF "$$deps"
 	go test ./internal/search/ -run 'TestDifferentialGate|TestExploreConfigMatrix' -count=1
 	go test -race ./internal/search/ -count=1

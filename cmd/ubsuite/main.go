@@ -14,9 +14,6 @@
 //	-json        emit the canonical undefc.report/v1 report (implies -metrics)
 //	-trace-out f write the run's span forest (cell → compile → interp per
 //	             matrix cell) as Chrome trace-event JSON to f
-//	-flight N    per-analysis flight-recorder ring (-1 auto: armed when
-//	             -inject is; 0 off); quarantined cells carry their last N
-//	             events in the failure manifest
 //	-coverage    run every suite (juliet, own, torture), then print the UB
 //	             check-site coverage ledger: per-behavior evaluated/fired
 //	             counters and the registered behaviors that never fired
@@ -25,7 +22,10 @@
 //
 //	-case-timeout d  per-cell watchdog (e.g. 5s); expiry = "timeout" verdict
 //	-inject spec     deterministic fault injection, e.g.
-//	                 'interp.step=panic*1~CWE457' (see internal/fault)
+//	                 'interp.step=panic*1~CWE457' (see internal/fault);
+//	                 it also arms each analysis' flight recorder, so a
+//	                 quarantined, timed-out or cancelled cell carries its
+//	                 last 256 events in the failure manifest
 //	-inject-seed n   seed for probabilistic injection rules
 //	-strict          exit non-zero when the run has failures (contained
 //	                 panics, timeouts, cancellations); the default is to
@@ -59,7 +59,6 @@ func main() {
 	injectSeed := flag.Uint64("inject-seed", 1, "seed for probabilistic injection rules")
 	strict := flag.Bool("strict", false, "exit non-zero when the run recorded failures")
 	traceOut := flag.String("trace-out", "", "write the run's span forest as Chrome trace-event JSON to this file")
-	flight := flag.Int("flight", -1, "flight-recorder events per analysis (-1 = auto, 0 = off)")
 	coverageFlag := flag.Bool("coverage", false, "run every suite (juliet, own, torture) and print the UB check-site coverage ledger")
 	flag.Parse()
 
@@ -78,18 +77,8 @@ func main() {
 		injector = fault.NewInjector(*injectSeed, rules...)
 	}
 
-	// -flight auto (-1) arms the recorder only when faults can actually
-	// fire; a fault-free run has no post-mortems to attach trails to.
-	cfgFlight := *flight
-	if cfgFlight < 0 {
-		cfgFlight = 0
-		if injector != nil {
-			cfgFlight = obs.DefaultFlightEvents
-		}
-	}
-
 	collect := *jsonFlag || *metricsFlag
-	cfg := tools.Config{Metrics: collect, Injector: injector, Flight: cfgFlight}
+	cfg := tools.Config{Metrics: collect, Injector: injector}
 	opts := runner.Options{Parallelism: *jobs, CaseTimeout: *caseTimeout, Injector: injector}
 
 	if *coverageFlag {

@@ -65,7 +65,10 @@ func TestContainmentGate(t *testing.T) {
 }
 
 // checkContained runs one suite with a single injected panic and asserts
-// it exits 0 with exactly one internal-error cell carrying a stack.
+// it exits 0 with exactly one internal-error cell carrying a stack. A panic
+// inside a tool's analysis (tools.analyze, interp.step) is one fault in
+// that tool's metrics; one in the compile or runner stage is outside every
+// tool's analysis and counts in none.
 func checkContained(t *testing.T, cmd *exec.Cmd, site string) {
 	t.Helper()
 	stdout, err := cmd.Output()
@@ -97,5 +100,17 @@ func checkContained(t *testing.T, cmd *exec.Cmd, site string) {
 	}
 	if internal != 1 {
 		t.Errorf("%d internal-error cells, want 1 (*1 caps the injection)", internal)
+	}
+	var faults, want int64
+	for _, a := range rep.Aggregate {
+		if a.Metrics != nil {
+			faults += a.Metrics.Faults
+		}
+	}
+	if site == tools.SiteAnalyze || site == interp.SiteStep {
+		want = 1
+	}
+	if faults != want {
+		t.Errorf("per-tool metrics count %d faults, want %d", faults, want)
 	}
 }

@@ -20,12 +20,13 @@
 //	                 search may execute (0 = 5000)
 //	-drain d         grace period for in-flight requests on SIGTERM/SIGINT
 //	-inject spec     deterministic fault injection (see internal/fault),
-//	                 e.g. 'server.handle=panic%0.01'
+//	                 e.g. 'server.handle=panic%0.01'; it also arms each
+//	                 analysis' flight recorder (last 256 events), so a
+//	                 quarantined, timed-out or cancelled result carries
+//	                 its trail
 //	-inject-seed n   seed for probabilistic injection rules
 //	-trace-sample N  trace every Nth analyze request end to end; traced
 //	                 responses carry a trace_id for GET /v1/trace/{id}
-//	-flight N        flight-recorder ring size per analysis (-1 auto:
-//	                 armed when -inject is; 0 off)
 //
 // Observability routes (every response also carries X-Undefc-Trace-Id):
 //
@@ -106,7 +107,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	injectSpec := fs.String("inject", "", "fault-injection rules: site=kind[:arg][*count][@after][~match][%prob],...")
 	injectSeed := fs.Uint64("inject-seed", 1, "seed for probabilistic injection rules")
 	traceSample := fs.Int("trace-sample", 0, "trace every Nth analyze request (0 = off, 1 = all)")
-	flight := fs.Int("flight", -1, "flight-recorder events per analysis (-1 = auto, 0 = off)")
 	debugAddr := fs.String("debug-addr", "", "debug listener (pprof + metrics reset); empty = disabled")
 	artifactDir := fs.String("artifact-dir", "", "compiled-program artifact store directory (empty = tier off)")
 	artifactMax := fs.Int64("artifact-max-bytes", 0, "artifact store size cap in bytes (0 = 256 MiB default)")
@@ -154,16 +154,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		return 2
 	}
 
-	// Flag semantics (-1 auto / 0 off) invert the Config's (0 auto /
-	// negative off): a CLI flag needs an explicit "off" a zero value can
-	// express, a config struct needs a useful zero value.
-	cfgFlight := *flight
-	switch {
-	case cfgFlight < 0:
-		cfgFlight = 0 // auto
-	case cfgFlight == 0:
-		cfgFlight = -1 // explicitly off
-	}
 	srv, err := server.New(server.Config{
 		Model:            *model,
 		Concurrency:      *concurrency,
@@ -174,7 +164,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		MaxExploreRuns:   *exploreRuns,
 		Injector:         injector,
 		TraceSample:      *traceSample,
-		Flight:           cfgFlight,
 		ShardID:          *shardID,
 		ArtifactDir:      *artifactDir,
 		ArtifactMaxBytes: *artifactMax,

@@ -1,10 +1,30 @@
-package tools
+package absint_test
 
 import (
 	"testing"
 
+	"repro/internal/absint"
 	"repro/internal/suite"
 )
+
+// Verdicts of the ablation: the abstract interpretation flags a program
+// on any alarm, is inconclusive when it met an unsupported construct, and
+// accepts otherwise.
+const (
+	accepted     = "accepted"
+	flagged      = "flagged"
+	inconclusive = "inconclusive"
+)
+
+func verdict(res absint.Result) string {
+	switch {
+	case len(res.Alarms) > 0:
+		return flagged
+	case res.Incomplete:
+		return inconclusive
+	}
+	return accepted
+}
 
 // TestAIValueAnalysisOnJuliet is the ablation: the abstract-interpretation
 // value analysis must match the interpreter-mode one on the value-domain
@@ -13,24 +33,23 @@ import (
 // alarm; some flow variants may be beyond the domain).
 func TestAIValueAnalysisOnJuliet(t *testing.T) {
 	s := suite.Juliet()
-	ai := ValueAnalysisAI(Config{})
 
 	classTotals := map[string]int{}
 	classFlagged := map[string]int{}
 	falsePos := 0
-	inconclusive := 0
+	incomplete := 0
 	for _, c := range s.Cases {
-		rep := analyze(ai, c.Source, c.Name+".c")
-		if rep.Verdict == Inconclusive {
-			inconclusive++
+		v := verdict(analyze(t, c.Source))
+		if v == inconclusive {
+			incomplete++
 			continue
 		}
 		if c.Bad {
 			classTotals[c.Class]++
-			if rep.Verdict == Flagged {
+			if v == flagged {
 				classFlagged[c.Class]++
 			}
-		} else if rep.Verdict == Flagged {
+		} else if v == flagged {
 			falsePos++
 		}
 	}
@@ -64,33 +83,31 @@ func TestAIValueAnalysisOnJuliet(t *testing.T) {
 		t.Errorf("AI value analysis: %d false positives on %d cases", falsePos, len(s.Cases))
 	}
 	t.Logf("AI on Juliet: flagged=%v totals=%v falsePos=%d inconclusive=%d",
-		classFlagged, classTotals, falsePos, inconclusive)
+		classFlagged, classTotals, falsePos, incomplete)
 }
 
 // TestAITerminatesOnLoops: unlike the concrete interpreter, the abstract
 // one terminates on programs that loop forever (the fixpoint converges).
 func TestAITerminatesOnLoops(t *testing.T) {
-	ai := ValueAnalysisAI(Config{})
-	rep := analyze(ai, `
+	res := analyze(t, `
 int main(void) {
 	int x = 0;
 	while (1) { x = x < 100 ? x + 1 : 0; }
 	return x;
 }
-`, "forever.c")
+`)
 	// The interpreter-mode tool would exhaust its budget here; the AI
 	// must converge to a verdict.
-	if rep.Verdict == Inconclusive {
-		t.Errorf("AI did not converge: %s", rep.Detail)
+	if v := verdict(res); v == inconclusive {
+		t.Errorf("AI did not converge: %v", res.Alarms)
 	}
 }
 
 // TestAIBlindToSequencing: like the real Value Analysis, the domain cannot
 // see sequence-point violations.
 func TestAIBlindToSequencing(t *testing.T) {
-	ai := ValueAnalysisAI(Config{})
-	rep := analyze(ai, "int main(void){ int x = 0; return (x = 1) + (x = 2); }", "unseq.c")
-	if rep.Verdict != Accepted {
-		t.Errorf("verdict = %v (%s), want accepted", rep.Verdict, rep.Detail)
+	res := analyze(t, "int main(void){ int x = 0; return (x = 1) + (x = 2); }")
+	if v := verdict(res); v != accepted {
+		t.Errorf("verdict = %s (%v, incomplete=%v), want accepted", v, res.Alarms, res.Incomplete)
 	}
 }

@@ -190,9 +190,9 @@ func TestTransientRetry(t *testing.T) {
 }
 
 // TestFlightTrailInManifest asserts the flight-recorder plumbing end to
-// end: with tools.Config.Flight armed, a panic injected mid-interpretation
-// leaves a non-empty event tail on the quarantined cell's report AND on
-// its failure-manifest entry — the "last things the machine did" that make
+// end: an armed injector arms the recorder, so a panic injected
+// mid-interpretation leaves a non-empty event tail on the quarantined
+// cell's report AND on its failure-manifest entry — the "last things the machine did" that make
 // a quarantine debuggable. Cells that finish normally carry no trail.
 func TestFlightTrailInManifest(t *testing.T) {
 	s := suite.Juliet()
@@ -201,7 +201,7 @@ func TestFlightTrailInManifest(t *testing.T) {
 		Site: interp.SiteStep, Kind: fault.KindPanic, Msg: "injected@step",
 		Match: target, Count: 1,
 	})
-	ts := tools.All(tools.Config{Injector: in, Flight: 32})
+	ts := tools.All(tools.Config{Injector: in})
 	m, err := RunMatrix(s, ts, Options{Parallelism: 8, Injector: in})
 	if err != nil {
 		t.Fatal(err)

@@ -115,8 +115,8 @@ type Failure struct {
 	Stack   string `json:"stack,omitempty"`
 	Retried bool   `json:"retried,omitempty"`
 	// Events is the flight-recorder tail: the last abstract-machine events
-	// before the cell died, present when the tools ran with a flight
-	// recorder armed (tools.Config.Flight > 0).
+	// before the cell died, present when the tools ran with an injector
+	// armed (tools.Config.Injector arms the recorder).
 	Events []string `json:"events,omitempty"`
 }
 

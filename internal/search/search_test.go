@@ -61,21 +61,28 @@ int main(void) {
 }
 
 func TestDeterministicProgram(t *testing.T) {
-	prog := compile(t, `
+	for _, src := range []string{`
 int main(void) {
 	int a = 2, b = 3;
 	return a + b;
 }
-`)
-	res := search.Explore(context.Background(), prog, search.Options{})
-	if !res.Deterministic() {
-		t.Errorf("got %d outcomes", len(res.Outcomes))
-	}
-	if res.UB() != nil {
-		t.Errorf("unexpected UB: %v", res.UB())
-	}
-	if !res.Exhausted {
-		t.Error("search should exhaust")
+`,
+		// Indeterminately sequenced calls whose order cannot matter.
+		`
+int add(int a, int b) { return a + b; }
+int main(void) { return add(1, 2) + add(3, 4) - 10; }
+`} {
+		prog := compile(t, src)
+		res := search.Explore(context.Background(), prog, search.Options{})
+		if !res.Deterministic() {
+			t.Errorf("got %d outcomes", len(res.Outcomes))
+		}
+		if res.UB() != nil {
+			t.Errorf("unexpected UB: %v", res.UB())
+		}
+		if !res.Exhausted {
+			t.Error("search should exhaust")
+		}
 	}
 }
 
@@ -140,18 +147,23 @@ int main(void) {
 }
 
 func TestStopAtFirstUB(t *testing.T) {
-	prog := compile(t, `
+	for _, src := range []string{`
 int main(void) {
 	int x = 0;
 	return (x = 1) + (x = 2);
 }
-`)
-	res := search.Explore(context.Background(), prog, search.Options{StopAtFirstUB: true})
-	if res.UB() == nil {
-		t.Fatal("expected UB")
-	}
-	if res.Runs != 1 {
-		t.Errorf("should stop after first run, ran %d", res.Runs)
+`,
+		// UB on every order, with no choice point before it.
+		"int main(void){ int z = 0; return 1 / z; }",
+	} {
+		prog := compile(t, src)
+		res := search.Explore(context.Background(), prog, search.Options{StopAtFirstUB: true})
+		if res.UB() == nil {
+			t.Fatal("expected UB")
+		}
+		if res.Runs != 1 {
+			t.Errorf("should stop after first run, ran %d", res.Runs)
+		}
 	}
 }
 

@@ -403,7 +403,8 @@ type ConfigResponse struct {
 	MaxExploreRuns int    `json:"max_explore_runs"`
 	InjectorArmed  bool   `json:"injector_armed,omitempty"`
 	// TraceSample is the 1-in-N analyze-tracing rate (0 = tracing off);
-	// FlightEvents is the armed flight-recorder ring size (0 = off).
+	// FlightEvents is the per-analysis flight-recorder ring size, armed
+	// with the injector (0 = off).
 	TraceSample  int `json:"trace_sample,omitempty"`
 	FlightEvents int `json:"flight_events,omitempty"`
 	// ArtifactDir and ArtifactPeers describe the artifact tier (empty =

@@ -114,7 +114,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		Budget:   s.budgetFor(req.MaxSteps),
 		Metrics:  req.Metrics,
 		Injector: s.cfg.Injector,
-		Flight:   s.cfg.Flight,
 	})
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad-request", err.Error())
@@ -319,7 +318,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	tcfg := tools.Config{Budget: s.budgetFor(req.MaxSteps), Metrics: req.Metrics, Injector: s.cfg.Injector, Flight: s.cfg.Flight}
+	tcfg := tools.Config{Budget: s.budgetFor(req.MaxSteps), Metrics: req.Metrics, Injector: s.cfg.Injector}
 	toolNames := req.Tools
 	if len(toolNames) == 0 {
 		toolNames = []string{"kcc"}
@@ -755,6 +754,10 @@ func wantsPrometheus(r *http.Request) bool {
 }
 
 func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
+	var flight int
+	if s.cfg.Injector != nil {
+		flight = obs.DefaultFlightEvents
+	}
 	writeJSON(w, http.StatusOK, &ConfigResponse{
 		Schema:         APISchema,
 		Model:          s.cfg.Model,
@@ -768,7 +771,7 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 		MaxExploreRuns: s.cfg.MaxExploreRuns,
 		InjectorArmed:  s.cfg.Injector != nil,
 		TraceSample:    s.cfg.TraceSample,
-		FlightEvents:   s.cfg.Flight,
+		FlightEvents:   flight,
 		ArtifactDir:    s.cfg.ArtifactDir,
 		ArtifactPeers:  s.cfg.ArtifactPeers,
 	})

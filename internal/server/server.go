@@ -81,7 +81,10 @@ type Config struct {
 	MaxSteps int64
 	// Injector, when set, arms fault injection: the server.handle site
 	// fires per admitted analysis and the injector is threaded into the
-	// frontend and the tools (their own sites).
+	// frontend and the tools (their own sites). It also arms each
+	// analysis' flight recorder, so a quarantined, timed-out or cancelled
+	// result carries its last obs.DefaultFlightEvents abstract-machine
+	// events (a chaos run without post-mortems is wasted).
 	Injector *fault.Injector
 	// TraceSample enables local request sampling: every Nth /v1/analyze
 	// request is traced end to end (handle → queue → compile → interp) and
@@ -90,12 +93,6 @@ type Config struct {
 	// nothing (forwarded trace identities are still recorded); 1 traces
 	// everything.
 	TraceSample int
-	// Flight is the per-analysis flight-recorder ring size: when a request
-	// is quarantined, times out, or is cancelled, its result carries the
-	// last Flight abstract-machine events. 0 means "auto": armed at
-	// obs.DefaultFlightEvents when an Injector is set (a chaos run without
-	// post-mortems is wasted), off otherwise. Negative disables explicitly.
-	Flight int
 	// ArtifactDir, when set, arms the content-addressed artifact tier
 	// under the compile cache: compiled programs are persisted there as
 	// checksummed frames keyed by driver.SourceKey, the directory
@@ -134,12 +131,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxExploreRuns <= 0 {
 		c.MaxExploreRuns = 5000
-	}
-	if c.Flight == 0 && c.Injector != nil {
-		c.Flight = obs.DefaultFlightEvents
-	}
-	if c.Flight < 0 {
-		c.Flight = 0
 	}
 	if c.ArtifactMaxBytes == 0 {
 		c.ArtifactMaxBytes = 256 << 20

@@ -847,18 +847,43 @@ func TestBatchPanicTrailer(t *testing.T) {
 
 // TestConfigEndpoint sanity-checks /debug/config reflects defaulting.
 func TestConfigEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{QueueDepth: 7, Model: "ILP32"})
-	resp, err := http.Get(ts.URL + "/debug/config")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var cr ConfigResponse
-	if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
-		t.Fatal(err)
-	}
-	if cr.QueueDepth != 7 || cr.Model != "ILP32" || cr.Concurrency < 1 || cr.DefaultTimeout == "" {
-		t.Errorf("config = %+v", cr)
+	// flight_events is derived, not set: 256 exactly when an injector is
+	// armed, omitted otherwise.
+	for _, tc := range []struct {
+		name     string
+		injector *fault.Injector
+		flight   string
+	}{
+		{"plain", nil, ""},
+		{"injector", fault.NewInjector(1), "256"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, ts := newTestServer(t, Config{QueueDepth: 7, Model: "ILP32", Injector: tc.injector})
+			resp, err := http.Get(ts.URL + "/debug/config")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var raw bytes.Buffer
+			raw.ReadFrom(resp.Body)
+			var cr ConfigResponse
+			if err := json.Unmarshal(raw.Bytes(), &cr); err != nil {
+				t.Fatal(err)
+			}
+			if cr.QueueDepth != 7 || cr.Model != "ILP32" || cr.Concurrency < 1 || cr.DefaultTimeout == "" {
+				t.Errorf("config = %+v", cr)
+			}
+			if cr.InjectorArmed != (tc.injector != nil) {
+				t.Errorf("injector_armed = %v", cr.InjectorArmed)
+			}
+			var fields map[string]json.RawMessage
+			if err := json.Unmarshal(raw.Bytes(), &fields); err != nil {
+				t.Fatal(err)
+			}
+			if got := string(fields["flight_events"]); got != tc.flight {
+				t.Errorf("flight_events = %q, want %q", got, tc.flight)
+			}
+		})
 	}
 }
 

@@ -21,6 +21,19 @@ int main(void) {
 
 const trivialSrc = `int main(void) { return 0; }`
 
+// checkFaultCounted asserts a contained panic is one fault in the
+// analysis' own metrics, and that the flight recorder the injector armed
+// ends its trail with the same fault.
+func checkFaultCounted(t *testing.T, name string, rep Report) {
+	t.Helper()
+	if rep.Metrics == nil || rep.Metrics.Faults != 1 {
+		t.Errorf("%s: metrics = %+v, want one fault", name, rep.Metrics)
+	}
+	if n := len(rep.Trail); n == 0 || !strings.Contains(rep.Trail[n-1], "FAULT") {
+		t.Errorf("%s: trail %q does not end with the fault", name, rep.Trail)
+	}
+}
+
 func TestAnalyzeProgramContainsInjectedPanic(t *testing.T) {
 	prog, err := driver.Compile(trivialSrc, "t.c", driver.Options{})
 	if err != nil {
@@ -28,11 +41,12 @@ func TestAnalyzeProgramContainsInjectedPanic(t *testing.T) {
 	}
 	rec := &obs.Recorder{}
 	in := fault.NewInjector(0, fault.Rule{Site: SiteAnalyze, Kind: fault.KindPanic, Msg: "tool exploded"})
-	for _, tool := range All(Config{Injector: in, Observer: rec}) {
+	for _, tool := range All(Config{Metrics: true, Injector: in, Observer: rec}) {
 		rep := tool.AnalyzeProgram(context.Background(), prog, "t.c")
 		if rep.Verdict != InternalError {
 			t.Errorf("%s: verdict = %v, want internal-error", tool.Name(), rep.Verdict)
 		}
+		checkFaultCounted(t, tool.Name(), rep)
 		if rep.Fault == nil || rep.Fault.Stage != fault.StageAnalyze || rep.Fault.Stack == "" {
 			t.Errorf("%s: fault = %+v, want analyze-stage fault with stack", tool.Name(), rep.Fault)
 		}
@@ -113,8 +127,9 @@ func TestInterpStepInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := fault.NewInjector(0, fault.Rule{Site: "interp.step", Kind: fault.KindPanic, Msg: "mid-run"})
-	rep := KCC(Config{Injector: in}).AnalyzeProgram(context.Background(), prog, "t.c")
+	rep := KCC(Config{Metrics: true, Injector: in}).AnalyzeProgram(context.Background(), prog, "t.c")
 	if rep.Verdict != InternalError {
 		t.Fatalf("verdict = %v (%s), want internal-error from a mid-interpretation panic", rep.Verdict, rep.Detail)
 	}
+	checkFaultCounted(t, "kcc", rep)
 }

@@ -25,8 +25,9 @@ import (
 	"repro/internal/ub"
 )
 
-// SiteAnalyze is the fault-injection site fired at the top of every
-// guarded tool analysis; the unit is the case's file name.
+// SiteAnalyze is the fault-injection site fired at the top of every tool
+// analysis, inside its containment boundary; the unit is the case's file
+// name.
 var SiteAnalyze = fault.RegisterSite("tools.analyze")
 
 // Verdict classifies a tool's result on one program.
@@ -141,14 +142,16 @@ type Report struct {
 	// RunDuration is the tool's own analysis time (the §5.1.2 cost).
 	RunDuration time.Duration
 	// Metrics is the execution-metrics snapshot of this analysis, present
-	// only when Config.Metrics was set.
+	// only when Config.Metrics was set; a contained panic counts in its
+	// Faults.
 	Metrics *obs.Snapshot
 	// Fault carries the contained panic when Verdict is InternalError.
 	Fault *fault.InternalError
-	// Trail is the flight-recorder tail: the last events the abstract
-	// machine emitted before this analysis was quarantined (contained
-	// panic), timed out, or was cancelled. Present only when Config.Flight
-	// enabled the recorder and the verdict is one of those three.
+	// Trail is the flight-recorder tail: the last obs.DefaultFlightEvents
+	// events the abstract machine emitted before this analysis was
+	// quarantined (contained panic), timed out, or was cancelled. Present
+	// only when Config.Injector armed the recorder and the verdict is one
+	// of those three.
 	Trail []string
 	// Transient marks a failure classified as non-deterministic (worth a
 	// retry); the runner's retry policy reads it.
@@ -195,63 +198,6 @@ func Analyze(ctx context.Context, cache *driver.Cache, t Tool, src, file string,
 	return t.AnalyzeProgram(ctx, prog, file)
 }
 
-// guarded is the fault-containment boundary shared by every tool's
-// AnalyzeProgram: it fires the tools.analyze injection site and converts a
-// panic anywhere in the analysis into an InternalError report — one
-// berserk case must not take down the worker that ran it.
-//
-// It is also the observability boundary: the "interp" span brackets the
-// whole analysis (annotated with tool, file, verdict, and the fired UB
-// behavior when one fires), and when Config.Flight is positive a per-case
-// flight recorder is handed to fn; if the case is quarantined, times out,
-// or is cancelled, the recorder's tail becomes Report.Trail — the last
-// thing the abstract machine did before it died.
-func guarded(ctx context.Context, name string, cfg Config, file string, fn func(context.Context, *obs.Flight) Report) Report {
-	start := time.Now()
-	ctx, sp := obs.StartSpan(ctx, "interp")
-	var fr *obs.Flight
-	if cfg.Flight > 0 {
-		fr = obs.NewFlight(cfg.Flight)
-	}
-	var rep Report
-	err := fault.Guard(fault.StageAnalyze, file, func() error {
-		if err := cfg.Injector.Fire(SiteAnalyze, file); err != nil {
-			return err
-		}
-		rep = fn(ctx, fr)
-		return nil
-	})
-	if err != nil {
-		rep = ReportFromError(err)
-		rep.RunDuration = time.Since(start)
-		if ie, ok := fault.AsInternal(err); ok {
-			faultEv := obs.Event{Kind: obs.EvFault, Name: ie.Stage, Detail: file}
-			if cfg.Observer != nil {
-				cfg.Observer.Event(&faultEv)
-			}
-			if fr != nil {
-				fr.Event(&faultEv)
-			}
-		}
-	}
-	if fr != nil {
-		switch rep.Verdict {
-		case InternalError, Timeout, Cancelled:
-			rep.Trail = fr.Lines()
-		}
-	}
-	if sp.Recording() {
-		sp.SetAttr("tool", name)
-		sp.SetAttr("file", file)
-		sp.SetAttr("verdict", rep.Verdict.String())
-		if rep.UB != nil && rep.UB.Behavior != nil {
-			sp.SetAttr("ub", obs.CheckKey(rep.UB.Behavior.Code))
-		}
-		sp.End()
-	}
-	return rep
-}
-
 // ReportFromError classifies a pipeline error into the verdict taxonomy:
 // contained panics become InternalError (with the captured stack), deadline
 // expiry becomes Timeout, run cancellation becomes Cancelled, and anything
@@ -281,13 +227,11 @@ type Config struct {
 	// Observer additionally receives the raw event stream (tracing). It
 	// composes with Metrics via obs.Multi.
 	Observer obs.Observer
-	// Injector, when set, fires the tools.analyze site before each guarded
-	// analysis and is handed to the interpreter (interp.step site).
+	// Injector, when set, fires the tools.analyze site before each
+	// analysis and is handed to the interpreter (interp.step site). It also
+	// arms the per-analysis flight recorder behind Report.Trail: a run
+	// that can fault gets a post-mortem, a fault-free run pays nothing.
 	Injector *fault.Injector
-	// Flight, when positive, arms a per-analysis flight recorder retaining
-	// the last Flight events; Report.Trail carries its tail when the case
-	// is quarantined, times out, or is cancelled. Zero disables recording.
-	Flight int
 }
 
 // profileTool runs programs on the shared abstract machine under a
@@ -304,33 +248,80 @@ type profileTool struct {
 // Name implements Tool.
 func (t *profileTool) Name() string { return t.name }
 
-// AnalyzeProgram implements Tool.
+// AnalyzeProgram implements Tool. It is the fault-containment boundary of
+// every analysis: it fires the tools.analyze injection site and converts a
+// panic anywhere in the analysis into an InternalError report (an EvFault
+// event on the analysis' observer) — one berserk case must not take down
+// the worker that ran it.
+//
+// It is also the observability boundary: the one per-analysis observer is
+// Config.Observer, the metrics collector (Config.Metrics) and, when
+// Config.Injector is set, a flight recorder of the last
+// obs.DefaultFlightEvents events. The "interp" span brackets the whole
+// analysis (annotated with tool, file, verdict, and the fired UB behavior
+// when one fires). However the analysis ends, the report's RunDuration,
+// Metrics and — when the case is quarantined, times out, or is cancelled —
+// Trail are set here.
 func (t *profileTool) AnalyzeProgram(ctx context.Context, prog *sema.Program, file string) Report {
-	return guarded(ctx, t.name, t.cfg, file, func(ctx context.Context, fr *obs.Flight) Report {
-		return t.analyze(ctx, prog, fr)
-	})
-}
-
-func (t *profileTool) analyze(ctx context.Context, prog *sema.Program, fr *obs.Flight) Report {
 	start := time.Now()
+	ctx, sp := obs.StartSpan(ctx, "interp")
+	// Each collector joins the observer only when armed: a typed-nil
+	// pointer in obs.Multi would defeat the interpreter's nil-observer
+	// fast path.
 	var m *obs.Metrics
-	observer := t.cfg.Observer
+	var fr *obs.Flight
+	var mo, fo obs.Observer
 	if t.cfg.Metrics {
 		m = obs.NewMetrics()
-		observer = obs.Multi(observer, m)
+		mo = m
+	}
+	if t.cfg.Injector != nil {
+		fr = obs.NewFlight(obs.DefaultFlightEvents)
+		fo = fr
+	}
+	observer := obs.Multi(t.cfg.Observer, mo, fo)
+
+	var rep Report
+	err := fault.Guard(fault.StageAnalyze, file, func() error {
+		if err := t.cfg.Injector.Fire(SiteAnalyze, file); err != nil {
+			return err
+		}
+		rep = t.analyze(ctx, prog, observer)
+		return nil
+	})
+	if err != nil {
+		rep = ReportFromError(err)
+		if ie, ok := fault.AsInternal(err); ok && observer != nil {
+			observer.Event(&obs.Event{Kind: obs.EvFault, Name: ie.Stage, Detail: file})
+		}
+	}
+	rep.RunDuration = time.Since(start)
+	if m != nil {
+		rep.Metrics = m.Snapshot()
 	}
 	if fr != nil {
-		observer = obs.Multi(observer, fr)
-	}
-	done := func(r Report) Report {
-		r.RunDuration = time.Since(start)
-		if m != nil {
-			r.Metrics = m.Snapshot()
+		switch rep.Verdict {
+		case InternalError, Timeout, Cancelled:
+			rep.Trail = fr.Lines()
 		}
-		return r
 	}
+	if sp.Recording() {
+		sp.SetAttr("tool", t.name)
+		sp.SetAttr("file", file)
+		sp.SetAttr("verdict", rep.Verdict.String())
+		if rep.UB != nil && rep.UB.Behavior != nil {
+			sp.SetAttr("ub", obs.CheckKey(rep.UB.Behavior.Code))
+		}
+		sp.End()
+	}
+	return rep
+}
+
+// analyze runs prog under the tool's profile and maps the result to a
+// verdict.
+func (t *profileTool) analyze(ctx context.Context, prog *sema.Program, observer obs.Observer) Report {
 	if t.staticChecks && len(prog.StaticUB) > 0 {
-		return done(Report{Verdict: Flagged, UB: prog.StaticUB[0], Detail: prog.StaticUB[0].Error()})
+		return Report{Verdict: Flagged, UB: prog.StaticUB[0], Detail: prog.StaticUB[0].Error()}
 	}
 	res := interp.Run(prog, interp.Options{
 		Profile:  t.prof,
@@ -341,14 +332,14 @@ func (t *profileTool) analyze(ctx context.Context, prog *sema.Program, fr *obs.F
 	})
 	switch {
 	case res.UB != nil:
-		return done(Report{Verdict: Flagged, UB: res.UB, Detail: res.UB.Error(), ExitCode: res.ExitCode})
+		return Report{Verdict: Flagged, UB: res.UB, Detail: res.UB.Error(), ExitCode: res.ExitCode}
 	case res.Err != nil:
 		if _, crashed := res.Err.(*interp.CrashError); crashed {
-			return done(Report{Verdict: Crashed, Detail: res.Err.Error()})
+			return Report{Verdict: Crashed, Detail: res.Err.Error()}
 		}
-		return done(ReportFromError(res.Err))
+		return ReportFromError(res.Err)
 	default:
-		return done(Report{Verdict: Accepted, ExitCode: res.ExitCode})
+		return Report{Verdict: Accepted, ExitCode: res.ExitCode}
 	}
 }
 

@@ -178,6 +178,22 @@ func TestDefinedProgramAllAccept(t *testing.T) {
 		src: `#include <stdio.h>
 int main(void){ printf("ok\n"); return 0; }`,
 		memcheck: Accepted, checkptr: Accepted, va: Accepted, kcc: Accepted,
+	}, {
+		// The §2.5.2 program is defined on the default (left-to-right)
+		// order, so one run accepts it; right-to-left divides by zero,
+		// which only a search of the orders finds (search's
+		// TestSetDenomSearch).
+		name: "setdenom",
+		src: `
+int d = 5;
+int setDenom(int x){
+	return d = x;
+}
+int main(void) {
+	return (10/d) + setDenom(0);
+}
+`,
+		memcheck: Accepted, checkptr: Accepted, va: Accepted, kcc: Accepted,
 	}})
 }
 
