@@ -30,7 +30,10 @@ func BenchmarkFigure2(b *testing.B) {
 	ts := tools.All(tools.Config{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fig := runner.RunJuliet(s, ts)
+		fig, err := runner.RunJuliet(s, ts, runner.Options{Parallelism: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
 		if fig.Overall["kcc"].Flagged == 0 {
 			b.Fatal("empty figure")
 		}
@@ -46,7 +49,7 @@ func BenchmarkFigure2Parallel(b *testing.B) {
 	ts := tools.All(tools.Config{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fig, err := runner.RunJulietOpts(s, ts, runner.Options{})
+		fig, err := runner.RunJuliet(s, ts, runner.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -62,7 +65,10 @@ func BenchmarkFigure3(b *testing.B) {
 	ts := tools.All(tools.Config{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fig := runner.RunOwn(s, ts)
+		fig, err := runner.RunOwn(s, ts, runner.Options{Parallelism: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
 		if fig.Dynamic["kcc"] == 0 {
 			b.Fatal("empty figure")
 		}

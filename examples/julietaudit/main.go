@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"repro/internal/runner"
 	"repro/internal/suite"
@@ -19,7 +20,11 @@ func main() {
 		len(s.Cases), s.BadCount(), len(s.Cases)-s.BadCount())
 	fmt.Printf("(the NIST original: 4113 tests in the same six classes)\n\n")
 
-	fig := runner.RunJuliet(s, tools.All(tools.Config{}))
+	fig, err := runner.RunJuliet(s, tools.All(tools.Config{}), runner.Options{Parallelism: 1})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "julietaudit:", err)
+		os.Exit(1)
+	}
 	fmt.Print(fig.Render())
 
 	fmt.Println("\nReading the table against the paper's Figure 2:")

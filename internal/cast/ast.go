@@ -424,6 +424,40 @@ type Return struct {
 	X Expr
 }
 
+// Contains reports whether target is s or occurs in the statement subtree
+// of s: the subtrees a jump can enter (labeled statements, blocks,
+// selection and iteration bodies).
+func Contains(s, target Stmt) bool {
+	if s == target {
+		return true
+	}
+	switch s := s.(type) {
+	case *Label:
+		return Contains(s.Stmt, target)
+	case *Case:
+		return Contains(s.Stmt, target)
+	case *Default:
+		return Contains(s.Stmt, target)
+	case *Compound:
+		for _, inner := range s.List {
+			if Contains(inner, target) {
+				return true
+			}
+		}
+	case *If:
+		return Contains(s.Then, target) || s.Else != nil && Contains(s.Else, target)
+	case *While:
+		return Contains(s.Body, target)
+	case *DoWhile:
+		return Contains(s.Body, target)
+	case *For:
+		return Contains(s.Body, target)
+	case *Switch:
+		return Contains(s.Body, target)
+	}
+	return false
+}
+
 // ---------- Declarations ----------
 
 // InitAssign is one resolved step of an initialization plan: evaluate Expr

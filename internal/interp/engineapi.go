@@ -249,13 +249,3 @@ func (in *Interp) UBErrorf(b *ub.Behavior, pos token.Pos, format string, args ..
 
 // CheckPass reports a UB check that was evaluated and did not fire.
 func (in *Interp) CheckPass(b *ub.Behavior, pos token.Pos) { in.obsCheckPass(b, pos) }
-
-// ---------- control-flow helpers ----------
-
-// ContainsLabel reports whether the statement subtree contains the
-// label (goto propagation across blocks).
-func ContainsLabel(s cast.Stmt, label string) bool { return containsLabel(s, label) }
-
-// ContainsStmt reports whether target occurs in the subtree of s
-// (switch dispatch).
-func ContainsStmt(s, target cast.Stmt) bool { return containsStmt(s, target) }

@@ -13,9 +13,9 @@ import (
 
 // Ctrl is the control signal a statement execution produces.
 type Ctrl struct {
-	Kind  CtrlKind
-	Value mem.Value // CtrlReturn
-	Label string    // CtrlGoto
+	Kind   CtrlKind
+	Value  mem.Value   // CtrlReturn
+	Target *cast.Label // CtrlGoto
 }
 
 type CtrlKind int
@@ -56,7 +56,7 @@ func (in *Interp) exec(s cast.Stmt) (Ctrl, error) {
 		return flowNone, nil
 
 	case *cast.Compound:
-		return in.execBlock(s, "")
+		return in.execBlock(s, nil)
 
 	case *cast.If:
 		b, err := in.evalCondition(s.Cond)
@@ -73,13 +73,13 @@ func (in *Interp) exec(s cast.Stmt) (Ctrl, error) {
 		return flowNone, nil
 
 	case *cast.While:
-		return in.execWhile(s, false)
+		return in.execWhile(s, nil)
 
 	case *cast.DoWhile:
-		return in.execDoWhile(s, false)
+		return in.execDoWhile(s, nil)
 
 	case *cast.For:
-		return in.execFor(s, false)
+		return in.execFor(s, nil)
 
 	case *cast.Switch:
 		return in.execSwitch(s)
@@ -92,7 +92,7 @@ func (in *Interp) exec(s cast.Stmt) (Ctrl, error) {
 		return in.exec(s.Stmt)
 
 	case *cast.Goto:
-		return Ctrl{Kind: CtrlGoto, Label: s.Name}, nil
+		return Ctrl{Kind: CtrlGoto, Target: in.curFrame().fn.Labels[s.Name]}, nil
 	case *cast.Break:
 		return Ctrl{Kind: CtrlBreak}, nil
 	case *cast.Continue:
@@ -122,9 +122,10 @@ func (in *Interp) exec(s cast.Stmt) (Ctrl, error) {
 
 // execBlock enters a compound statement: automatic objects declared
 // anywhere in the block begin their lifetime now (C11 §6.2.4:5) and end it
-// at exit. resumeLabel, when non-empty, starts execution at the statement
-// containing that label instead of the beginning (goto into the block).
-func (in *Interp) execBlock(blk *cast.Compound, resumeLabel string) (Ctrl, error) {
+// at exit. A non-nil target, a jump target inside the block, starts
+// execution there instead of at the beginning. A goto to a label in the
+// block jumps there; one to a label outside it ends the block.
+func (in *Interp) execBlock(blk *cast.Compound, target cast.Stmt) (Ctrl, error) {
 	f := in.curFrame()
 	f.pushBlock()
 	defer in.popBlock(f)
@@ -142,51 +143,21 @@ func (in *Interp) execBlock(blk *cast.Compound, resumeLabel string) (Ctrl, error
 		}
 	}
 
-	start := 0
-	resume := resumeLabel
-	if resume != "" {
-		idx := -1
-		for i, s := range blk.List {
-			if containsLabel(s, resume) {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			// Not in this block (shouldn't happen; sema checked).
-			return Ctrl{Kind: CtrlGoto, Label: resume}, nil
-		}
-		start = idx
+	i := 0
+	if target != nil {
+		i = jumpIndex(blk.List, target)
 	}
-
-	i := start
 	for i < len(blk.List) {
-		var c Ctrl
-		var err error
-		if resume != "" {
-			c, err = in.execResume(blk.List[i], resume)
-			resume = ""
-		} else {
-			c, err = in.exec(blk.List[i])
-		}
+		c, err := in.execAt(blk.List[i], target)
+		target = nil
 		if err != nil {
 			return flowNone, err
 		}
 		if c.Kind == CtrlGoto {
-			// Does this block contain the label? If so, jump.
-			idx := -1
-			for j, s := range blk.List {
-				if containsLabel(s, c.Label) {
-					idx = j
-					break
-				}
+			if j := jumpIndex(blk.List, c.Target); j < len(blk.List) {
+				i, target = j, c.Target
+				continue
 			}
-			if idx < 0 {
-				return c, nil // propagate to an enclosing block
-			}
-			i = idx
-			resume = c.Label
-			continue
 		}
 		if c.Kind != CtrlNone {
 			return c, nil
@@ -196,88 +167,71 @@ func (in *Interp) execBlock(blk *cast.Compound, resumeLabel string) (Ctrl, error
 	return flowNone, nil
 }
 
-// execResume executes s, starting at the statement labeled label inside it.
-func (in *Interp) execResume(s cast.Stmt, label string) (Ctrl, error) {
-	switch s := s.(type) {
-	case *cast.Label:
-		if s.Name == label {
-			return in.exec(s.Stmt)
+// jumpIndex is the index of the statement of list that contains target,
+// len(list) if none does.
+func jumpIndex(list []cast.Stmt, target cast.Stmt) int {
+	for i, s := range list {
+		if cast.Contains(s, target) {
+			return i
 		}
-		return in.execResume(s.Stmt, label)
-	case *cast.Case:
-		return in.execResume(s.Stmt, label)
-	case *cast.Default:
-		return in.execResume(s.Stmt, label)
-	case *cast.Compound:
-		return in.execBlock(s, label)
-	case *cast.If:
-		if containsLabel(s.Then, label) {
-			return in.execResume(s.Then, label)
-		}
-		if s.Else != nil && containsLabel(s.Else, label) {
-			return in.execResume(s.Else, label)
-		}
-	case *cast.While:
-		return in.execWhile(s, true, label)
-	case *cast.DoWhile:
-		return in.execDoWhile(s, true, label)
-	case *cast.For:
-		return in.execFor(s, true, label)
-	case *cast.Switch:
-		// Jumping into a switch body.
-		c, err := in.execResume(s.Body, label)
-		if err != nil {
-			return flowNone, err
-		}
-		if c.Kind == CtrlBreak {
-			return flowNone, nil
-		}
-		return c, nil
 	}
-	return flowNone, in.ubError(ub.Catalog[0], s.Pos(), "Cannot resume at label %q", label)
+	return len(list)
 }
 
-// containsLabel reports whether the statement subtree contains a label with
-// the given name (not crossing into nested functions — C has none).
-func containsLabel(s cast.Stmt, label string) bool {
+// execAt runs s from target, or from its beginning when target is nil.
+func (in *Interp) execAt(s, target cast.Stmt) (Ctrl, error) {
+	if target == nil {
+		return in.exec(s)
+	}
+	return in.enter(s, target)
+}
+
+// enter runs s from target, a jump target in s: a goto's label or a
+// switch's case or default. The statements on the path to the target take
+// no step and evaluate no condition; a label runs its statement, a case or
+// default runs as a statement.
+func (in *Interp) enter(s, target cast.Stmt) (Ctrl, error) {
+	if s == target {
+		if l, ok := s.(*cast.Label); ok {
+			return in.exec(l.Stmt)
+		}
+		return in.exec(s)
+	}
 	switch s := s.(type) {
 	case *cast.Label:
-		return s.Name == label || containsLabel(s.Stmt, label)
+		return in.enter(s.Stmt, target)
 	case *cast.Case:
-		return containsLabel(s.Stmt, label)
+		return in.enter(s.Stmt, target)
 	case *cast.Default:
-		return containsLabel(s.Stmt, label)
+		return in.enter(s.Stmt, target)
 	case *cast.Compound:
-		for _, inner := range s.List {
-			if containsLabel(inner, label) {
-				return true
-			}
-		}
+		return in.execBlock(s, target)
 	case *cast.If:
-		if containsLabel(s.Then, label) {
-			return true
+		if s.Else == nil || cast.Contains(s.Then, target) {
+			return in.enter(s.Then, target)
 		}
-		if s.Else != nil {
-			return containsLabel(s.Else, label)
-		}
+		return in.enter(s.Else, target)
 	case *cast.While:
-		return containsLabel(s.Body, label)
+		return in.execWhile(s, target)
 	case *cast.DoWhile:
-		return containsLabel(s.Body, label)
+		return in.execDoWhile(s, target)
 	case *cast.For:
-		return containsLabel(s.Body, label)
+		return in.execFor(s, target)
 	case *cast.Switch:
-		return containsLabel(s.Body, label)
+		return in.switchBody(s, target)
 	}
-	return false
+	return flowNone, in.ubError(ub.Catalog[0], s.Pos(), "Cannot enter %T at a jump target", s)
 }
 
 // ---------- loops ----------
 
-func (in *Interp) execWhile(s *cast.While, resuming bool, label ...string) (Ctrl, error) {
-	first := true
-	for {
-		if !(resuming && first) {
+// The loops take the jump target their body is entered at, nil when the
+// loop runs from the top. Entering at a target skips the first
+// controlling expression.
+
+func (in *Interp) execWhile(s *cast.While, target cast.Stmt) (Ctrl, error) {
+	for ; ; target = nil {
+		if target == nil {
 			b, err := in.evalCondition(s.Cond)
 			if err != nil {
 				return flowNone, err
@@ -287,14 +241,7 @@ func (in *Interp) execWhile(s *cast.While, resuming bool, label ...string) (Ctrl
 				return flowNone, nil
 			}
 		}
-		var c Ctrl
-		var err error
-		if resuming && first {
-			c, err = in.execResume(s.Body, label[0])
-		} else {
-			c, err = in.exec(s.Body)
-		}
-		first = false
+		c, err := in.execAt(s.Body, target)
 		if err != nil {
 			return flowNone, err
 		}
@@ -307,17 +254,9 @@ func (in *Interp) execWhile(s *cast.While, resuming bool, label ...string) (Ctrl
 	}
 }
 
-func (in *Interp) execDoWhile(s *cast.DoWhile, resuming bool, label ...string) (Ctrl, error) {
-	first := true
-	for {
-		var c Ctrl
-		var err error
-		if resuming && first {
-			c, err = in.execResume(s.Body, label[0])
-		} else {
-			c, err = in.exec(s.Body)
-		}
-		first = false
+func (in *Interp) execDoWhile(s *cast.DoWhile, target cast.Stmt) (Ctrl, error) {
+	for ; ; target = nil {
+		c, err := in.execAt(s.Body, target)
 		if err != nil {
 			return flowNone, err
 		}
@@ -338,25 +277,27 @@ func (in *Interp) execDoWhile(s *cast.DoWhile, resuming bool, label ...string) (
 	}
 }
 
-func (in *Interp) execFor(s *cast.For, resuming bool, label ...string) (Ctrl, error) {
+// execFor runs a for statement, its own block: the objects its init
+// clause declares live until the loop ends (C11 §6.8.5:5), also when a
+// jump enters the body past the init clause, which then does not run.
+func (in *Interp) execFor(s *cast.For, target cast.Stmt) (Ctrl, error) {
 	f := in.curFrame()
 	f.pushBlock()
 	defer in.popBlock(f)
-	if !resuming && s.Init != nil {
-		if ds, ok := s.Init.(*cast.DeclStmt); ok {
-			for _, d := range ds.Decls {
-				if err := in.allocLocal(d); err != nil {
-					return flowNone, err
-				}
+	if ds, ok := s.Init.(*cast.DeclStmt); ok {
+		for _, d := range ds.Decls {
+			if err := in.allocLocal(d); err != nil {
+				return flowNone, err
 			}
 		}
+	}
+	if target == nil && s.Init != nil {
 		if _, err := in.exec(s.Init); err != nil {
 			return flowNone, err
 		}
 	}
-	first := true
-	for {
-		if !(resuming && first) && s.Cond != nil {
+	for ; ; target = nil {
+		if target == nil && s.Cond != nil {
 			b, err := in.evalCondition(s.Cond)
 			if err != nil {
 				return flowNone, err
@@ -366,14 +307,7 @@ func (in *Interp) execFor(s *cast.For, resuming bool, label ...string) (Ctrl, er
 				return flowNone, nil
 			}
 		}
-		var c Ctrl
-		var err error
-		if resuming && first {
-			c, err = in.execResume(s.Body, label[0])
-		} else {
-			c, err = in.exec(s.Body)
-		}
-		first = false
+		c, err := in.execAt(s.Body, target)
 		if err != nil {
 			return flowNone, err
 		}
@@ -425,7 +359,13 @@ func (in *Interp) execSwitch(s *cast.Switch) (Ctrl, error) {
 		}
 		target = s.Dflt
 	}
-	c, err := in.execFrom(s.Body, target)
+	return in.switchBody(s, target)
+}
+
+// switchBody runs the body of s from target, the matching case or default
+// or a goto's label; a break ends the switch.
+func (in *Interp) switchBody(s *cast.Switch, target cast.Stmt) (Ctrl, error) {
+	c, err := in.enter(s.Body, target)
 	if err != nil {
 		return flowNone, err
 	}
@@ -433,134 +373,6 @@ func (in *Interp) execSwitch(s *cast.Switch) (Ctrl, error) {
 		return flowNone, nil
 	}
 	return c, nil
-}
-
-// execFrom executes body starting at the statement node `target` (a *Case
-// or *Default), falling through subsequent statements.
-func (in *Interp) execFrom(body cast.Stmt, target cast.Stmt) (Ctrl, error) {
-	switch body := body.(type) {
-	case *cast.Compound:
-		return in.execBlockFrom(body, target)
-	}
-	if body == target {
-		return in.exec(body)
-	}
-	if containsStmt(body, target) {
-		switch b := body.(type) {
-		case *cast.Label:
-			return in.execFrom(b.Stmt, target)
-		case *cast.Case:
-			return in.execFrom(b.Stmt, target)
-		case *cast.Default:
-			return in.execFrom(b.Stmt, target)
-		case *cast.If:
-			if containsStmt(b.Then, target) {
-				return in.execFrom(b.Then, target)
-			}
-			if b.Else != nil {
-				return in.execFrom(b.Else, target)
-			}
-		}
-	}
-	return flowNone, nil
-}
-
-func (in *Interp) execBlockFrom(blk *cast.Compound, target cast.Stmt) (Ctrl, error) {
-	f := in.curFrame()
-	f.pushBlock()
-	defer in.popBlock(f)
-	for _, s := range blk.List {
-		if ds, ok := s.(*cast.DeclStmt); ok {
-			for _, d := range ds.Decls {
-				if err := in.allocLocal(d); err != nil {
-					return flowNone, err
-				}
-			}
-		}
-	}
-	started := false
-	i := 0
-	resume := ""
-	for i < len(blk.List) {
-		s := blk.List[i]
-		var c Ctrl
-		var err error
-		switch {
-		case resume != "":
-			c, err = in.execResume(s, resume)
-			resume = ""
-			started = true
-		case !started && s == target:
-			started = true
-			c, err = in.exec(s)
-		case !started && containsStmt(s, target):
-			started = true
-			c, err = in.execFrom(s, target)
-		case !started:
-			i++
-			continue
-		default:
-			c, err = in.exec(s)
-		}
-		if err != nil {
-			return flowNone, err
-		}
-		if c.Kind == CtrlGoto {
-			idx := -1
-			for j, inner := range blk.List {
-				if containsLabel(inner, c.Label) {
-					idx = j
-					break
-				}
-			}
-			if idx < 0 {
-				return c, nil
-			}
-			i = idx
-			resume = c.Label
-			continue
-		}
-		if c.Kind != CtrlNone {
-			return c, nil
-		}
-		i++
-	}
-	return flowNone, nil
-}
-
-// containsStmt reports whether target occurs in the subtree of s.
-func containsStmt(s, target cast.Stmt) bool {
-	if s == target {
-		return true
-	}
-	switch s := s.(type) {
-	case *cast.Label:
-		return containsStmt(s.Stmt, target)
-	case *cast.Case:
-		return containsStmt(s.Stmt, target)
-	case *cast.Default:
-		return containsStmt(s.Stmt, target)
-	case *cast.Compound:
-		for _, inner := range s.List {
-			if containsStmt(inner, target) {
-				return true
-			}
-		}
-	case *cast.If:
-		if containsStmt(s.Then, target) {
-			return true
-		}
-		if s.Else != nil {
-			return containsStmt(s.Else, target)
-		}
-	case *cast.While:
-		return containsStmt(s.Body, target)
-	case *cast.DoWhile:
-		return containsStmt(s.Body, target)
-	case *cast.For:
-		return containsStmt(s.Body, target)
-	}
-	return false
 }
 
 // ---------- declarations ----------
@@ -921,7 +733,7 @@ func (in *Interp) InvokeUser(fd *cast.FuncDef, args []mem.Value, pos token.Pos, 
 		}
 		return noReturn{T: ret}, nil
 	case CtrlGoto:
-		return nil, in.ubError(ub.Catalog[0], pos, "Goto to label %q escaped function %q", c.Label, fd.Name)
+		return nil, in.ubError(ub.Catalog[0], pos, "Goto to label %q escaped function %q", c.Target.Name, fd.Name)
 	default:
 		return nil, in.ubError(ub.Catalog[0], pos, "Control signal escaped function %q", fd.Name)
 	}

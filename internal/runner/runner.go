@@ -391,15 +391,8 @@ type Figure2 struct {
 	Frontend FrontendStats
 }
 
-// RunJuliet evaluates the tools on the Juliet-style suite with a single
-// worker (the sequential baseline). Use RunJulietOpts for parallelism.
-func RunJuliet(s *suite.Suite, ts []tools.Tool) *Figure2 {
-	fig, _ := RunJulietOpts(s, ts, Options{Parallelism: 1})
-	return fig
-}
-
-// RunJulietOpts evaluates the tools on the Juliet-style suite under opts.
-func RunJulietOpts(s *suite.Suite, ts []tools.Tool, opts Options) (*Figure2, error) {
+// RunJuliet evaluates the tools on the Juliet-style suite under opts.
+func RunJuliet(s *suite.Suite, ts []tools.Tool, opts Options) (*Figure2, error) {
 	m, err := RunMatrix(s, ts, opts)
 	if err != nil {
 		return nil, err
@@ -535,15 +528,8 @@ type Figure3 struct {
 	Frontend FrontendStats
 }
 
-// RunOwn evaluates the tools on the paper's own suite with a single
-// worker (the sequential baseline). Use RunOwnOpts for parallelism.
-func RunOwn(s *suite.Suite, ts []tools.Tool) *Figure3 {
-	fig, _ := RunOwnOpts(s, ts, Options{Parallelism: 1})
-	return fig
-}
-
-// RunOwnOpts evaluates the tools on the paper's own suite under opts.
-func RunOwnOpts(s *suite.Suite, ts []tools.Tool, opts Options) (*Figure3, error) {
+// RunOwn evaluates the tools on the paper's own suite under opts.
+func RunOwn(s *suite.Suite, ts []tools.Tool, opts Options) (*Figure3, error) {
 	m, err := RunMatrix(s, ts, opts)
 	if err != nil {
 		return nil, err

@@ -21,7 +21,10 @@ import (
 //     blindness);
 //   - nobody false-positives on the paired defined tests.
 func TestFigure2Shape(t *testing.T) {
-	fig := RunJuliet(suite.Juliet(), tools.All(tools.Config{}))
+	fig, err := RunJuliet(suite.Juliet(), tools.All(tools.Config{}), Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	get := func(class, tool string) float64 { return fig.Scores[class][tool].Pct() }
 
 	for _, class := range fig.Classes {
@@ -71,7 +74,10 @@ func TestFigure2Shape(t *testing.T) {
 // dynamic ones but almost no static ones; kcc leads both columns and is
 // the only tool with substantial static coverage.
 func TestFigure3Shape(t *testing.T) {
-	fig := RunOwn(suite.Own(), tools.All(tools.Config{}))
+	fig, err := RunOwn(suite.Own(), tools.All(tools.Config{}), Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	kS, kD := fig.Static["kcc"], fig.Dynamic["kcc"]
 	vS, vD := fig.Static["V. Analysis"], fig.Dynamic["V. Analysis"]
@@ -104,14 +110,20 @@ func TestFigure3Shape(t *testing.T) {
 }
 
 func TestRenderOutputs(t *testing.T) {
-	fig2 := RunJuliet(suite.Juliet(), tools.All(tools.Config{}))
+	fig2, err := RunJuliet(suite.Juliet(), tools.All(tools.Config{}), Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	out := fig2.Render()
 	for _, want := range []string{"Figure 2", "Division by zero", "kcc", "No. Tests"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Figure 2 rendering missing %q:\n%s", want, out)
 		}
 	}
-	fig3 := RunOwn(suite.Own(), tools.All(tools.Config{}))
+	fig3, err := RunOwn(suite.Own(), tools.All(tools.Config{}), Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	out3 := fig3.Render()
 	for _, want := range []string{"Figure 3", "Static", "Dynamic"} {
 		if !strings.Contains(out3, want) {
@@ -156,8 +168,11 @@ func stripTimingLines(s string) string {
 // the sequential result (timings aside — those are wall-clock).
 func TestParallelDeterminism(t *testing.T) {
 	s := suite.Juliet()
-	seq := RunJuliet(s, tools.All(tools.Config{}))
-	par, err := RunJulietOpts(s, tools.All(tools.Config{}), Options{Parallelism: 8})
+	seq, err := RunJuliet(s, tools.All(tools.Config{}), Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := RunJuliet(s, tools.All(tools.Config{}), Options{Parallelism: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +193,7 @@ func TestParallelDeterminism(t *testing.T) {
 func TestFrontendSharing(t *testing.T) {
 	s := suite.Juliet()
 	ts := tools.All(tools.Config{})
-	fig, err := RunJulietOpts(s, ts, Options{Parallelism: 4})
+	fig, err := RunJuliet(s, ts, Options{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +221,7 @@ func TestFrontendSharing(t *testing.T) {
 func TestRunCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	fig, err := RunJulietOpts(suite.Juliet(), tools.All(tools.Config{}),
+	fig, err := RunJuliet(suite.Juliet(), tools.All(tools.Config{}),
 		Options{Parallelism: 2, Context: ctx})
 	if err != context.Canceled {
 		t.Errorf("err = %v, want context.Canceled", err)

@@ -302,7 +302,7 @@ func (c *checker) funcDef(fd *cast.FuncDef) error {
 		if !ok {
 			return c.errorf(g.P, "goto undefined label %q", g.Name)
 		}
-		c.checkGotoVLA(fd, g, lbl)
+		c.checkJumpVLA(fd.Body, g, lbl, g.P)
 	}
 	// Return diagnostics (static classification per the paper §5.2.1).
 	ret := fd.Type.Elem
@@ -313,111 +313,68 @@ func (c *checker) funcDef(fd *cast.FuncDef) error {
 	return nil
 }
 
-// checkGotoVLA flags jumps into the scope of a variably modified
-// declaration (C11 §6.8.6.1:1): if a block on the path to the label
-// declares a VLA before the label, and the goto is outside that block, the
-// jump enters the VLA's scope without executing its declaration.
-func (c *checker) checkGotoVLA(fd *cast.FuncDef, g *cast.Goto, lbl *cast.Label) {
-	var path []*cast.Compound
-	if !compoundsTo(fd.Body, lbl, &path) {
-		return
+// checkJumpVLA flags a jump into the scope of a variably modified
+// declaration (C11 §6.8.6.1:1 for goto, §6.8.4.2:2 for switch).
+func (c *checker) checkJumpVLA(root, jump, target cast.Stmt, pos token.Pos) {
+	if _, d := enteredVLA(root, jump, target); d != nil {
+		c.staticUB(ub.GotoIntoVLAScope, pos,
+			"Jump into the scope of variably modified %q", d.Name)
 	}
-	for _, blk := range path {
-		if subtreeHas(blk, g) {
-			continue // the goto is inside this block: no scope entry
-		}
-		// Does the block declare a VLA before the statement leading to
-		// the label?
-		for _, item := range blk.List {
-			if subtreeHas(item, lbl) {
-				break // reached the label's branch without a VLA first
+}
+
+// enteredVLA reports whether target is in s and, innermost block first,
+// the VLA whose scope a jump from jump to target enters without executing
+// its declaration: one that a block on the path declares before the
+// statement leading to target, where the block does not contain jump.
+func enteredVLA(s, jump, target cast.Stmt) (found bool, vla *cast.Decl) {
+	if s == target {
+		return true, nil
+	}
+	switch s := s.(type) {
+	case *cast.Compound:
+		for i, inner := range s.List {
+			if found, vla = enteredVLA(inner, jump, target); found {
+				if vla == nil && !cast.Contains(s, jump) {
+					vla = firstVLA(s.List[:i])
+				}
+				return true, vla
 			}
-			if ds, isDecl := item.(*cast.DeclStmt); isDecl {
-				for _, d := range ds.Decls {
-					if d.Type != nil && d.Type.VLA {
-						c.staticUB(ub.GotoIntoVLAScope, g.P,
-							"Jump into the scope of variably modified %q", d.Name)
-						return
-					}
+		}
+	case *cast.Label:
+		return enteredVLA(s.Stmt, jump, target)
+	case *cast.Case:
+		return enteredVLA(s.Stmt, jump, target)
+	case *cast.Default:
+		return enteredVLA(s.Stmt, jump, target)
+	case *cast.If:
+		if found, vla = enteredVLA(s.Then, jump, target); found || s.Else == nil {
+			return found, vla
+		}
+		return enteredVLA(s.Else, jump, target)
+	case *cast.While:
+		return enteredVLA(s.Body, jump, target)
+	case *cast.DoWhile:
+		return enteredVLA(s.Body, jump, target)
+	case *cast.For:
+		return enteredVLA(s.Body, jump, target)
+	case *cast.Switch:
+		return enteredVLA(s.Body, jump, target)
+	}
+	return false, nil
+}
+
+// firstVLA returns the first variably modified declaration in list.
+func firstVLA(list []cast.Stmt) *cast.Decl {
+	for _, item := range list {
+		if ds, isDecl := item.(*cast.DeclStmt); isDecl {
+			for _, d := range ds.Decls {
+				if d.Type != nil && d.Type.VLA {
+					return d
 				}
 			}
 		}
 	}
-}
-
-// compoundsTo records the compound blocks on the path from s to target.
-func compoundsTo(s cast.Stmt, target cast.Stmt, path *[]*cast.Compound) bool {
-	if s == target {
-		return true
-	}
-	switch s := s.(type) {
-	case *cast.Compound:
-		for _, inner := range s.List {
-			if compoundsTo(inner, target, path) {
-				*path = append(*path, s)
-				return true
-			}
-		}
-	case *cast.Label:
-		return compoundsTo(s.Stmt, target, path)
-	case *cast.Case:
-		return compoundsTo(s.Stmt, target, path)
-	case *cast.Default:
-		return compoundsTo(s.Stmt, target, path)
-	case *cast.If:
-		if compoundsTo(s.Then, target, path) {
-			return true
-		}
-		if s.Else != nil {
-			return compoundsTo(s.Else, target, path)
-		}
-	case *cast.While:
-		return compoundsTo(s.Body, target, path)
-	case *cast.DoWhile:
-		return compoundsTo(s.Body, target, path)
-	case *cast.For:
-		return compoundsTo(s.Body, target, path)
-	case *cast.Switch:
-		return compoundsTo(s.Body, target, path)
-	}
-	return false
-}
-
-// subtreeHas reports whether node occurs in the statement subtree.
-func subtreeHas(s cast.Stmt, node cast.Stmt) bool {
-	if s == node {
-		return true
-	}
-	switch s := s.(type) {
-	case *cast.Compound:
-		for _, inner := range s.List {
-			if subtreeHas(inner, node) {
-				return true
-			}
-		}
-	case *cast.Label:
-		return subtreeHas(s.Stmt, node)
-	case *cast.Case:
-		return subtreeHas(s.Stmt, node)
-	case *cast.Default:
-		return subtreeHas(s.Stmt, node)
-	case *cast.If:
-		if subtreeHas(s.Then, node) {
-			return true
-		}
-		if s.Else != nil {
-			return subtreeHas(s.Else, node)
-		}
-	case *cast.While:
-		return subtreeHas(s.Body, node)
-	case *cast.DoWhile:
-		return subtreeHas(s.Body, node)
-	case *cast.For:
-		return subtreeHas(s.Body, node)
-	case *cast.Switch:
-		return subtreeHas(s.Body, node)
-	}
-	return false
+	return nil
 }
 
 // localDecl checks a block-scope declaration.

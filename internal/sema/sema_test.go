@@ -381,6 +381,29 @@ skip:		;
 	if !found {
 		t.Errorf("expected GotoIntoVLAScope, got %v", prog.StaticUB)
 	}
+	// A switch jumps to its case labels (C11 §6.8.4.2:2): a case after a
+	// VLA declared in the switch body enters the VLA's scope.
+	prog = check(t, `
+int main(void) {
+	int n = 2, r = 0;
+	switch (r) {
+		int a[n];
+	case 0:
+		a[0] = 1;
+		return a[0];
+	}
+	return 0;
+}
+`)
+	found = false
+	for _, e := range prog.StaticUB {
+		if e.Behavior == ub.GotoIntoVLAScope && e.Pos.Line == 6 {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("expected GotoIntoVLAScope at the case on line 6, got %v", prog.StaticUB)
+	}
 	// A goto within the VLA's own block does not enter its scope.
 	prog = check(t, `
 int main(void) {

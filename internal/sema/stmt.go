@@ -113,13 +113,17 @@ func (c *checker) stmt(s cast.Stmt) error {
 		if err != nil {
 			return err
 		}
-		// Duplicate case check.
+		// Duplicate case check; every case and default is a jump target.
 		seen := make(map[int64]bool, len(s.Cases))
 		for _, cs := range s.Cases {
 			if seen[cs.Value] {
 				return c.errorf(cs.P, "duplicate case value %d", cs.Value)
 			}
 			seen[cs.Value] = true
+			c.checkJumpVLA(s.Body, s, cs, cs.P)
+		}
+		if s.Dflt != nil {
+			c.checkJumpVLA(s.Body, s, s.Dflt, s.Dflt.P)
 		}
 		return nil
 	case *cast.Case:

@@ -8,8 +8,8 @@ package vm
 //     direct call through a compiled closure;
 //   - literal values, sizeof/alignof results, member offsets, and
 //     bit-field geometry are computed once;
-//   - each block's label table and declaration pre-pass list are built
-//     here, replacing the tree walker's per-goto subtree scans;
+//   - each block's jump-target index and declaration pre-pass list are
+//     built here, replacing the tree walker's per-jump subtree scans;
 //   - statically-known control shape (which of the four declaration
 //     paths applies, whether a loop has a condition, whether an address
 //     operand needs the &*p / &a[i] no-deref special case) selects the
@@ -52,42 +52,23 @@ type cdecl func(in *interp.Interp) error
 
 var flowNone = interp.Ctrl{}
 
-// cstmt is compiled statement code with its three entry points: normal
-// execution, goto-resume (start at a contained label), and switch
-// dispatch (start at a contained case). The ast node is retained for the
-// label/case containment queries of the rare control-transfer paths.
+// cstmt is compiled statement code with its two entry points: running
+// the statement, and entering it at a jump target inside it (a goto's
+// label or a switch's case or default).
 type cstmt struct {
-	ast cast.Stmt
 	run func(in *interp.Interp) (interp.Ctrl, error)
-	// res, when set, resumes execution at a contained label (nil for
-	// statement kinds that cannot contain labels).
-	res func(in *interp.Interp, label string) (interp.Ctrl, error)
-	// frm, when set, starts execution at a contained case/default
-	// statement. frmPre marks a compound, whose dispatch runs before the
-	// identity check (mirroring the tree walker's execFrom).
-	frm    func(in *interp.Interp, target cast.Stmt) (interp.Ctrl, error)
-	frmPre bool
+	// enter runs the statement from a jump target inside it, mirroring
+	// the tree walker's enter; nil for statement kinds that cannot
+	// contain one.
+	enter func(in *interp.Interp, target cast.Stmt) (interp.Ctrl, error)
 }
 
-func (s *cstmt) resume(in *interp.Interp, label string) (interp.Ctrl, error) {
-	if s.res != nil {
-		return s.res(in, label)
-	}
-	return flowNone, in.UBErrorf(ub.Catalog[0], s.ast.Pos(), "Cannot resume at label %q", label)
-}
-
-// runFrom mirrors the tree walker's execFrom.
-func (s *cstmt) runFrom(in *interp.Interp, target cast.Stmt) (interp.Ctrl, error) {
-	if s.frmPre {
-		return s.frm(in, target)
-	}
-	if s.ast == target {
+// from runs s from target, or from the beginning when target is nil.
+func (s *cstmt) from(in *interp.Interp, target cast.Stmt) (interp.Ctrl, error) {
+	if target == nil {
 		return s.run(in)
 	}
-	if s.frm != nil && interp.ContainsStmt(s.ast, target) {
-		return s.frm(in, target)
-	}
-	return flowNone, nil
+	return s.enter(in, target)
 }
 
 // compiler compiles one program; fn is the function being compiled.
@@ -96,10 +77,11 @@ type compiler struct {
 	model *ctypes.Model
 	code  *Code
 	fn    *cast.FuncDef
+	sw    *cast.Switch // the innermost switch being compiled
 }
 
 func (c *compiler) compileFunc(fd *cast.FuncDef) *cfunc {
-	c.fn = fd
+	c.fn, c.sw = fd, nil
 	return &cfunc{fd: fd, body: c.compileStmt(fd.Body)}
 }
 

@@ -10,6 +10,8 @@ package vm_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	undefc "repro"
@@ -125,6 +127,41 @@ func TestEngineDiffOwn(t *testing.T) {
 		t.Run(pname, func(t *testing.T) {
 			for _, c := range s.Cases {
 				diffCase(t, c.Name, c.Source, c.Name+".c", prof)
+			}
+		})
+	}
+}
+
+// jumpProgram is a program that enters a statement at a jump target (a
+// goto's label or a switch's case inside a loop).
+type jumpProgram struct{ file, src string }
+
+// jumpPrograms reads the jump programs in file-name order.
+func jumpPrograms(tb testing.TB) []jumpProgram {
+	tb.Helper()
+	files, err := filepath.Glob(filepath.Join("..", "interp", "testdata", "jumps", "*.c"))
+	if err != nil || len(files) == 0 {
+		tb.Fatalf("no jump programs: %v", err)
+	}
+	progs := make([]jumpProgram, len(files))
+	for i, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		progs[i] = jumpProgram{filepath.Base(f), string(src)}
+	}
+	return progs
+}
+
+// TestEngineDiffJumps runs the jump programs under both engines and all
+// four profiles.
+func TestEngineDiffJumps(t *testing.T) {
+	progs := jumpPrograms(t)
+	for pname, prof := range profiles() {
+		t.Run(pname, func(t *testing.T) {
+			for _, p := range progs {
+				diffCase(t, p.file, p.src, p.file, prof)
 			}
 		})
 	}

@@ -1,10 +1,10 @@
 package vm
 
 // Statement compilation. Each statement becomes a cstmt whose run closure
-// mirrors the tree walker's exec case for that node; the res and frm
-// closures mirror execResume and execFrom. Block label tables and
-// declaration pre-pass lists are computed here, once, instead of the
-// per-goto subtree scans the tree walker performs.
+// mirrors the tree walker's exec case for that node; the enter closure
+// mirrors enter. Block jump-target indexes and declaration pre-pass lists
+// are computed here, once, instead of the per-jump subtree scans the tree
+// walker performs.
 
 import (
 	"repro/internal/cast"
@@ -18,7 +18,7 @@ func (c *compiler) compileStmt(s cast.Stmt) *cstmt {
 	pos := s.Pos()
 	switch s := s.(type) {
 	case *cast.Empty:
-		return &cstmt{ast: s, run: func(in *interp.Interp) (interp.Ctrl, error) {
+		return &cstmt{run: func(in *interp.Interp) (interp.Ctrl, error) {
 			if err := in.Step(pos); err != nil {
 				return flowNone, err
 			}
@@ -27,7 +27,7 @@ func (c *compiler) compileStmt(s cast.Stmt) *cstmt {
 
 	case *cast.ExprStmt:
 		cx := c.compileExpr(s.X)
-		return &cstmt{ast: s, run: func(in *interp.Interp) (interp.Ctrl, error) {
+		return &cstmt{run: func(in *interp.Interp) (interp.Ctrl, error) {
 			if err := in.Step(pos); err != nil {
 				return flowNone, err
 			}
@@ -43,7 +43,7 @@ func (c *compiler) compileStmt(s cast.Stmt) *cstmt {
 		for i, d := range s.Decls {
 			decls[i] = c.compileDecl(d)
 		}
-		return &cstmt{ast: s, run: func(in *interp.Interp) (interp.Ctrl, error) {
+		return &cstmt{run: func(in *interp.Interp) (interp.Ctrl, error) {
 			if err := in.Step(pos); err != nil {
 				return flowNone, err
 			}
@@ -59,20 +59,13 @@ func (c *compiler) compileStmt(s cast.Stmt) *cstmt {
 	case *cast.Compound:
 		blk := c.compileCompound(s)
 		return &cstmt{
-			ast: s,
 			run: func(in *interp.Interp) (interp.Ctrl, error) {
 				if err := in.Step(pos); err != nil {
 					return flowNone, err
 				}
-				return blk.enter(in, "")
+				return blk.enter(in, nil)
 			},
-			res: func(in *interp.Interp, label string) (interp.Ctrl, error) {
-				return blk.enter(in, label)
-			},
-			frm: func(in *interp.Interp, target cast.Stmt) (interp.Ctrl, error) {
-				return blk.from(in, target)
-			},
-			frmPre: true,
+			enter: blk.enter,
 		}
 
 	case *cast.If:
@@ -82,9 +75,8 @@ func (c *compiler) compileStmt(s cast.Stmt) *cstmt {
 		if s.Else != nil {
 			els = c.compileStmt(s.Else)
 		}
-		thenAST, elseAST := s.Then, s.Else
+		thenAST := s.Then
 		return &cstmt{
-			ast: s,
 			run: func(in *interp.Interp) (interp.Ctrl, error) {
 				if err := in.Step(pos); err != nil {
 					return flowNone, err
@@ -102,23 +94,11 @@ func (c *compiler) compileStmt(s cast.Stmt) *cstmt {
 				}
 				return flowNone, nil
 			},
-			res: func(in *interp.Interp, label string) (interp.Ctrl, error) {
-				if interp.ContainsLabel(thenAST, label) {
-					return then.resume(in, label)
+			enter: func(in *interp.Interp, target cast.Stmt) (interp.Ctrl, error) {
+				if els == nil || cast.Contains(thenAST, target) {
+					return then.from(in, target)
 				}
-				if els != nil && interp.ContainsLabel(elseAST, label) {
-					return els.resume(in, label)
-				}
-				return flowNone, in.UBErrorf(ub.Catalog[0], pos, "Cannot resume at label %q", label)
-			},
-			frm: func(in *interp.Interp, target cast.Stmt) (interp.Ctrl, error) {
-				if interp.ContainsStmt(thenAST, target) {
-					return then.runFrom(in, target)
-				}
-				if els != nil {
-					return els.runFrom(in, target)
-				}
-				return flowNone, nil
+				return els.from(in, target)
 			},
 		}
 
@@ -132,74 +112,23 @@ func (c *compiler) compileStmt(s cast.Stmt) *cstmt {
 		return c.compileSwitch(s)
 
 	case *cast.Case:
-		inner := c.compileStmt(s.Stmt)
-		return &cstmt{
-			ast: s,
-			run: func(in *interp.Interp) (interp.Ctrl, error) {
-				if err := in.Step(pos); err != nil {
-					return flowNone, err
-				}
-				return inner.run(in)
-			},
-			res: func(in *interp.Interp, label string) (interp.Ctrl, error) {
-				return inner.resume(in, label)
-			},
-			frm: func(in *interp.Interp, target cast.Stmt) (interp.Ctrl, error) {
-				return inner.runFrom(in, target)
-			},
-		}
-
+		return c.compileLabeled(s, s.Stmt)
 	case *cast.Default:
-		inner := c.compileStmt(s.Stmt)
-		return &cstmt{
-			ast: s,
-			run: func(in *interp.Interp) (interp.Ctrl, error) {
-				if err := in.Step(pos); err != nil {
-					return flowNone, err
-				}
-				return inner.run(in)
-			},
-			res: func(in *interp.Interp, label string) (interp.Ctrl, error) {
-				return inner.resume(in, label)
-			},
-			frm: func(in *interp.Interp, target cast.Stmt) (interp.Ctrl, error) {
-				return inner.runFrom(in, target)
-			},
-		}
-
+		return c.compileLabeled(s, s.Stmt)
 	case *cast.Label:
-		inner := c.compileStmt(s.Stmt)
-		name := s.Name
-		return &cstmt{
-			ast: s,
-			run: func(in *interp.Interp) (interp.Ctrl, error) {
-				if err := in.Step(pos); err != nil {
-					return flowNone, err
-				}
-				return inner.run(in)
-			},
-			res: func(in *interp.Interp, label string) (interp.Ctrl, error) {
-				if name == label {
-					return inner.run(in)
-				}
-				return inner.resume(in, label)
-			},
-			frm: func(in *interp.Interp, target cast.Stmt) (interp.Ctrl, error) {
-				return inner.runFrom(in, target)
-			},
-		}
+		return c.compileLabeled(s, s.Stmt)
 
 	case *cast.Goto:
-		name := s.Name
-		return &cstmt{ast: s, run: func(in *interp.Interp) (interp.Ctrl, error) {
+		target := c.fn.Labels[s.Name]
+		return &cstmt{run: func(in *interp.Interp) (interp.Ctrl, error) {
 			if err := in.Step(pos); err != nil {
 				return flowNone, err
 			}
-			return interp.Ctrl{Kind: interp.CtrlGoto, Label: name}, nil
+			return interp.Ctrl{Kind: interp.CtrlGoto, Target: target}, nil
 		}}
 
 	case *cast.Break:
-		return &cstmt{ast: s, run: func(in *interp.Interp) (interp.Ctrl, error) {
+		return &cstmt{run: func(in *interp.Interp) (interp.Ctrl, error) {
 			if err := in.Step(pos); err != nil {
 				return flowNone, err
 			}
@@ -207,7 +136,7 @@ func (c *compiler) compileStmt(s cast.Stmt) *cstmt {
 		}}
 
 	case *cast.Continue:
-		return &cstmt{ast: s, run: func(in *interp.Interp) (interp.Ctrl, error) {
+		return &cstmt{run: func(in *interp.Interp) (interp.Ctrl, error) {
 			if err := in.Step(pos); err != nil {
 				return flowNone, err
 			}
@@ -216,7 +145,7 @@ func (c *compiler) compileStmt(s cast.Stmt) *cstmt {
 
 	case *cast.Return:
 		if s.X == nil {
-			return &cstmt{ast: s, run: func(in *interp.Interp) (interp.Ctrl, error) {
+			return &cstmt{run: func(in *interp.Interp) (interp.Ctrl, error) {
 				if err := in.Step(pos); err != nil {
 					return flowNone, err
 				}
@@ -226,7 +155,7 @@ func (c *compiler) compileStmt(s cast.Stmt) *cstmt {
 		cx := c.compileExpr(s.X)
 		ret := c.fn.Type.Elem
 		isVoid := ret.Kind == ctypes.Void
-		return &cstmt{ast: s, run: func(in *interp.Interp) (interp.Ctrl, error) {
+		return &cstmt{run: func(in *interp.Interp) (interp.Ctrl, error) {
 			if err := in.Step(pos); err != nil {
 				return flowNone, err
 			}
@@ -246,7 +175,7 @@ func (c *compiler) compileStmt(s cast.Stmt) *cstmt {
 		}}
 	}
 
-	return &cstmt{ast: s, run: func(in *interp.Interp) (interp.Ctrl, error) {
+	return &cstmt{run: func(in *interp.Interp) (interp.Ctrl, error) {
 		if err := in.Step(pos); err != nil {
 			return flowNone, err
 		}
@@ -254,17 +183,47 @@ func (c *compiler) compileStmt(s cast.Stmt) *cstmt {
 	}}
 }
 
+// compileLabeled compiles a labeled statement: a goto's label, a case or
+// a default. Run, it takes a step and runs its statement. Entered at
+// itself, a goto's label runs its statement without the step (the goto
+// took it) and a case or default runs as a statement.
+func (c *compiler) compileLabeled(s, stmt cast.Stmt) *cstmt {
+	pos := s.Pos()
+	_, named := s.(*cast.Label)
+	inner := c.compileStmt(stmt)
+	run := func(in *interp.Interp) (interp.Ctrl, error) {
+		if err := in.Step(pos); err != nil {
+			return flowNone, err
+		}
+		return inner.run(in)
+	}
+	return &cstmt{
+		run: run,
+		enter: func(in *interp.Interp, target cast.Stmt) (interp.Ctrl, error) {
+			switch {
+			case target != s:
+				return inner.from(in, target)
+			case named:
+				return inner.run(in)
+			}
+			return run(in)
+		},
+	}
+}
+
 // ---------- compound statements ----------
 
 // ccompound is a compiled block: its statements, the declaration pre-pass
-// list (lifetimes begin at block entry, C11 §6.2.4:5), and the label
-// table replacing the tree walker's per-goto containsLabel scans.
+// list (lifetimes begin at block entry, C11 §6.2.4:5), and the index of
+// the jump targets it contains, replacing the tree walker's jumpIndex
+// scans.
 type ccompound struct {
 	stmts []*cstmt
 	decls []*cast.Decl
-	// labelIdx maps each label contained in the block to the index of the
-	// first top-level statement whose subtree contains it.
-	labelIdx map[string]int
+	// at maps each jump target in the block (a label of the function, a
+	// case or default of the innermost enclosing switch) to the index of
+	// the statement that contains it.
+	at map[cast.Stmt]int
 }
 
 func (c *compiler) compileCompound(blk *cast.Compound) *ccompound {
@@ -274,52 +233,38 @@ func (c *compiler) compileCompound(blk *cast.Compound) *ccompound {
 		if ds, ok := s.(*cast.DeclStmt); ok {
 			b.decls = append(b.decls, ds.Decls...)
 		}
-		i := i
-		collectLabels(s, func(name string) {
-			if b.labelIdx == nil {
-				b.labelIdx = make(map[string]int)
-			}
-			if _, seen := b.labelIdx[name]; !seen {
-				b.labelIdx[name] = i
-			}
-		})
+	}
+	for _, l := range c.fn.Labels {
+		b.index(blk, l)
+	}
+	if c.sw != nil {
+		for _, cs := range c.sw.Cases {
+			b.index(blk, cs)
+		}
+		if c.sw.Dflt != nil {
+			b.index(blk, c.sw.Dflt)
+		}
 	}
 	return b
 }
 
-// collectLabels visits exactly the subtrees containsLabel searches.
-func collectLabels(s cast.Stmt, fn func(string)) {
-	switch s := s.(type) {
-	case *cast.Label:
-		fn(s.Name)
-		collectLabels(s.Stmt, fn)
-	case *cast.Case:
-		collectLabels(s.Stmt, fn)
-	case *cast.Default:
-		collectLabels(s.Stmt, fn)
-	case *cast.Compound:
-		for _, inner := range s.List {
-			collectLabels(inner, fn)
+// index records which statement of blk contains target, if one does.
+func (b *ccompound) index(blk *cast.Compound, target cast.Stmt) {
+	for i, s := range blk.List {
+		if cast.Contains(s, target) {
+			if b.at == nil {
+				b.at = make(map[cast.Stmt]int)
+			}
+			b.at[target] = i
+			return
 		}
-	case *cast.If:
-		collectLabels(s.Then, fn)
-		if s.Else != nil {
-			collectLabels(s.Else, fn)
-		}
-	case *cast.While:
-		collectLabels(s.Body, fn)
-	case *cast.DoWhile:
-		collectLabels(s.Body, fn)
-	case *cast.For:
-		collectLabels(s.Body, fn)
-	case *cast.Switch:
-		collectLabels(s.Body, fn)
 	}
 }
 
 // enter mirrors execBlock: block lifetimes, the declaration pre-pass,
-// resume-at-label entry, and the goto dispatch loop.
-func (b *ccompound) enter(in *interp.Interp, resumeLabel string) (interp.Ctrl, error) {
+// entry at a jump target (nil: at the beginning), and the goto dispatch
+// loop.
+func (b *ccompound) enter(in *interp.Interp, target cast.Stmt) (interp.Ctrl, error) {
 	in.PushBlock()
 	defer in.PopBlock()
 
@@ -329,94 +274,24 @@ func (b *ccompound) enter(in *interp.Interp, resumeLabel string) (interp.Ctrl, e
 		}
 	}
 
-	start := 0
-	resume := resumeLabel
-	if resume != "" {
-		idx, ok := b.labelIdx[resume]
-		if !ok {
-			// Not in this block (shouldn't happen; sema checked).
-			return interp.Ctrl{Kind: interp.CtrlGoto, Label: resume}, nil
-		}
-		start = idx
-	}
-
-	i := start
-	for i < len(b.stmts) {
-		var ct interp.Ctrl
-		var err error
-		if resume != "" {
-			ct, err = b.stmts[i].resume(in, resume)
-			resume = ""
-		} else {
-			ct, err = b.stmts[i].run(in)
-		}
-		if err != nil {
-			return flowNone, err
-		}
-		if ct.Kind == interp.CtrlGoto {
-			idx, ok := b.labelIdx[ct.Label]
-			if !ok {
-				return ct, nil // propagate to an enclosing block
-			}
-			i = idx
-			resume = ct.Label
-			continue
-		}
-		if ct.Kind != interp.CtrlNone {
-			return ct, nil
-		}
-		i++
-	}
-	return flowNone, nil
-}
-
-// from mirrors execBlockFrom: switch dispatch into the block, falling
-// through subsequent statements.
-func (b *ccompound) from(in *interp.Interp, target cast.Stmt) (interp.Ctrl, error) {
-	in.PushBlock()
-	defer in.PopBlock()
-
-	for _, d := range b.decls {
-		if err := in.AllocLocal(d); err != nil {
-			return flowNone, err
-		}
-	}
-
-	started := false
 	i := 0
-	resume := ""
-	for i < len(b.stmts) {
-		s := b.stmts[i]
-		var ct interp.Ctrl
-		var err error
-		switch {
-		case resume != "":
-			ct, err = s.resume(in, resume)
-			resume = ""
-			started = true
-		case !started && s.ast == target:
-			started = true
-			ct, err = s.run(in)
-		case !started && interp.ContainsStmt(s.ast, target):
-			started = true
-			ct, err = s.runFrom(in, target)
-		case !started:
-			i++
-			continue
-		default:
-			ct, err = s.run(in)
+	if target != nil {
+		var ok bool
+		if i, ok = b.at[target]; !ok {
+			i = len(b.stmts)
 		}
+	}
+	for i < len(b.stmts) {
+		ct, err := b.stmts[i].from(in, target)
+		target = nil
 		if err != nil {
 			return flowNone, err
 		}
 		if ct.Kind == interp.CtrlGoto {
-			idx, ok := b.labelIdx[ct.Label]
-			if !ok {
-				return ct, nil
+			if j, ok := b.at[ct.Target]; ok {
+				i, target = j, ct.Target
+				continue
 			}
-			i = idx
-			resume = ct.Label
-			continue
 		}
 		if ct.Kind != interp.CtrlNone {
 			return ct, nil
@@ -428,14 +303,17 @@ func (b *ccompound) from(in *interp.Interp, target cast.Stmt) (interp.Ctrl, erro
 
 // ---------- loops ----------
 
+// Each loop's enter entry is its loop function with the jump target its
+// body is entered at; run passes nil. Entering at a target skips the
+// first controlling expression.
+
 func (c *compiler) compileWhile(s *cast.While) *cstmt {
 	pos := s.Pos()
 	cond := c.compileCond(s.Cond)
 	body := c.compileStmt(s.Body)
-	loop := func(in *interp.Interp, resuming bool, label string) (interp.Ctrl, error) {
-		first := true
-		for {
-			if !(resuming && first) {
+	loop := func(in *interp.Interp, target cast.Stmt) (interp.Ctrl, error) {
+		for ; ; target = nil {
+			if target == nil {
 				b, err := cond(in)
 				if err != nil {
 					return flowNone, err
@@ -445,14 +323,7 @@ func (c *compiler) compileWhile(s *cast.While) *cstmt {
 					return flowNone, nil
 				}
 			}
-			var ct interp.Ctrl
-			var err error
-			if resuming && first {
-				ct, err = body.resume(in, label)
-			} else {
-				ct, err = body.run(in)
-			}
-			first = false
+			ct, err := body.from(in, target)
 			if err != nil {
 				return flowNone, err
 			}
@@ -465,16 +336,13 @@ func (c *compiler) compileWhile(s *cast.While) *cstmt {
 		}
 	}
 	return &cstmt{
-		ast: s,
 		run: func(in *interp.Interp) (interp.Ctrl, error) {
 			if err := in.Step(pos); err != nil {
 				return flowNone, err
 			}
-			return loop(in, false, "")
+			return loop(in, nil)
 		},
-		res: func(in *interp.Interp, label string) (interp.Ctrl, error) {
-			return loop(in, true, label)
-		},
+		enter: loop,
 	}
 }
 
@@ -482,17 +350,9 @@ func (c *compiler) compileDoWhile(s *cast.DoWhile) *cstmt {
 	pos := s.Pos()
 	cond := c.compileCond(s.Cond)
 	body := c.compileStmt(s.Body)
-	loop := func(in *interp.Interp, resuming bool, label string) (interp.Ctrl, error) {
-		first := true
-		for {
-			var ct interp.Ctrl
-			var err error
-			if resuming && first {
-				ct, err = body.resume(in, label)
-			} else {
-				ct, err = body.run(in)
-			}
-			first = false
+	loop := func(in *interp.Interp, target cast.Stmt) (interp.Ctrl, error) {
+		for ; ; target = nil {
+			ct, err := body.from(in, target)
 			if err != nil {
 				return flowNone, err
 			}
@@ -513,16 +373,13 @@ func (c *compiler) compileDoWhile(s *cast.DoWhile) *cstmt {
 		}
 	}
 	return &cstmt{
-		ast: s,
 		run: func(in *interp.Interp) (interp.Ctrl, error) {
 			if err := in.Step(pos); err != nil {
 				return flowNone, err
 			}
-			return loop(in, false, "")
+			return loop(in, nil)
 		},
-		res: func(in *interp.Interp, label string) (interp.Ctrl, error) {
-			return loop(in, true, label)
-		},
+		enter: loop,
 	}
 }
 
@@ -545,24 +402,24 @@ func (c *compiler) compileFor(s *cast.For) *cstmt {
 		post = c.compileExpr(s.Post)
 	}
 	body := c.compileStmt(s.Body)
-	loop := func(in *interp.Interp, resuming bool, label string) (interp.Ctrl, error) {
+	loop := func(in *interp.Interp, target cast.Stmt) (interp.Ctrl, error) {
 		// The for statement is its own block: objects declared in the
-		// init-clause die when the loop exits (C11 §6.8.5:5).
+		// init-clause live until the loop exits (C11 §6.8.5:5), also
+		// when a jump enters the body past the init clause.
 		in.PushBlock()
 		defer in.PopBlock()
-		if !resuming && initStmt != nil {
-			for _, d := range initDecls {
-				if err := in.AllocLocal(d); err != nil {
-					return flowNone, err
-				}
+		for _, d := range initDecls {
+			if err := in.AllocLocal(d); err != nil {
+				return flowNone, err
 			}
+		}
+		if target == nil && initStmt != nil {
 			if _, err := initStmt.run(in); err != nil {
 				return flowNone, err
 			}
 		}
-		first := true
-		for {
-			if !(resuming && first) && cond != nil {
+		for ; ; target = nil {
+			if target == nil && cond != nil {
 				b, err := cond(in)
 				if err != nil {
 					return flowNone, err
@@ -572,14 +429,7 @@ func (c *compiler) compileFor(s *cast.For) *cstmt {
 					return flowNone, nil
 				}
 			}
-			var ct interp.Ctrl
-			var err error
-			if resuming && first {
-				ct, err = body.resume(in, label)
-			} else {
-				ct, err = body.run(in)
-			}
-			first = false
+			ct, err := body.from(in, target)
 			if err != nil {
 				return flowNone, err
 			}
@@ -598,16 +448,13 @@ func (c *compiler) compileFor(s *cast.For) *cstmt {
 		}
 	}
 	return &cstmt{
-		ast: s,
 		run: func(in *interp.Interp) (interp.Ctrl, error) {
 			if err := in.Step(pos); err != nil {
 				return flowNone, err
 			}
-			return loop(in, false, "")
+			return loop(in, nil)
 		},
-		res: func(in *interp.Interp, label string) (interp.Ctrl, error) {
-			return loop(in, true, label)
-		},
+		enter: loop,
 	}
 }
 
@@ -617,11 +464,24 @@ func (c *compiler) compileSwitch(s *cast.Switch) *cstmt {
 	pos := s.Pos()
 	tagPos := s.Tag.Pos()
 	ctag := c.compileExpr(s.Tag)
+	outer := c.sw
+	c.sw = s
 	body := c.compileStmt(s.Body)
+	c.sw = outer
 	cases := s.Cases
 	dflt := s.Dflt
+	// enter mirrors switchBody: a break ends the switch.
+	enter := func(in *interp.Interp, target cast.Stmt) (interp.Ctrl, error) {
+		ct, err := body.from(in, target)
+		if err != nil {
+			return flowNone, err
+		}
+		if ct.Kind == interp.CtrlBreak {
+			return flowNone, nil
+		}
+		return ct, nil
+	}
 	return &cstmt{
-		ast: s,
 		run: func(in *interp.Interp) (interp.Ctrl, error) {
 			if err := in.Step(pos); err != nil {
 				return flowNone, err
@@ -657,25 +517,8 @@ func (c *compiler) compileSwitch(s *cast.Switch) *cstmt {
 				}
 				target = dflt
 			}
-			ct, err := body.runFrom(in, target)
-			if err != nil {
-				return flowNone, err
-			}
-			if ct.Kind == interp.CtrlBreak {
-				return flowNone, nil
-			}
-			return ct, nil
+			return enter(in, target)
 		},
-		res: func(in *interp.Interp, label string) (interp.Ctrl, error) {
-			// Jumping into a switch body.
-			ct, err := body.resume(in, label)
-			if err != nil {
-				return flowNone, err
-			}
-			if ct.Kind == interp.CtrlBreak {
-				return flowNone, nil
-			}
-			return ct, nil
-		},
+		enter: enter,
 	}
 }
