@@ -456,11 +456,10 @@ func (pp *Preprocessor) directive(hash *ppTok) error {
 		live := pp.active()
 		taken := false
 		if live {
-			v, err := pp.evalCondition(args, name)
-			if err != nil {
+			var err error
+			if taken, err = pp.evalCondition(args, name); err != nil {
 				return err
 			}
-			taken = v != 0
 		}
 		pp.conds = append(pp.conds, condState{
 			active: taken, everActive: taken, parentLive: live,
@@ -483,7 +482,7 @@ func (pp *Preprocessor) directive(hash *ppTok) error {
 		if err != nil {
 			return err
 		}
-		c.active = v != 0
+		c.active = v
 		c.everActive = c.active
 		return nil
 	case "else":

@@ -163,6 +163,18 @@ func TestIfExpression(t *testing.T) {
 		{"10 % 3 == 1", true},
 		{"-1 < 0", true},
 		{"~0 == -1", true},
+		// Escapes in character constants (lexer.ParseCharLit).
+		{`'\101' == 65 && '\x41' == 65`, true},
+		{`'\377' < 0`, true},
+		// Every integer type acts as intmax_t or uintmax_t (C11
+		// §6.10.1:4): -1 converts to UINTMAX_MAX.
+		{"-1 < 0u", false},
+		{"0xFFFFFFFFFFFFFFFF == -1", true},
+		{"(1 ? -1 : 0u) > 0", true},
+		// An operand C does not evaluate may divide by zero.
+		{"0 && 1 / 0", false},
+		{"1 || 1 / 0", true},
+		{"1 ? 2 : 1 / 0", true},
 	}
 	for _, tt := range tests {
 		src := "#if " + tt.cond + "\nint y;\n#endif\n"
@@ -181,6 +193,17 @@ func TestIfDivisionByZero(t *testing.T) {
 	_, err := Preprocess("#if 1/0\n#endif\n", "t.c", MapResolver(nil))
 	if err == nil {
 		t.Error("expected error for division by zero in #if")
+	}
+}
+
+// TestIfUndefinedEvaluation: an evaluation C leaves undefined makes the
+// #if expression an error, as it makes any integer constant expression
+// not one.
+func TestIfUndefinedEvaluation(t *testing.T) {
+	for _, cond := range []string{"1 % 0", "1 << 64", "1 >> -1", "0x7fffffffffffffff + 1", "-(-0x7fffffffffffffff - 1)"} {
+		if _, err := Preprocess("#if "+cond+"\n#endif\n", "t.c", MapResolver(nil)); err == nil {
+			t.Errorf("#if %s: no error", cond)
+		}
 	}
 }
 

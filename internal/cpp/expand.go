@@ -2,8 +2,12 @@ package cpp
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
+
+	"repro/internal/ctypes"
+	"repro/internal/lexer"
 )
 
 // expand handles t, just taken from the worklist. It returns the token to
@@ -336,8 +340,9 @@ func pasteTokens(a, b ppTok, inv ppTok) ppTok {
 	return ppTok{kind: ppOther, text: text, file: inv.file, line: inv.line}
 }
 
-// evalCondition evaluates a #if/#elif controlling expression.
-func (pp *Preprocessor) evalCondition(toks []ppTok, dir ppTok) (int64, error) {
+// evalCondition evaluates a #if/#elif controlling expression and reports
+// whether it is nonzero.
+func (pp *Preprocessor) evalCondition(toks []ppTok, dir ppTok) (bool, error) {
 	// Replace defined X / defined(X) before macro expansion.
 	var pre []ppTok
 	for i := 0; i < len(toks); i++ {
@@ -351,7 +356,7 @@ func (pp *Preprocessor) evalCondition(toks []ppTok, dir ppTok) (int64, error) {
 				name = toks[i+2].text
 				i += 3
 			} else {
-				return 0, pp.errorf(dir, "malformed defined()")
+				return false, pp.errorf(dir, "malformed defined()")
 			}
 			val := "0"
 			if pp.macro(name) != nil {
@@ -364,27 +369,38 @@ func (pp *Preprocessor) evalCondition(toks []ppTok, dir ppTok) (int64, error) {
 	}
 	exp, err := pp.expandList(pre)
 	if err != nil {
-		return 0, err
+		return false, err
 	}
 	// Remaining identifiers evaluate to 0 (C11 §6.10.1:4).
 	ev := &condEval{toks: exp, pp: pp, dir: dir}
 	v, err := ev.parseExpr(0)
 	if err != nil {
-		return 0, err
+		return false, err
 	}
 	if ev.i < len(ev.toks) {
-		return 0, pp.errorf(dir, "trailing tokens in #if expression")
+		return false, pp.errorf(dir, "trailing tokens in #if expression")
 	}
-	return v, nil
+	return v.V != 0, nil
 }
 
-// condEval is a precedence-climbing evaluator for #if expressions.
+// condEval is a precedence-climbing parser for #if expressions. It
+// computes through ctypes' integer-constant arithmetic, where every
+// integer type acts as intmax_t or uintmax_t (C11 §6.10.1:4), 64 bits
+// under every model.
 type condEval struct {
 	toks []ppTok
 	i    int
 	pp   *Preprocessor
 	dir  ppTok
+	// skip is above zero inside an operand C does not evaluate (the
+	// right of a decided && or ||, the arm ?: does not choose): its
+	// undefined evaluations do not count.
+	skip int
 }
+
+// condModel is the model #if computes under; only its 64-bit long long
+// is used.
+var condModel = ctypes.LP64()
 
 func (ev *condEval) peek() ppTok {
 	if ev.i >= len(ev.toks) {
@@ -405,10 +421,34 @@ var condPrec = map[string]int{
 	"<<": 8, ">>": 8, "+": 9, "-": 9, "*": 10, "/": 10, "%": 10,
 }
 
-func (ev *condEval) parseExpr(minPrec int) (int64, error) {
+// operand parses an operand that C evaluates only if !skipped.
+func (ev *condEval) operand(minPrec int, skipped bool) (ctypes.Const, error) {
+	if !skipped {
+		return ev.parseExpr(minPrec)
+	}
+	ev.skip++
+	v, err := ev.parseExpr(minPrec)
+	ev.skip--
+	return v, err
+}
+
+// intmax widens an operator's result to intmax_t or uintmax_t and
+// passes it on, with its undefined evaluation as the directive's error
+// unless C does not evaluate it.
+func (ev *condEval) intmax(v ctypes.Const, err error) (ctypes.Const, error) {
+	if err != nil && ev.skip == 0 {
+		return v, ev.pp.errorf(ev.dir, "%v in #if", err)
+	}
+	if v.T.IsSigned(condModel) {
+		return condModel.ConstConvert(v, ctypes.TLongLong), nil
+	}
+	return condModel.ConstConvert(v, ctypes.TULongLong), nil
+}
+
+func (ev *condEval) parseExpr(minPrec int) (ctypes.Const, error) {
 	lhs, err := ev.parseUnary()
 	if err != nil {
-		return 0, err
+		return lhs, err
 	}
 	for {
 		t := ev.peek()
@@ -417,23 +457,19 @@ func (ev *condEval) parseExpr(minPrec int) (int64, error) {
 		}
 		if t.text == "?" && minPrec == 0 {
 			ev.next()
-			thenV, err := ev.parseExpr(0)
+			thenV, err := ev.operand(0, lhs.V == 0)
 			if err != nil {
-				return 0, err
+				return thenV, err
 			}
 			if !ev.peek().isPunct(":") {
-				return 0, ev.pp.errorf(ev.dir, "expected : in #if conditional")
+				return lhs, ev.pp.errorf(ev.dir, "expected : in #if conditional")
 			}
 			ev.next()
-			elseV, err := ev.parseExpr(0)
+			elseV, err := ev.operand(0, lhs.V != 0)
 			if err != nil {
-				return 0, err
+				return elseV, err
 			}
-			if lhs != 0 {
-				lhs = thenV
-			} else {
-				lhs = elseV
-			}
+			lhs = condModel.ConstCond(lhs, thenV, elseV)
 			continue
 		}
 		prec, ok := condPrec[t.text]
@@ -441,159 +477,56 @@ func (ev *condEval) parseExpr(minPrec int) (int64, error) {
 			break
 		}
 		ev.next()
-		// Short-circuit.
-		if t.text == "||" && lhs != 0 {
-			if _, err := ev.parseExpr(prec + 1); err != nil {
-				return 0, err
-			}
-			lhs = 1
-			continue
-		}
-		if t.text == "&&" && lhs == 0 {
-			if _, err := ev.parseExpr(prec + 1); err != nil {
-				return 0, err
-			}
-			lhs = 0
-			continue
-		}
-		rhs, err := ev.parseExpr(prec + 1)
+		decided := t.text == "&&" && lhs.V == 0 || t.text == "||" && lhs.V != 0
+		rhs, err := ev.operand(prec+1, decided)
 		if err != nil {
-			return 0, err
+			return rhs, err
 		}
-		lhs, err = ev.apply(t.text, lhs, rhs)
-		if err != nil {
-			return 0, err
+		if lhs, err = ev.intmax(condModel.ConstBinary(t.text, lhs, rhs)); err != nil {
+			return lhs, err
 		}
 	}
 	return lhs, nil
 }
 
-func (ev *condEval) apply(op string, a, b int64) (int64, error) {
-	btoi := func(b bool) int64 {
-		if b {
-			return 1
-		}
-		return 0
-	}
-	switch op {
-	case "||":
-		return btoi(a != 0 || b != 0), nil
-	case "&&":
-		return btoi(a != 0 && b != 0), nil
-	case "|":
-		return a | b, nil
-	case "^":
-		return a ^ b, nil
-	case "&":
-		return a & b, nil
-	case "==":
-		return btoi(a == b), nil
-	case "!=":
-		return btoi(a != b), nil
-	case "<":
-		return btoi(a < b), nil
-	case ">":
-		return btoi(a > b), nil
-	case "<=":
-		return btoi(a <= b), nil
-	case ">=":
-		return btoi(a >= b), nil
-	case "<<":
-		return a << (uint64(b) & 63), nil
-	case ">>":
-		return a >> (uint64(b) & 63), nil
-	case "+":
-		return a + b, nil
-	case "-":
-		return a - b, nil
-	case "*":
-		return a * b, nil
-	case "/":
-		if b == 0 {
-			return 0, ev.pp.errorf(ev.dir, "division by zero in #if")
-		}
-		return a / b, nil
-	case "%":
-		if b == 0 {
-			return 0, ev.pp.errorf(ev.dir, "division by zero in #if")
-		}
-		return a % b, nil
-	}
-	return 0, ev.pp.errorf(ev.dir, "unknown operator %q in #if", op)
-}
-
-func (ev *condEval) parseUnary() (int64, error) {
+func (ev *condEval) parseUnary() (ctypes.Const, error) {
 	t := ev.next()
 	switch {
-	case t.isPunct("!"):
+	case t.isPunct("!"), t.isPunct("-"), t.isPunct("+"), t.isPunct("~"):
 		v, err := ev.parseUnary()
 		if err != nil {
-			return 0, err
+			return v, err
 		}
-		if v == 0 {
-			return 1, nil
-		}
-		return 0, nil
-	case t.isPunct("-"):
-		v, err := ev.parseUnary()
-		return -v, err
-	case t.isPunct("+"):
-		return ev.parseUnary()
-	case t.isPunct("~"):
-		v, err := ev.parseUnary()
-		return ^v, err
+		return ev.intmax(condModel.ConstUnary(t.text, v))
 	case t.isPunct("("):
 		v, err := ev.parseExpr(0)
 		if err != nil {
-			return 0, err
+			return v, err
 		}
 		if !ev.peek().isPunct(")") {
-			return 0, ev.pp.errorf(ev.dir, "missing ) in #if expression")
+			return v, ev.pp.errorf(ev.dir, "missing ) in #if expression")
 		}
 		ev.next()
 		return v, nil
 	case t.kind == ppNumber:
-		return parsePPNumber(t.text)
+		n, err := lexer.ParseIntLit(t.text)
+		if err != nil {
+			return ctypes.Const{}, fmt.Errorf("malformed integer %q in #if", t.text)
+		}
+		if n.Unsigned || n.Value > math.MaxInt64 {
+			return ctypes.Const{T: ctypes.TULongLong, V: n.Value}, nil
+		}
+		return ctypes.Const{T: ctypes.TLongLong, V: n.Value}, nil
 	case t.kind == ppChar:
-		return parsePPChar(t.text)
+		c, _, err := lexer.ParseCharLit(t.text)
+		if err != nil {
+			return ctypes.Const{}, fmt.Errorf("unsupported character constant %q in #if", t.text)
+		}
+		return ctypes.Const{T: ctypes.TLongLong, V: uint64(c)}, nil
 	case t.kind == ppIdent:
-		return 0, nil // undefined identifiers are 0
+		return ctypes.Const{T: ctypes.TLongLong}, nil // undefined identifiers are 0
 	case t.kind == ppEOF:
-		return 0, ev.pp.errorf(ev.dir, "missing operand in #if expression")
+		return ctypes.Const{}, ev.pp.errorf(ev.dir, "missing operand in #if expression")
 	}
-	return 0, ev.pp.errorf(ev.dir, "unexpected token %q in #if expression", t.text)
-}
-
-func parsePPNumber(text string) (int64, error) {
-	s := strings.TrimRight(text, "uUlL")
-	v, err := strconv.ParseUint(s, 0, 64)
-	if err != nil {
-		return 0, fmt.Errorf("malformed integer %q in #if", text)
-	}
-	return int64(v), nil
-}
-
-func parsePPChar(text string) (int64, error) {
-	s := strings.TrimPrefix(text, "L")
-	if len(s) >= 3 && s[0] == '\'' && s[len(s)-1] == '\'' {
-		body := s[1 : len(s)-1]
-		if len(body) == 1 {
-			return int64(body[0]), nil
-		}
-		if len(body) == 2 && body[0] == '\\' {
-			switch body[1] {
-			case 'n':
-				return '\n', nil
-			case 't':
-				return '\t', nil
-			case '0':
-				return 0, nil
-			case 'r':
-				return '\r', nil
-			case '\\', '\'', '"':
-				return int64(body[1]), nil
-			}
-		}
-	}
-	return 0, fmt.Errorf("unsupported character constant %q in #if", text)
+	return ctypes.Const{}, ev.pp.errorf(ev.dir, "unexpected token %q in #if expression", t.text)
 }

@@ -387,3 +387,66 @@ func TestModelFor(t *testing.T) {
 		t.Errorf("ModelFor(PDP11) = %v, want an error", m)
 	}
 }
+
+// TestConstBinary checks the constant arithmetic against C's types: the
+// usual arithmetic conversions, the shifts' own promotions, and the
+// evaluations C leaves undefined, which are errors.
+func TestConstBinary(t *testing.T) {
+	i := func(v int64) Const { return Const{T: TInt, V: uint64(v)} }
+	u := func(v uint64) Const { return Const{T: TUInt, V: v} }
+	ll := func(v int64) Const { return Const{T: TLongLong, V: uint64(v)} }
+	tests := []struct {
+		model *Model
+		op    string
+		x, y  Const
+		want  Const
+		err   string
+	}{
+		{LP64(), "/", u(0xFFFFFFFF), i(2), u(0x7FFFFFFF), ""},
+		{Int8(), "/", Const{T: TUInt, V: ^uint64(0)}, i(2), Const{T: TUInt, V: 1<<63 - 1}, ""},
+		{LP64(), "<", i(-1), u(0), i(0), ""},
+		{LP64(), "<", i(-1), Const{T: TLong, V: 0}, i(1), ""},
+		{ILP32(), "<", Const{T: TLong, V: ^uint64(0)}, u(0), i(0), ""},
+		{LP64(), "+", i(2147483647), i(1), Const{}, "integer overflow"},
+		{Int8(), "+", i(2147483647), i(1), i(2147483648), ""},
+		{LP64(), "+", ll(1<<63 - 1), ll(1), Const{}, "integer overflow"},
+		{LP64(), "-", ll(-1 << 63), ll(1), Const{}, "integer overflow"},
+		{LP64(), "*", ll(1 << 32), ll(1 << 31), Const{}, "integer overflow"},
+		{LP64(), "*", ll(-1), ll(-1 << 63), Const{}, "integer overflow"},
+		{LP64(), "*", u(65535), u(65537), u(0xFFFFFFFF), ""},
+		{LP64(), "/", i(-2147483648), i(-1), Const{}, "integer overflow"},
+		{LP64(), "%", ll(-1 << 63), ll(-1), Const{}, "integer overflow"},
+		{LP64(), "%", i(7), i(0), Const{}, "division by zero"},
+		{LP64(), "<<", i(1), i(31), Const{}, "integer overflow"},
+		{LP64(), "<<", i(-1), i(1), Const{}, "integer overflow"},
+		{LP64(), "<<", i(1), Const{T: TULongLong, V: 30}, i(1 << 30), ""},
+		{LP64(), "<<", i(1), i(33), Const{}, "shift count 33 out of range"},
+		{LP64(), "<<", u(1), i(31), u(1 << 31), ""},
+		{LP64(), ">>", i(-8), i(1), i(-4), ""},
+		{LP64(), ">>", i(1), i(-1), Const{}, "shift count -1 out of range"},
+		{LP64(), "<<", Const{T: TChar, V: 1}, i(20), i(1 << 20), ""},
+		{LP64(), "&&", i(2), u(3), i(1), ""},
+	}
+	for _, tt := range tests {
+		got, err := tt.model.ConstBinary(tt.op, tt.x, tt.y)
+		if tt.err != "" {
+			if err == nil || err.Error() != tt.err {
+				t.Errorf("%s: %v %s %v = %v, %v; want error %q", tt.model.Name, tt.x, tt.op, tt.y, got, err, tt.err)
+			}
+			continue
+		}
+		if err != nil || got != tt.want {
+			t.Errorf("%s: %v %s %v = %v, %v; want %v", tt.model.Name, tt.x, tt.op, tt.y, got, err, tt.want)
+		}
+	}
+	m := LP64()
+	if got, err := m.ConstUnary("-", i(-2147483648)); err == nil {
+		t.Errorf("-INT_MIN = %v, want an overflow", got)
+	}
+	if got, _ := m.ConstUnary("-", u(1)); got != u(0xFFFFFFFF) {
+		t.Errorf("-1U = %v, want UINT_MAX", got)
+	}
+	if got := m.ConstCond(i(1), i(-1), u(0)); got != u(0xFFFFFFFF) {
+		t.Errorf("1 ? -1 : 0U = %v, want UINT_MAX", got)
+	}
+}

@@ -61,9 +61,12 @@ type Cache struct {
 // by TestArtifactFormatBumpInvalidatesKeys). Bump it whenever the
 // sema.Program surface or the internal/artifact codec changes, or what a
 // source compiles to does, as when the built-in headers began to follow
-// the data model (format 2) and when sema began numbering the frame
-// slots the interpreter indexes locals by (format 3).
-const ArtifactFormat = 3
+// the data model (format 2), when sema began numbering the frame slots
+// the interpreter indexes locals by (format 3), and when integer constant
+// expressions began to fold by C's types, which changes the array
+// lengths, enumerator and case values and the VLA-ness some sources
+// compile to (format 4).
+const ArtifactFormat = 4
 
 // artifactFormat is the stamp actually folded into keys; a variable only
 // so the invalidation test can bump it and prove every key moves.

@@ -3,6 +3,7 @@ package driver_test
 import (
 	"bufio"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"flag"
 	"fmt"
@@ -32,6 +33,16 @@ var parserSeeds = []string{
 	`int a[ = } ( ;`,
 	`typedef struct s s; struct s { s *next; };`,
 	`int x = sizeof(struct { int b : 3; });`,
+	`enum { E = -1U / 2 > 0 }; int main(void) { return E; }`,
+	`int main(void) { switch (2147483647u) { case -1U / 2: return 0; default: return 1; } }`,
+	`enum { F = (-1 < 0U) }; static int b[(-1 < 0U) + 1]; int main(void) { return F; }`,
+	`int a[-1U / 2147483647U]; int main(void) { return sizeof a / sizeof a[0]; }`,
+	`int b[4]; int a[sizeof b / sizeof b[0]]; int main(void) { return sizeof a / sizeof a[0]; }`,
+	`int main(void) { switch (0) { case 1 << 33: return 1; } return 0; }`,
+	`int a[1 << 33]; int main(void) { return 0; }`,
+	`enum { G = 0 && 1 / 0, H = 1 ? 2 : 1 / 0, I = (1 ? -1 : 0u) > 0 }; int main(void) { return G + H + I; }`,
+	`_Static_assert(-1U > 0, "-1U is positive"); int main(void) { return 0; }`,
+	`struct s { unsigned f : -1U / 2147483647U; }; int main(void) { struct s x; x.f = 7; return x.f; }`,
 }
 
 type frontendUnit struct{ id, src, file string }
@@ -83,6 +94,14 @@ func corpusString(file string) (string, error) {
 	return strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "string("), ")"))
 }
 
+// goldenFormat is the artifact format stamp the golden digests are taken
+// under. frontendDigest writes it over driver.ArtifactFormat in the
+// payload's header ("ubcp" and the stamp as a uvarint), so a format bump
+// alone moves no line: the golden pins what the frontend compiles each
+// unit to, TestArtifactFormatBumpInvalidatesKeys and the codec's version
+// check pin the stamp.
+const goldenFormat = 3
+
 // frontendDigest compiles u under m and hashes the encoded artifact, or the
 // error text for a unit the frontend rejects.
 func frontendDigest(u frontendUnit, m *ctypes.Model) string {
@@ -90,6 +109,11 @@ func frontendDigest(u frontendUnit, m *ctypes.Model) string {
 	prog, err := driver.Compile(u.src, u.file, driver.Options{Model: m})
 	if err == nil {
 		out, err = artifact.Encode(prog)
+	}
+	if err == nil {
+		const magic = "ubcp"
+		_, n := binary.Uvarint(out[len(magic):])
+		out = append(binary.AppendUvarint([]byte(magic), goldenFormat), out[len(magic)+n:]...)
 	}
 	if err != nil {
 		out = []byte("error: " + err.Error())

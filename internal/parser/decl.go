@@ -142,7 +142,7 @@ func (p *Parser) declSpecifiers() (declSpec, error) {
 				if err != nil {
 					return spec, err
 				}
-				if _, err := p.constEval(e); err != nil {
+				if _, err := cast.FoldInt(p.model, e); err != nil {
 					return spec, p.errorf(t.Pos, "_Alignas requires a constant: %v", err)
 				}
 			}
@@ -365,10 +365,11 @@ func (p *Parser) structDeclaration() ([]ctypes.Field, error) {
 			if err != nil {
 				return nil, err
 			}
-			width, err := p.constEval(w)
+			wv, err := cast.FoldInt(p.model, w)
 			if err != nil {
 				return nil, p.errorf(pos, "bit-field width is not constant: %v", err)
 			}
+			width := wv.Int64()
 			if width < 0 || width > 8*p.model.Size(ty.Unqualified()) {
 				return nil, p.errorf(pos, "invalid bit-field width %d", width)
 			}
@@ -434,11 +435,11 @@ func (p *Parser) enumSpecifier() (*ctypes.Type, error) {
 			if err != nil {
 				return nil, err
 			}
-			v, err := p.constEval(e)
+			v, err := cast.FoldInt(p.model, e)
 			if err != nil {
 				return nil, p.errorf(nameTok.Pos, "enumerator value is not constant: %v", err)
 			}
-			next = v
+			next = v.Int64()
 		}
 		if !p.model.InRange(ctypes.TInt, next) {
 			return nil, p.errorf(nameTok.Pos, "enumerator value %d not representable as int", next)
@@ -582,8 +583,8 @@ func (p *Parser) declaratorOps() (string, cast.Expr, error) {
 				if err != nil {
 					return "", nil, err
 				}
-				if v, err := p.constEval(e); err == nil {
-					n = v
+				if v, err := cast.FoldInt(p.model, e); err == nil {
+					n = v.Int64()
 				} else {
 					isVLA = true
 					sizeExpr = e

@@ -341,11 +341,11 @@ func (p *Parser) staticAssert() error {
 	if _, err := p.expect(token.Semi); err != nil {
 		return err
 	}
-	v, err := p.constEval(cond)
+	v, err := cast.FoldInt(p.model, cond)
 	if err != nil {
 		return p.errorf(pos, "_Static_assert with non-constant expression: %v", err)
 	}
-	if v == 0 {
+	if v.V == 0 {
 		return p.errorf(pos, "static assertion failed: %s", msg)
 	}
 	return nil

@@ -195,10 +195,11 @@ func (b *planner) fillArray(ty *ctypes.Type, offset int64, st *stream, braced bo
 			if d.Index == nil {
 				return nil, c.errorf(d.Pos, "field designator in array initializer")
 			}
-			v, err := c.foldInt(d.Index)
+			cv, err := cast.FoldInt(c.model, d.Index)
 			if err != nil {
 				return nil, c.errorf(d.Pos, "array designator is not constant: %v", err)
 			}
+			v := cv.Int64()
 			if v < 0 || (n >= 0 && v >= n) {
 				return nil, c.errorf(d.Pos, "array designator index %d out of bounds", v)
 			}
@@ -408,10 +409,11 @@ func (b *planner) designated(ty *ctypes.Type, offset int64, rest []cast.Designat
 			if ty.Kind != ctypes.Array {
 				return c.errorf(d.Pos, "array designator on non-array type %s", ty)
 			}
-			v, err := c.foldInt(d.Index)
+			cv, err := cast.FoldInt(c.model, d.Index)
 			if err != nil {
 				return c.errorf(d.Pos, "array designator is not constant: %v", err)
 			}
+			v := cv.Int64()
 			if v < 0 || (ty.ArrayLen >= 0 && v >= ty.ArrayLen) {
 				return c.errorf(d.Pos, "array designator index %d out of bounds", v)
 			}

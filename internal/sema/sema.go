@@ -74,9 +74,7 @@ type checker struct {
 	// slots counts the frame slots handed out in the current function:
 	// parameters and block-scope objects, numbered from 1 (see
 	// cast.Symbol.Slot).
-	slots int
-	// vlaScopes tracks whether the current block has VLA declarations
-	// (for the goto-into-VLA-scope check).
+	slots          int
 	sawReturnValue bool
 	sawPlainReturn bool
 }
@@ -149,10 +147,10 @@ func (c *checker) declare(sym *cast.Symbol) { c.scopes.Declare(sym.Name, sym) }
 // ---------- file-scope declarations ----------
 
 func (c *checker) fileScopeDecl(d *cast.Decl) error {
-	c.checkDeclType(d)
-	if d.Type.VLA {
+	if err := c.vlaSize(d); err != nil || d.Type.VLA {
 		return c.errorf(d.P, "variable length array at file scope")
 	}
+	c.checkDeclType(d)
 	kind := cast.SymObject
 	if d.Type.Kind == ctypes.Func {
 		kind = cast.SymFunc
@@ -219,11 +217,6 @@ func (c *checker) checkTypeUB(t *ctypes.Type, pos token.Pos, name string) {
 			if t.ArrayLen == 0 && !t.VLA {
 				c.staticUB(ub.ArrayNotPositive, pos,
 					"Array %q declared with zero length", name)
-			}
-			if t.ArrayLen > 0 || t.ArrayLen < 0 {
-				// negative constant lengths are rejected in the parser's
-				// constant fold as huge positives; treat int overflowed
-				// sizes as already reported.
 			}
 			walk(t.Elem)
 		case ctypes.Ptr:
@@ -356,7 +349,12 @@ func enteredVLA(s, jump, target cast.Stmt) (found bool, vla *cast.Decl) {
 	case *cast.DoWhile:
 		return enteredVLA(s.Body, jump, target)
 	case *cast.For:
-		return enteredVLA(s.Body, jump, target)
+		// The init clause declares before the body, in a block of its
+		// own (C11 §6.8.5:5).
+		if found, vla = enteredVLA(s.Body, jump, target); found && vla == nil && !cast.Contains(s, jump) {
+			vla = declVLA(s.Init)
+		}
+		return found, vla
 	case *cast.Switch:
 		return enteredVLA(s.Body, jump, target)
 	}
@@ -366,19 +364,51 @@ func enteredVLA(s, jump, target cast.Stmt) (found bool, vla *cast.Decl) {
 // firstVLA returns the first variably modified declaration in list.
 func firstVLA(list []cast.Stmt) *cast.Decl {
 	for _, item := range list {
-		if ds, isDecl := item.(*cast.DeclStmt); isDecl {
-			for _, d := range ds.Decls {
-				if d.Type != nil && d.Type.VLA {
-					return d
-				}
+		if d := declVLA(item); d != nil {
+			return d
+		}
+	}
+	return nil
+}
+
+// declVLA returns the first variably modified declaration s makes.
+func declVLA(s cast.Stmt) *cast.Decl {
+	if ds, isDecl := s.(*cast.DeclStmt); isDecl {
+		for _, d := range ds.Decls {
+			if d.Type != nil && d.Type.VLA {
+				return d
 			}
 		}
 	}
 	return nil
 }
 
+// vlaSize types the size expression of d's variable array, if any, and
+// when it is an integer constant expression after all (such as sizeof of
+// a non-VLA operand, C11 §6.6:6, which the parser cannot size without
+// types) gives d the fixed array type.
+func (c *checker) vlaSize(d *cast.Decl) error {
+	if !d.Type.VLA || d.VLASize == nil {
+		return nil
+	}
+	if _, err := c.expr(d.VLASize); err != nil {
+		return err
+	}
+	if !d.VLASize.Type().IsInteger() {
+		return c.errorf(d.P, "VLA size has non-integer type %s", d.VLASize.Type())
+	}
+	if n, err := cast.FoldInt(c.model, d.VLASize); err == nil {
+		d.Type = ctypes.ArrayOf(d.Type.Elem, n.Int64()).Qualified(d.Type.Qual)
+		d.VLASize = nil
+	}
+	return nil
+}
+
 // localDecl checks a block-scope declaration.
 func (c *checker) localDecl(d *cast.Decl) error {
+	if err := c.vlaSize(d); err != nil {
+		return err
+	}
 	c.checkDeclType(d)
 	if d.Type.Kind == ctypes.Func {
 		// Block-scope function declaration.
@@ -391,14 +421,6 @@ func (c *checker) localDecl(d *cast.Decl) error {
 		return nil
 	}
 	if d.Type.VLA {
-		if d.VLASize != nil {
-			if _, err := c.expr(d.VLASize); err != nil {
-				return err
-			}
-			if !d.VLASize.Type().IsInteger() {
-				return c.errorf(d.P, "VLA size has non-integer type %s", d.VLASize.Type())
-			}
-		}
 		if d.Init != nil {
 			return c.errorf(d.P, "variable length array may not be initialized")
 		}

@@ -404,6 +404,28 @@ int main(void) {
 	if !found {
 		t.Errorf("expected GotoIntoVLAScope at the case on line 6, got %v", prog.StaticUB)
 	}
+	// A for's init clause declares before its body (C11 §6.8.5:5): a
+	// goto into the body enters the scope of a VLA the clause declares.
+	prog = check(t, `
+int main(void) {
+	int n = 2;
+	goto in;
+	for (int a[n], i = 0; i < 1; i++) {
+in:		a[0] = 1;
+		return a[0];
+	}
+	return 0;
+}
+`)
+	found = false
+	for _, e := range prog.StaticUB {
+		if e.Behavior == ub.GotoIntoVLAScope && e.Pos.Line == 4 {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("expected GotoIntoVLAScope at the goto on line 4, got %v", prog.StaticUB)
+	}
 	// A goto within the VLA's own block does not enter its scope.
 	prog = check(t, `
 int main(void) {

@@ -133,11 +133,11 @@ func (c *checker) stmt(s cast.Stmt) error {
 		if _, err := c.expr(s.Expr); err != nil {
 			return err
 		}
-		v, err := c.foldInt(s.Expr)
+		v, err := cast.FoldInt(c.model, s.Expr)
 		if err != nil {
 			return c.errorf(s.P, "case label is not constant: %v", err)
 		}
-		s.Value = v
+		s.Value = v.Int64()
 		sw := c.switches[len(c.switches)-1]
 		sw.Cases = append(sw.Cases, s)
 		return c.stmt(s.Stmt)
@@ -195,130 +195,4 @@ func (c *checker) stmt(s cast.Stmt) error {
 		return c.checkAssignable(ret, s.X, s.P)
 	}
 	return c.errorf(s.Pos(), "unhandled statement %T", s)
-}
-
-// foldInt evaluates an integer constant expression on the checked AST (case
-// labels and similar contexts).
-func (c *checker) foldInt(e cast.Expr) (int64, error) {
-	switch e := e.(type) {
-	case *cast.IntLit:
-		return int64(e.Value), nil
-	case *cast.Unary:
-		x, err := c.foldInt(e.X)
-		if err != nil {
-			return 0, err
-		}
-		switch e.Op {
-		case cast.UNeg:
-			return -x, nil
-		case cast.UPlus:
-			return x, nil
-		case cast.UCompl:
-			return ^x, nil
-		case cast.UNot:
-			if x == 0 {
-				return 1, nil
-			}
-			return 0, nil
-		}
-	case *cast.Binary:
-		x, err := c.foldInt(e.X)
-		if err != nil {
-			return 0, err
-		}
-		y, err := c.foldInt(e.Y)
-		if err != nil {
-			return 0, err
-		}
-		b2i := func(b bool) int64 {
-			if b {
-				return 1
-			}
-			return 0
-		}
-		switch e.Op {
-		case cast.BAdd:
-			return x + y, nil
-		case cast.BSub:
-			return x - y, nil
-		case cast.BMul:
-			return x * y, nil
-		case cast.BDiv:
-			if y == 0 {
-				return 0, c.errorf(e.P, "division by zero in constant")
-			}
-			return x / y, nil
-		case cast.BRem:
-			if y == 0 {
-				return 0, c.errorf(e.P, "remainder by zero in constant")
-			}
-			return x % y, nil
-		case cast.BShl:
-			return x << (uint64(y) & 63), nil
-		case cast.BShr:
-			return x >> (uint64(y) & 63), nil
-		case cast.BAnd:
-			return x & y, nil
-		case cast.BOr:
-			return x | y, nil
-		case cast.BXor:
-			return x ^ y, nil
-		case cast.BEq:
-			return b2i(x == y), nil
-		case cast.BNe:
-			return b2i(x != y), nil
-		case cast.BLt:
-			return b2i(x < y), nil
-		case cast.BGt:
-			return b2i(x > y), nil
-		case cast.BLe:
-			return b2i(x <= y), nil
-		case cast.BGe:
-			return b2i(x >= y), nil
-		case cast.BLogAnd:
-			return b2i(x != 0 && y != 0), nil
-		case cast.BLogOr:
-			return b2i(x != 0 || y != 0), nil
-		}
-	case *cast.Cond:
-		cv, err := c.foldInt(e.C)
-		if err != nil {
-			return 0, err
-		}
-		if cv != 0 {
-			return c.foldInt(e.Then)
-		}
-		return c.foldInt(e.Else)
-	case *cast.Cast:
-		if e.To.IsInteger() {
-			x, err := c.foldInt(e.X)
-			if err != nil {
-				return 0, err
-			}
-			return int64(c.model.Wrap(e.To, uint64(x))), nil
-		}
-	case *cast.SizeofType:
-		if e.IsAlign {
-			a, err := c.model.AlignOf(e.Of)
-			if err != nil {
-				return 0, c.errorf(e.Pos(), "alignof: %v", err)
-			}
-			return a, nil
-		}
-		n, err := c.model.SizeOf(e.Of)
-		if err != nil {
-			return 0, c.errorf(e.Pos(), "sizeof: %v", err)
-		}
-		return n, nil
-	case *cast.SizeofExpr:
-		t := e.X.Type()
-		if t != nil && t.IsComplete() {
-			n, err := c.model.SizeOf(t)
-			if err != nil {
-				return 0, c.errorf(e.Pos(), "sizeof: %v", err)
-			}
-			return n, nil
-		}
-	}
-	return 0, c.errorf(e.Pos(), "not an integer constant expression")
 }
