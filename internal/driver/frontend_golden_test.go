@@ -45,6 +45,48 @@ var parserSeeds = []string{
 	`struct s { unsigned f : -1U / 2147483647U; }; int main(void) { struct s x; x.f = 7; return x.f; }`,
 }
 
+// hardUnits are units whose leading includes interact with the rest of
+// the unit: a macro defined before the include, a redeclared, defined or
+// referenced-before-defined library function, a repeated or late
+// include, an order of headers the suites do not use, comments and
+// line endings before or between the includes.
+var hardUnits = []struct{ name, src string }{
+	{"ndebug_before_assert", "#define NDEBUG\n#include <assert.h>\nint main(void) { assert(0); return 0; }\n"},
+	{"assert_without_ndebug", "#include <assert.h>\nint main(void) { int x = 1; assert(x == 1); return 0; }\n"},
+	{"size_t_macro_before_stddef", "#define size_t int\n#include <stddef.h>\nint main(void) { size_t x = 1; return x - 1; }\n"},
+	{"redeclare_malloc", "#include <stdlib.h>\nvoid *malloc(size_t);\nint main(void) { int *p = malloc(sizeof *p); *p = 0; int r = *p; free(p); return r; }\n"},
+	{"old_style_abs", "#include <stdlib.h>\nint abs();\nint main(void) { return abs(-1) - 1; }\n"},
+	{"old_style_abs_first", "int abs();\n#include <stdlib.h>\nint main(void) { return abs(-1) - 1; }\n"},
+	{"define_abs", "#include <stdlib.h>\nint abs(int j) { return j < 0 ? -j : j; }\nint main(void) { return abs(-3) - 3; }\n"},
+	{"use_abs_then_define", "#include <stdlib.h>\nint main(void) { return abs(-3) - 3; }\nint abs(int j) { return j < 0 ? -j : j; }\n"},
+	{"define_abs_twice", "#include <stdlib.h>\nint abs(int j) { return j; }\nint abs(int j) { return -j; }\nint main(void) { return 0; }\n"},
+	{"conflicting_printf", "#include <stdio.h>\nint printf(int);\nint main(void) { return 0; }\n"},
+	{"extern_printf", "#include <stdio.h>\nextern int printf(const char *, ...);\nint main(void) { printf(\"%d\\n\", 1); return 0; }\n"},
+	{"printf_pointer", "#include <stdio.h>\nint (*pf)(const char *, ...) = printf;\nint main(void) { pf(\"x\\n\"); return 0; }\n"},
+	{"block_scope_redeclare", "#include <stdlib.h>\nint main(void) { int abs(int); void *malloc(size_t); return abs(0); }\n"},
+	{"shadow_size_t", "#include <stddef.h>\nint main(void) { int size_t = 3; return size_t - 3; }\n"},
+	{"stdio_twice", "#include <stdio.h>\n#include <stdio.h>\nint main(void) { printf(\"hi\\n\"); return 0; }\n"},
+	{"include_after_decl", "int x;\n#include <stdio.h>\nint main(void) { printf(\"%d\\n\", x); return 0; }\n"},
+	{"include_after_run", "#include <stdio.h>\nint x;\n#include <stdlib.h>\nint main(void) { return abs(x); }\n"},
+	{"define_between_includes", "#include <stdio.h>\n#define NDEBUG\n#include <assert.h>\nint main(void) { assert(0); puts(\"ok\"); return 0; }\n"},
+	{"string_before_stdio", "#include <string.h>\n#include <stdio.h>\nint main(void) { char b[8]; strcpy(b, \"ok\"); puts(b); return (int)strlen(b) - 2; }\n"},
+	{"comment_first", "/* salt 1 */\n// a line comment\n#include <stdio.h>\n/* between */ #include <stdlib.h>\nint main(void) { printf(\"x\\n\"); return 0; }\n"},
+	{"comments_in_run", "  /* a\n   b */ #include <stdio.h> // trailing\n\n#include \"stdlib.h\"\n\nint main(void) { puts(\"y\"); return EXIT_SUCCESS; }\n"},
+	{"spaced_include", "# include < stdio.h >\nint main(void) { return 0; }\n"},
+	{"spliced_include", "#include <std\\\nio.h>\nint main(void) { puts(\"z\"); return 0; }\n"},
+	{"crlf_lines", "#include <stdio.h>\r\n#include <stdint.h>\r\nint main(void) {\r\n  int64_t v = 8;\r\n  printf(\"%d\\n\", (int)sizeof v);\r\n  return 0;\r\n}\r\n"},
+	{"undef_null", "#include <stdio.h>\n#undef NULL\n#define NULL 0\nint main(void) { int *p = NULL; return p != NULL; }\n"},
+	{"limits_stdint", "#include <limits.h>\n#include <stdint.h>\nint main(void) { long m = LONG_MAX; int64_t v = INT64_MAX; return (m > 0) - (v > 0); }\n"},
+	{"headers_only", "#include <stdio.h>\n#include <stdlib.h>\n"},
+	{"macro_headers_only", "#include <stdbool.h>\n#include <limits.h>\nbool b = true;\nint main(void) { return b && INT_MAX > 0 ? 0 : 1; }\n"},
+	{"parse_error_after_run", "#include <stdio.h>\nint main(void) { return 0 }\n"},
+	{"undeclared_after_run", "#include <stdio.h>\nint main(void) { return nosuch(1); }\n"},
+	{"static_ub_after_run", "#include <stdio.h>\nint a[0];\nint main(void) { return 0; }\n"},
+	{"unterminated_if_after_run", "#include <stdio.h>\n#if 1\nint main(void) { return 0; }\n"},
+	{"counter_after_run", "#include <stdio.h>\nint a = __COUNTER__, b = __COUNTER__;\nint main(void) { return a + b - 1; }\n"},
+	{"line_after_run", "#include <stdlib.h>\n\n\n\nint main(void) { return __LINE__ - 5; }\n"},
+}
+
 type frontendUnit struct{ id, src, file string }
 
 // frontendUnits lists every pinned unit: the Juliet and own suites, the
@@ -60,6 +102,9 @@ func frontendUnits(t *testing.T) []frontendUnit {
 	}
 	for _, c := range suite.Torture() {
 		us = append(us, frontendUnit{"torture/" + c.Name, c.Source, c.Name + ".c"})
+	}
+	for _, h := range hardUnits {
+		us = append(us, frontendUnit{"hard/" + h.name, h.src, h.name + ".c"})
 	}
 	for i, s := range parserSeeds {
 		us = append(us, frontendUnit{"fuzz/parser#" + strconv.Itoa(i), s, "fuzz.c"})
