@@ -135,6 +135,10 @@ type Type struct {
 	// to (C11 §6.3.2.1). Filled at construction — before the type is
 	// shared — so Decay never allocates on the interpreter's access path.
 	decayed *Type
+
+	// negLen is the negative constant length an array declarator gave
+	// (see NegativeArrayOf), kept by a parameter's adjusted pointer.
+	negLen int64
 }
 
 // Predeclared basic types (unqualified). Use Qualified to add qualifiers.
@@ -214,6 +218,39 @@ func PointerTo(elem *Type) *Type { return &Type{Kind: Ptr, Elem: elem} }
 // ArrayOf returns an array type of n elements of elem; n < 0 for incomplete.
 func ArrayOf(elem *Type, n int64) *Type {
 	return &Type{Kind: Array, Elem: elem, ArrayLen: n, decayed: &Type{Kind: Ptr, Elem: elem}}
+}
+
+// NegativeArrayOf returns the type of an array declared with the negative
+// constant length n, which C11 §6.7.6.2:1 forbids: an array of length 0
+// that remembers n, so the static check reports it (see NegativeLen).
+func NegativeArrayOf(elem *Type, n int64) *Type {
+	t := ArrayOf(elem, 0)
+	t.negLen = n
+	return t
+}
+
+// NegativeLen is the negative length t was declared with: for an array
+// from NegativeArrayOf, or for the pointer a parameter declared as such an
+// array is adjusted to (AdjustParam). It is 0 for every other type.
+func (t *Type) NegativeLen() int64 { return t.negLen }
+
+// AdjustParam returns the type a parameter declared with type t has
+// (C11 §6.7.6.3:7-8): an array becomes a pointer to its element, with the
+// array's qualifiers, and a function a pointer to it.
+func AdjustParam(t *Type) *Type {
+	switch t.Kind {
+	case Array:
+		p := PointerTo(t.Elem).Qualified(t.Qual)
+		if t.negLen < 0 {
+			c := *p
+			c.negLen = t.negLen
+			return &c
+		}
+		return p
+	case Func:
+		return PointerTo(t)
+	}
+	return t
 }
 
 // FuncType returns a function type.

@@ -87,6 +87,15 @@ var hardUnits = []struct{ name, src string }{
 	{"line_after_run", "#include <stdlib.h>\n\n\n\nint main(void) { return __LINE__ - 5; }\n"},
 }
 
+// arrayUnits declare arrays of negative constant length, which C11
+// §6.7.6.2:1 forbids: each is static UB 00069, like a zero length.
+var arrayUnits = []struct{ name, src string }{
+	{"negative_file_scope", "int a[-1];\nint main(void) { return 0; }\n"},
+	{"negative_block_scope", "int main(void) { int a[-2]; a[0] = 1; return 0; }\n"},
+	{"negative_folded", "int a[1-2];\nint main(void) { return 0; }\n"},
+	{"negative_parameter", "int f(int p[-1]) { return p != 0; }\nint main(void) { return f(0); }\n"},
+}
+
 type frontendUnit struct{ id, src, file string }
 
 // frontendUnits lists every pinned unit: the Juliet and own suites, the
@@ -105,6 +114,9 @@ func frontendUnits(t *testing.T) []frontendUnit {
 	}
 	for _, h := range hardUnits {
 		us = append(us, frontendUnit{"hard/" + h.name, h.src, h.name + ".c"})
+	}
+	for _, a := range arrayUnits {
+		us = append(us, frontendUnit{"array/" + a.name, a.src, a.name + ".c"})
 	}
 	for i, s := range parserSeeds {
 		us = append(us, frontendUnit{"fuzz/parser#" + strconv.Itoa(i), s, "fuzz.c"})

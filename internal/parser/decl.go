@@ -464,6 +464,7 @@ type declOp struct {
 	kind     ctypes.Kind  // Ptr, Array or Func
 	quals    ctypes.Quals // Ptr
 	n        int64        // Array: length, -1 if incomplete
+	negative int64        // Array: the length, when a constant below zero
 	vla      bool         // Array
 	params   []ctypes.Param
 	variadic bool
@@ -491,7 +492,11 @@ func (p *Parser) declarator(base *ctypes.Type) (string, *ctypes.Type, token.Pos,
 			if ty.Kind == ctypes.Func {
 				return "", nil, pos, p.errorf(op.pos, "array of functions")
 			}
-			ty = ctypes.ArrayOf(ty, op.n)
+			if op.negative < 0 {
+				ty = ctypes.NegativeArrayOf(ty, op.negative)
+			} else {
+				ty = ctypes.ArrayOf(ty, op.n)
+			}
 			ty.VLA = op.vla
 		case ctypes.Func:
 			if ty.Kind == ctypes.Func {
@@ -569,7 +574,7 @@ func (p *Parser) declaratorOps() (string, cast.Expr, error) {
 				p.at(token.KwRestrict) || p.at(token.KwStatic) {
 				p.next()
 			}
-			var n int64 = -1
+			var n, negative int64 = -1, 0
 			var isVLA bool
 			var sizeExpr cast.Expr
 			switch {
@@ -585,6 +590,9 @@ func (p *Parser) declaratorOps() (string, cast.Expr, error) {
 				}
 				if v, err := cast.FoldInt(p.model, e); err == nil {
 					n = v.Int64()
+					if n < 0 && v.T.IsSigned(p.model) {
+						n, negative = 0, n
+					}
 				} else {
 					isVLA = true
 					sizeExpr = e
@@ -599,7 +607,7 @@ func (p *Parser) declaratorOps() (string, cast.Expr, error) {
 				}
 				vlaExpr = sizeExpr
 			}
-			p.ops = append(p.ops, declOp{kind: ctypes.Array, n: n, vla: isVLA, pos: lb.Pos})
+			p.ops = append(p.ops, declOp{kind: ctypes.Array, n: n, negative: negative, vla: isVLA, pos: lb.Pos})
 		case p.at(token.LParen):
 			lp := p.next()
 			params, variadic, oldStyle, err := p.parameterList()
@@ -664,14 +672,7 @@ func (p *Parser) parameterList() ([]ctypes.Param, bool, bool, error) {
 			p.pendingVLA = nil
 			return nil, false, false, p.errorf(pos, "variable length array parameters are not supported")
 		}
-		// Parameter type adjustments (C11 §6.7.6.3:7-8).
-		switch ty.Kind {
-		case ctypes.Array:
-			ty = ctypes.PointerTo(ty.Elem).Qualified(ty.Qual)
-		case ctypes.Func:
-			ty = ctypes.PointerTo(ty)
-		}
-		params = append(params, ctypes.Param{Name: name, Type: ty})
+		params = append(params, ctypes.Param{Name: name, Type: ctypes.AdjustParam(ty)})
 		if name != "" {
 			p.names.Declare(name, nameInfo{kind: nameOrdinary})
 		}

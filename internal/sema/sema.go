@@ -214,12 +214,20 @@ func (c *checker) checkTypeUB(t *ctypes.Type, pos token.Pos, name string) {
 		switch t.Kind {
 		case ctypes.Array:
 			// C11 §6.7.6.2: array length must be greater than zero.
-			if t.ArrayLen == 0 && !t.VLA {
+			if n := t.NegativeLen(); n < 0 {
+				c.staticUB(ub.ArrayNotPositive, pos,
+					"Array %q declared with negative length %d", name, n)
+			} else if t.ArrayLen == 0 && !t.VLA {
 				c.staticUB(ub.ArrayNotPositive, pos,
 					"Array %q declared with zero length", name)
 			}
 			walk(t.Elem)
 		case ctypes.Ptr:
+			// A parameter declared as an array of negative length.
+			if n := t.NegativeLen(); n < 0 {
+				c.staticUB(ub.ArrayNotPositive, pos,
+					"Parameter array of %q declared with negative length %d", name, n)
+			}
 			walk(t.Elem)
 		case ctypes.Func:
 			// C11 §6.7.3:9: qualified function types are undefined.

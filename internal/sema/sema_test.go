@@ -132,6 +132,25 @@ func TestStaticUBZeroArray(t *testing.T) {
 	}
 }
 
+// TestStaticUBNegativeArray checks that a negative constant length is
+// static UB like a zero one, at file and block scope and on a parameter,
+// where the adjustment to a pointer would otherwise drop it.
+func TestStaticUBNegativeArray(t *testing.T) {
+	for _, src := range []string{
+		"int a[-1];",
+		"int main(void) { int a[-2]; return 0; }",
+		"int a[1-2];",
+		"int f(int p[-1]) { return 0; }",
+		"int g(int p[-1]);",
+	} {
+		prog := check(t, src)
+		if len(prog.StaticUB) != 1 || prog.StaticUB[0].Behavior != ub.ArrayNotPositive ||
+			!strings.Contains(prog.StaticUB[0].Msg, "negative length") {
+			t.Errorf("%s: StaticUB = %v", src, prog.StaticUB)
+		}
+	}
+}
+
 func TestStaticUBQualifiedFunc(t *testing.T) {
 	prog := check(t, "typedef int F(void); const F f;")
 	found := false
