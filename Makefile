@@ -66,7 +66,9 @@ test:
 # unit (tokens stream into the parser, declarators are a value stack and
 # scopes one binding table), the whole frontend must
 # reproduce its pinned artifact encoding for every suite, torture and
-# fuzz-seed unit under LP64 and ILP32, and the chaos run
+# fuzz-seed unit under LP64 and ILP32 and stay under its pinned heap
+# objects per suite unit (units continue from the shared prelude of their
+# leading includes), and the chaos run
 # finishes by SIGKILLing a shard under a pinned trace id and asserting
 # GET /v1/trace/{id} assembles one Chrome trace with the router's failed
 # forward + backoff spans and spans from the surviving shard processes.
@@ -91,7 +93,7 @@ check: test
 	go test ./internal/cpp/ -run 'TestCPPOutputGolden|TestCPPLinear|TestCPPAllocsPerUnit' -count=1
 	go test -race ./internal/cpp/ -run TestCPPConcurrentGolden -count=1
 	go test ./internal/parser/ ./internal/sema/ -run 'TestParserAllocsPerUnit|TestSemaAllocsPerUnit' -count=1
-	go test ./internal/driver/ -run TestFrontendGolden -count=1
+	go test ./internal/driver/ -run 'TestFrontendGolden|TestCompileAllocsPerUnit' -count=1
 	go test ./internal/interp/ -run '^$$' -bench BenchmarkObserverOverhead -benchtime 100x
 	go test ./internal/obs/ -run '^$$' -bench BenchmarkSpanOverhead -benchtime 100x
 	go test ./cmd/ubsuite/ -run TestContainmentGate -count=1

@@ -13,6 +13,9 @@ import "repro/internal/cpp"
 // Resolver serves the built-in headers.
 func Resolver() cpp.Resolver { return builtin }
 
+// Lead returns src's leading run of includes of the built-in headers.
+func Lead(src string) cpp.Lead { return builtin.Lead(src) }
+
 var builtin = cpp.NewHeaderSet(headers)
 
 // headers maps header names to their contents. An edit must keep the

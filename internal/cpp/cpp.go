@@ -2,6 +2,7 @@ package cpp
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -100,9 +101,70 @@ func NewHeaderSet(headers map[string]string) *HeaderSet {
 	h := &HeaderSet{text: make(map[string]string, len(headers)), toks: make(map[string][]ppTok, len(headers))}
 	for name, content := range headers {
 		h.text[name] = content
-		h.toks[name] = scan(content, name)
+		h.toks[name] = scan(newPPScanner(content, name))
 	}
 	return h
+}
+
+// Lead finds src's leading run of includes of headers in h. Only the
+// plain form of an #include line counts: "name" or <name>, with nothing
+// between the brackets but the name's own tokens, then the end of the
+// line. Any other line, a macro definition included, ends the run.
+func (h *HeaderSet) Lead(src string) Lead {
+	sc := newPPScanner(src, "")
+	var lead Lead
+	for {
+		switch t := sc.next(); {
+		case t.isPunct("\n"):
+		case t.isPunct("#") && t.bol:
+			name, ok := h.includeLine(&sc)
+			if !ok {
+				return lead
+			}
+			lead.Headers = append(lead.Headers, name)
+			lead.off, lead.lines = sc.off, sc.line-1
+		default:
+			return lead
+		}
+	}
+}
+
+// includeLine reads the rest of a directive line whose '#' sc has just
+// read, and returns the header it includes if it is a plain #include of
+// a header in h.
+func (h *HeaderSet) includeLine(sc *ppScanner) (string, bool) {
+	if t := sc.next(); !t.isIdent("include") {
+		return "", false
+	}
+	var name string
+	switch t := sc.next(); {
+	case t.kind == ppString:
+		var err error
+		if name, err = strconv.Unquote(t.text); err != nil {
+			return "", false
+		}
+	case t.isPunct("<"):
+		// The name is the source between the brackets: the tokens'
+		// texts run together, as include spells it, when no whitespace
+		// or splice separates them, and no header name has either.
+		start, end := sc.off, sc.off
+		for t = sc.next(); !t.isPunct(">"); t = sc.next() {
+			if t.kind == ppEOF || t.isPunct("\n") || t.ws {
+				return "", false
+			}
+			end = sc.off
+		}
+		name = sc.src[start:end]
+	default:
+		return "", false
+	}
+	if _, ok := h.toks[name]; !ok {
+		return "", false
+	}
+	if t := sc.next(); !t.isPunct("\n") && t.kind != ppEOF {
+		return "", false
+	}
+	return name, true
 }
 
 // Resolve implements Resolver. Like MapResolver, it serves both the
@@ -129,7 +191,7 @@ func resolveTokens(r Resolver, name string, system bool, fromDir string) ([]ppTo
 	if err != nil {
 		return nil, "", err
 	}
-	return scan(content, path), path, nil
+	return scan(newPPScanner(content, path)), path, nil
 }
 
 // Macro is a preprocessor macro definition. Macros are never changed once
@@ -163,8 +225,10 @@ type frame struct {
 type Preprocessor struct {
 	resolver Resolver
 	// macros holds the unit's definitions, and a nil entry for each name
-	// it #undefs; both shadow the shared predefined table.
+	// it #undefs; both shadow shared, the table under them: the
+	// predefined macros, or a prelude's.
 	macros map[string]*Macro
+	shared map[string]*Macro
 	conds  []condState
 	// stack is the token worklist: the next token is the top frame's next
 	// token. Pushing an include or a macro replacement costs as much as
@@ -189,7 +253,8 @@ var includeEnd = []ppTok{{kind: ppIncludeEnd}}
 // New returns a preprocessor resolving includes through r (FSResolver and
 // the built-in libc headers are sensible defaults; see Preprocess).
 func New(r Resolver) *Preprocessor {
-	return &Preprocessor{resolver: r, macros: make(map[string]*Macro)}
+	return &Preprocessor{resolver: r, macros: make(map[string]*Macro), shared: predefined,
+		stack: make([]frame, 0, 16)}
 }
 
 // Preprocess runs src (named file) through a fresh preprocessor with the
@@ -274,12 +339,12 @@ func (pp *Preprocessor) Define(d string) error {
 func (pp *Preprocessor) Undef(name string) { pp.macros[name] = nil }
 
 // macro returns the definition of name, or nil. The unit's definitions,
-// and the nil entries its #undefs leave, shadow the predefined table.
+// and the nil entries its #undefs leave, shadow the shared table.
 func (pp *Preprocessor) macro(name string) *Macro {
 	if m, ok := pp.macros[name]; ok {
 		return m
 	}
-	return predefined[name]
+	return pp.shared[name]
 }
 
 func (pp *Preprocessor) errorf(t ppTok, format string, args ...any) error {
@@ -288,40 +353,108 @@ func (pp *Preprocessor) errorf(t ppTok, format string, args ...any) error {
 
 // Run preprocesses src and returns the expanded translation unit.
 func (pp *Preprocessor) Run(src, file string) (string, error) {
-	if pp.stack == nil {
-		pp.stack = make([]frame, 0, 16)
-	}
-	pp.stack = append(pp.stack[:0], frame{toks: scan(src, file)})
-	pp.base = 0
-	pp.outFile = ""
-	pp.outLine = 0
 	// Most units include a header or two: leave room for their text.
-	pp.out.Grow(len(src) + 1024)
+	return pp.runFile(newPPScanner(src, file), len(src)+1024)
+}
+
+// Lead is the leading run of a unit: the #include lines at its start,
+// with only whitespace and comments before and between them, of headers
+// that one HeaderSet serves (HeaderSet.Lead). The zero Lead is the empty
+// run of any unit.
+type Lead struct {
+	// Headers are the included names, in order.
+	Headers []string
+	// off and lines are where the rest of the unit starts: a byte offset
+	// into its text (CRLF line ends read as LF) and the number of lines
+	// before it.
+	off, lines int
+}
+
+// Prelude is the state a preprocessor is in after a unit's leading run:
+// every macro then defined, over the predefined ones, and where its
+// output stands. It is only read, so all the units that start with one
+// run, under one set of definitions, share it.
+type Prelude struct {
+	macros  map[string]*Macro
+	outFile string
+	outLine int
+	counter int
+}
+
+// Prelude includes headers, in order, and returns the state that leaves
+// pp in and the text it emitted. Make pp's own definitions (Define,
+// Undef) first: the prelude holds them, and a preprocessor RunAfter
+// starts from it needs none of its own.
+func (pp *Preprocessor) Prelude(headers []string) (*Prelude, string, error) {
+	var src strings.Builder
+	for _, h := range headers {
+		src.WriteString("#include " + strconv.Quote(h) + "\n")
+	}
+	pp.stack = append(pp.stack, frame{toks: scan(newPPScanner(src.String(), "<prelude>"))})
+	if err := pp.run(); err != nil {
+		return nil, "", err
+	}
+	macros := maps.Clone(pp.shared)
+	for name, m := range pp.macros {
+		if m == nil {
+			delete(macros, name)
+		} else {
+			macros[name] = m
+		}
+	}
+	pre := &Prelude{macros: macros, outFile: pp.outFile, outLine: pp.outLine, counter: pp.counter}
+	return pre, strings.Clone(pp.out.String()), nil
+}
+
+// RunAfter preprocesses what follows lead in src, starting from pre, the
+// prelude of lead's headers. The result is what Run returns for src with
+// the prelude's text cut off its front.
+func (pp *Preprocessor) RunAfter(pre *Prelude, lead Lead, src, file string) (string, error) {
+	pp.shared, pp.outFile, pp.outLine, pp.counter = pre.macros, pre.outFile, pre.outLine, pre.counter
+	sc := newPPScanner(src, file)
+	sc.off, sc.line = lead.off, 1+lead.lines
+	// Leave room for the rest of the unit and its line markers.
+	return pp.runFile(sc, len(sc.src)-lead.off+256)
+}
+
+// runFile preprocesses the tokens sc scans and returns the output,
+// growing it to room bytes first.
+func (pp *Preprocessor) runFile(sc ppScanner, room int) (string, error) {
+	pp.stack = append(pp.stack, frame{toks: scan(sc)})
+	pp.out.Grow(room)
+	if err := pp.run(); err != nil {
+		return "", err
+	}
+	pp.out.WriteByte('\n')
+	// Copy out the text: compiled programs keep substrings of it, and
+	// they should not keep the builder's spare capacity.
+	return strings.Clone(pp.out.String()), nil
+}
+
+// run preprocesses the worklist to its end.
+func (pp *Preprocessor) run() error {
 	for {
 		t := pp.next()
 		switch {
 		case t.kind == ppEOF:
 			if len(pp.conds) > 0 {
 				c := pp.conds[len(pp.conds)-1]
-				return "", &Error{File: c.file, Line: c.line, Msg: "unterminated #if"}
+				return &Error{File: c.file, Line: c.line, Msg: "unterminated #if"}
 			}
-			pp.out.WriteByte('\n')
-			// Copy out the text: compiled programs keep substrings of it,
-			// and they should not keep the builder's spare capacity.
-			return strings.Clone(pp.out.String()), nil
+			return nil
 		case t.kind == ppIncludeEnd:
 			pp.depth--
 		case t.isPunct("\n"):
 		case t.isPunct("#") && t.bol:
 			if err := pp.directive(t); err != nil {
-				return "", err
+				return err
 			}
 		case !pp.active():
 			pp.takeLine()
 		default:
 			e, err := pp.expand(t)
 			if err != nil {
-				return "", err
+				return err
 			}
 			if e != nil {
 				pp.emit(e)
@@ -330,10 +463,9 @@ func (pp *Preprocessor) Run(src, file string) (string, error) {
 	}
 }
 
-// scan tokenizes one file, without its EOF.
-func scan(src, file string) []ppTok {
-	sc := newPPScanner(src, file)
-	toks := make([]ppTok, 0, len(src)/ppBytesPerToken+1)
+// scan tokenizes the rest of sc's file, without its EOF.
+func scan(sc ppScanner) []ppTok {
+	toks := make([]ppTok, 0, (len(sc.src)-sc.off)/ppBytesPerToken+1)
 	for {
 		t := sc.next()
 		if t.kind == ppEOF {

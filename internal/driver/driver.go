@@ -31,6 +31,10 @@ type Options struct {
 	Injector *fault.Injector
 }
 
+// defaultResolvers resolves #include when Options.Includes is nil: the
+// built-in headers, then the file system.
+var defaultResolvers = cpp.ChainResolver{cheaders.Resolver(), cpp.FSResolver{}}
+
 // Compile preprocesses, parses, and type-checks one C source file. A panic
 // anywhere in the frontend is contained and returned as a
 // *fault.InternalError for stage "compile" — one broken translation unit
@@ -44,29 +48,31 @@ func Compile(src, file string, opts Options) (prog *sema.Program, err error) {
 	if model == nil {
 		model = ctypes.LP64()
 	}
-	resolvers := cpp.ChainResolver{cheaders.Resolver()}
+	// The unit continues from the prelude of its leading includes. When
+	// there is none (it does not build, or the table is full), the unit
+	// compiles from its whole text: it continues the empty prelude.
+	lead := cheaders.Lead(src)
+	pre, err := preludeFor(model, opts.Defines, lead.Headers)
+	if pre == nil && len(lead.Headers) > 0 {
+		lead = cpp.Lead{}
+		pre, err = preludeFor(model, opts.Defines, nil)
+	}
+	if err != nil {
+		return nil, err
+	}
+	resolvers := defaultResolvers
 	if opts.Includes != nil {
-		resolvers = append(resolvers, opts.Includes)
+		resolvers = cpp.ChainResolver{cheaders.Resolver(), opts.Includes, cpp.FSResolver{}}
 	}
-	resolvers = append(resolvers, cpp.FSResolver{})
-	pp := cpp.New(resolvers)
-	if *model != lp64 {
-		defineModel(pp, model)
-	}
-	for _, d := range opts.Defines {
-		// A malformed definition, such as one whose name is not an
-		// identifier, could never be expanded; it is skipped.
-		_ = pp.Define(d)
-	}
-	expanded, err := pp.Run(src, file)
+	expanded, err := cpp.New(resolvers).RunAfter(pre.cpp, lead, src, file)
 	if err != nil {
 		return nil, fmt.Errorf("preprocess: %w", err)
 	}
-	tu, err := parser.Parse(expanded, file, model)
+	tu, err := parser.ParseAfter(pre.parser, expanded, file, model)
 	if err != nil {
 		return nil, fmt.Errorf("parse: %w", err)
 	}
-	prog, err = sema.Check(tu, model)
+	prog, err = sema.CheckAfter(pre.sema, tu, model)
 	if err != nil {
 		return nil, fmt.Errorf("typecheck: %w", err)
 	}

@@ -17,6 +17,7 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/ctypes"
 	"repro/internal/driver"
+	"repro/internal/sema"
 	"repro/internal/suite"
 )
 
@@ -162,8 +163,12 @@ const goldenFormat = 3
 // frontendDigest compiles u under m and hashes the encoded artifact, or the
 // error text for a unit the frontend rejects.
 func frontendDigest(u frontendUnit, m *ctypes.Model) string {
+	return digest(driver.Compile(u.src, u.file, driver.Options{Model: m}))
+}
+
+// digest hashes a compile's encoded artifact, or its error text.
+func digest(prog *sema.Program, err error) string {
 	var out []byte
-	prog, err := driver.Compile(u.src, u.file, driver.Options{Model: m})
 	if err == nil {
 		out, err = artifact.Encode(prog)
 	}
@@ -205,6 +210,22 @@ func TestFrontendGolden(t *testing.T) {
 		}
 		return
 	}
+	want := readGolden(t)
+	if len(want) != len(got) {
+		t.Errorf("golden has %d entries, units × models are %d", len(want), len(got))
+	}
+	for id, sum := range got {
+		if w, ok := want[id]; !ok {
+			t.Errorf("%s: no golden entry", id)
+		} else if sum != w {
+			t.Errorf("%s: artifact digest %s, golden %s", id, sum, w)
+		}
+	}
+}
+
+// readGolden reads the pinned digests, by "MODEL unit-id".
+func readGolden(t *testing.T) map[string]string {
+	t.Helper()
 	f, err := os.Open(frontendGoldenPath)
 	if err != nil {
 		t.Fatal(err)
@@ -222,14 +243,5 @@ func TestFrontendGolden(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if len(want) != len(got) {
-		t.Errorf("golden has %d entries, units × models are %d", len(want), len(got))
-	}
-	for id, sum := range got {
-		if w, ok := want[id]; !ok {
-			t.Errorf("%s: no golden entry", id)
-		} else if sum != w {
-			t.Errorf("%s: artifact digest %s, golden %s", id, sum, w)
-		}
-	}
+	return want
 }

@@ -38,8 +38,17 @@ type Lexer struct {
 // New returns a lexer for src. file is used for positions until the first
 // line marker overrides it.
 func New(src, file string) *Lexer {
-	return &Lexer{src: src, file: file, line: 1, col: 1}
+	return NewAt(src, token.Pos{File: file, Line: 1, Col: 1})
 }
+
+// NewAt returns a lexer for src that starts at position at: the lexer of
+// a text that continues another, from where that one's Pos stood.
+func NewAt(src string, at token.Pos) *Lexer {
+	return &Lexer{src: src, file: at.File, line: at.Line, col: at.Col}
+}
+
+// Pos is the position of the lexer's next byte of input.
+func (lx *Lexer) Pos() token.Pos { return lx.pos() }
 
 // Tokens scans the entire input and returns all tokens (excluding EOF).
 func Tokens(src, file string) ([]token.Token, error) {
@@ -168,15 +177,15 @@ func (lx *Lexer) lineMarker() error {
 	if body == "" {
 		return nil // "#" alone: null directive
 	}
-	fields := strings.SplitN(body, " ", 2)
-	n, err := strconv.Atoi(strings.TrimSpace(fields[0]))
+	num, rest, hasFile := strings.Cut(body, " ")
+	n, err := strconv.Atoi(strings.TrimSpace(num))
 	if err != nil {
 		return lx.errorf(pos, "malformed line marker %q", text)
 	}
 	lx.line = n
 	lx.col = 1
-	if len(fields) == 2 {
-		f := strings.TrimSpace(fields[1])
+	if hasFile {
+		f := strings.TrimSpace(rest)
 		if len(f) >= 2 && f[0] == '"' {
 			if unq, err := strconv.Unquote(f); err == nil {
 				lx.file = unq

@@ -265,6 +265,7 @@ func combineSpecifiers(p *Parser, pos token.Pos, nVoid, nChar, nShort, nInt, nLo
 // structOrUnionSpecifier parses struct/union type specifiers.
 func (p *Parser) structOrUnionSpecifier() (*ctypes.Type, error) {
 	kw := p.next() // struct or union
+	p.tagged = true
 	kind := ctypes.Struct
 	if kw.Kind == token.KwUnion {
 		kind = ctypes.Union
@@ -396,6 +397,7 @@ func (p *Parser) structDeclaration() ([]ctypes.Field, error) {
 // enumSpecifier parses enum specifiers and registers enumeration constants.
 func (p *Parser) enumSpecifier() (*ctypes.Type, error) {
 	kw := p.next() // enum
+	p.tagged = true
 	tag := ""
 	if p.at(token.Ident) {
 		tag = p.next().Text

@@ -10,6 +10,7 @@
 package parser
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/cast"
@@ -65,18 +66,86 @@ type Parser struct {
 	// pendingVLA holds the size expression of the most recently parsed
 	// declarator's variable array dimension; consumers take and clear it.
 	pendingVLA cast.Expr
+	// pre is the prelude the unit continues; tagged records that a
+	// struct, union or enum specifier was parsed.
+	pre    *Prelude
+	tagged bool
 }
+
+// Prelude is the parser's state after the text a unit's leading includes
+// preprocess to (see cpp.Prelude): the declarations parsed, the names
+// they bind and where the lexer stands. It is only read, so the units
+// that start with the same includes share it; ParseAfter continues from
+// it.
+type Prelude struct {
+	unit  *cast.TranslationUnit
+	names scope.Table[nameInfo]
+	// end is the lexer's position at the end of the text, last the last
+	// token's; both are invalid for an empty text, where a unit starts
+	// at its own first line.
+	end, last token.Pos
+}
+
+// Unit is the prelude's translation unit: the declarations parsed.
+func (p *Prelude) Unit() *cast.TranslationUnit { return p.unit }
+
+// noPrelude is the empty prelude Parse continues.
+var noPrelude = &Prelude{unit: &cast.TranslationUnit{}}
 
 // Parse parses src (already preprocessed) into a translation unit. A
 // lexical error anywhere in src is reported in preference to a parse
 // error.
 func Parse(src, file string, model *ctypes.Model) (*cast.TranslationUnit, error) {
-	p := &Parser{lx: *lexer.New(src, file), model: model, file: file,
-		last: token.Pos{File: file, Line: 1, Col: 1}}
+	return ParseAfter(noPrelude, src, file, model)
+}
+
+// ParsePrelude parses src, the text a unit's leading includes preprocess
+// to, into a prelude. A prelude holds no struct, union or enum type, whose
+// completion or layout a unit would write, and no function definition.
+func ParsePrelude(src string, model *ctypes.Model) (*Prelude, error) {
+	if src == "" {
+		return noPrelude, nil
+	}
+	p := newParser(noPrelude, src, "", model)
+	tu, err := p.finish(p.TranslationUnit())
+	switch {
+	case err != nil:
+		return nil, err
+	case p.tagged:
+		return nil, errors.New("prelude declares a struct, union or enum type")
+	case len(tu.Funcs) > 0:
+		return nil, errors.New("prelude defines a function")
+	}
+	return &Prelude{unit: tu, names: p.names, end: p.lx.Pos(), last: p.last}, nil
+}
+
+// ParseAfter parses src, the preprocessed text of a unit after its leading
+// includes (cpp.Preprocessor.RunAfter), continuing from pre, the prelude
+// of those includes. The unit is what Parse makes of the prelude's text
+// and src run together; its declarations begin with the prelude's, which
+// it shares.
+func ParseAfter(pre *Prelude, src, file string, model *ctypes.Model) (*cast.TranslationUnit, error) {
+	p := newParser(pre, src, file, model)
+	return p.finish(p.TranslationUnit())
+}
+
+func newParser(pre *Prelude, src, file string, model *ctypes.Model) *Parser {
+	start, last := pre.end, pre.last
+	if !start.IsValid() {
+		start = token.Pos{File: file, Line: 1, Col: 1}
+		last = start
+	}
+	p := &Parser{lx: *lexer.NewAt(src, start), model: model, file: file, last: last,
+		pre: pre, names: scope.Over(&pre.names)}
 	p.pushScope()
 	p.tok = p.read()
 	p.ahead = p.read()
-	tu, err := p.TranslationUnit()
+	return p
+}
+
+// finish reports the lexer's error, if it meets one in the rest of the
+// input, in preference to err, the parse's.
+func (p *Parser) finish(tu *cast.TranslationUnit, err error) (*cast.TranslationUnit, error) {
 	for err != nil && !p.done {
 		p.read()
 	}
@@ -179,9 +248,17 @@ func (p *Parser) startsDecl(t token.Token) bool {
 
 // ---------- translation unit ----------
 
-// TranslationUnit parses until EOF.
+// TranslationUnit parses until EOF. The unit starts with the prelude's
+// declarations, in slices of its own.
 func (p *Parser) TranslationUnit() (*cast.TranslationUnit, error) {
-	tu := &cast.TranslationUnit{File: p.file}
+	// The suite units average 2.5 function definitions.
+	pre := p.pre.unit
+	tu := &cast.TranslationUnit{File: p.file,
+		Order: append(make([]cast.Node, 0, len(pre.Order)+8), pre.Order...),
+		Funcs: make([]*cast.FuncDef, 0, 4)}
+	if len(pre.Decls) > 0 {
+		tu.Decls = append(make([]*cast.Decl, 0, len(pre.Decls)+4), pre.Decls...)
+	}
 	for !p.at(token.EOF) {
 		if p.accept(token.Semi) {
 			continue // stray semicolons at file scope (common extension)

@@ -3,6 +3,8 @@
 // stack of bindings that each remember the binding they shadow, and a
 // mark per open scope. Opening and closing a scope allocates nothing once
 // the stacks have grown; closing one restores the bindings it shadowed.
+// A table may start over a base: the file-scope bindings of a unit's
+// prelude, shared read-only by every table over it.
 package scope
 
 // Table maps names to values of type V across nested scopes.
@@ -10,7 +12,15 @@ type Table[V any] struct {
 	index map[string]int // name → position of its innermost binding
 	binds []binding[V]
 	marks []int // where each open scope's bindings start
+	// base holds bindings of the outermost scope that this table does
+	// not: it is only read, and the table's own bindings shadow it.
+	base *Table[V]
 }
+
+// Over returns an empty table whose outermost scope, once pushed, starts
+// with base's bindings. base is never written through the table, so
+// tables on any number of goroutines may share it.
+func Over[V any](base *Table[V]) Table[V] { return Table[V]{base: base} }
 
 type binding[V any] struct {
 	name   string
@@ -60,6 +70,9 @@ func (t *Table[V]) Lookup(name string) (V, bool) {
 	if i, ok := t.index[name]; ok {
 		return t.binds[i].val, true
 	}
+	if t.base != nil {
+		return t.base.Lookup(name)
+	}
 	var zero V
 	return zero, false
 }
@@ -68,6 +81,9 @@ func (t *Table[V]) Lookup(name string) (V, bool) {
 func (t *Table[V]) LookupLocal(name string) (V, bool) {
 	if i, ok := t.index[name]; ok && i >= t.marks[len(t.marks)-1] {
 		return t.binds[i].val, true
+	}
+	if len(t.marks) == 1 && t.base != nil {
+		return t.base.Lookup(name)
 	}
 	var zero V
 	return zero, false

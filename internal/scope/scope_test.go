@@ -34,3 +34,34 @@ func TestShadowAndRestore(t *testing.T) {
 		t.Errorf("%d bindings, %d names after pop", len(tb.binds), len(tb.index))
 	}
 }
+
+func TestOverBase(t *testing.T) {
+	var base Table[int]
+	base.Push()
+	base.Declare("x", 1)
+	base.Declare("y", 2)
+	tb := Over(&base)
+	tb.Push()
+	if v, ok := tb.LookupLocal("x"); !ok || v != 1 {
+		t.Errorf("file-scope LookupLocal(x) = %d, %v, want the base's 1", v, ok)
+	}
+	tb.Declare("x", 10) // a file-scope redeclaration shadows the base
+	tb.Push()
+	if _, ok := tb.LookupLocal("y"); ok {
+		t.Error("base y visible as local in a block")
+	}
+	tb.Declare("y", 20)
+	if v, _ := tb.Lookup("y"); v != 20 {
+		t.Errorf("block y = %d, want 20", v)
+	}
+	tb.Pop()
+	if v, _ := tb.Lookup("y"); v != 2 {
+		t.Errorf("y after pop = %d, want the base's 2", v)
+	}
+	if v, _ := tb.Lookup("x"); v != 10 {
+		t.Errorf("x = %d, want 10", v)
+	}
+	if v, _ := base.Lookup("x"); v != 1 || len(base.binds) != 2 {
+		t.Errorf("base written: x = %d, %d bindings", v, len(base.binds))
+	}
+}

@@ -65,6 +65,7 @@ func (c *checker) exprInner(e cast.Expr) (*ctypes.Type, error) {
 		if !ok {
 			return nil, c.errorf(e.P, "use of undeclared identifier %q", e.Name)
 		}
+		sym = c.own(sym)
 		sym.Referenced = true
 		e.Sym = sym
 		e.T = sym.Type

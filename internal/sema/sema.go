@@ -13,6 +13,8 @@ package sema
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 
 	"repro/internal/cast"
@@ -33,7 +35,9 @@ func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 // Program is a checked translation unit ready for interpretation.
 //
 // Immutability contract: once Check returns, a Program — including the
-// AST, symbols, and types it points to — is never written again. The
+// AST, symbols, and types it points to — is never written again. Programs
+// compiled after one prelude share its declarations, symbols and types
+// (CheckAfter), so a write to any of them would reach other programs too. The
 // interpreter (interp.Run), the order search (search.Explore), and the
 // abstract interpreter (absint.Analyze) keep all per-run state in their
 // own structures, keyed by AST pointers where needed, and only read the
@@ -63,6 +67,7 @@ type Program struct {
 type checker struct {
 	model  *ctypes.Model
 	prog   *Program
+	pre    *Prelude
 	scopes scope.Table[*cast.Symbol]
 
 	// Current function context.
@@ -79,18 +84,67 @@ type checker struct {
 	sawPlainReturn bool
 }
 
+// Prelude is the checker's state after the declarations of a unit's
+// leading includes (see parser.Prelude): their file-scope symbols and
+// what checking them produced. It is only read: a unit that uses or
+// redeclares one of its symbols checks a copy of its own (checker.own).
+type Prelude struct {
+	unit     *cast.TranslationUnit
+	scope    scope.Table[*cast.Symbol]
+	symbols  map[string]*cast.Symbol
+	globals  []*cast.Decl
+	staticUB []*ub.Error
+}
+
+// noPrelude is the empty prelude Check continues.
+var noPrelude = &Prelude{unit: &cast.TranslationUnit{}, symbols: map[string]*cast.Symbol{}}
+
 // Check type-checks tu under model.
 func Check(tu *cast.TranslationUnit, model *ctypes.Model) (*Program, error) {
-	prog := &Program{
-		Model:   model,
-		File:    tu.File,
-		Unit:    tu,
-		Funcs:   make(map[string]*cast.FuncDef),
-		Symbols: make(map[string]*cast.Symbol),
+	return CheckAfter(noPrelude, tu, model)
+}
+
+// CheckPrelude checks tu, the declarations of a unit's leading includes,
+// into a prelude.
+func CheckPrelude(tu *cast.TranslationUnit, model *ctypes.Model) (*Prelude, error) {
+	if len(tu.Order) == 0 {
+		return noPrelude, nil
 	}
-	c := &checker{model: model, prog: prog}
+	c, err := checkUnit(noPrelude, tu, model)
+	if err != nil {
+		return nil, err
+	}
+	p := c.prog
+	return &Prelude{unit: tu, scope: c.scopes, symbols: p.Symbols, globals: p.Globals, staticUB: p.StaticUB}, nil
+}
+
+// CheckAfter type-checks tu, whose declarations begin with those of pre's
+// unit (parser.ParseAfter), continuing from pre. The program is the one
+// Check makes of the whole unit; the prelude's declarations it does not
+// write, it shares.
+func CheckAfter(pre *Prelude, tu *cast.TranslationUnit, model *ctypes.Model) (*Program, error) {
+	c, err := checkUnit(pre, tu, model)
+	if err != nil {
+		return nil, err
+	}
+	return c.prog, nil
+}
+
+// checkUnit checks the declarations of tu after pre's, leaving the file
+// scope open.
+func checkUnit(pre *Prelude, tu *cast.TranslationUnit, model *ctypes.Model) (*checker, error) {
+	prog := &Program{
+		Model:    model,
+		File:     tu.File,
+		Unit:     tu,
+		Globals:  slices.Clone(pre.globals),
+		Funcs:    make(map[string]*cast.FuncDef),
+		Symbols:  maps.Clone(pre.symbols),
+		StaticUB: slices.Clone(pre.staticUB),
+	}
+	c := &checker{model: model, prog: prog, pre: pre, scopes: scope.Over(&pre.scope)}
 	c.scopes.Push()
-	for _, n := range tu.Order {
+	for _, n := range tu.Order[len(pre.unit.Order):] {
 		switch n := n.(type) {
 		case *cast.Decl:
 			if err := c.fileScopeDecl(n); err != nil {
@@ -102,8 +156,48 @@ func Check(tu *cast.TranslationUnit, model *ctypes.Model) (*Program, error) {
 			}
 		}
 	}
-	c.scopes.Pop()
-	return prog, nil
+	return c, nil
+}
+
+// own returns the unit's own copy of sym if the prelude declared it,
+// making the copy at the unit's first use or redeclaration of sym: both
+// write the symbol (Referenced, a completed type, a definition), and the
+// prelude's is shared. The prelude's declarations of sym are copied into
+// the unit's slices too, so the program has the shape a check of the
+// unit's whole text gives it.
+func (c *checker) own(sym *cast.Symbol) *cast.Symbol {
+	if c.pre.symbols[sym.Name] != sym {
+		return sym
+	}
+	if cp := c.prog.Symbols[sym.Name]; cp != sym {
+		return cp
+	}
+	cp := new(cast.Symbol)
+	*cp = *sym
+	c.prog.Symbols[sym.Name] = cp
+	pre, tu := c.pre.unit, c.prog.Unit
+	for i, n := range tu.Order[:len(pre.Order)] {
+		d, ok := n.(*cast.Decl)
+		if !ok || d.Sym != sym {
+			continue
+		}
+		dc := new(cast.Decl)
+		*dc = *d
+		dc.Sym = cp
+		tu.Order[i] = dc
+		replace(tu.Decls[:len(pre.Decls)], d, dc)
+		replace(c.prog.Globals[:len(c.pre.globals)], d, dc)
+	}
+	return cp
+}
+
+// replace replaces each old in list with new.
+func replace(list []*cast.Decl, old, new *cast.Decl) {
+	for i, d := range list {
+		if d == old {
+			list[i] = new
+		}
+	}
 }
 
 func (c *checker) errorf(pos token.Pos, format string, args ...any) error {
@@ -162,6 +256,7 @@ func (c *checker) fileScopeDecl(d *cast.Decl) error {
 	}
 	// At file scope the innermost scope is the file's.
 	if existing, ok := c.scopes.LookupLocal(d.Name); ok {
+		existing = c.own(existing)
 		// Redeclaration: types must be compatible.
 		if !ctypes.Compatible(existing.Type, d.Type) {
 			return c.errorf(d.P, "conflicting types for %q (%s vs %s)", d.Name, existing.Type, d.Type)
@@ -249,6 +344,7 @@ func (c *checker) checkTypeUB(t *ctypes.Type, pos token.Pos, name string) {
 func (c *checker) funcDef(fd *cast.FuncDef) error {
 	c.checkTypeUB(fd.Type, fd.P, fd.Name)
 	if prev, ok := c.scopes.LookupLocal(fd.Name); ok {
+		prev = c.own(prev)
 		if !ctypes.Compatible(prev.Type, fd.Type) {
 			return c.errorf(fd.P, "conflicting types for function %q", fd.Name)
 		}
