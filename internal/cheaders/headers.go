@@ -5,7 +5,10 @@
 // __LONG_MAX__, ...), which the driver sets from the compilation's model.
 //
 // The headers are scanned once, when the package is initialized; every
-// preprocessor that includes one splices the same scanned tokens.
+// preprocessor that includes one splices the same scanned tokens. Most
+// units include them only in a leading run (Lead), and driver.Compile
+// preprocesses, parses and checks each such run once per model and set of
+// definitions, into a prelude the units that start with it continue from.
 package cheaders
 
 import "repro/internal/cpp"

@@ -30,6 +30,12 @@ import (
 // either would pin a spurious error onto a translation unit that compiles
 // fine on retry. Options.Includes is NOT part of the key: callers must use
 // a consistent include resolver for the lifetime of a cache.
+//
+// Below the cache, every compile continues from a prelude of the unit's
+// leading built-in includes (see prelude), shared by all caches in the
+// process: programs from different entries, and different caches, share
+// the preludes' declarations, symbols and types, which is safe only
+// because no program is written after sema.Check.
 type Cache struct {
 	mu sync.Mutex
 	// entries holds completed deterministic results only; misses

@@ -35,10 +35,11 @@ type Options struct {
 // built-in headers, then the file system.
 var defaultResolvers = cpp.ChainResolver{cheaders.Resolver(), cpp.FSResolver{}}
 
-// Compile preprocesses, parses, and type-checks one C source file. A panic
-// anywhere in the frontend is contained and returned as a
-// *fault.InternalError for stage "compile" — one broken translation unit
-// must not take down a suite run.
+// Compile preprocesses, parses, and type-checks one C source file,
+// continuing from the prelude of its leading built-in includes (see
+// prelude). A panic anywhere in the frontend is contained and returned as
+// a *fault.InternalError for stage "compile" — one broken translation
+// unit must not take down a suite run.
 func Compile(src, file string, opts Options) (prog *sema.Program, err error) {
 	defer fault.Recover(fault.StageCompile, file, &err)
 	if err := opts.Injector.Fire(SiteCompile, file); err != nil {

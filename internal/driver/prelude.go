@@ -39,9 +39,10 @@ type preludeKey struct {
 	headers string // the run's headers, each followed by a NUL
 }
 
-// maxPreludes bounds the table. The suites' units start with 13
-// distinct runs; the key also holds the model and the definitions, which
-// a server takes from its requests.
+// maxPreludes bounds the table. The suite and torture units start with
+// 12 distinct runs besides the empty one, about 18 kB of heap each per
+// model; the key also holds the definitions, which a server takes from
+// its requests.
 const maxPreludes = 64
 
 var preludes = struct {

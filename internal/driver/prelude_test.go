@@ -94,7 +94,9 @@ func TestPreludeTableBound(t *testing.T) {
 
 // TestPreludeMatchesWholeText compiles units whose headers' meaning
 // depends on command-line definitions (NDEBUG, a macro named like a
-// typedef) both ways, under both models.
+// typedef) both ways, under both models. Two sets of definitions make
+// preludes that are not used: one breaks the parse of stddef.h, one gives
+// stdint.h a struct type.
 func TestPreludeMatchesWholeText(t *testing.T) {
 	var units []frontendUnit
 	for _, h := range hardUnits {
@@ -104,7 +106,10 @@ func TestPreludeMatchesWholeText(t *testing.T) {
 		units = append(units, frontendUnit{"own/" + c.Name, c.Source, c.Name + ".c"})
 	}
 	for _, m := range []*ctypes.Model{ctypes.LP64(), ctypes.ILP32()} {
-		for _, defines := range [][]string{nil, {"NDEBUG"}, {"size_t=int"}, {"EOF=0", "bool"}} {
+		for _, defines := range [][]string{nil, {"NDEBUG"}, {"size_t=int"}, {"EOF=0", "bool"},
+			{"size_t=+"}, {"__INT8_TYPE__=struct i8"}} {
+			// A table of their own, so that every prelude is built.
+			driver.ResetPreludes()
 			for _, u := range units {
 				opts := driver.Options{Model: m, Defines: defines}
 				got := digest(driver.Compile(u.src, u.file, opts))

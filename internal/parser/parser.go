@@ -251,8 +251,8 @@ func (p *Parser) startsDecl(t token.Token) bool {
 // TranslationUnit parses until EOF. The unit starts with the prelude's
 // declarations, in slices of its own.
 func (p *Parser) TranslationUnit() (*cast.TranslationUnit, error) {
-	// The suite units average 2.5 function definitions.
 	pre := p.pre.unit
+	// The suite units average 2.5 function definitions.
 	tu := &cast.TranslationUnit{File: p.file,
 		Order: append(make([]cast.Node, 0, len(pre.Order)+8), pre.Order...),
 		Funcs: make([]*cast.FuncDef, 0, 4)}

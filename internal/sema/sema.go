@@ -36,8 +36,10 @@ func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 //
 // Immutability contract: once Check returns, a Program — including the
 // AST, symbols, and types it points to — is never written again. Programs
-// compiled after one prelude share its declarations, symbols and types
-// (CheckAfter), so a write to any of them would reach other programs too. The
+// checked after one prelude (CheckAfter) share the prelude's declarations,
+// symbols and types, so a write to any node would reach every program
+// that shares it, on any goroutine; checking writes only the unit's own
+// copies of them (checker.own). The
 // interpreter (interp.Run), the order search (search.Explore), and the
 // abstract interpreter (absint.Analyze) keep all per-run state in their
 // own structures, keyed by AST pointers where needed, and only read the
