@@ -58,10 +58,10 @@ type preludeEntry struct {
 
 // preludeFor returns the prelude of including headers under model and
 // defines, building it on first use. Once the table is full, a prelude it
-// does not hold is not kept: that of a nonempty run is not built at all
-// (nil), since a unit compiles from its whole text for less than a
-// prelude only it would use costs, and the empty run's is built for the
-// caller alone.
+// does not hold is not kept: a nonempty run's is not built (nil, and the
+// unit compiles from its whole text, which costs less than building a
+// prelude for one unit), and the empty run's is built for the caller
+// alone.
 func preludeFor(model *ctypes.Model, defines, headers []string) (*prelude, error) {
 	key := preludeKey{model: *model, defines: joinNUL(defines), headers: joinNUL(headers)}
 	preludes.Lock()
