@@ -105,6 +105,15 @@ func TestPreludeMatchesWholeText(t *testing.T) {
 	for _, c := range suite.Own().Cases {
 		units = append(units, frontendUnit{"own/" + c.Name, c.Source, c.Name + ".c"})
 	}
+	// A unit named like the last header its run includes continues that
+	// header's line numbering without a line marker.
+	for _, h := range hardUnits[:8] {
+		units = append(units, frontendUnit{"named-stdlib/" + h.name, h.src, "stdlib.h"})
+		units = append(units, frontendUnit{"named-stddef/" + h.name, h.src, "stddef.h"})
+	}
+	// Its code starts a few lines after stdlib.h's last declaration.
+	units = append(units, frontendUnit{"named-stdlib/near", "#include <stdlib.h>" +
+		strings.Repeat("\n", 22) + "int main(void) { return abs(-1) - 1; }\n", "stdlib.h"})
 	for _, m := range []*ctypes.Model{ctypes.LP64(), ctypes.ILP32()} {
 		for _, defines := range [][]string{nil, {"NDEBUG"}, {"size_t=int"}, {"EOF=0", "bool"},
 			{"size_t=+"}, {"__INT8_TYPE__=struct i8"}} {
