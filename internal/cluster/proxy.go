@@ -27,9 +27,6 @@ type Config struct {
 	// ProbeInterval is the /readyz health-probe period (default 250ms);
 	// it also bounds one probe.
 	ProbeInterval time.Duration
-	// Retry is the failover policy (default: 3 attempts, 10ms–500ms
-	// full-jitter backoff).
-	Retry RetryPolicy
 	// TraceSample forwards a fresh trace ID with every Nth /v1/analyze
 	// request (X-Undefc-Trace-Id); the shard adopts it, so the trace is
 	// retrievable from that shard's /v1/trace/{id}. 0 disables.
@@ -44,7 +41,6 @@ func (c Config) withDefaults() Config {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 250 * time.Millisecond
 	}
-	c.Retry = c.Retry.withDefaults()
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -285,7 +281,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, path string, b
 	next := 0 // cursor into replicas: failover advances it
 	var last429 *http.Response
 	var last429Body []byte
-	for attempt := 1; attempt <= rt.cfg.Retry.MaxAttempts; attempt++ {
+	for attempt := 1; attempt <= maxAttempts; attempt++ {
 		now := time.Now()
 		var sh *shard
 		for next < len(replicas) {
@@ -527,7 +523,7 @@ func (rt *Router) countDelivered(v, instance string) {
 
 func (rt *Router) sleepBackoff(retry int) {
 	rt.rngMu.Lock()
-	d := rt.cfg.Retry.Backoff(retry, rt.rng)
+	d := backoff(retry, rt.rng)
 	rt.rngMu.Unlock()
 	time.Sleep(d)
 }

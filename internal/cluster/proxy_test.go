@@ -163,7 +163,6 @@ func TestFailoverDoesNotDoubleCount(t *testing.T) {
 	rt, ts := newTestRouter(t, Config{
 		Shards:   []string{a.addr(), b.addr()},
 		Injector: fault.NewInjector(1, rules...),
-		Retry:    RetryPolicy{MaxAttempts: 3, Base: time.Millisecond, Max: 2 * time.Millisecond},
 	})
 	resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", bytes.NewReader(analyzeBody()))
 	if err != nil {
@@ -207,7 +206,6 @@ func TestBackpressureFailsOver(t *testing.T) {
 	a, b := newFakeShard(t, "inst-a"), newFakeShard(t, "inst-b")
 	rt, ts := newTestRouter(t, Config{
 		Shards: []string{a.addr(), b.addr()},
-		Retry:  RetryPolicy{MaxAttempts: 3, Base: time.Millisecond, Max: 2 * time.Millisecond},
 	})
 	body := analyzeBody()
 	ordered := orderShards(rt, body, a, b)
@@ -251,7 +249,6 @@ func TestDrainingShardFailsOver(t *testing.T) {
 	a, b := newFakeShard(t, "inst-a"), newFakeShard(t, "inst-b")
 	rt, ts := newTestRouter(t, Config{
 		Shards: []string{a.addr(), b.addr()},
-		Retry:  RetryPolicy{MaxAttempts: 3, Base: time.Millisecond, Max: 2 * time.Millisecond},
 	})
 	body := analyzeBody()
 	ordered := orderShards(rt, body, a, b)
@@ -404,7 +401,6 @@ func TestTraceAssemblyShowsFailover(t *testing.T) {
 	b := newFakeShard(t, "inst-b")
 	rt, ts := newTestRouter(t, Config{
 		Shards: []string{a.addr(), b.addr()},
-		Retry:  RetryPolicy{MaxAttempts: 3, Base: time.Millisecond, Max: 2 * time.Millisecond},
 	})
 	body := analyzeBody()
 	ordered := orderShards(rt, body, a, b)

@@ -5,54 +5,30 @@ import (
 	"time"
 )
 
-// RetryPolicy bounds the router's failover loop: at most MaxAttempts
-// forward attempts per request (across replicas), with a full-jitter
-// exponential backoff between consecutive attempts. Full jitter — a
-// uniform draw in [0, min(Max, Base·2ⁿ)) — keeps retry storms from
+// The router's failover loop makes at most maxAttempts forward attempts
+// per request (across replicas), with a full-jitter exponential backoff
+// between consecutive attempts. Full jitter — a uniform draw in
+// [0, min(backoffMax, backoffBase·2ⁿ)) — keeps retry storms from
 // synchronizing: after a shard dies, the in-flight requests that all
 // failed at the same instant spread their retries over the whole window
 // instead of arriving as a second spike.
-type RetryPolicy struct {
-	// MaxAttempts caps total forward attempts per request (default 3).
-	MaxAttempts int
-	// Base is the backoff ceiling before the first retry (default 10ms);
-	// it doubles per attempt up to Max (default 500ms).
-	Base time.Duration
-	Max  time.Duration
-}
+const (
+	maxAttempts = 3
+	// backoffBase is the backoff ceiling before the first retry; it
+	// doubles per attempt up to backoffMax.
+	backoffBase = 10 * time.Millisecond
+	backoffMax  = 500 * time.Millisecond
+)
 
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 3
-	}
-	if p.Base <= 0 {
-		p.Base = 10 * time.Millisecond
-	}
-	if p.Max <= 0 {
-		p.Max = 500 * time.Millisecond
-	}
-	if p.Max < p.Base {
-		p.Max = p.Base
-	}
-	return p
-}
-
-// Backoff draws the sleep before retry number `attempt` (1-based: the
+// backoff draws the sleep before retry number `attempt` (1-based: the
 // sleep between the first failure and the second attempt is attempt 1).
-func (p RetryPolicy) Backoff(attempt int, rng *rand.Rand) time.Duration {
+func backoff(attempt int, rng *rand.Rand) time.Duration {
 	if attempt <= 0 {
 		return 0
 	}
-	ceil := p.Base
-	for i := 1; i < attempt; i++ {
+	ceil := backoffBase
+	for i := 1; i < attempt && ceil < backoffMax; i++ {
 		ceil *= 2
-		if ceil >= p.Max {
-			ceil = p.Max
-			break
-		}
 	}
-	if ceil > p.Max {
-		ceil = p.Max
-	}
-	return time.Duration(rng.Int63n(int64(ceil) + 1))
+	return time.Duration(rng.Int63n(int64(min(ceil, backoffMax)) + 1))
 }

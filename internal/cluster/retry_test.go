@@ -3,29 +3,24 @@ package cluster
 import (
 	"math/rand"
 	"testing"
-	"time"
 )
 
 // TestBackoffBounds: every draw stays inside the full-jitter window
-// [0, min(Max, Base·2ⁿ)], and the ceiling actually grows with the
-// attempt number until it saturates at Max.
+// [0, min(backoffMax, backoffBase·2ⁿ)], and the ceiling actually grows
+// with the attempt number until it saturates at backoffMax.
 func TestBackoffBounds(t *testing.T) {
-	p := RetryPolicy{}.withDefaults()
 	rng := rand.New(rand.NewSource(1))
-	ceil := p.Base
+	ceil := backoffBase
 	for attempt := 1; attempt <= 10; attempt++ {
 		for i := 0; i < 200; i++ {
-			d := p.Backoff(attempt, rng)
+			d := backoff(attempt, rng)
 			if d < 0 || d > ceil {
 				t.Fatalf("attempt %d: backoff %v outside [0, %v]", attempt, d, ceil)
 			}
 		}
-		ceil *= 2
-		if ceil > p.Max {
-			ceil = p.Max
-		}
+		ceil = min(2*ceil, backoffMax)
 	}
-	if p.Backoff(0, rng) != 0 {
+	if backoff(0, rng) != 0 {
 		t.Error("attempt 0 should not sleep")
 	}
 }
@@ -34,11 +29,10 @@ func TestBackoffBounds(t *testing.T) {
 // window — a constant (or near-constant) backoff would re-synchronize the
 // very retry storm the jitter exists to break up.
 func TestBackoffSpread(t *testing.T) {
-	p := RetryPolicy{Base: 100 * time.Millisecond, Max: time.Second}.withDefaults()
 	rng := rand.New(rand.NewSource(7))
 	low, high := 0, 0
 	for i := 0; i < 1000; i++ {
-		if p.Backoff(1, rng) < p.Base/2 {
+		if backoff(1, rng) < backoffBase/2 {
 			low++
 		} else {
 			high++

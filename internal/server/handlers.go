@@ -95,7 +95,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// to surface.
 	start := time.Now()
 	var req AnalyzeRequest
-	if !decodeJSON(w, r, s.cfg.MaxSourceBytes, &req) {
+	if !decodeJSON(w, r, maxSourceBytes, &req) {
 		return
 	}
 	if req.Source == "" {
@@ -281,7 +281,7 @@ func (s *Server) runAnalysis(ctx context.Context, src, file string, tool tools.T
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if !decodeJSON(w, r, 16*s.cfg.MaxSourceBytes, &req) {
+	if !decodeJSON(w, r, 16*maxSourceBytes, &req) {
 		return
 	}
 	var su *suite.Suite
@@ -488,7 +488,7 @@ func (st *ExploreStream) Trailer(res search.Result, traceID uint64, fail error) 
 
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	var req ExploreRequest
-	if !decodeJSON(w, r, s.cfg.MaxSourceBytes, &req) {
+	if !decodeJSON(w, r, maxSourceBytes, &req) {
 		return
 	}
 	if req.Source == "" {
@@ -766,7 +766,7 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 		QueueDepth:     s.cfg.QueueDepth,
 		DefaultTimeout: s.cfg.DefaultTimeout.String(),
 		MaxTimeout:     s.cfg.MaxTimeout.String(),
-		MaxSourceBytes: s.cfg.MaxSourceBytes,
+		MaxSourceBytes: maxSourceBytes,
 		MaxBatchCases:  maxBatchCases,
 		MaxExploreRuns: s.cfg.MaxExploreRuns,
 		InjectorArmed:  s.cfg.Injector != nil,

@@ -70,9 +70,6 @@ type Config struct {
 	// for (default 30s).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// MaxSourceBytes bounds an analyze/explore request body; batch bodies
-	// get 16× (default 1 MiB).
-	MaxSourceBytes int64
 	// MaxExploreRuns is the default evaluation-order budget of a
 	// /v1/explore search when the request names none (default 5000).
 	MaxExploreRuns int
@@ -126,9 +123,6 @@ func (c Config) withDefaults() Config {
 	if c.DefaultTimeout > c.MaxTimeout {
 		c.DefaultTimeout = c.MaxTimeout
 	}
-	if c.MaxSourceBytes <= 0 {
-		c.MaxSourceBytes = 1 << 20
-	}
 	if c.MaxExploreRuns <= 0 {
 		c.MaxExploreRuns = 5000
 	}
@@ -138,8 +132,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// maxBatchCases bounds a caller-supplied batch.
-const maxBatchCases = 4096
+const (
+	// maxBatchCases bounds a caller-supplied batch.
+	maxBatchCases = 4096
+	// maxSourceBytes bounds an analyze/explore request body; batch bodies
+	// get 16×.
+	maxSourceBytes = 1 << 20
+)
 
 // Server is one service instance: a compile cache, an admission queue,
 // a request coalescer, and the counters behind /metrics. It is inert

@@ -547,7 +547,7 @@ func TestQueueFullHTTP(t *testing.T) {
 
 // TestBadRequests sweeps the request-validation edges.
 func TestBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxSourceBytes: 256})
+	_, ts := newTestServer(t, Config{})
 	cases := []struct {
 		name   string
 		path   string
@@ -561,7 +561,7 @@ func TestBadRequests(t *testing.T) {
 		{"unknown model", "/v1/analyze", `{"source":"int main(void){}","model":"PDP11"}`, 400, "bad-request"},
 		{"unknown tool", "/v1/analyze", `{"source":"int main(void){}","tool":"lint"}`, 400, "bad-request"},
 		{"bad timeout", "/v1/analyze", `{"source":"int main(void){}","timeout":"fast"}`, 400, "bad-request"},
-		{"oversized body", "/v1/analyze", `{"source":"` + strings.Repeat("x", 300) + `"}`, 413, "too-large"},
+		{"oversized body", "/v1/analyze", `{"source":"` + strings.Repeat("x", maxSourceBytes) + `"}`, 413, "too-large"},
 		{"suite and cases", "/v1/batch", `{"suite":"juliet","cases":[{"name":"a","source":"int main(void){}"}]}`, 400, "bad-request"},
 		{"unknown suite", "/v1/batch", `{"suite":"spec2000"}`, 400, "bad-request"},
 		{"empty batch", "/v1/batch", `{}`, 400, "bad-request"},
