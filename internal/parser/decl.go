@@ -594,6 +594,9 @@ func (p *Parser) declaratorOps() (string, cast.Expr, error) {
 					n = v.Int64()
 					if n < 0 && v.T.IsSigned(p.model) {
 						n, negative = 0, n
+					} else if n < 0 {
+						// An unsigned length of 2^63 or more.
+						return "", nil, p.errorf(lb.Pos, "size of array %q is too large", name)
 					}
 				} else {
 					isVLA = true

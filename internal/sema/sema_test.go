@@ -134,7 +134,9 @@ func TestStaticUBZeroArray(t *testing.T) {
 
 // TestStaticUBNegativeArray checks that a negative constant length is
 // static UB like a zero one, at file and block scope and on a parameter,
-// where the adjustment to a pointer would otherwise drop it.
+// where the adjustment to a pointer would otherwise drop it, and that an
+// unsigned length of 2^63 or more is rejected as too large (gcc's
+// message) rather than read as negative.
 func TestStaticUBNegativeArray(t *testing.T) {
 	for _, src := range []string{
 		"int a[-1];",
@@ -147,6 +149,15 @@ func TestStaticUBNegativeArray(t *testing.T) {
 		if len(prog.StaticUB) != 1 || prog.StaticUB[0].Behavior != ub.ArrayNotPositive ||
 			!strings.Contains(prog.StaticUB[0].Msg, "negative length") {
 			t.Errorf("%s: StaticUB = %v", src, prog.StaticUB)
+		}
+	}
+	const tooLarge = `size of array "a" is too large`
+	for _, src := range []string{
+		"int a[-1UL];",
+		"int main(void) { char a[0x8000000000000000UL]; return 0; }",
+	} {
+		if _, err := parser.Parse(src, "test.c", ctypes.LP64()); err == nil || !strings.Contains(err.Error(), tooLarge) {
+			t.Errorf("%s: %v, want %s", src, err, tooLarge)
 		}
 	}
 }
