@@ -162,6 +162,12 @@ var unaryNames = [...]string{
 
 func (op UnaryOp) String() string { return unaryNames[op] }
 
+// Arith is the arithmetic core's code of the unary operators +, -, ~
+// and !.
+func (op UnaryOp) Arith() ctypes.Op { return unaryArith[op] }
+
+var unaryArith = [...]ctypes.Op{UPlus: ctypes.OpPlus, UNeg: ctypes.OpNeg, UCompl: ctypes.OpCompl, UNot: ctypes.OpNot}
+
 // Unary is a unary operator application.
 type Unary struct {
 	ExprBase
@@ -172,26 +178,27 @@ type Unary struct {
 // BinaryOp enumerates binary operators.
 type BinaryOp int
 
-// Binary operators.
+// Binary operators. Their values are the arithmetic core's operator codes
+// (ctypes.Op), so Arith is a conversion.
 const (
-	BAdd BinaryOp = iota
-	BSub
-	BMul
-	BDiv
-	BRem
-	BShl
-	BShr
-	BLt
-	BGt
-	BLe
-	BGe
-	BEq
-	BNe
-	BAnd // &
-	BXor // ^
-	BOr  // |
-	BLogAnd
-	BLogOr
+	BAdd    = BinaryOp(ctypes.OpAdd)
+	BSub    = BinaryOp(ctypes.OpSub)
+	BMul    = BinaryOp(ctypes.OpMul)
+	BDiv    = BinaryOp(ctypes.OpDiv)
+	BRem    = BinaryOp(ctypes.OpRem)
+	BShl    = BinaryOp(ctypes.OpShl)
+	BShr    = BinaryOp(ctypes.OpShr)
+	BLt     = BinaryOp(ctypes.OpLt)
+	BGt     = BinaryOp(ctypes.OpGt)
+	BLe     = BinaryOp(ctypes.OpLe)
+	BGe     = BinaryOp(ctypes.OpGe)
+	BEq     = BinaryOp(ctypes.OpEq)
+	BNe     = BinaryOp(ctypes.OpNe)
+	BAnd    = BinaryOp(ctypes.OpAnd) // &
+	BXor    = BinaryOp(ctypes.OpXor) // ^
+	BOr     = BinaryOp(ctypes.OpOr)  // |
+	BLogAnd = BinaryOp(ctypes.OpLogAnd)
+	BLogOr  = BinaryOp(ctypes.OpLogOr)
 )
 
 var binaryNames = [...]string{
@@ -201,6 +208,9 @@ var binaryNames = [...]string{
 }
 
 func (op BinaryOp) String() string { return binaryNames[op] }
+
+// Arith is op's code in the arithmetic core.
+func (op BinaryOp) Arith() ctypes.Op { return ctypes.Op(op) }
 
 // Binary is a binary operator application.
 type Binary struct {

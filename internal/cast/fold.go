@@ -43,7 +43,7 @@ func (f *folder) fold(e Expr) (ctypes.Const, error) {
 		if err != nil {
 			return x, err
 		}
-		v, err := f.m.ConstUnary(e.Op.String(), x)
+		v, err := f.m.ConstUnary(e.Op.Arith(), x)
 		return f.eval(e, v, err)
 	case *Binary:
 		x, err := f.fold(e.X)
@@ -55,7 +55,7 @@ func (f *folder) fold(e Expr) (ctypes.Const, error) {
 		if err != nil {
 			return y, err
 		}
-		v, err := f.m.ConstBinary(e.Op.String(), x, y)
+		v, err := f.m.ConstBinary(e.Op.Arith(), x, y)
 		return f.eval(e, v, err)
 	case *Cond:
 		c, err := f.fold(e.C)

@@ -415,11 +415,25 @@ func (ev *condEval) next() ppTok {
 	return t
 }
 
-var condPrec = map[string]int{
-	"||": 1, "&&": 2, "|": 3, "^": 4, "&": 5,
-	"==": 6, "!=": 6, "<": 7, ">": 7, "<=": 7, ">=": 7,
-	"<<": 8, ">>": 8, "+": 9, "-": 9, "*": 10, "/": 10, "%": 10,
+// condBinary is a binary #if operator: its precedence and its code in
+// the arithmetic core.
+type condBinary struct {
+	prec int
+	op   ctypes.Op
 }
+
+var condOps = map[string]condBinary{
+	"||": {1, ctypes.OpLogOr}, "&&": {2, ctypes.OpLogAnd}, "|": {3, ctypes.OpOr},
+	"^": {4, ctypes.OpXor}, "&": {5, ctypes.OpAnd},
+	"==": {6, ctypes.OpEq}, "!=": {6, ctypes.OpNe},
+	"<": {7, ctypes.OpLt}, ">": {7, ctypes.OpGt}, "<=": {7, ctypes.OpLe}, ">=": {7, ctypes.OpGe},
+	"<<": {8, ctypes.OpShl}, ">>": {8, ctypes.OpShr},
+	"+": {9, ctypes.OpAdd}, "-": {9, ctypes.OpSub},
+	"*": {10, ctypes.OpMul}, "/": {10, ctypes.OpDiv}, "%": {10, ctypes.OpRem},
+}
+
+// condUnary maps the unary #if operators to their codes.
+var condUnary = map[string]ctypes.Op{"!": ctypes.OpNot, "-": ctypes.OpNeg, "+": ctypes.OpPlus, "~": ctypes.OpCompl}
 
 // operand parses an operand that C evaluates only if !skipped.
 func (ev *condEval) operand(minPrec int, skipped bool) (ctypes.Const, error) {
@@ -472,17 +486,17 @@ func (ev *condEval) parseExpr(minPrec int) (ctypes.Const, error) {
 			lhs = condModel.ConstCond(lhs, thenV, elseV)
 			continue
 		}
-		prec, ok := condPrec[t.text]
-		if !ok || prec < minPrec {
+		bin, ok := condOps[t.text]
+		if !ok || bin.prec < minPrec {
 			break
 		}
 		ev.next()
-		decided := t.text == "&&" && lhs.V == 0 || t.text == "||" && lhs.V != 0
-		rhs, err := ev.operand(prec+1, decided)
+		decided := bin.op == ctypes.OpLogAnd && lhs.V == 0 || bin.op == ctypes.OpLogOr && lhs.V != 0
+		rhs, err := ev.operand(bin.prec+1, decided)
 		if err != nil {
 			return rhs, err
 		}
-		if lhs, err = ev.intmax(condModel.ConstBinary(t.text, lhs, rhs)); err != nil {
+		if lhs, err = ev.intmax(condModel.ConstBinary(bin.op, lhs, rhs)); err != nil {
 			return lhs, err
 		}
 	}
@@ -491,13 +505,14 @@ func (ev *condEval) parseExpr(minPrec int) (ctypes.Const, error) {
 
 func (ev *condEval) parseUnary() (ctypes.Const, error) {
 	t := ev.next()
-	switch {
-	case t.isPunct("!"), t.isPunct("-"), t.isPunct("+"), t.isPunct("~"):
+	if op, ok := condUnary[t.text]; ok && t.kind == ppPunct {
 		v, err := ev.parseUnary()
 		if err != nil {
 			return v, err
 		}
-		return ev.intmax(condModel.ConstUnary(t.text, v))
+		return ev.intmax(condModel.ConstUnary(op, v))
+	}
+	switch {
 	case t.isPunct("("):
 		v, err := ev.parseExpr(0)
 		if err != nil {

@@ -1,7 +1,6 @@
 package ctypes
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -27,17 +26,173 @@ type Const struct {
 // every unsigned value below 2^63.
 func (c Const) Int64() int64 { return int64(c.V) }
 
-var (
-	errDivZero  = errors.New("division by zero")
-	errOverflow = errors.New("integer overflow")
+// Op is a C integer operator, as the arithmetic core names it. The binary
+// operators come first, in the order of cast.BinaryOp, whose values they
+// are; the unary ones follow.
+type Op uint8
+
+// Integer operators.
+const (
+	OpAdd    Op = iota // +
+	OpSub              // -
+	OpMul              // *
+	OpDiv              // /
+	OpRem              // %
+	OpShl              // <<
+	OpShr              // >>
+	OpLt               // <
+	OpGt               // >
+	OpLe               // <=
+	OpGe               // >=
+	OpEq               // ==
+	OpNe               // !=
+	OpAnd              // &
+	OpXor              // ^
+	OpOr               // |
+	OpLogAnd           // &&
+	OpLogOr            // ||
+	OpPlus             // unary +
+	OpNeg              // unary -
+	OpCompl            // ~
+	OpNot              // !
 )
 
-// boolConst is the int 1 or 0 a comparison or logical operator yields.
-func boolConst(b bool) Const {
-	if b {
-		return Const{T: TInt, V: 1}
+// Truth reports whether op yields an int 1 or 0: the comparisons and the
+// logical operators (C11 §6.5.8:6, §6.5.9:3, §6.5.13-14, §6.5.3.3:5).
+func (op Op) Truth() bool {
+	return op >= OpLt && op <= OpNe || op == OpLogAnd || op == OpLogOr || op == OpNot
+}
+
+// The evaluations C leaves undefined, as Arith reports them.
+var (
+	ErrDivZero    = errors.New("division by zero")
+	ErrOverflow   = errors.New("integer overflow") // signed overflow, INT_MIN / -1 included
+	ErrShiftCount = errors.New("shift count out of range")
+	ErrShiftNeg   = errors.New("left shift of a negative value")
+)
+
+// Arith is C's integer arithmetic, the one implementation of its integer
+// operators for constant expressions, #if and run time. It applies op to
+// a and b, the canonical representations (Wrap) of operands already
+// converted to t: the type the usual arithmetic conversions give both,
+// or for a shift the promoted left operand's type, b then being the
+// count in its own promoted type. A unary operator takes the promoted a
+// and ignores b. The result is canonical in t, or the int 1 or 0 if
+// op.Truth().
+//
+// An evaluation C leaves undefined returns ErrDivZero (C11 §6.5.5:5),
+// ErrOverflow (§6.5:5; INT_MIN / -1 and INT_MIN % -1 too, §6.5.5:6, and a
+// signed left shift whose product t cannot represent, §6.5.7:4),
+// ErrShiftCount (a count below 0 or not below t's width, §6.5.7:3) or
+// ErrShiftNeg (a negative left operand of <<, §6.5.7:4). With ErrOverflow
+// and ErrShiftNeg the result is the value wrapped to t.
+func (m *Model) Arith(op Op, t *Type, a, b uint64) (uint64, error) {
+	signed := t.IsSigned(m)
+	var v uint64
+	exact := true // the mathematical result fits in an int64
+	switch op {
+	case OpLt:
+		return b2u(less(a, b, signed)), nil
+	case OpGt:
+		return b2u(less(b, a, signed)), nil
+	case OpLe:
+		return b2u(!less(b, a, signed)), nil
+	case OpGe:
+		return b2u(!less(a, b, signed)), nil
+	case OpEq:
+		return b2u(a == b), nil
+	case OpNe:
+		return b2u(a != b), nil
+	case OpLogAnd:
+		return b2u(a != 0 && b != 0), nil
+	case OpLogOr:
+		return b2u(a != 0 || b != 0), nil
+	case OpNot:
+		return b2u(a == 0), nil
+	case OpPlus:
+		return a, nil
+	case OpShl, OpShr:
+		return m.shift(op, t, signed, a, b)
+	case OpAnd:
+		v = a & b
+	case OpOr:
+		v = a | b
+	case OpXor:
+		v = a ^ b
+	case OpCompl:
+		v = ^a
+	case OpNeg:
+		v = -a
+		exact = int64(a) != math.MinInt64
+	case OpAdd:
+		v = a + b
+		exact = (int64(a) < 0) != (int64(b) < 0) || (int64(v) < 0) == (int64(a) < 0)
+	case OpSub:
+		v = a - b
+		exact = (int64(a) < 0) == (int64(b) < 0) || (int64(v) < 0) == (int64(a) < 0)
+	case OpMul:
+		v = a * b
+		exact = a == 0 || int64(v)/int64(a) == int64(b) && !(int64(a) == -1 && int64(b) == math.MinInt64)
+	case OpDiv, OpRem:
+		if b == 0 {
+			return 0, ErrDivZero
+		}
+		if !signed {
+			v = a / b
+			if op == OpRem {
+				v = a % b
+			}
+			break
+		}
+		// a % b is undefined whenever a / b is (C11 §6.5.5:6).
+		q := int64(a) / int64(b)
+		exact = !(int64(a) == math.MinInt64 && int64(b) == -1) && q == int64(m.Wrap(t, uint64(q)))
+		v = uint64(q)
+		if op == OpRem {
+			v = uint64(int64(a) % int64(b))
+		}
 	}
-	return Const{T: TInt}
+	r := m.Wrap(t, v)
+	if signed && (!exact || r != v) {
+		return r, ErrOverflow
+	}
+	return r, nil
+}
+
+// shift is a << b or a >> b in t (C11 §6.5.7).
+func (m *Model) shift(op Op, t *Type, signed bool, a, b uint64) (uint64, error) {
+	if n := int64(b); n < 0 || n >= m.Size(t)*8 {
+		return a, ErrShiftCount
+	}
+	if op == OpShr {
+		if signed {
+			return uint64(int64(a) >> b), nil
+		}
+		return a >> b, nil
+	}
+	r := m.Wrap(t, a<<b)
+	switch {
+	case signed && int64(a) < 0:
+		return r, ErrShiftNeg
+	case signed && a > m.IntMax(t)>>b:
+		// A signed E1 << E2 is defined only if t represents E1 × 2^E2.
+		return r, ErrOverflow
+	}
+	return r, nil
+}
+
+func less(a, b uint64, signed bool) bool {
+	if signed {
+		return int64(a) < int64(b)
+	}
+	return a < b
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // ConstConvert converts c to the integer type t (C11 §6.3.1.3): a value t
@@ -47,120 +202,40 @@ func (m *Model) ConstConvert(c Const, t *Type) Const {
 	return Const{T: t.Unqualified(), V: m.Wrap(t, c.V)}
 }
 
-// ConstUnary applies the unary operator spelled op (+, -, ~ or !) to x
-// (C11 §6.5.3.3).
-func (m *Model) ConstUnary(op string, x Const) (Const, error) {
-	if op == "!" {
-		return boolConst(x.V == 0), nil
-	}
+// ConstUnary applies the unary operator op (OpPlus, OpNeg, OpCompl or
+// OpNot) to x (C11 §6.5.3.3).
+func (m *Model) ConstUnary(op Op, x Const) (Const, error) {
 	x = m.ConstConvert(x, m.Promote(x.T))
-	switch op {
-	case "+":
-		return x, nil
-	case "-":
-		r := m.ConstConvert(Const{T: x.T, V: -x.V}, x.T)
-		if x.T.IsSigned(m) && x.V != 0 && r.V == x.V {
-			return r, errOverflow // the type's minimum negated
-		}
-		return r, nil
-	case "~":
-		return m.ConstConvert(Const{T: x.T, V: ^x.V}, x.T), nil
-	}
-	return x, fmt.Errorf("operator %s not allowed", op)
+	return m.result(op, x.T, x.V, 0)
 }
 
-// ConstBinary applies the binary operator spelled op to x and y under
-// the usual arithmetic conversions (C11 §6.5.5-§6.5.14; the shifts
-// promote each operand on its own, §6.5.7:3). && and || take both
-// values; the caller decides whether C evaluates the right one.
-func (m *Model) ConstBinary(op string, x, y Const) (Const, error) {
-	switch op {
-	case "&&":
-		return boolConst(x.V != 0 && y.V != 0), nil
-	case "||":
-		return boolConst(x.V != 0 || y.V != 0), nil
-	case "<<", ">>":
-		return m.constShift(op, m.ConstConvert(x, m.Promote(x.T)), m.ConstConvert(y, m.Promote(y.T)))
-	}
+// ConstBinary applies the binary operator op to x and y under the usual
+// arithmetic conversions (C11 §6.5.5-§6.5.14; the shifts promote each
+// operand on its own, §6.5.7:3). && and || take both values; the caller
+// decides whether C evaluates the right one.
+func (m *Model) ConstBinary(op Op, x, y Const) (Const, error) {
 	t := m.UsualArith(x.T, y.T)
-	a, b := m.Wrap(t, x.V), m.Wrap(t, y.V)
-	signed := t.IsSigned(m)
-	order := cmp.Compare(a, b)
-	if signed {
-		order = cmp.Compare(int64(a), int64(b))
+	if op == OpShl || op == OpShr {
+		t, y = m.Promote(x.T), m.ConstConvert(y, m.Promote(y.T))
+	} else {
+		y = m.ConstConvert(y, t)
 	}
-	var v uint64
-	exact := true // the mathematical result fits in an int64
-	switch op {
-	case "==":
-		return boolConst(order == 0), nil
-	case "!=":
-		return boolConst(order != 0), nil
-	case "<":
-		return boolConst(order < 0), nil
-	case ">":
-		return boolConst(order > 0), nil
-	case "<=":
-		return boolConst(order <= 0), nil
-	case ">=":
-		return boolConst(order >= 0), nil
-	case "&":
-		v = a & b
-	case "|":
-		v = a | b
-	case "^":
-		v = a ^ b
-	case "+":
-		v = a + b
-		exact = (int64(a) < 0) != (int64(b) < 0) || (int64(v) < 0) == (int64(a) < 0)
-	case "-":
-		v = a - b
-		exact = (int64(a) < 0) == (int64(b) < 0) || (int64(v) < 0) == (int64(a) < 0)
-	case "*":
-		v = a * b
-		exact = a == 0 || int64(v)/int64(a) == int64(b) && !(int64(a) == -1 && int64(b) == math.MinInt64)
-	case "/", "%":
-		if b == 0 {
-			return Const{T: t}, errDivZero
-		}
-		if !signed {
-			v = a / b
-			if op == "%" {
-				v = a % b
-			}
-			break
-		}
-		// a % b is undefined whenever a / b is (C11 §6.5.5:6).
-		q := int64(a) / int64(b)
-		exact = !(int64(a) == math.MinInt64 && int64(b) == -1) && q == int64(m.Wrap(t, uint64(q)))
-		v = uint64(q)
-		if op == "%" {
-			v = uint64(int64(a) % int64(b))
-		}
-	default:
-		return Const{T: t}, fmt.Errorf("operator %s not allowed", op)
+	r, err := m.result(op, t, m.Wrap(t, x.V), y.V)
+	if err == ErrShiftCount {
+		err = fmt.Errorf("shift count %d out of range", int64(y.V))
 	}
-	r := Const{T: t, V: m.Wrap(t, v)}
-	return r, overflowIf(signed && (!exact || r.V != v))
+	return r, err
 }
 
-// constShift shifts the promoted x by the promoted y (C11 §6.5.7).
-func (m *Model) constShift(op string, x, y Const) (Const, error) {
-	n := int64(y.V)
-	if w := m.Size(x.T) * 8; n < 0 || n >= w {
-		return x, fmt.Errorf("shift count %d out of range", n)
+// result is Arith's value as a Const of its type. It still carries that
+// type when the evaluation is undefined, for operands C does not evaluate
+// (§6.6:3).
+func (m *Model) result(op Op, t *Type, a, b uint64) (Const, error) {
+	v, err := m.Arith(op, t, a, b)
+	if op.Truth() {
+		t = TInt
 	}
-	signed := x.T.IsSigned(m)
-	if op == ">>" {
-		if signed {
-			return Const{T: x.T, V: uint64(int64(x.V) >> n)}, nil
-		}
-		return Const{T: x.T, V: x.V >> n}, nil
-	}
-	r := m.ConstConvert(Const{T: x.T, V: x.V << n}, x.T)
-	// A signed E1 << E2 is defined only for a nonnegative E1 whose
-	// product with 2^E2 the type represents (§6.5.7:4).
-	return r, overflowIf(signed && (int64(x.V) < 0 || x.V > m.IntMax(x.T)>>n))
+	return Const{T: t, V: v}, err
 }
 
 // ConstCond is c ? x : y (C11 §6.5.15): the chosen operand converted to
@@ -171,11 +246,4 @@ func (m *Model) ConstCond(c, x, y Const) Const {
 		return m.ConstConvert(x, t)
 	}
 	return m.ConstConvert(y, t)
-}
-
-func overflowIf(b bool) error {
-	if b {
-		return errOverflow
-	}
-	return nil
 }

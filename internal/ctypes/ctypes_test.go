@@ -397,53 +397,53 @@ func TestConstBinary(t *testing.T) {
 	ll := func(v int64) Const { return Const{T: TLongLong, V: uint64(v)} }
 	tests := []struct {
 		model *Model
-		op    string
+		op    Op
 		x, y  Const
 		want  Const
 		err   string
 	}{
-		{LP64(), "/", u(0xFFFFFFFF), i(2), u(0x7FFFFFFF), ""},
-		{Int8(), "/", Const{T: TUInt, V: ^uint64(0)}, i(2), Const{T: TUInt, V: 1<<63 - 1}, ""},
-		{LP64(), "<", i(-1), u(0), i(0), ""},
-		{LP64(), "<", i(-1), Const{T: TLong, V: 0}, i(1), ""},
-		{ILP32(), "<", Const{T: TLong, V: ^uint64(0)}, u(0), i(0), ""},
-		{LP64(), "+", i(2147483647), i(1), Const{}, "integer overflow"},
-		{Int8(), "+", i(2147483647), i(1), i(2147483648), ""},
-		{LP64(), "+", ll(1<<63 - 1), ll(1), Const{}, "integer overflow"},
-		{LP64(), "-", ll(-1 << 63), ll(1), Const{}, "integer overflow"},
-		{LP64(), "*", ll(1 << 32), ll(1 << 31), Const{}, "integer overflow"},
-		{LP64(), "*", ll(-1), ll(-1 << 63), Const{}, "integer overflow"},
-		{LP64(), "*", u(65535), u(65537), u(0xFFFFFFFF), ""},
-		{LP64(), "/", i(-2147483648), i(-1), Const{}, "integer overflow"},
-		{LP64(), "%", ll(-1 << 63), ll(-1), Const{}, "integer overflow"},
-		{LP64(), "%", i(7), i(0), Const{}, "division by zero"},
-		{LP64(), "<<", i(1), i(31), Const{}, "integer overflow"},
-		{LP64(), "<<", i(-1), i(1), Const{}, "integer overflow"},
-		{LP64(), "<<", i(1), Const{T: TULongLong, V: 30}, i(1 << 30), ""},
-		{LP64(), "<<", i(1), i(33), Const{}, "shift count 33 out of range"},
-		{LP64(), "<<", u(1), i(31), u(1 << 31), ""},
-		{LP64(), ">>", i(-8), i(1), i(-4), ""},
-		{LP64(), ">>", i(1), i(-1), Const{}, "shift count -1 out of range"},
-		{LP64(), "<<", Const{T: TChar, V: 1}, i(20), i(1 << 20), ""},
-		{LP64(), "&&", i(2), u(3), i(1), ""},
+		{LP64(), OpDiv, u(0xFFFFFFFF), i(2), u(0x7FFFFFFF), ""},
+		{Int8(), OpDiv, Const{T: TUInt, V: ^uint64(0)}, i(2), Const{T: TUInt, V: 1<<63 - 1}, ""},
+		{LP64(), OpLt, i(-1), u(0), i(0), ""},
+		{LP64(), OpLt, i(-1), Const{T: TLong, V: 0}, i(1), ""},
+		{ILP32(), OpLt, Const{T: TLong, V: ^uint64(0)}, u(0), i(0), ""},
+		{LP64(), OpAdd, i(2147483647), i(1), Const{}, "integer overflow"},
+		{Int8(), OpAdd, i(2147483647), i(1), i(2147483648), ""},
+		{LP64(), OpAdd, ll(1<<63 - 1), ll(1), Const{}, "integer overflow"},
+		{LP64(), OpSub, ll(-1 << 63), ll(1), Const{}, "integer overflow"},
+		{LP64(), OpMul, ll(1 << 32), ll(1 << 31), Const{}, "integer overflow"},
+		{LP64(), OpMul, ll(-1), ll(-1 << 63), Const{}, "integer overflow"},
+		{LP64(), OpMul, u(65535), u(65537), u(0xFFFFFFFF), ""},
+		{LP64(), OpDiv, i(-2147483648), i(-1), Const{}, "integer overflow"},
+		{LP64(), OpRem, ll(-1 << 63), ll(-1), Const{}, "integer overflow"},
+		{LP64(), OpRem, i(7), i(0), Const{}, "division by zero"},
+		{LP64(), OpShl, i(1), i(31), Const{}, "integer overflow"},
+		{LP64(), OpShl, i(-1), i(1), Const{}, "left shift of a negative value"},
+		{LP64(), OpShl, i(1), Const{T: TULongLong, V: 30}, i(1 << 30), ""},
+		{LP64(), OpShl, i(1), i(33), Const{}, "shift count 33 out of range"},
+		{LP64(), OpShl, u(1), i(31), u(1 << 31), ""},
+		{LP64(), OpShr, i(-8), i(1), i(-4), ""},
+		{LP64(), OpShr, i(1), i(-1), Const{}, "shift count -1 out of range"},
+		{LP64(), OpShl, Const{T: TChar, V: 1}, i(20), i(1 << 20), ""},
+		{LP64(), OpLogAnd, i(2), u(3), i(1), ""},
 	}
 	for _, tt := range tests {
 		got, err := tt.model.ConstBinary(tt.op, tt.x, tt.y)
 		if tt.err != "" {
 			if err == nil || err.Error() != tt.err {
-				t.Errorf("%s: %v %s %v = %v, %v; want error %q", tt.model.Name, tt.x, tt.op, tt.y, got, err, tt.err)
+				t.Errorf("%s: %v op %d %v = %v, %v; want error %q", tt.model.Name, tt.x, tt.op, tt.y, got, err, tt.err)
 			}
 			continue
 		}
 		if err != nil || got != tt.want {
-			t.Errorf("%s: %v %s %v = %v, %v; want %v", tt.model.Name, tt.x, tt.op, tt.y, got, err, tt.want)
+			t.Errorf("%s: %v op %d %v = %v, %v; want %v", tt.model.Name, tt.x, tt.op, tt.y, got, err, tt.want)
 		}
 	}
 	m := LP64()
-	if got, err := m.ConstUnary("-", i(-2147483648)); err == nil {
+	if got, err := m.ConstUnary(OpNeg, i(-2147483648)); err == nil {
 		t.Errorf("-INT_MIN = %v, want an overflow", got)
 	}
-	if got, _ := m.ConstUnary("-", u(1)); got != u(0xFFFFFFFF) {
+	if got, _ := m.ConstUnary(OpNeg, u(1)); got != u(0xFFFFFFFF) {
 		t.Errorf("-1U = %v, want UINT_MAX", got)
 	}
 	if got := m.ConstCond(i(1), i(-1), u(0)); got != u(0xFFFFFFFF) {

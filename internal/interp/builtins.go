@@ -1125,11 +1125,7 @@ func biCtype(pred func(int) bool) builtin {
 			return nil, in.ubError(ub.Catalog[113], e.P,
 				"ctype function with out-of-range argument %d", c)
 		}
-		out := uint64(0)
-		if pred(c) {
-			out = 1
-		}
-		return mem.Int{T: ctypes.TInt, Bits: out}, nil
+		return truth(pred(c)), nil
 	}
 }
 

@@ -161,19 +161,26 @@ func (in *Interp) StoreRaw(o *mem.Object, off int64, t *ctypes.Type, v mem.Value
 // ---------- operators ----------
 
 // ApplyBinary applies a (non-logical) binary operator to evaluated,
-// usable operands. e supplies the result type for arithmetic and shifts.
-func (in *Interp) ApplyBinary(op cast.BinaryOp, xv, yv mem.Value, e *cast.Binary, pos token.Pos) (mem.Value, error) {
-	return in.applyBinary(op, xv, yv, e, pos)
+// usable operands. t is the operation's type (sema's for a Binary node,
+// CompoundType's for a compound assignment).
+func (in *Interp) ApplyBinary(op cast.BinaryOp, xv, yv mem.Value, t *ctypes.Type, pos token.Pos) (mem.Value, error) {
+	return in.applyBinary(op, xv, yv, t, pos)
 }
 
-// IntArith performs integer arithmetic with the §6.5:5 side conditions.
-func (in *Interp) IntArith(op cast.BinaryOp, x, y mem.Int, t *ctypes.Type, pos token.Pos) (mem.Value, error) {
-	return in.intArith(op, x, y, t, pos)
+// CompoundType is the type of the operation e performs on the value old
+// of its left operand.
+func (in *Interp) CompoundType(e *cast.Assign, old mem.Value) *ctypes.Type {
+	return in.compoundType(e, old)
 }
 
-// PtrAdd forms p + n elements with the §6.5.6:8 bounds side condition.
-func (in *Interp) PtrAdd(p mem.Ptr, n int64, pos token.Pos) (mem.Value, error) {
-	return in.ptrAdd(p, n, pos)
+// UnaryArith applies unary +, - or ~ to a promoted value.
+func (in *Interp) UnaryArith(op cast.UnaryOp, v mem.Value, pos token.Pos) (mem.Value, error) {
+	return in.unaryArith(op, v, pos)
+}
+
+// IncDec is the value ++ (dir 1) or -- (dir -1) stores over old.
+func (in *Interp) IncDec(old mem.Value, dir int64, pos token.Pos) (mem.Value, error) {
+	return in.incDec(old, dir, pos)
 }
 
 // PtrAddSub handles ptr±int, int+ptr, and ptr−ptr.

@@ -290,38 +290,13 @@ func (in *Interp) evalUnary(e *cast.Unary) (mem.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		switch val := v.(type) {
-		case mem.Int:
-			switch e.Op {
-			case cast.UPlus:
-				return val, nil
-			case cast.UNeg:
-				// -INT_MIN overflows (C11 §6.5:5).
-				if in.prof.Overflow && val.T.IsSigned(in.model) && int64(val.Bits) == in.model.IntMin(val.T) {
-					return nil, in.ubError(ub.SignedOverflow, e.P,
-						"Signed integer overflow negating the minimum value of %s", val.T)
-				}
-				return mem.MakeInt(in.model, val.T, -val.Bits), nil
-			default:
-				return mem.MakeInt(in.model, val.T, ^val.Bits), nil
-			}
-		case mem.Float:
-			if e.Op == cast.UNeg {
-				return mem.Float{T: val.T, F: -val.F}, nil
-			}
-			return val, nil
-		}
-		return nil, in.ubError(ub.Catalog[0], e.P, "Bad operand to unary %v", e.Op)
+		return in.unaryArith(e.Op, v, e.P)
 	case cast.UNot:
 		b, err := in.evalCondition(e.X)
 		if err != nil {
 			return nil, err
 		}
-		out := uint64(1)
-		if b {
-			out = 0
-		}
-		return mem.BoxInt(ctypes.TInt, out), nil
+		return truth(!b), nil
 	case cast.UPreInc, cast.UPreDec, cast.UPostInc, cast.UPostDec:
 		return in.evalIncDec(e)
 	}
@@ -383,25 +358,9 @@ func (in *Interp) evalIncDec(e *cast.Unary) (mem.Value, error) {
 	if e.Op == cast.UPreDec || e.Op == cast.UPostDec {
 		dir = -1
 	}
-	var newV mem.Value
-	switch v := old.(type) {
-	case mem.Int:
-		one := mem.Int{T: v.T, Bits: 1}
-		nv, uerr := in.intArith(cast.BAdd, v, mem.Int{T: one.T, Bits: uint64(dir)}, v.T, e.P)
-		if uerr != nil {
-			return nil, uerr
-		}
-		newV = nv
-	case mem.Float:
-		newV = mem.Float{T: v.T, F: v.F + float64(dir)}
-	case mem.Ptr:
-		nv, uerr := in.ptrAdd(v, dir, e.P)
-		if uerr != nil {
-			return nil, uerr
-		}
-		newV = nv
-	default:
-		return nil, in.ubError(ub.Catalog[0], e.P, "Bad operand to ++/--")
+	newV, err := in.incDec(old, dir, e.P)
+	if err != nil {
+		return nil, err
 	}
 	if err := in.write(lv, newV, e.P); err != nil {
 		return nil, err
@@ -410,6 +369,49 @@ func (in *Interp) evalIncDec(e *cast.Unary) (mem.Value, error) {
 		return old, nil
 	}
 	return newV, nil
+}
+
+// unaryArith applies unary +, - or ~ to v, already promoted.
+func (in *Interp) unaryArith(op cast.UnaryOp, v mem.Value, pos token.Pos) (mem.Value, error) {
+	switch val := v.(type) {
+	case mem.Int:
+		if op == cast.UPlus {
+			return v, nil
+		}
+		r, err := in.model.Arith(op.Arith(), val.T, val.Bits, 0)
+		// -INT_MIN overflows (C11 §6.5:5).
+		if err != nil && in.prof.Overflow {
+			return nil, in.ubError(ub.SignedOverflow, pos,
+				"Signed integer overflow negating the minimum value of %s", val.T)
+		}
+		return mem.BoxInt(val.T, r), nil
+	case mem.Float:
+		if op == cast.UNeg {
+			return mem.Float{T: val.T, F: -val.F}, nil
+		}
+		return val, nil
+	}
+	return nil, in.ubError(ub.Catalog[0], pos, "Bad operand to unary %v", op)
+}
+
+// incDec is the value ++ or -- (dir 1 or -1) stores over old. E++ is
+// E += 1 (C11 §6.5.3.1:2, §6.5.2.4:2): an integer is incremented in its
+// promoted type and converted back.
+func (in *Interp) incDec(old mem.Value, dir int64, pos token.Pos) (mem.Value, error) {
+	switch v := old.(type) {
+	case mem.Int:
+		t := in.model.Promote(v.T)
+		r, err := in.intArith(cast.BAdd, t, v, mem.Int{T: t, Bits: in.model.Wrap(t, uint64(dir))}, pos)
+		if err != nil {
+			return nil, err
+		}
+		return mem.BoxInt(v.T, in.model.Wrap(v.T, r)), nil
+	case mem.Float:
+		return mem.Float{T: v.T, F: v.F + float64(dir)}, nil
+	case mem.Ptr:
+		return in.ptrAdd(v, dir, pos)
+	}
+	return nil, in.ubError(ub.Catalog[0], pos, "Bad operand to ++/--")
 }
 
 // ---------- binary ----------
@@ -425,21 +427,13 @@ func (in *Interp) evalBinary(e *cast.Binary) (mem.Value, error) {
 		in.seqPoint()
 		short := (e.Op == cast.BLogAnd && !b) || (e.Op == cast.BLogOr && b)
 		if short {
-			out := uint64(0)
-			if e.Op == cast.BLogOr {
-				out = 1
-			}
-			return mem.BoxInt(ctypes.TInt, out), nil
+			return truth(e.Op == cast.BLogOr), nil
 		}
 		b2, err := in.evalCondition(e.Y)
 		if err != nil {
 			return nil, err
 		}
-		out := uint64(0)
-		if b2 {
-			out = 1
-		}
-		return mem.BoxInt(ctypes.TInt, out), nil
+		return truth(b2), nil
 	}
 
 	// Other binary operators: operands are unsequenced — ask the scheduler.
@@ -464,11 +458,13 @@ func (in *Interp) evalBinary(e *cast.Binary) (mem.Value, error) {
 	if yv, err = in.usable(yv, e.P); err != nil {
 		return nil, err
 	}
-	return in.applyBinary(e.Op, xv, yv, e, e.P)
+	return in.applyBinary(e.Op, xv, yv, e.T, e.P)
 }
 
-// applyBinary applies a (non-logical) binary operator to evaluated operands.
-func (in *Interp) applyBinary(op cast.BinaryOp, xv, yv mem.Value, e *cast.Binary, pos token.Pos) (mem.Value, error) {
+// applyBinary applies a (non-logical) binary operator to evaluated
+// operands. t is the operation's type: the common type of arithmetic, the
+// promoted left operand of a shift, the pointer of pointer arithmetic.
+func (in *Interp) applyBinary(op cast.BinaryOp, xv, yv mem.Value, t *ctypes.Type, pos token.Pos) (mem.Value, error) {
 	xp, xIsPtr := xv.(mem.Ptr)
 	yp, yIsPtr := yv.(mem.Ptr)
 
@@ -485,33 +481,36 @@ func (in *Interp) applyBinary(op cast.BinaryOp, xv, yv mem.Value, e *cast.Binary
 		if xIsPtr || yIsPtr {
 			return in.ptrEquality(op, xv, yv, pos)
 		}
-	case cast.BShl, cast.BShr:
-		return in.shift(op, xv, yv, e.T, pos)
 	}
 
 	// Usual arithmetic conversions. Comparisons convert the operands to
 	// their common type (the node's own type is the int result, which
-	// must NOT drive the conversion).
-	var common *ctypes.Type
+	// must NOT drive the conversion); a shift promotes each operand on
+	// its own (C11 §6.5.7:3).
+	common, yt := t, t
 	switch op {
+	case cast.BShl, cast.BShr:
+		yt = in.model.Promote(yv.CType())
 	case cast.BLt, cast.BGt, cast.BLe, cast.BGe, cast.BEq, cast.BNe:
 		common = in.model.UsualArith(xv.CType(), yv.CType())
+		yt = common
 	default:
-		common = e.T
-		if common == nil || !common.IsArithmetic() {
+		if t == nil || !t.IsArithmetic() {
 			common = in.model.UsualArith(xv.CType(), yv.CType())
+			yt = common
 		}
 	}
 	xc, err := in.convert(xv, common, pos)
 	if err != nil {
 		return nil, err
 	}
-	yc, err := in.convert(yv, common, pos)
+	yc, err := in.convert(yv, yt, pos)
 	if err != nil {
 		return nil, err
 	}
-	if xf, ok := xc.(mem.Float); ok {
-		yf := yc.(mem.Float)
+	xf, ok1 := xc.(mem.Float)
+	yf, ok2 := yc.(mem.Float)
+	if ok1 && ok2 {
 		return in.floatArith(op, xf, yf, pos)
 	}
 	xi, ok1 := xc.(mem.Int)
@@ -519,44 +518,33 @@ func (in *Interp) applyBinary(op cast.BinaryOp, xv, yv mem.Value, e *cast.Binary
 	if !ok1 || !ok2 {
 		return nil, in.ubError(ub.Catalog[0], pos, "Invalid operands to %v", op)
 	}
-	switch op {
-	case cast.BLt, cast.BGt, cast.BLe, cast.BGe, cast.BEq, cast.BNe:
-		return in.intCompare(op, xi, yi), nil
+	r, err := in.intArith(op, common, xi, yi, pos)
+	if err != nil {
+		return nil, err
 	}
-	return in.intArith(op, xi, yi, common, pos)
+	if op.Arith().Truth() {
+		return mem.BoxInt(ctypes.TInt, r), nil
+	}
+	return mem.BoxInt(common, r), nil
 }
 
-// intArith performs integer arithmetic with the §6.5:5 overflow side
-// conditions (the division rule of §4.1.1 included).
-func (in *Interp) intArith(op cast.BinaryOp, x, y mem.Int, t *ctypes.Type, pos token.Pos) (mem.Value, error) {
+// arithNames name the operators whose signed overflow intArith reports.
+var arithNames = [...]string{cast.BAdd: "addition", cast.BSub: "subtraction", cast.BMul: "multiplication"}
+
+// intArith computes the integer operator op on x and y, operands already
+// converted to t (for a shift, y is the count in its promoted type),
+// through the ctypes core, and reports the evaluations C leaves undefined
+// as the profile asks: the §6.5:5 overflow side conditions, the division
+// rule of §4.1.1 and the shift rules of §6.5.7.
+func (in *Interp) intArith(op cast.BinaryOp, t *ctypes.Type, x, y mem.Int, pos token.Pos) (uint64, error) {
 	m := in.model
-	signed := t.IsSigned(m)
-	var raw uint64
+	r, err := m.Arith(op.Arith(), t, x.Bits, y.Bits)
 	switch op {
-	case cast.BAdd:
-		raw = x.Bits + y.Bits
-		if in.prof.Overflow && signed {
-			if addOverflows(int64(x.Bits), int64(y.Bits), m.IntMin(t), int64(m.IntMax(t))) {
-				return nil, in.ubError(ub.SignedOverflow, pos,
-					"Signed integer overflow in addition (%d + %d as %s)", int64(x.Bits), int64(y.Bits), t)
-			}
-			in.obsCheckPass(ub.SignedOverflow, pos)
-		}
-	case cast.BSub:
-		raw = x.Bits - y.Bits
-		if in.prof.Overflow && signed {
-			if subOverflows(int64(x.Bits), int64(y.Bits), m.IntMin(t), int64(m.IntMax(t))) {
-				return nil, in.ubError(ub.SignedOverflow, pos,
-					"Signed integer overflow in subtraction (%d - %d as %s)", int64(x.Bits), int64(y.Bits), t)
-			}
-			in.obsCheckPass(ub.SignedOverflow, pos)
-		}
-	case cast.BMul:
-		raw = x.Bits * y.Bits
-		if in.prof.Overflow && signed {
-			if mulOverflows(int64(x.Bits), int64(y.Bits), m.IntMin(t), int64(m.IntMax(t))) {
-				return nil, in.ubError(ub.SignedOverflow, pos,
-					"Signed integer overflow in multiplication (%d * %d as %s)", int64(x.Bits), int64(y.Bits), t)
+	case cast.BAdd, cast.BSub, cast.BMul:
+		if in.prof.Overflow && t.IsSigned(m) {
+			if err != nil {
+				return 0, in.ubError(ub.SignedOverflow, pos, "Signed integer overflow in %s (%d %v %d as %s)",
+					arithNames[op], int64(x.Bits), op, int64(y.Bits), t)
 			}
 			in.obsCheckPass(ub.SignedOverflow, pos)
 		}
@@ -564,75 +552,52 @@ func (in *Interp) intArith(op cast.BinaryOp, x, y mem.Int, t *ctypes.Type, pos t
 		// ⟨I / J ⇒ reportError⟩ when J = 0 (§4.1.1). With the check off,
 		// the machine traps — the paper's point that a crash is the
 		// (lucky) hardware behavior, not a diagnosis.
-		if y.Bits == 0 {
+		if err == ctypes.ErrDivZero {
 			if in.prof.DivZero {
-				return nil, in.ubError(ub.DivByZero, pos, "Division by zero")
+				return 0, in.ubError(ub.DivByZero, pos, "Division by zero")
 			}
-			return nil, &CrashError{Signal: "SIGFPE", Detail: "integer division by zero"}
+			return 0, &CrashError{Signal: "SIGFPE", Detail: "integer division by zero"}
 		}
 		if in.prof.DivZero {
 			in.obsCheckPass(ub.DivByZero, pos)
 		}
-		if signed {
-			sx, sy := int64(x.Bits), int64(y.Bits)
-			if sx == m.IntMin(t) && sy == -1 {
-				if in.prof.DivZero || in.prof.Overflow {
-					return nil, in.ubError(ub.DivOverflow, pos,
-						"Signed overflow dividing the minimum value of %s by -1", t)
-				}
-				return nil, &CrashError{Signal: "SIGFPE", Detail: "integer overflow in division"}
+		if err != nil {
+			if in.prof.DivZero || in.prof.Overflow {
+				return 0, in.ubError(ub.DivOverflow, pos,
+					"Signed overflow dividing the minimum value of %s by -1", t)
 			}
-			if op == cast.BDiv {
-				raw = uint64(sx / sy)
-			} else {
-				raw = uint64(sx % sy)
-			}
-		} else {
-			if op == cast.BDiv {
-				raw = x.Bits / y.Bits
-			} else {
-				raw = x.Bits % y.Bits
-			}
+			return 0, &CrashError{Signal: "SIGFPE", Detail: "integer overflow in division"}
 		}
-	case cast.BAnd:
-		raw = x.Bits & y.Bits
-	case cast.BOr:
-		raw = x.Bits | y.Bits
-	case cast.BXor:
-		raw = x.Bits ^ y.Bits
-	default:
-		return nil, in.ubError(ub.Catalog[0], pos, "Unhandled integer operator %v", op)
+	case cast.BShl, cast.BShr:
+		count := int64(y.Bits)
+		if err == ctypes.ErrShiftCount {
+			width := m.Size(t) * 8
+			if !y.T.IsSigned(m) && y.Bits > uint64(width) {
+				count = width
+			}
+			if in.prof.Shift {
+				return 0, in.ubError(ub.ShiftTooFar, pos,
+					"Shift count %d is negative or >= the width (%d) of %s", count, width, t)
+			}
+			count &= width - 1 // the x86 shifter masks the count
+			r, err = m.Arith(op.Arith(), t, x.Bits, uint64(count))
+		} else if in.prof.Shift {
+			in.obsCheckPass(ub.ShiftTooFar, pos)
+		}
+		if op == cast.BShl && in.prof.Shift && t.IsSigned(m) {
+			switch err {
+			case ctypes.ErrShiftNeg:
+				return 0, in.ubError(ub.ShiftNegLeft, pos, "Left shift of negative value %d", int64(x.Bits))
+			case ctypes.ErrOverflow:
+				return 0, in.ubError(ub.ShiftOverflow, pos,
+					"Left shift of %d by %d overflows %s", int64(x.Bits), count, t)
+			}
+			in.obsCheckPass(ub.ShiftOverflow, pos)
+		}
 	}
-	// Unsigned arithmetic wraps (not UB); Wrap canonicalizes both cases.
-	return mem.BoxInt(t, m.Wrap(t, raw)), nil
-}
-
-func addOverflows(a, b, min, max int64) bool {
-	if b > 0 {
-		return a > max-b
-	}
-	return a < min-b
-}
-
-func subOverflows(a, b, min, max int64) bool {
-	if b < 0 {
-		return a > max+b
-	}
-	return a < min+b
-}
-
-func mulOverflows(a, b, min, max int64) bool {
-	if a == 0 || b == 0 {
-		return false
-	}
-	p := a * b
-	if a == -1 && b == min || b == -1 && a == min {
-		return true
-	}
-	if p/b != a {
-		return true
-	}
-	return p > max || p < min
+	// Unsigned arithmetic wraps (not UB), and so does signed arithmetic
+	// whose check is off.
+	return r, nil
 }
 
 func (in *Interp) floatArith(op cast.BinaryOp, x, y mem.Float, pos token.Pos) (mem.Value, error) {
@@ -648,27 +613,18 @@ func (in *Interp) floatArith(op cast.BinaryOp, x, y mem.Float, pos token.Pos) (m
 		// Floating division by zero yields ±Inf/NaN under Annex F; we
 		// follow IEEE-754 (the §4.5.1 inclusion/exclusion example).
 		f = x.F / y.F
-	case cast.BLt, cast.BGt, cast.BLe, cast.BGe, cast.BEq, cast.BNe:
-		var b bool
-		switch op {
-		case cast.BLt:
-			b = x.F < y.F
-		case cast.BGt:
-			b = x.F > y.F
-		case cast.BLe:
-			b = x.F <= y.F
-		case cast.BGe:
-			b = x.F >= y.F
-		case cast.BEq:
-			b = x.F == y.F
-		case cast.BNe:
-			b = x.F != y.F
-		}
-		out := uint64(0)
-		if b {
-			out = 1
-		}
-		return mem.BoxInt(ctypes.TInt, out), nil
+	case cast.BLt:
+		return truth(x.F < y.F), nil
+	case cast.BGt:
+		return truth(x.F > y.F), nil
+	case cast.BLe:
+		return truth(x.F <= y.F), nil
+	case cast.BGe:
+		return truth(x.F >= y.F), nil
+	case cast.BEq:
+		return truth(x.F == y.F), nil
+	case cast.BNe:
+		return truth(x.F != y.F), nil
 	default:
 		return nil, in.ubError(ub.Catalog[0], pos, "Invalid floating operator %v", op)
 	}
@@ -676,105 +632,6 @@ func (in *Interp) floatArith(op cast.BinaryOp, x, y mem.Float, pos token.Pos) (m
 		f = float64(float32(f))
 	}
 	return mem.Float{T: x.T, F: f}, nil
-}
-
-func (in *Interp) intCompare(op cast.BinaryOp, x, y mem.Int) mem.Value {
-	signed := x.T.IsSigned(in.model)
-	var b bool
-	if signed {
-		sx, sy := int64(x.Bits), int64(y.Bits)
-		switch op {
-		case cast.BLt:
-			b = sx < sy
-		case cast.BGt:
-			b = sx > sy
-		case cast.BLe:
-			b = sx <= sy
-		case cast.BGe:
-			b = sx >= sy
-		case cast.BEq:
-			b = sx == sy
-		case cast.BNe:
-			b = sx != sy
-		}
-	} else {
-		switch op {
-		case cast.BLt:
-			b = x.Bits < y.Bits
-		case cast.BGt:
-			b = x.Bits > y.Bits
-		case cast.BLe:
-			b = x.Bits <= y.Bits
-		case cast.BGe:
-			b = x.Bits >= y.Bits
-		case cast.BEq:
-			b = x.Bits == y.Bits
-		case cast.BNe:
-			b = x.Bits != y.Bits
-		}
-	}
-	out := uint64(0)
-	if b {
-		out = 1
-	}
-	return mem.BoxInt(ctypes.TInt, out)
-}
-
-// shift implements << and >> with the §6.5.7 side conditions.
-func (in *Interp) shift(op cast.BinaryOp, xv, yv mem.Value, t *ctypes.Type, pos token.Pos) (mem.Value, error) {
-	xc, err := in.convert(xv, t, pos)
-	if err != nil {
-		return nil, err
-	}
-	x, ok := xc.(mem.Int)
-	if !ok {
-		return nil, in.ubError(ub.Catalog[0], pos, "Invalid shift operand")
-	}
-	ycv, err := in.convert(yv, in.model.Promote(yv.CType()), pos)
-	if err != nil {
-		return nil, err
-	}
-	y, ok := ycv.(mem.Int)
-	if !ok {
-		return nil, in.ubError(ub.Catalog[0], pos, "Invalid shift count")
-	}
-	width := in.model.Size(t) * 8
-	count := int64(y.Bits)
-	if !y.T.IsSigned(in.model) {
-		count = int64(y.Bits) // already non-negative as unsigned
-		if y.Bits > uint64(width) {
-			count = width // force the too-far diagnosis below
-		}
-	}
-	if count < 0 || count >= width {
-		if in.prof.Shift {
-			return nil, in.ubError(ub.ShiftTooFar, pos,
-				"Shift count %d is negative or >= the width (%d) of %s", count, width, t)
-		}
-		count &= width - 1 // the x86 shifter masks the count
-	} else if in.prof.Shift {
-		in.obsCheckPass(ub.ShiftTooFar, pos)
-	}
-	signed := t.IsSigned(in.model)
-	if op == cast.BShl {
-		if signed && in.prof.Shift {
-			sx := int64(x.Bits)
-			if sx < 0 {
-				return nil, in.ubError(ub.ShiftNegLeft, pos, "Left shift of negative value %d", sx)
-			}
-			// §6.5.7:4: sx × 2^count must be representable.
-			if count > 0 && sx > int64(in.model.IntMax(t))>>uint(count) {
-				return nil, in.ubError(ub.ShiftOverflow, pos,
-					"Left shift of %d by %d overflows %s", sx, count, t)
-			}
-			in.obsCheckPass(ub.ShiftOverflow, pos)
-		}
-		return mem.MakeInt(in.model, t, x.Bits<<uint(count)), nil
-	}
-	if signed {
-		return mem.MakeInt(in.model, t, uint64(int64(x.Bits)>>uint(count))), nil
-	}
-	return mem.MakeInt(in.model, t, x.Bits>>uint(count)), nil
 }
 
 // ---------- pointer operations ----------
@@ -841,9 +698,6 @@ func (in *Interp) ptrAddSub(op cast.BinaryOp, xv, yv mem.Value, pos token.Pos) (
 func (in *Interp) intIndex(v mem.Value, pos token.Pos) (int64, error) {
 	switch v := v.(type) {
 	case mem.Int:
-		if v.T.IsSigned(in.model) {
-			return int64(v.Bits), nil
-		}
 		return int64(v.Bits), nil
 	}
 	return 0, in.ubError(ub.Catalog[0], pos, "Pointer offset is not an integer")
@@ -938,22 +792,8 @@ func (in *Interp) ptrCompare(op cast.BinaryOp, x, y mem.Ptr, pos token.Pos) (mem
 		x = mem.Ptr{T: x.T, Base: mem.NullBase, Off: int64(x.SynthAddr())}
 		y = mem.Ptr{T: y.T, Base: mem.NullBase, Off: int64(y.SynthAddr())}
 	}
-	var b bool
-	switch op {
-	case cast.BLt:
-		b = x.Off < y.Off
-	case cast.BGt:
-		b = x.Off > y.Off
-	case cast.BLe:
-		b = x.Off <= y.Off
-	case cast.BGe:
-		b = x.Off >= y.Off
-	}
-	out := uint64(0)
-	if b {
-		out = 1
-	}
-	return mem.BoxInt(ctypes.TInt, out), nil
+	r, _ := in.model.Arith(op.Arith(), ctypes.TLongLong, uint64(x.Off), uint64(y.Off))
+	return mem.BoxInt(ctypes.TInt, r), nil
 }
 
 // ptrEquality implements == and != with null and integer-zero operands.
@@ -984,19 +824,16 @@ func (in *Interp) ptrEquality(op cast.BinaryOp, xv, yv mem.Value, pos token.Pos)
 	if uerr := in.checkPtrUsable(y, pos); uerr != nil {
 		return nil, uerr
 	}
-	eq := x.Base == y.Base && x.Off == y.Off
-	if x.IsNull() && y.IsNull() {
-		eq = true
-	}
-	b := eq
-	if op == cast.BNe {
-		b = !eq
-	}
-	out := uint64(0)
+	eq := x.Base == y.Base && x.Off == y.Off || x.IsNull() && y.IsNull()
+	return truth(eq == (op == cast.BEq)), nil
+}
+
+// truth is the int 1 or 0 a comparison or logical operator yields.
+func truth(b bool) mem.Value {
 	if b {
-		out = 1
+		return mem.BoxInt(ctypes.TInt, 1)
 	}
-	return mem.BoxInt(ctypes.TInt, out), nil
+	return mem.BoxInt(ctypes.TInt, 0)
 }
 
 // ---------- assignment ----------
@@ -1032,13 +869,7 @@ func (in *Interp) evalAssign(e *cast.Assign) (mem.Value, error) {
 		if urv, err2 = in.usable(rv, e.P); err2 != nil {
 			return nil, err2
 		}
-		tmp := &cast.Binary{Op: e.Op, X: e.L, Y: e.R}
-		tmp.P = e.P
-		tmp.T = in.model.UsualArith(decayed(e.L.Type()), decayed(e.R.Type()))
-		if _, isPtr := old.(mem.Ptr); isPtr {
-			tmp.T = e.L.Type()
-		}
-		res, err := in.applyBinary(e.Op, old, urv, tmp, e.P)
+		res, err := in.applyBinary(e.Op, old, urv, in.compoundType(e, old), e.P)
 		if err != nil {
 			return nil, err
 		}
@@ -1054,6 +885,19 @@ func (in *Interp) evalAssign(e *cast.Assign) (mem.Value, error) {
 	// The assignment's value is the value of the left operand after the
 	// assignment (C11 §6.5.16:3) — we return the stored value.
 	return cv, nil
+}
+
+// compoundType is the type of the operation E1 op= E2 performs on the
+// value old of E1 (C11 §6.5.16.2:3): the pointer E1 of pointer
+// arithmetic, E1 promoted for a shift, else the common type of E1 and E2.
+func (in *Interp) compoundType(e *cast.Assign, old mem.Value) *ctypes.Type {
+	if _, isPtr := old.(mem.Ptr); isPtr {
+		return e.L.Type()
+	}
+	if e.Op == cast.BShl || e.Op == cast.BShr {
+		return in.model.Promote(e.L.Type())
+	}
+	return in.model.UsualArith(decayed(e.L.Type()), decayed(e.R.Type()))
 }
 
 // convertForStore converts a value for storage as type t, allowing raw

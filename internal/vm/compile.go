@@ -465,29 +465,7 @@ func (c *compiler) compileUnary(e *cast.Unary) cexpr {
 			if v, err = in.Convert(v, t, pos); err != nil {
 				return nil, err
 			}
-			switch val := v.(type) {
-			case mem.Int:
-				switch op {
-				case cast.UPlus:
-					return val, nil
-				case cast.UNeg:
-					// -INT_MIN overflows (C11 §6.5:5).
-					m := in.Model()
-					if in.Prof().Overflow && val.T.IsSigned(m) && int64(val.Bits) == m.IntMin(val.T) {
-						return nil, in.UBErrorf(ub.SignedOverflow, pos,
-							"Signed integer overflow negating the minimum value of %s", val.T)
-					}
-					return mem.MakeInt(m, val.T, -val.Bits), nil
-				default:
-					return mem.MakeInt(in.Model(), val.T, ^val.Bits), nil
-				}
-			case mem.Float:
-				if op == cast.UNeg {
-					return mem.Float{T: val.T, F: -val.F}, nil
-				}
-				return val, nil
-			}
-			return nil, in.UBErrorf(ub.Catalog[0], pos, "Bad operand to unary %v", op)
+			return in.UnaryArith(op, v, pos)
 		}
 
 	case cast.UNot:
@@ -530,24 +508,9 @@ func (c *compiler) compileUnary(e *cast.Unary) cexpr {
 			if err != nil {
 				return nil, err
 			}
-			var newV mem.Value
-			switch v := old.(type) {
-			case mem.Int:
-				nv, uerr := in.IntArith(cast.BAdd, v, mem.Int{T: v.T, Bits: uint64(dir)}, v.T, pos)
-				if uerr != nil {
-					return nil, uerr
-				}
-				newV = nv
-			case mem.Float:
-				newV = mem.Float{T: v.T, F: v.F + float64(dir)}
-			case mem.Ptr:
-				nv, uerr := in.PtrAdd(v, dir, pos)
-				if uerr != nil {
-					return nil, uerr
-				}
-				newV = nv
-			default:
-				return nil, in.UBErrorf(ub.Catalog[0], pos, "Bad operand to ++/--")
+			newV, err := in.IncDec(old, dir, pos)
+			if err != nil {
+				return nil, err
 			}
 			if err := in.WriteLV(l, newV, pos); err != nil {
 				return nil, err
@@ -669,7 +632,7 @@ func (c *compiler) compileBinary(e *cast.Binary) cexpr {
 	// Other binary operators: operands are unsequenced — ask the scheduler.
 	cx := c.compileExpr(e.X)
 	cy := c.compileExpr(e.Y)
-	op := e.Op
+	op, t := e.Op, e.T
 	return func(in *interp.Interp) (mem.Value, error) {
 		if err := in.Step(pos); err != nil {
 			return nil, err
@@ -698,7 +661,7 @@ func (c *compiler) compileBinary(e *cast.Binary) cexpr {
 		if yv, err = in.Usable(yv, pos); err != nil {
 			return nil, err
 		}
-		return in.ApplyBinary(op, xv, yv, e, pos)
+		return in.ApplyBinary(op, xv, yv, t, pos)
 	}
 }
 
@@ -740,11 +703,8 @@ func (c *compiler) compileAssign(e *cast.Assign) cexpr {
 			return cv, nil
 		}
 	}
-	// Compound assignment: read-modify-write through applyBinary, with
-	// the same per-execution synthetic operator node the tree walker
-	// builds (compiled code is shared across concurrent interpreters, so
-	// the node cannot be preallocated and mutated).
-	op, lNode, rNode := e.Op, e.L, e.R
+	// Compound assignment: read-modify-write through ApplyBinary, in the
+	// operation type the tree walker computes.
 	return func(in *interp.Interp) (mem.Value, error) {
 		if err := in.Step(pos); err != nil {
 			return nil, err
@@ -779,13 +739,7 @@ func (c *compiler) compileAssign(e *cast.Assign) cexpr {
 		if err != nil {
 			return nil, err
 		}
-		tmp := &cast.Binary{Op: op, X: lNode, Y: rNode}
-		tmp.P = pos
-		tmp.T = in.Model().UsualArith(decayed(lNode.Type()), decayed(rNode.Type()))
-		if _, isPtr := old.(mem.Ptr); isPtr {
-			tmp.T = lNode.Type()
-		}
-		res, err := in.ApplyBinary(op, old, urv, tmp, pos)
+		res, err := in.ApplyBinary(e.Op, old, urv, in.CompoundType(e, old), pos)
 		if err != nil {
 			return nil, err
 		}
@@ -798,15 +752,6 @@ func (c *compiler) compileAssign(e *cast.Assign) cexpr {
 		}
 		return cv, nil
 	}
-}
-
-// decayed mirrors the interpreter's LV-conversion on types.
-func decayed(t *ctypes.Type) *ctypes.Type {
-	switch t.Kind {
-	case ctypes.Array, ctypes.Func:
-		return t.Decay()
-	}
-	return t
 }
 
 func (c *compiler) compileCall(e *cast.Call) cexpr {

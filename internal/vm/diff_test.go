@@ -132,32 +132,40 @@ func TestEngineDiffOwn(t *testing.T) {
 	}
 }
 
-// jumpProgram is a program that enters a statement at a jump target (a
-// goto's label or a switch's case inside a loop).
-type jumpProgram struct{ file, src string }
+// corpusProgram is a program of one of the interpreter's corpora.
+type corpusProgram struct{ file, src string }
 
-// jumpPrograms reads the jump programs in file-name order.
-func jumpPrograms(tb testing.TB) []jumpProgram {
+// corpus reads the programs of internal/interp/testdata/dir in file-name
+// order.
+func corpus(tb testing.TB, dir string) []corpusProgram {
 	tb.Helper()
-	files, err := filepath.Glob(filepath.Join("..", "interp", "testdata", "jumps", "*.c"))
+	files, err := filepath.Glob(filepath.Join("..", "interp", "testdata", dir, "*.c"))
 	if err != nil || len(files) == 0 {
-		tb.Fatalf("no jump programs: %v", err)
+		tb.Fatalf("no %s programs: %v", dir, err)
 	}
-	progs := make([]jumpProgram, len(files))
+	progs := make([]corpusProgram, len(files))
 	for i, f := range files {
 		src, err := os.ReadFile(f)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		progs[i] = jumpProgram{filepath.Base(f), string(src)}
+		progs[i] = corpusProgram{filepath.Base(f), string(src)}
 	}
 	return progs
 }
 
-// TestEngineDiffJumps runs the jump programs under both engines and all
-// four profiles.
-func TestEngineDiffJumps(t *testing.T) {
-	progs := jumpPrograms(t)
+// TestEngineDiffJumps runs the jump programs, each of which enters a
+// statement at a jump target (a goto's label or a switch's case inside a
+// loop), under both engines and all four profiles.
+func TestEngineDiffJumps(t *testing.T) { diffCorpus(t, "jumps") }
+
+// TestEngineDiffArith runs the integer arithmetic programs (++, -- and
+// compound assignments at their types' limits) under both engines and
+// all four profiles.
+func TestEngineDiffArith(t *testing.T) { diffCorpus(t, "arith") }
+
+func diffCorpus(t *testing.T, dir string) {
+	progs := corpus(t, dir)
 	for pname, prof := range profiles() {
 		t.Run(pname, func(t *testing.T) {
 			for _, p := range progs {

@@ -32,8 +32,10 @@ func FuzzEngineDiff(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
-	for _, p := range jumpPrograms(f) {
-		f.Add(p.src)
+	for _, dir := range []string{"jumps", "arith"} {
+		for _, p := range corpus(f, dir) {
+			f.Add(p.src)
+		}
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		const budget = 200_000 // unbounded loops must die quickly, identically
