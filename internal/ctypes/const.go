@@ -84,8 +84,9 @@ var (
 // ErrOverflow (§6.5:5; INT_MIN / -1 and INT_MIN % -1 too, §6.5.5:6, and a
 // signed left shift whose product t cannot represent, §6.5.7:4),
 // ErrShiftCount (a count below 0 or not below t's width, §6.5.7:3) or
-// ErrShiftNeg (a negative left operand of <<, §6.5.7:4). With ErrOverflow
-// and ErrShiftNeg the result is the value wrapped to t.
+// ErrShiftNeg (a negative left operand of <<, §6.5.7:4), bare, so callers
+// compare with ==. With ErrOverflow and ErrShiftNeg the result is the
+// value wrapped to t.
 func (m *Model) Arith(op Op, t *Type, a, b uint64) (uint64, error) {
 	signed := t.IsSigned(m)
 	var v uint64
