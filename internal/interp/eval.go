@@ -396,14 +396,22 @@ func (in *Interp) unaryArith(op cast.UnaryOp, v mem.Value, pos token.Pos) (mem.V
 
 // incDec is the value ++ or -- (dir 1 or -1) stores over old. E++ is
 // E += 1 (C11 §6.5.3.1:2, §6.5.2.4:2): an integer is incremented in its
-// promoted type and converted back.
+// promoted type and converted back. An unsigned operand (unsigned char,
+// unsigned short, _Bool) may promote to int, but ±1 on it never overflows
+// there, so only a signed operand passes the overflow check.
 func (in *Interp) incDec(old mem.Value, dir int64, pos token.Pos) (mem.Value, error) {
 	switch v := old.(type) {
 	case mem.Int:
 		t := in.model.Promote(v.T)
-		r, err := in.intArith(cast.BAdd, t, v, mem.Int{T: t, Bits: in.model.Wrap(t, uint64(dir))}, pos)
-		if err != nil {
-			return nil, err
+		one := mem.Int{T: t, Bits: in.model.Wrap(t, uint64(dir))}
+		var r uint64
+		if v.T.IsSigned(in.model) {
+			var err error
+			if r, err = in.intArith(cast.BAdd, t, v, one, pos); err != nil {
+				return nil, err
+			}
+		} else {
+			r, _ = in.model.Arith(ctypes.OpAdd, t, v.Bits, one.Bits)
 		}
 		return mem.BoxInt(v.T, in.model.Wrap(v.T, r)), nil
 	case mem.Float:

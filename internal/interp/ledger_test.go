@@ -237,3 +237,29 @@ func TestObserverKindFilter(t *testing.T) {
 		}
 	}
 }
+
+// TestIncDecOverflowChecks pins which ++ and -- pass the signed-overflow
+// check: E++ adds in the promoted type, but an unsigned char, unsigned
+// short or _Bool operand cannot overflow int there, so only the three
+// signed operands count as evaluations, under both engines.
+func TestIncDecOverflowChecks(t *testing.T) {
+	src := `
+int main(void){
+	unsigned char uc = 255; unsigned short us = 0; _Bool b = 1;
+	signed char sc = 127; short s = -32768; int i = 0;
+	uc++; us--; b++; sc++; s--; i++;
+	return 0;
+}
+`
+	for _, engine := range []string{"tree", "vm"} {
+		obs.ResetCoverage()
+		res := undefc.RunSource(src, "incdec.c", undefc.Options{Exec: interp.Options{Engine: engine}})
+		if res.UB != nil || res.Err != nil {
+			t.Fatalf("engine %s: %v %v", engine, res.UB, res.Err)
+		}
+		if r := coverageRow(t, ub.SignedOverflow.Code); r.Evaluated != 3 || r.Fired != 0 {
+			t.Errorf("engine %s: SignedOverflow evaluated %d fired %d, want 3 and 0", engine, r.Evaluated, r.Fired)
+		}
+	}
+	obs.ResetCoverage()
+}

@@ -23,7 +23,6 @@ func init() {
 		{ub.OutsideLifetime, "StackLife", "vm/compile.go"},
 		{ub.InvalidDeref, "HeapBounds", "vm/compile.go"},
 		{ub.InvalidDeref, "StackBounds", "vm/compile.go"},
-		{ub.SignedOverflow, "Overflow", "vm/compile.go"},
 		{ub.Catalog[0], "Always", "vm/compile.go"},
 		// vm/stmt.go — dispatch-time statement checks.
 		{ub.Catalog[0], "Always", "vm/stmt.go"},
