@@ -36,6 +36,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/fault"
@@ -82,7 +83,7 @@ func main() {
 	opts := runner.Options{Parallelism: *jobs, CaseTimeout: *caseTimeout, Injector: injector}
 
 	if *coverageFlag {
-		os.Exit(runCoverage(cfg, opts))
+		os.Exit(runCoverage(os.Stdout, cfg, opts))
 	}
 
 	// -trace-out installs a span collector on the run context; every matrix
@@ -180,7 +181,7 @@ func main() {
 // check-site coverage ledger the runs accumulated. Counters are
 // order-independent atomic sums and the render is code-sorted, so the
 // report is byte-identical across -j values.
-func runCoverage(cfg tools.Config, opts runner.Options) int {
+func runCoverage(w io.Writer, cfg tools.Config, opts runner.Options) int {
 	obs.ResetCoverage()
 	cases := 0
 	for _, s := range []*suite.Suite{suite.Juliet(), suite.Own()} {
@@ -194,8 +195,8 @@ func runCoverage(cfg tools.Config, opts runner.Options) int {
 		undefc.RunSource(tc.Source, tc.Name+".c", undefc.Options{})
 		cases++
 	}
-	fmt.Printf("coverage over %d cases (juliet + own matrices, torture-lite)\n\n", cases)
-	fmt.Print(runner.CoverageReport(obs.CoverageSnapshot()))
+	fmt.Fprintf(w, "coverage over %d cases (juliet + own matrices, torture-lite)\n\n", cases)
+	fmt.Fprint(w, runner.CoverageReport(obs.CoverageSnapshot()))
 	return 0
 }
 
