@@ -1,7 +1,9 @@
 package ctypes
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -84,6 +86,10 @@ func ModelFor(name string) (*Model, error) {
 	return nil, fmt.Errorf("unknown model %q (want LP64, ILP32, or INT8)", name)
 }
 
+// ErrTooLarge reports an object type whose size in bytes does not fit in
+// an int64 (gcc: "size of array is too large").
+var ErrTooLarge = errors.New("size is too large")
+
 // SizeOf returns the size of t in bytes under m, or an error for
 // incomplete and non-object types — including aggregates whose members are
 // unsizeable (e.g. a struct with a flexible array member, which
@@ -118,6 +124,9 @@ func (m *Model) SizeOf(t *Type) (int64, error) {
 		es, err := m.SizeOf(t.Elem)
 		if err != nil {
 			return 0, err
+		}
+		if es > 0 && t.ArrayLen > math.MaxInt64/es {
+			return 0, fmt.Errorf("array type %s: %w", t, ErrTooLarge)
 		}
 		return t.ArrayLen * es, nil
 	case Struct, Union:
@@ -255,6 +264,9 @@ func (m *Model) LayoutOf(t *Type) error {
 			bitUnitEnd = -1
 			bitPos = 0
 			size = roundUp(size, fa)
+			if fs > math.MaxInt64-m.MaxAlign-size {
+				return fmt.Errorf("%s: member %q: %w", t, f.Name, ErrTooLarge)
+			}
 			f.Offset = size
 			size += fs
 		}

@@ -12,6 +12,7 @@
 package sema
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -221,6 +222,9 @@ func (c *checker) sized(t *ctypes.Type, pos token.Pos, what string) error {
 // named name; the message is formatted only when the check fails.
 func (c *checker) sizedDecl(t *ctypes.Type, pos token.Pos, kind, name string) error {
 	if _, err := c.model.SizeOf(t); err != nil {
+		if t.Kind == ctypes.Array && errors.Is(err, ctypes.ErrTooLarge) {
+			return c.errorf(pos, "size of array %q is too large", name)
+		}
 		return c.errorf(pos, "%s %q: %v", kind, name, err)
 	}
 	return nil

@@ -3,6 +3,7 @@ package undefc_test
 import (
 	"strings"
 	"testing"
+	"time"
 
 	undefc "repro"
 	"repro/internal/ctypes"
@@ -180,5 +181,27 @@ int main(void) {
 	own := "#include <stdint.h>\ntypedef long int32_t;\nint main(void){ return sizeof(int32_t) == 8 ? 0 : 1; }\n"
 	if res := undefc.RunSource(own, "own.c", undefc.Options{Model: ctypes.Int8()}); res.ExitCode != 0 || res.Err != nil {
 		t.Errorf("INT8 own int32_t: exit %d, err %v", res.ExitCode, res.Err)
+	}
+}
+
+// TestHugeArrayRejected: an array whose size in bytes does not fit in an
+// int64 is a compile error with gcc's text. The size used to wrap, to a
+// 0-byte object whose 2^62 elements run start then walked one by one.
+func TestHugeArrayRejected(t *testing.T) {
+	const tooLarge = `size of array "a" is too large`
+	for _, src := range []string{
+		"int a[1UL << 62]; int main(void) { return 0; }",
+		"int main(void) { long a[1UL << 61]; return 0; }",
+	} {
+		done := make(chan undefc.Result, 1)
+		go func() { done <- undefc.RunSource(src, "big.c", undefc.Options{}) }()
+		select {
+		case res := <-done:
+			if res.Err == nil || !strings.Contains(res.Err.Error(), tooLarge) {
+				t.Errorf("%s: err=%v ub=%v, want %s", src, res.Err, res.UB, tooLarge)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: still running after 10s", src)
+		}
 	}
 }
