@@ -626,8 +626,13 @@ func (in *Interp) initGlobals() error {
 }
 
 // markQualRanges records const (notWritable, §4.2.2) and volatile byte
-// ranges of a newly created object, walking its type.
+// ranges of a newly created object, walking its type. It walks into a type
+// only when something inside it is qualified, so a large plain array costs
+// nothing here.
 func (in *Interp) markQualRanges(obj mem.ObjID, off int64, t *ctypes.Type) {
+	if !holdsQual(t) {
+		return
+	}
 	if t.Qual.Has(ctypes.QConst) {
 		in.store.MarkNotWritable(obj, off, in.model.Size(t))
 	}
@@ -655,6 +660,25 @@ func (in *Interp) markQualRanges(obj mem.ObjID, off int64, t *ctypes.Type) {
 			in.markQualRanges(obj, off+f.Offset, f.Type)
 		}
 	}
+}
+
+// holdsQual reports whether t, an element of it or a member of it is
+// const or volatile.
+func holdsQual(t *ctypes.Type) bool {
+	if t.Qual.Has(ctypes.QConst) || t.Qual.Has(ctypes.QVolatile) {
+		return true
+	}
+	switch t.Kind {
+	case ctypes.Array:
+		return holdsQual(t.Elem)
+	case ctypes.Struct, ctypes.Union:
+		for _, f := range t.Fields {
+			if holdsQual(f.Type) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // runInitPlan applies a resolved initialization plan to an object.
