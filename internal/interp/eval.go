@@ -580,15 +580,15 @@ func (in *Interp) intArith(op cast.BinaryOp, t *ctypes.Type, x, y mem.Int, pos t
 		count := int64(y.Bits)
 		if err == ctypes.ErrShiftCount {
 			width := m.Size(t) * 8
-			if !y.T.IsSigned(m) && y.Bits > uint64(width) {
-				count = width
-			}
 			if in.prof.Shift {
+				if !y.T.IsSigned(m) && y.Bits > uint64(width) {
+					count = width // a huge unsigned count reads as the width
+				}
 				return 0, in.ubError(ub.ShiftTooFar, pos,
 					"Shift count %d is negative or >= the width (%d) of %s", count, width, t)
 			}
-			count &= width - 1 // the x86 shifter masks the count
-			r, err = m.Arith(op.Arith(), t, x.Bits, uint64(count))
+			// The x86 shifter masks the raw count.
+			r, err = m.Arith(op.Arith(), t, x.Bits, y.Bits&uint64(width-1))
 		} else if in.prof.Shift {
 			in.obsCheckPass(ub.ShiftTooFar, pos)
 		}
