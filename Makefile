@@ -49,7 +49,10 @@ test:
 # zero frontend recompiles, and that the router's cross-node
 # single-flight coalesced duplicate compiles. The observability gates on
 # top: the UB coverage hot path (evaluated/fired counters on every check
-# site) must not allocate, partial-order-reduction bookkeeping must cost
+# site — each check names a row of internal/interp/checksites.go, the
+# ledger's registry; the tier-1 run holds every row to a check,
+# TestCheckSitesNamed, and pins the -coverage report, TestCoverageGolden)
+# must not allocate, partial-order-reduction bookkeeping must cost
 # the same bytes per logged decision on a deep recursion as on a shallow
 # one, scheduling up to 8 operands must not allocate, a user call and a
 # run's setup must stay under their pinned heap objects (frames are

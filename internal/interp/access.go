@@ -26,35 +26,35 @@ type LV struct {
 // the retained bytes of the dead object).
 func (in *Interp) object(lv LV, pos token.Pos, forWrite bool) (*mem.Object, error) {
 	if lv.Base == mem.NullBase {
-		return nil, in.ubError(ub.InvalidDeref, pos, "Dereferencing a null pointer")
+		return nil, in.ubError(siteDeref, pos, "Dereferencing a null pointer")
 	}
 	if lv.Base == mem.InvalidBase {
-		if in.prof.ForgedPtr {
-			return nil, in.ubError(ub.PtrFromInt, pos, "Using a pointer forged from an integer")
+		if in.armed(siteAccessForged) {
+			return nil, in.ubError(siteAccessForged, pos, "Using a pointer forged from an integer")
 		}
 		return nil, &CrashError{Signal: "SIGSEGV", Detail: "access through a forged pointer"}
 	}
 	o, ok := in.store.Obj(lv.Base)
 	if !ok {
-		return nil, in.ubError(ub.InvalidDeref, pos, "Dereferencing an invalid pointer")
+		return nil, in.ubError(siteDeref, pos, "Dereferencing an invalid pointer")
 	}
 	if !o.Live {
 		if o.Kind == mem.ObjHeap {
-			if in.prof.HeapLife {
-				return nil, in.ubError(ub.UseAfterFree, pos,
+			if in.armed(siteAccessUAF) {
+				return nil, in.ubError(siteAccessUAF, pos,
 					"Accessing memory that has been freed")
 			}
-		} else if in.prof.StackLife {
-			return nil, in.ubError(ub.OutsideLifetime, pos,
+		} else if in.armed(siteAccessDead) {
+			return nil, in.ubError(siteAccessDead, pos,
 				"Referring to an object (%s) outside of its lifetime", o.Name)
 		}
 		// Fallback: the storage may still hold the old bytes.
 		return o, nil
 	}
 	if o.Kind == mem.ObjFunc {
-		return nil, in.ubError(ub.InvalidDeref, pos, "Accessing a function designator as an object")
+		return nil, in.ubError(siteDeref, pos, "Accessing a function designator as an object")
 	}
-	in.obsCheckPass(ub.InvalidDeref, pos)
+	in.obsCheckPass(siteDeref, pos)
 	return o, nil
 }
 
@@ -64,13 +64,11 @@ func (in *Interp) object(lv LV, pos token.Pos, forWrite bool) (*mem.Object, erro
 // fallback semantics (reads yield zeroes, writes vanish — the neighboring
 // stack memory of a real execution).
 func (in *Interp) checkBounds(o *mem.Object, lv LV, n int64, pos token.Pos) (uerr *ub.Error, oob bool) {
-	watched := in.prof.StackBounds
-	if o.Kind == mem.ObjHeap {
-		watched = in.prof.HeapBounds
-	}
+	site := byStorage(o, siteBoundsHeap, siteBoundsStack)
+	watched := in.armed(site)
 	if lv.Off >= 0 && lv.Off+n <= o.Size {
 		if watched {
-			in.obsCheckPass(ub.PtrArithBounds, pos)
+			in.obsCheckPass(site, pos)
 		}
 		return nil, false
 	}
@@ -78,14 +76,10 @@ func (in *Interp) checkBounds(o *mem.Object, lv LV, n int64, pos token.Pos) (uer
 		return nil, true
 	}
 	if lv.Off == o.Size {
-		return in.ubError(ub.PtrDerefOnePast, pos,
+		return in.ubError(byStorage(o, siteOnePastHeap, siteOnePastStack), pos,
 			"Dereferencing a pointer one past the end of an object (%s)", o.Name), true
 	}
-	b := ub.PtrArithBounds
-	if o.Kind == mem.ObjHeap {
-		b = ub.NegMallocOverrun
-	}
-	return in.ubError(b, pos,
+	return in.ubError(byStorage(o, siteOverrunHeap, siteBoundsStack), pos,
 		"Accessing outside the bounds of object %s (offset %d, size %d of %d)",
 		o.Name, lv.Off, n, o.Size), true
 }
@@ -94,25 +88,25 @@ func (in *Interp) checkBounds(o *mem.Object, lv LV, n int64, pos token.Pos) (uer
 // stored value may be accessed only by an allowed LV type. Heap objects
 // have no declared type and are exempt.
 func (in *Interp) checkAlias(o *mem.Object, lv LV, pos token.Pos) *ub.Error {
-	if !in.prof.Alias || o.DeclType == nil || lv.T == nil {
+	if !in.armed(siteAlias) || o.DeclType == nil || lv.T == nil {
 		return nil
 	}
 	if lv.T.Kind == ctypes.Struct || lv.T.Kind == ctypes.Union || lv.T.Kind == ctypes.Array {
 		return nil // aggregate copies are byte-wise; members checked per access
 	}
 	if !ctypes.AliasAllowed(lv.T, o.DeclType) {
-		return in.ubError(ub.BadAlias, pos,
+		return in.ubError(siteAlias, pos,
 			"Accessing an object with declared type %s through an LV of type %s",
 			o.DeclType, lv.T)
 	}
-	in.obsCheckPass(ub.BadAlias, pos)
+	in.obsCheckPass(siteAlias, pos)
 	return nil
 }
 
 // checkVolatile enforces C11 §6.7.3:6: an object defined volatile may not
 // be referred to through a non-volatile LV.
 func (in *Interp) checkVolatile(lv LV, n int64, pos token.Pos) *ub.Error {
-	if !in.prof.Volatile {
+	if !in.armed(siteVolatile) {
 		return nil
 	}
 	if lv.T != nil && lv.T.Qual.Has(ctypes.QVolatile) {
@@ -122,32 +116,32 @@ func (in *Interp) checkVolatile(lv LV, n int64, pos token.Pos) *ub.Error {
 		// No volatile object exists in this execution: every access
 		// trivially passes the check (the common case — skip the
 		// per-byte lookups).
-		in.obsCheckPass(ub.VolatileNonvolatile, pos)
+		in.obsCheckPass(siteVolatile, pos)
 		return nil
 	}
 	for i := lv.Off; i < lv.Off+n; i++ {
 		if _, ok := in.volatileLocs[mem.Loc{Obj: lv.Base, Off: i}]; ok {
-			return in.ubError(ub.VolatileNonvolatile, pos,
+			return in.ubError(siteVolatile, pos,
 				"Referring to a volatile object through a non-volatile LV")
 		}
 	}
-	in.obsCheckPass(ub.VolatileNonvolatile, pos)
+	in.obsCheckPass(siteVolatile, pos)
 	return nil
 }
 
 // noteRead records a read in the sequence-point state and checks it against
 // pending unsequenced writes: the paper's readByte rule (§4.2.1).
 func (in *Interp) noteRead(base mem.ObjID, off, n int64, pos token.Pos) *ub.Error {
-	if !in.prof.Seq {
+	if !in.armed(siteUnseqRead) {
 		return nil
 	}
 	s := in.curSeq()
 	if s.written.ContainsRange(base, off, n) {
-		return in.ubError(ub.UnseqValueComp, pos,
+		return in.ubError(siteUnseqRead, pos,
 			"Unsequenced side effect on scalar object with value computation using the same object")
 	}
 	s.read.AddRange(base, off, n)
-	in.obsCheckPass(ub.UnseqValueComp, pos)
+	in.obsCheckPass(siteUnseqRead, pos)
 	return nil
 }
 
@@ -157,16 +151,16 @@ func (in *Interp) noteRead(base mem.ObjID, off, n int64, pos token.Pos) *ub.Erro
 // check only the written set here and catch read-write conflicts in
 // noteRead.
 func (in *Interp) noteWrite(base mem.ObjID, off, n int64, pos token.Pos) *ub.Error {
-	if !in.prof.Seq {
+	if !in.armed(siteUnseqWrite) {
 		return nil
 	}
 	s := in.curSeq()
 	if s.written.ContainsRange(base, off, n) {
-		return in.ubError(ub.UnseqSideEffect, pos,
+		return in.ubError(siteUnseqWrite, pos,
 			"Unsequenced side effect on scalar object with side effect of same object")
 	}
 	s.written.AddRange(base, off, n)
-	in.obsCheckPass(ub.UnseqSideEffect, pos)
+	in.obsCheckPass(siteUnseqWrite, pos)
 	return nil
 }
 
@@ -229,8 +223,8 @@ func (in *Interp) decode(o *mem.Object, lv LV, data []mem.Byte, pos token.Pos) (
 		case mem.PtrOK:
 			return p, nil
 		case mem.PtrIndeterminate:
-			if in.prof.UninitPtr {
-				return nil, in.indeterminate(o, pos)
+			if in.armed(siteUninitPtr) {
+				return nil, in.indeterminate(siteUninitPtr, o, pos)
 			}
 			return mem.Ptr{T: t, Base: mem.InvalidBase}, nil
 		case mem.PtrFromBytes:
@@ -238,8 +232,8 @@ func (in *Interp) decode(o *mem.Object, lv LV, data []mem.Byte, pos token.Pos) (
 			// gone; produce an invalid pointer, undefined when used.
 			return mem.Ptr{T: t, Base: mem.InvalidBase}, nil
 		default: // PtrTorn
-			if in.prof.UninitPtr {
-				return nil, in.ubError(ub.TrapRepresentation, pos,
+			if in.armed(siteTornPtr) {
+				return nil, in.ubError(siteTornPtr, pos,
 					"Reading an object containing a partially overwritten pointer")
 			}
 			return mem.Ptr{T: t, Base: mem.InvalidBase}, nil
@@ -250,13 +244,13 @@ func (in *Interp) decode(o *mem.Object, lv LV, data []mem.Byte, pos token.Pos) (
 		case mem.DecodeOK:
 			return mem.Float{T: t, F: f}, nil
 		case mem.DecodeIndeterminate:
-			if in.prof.Uninit {
-				return nil, in.indeterminate(o, pos)
+			if in.armed(siteUninit) {
+				return nil, in.indeterminate(siteUninit, o, pos)
 			}
 			return mem.Float{T: t, F: 0}, nil
 		default:
-			if in.prof.Alias {
-				return nil, in.ubError(ub.BadAlias, pos,
+			if in.armed(sitePtrBytes) {
+				return nil, in.ubError(sitePtrBytes, pos,
 					"Reading pointer bytes through a floating LV")
 			}
 			f, _ := mem.DecodeFloat(in.model, t, in.concretize(data))
@@ -276,8 +270,8 @@ func (in *Interp) decode(o *mem.Object, lv LV, data []mem.Byte, pos token.Pos) (
 			if t.IsCharTy() && len(data) == 1 {
 				return RawByte{T: t.Unqualified(), B: data[0]}, nil
 			}
-			if in.prof.Uninit {
-				return nil, in.indeterminate(o, pos)
+			if in.armed(siteUninit) {
+				return nil, in.indeterminate(siteUninit, o, pos)
 			}
 			bits, _ := mem.DecodeInt(in.model, t, in.concretize(data))
 			return mem.BoxInt(t.Unqualified(), bits), nil
@@ -286,8 +280,8 @@ func (in *Interp) decode(o *mem.Object, lv LV, data []mem.Byte, pos token.Pos) (
 				// Byte-wise pointer copying (§4.3.2).
 				return RawByte{T: t.Unqualified(), B: data[0]}, nil
 			}
-			if in.prof.Alias {
-				return nil, in.ubError(ub.BadAlias, pos,
+			if in.armed(sitePtrBytes) {
+				return nil, in.ubError(sitePtrBytes, pos,
 					"Reading bytes of a pointer through an integer LV of type %s", t)
 			}
 			bits, _ := mem.DecodeInt(in.model, t, in.concretize(data))
@@ -298,7 +292,7 @@ func (in *Interp) decode(o *mem.Object, lv LV, data []mem.Byte, pos token.Pos) (
 		copy(cp, data)
 		return mem.Bytes{T: t, Data: cp}, nil
 	}
-	return nil, in.ubError(ub.InvalidDeref, pos, "Reading a value of unsupported type %s", t)
+	return nil, in.ubError(siteUnsupported, pos, "Reading a value of unsupported type %s", t)
 }
 
 // concretize renders bytes as the concrete octets a real execution would
@@ -310,25 +304,25 @@ func (in *Interp) concretize(data []mem.Byte) []mem.Byte {
 	return out
 }
 
-func (in *Interp) indeterminate(o *mem.Object, pos token.Pos) *ub.Error {
+func (in *Interp) indeterminate(s *CheckSite, o *mem.Object, pos token.Pos) *ub.Error {
 	if o.Kind == mem.ObjHeap {
-		return in.ubError(ub.IndeterminateValue, pos,
+		return in.ubError(s, pos,
 			"Reading uninitialized heap memory")
 	}
-	return in.ubError(ub.IndeterminateValue, pos,
+	return in.ubError(s, pos,
 		"Reading the indeterminate value of uninitialized object %s", o.Name)
 }
 
 func (in *Interp) readBitField(o *mem.Object, lv LV, data []mem.Byte, pos token.Pos) (mem.Value, error) {
 	bits, res := mem.DecodeInt(in.model, lv.T.Unqualified(), data)
 	if res == mem.DecodeIndeterminate {
-		if in.prof.Uninit {
-			return nil, in.indeterminate(o, pos)
+		if in.armed(siteUninit) {
+			return nil, in.indeterminate(siteUninit, o, pos)
 		}
 		bits = 0
 	} else if res != mem.DecodeOK {
-		if in.prof.Alias {
-			return nil, in.ubError(ub.BadAlias, pos, "Reading pointer bytes through a bit-field")
+		if in.armed(sitePtrBytes) {
+			return nil, in.ubError(sitePtrBytes, pos, "Reading pointer bytes through a bit-field")
 		}
 		bits, _ = mem.DecodeInt(in.model, lv.T.Unqualified(), in.concretize(data))
 	}
@@ -363,19 +357,19 @@ func (in *Interp) write(lv LV, v mem.Value, pos token.Pos) error {
 		return uerr
 	}
 	// §6.4.5:7: modifying a string literal.
-	if in.prof.StringLit {
+	if in.armed(siteStringLit) {
 		if o.Kind == mem.ObjString {
-			return in.ubError(ub.ModifyStringLit, pos, "Attempting to modify a string literal")
+			return in.ubError(siteStringLit, pos, "Attempting to modify a string literal")
 		}
-		in.obsCheckPass(ub.ModifyStringLit, pos)
+		in.obsCheckPass(siteStringLit, pos)
 	}
 	// §6.7.3:6 via the notWritable set (§4.2.2).
-	if in.prof.Const {
+	if in.armed(siteConst) {
 		if in.store.IsNotWritable(lv.Base, lv.Off, n) {
-			return in.ubError(ub.ModifyConst, pos,
+			return in.ubError(siteConst, pos,
 				"Modifying an object defined with a const-qualified type")
 		}
-		in.obsCheckPass(ub.ModifyConst, pos)
+		in.obsCheckPass(siteConst, pos)
 	}
 	if uerr := in.checkVolatile(lv, n, pos); uerr != nil {
 		return uerr
@@ -404,7 +398,7 @@ func (in *Interp) write(lv LV, v mem.Value, pos token.Pos) error {
 func (in *Interp) writeBitField(o *mem.Object, lv LV, v mem.Value, pos token.Pos) error {
 	iv, ok := v.(mem.Int)
 	if !ok {
-		return in.ubError(ub.BadAlias, pos, "Storing a non-integer into a bit-field")
+		return in.ubError(siteBitFieldStore, pos, "Storing a non-integer into a bit-field")
 	}
 	n := in.model.Size(lv.T)
 	// Read-modify-write the unit; indeterminate other bits become zero
@@ -429,24 +423,24 @@ func (in *Interp) checkPtrUsable(p mem.Ptr, pos token.Pos) *ub.Error {
 		return nil
 	}
 	if p.Base == mem.InvalidBase {
-		if in.prof.ForgedPtr {
-			return in.ubError(ub.PtrFromInt, pos, "Using a pointer forged from an integer")
+		if in.armed(sitePtrForged) {
+			return in.ubError(sitePtrForged, pos, "Using a pointer forged from an integer")
 		}
 		return nil
 	}
 	o, ok := in.store.Obj(p.Base)
 	if !ok {
-		return in.ubError(ub.InvalidDeref, pos, "Using an invalid pointer")
+		return in.ubError(sitePtrInvalid, pos, "Using an invalid pointer")
 	}
 	if !o.Live {
 		if o.Kind == mem.ObjHeap {
-			if in.prof.HeapLife {
-				return in.ubError(ub.UseAfterFree, pos, "Using a pointer to freed memory")
+			if in.armed(sitePtrUAF) {
+				return in.ubError(sitePtrUAF, pos, "Using a pointer to freed memory")
 			}
 			return nil
 		}
-		if in.prof.StackLife {
-			return in.ubError(ub.DanglingPointer, pos,
+		if in.armed(sitePtrDangling) {
+			return in.ubError(sitePtrDangling, pos,
 				"Using the value of a pointer to an object (%s) whose lifetime has ended", o.Name)
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/ctypes"
 	"repro/internal/mem"
 	"repro/internal/token"
-	"repro/internal/ub"
 )
 
 // builtin implements one library function natively (the paper's kcc links a
@@ -70,7 +69,7 @@ func init() {
 
 func (in *Interp) argInt(args []mem.Value, i int, pos token.Pos) (mem.Int, error) {
 	if i >= len(args) {
-		return mem.Int{}, in.ubError(ub.NullLibArg, pos, "Missing argument %d to library function", i+1)
+		return mem.Int{}, in.ubError(siteLibArg, pos, "Missing argument %d to library function", i+1)
 	}
 	v, err := in.usable(args[i], pos)
 	if err != nil {
@@ -82,12 +81,12 @@ func (in *Interp) argInt(args []mem.Value, i int, pos token.Pos) (mem.Int, error
 	case mem.Float:
 		return mem.MakeInt(in.model, ctypes.TLong, uint64(int64(v.F))), nil
 	}
-	return mem.Int{}, in.ubError(ub.NullLibArg, pos, "Library function expected an integer argument")
+	return mem.Int{}, in.ubError(siteLibArg, pos, "Library function expected an integer argument")
 }
 
 func (in *Interp) argPtr(args []mem.Value, i int, pos token.Pos) (mem.Ptr, error) {
 	if i >= len(args) {
-		return mem.Ptr{}, in.ubError(ub.NullLibArg, pos, "Missing argument %d to library function", i+1)
+		return mem.Ptr{}, in.ubError(siteLibArg, pos, "Missing argument %d to library function", i+1)
 	}
 	v, err := in.usable(args[i], pos)
 	if err != nil {
@@ -101,7 +100,7 @@ func (in *Interp) argPtr(args []mem.Value, i int, pos token.Pos) (mem.Ptr, error
 			return mem.Ptr{T: voidPtrType, Base: mem.NullBase}, nil
 		}
 	}
-	return mem.Ptr{}, in.ubError(ub.NullLibArg, pos, "Library function expected a pointer argument")
+	return mem.Ptr{}, in.ubError(siteLibArg, pos, "Library function expected a pointer argument")
 }
 
 // errSilentOOB marks an out-of-bounds library access that the profile does
@@ -113,44 +112,38 @@ var errSilentOOB = fmt.Errorf("unwatched out-of-bounds library access")
 // the object. Write regions also honor const and string-literal protection.
 func (in *Interp) region(p mem.Ptr, n int64, write bool, pos token.Pos) (*mem.Object, error) {
 	if p.IsNull() {
-		return nil, in.ubError(ub.StrFuncBadPtr, pos, "Null pointer passed to a library function")
+		return nil, in.ubError(siteLibPtr, pos, "Null pointer passed to a library function")
 	}
 	if p.Base == mem.InvalidBase {
-		return nil, in.ubError(ub.PtrFromInt, pos, "Forged pointer passed to a library function")
+		return nil, in.ubError(siteLibForged, pos, "Forged pointer passed to a library function")
 	}
 	o, ok := in.store.Obj(p.Base)
 	if !ok {
-		return nil, in.ubError(ub.StrFuncBadPtr, pos, "Invalid pointer passed to a library function")
+		return nil, in.ubError(siteLibPtr, pos, "Invalid pointer passed to a library function")
 	}
 	if !o.Live {
 		if o.Kind == mem.ObjHeap {
-			if in.prof.HeapLife {
-				return nil, in.ubError(ub.UseAfterFree, pos, "Freed pointer passed to a library function")
+			if in.armed(siteLibUAF) {
+				return nil, in.ubError(siteLibUAF, pos, "Freed pointer passed to a library function")
 			}
-		} else if in.prof.StackLife {
-			return nil, in.ubError(ub.DanglingPointer, pos, "Dangling pointer passed to a library function")
+		} else if in.armed(siteLibDangling) {
+			return nil, in.ubError(siteLibDangling, pos, "Dangling pointer passed to a library function")
 		}
 	}
 	if p.Off < 0 || p.Off+n > o.Size {
-		watched := in.prof.StackBounds
-		b := ub.StrFuncBadPtr
-		if o.Kind == mem.ObjHeap {
-			watched = in.prof.HeapBounds
-			b = ub.NegMallocOverrun
-		}
-		if watched {
-			return nil, in.ubError(b, pos,
+		if site := byStorage(o, siteLibBoundsHeap, siteLibBoundsStack); in.armed(site) {
+			return nil, in.ubError(site, pos,
 				"Library function accesses outside the bounds of object %s (offset %d, %d bytes of %d)",
 				o.Name, p.Off, n, o.Size)
 		}
 		return nil, errSilentOOB
 	}
 	if write {
-		if o.Kind == mem.ObjString && in.prof.StringLit {
-			return nil, in.ubError(ub.ModifyStringLit, pos, "Library function modifying a string literal")
+		if o.Kind == mem.ObjString && in.armed(siteLibStringLit) {
+			return nil, in.ubError(siteLibStringLit, pos, "Library function modifying a string literal")
 		}
-		if in.prof.Const && in.store.IsNotWritable(p.Base, p.Off, n) {
-			return nil, in.ubError(ub.ModifyConst, pos, "Library function modifying a const object")
+		if in.armed(siteLibConst) && in.store.IsNotWritable(p.Base, p.Off, n) {
+			return nil, in.ubError(siteLibConst, pos, "Library function modifying a const object")
 		}
 	}
 	return o, nil
@@ -159,7 +152,7 @@ func (in *Interp) region(p mem.Ptr, n int64, write bool, pos token.Pos) (*mem.Ob
 // cString reads the NUL-terminated string at p, checking validity.
 func (in *Interp) cString(p mem.Ptr, pos token.Pos) (string, error) {
 	if p.IsNull() {
-		return "", in.ubError(ub.StrFuncBadPtr, pos, "Null pointer passed as a string")
+		return "", in.ubError(siteLibPtr, pos, "Null pointer passed as a string")
 	}
 	o, err := in.region(p, 0, false, pos)
 	if err != nil {
@@ -168,12 +161,8 @@ func (in *Interp) cString(p mem.Ptr, pos token.Pos) (string, error) {
 	var b strings.Builder
 	for off := p.Off; ; off++ {
 		if off >= o.Size {
-			watched := in.prof.StackBounds
-			if o.Kind == mem.ObjHeap {
-				watched = in.prof.HeapBounds
-			}
-			if watched {
-				return "", in.ubError(ub.StrFuncBadPtr, pos,
+			if site := byStorage(o, siteLibNoNulHeap, siteLibNoNulStack); in.armed(site) {
+				return "", in.ubError(site, pos,
 					"String is not null-terminated within object %s", o.Name)
 			}
 			return b.String(), nil // fallback: the next frame byte was 0
@@ -187,14 +176,14 @@ func (in *Interp) cString(p mem.Ptr, pos token.Pos) (string, error) {
 			}
 			b.WriteByte(c)
 		case by.IsUnknown():
-			if in.prof.Uninit {
-				return "", in.ubError(ub.IndeterminateValue, pos,
+			if in.armed(siteLibUninit) {
+				return "", in.ubError(siteLibUninit, pos,
 					"Reading uninitialized bytes as a string")
 			}
 			return b.String(), nil // fallback: garbage that happened to be 0
 		default:
-			if in.prof.Alias {
-				return "", in.ubError(ub.TrapRepresentation, pos,
+			if in.armed(siteLibPtrBytes) {
+				return "", in.ubError(siteLibPtrBytes, pos,
 					"Reading pointer bytes as characters of a string")
 			}
 			b.WriteByte(0x2a) // concrete garbage
@@ -211,7 +200,7 @@ func biPrintf(in *Interp, args []mem.Value, e *cast.Call) (mem.Value, error) {
 func biFprintf(in *Interp, args []mem.Value, e *cast.Call) (mem.Value, error) {
 	// The stream argument is accepted and ignored; everything goes to Out.
 	if len(args) < 1 {
-		return nil, in.ubError(ub.NullLibArg, e.P, "fprintf with no stream")
+		return nil, in.ubError(siteLibArg, e.P, "fprintf with no stream")
 	}
 	return in.doPrintf(args, 1, e.P)
 }
@@ -291,7 +280,7 @@ func (in *Interp) formatPrintf(args []mem.Value, fmtIdx int, pos token.Pos) (str
 	argi := fmtIdx + 1
 	nextArg := func() (mem.Value, error) {
 		if argi >= len(args) {
-			return nil, in.ubError(ub.Catalog[148], pos,
+			return nil, in.ubError(sitePrintfArgs, pos,
 				"printf format requires more arguments than were passed")
 		}
 		v, err := in.usable(args[argi], pos)
@@ -308,7 +297,7 @@ func (in *Interp) formatPrintf(args []mem.Value, fmtIdx int, pos token.Pos) (str
 		}
 		i++
 		if i >= len(format) {
-			return "", in.ubError(ub.BadFormat, pos, "printf format string ends with %%")
+			return "", in.ubError(sitePrintfFormat, pos, "printf format string ends with %%")
 		}
 		// Flags, width, precision.
 		spec := "%"
@@ -335,7 +324,7 @@ func (in *Interp) formatPrintf(args []mem.Value, fmtIdx int, pos token.Pos) (str
 			i++
 		}
 		if i >= len(format) {
-			return "", in.ubError(ub.BadFormat, pos, "printf format string ends inside a conversion")
+			return "", in.ubError(sitePrintfFormat, pos, "printf format string ends inside a conversion")
 		}
 		conv := format[i]
 		i++
@@ -349,7 +338,7 @@ func (in *Interp) formatPrintf(args []mem.Value, fmtIdx int, pos token.Pos) (str
 			}
 			iv, ok := v.(mem.Int)
 			if !ok {
-				return "", in.ubError(ub.BadFormat, pos, "printf %%d with a non-integer argument")
+				return "", in.ubError(sitePrintfFormat, pos, "printf %%d with a non-integer argument")
 			}
 			out.WriteString(fmt.Sprintf(spec+"d", int64(iv.Bits)))
 		case 'u':
@@ -359,7 +348,7 @@ func (in *Interp) formatPrintf(args []mem.Value, fmtIdx int, pos token.Pos) (str
 			}
 			iv, ok := v.(mem.Int)
 			if !ok {
-				return "", in.ubError(ub.BadFormat, pos, "printf %%u with a non-integer argument")
+				return "", in.ubError(sitePrintfFormat, pos, "printf %%u with a non-integer argument")
 			}
 			bits := iv.Bits
 			if length == "" {
@@ -373,7 +362,7 @@ func (in *Interp) formatPrintf(args []mem.Value, fmtIdx int, pos token.Pos) (str
 			}
 			iv, ok := v.(mem.Int)
 			if !ok {
-				return "", in.ubError(ub.BadFormat, pos, "printf %%%c with a non-integer argument", conv)
+				return "", in.ubError(sitePrintfFormat, pos, "printf %%%c with a non-integer argument", conv)
 			}
 			bits := iv.Bits
 			if length == "" {
@@ -387,7 +376,7 @@ func (in *Interp) formatPrintf(args []mem.Value, fmtIdx int, pos token.Pos) (str
 			}
 			iv, ok := v.(mem.Int)
 			if !ok {
-				return "", in.ubError(ub.BadFormat, pos, "printf %%c with a non-integer argument")
+				return "", in.ubError(sitePrintfFormat, pos, "printf %%c with a non-integer argument")
 			}
 			out.WriteByte(byte(iv.Bits))
 		case 's':
@@ -397,7 +386,7 @@ func (in *Interp) formatPrintf(args []mem.Value, fmtIdx int, pos token.Pos) (str
 			}
 			p, ok := v.(mem.Ptr)
 			if !ok {
-				return "", in.ubError(ub.BadFormat, pos, "printf %%s with a non-pointer argument")
+				return "", in.ubError(sitePrintfFormat, pos, "printf %%s with a non-pointer argument")
 			}
 			s, err := in.cString(p, pos)
 			if err != nil {
@@ -411,7 +400,7 @@ func (in *Interp) formatPrintf(args []mem.Value, fmtIdx int, pos token.Pos) (str
 			}
 			p, ok := v.(mem.Ptr)
 			if !ok {
-				return "", in.ubError(ub.BadFormat, pos, "printf %%p with a non-pointer argument")
+				return "", in.ubError(sitePrintfFormat, pos, "printf %%p with a non-pointer argument")
 			}
 			if p.IsNull() {
 				out.WriteString("(nil)")
@@ -426,13 +415,13 @@ func (in *Interp) formatPrintf(args []mem.Value, fmtIdx int, pos token.Pos) (str
 			fv, ok := v.(mem.Float)
 			if !ok {
 				// Integer arguments to %f are a mismatch (§7.21.6.1:9).
-				return "", in.ubError(ub.BadFormat, pos, "printf %%%c with a non-floating argument", conv)
+				return "", in.ubError(sitePrintfFormat, pos, "printf %%%c with a non-floating argument", conv)
 			}
 			out.WriteString(fmt.Sprintf(spec+string(conv), fv.F))
 		case 'n':
-			return "", in.ubError(ub.Catalog[153], pos, "printf %%n is not supported")
+			return "", in.ubError(sitePrintfN, pos, "printf %%n is not supported")
 		default:
-			return "", in.ubError(ub.BadFormat, pos, "printf: unknown conversion %%%c", conv)
+			return "", in.ubError(sitePrintfFormat, pos, "printf: unknown conversion %%%c", conv)
 		}
 	}
 	return out.String(), nil
@@ -474,7 +463,7 @@ func biMalloc(in *Interp, args []mem.Value, e *cast.Call) (mem.Value, error) {
 	}
 	size := int64(n.Bits)
 	if size < 0 {
-		return nil, in.ubError(ub.NullLibArg, e.P, "malloc with negative size %d", size)
+		return nil, in.ubError(siteLibArg, e.P, "malloc with negative size %d", size)
 	}
 	o, aerr := in.store.Alloc(mem.ObjHeap, size, "malloc'd object", nil)
 	if aerr != nil {
@@ -502,7 +491,7 @@ func biCalloc(in *Interp, args []mem.Value, e *cast.Call) (mem.Value, error) {
 	}
 	total := int64(n.Bits) * int64(sz.Bits)
 	if total < 0 {
-		return nil, in.ubError(ub.NullLibArg, e.P, "calloc with negative size")
+		return nil, in.ubError(siteLibArg, e.P, "calloc with negative size")
 	}
 	o, aerr := in.store.Alloc(mem.ObjHeap, total, "calloc'd object", nil)
 	if aerr != nil {
@@ -527,11 +516,11 @@ func biRealloc(in *Interp, args []mem.Value, e *cast.Call) (mem.Value, error) {
 	}
 	o, ok := in.store.Obj(p.Base)
 	if !ok || o.Kind != mem.ObjHeap || p.Off != 0 {
-		return nil, in.ubError(ub.BadRealloc, e.P,
+		return nil, in.ubError(siteRealloc, e.P,
 			"realloc() of a pointer not obtained from an allocation function")
 	}
 	if !o.Live {
-		return nil, in.ubError(ub.BadRealloc, e.P, "realloc() of an already freed pointer")
+		return nil, in.ubError(siteRealloc, e.P, "realloc() of an already freed pointer")
 	}
 	no, aerr := in.store.Alloc(mem.ObjHeap, size, "realloc'd object", nil)
 	if aerr != nil {
@@ -554,7 +543,7 @@ func biFree(in *Interp, args []mem.Value, e *cast.Call) (mem.Value, error) {
 	if p.IsNull() {
 		return mem.Void{}, nil // free(NULL) is a no-op (§7.22.3.3:2)
 	}
-	if !in.prof.BadFree {
+	if !in.armed(siteFree) {
 		// Unchecked frees silently corrupt the allocator on a real
 		// machine; here they are no-ops unless actually valid.
 		if o, ok := in.store.Obj(p.Base); ok && o.Kind == mem.ObjHeap && o.Live && p.Off == 0 {
@@ -563,21 +552,21 @@ func biFree(in *Interp, args []mem.Value, e *cast.Call) (mem.Value, error) {
 		return mem.Void{}, nil
 	}
 	if p.Base == mem.InvalidBase {
-		return nil, in.ubError(ub.BadFree, e.P, "free() of a forged pointer")
+		return nil, in.ubError(siteFree, e.P, "free() of a forged pointer")
 	}
 	o, ok := in.store.Obj(p.Base)
 	if !ok {
-		return nil, in.ubError(ub.BadFree, e.P, "free() of an invalid pointer")
+		return nil, in.ubError(siteFree, e.P, "free() of an invalid pointer")
 	}
 	if o.Kind != mem.ObjHeap {
-		return nil, in.ubError(ub.BadFree, e.P,
+		return nil, in.ubError(siteFree, e.P,
 			"free() of a pointer to %s storage (not from an allocation function)", o.Kind)
 	}
 	if !o.Live {
-		return nil, in.ubError(ub.BadFree, e.P, "free() of an already freed pointer (double free)")
+		return nil, in.ubError(siteFree, e.P, "free() of an already freed pointer (double free)")
 	}
 	if p.Off != 0 {
-		return nil, in.ubError(ub.Catalog[175], e.P,
+		return nil, in.ubError(siteFreeOffset, e.P,
 			"free() of a pointer into the middle of an allocated object (offset %d)", p.Off)
 	}
 	in.store.Kill(o.ID)
@@ -642,7 +631,7 @@ func biAbs(in *Interp, args []mem.Value, e *cast.Call) (mem.Value, error) {
 	if sv == in.model.IntMin(t) {
 		// §7.22.6.1: the absolute value of the most negative number is
 		// not representable.
-		return nil, in.ubError(ub.Catalog[129], e.P,
+		return nil, in.ubError(siteAbs, e.P,
 			"abs() of the most negative value of %s", t)
 	}
 	if sv < 0 {
@@ -695,7 +684,7 @@ func biMemcpy(in *Interp, args []mem.Value, e *cast.Call) (mem.Value, error) {
 	}
 	cnt := int64(n.Bits)
 	if overlap(dst, src, cnt) && cnt > 0 {
-		return nil, in.ubError(ub.MemcpyOverlap, e.P, "memcpy between overlapping objects")
+		return nil, in.ubError(siteMemcpyOverlap, e.P, "memcpy between overlapping objects")
 	}
 	return in.copyBytes(dst, src, cnt, e.P)
 }
@@ -785,8 +774,8 @@ func biMemcmp(in *Interp, args []mem.Value, e *cast.Call) (mem.Value, error) {
 		ab, aok := ao.Data[a.Off+i].Octet()
 		bb, bok := bo.Data[b.Off+i].Octet()
 		if !aok || !bok {
-			if in.prof.Uninit {
-				return nil, in.ubError(ub.IndeterminateValue, e.P,
+			if in.armed(siteLibUninit) {
+				return nil, in.ubError(siteLibUninit, e.P,
 					"memcmp on bytes without a determinate value")
 			}
 			ab, bb = 0, 0
@@ -855,7 +844,7 @@ func biStrcpy(in *Interp, args []mem.Value, e *cast.Call) (mem.Value, error) {
 	}
 	n := int64(len(s) + 1)
 	if overlap(dst, src, n) {
-		return nil, in.ubError(ub.StrcpyOverlap, e.P, "strcpy between overlapping objects")
+		return nil, in.ubError(siteStrcpyOverlap, e.P, "strcpy between overlapping objects")
 	}
 	o, err := in.region(dst, n, true, e.P)
 	if err != nil {
@@ -883,7 +872,7 @@ func biStrncpy(in *Interp, args []mem.Value, e *cast.Call) (mem.Value, error) {
 	}
 	n := int64(nv.Bits)
 	if overlap(dst, src, n) && n > 0 {
-		return nil, in.ubError(ub.Catalog[188], e.P, "strncpy between overlapping objects")
+		return nil, in.ubError(siteStrncpyOverlap, e.P, "strncpy between overlapping objects")
 	}
 	o, err := in.region(dst, n, true, e.P)
 	if err != nil {
@@ -896,12 +885,12 @@ func biStrncpy(in *Interp, args []mem.Value, e *cast.Call) (mem.Value, error) {
 	var i int64
 	for i = 0; i < n; i++ {
 		if src.Off+i >= so.Size {
-			return nil, in.ubError(ub.StrFuncBadPtr, e.P, "strncpy reads past the source object")
+			return nil, in.ubError(siteStrncpyPast, e.P, "strncpy reads past the source object")
 		}
 		b, ok := so.Data[src.Off+i].Octet()
 		if !ok {
-			if in.prof.Uninit {
-				return nil, in.ubError(ub.IndeterminateValue, e.P, "strncpy on indeterminate bytes")
+			if in.armed(siteLibUninit) {
+				return nil, in.ubError(siteLibUninit, e.P, "strncpy on indeterminate bytes")
 			}
 			b = 0
 		}
@@ -1122,7 +1111,7 @@ func biCtype(pred func(int) bool) builtin {
 		c := int(int64(v.Bits))
 		if c < -1 || c > 255 {
 			// §7.4:1: argument must be representable as unsigned char or EOF.
-			return nil, in.ubError(ub.Catalog[113], e.P,
+			return nil, in.ubError(siteCtype, e.P,
 				"ctype function with out-of-range argument %d", c)
 		}
 		return truth(pred(c)), nil

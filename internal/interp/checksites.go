@@ -1,121 +1,145 @@
 package interp
 
-// Static check-site registry for the UB coverage ledger. Every behavior the
-// interpreter can evaluate a check for is declared here once, at package
-// init, as a (behavior, profile gate, site) triple — the denominator of the
-// coverage report. The counters themselves live in internal/obs and are
-// bumped by the two emission funnels (ubError for fires, obsCheckPass for
-// passes); this table only says which behaviors *have* check sites and
-// which Profile field arms them, so `ubsuite -coverage` can name the
-// registered behaviors a suite never fires.
+// The check-site table. Every UB check the machine makes is one row,
+// declared once below: a stable name, the catalog behavior the check
+// reports, and the profile gate that arms it. A check names its row at the
+// call: ubError and obsCheckPass take the row, and armed asks the row
+// whether the run's profile arms it, so no list can drift from the code.
+// The rows are the coverage ledger's registry (obs.CheckSites), and
+// TestCheckSitesNamed fails on a row that no non-test code names.
 //
-// Granularity is per source file: a site string names the file whose checks
-// evaluate the behavior, and a behavior checked under more than one gate
-// (InvalidDeref fires under HeapBounds or StackBounds depending on the
-// object's storage) registers once per gate. Sites that no Profile field
-// gates — library argument validation, format strings, the constraint
-// checks the paper's kcc always performs — register under "Always".
+// A row is one distinct check; several calls may share it. A bounds check
+// takes its gate from the object's storage, so it is two rows, one per
+// storage class (byStorage picks). The exported rows are the ones the
+// bytecode VM names too.
 
 import (
+	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/ub"
 )
 
-// checkSite is one registry row before registration.
-type checkSite struct {
+// A CheckSite is one row of the table.
+type CheckSite struct {
+	name string
 	b    *ub.Behavior
-	gate string
-	site string
+	gate gate
 }
 
-func init() {
-	sites := []checkSite{
-		// interp/access.go — the memory access path: every load and store
-		// funnels through checkRead/checkWrite.
-		{ub.BadAlias, "Alias", "interp/access.go"},
-		{ub.DanglingPointer, "StackLife", "interp/access.go"},
-		{ub.IndeterminateValue, "Uninit", "interp/access.go"},
-		{ub.IndeterminateValue, "UninitPtr", "interp/access.go"},
-		{ub.InvalidDeref, "HeapBounds", "interp/access.go"},
-		{ub.InvalidDeref, "StackBounds", "interp/access.go"},
-		{ub.ModifyConst, "Const", "interp/access.go"},
-		{ub.ModifyStringLit, "StringLit", "interp/access.go"},
-		{ub.OutsideLifetime, "StackLife", "interp/access.go"},
-		{ub.PtrDerefOnePast, "HeapBounds", "interp/access.go"},
-		{ub.PtrDerefOnePast, "StackBounds", "interp/access.go"},
-		{ub.PtrFromInt, "ForgedPtr", "interp/access.go"},
-		{ub.TrapRepresentation, "Uninit", "interp/access.go"},
-		{ub.UnseqSideEffect, "Seq", "interp/access.go"},
-		{ub.UnseqValueComp, "Seq", "interp/access.go"},
-		{ub.UseAfterFree, "HeapLife", "interp/access.go"},
-		{ub.VolatileNonvolatile, "Volatile", "interp/access.go"},
-		{ub.PtrArithBounds, "HeapBounds", "interp/access.go"},
-		{ub.PtrArithBounds, "StackBounds", "interp/access.go"},
-
-		// interp/builtins.go — the library model: allocation, string and
-		// memory functions, printf-family formatting.
-		{ub.BadFormat, "Always", "interp/builtins.go"},
-		{ub.BadFree, "BadFree", "interp/builtins.go"},
-		{ub.BadRealloc, "BadFree", "interp/builtins.go"},
-		{ub.DanglingPointer, "StackLife", "interp/builtins.go"},
-		{ub.IndeterminateValue, "Uninit", "interp/builtins.go"},
-		{ub.MemcpyOverlap, "Always", "interp/builtins.go"},
-		{ub.StrcpyOverlap, "Always", "interp/builtins.go"},
-		{ub.ModifyConst, "Const", "interp/builtins.go"},
-		{ub.ModifyStringLit, "StringLit", "interp/builtins.go"},
-		{ub.NullLibArg, "Always", "interp/builtins.go"},
-		{ub.PtrFromInt, "ForgedPtr", "interp/builtins.go"},
-		{ub.StrFuncBadPtr, "Always", "interp/builtins.go"},
-		{ub.TrapRepresentation, "Uninit", "interp/builtins.go"},
-		{ub.UseAfterFree, "HeapLife", "interp/builtins.go"},
-		{ub.Catalog[113], "Always", "interp/builtins.go"},
-		{ub.Catalog[129], "Always", "interp/builtins.go"},
-		{ub.Catalog[148], "Always", "interp/builtins.go"},
-		{ub.Catalog[153], "Always", "interp/builtins.go"},
-		{ub.Catalog[175], "Always", "interp/builtins.go"},
-		{ub.Catalog[188], "Always", "interp/builtins.go"},
-
-		// interp/convert.go — conversions and returned values.
-		{ub.FloatConvRange, "FloatConv", "interp/convert.go"},
-		{ub.FloatDemote, "FloatConv", "interp/convert.go"},
-		{ub.IndeterminateValue, "Uninit", "interp/convert.go"},
-		{ub.MisalignedPtr, "Misaligned", "interp/convert.go"},
-		{ub.NoReturnValue, "NoReturn", "interp/convert.go"},
-		{ub.TrapRepresentation, "Uninit", "interp/convert.go"},
-		{ub.VoidValueUsed, "Always", "interp/convert.go"},
-		{ub.Catalog[0], "Always", "interp/convert.go"},
-
-		// interp/eval.go — expression evaluation: arithmetic, shifts,
-		// pointer arithmetic and comparison.
-		{ub.DerefVoid, "VoidDeref", "interp/eval.go"},
-		{ub.DivByZero, "DivZero", "interp/eval.go"},
-		{ub.DivOverflow, "Overflow", "interp/eval.go"},
-		{ub.InvalidDeref, "HeapBounds", "interp/eval.go"},
-		{ub.InvalidDeref, "StackBounds", "interp/eval.go"},
-		{ub.OutsideLifetime, "StackLife", "interp/eval.go"},
-		{ub.PtrArithBounds, "HeapBounds", "interp/eval.go"},
-		{ub.PtrArithBounds, "StackBounds", "interp/eval.go"},
-		{ub.PtrCompareDifferent, "PtrCompare", "interp/eval.go"},
-		{ub.PtrSubDifferent, "PtrCompare", "interp/eval.go"},
-		{ub.PtrFromInt, "ForgedPtr", "interp/eval.go"},
-		{ub.ShiftNegLeft, "Shift", "interp/eval.go"},
-		{ub.ShiftOverflow, "Shift", "interp/eval.go"},
-		{ub.ShiftTooFar, "Shift", "interp/eval.go"},
-		{ub.SignedOverflow, "Overflow", "interp/eval.go"},
-		{ub.Catalog[0], "Always", "interp/eval.go"},
-		{ub.Catalog[82], "Always", "interp/eval.go"},
-
-		// interp/exec.go — statements, calls, declarations.
-		{ub.BadCallArgs, "CallMismatch", "interp/exec.go"},
-		{ub.BadCallNoProto, "CallMismatch", "interp/exec.go"},
-		{ub.BadFuncPtrCall, "CallMismatch", "interp/exec.go"},
-		{ub.InvalidDeref, "HeapBounds", "interp/exec.go"},
-		{ub.InvalidDeref, "StackBounds", "interp/exec.go"},
-		{ub.VLANotPositive, "VLASize", "interp/exec.go"},
-		{ub.Catalog[0], "Always", "interp/exec.go"},
-		{ub.Catalog[82], "Always", "interp/exec.go"},
-	}
-	for _, s := range sites {
-		obs.RegisterCheckSite(s.b.Code, s.gate, s.site)
-	}
+// checkSite declares a row and registers it with the coverage ledger.
+func checkSite(name string, b *ub.Behavior, g gate) *CheckSite {
+	obs.RegisterCheckSite(b.Code, g.String(), name)
+	return &CheckSite{name: name, b: b, gate: g}
 }
+
+// armed reports whether the run's profile arms check site s.
+func (in *Interp) armed(s *CheckSite) bool { return in.gates&s.gate != 0 }
+
+// byStorage picks a bounds check's row by the object's storage: heap
+// objects are watched by HeapBounds, all others by StackBounds.
+func byStorage(o *mem.Object, heap, stack *CheckSite) *CheckSite {
+	if o.Kind == mem.ObjHeap {
+		return heap
+	}
+	return stack
+}
+
+var (
+	// Loads and stores (access.go): the lvalue's object, its bounds,
+	// type and qualifiers, the sequence-point sets and the bytes read.
+	siteDeref         = checkSite("access.deref", ub.InvalidDeref, gateAlways)
+	siteAccessForged  = checkSite("access.forged", ub.PtrFromInt, gateForgedPtr)
+	siteAccessUAF     = checkSite("access.uaf", ub.UseAfterFree, gateHeapLife)
+	siteAccessDead    = checkSite("access.dead", ub.OutsideLifetime, gateStackLife)
+	siteBoundsHeap    = checkSite("access.bounds.heap", ub.PtrArithBounds, gateHeapBounds) // a heap overrun reports access.overrun.heap
+	siteBoundsStack   = checkSite("access.bounds.stack", ub.PtrArithBounds, gateStackBounds)
+	siteOverrunHeap   = checkSite("access.overrun.heap", ub.NegMallocOverrun, gateHeapBounds)
+	siteOnePastHeap   = checkSite("access.one_past.heap", ub.PtrDerefOnePast, gateHeapBounds)
+	siteOnePastStack  = checkSite("access.one_past.stack", ub.PtrDerefOnePast, gateStackBounds)
+	siteAlias         = checkSite("access.alias", ub.BadAlias, gateAlias)
+	siteVolatile      = checkSite("access.volatile", ub.VolatileNonvolatile, gateVolatile)
+	siteUnseqRead     = checkSite("access.unseq_read", ub.UnseqValueComp, gateSeq)
+	siteUnseqWrite    = checkSite("access.unseq_write", ub.UnseqSideEffect, gateSeq)
+	siteUninit        = checkSite("access.uninit", ub.IndeterminateValue, gateUninit)
+	siteUninitPtr     = checkSite("access.uninit_ptr", ub.IndeterminateValue, gateUninitPtr)
+	siteTornPtr       = checkSite("access.torn_ptr", ub.TrapRepresentation, gateUninitPtr)
+	sitePtrBytes      = checkSite("access.ptr_bytes", ub.BadAlias, gateAlias)
+	siteUnsupported   = checkSite("access.unsupported", ub.InvalidDeref, gateAlways)
+	siteStringLit     = checkSite("access.string_lit", ub.ModifyStringLit, gateStringLit)
+	siteConst         = checkSite("access.const", ub.ModifyConst, gateConst)
+	siteBitFieldStore = checkSite("access.bitfield_store", ub.BadAlias, gateAlways)
+
+	// Pointer values (checkPtrUsable; ptrAdd, ptrSub and ptrCompare in
+	// eval.go).
+	sitePtrForged   = checkSite("ptr.forged", ub.PtrFromInt, gateForgedPtr)
+	sitePtrInvalid  = checkSite("ptr.invalid", ub.InvalidDeref, gateAlways)
+	sitePtrUAF      = checkSite("ptr.uaf", ub.UseAfterFree, gateHeapLife)
+	sitePtrDangling = checkSite("ptr.dangling", ub.DanglingPointer, gateStackLife)
+	sitePtrAddNull  = checkSite("ptr.add_null", ub.PtrArithBounds, gatePtrCompare)
+	sitePtrAddHeap  = checkSite("ptr.add.heap", ub.PtrArithBounds, gateHeapBounds)
+	sitePtrAddStack = checkSite("ptr.add.stack", ub.PtrArithBounds, gateStackBounds)
+	sitePtrSub      = checkSite("ptr.sub", ub.PtrSubDifferent, gatePtrCompare)
+	sitePtrCompare  = checkSite("ptr.compare", ub.PtrCompareDifferent, gatePtrCompare)
+
+	// The library model (builtins.go): arguments, the regions a function
+	// reads or writes, allocation and formatting.
+	siteLibArg         = checkSite("lib.arg", ub.NullLibArg, gateAlways)
+	siteLibPtr         = checkSite("lib.ptr", ub.StrFuncBadPtr, gateAlways)
+	siteLibForged      = checkSite("lib.forged", ub.PtrFromInt, gateAlways)
+	siteLibUAF         = checkSite("lib.uaf", ub.UseAfterFree, gateHeapLife)
+	siteLibDangling    = checkSite("lib.dangling", ub.DanglingPointer, gateStackLife)
+	siteLibBoundsHeap  = checkSite("lib.bounds.heap", ub.NegMallocOverrun, gateHeapBounds)
+	siteLibBoundsStack = checkSite("lib.bounds.stack", ub.StrFuncBadPtr, gateStackBounds)
+	siteLibStringLit   = checkSite("lib.string_lit", ub.ModifyStringLit, gateStringLit)
+	siteLibConst       = checkSite("lib.const", ub.ModifyConst, gateConst)
+	siteLibNoNulHeap   = checkSite("lib.no_nul.heap", ub.StrFuncBadPtr, gateHeapBounds)
+	siteLibNoNulStack  = checkSite("lib.no_nul.stack", ub.StrFuncBadPtr, gateStackBounds)
+	siteLibUninit      = checkSite("lib.uninit", ub.IndeterminateValue, gateUninit)
+	siteLibPtrBytes    = checkSite("lib.ptr_bytes", ub.TrapRepresentation, gateAlias)
+	siteRealloc        = checkSite("lib.realloc", ub.BadRealloc, gateAlways)
+	siteFree           = checkSite("lib.free", ub.BadFree, gateBadFree)
+	siteFreeOffset     = checkSite("lib.free_offset", ub.Catalog[175], gateBadFree)
+	siteAbs            = checkSite("lib.abs", ub.Catalog[129], gateAlways)
+	siteMemcpyOverlap  = checkSite("lib.memcpy_overlap", ub.MemcpyOverlap, gateAlways)
+	siteStrcpyOverlap  = checkSite("lib.strcpy_overlap", ub.StrcpyOverlap, gateAlways)
+	siteStrncpyOverlap = checkSite("lib.strncpy_overlap", ub.Catalog[188], gateAlways)
+	siteStrncpyPast    = checkSite("lib.strncpy_past", ub.StrFuncBadPtr, gateAlways)
+	siteCtype          = checkSite("lib.ctype", ub.Catalog[113], gateAlways)
+	sitePrintfArgs     = checkSite("printf.args", ub.Catalog[148], gateAlways)
+	sitePrintfFormat   = checkSite("printf.format", ub.BadFormat, gateAlways)
+	sitePrintfN        = checkSite("printf.n", ub.Catalog[153], gateAlways)
+
+	// Values and conversions (convert.go).
+	siteNoReturn    = checkSite("conv.no_return", ub.NoReturnValue, gateNoReturn)
+	sitePtrByte     = checkSite("conv.ptr_byte", ub.TrapRepresentation, gateAlias)
+	siteRawUninit   = checkSite("conv.uninit", ub.IndeterminateValue, gateUninit)
+	siteVoidValue   = checkSite("conv.void", ub.VoidValueUsed, gateAlways)
+	siteFloatInt    = checkSite("conv.float_int", ub.FloatConvRange, gateFloatConv)
+	siteFloatDemote = checkSite("conv.float_demote", ub.FloatDemote, gateFloatConv)
+	siteMisaligned  = checkSite("conv.misaligned", ub.MisalignedPtr, gateMisaligned)
+
+	// Expressions (eval.go).
+	SiteInternal      = checkSite("interp.internal", ub.Catalog[0], gateAlways) // a program the machine cannot run
+	SiteIdentDead     = checkSite("eval.ident_dead", ub.OutsideLifetime, gateAlways)
+	SiteNonPtr        = checkSite("eval.non_ptr", ub.InvalidDeref, gateAlways)
+	siteDerefNull     = checkSite("eval.deref_null", ub.InvalidDeref, gateAlways)
+	siteDerefForged   = checkSite("eval.deref_forged", ub.PtrFromInt, gateAlways)
+	siteDerefVoid     = checkSite("eval.deref_void", ub.DerefVoid, gateVoidDeref)
+	siteNegOverflow   = checkSite("arith.neg_overflow", ub.SignedOverflow, gateOverflow)
+	siteOverflow      = checkSite("arith.overflow", ub.SignedOverflow, gateOverflow)
+	siteDivZero       = checkSite("arith.div_zero", ub.DivByZero, gateDivZero)
+	siteDivOverflow   = checkSite("arith.div_overflow", ub.DivOverflow, gateDivZero|gateOverflow)
+	siteShiftCount    = checkSite("arith.shift_count", ub.ShiftTooFar, gateShift)
+	siteShiftNeg      = checkSite("arith.shift_neg", ub.ShiftNegLeft, gateShift)
+	siteShiftOverflow = checkSite("arith.shift_overflow", ub.ShiftOverflow, gateShift)
+
+	// Calls and declarations (exec.go).
+	siteUndefinedFunc = checkSite("call.undefined", ub.Catalog[82], gateAlways)
+	siteCallTarget    = checkSite("call.target", ub.InvalidDeref, gateAlways)
+	siteCallNotFunc   = checkSite("call.not_func", ub.BadFuncPtrCall, gateAlways)
+	siteCallType      = checkSite("call.type", ub.BadFuncPtrCall, gateCallMismatch)
+	siteCallArgCount  = checkSite("call.arg_count", ub.BadCallNoProto, gateCallMismatch)
+	siteCallArgTypes  = checkSite("call.arg_types", ub.BadCallArgs, gateCallMismatch)
+	SiteVLAType       = checkSite("decl.vla_type", ub.VLANotPositive, gateAlways)
+	SiteVLASize       = checkSite("decl.vla_size", ub.VLANotPositive, gateVLASize)
+)

@@ -6,7 +6,6 @@ import (
 	"repro/internal/ctypes"
 	"repro/internal/mem"
 	"repro/internal/token"
-	"repro/internal/ub"
 )
 
 // usable unwraps values that carry deferred UB: using a noReturn value or
@@ -14,8 +13,8 @@ import (
 func (in *Interp) usable(v mem.Value, pos token.Pos) (mem.Value, error) {
 	switch v := v.(type) {
 	case noReturn:
-		if in.prof.NoReturn {
-			return nil, in.ubError(ub.NoReturnValue, pos,
+		if in.armed(siteNoReturn) {
+			return nil, in.ubError(siteNoReturn, pos,
 				"Using the value of a function call, but the function returned without a value")
 		}
 		return in.zeroOf(v.T), nil
@@ -24,19 +23,19 @@ func (in *Interp) usable(v mem.Value, pos token.Pos) (mem.Value, error) {
 			return mem.MakeInt(in.model, v.T, uint64(c)), nil
 		}
 		if p, idx, isFrag := in.store.Frag(v.B); isFrag {
-			if in.prof.Alias {
-				return nil, in.ubError(ub.TrapRepresentation, pos,
+			if in.armed(sitePtrByte) {
+				return nil, in.ubError(sitePtrByte, pos,
 					"Using a byte of a pointer representation as a number")
 			}
 			return mem.MakeInt(in.model, v.T, p.SynthAddr()>>(8*uint(idx))&0xff), nil
 		}
-		if in.prof.Uninit {
-			return nil, in.ubError(ub.IndeterminateValue, pos,
+		if in.armed(siteRawUninit) {
+			return nil, in.ubError(siteRawUninit, pos,
 				"Using an indeterminate value")
 		}
 		return mem.MakeInt(in.model, v.T, 0), nil
 	case mem.Void:
-		return nil, in.ubError(ub.VoidValueUsed, pos,
+		return nil, in.ubError(siteVoidValue, pos,
 			"Using the (nonexistent) value of a void expression")
 	}
 	return v, nil
@@ -101,8 +100,8 @@ func (in *Interp) convert(v mem.Value, to *ctypes.Type, pos token.Pos) (mem.Valu
 			if math.IsNaN(f) ||
 				f < float64(in.model.IntMin(to)) ||
 				f > float64(in.model.IntMax(to)) {
-				if in.prof.FloatConv {
-					return nil, in.ubError(ub.FloatConvRange, pos,
+				if in.armed(siteFloatInt) {
+					return nil, in.ubError(siteFloatInt, pos,
 						"Converting floating value %g to %s, which cannot represent it", val.F, to)
 				}
 				// x86 cvttsd2si yields the "integer indefinite" value.
@@ -114,8 +113,8 @@ func (in *Interp) convert(v mem.Value, to *ctypes.Type, pos token.Pos) (mem.Valu
 			return mem.MakeInt(in.model, to, uint64(f)), nil
 		case to.IsFloat():
 			f := in.truncFloat(to, val.F)
-			if math.IsInf(f, 0) && !math.IsInf(val.F, 0) && in.prof.FloatConv {
-				return nil, in.ubError(ub.FloatDemote, pos,
+			if math.IsInf(f, 0) && !math.IsInf(val.F, 0) && in.armed(siteFloatDemote) {
+				return nil, in.ubError(siteFloatDemote, pos,
 					"Demoting floating value %g to %s, which cannot represent it", val.F, to)
 			}
 			return mem.Float{T: to, F: f}, nil
@@ -138,10 +137,10 @@ func (in *Interp) convert(v mem.Value, to *ctypes.Type, pos token.Pos) (mem.Valu
 			out.T = to
 			// C11 §6.3.2.3:7: conversion to a more strictly aligned
 			// pointer type must yield a correctly aligned pointer.
-			if in.prof.Misaligned && !val.IsNull() && val.Base != mem.InvalidBase &&
+			if in.armed(siteMisaligned) && !val.IsNull() && val.Base != mem.InvalidBase &&
 				to.Elem.IsComplete() && to.Elem.Kind != ctypes.Void {
 				if a := in.model.Align(to.Elem); a > 1 && val.Off%a != 0 {
-					return nil, in.ubError(ub.MisalignedPtr, pos,
+					return nil, in.ubError(siteMisaligned, pos,
 						"Converting to %s yields a misaligned pointer (offset %d, alignment %d)",
 						to, val.Off, a)
 				}
@@ -153,7 +152,7 @@ func (in *Interp) convert(v mem.Value, to *ctypes.Type, pos token.Pos) (mem.Valu
 			return val, nil
 		}
 	}
-	return nil, in.ubError(ub.Catalog[0], pos,
+	return nil, in.ubError(SiteInternal, pos,
 		"Unsupported conversion from %s to %s", v.CType(), to)
 }
 

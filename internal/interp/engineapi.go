@@ -34,10 +34,10 @@ func (in *Interp) Model() *ctypes.Model { return in.model }
 // Program exposes the program under execution.
 func (in *Interp) Program() *sema.Program { return in.prog }
 
-// Prof exposes the active UB-check profile. Engines must read the
-// profile at run time, not bake it into compiled code: compiled code is
+// Armed reports whether the run's profile arms check site s. Engines must
+// ask at run time, not bake the answer into compiled code: compiled code is
 // cached per program and shared across the tool matrix.
-func (in *Interp) Prof() *Profile { return in.prof }
+func (in *Interp) Armed(s *CheckSite) bool { return in.armed(s) }
 
 // MemStore exposes the memory store for object allocation and lifetime
 // termination. Engines must pair every allocation with the same
@@ -250,9 +250,9 @@ func (in *Interp) FuncPtr(name string, pos token.Pos) (mem.Value, error) {
 
 // UBErrorf constructs a UB verdict through the single fired-check
 // funnel; every diagnosis an engine makes must go through here.
-func (in *Interp) UBErrorf(b *ub.Behavior, pos token.Pos, format string, args ...any) *ub.Error {
-	return in.ubError(b, pos, format, args...)
+func (in *Interp) UBErrorf(s *CheckSite, pos token.Pos, format string, args ...any) *ub.Error {
+	return in.ubError(s, pos, format, args...)
 }
 
 // CheckPass reports a UB check that was evaluated and did not fire.
-func (in *Interp) CheckPass(b *ub.Behavior, pos token.Pos) { in.obsCheckPass(b, pos) }
+func (in *Interp) CheckPass(s *CheckSite, pos token.Pos) { in.obsCheckPass(s, pos) }

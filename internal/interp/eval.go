@@ -6,7 +6,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/spec"
 	"repro/internal/token"
-	"repro/internal/ub"
 )
 
 // eval computes the value of an expression, applying the LV conversions
@@ -98,7 +97,7 @@ func (in *Interp) eval(e cast.Expr) (mem.Value, error) {
 		}
 		return mem.Int{T: e.T, Bits: uint64(in.model.Size(e.Of))}, nil
 	}
-	return nil, in.ubError(ub.Catalog[0], e.Pos(), "Unhandled expression %T", e)
+	return nil, in.ubError(SiteInternal, e.Pos(), "Unhandled expression %T", e)
 }
 
 // loadOrDecay reads an LV as a value, or decays arrays and functions to
@@ -121,7 +120,7 @@ func (in *Interp) loadOrDecay(lv LV, pos token.Pos) (mem.Value, error) {
 func (in *Interp) funcPtr(name string, pos token.Pos) (mem.Value, error) {
 	i, ok := in.funcs.Lookup(name)
 	if !ok {
-		return nil, in.ubError(ub.Catalog[82], pos, "Use of undefined function %q", name)
+		return nil, in.ubError(siteUndefinedFunc, pos, "Use of undefined function %q", name)
 	}
 	if in.funcVals == nil {
 		in.funcVals = make([]mem.Value, in.funcs.Len())
@@ -140,7 +139,7 @@ func (in *Interp) lvalOf(e cast.Expr) (LV, error) {
 		if id, ok := in.lookupObj(sym); ok {
 			return LV{Base: id, Off: 0, T: sym.Type}, nil
 		}
-		return LV{}, in.ubError(ub.OutsideLifetime, e.P,
+		return LV{}, in.ubError(SiteIdentDead, e.P,
 			"Referring to object %q outside of its lifetime", e.Name)
 
 	case *cast.StringLit:
@@ -166,7 +165,7 @@ func (in *Interp) lvalOf(e cast.Expr) (LV, error) {
 
 	case *cast.Unary:
 		if e.Op != cast.UDeref {
-			return LV{}, in.ubError(ub.Catalog[0], e.P, "Expression is not an LV")
+			return LV{}, in.ubError(SiteInternal, e.P, "Expression is not an LV")
 		}
 		v, err := in.eval(e.X)
 		if err != nil {
@@ -190,7 +189,7 @@ func (in *Interp) lvalOf(e cast.Expr) (LV, error) {
 			}
 			p, ok := v.(mem.Ptr)
 			if !ok {
-				return LV{}, in.ubError(ub.InvalidDeref, e.P, "-> applied to a non-pointer value")
+				return LV{}, in.ubError(SiteNonPtr, e.P, "-> applied to a non-pointer value")
 			}
 			base, err2 := in.derefLValue(p, p.T.Elem, e.P)
 			if err2 != nil {
@@ -206,7 +205,7 @@ func (in *Interp) lvalOf(e cast.Expr) (LV, error) {
 		return LV{Base: base.Base, Off: base.Off + e.Field.Offset, T: e.T,
 			Bit: e.Field.BitField, BitOff: e.Field.BitOff, BitWidth: e.Field.BitWidth}, nil
 	}
-	return LV{}, in.ubError(ub.Catalog[0], e.Pos(), "Expression %T is not an LV", e)
+	return LV{}, in.ubError(SiteInternal, e.Pos(), "Expression %T is not an LV", e)
 }
 
 // derefLValue turns a pointer value into an LV of type T: the paper's
@@ -214,23 +213,23 @@ func (in *Interp) lvalOf(e cast.Expr) (LV, error) {
 func (in *Interp) derefLValue(v mem.Value, t *ctypes.Type, pos token.Pos) (LV, error) {
 	p, ok := v.(mem.Ptr)
 	if !ok {
-		return LV{}, in.ubError(ub.InvalidDeref, pos, "Dereferencing a non-pointer value")
+		return LV{}, in.ubError(SiteNonPtr, pos, "Dereferencing a non-pointer value")
 	}
 	if err := in.observe(spec.Event{Kind: spec.EvDeref, Pos: pos, Ptr: p, Type: t}); err != nil {
 		return LV{}, err
 	}
 	if p.IsNull() {
 		// when L = NULL (deref-neg2 of §4.5.1)
-		return LV{}, in.ubError(ub.InvalidDeref, pos, "Dereferencing a null pointer")
+		return LV{}, in.ubError(siteDerefNull, pos, "Dereferencing a null pointer")
 	}
 	if p.Base == mem.InvalidBase {
-		return LV{}, in.ubError(ub.PtrFromInt, pos, "Dereferencing a pointer forged from an integer")
+		return LV{}, in.ubError(siteDerefForged, pos, "Dereferencing a pointer forged from an integer")
 	}
 	if t.Kind == ctypes.Void {
-		if in.prof.VoidDeref {
+		if in.armed(siteDerefVoid) {
 			// when T = void (deref-neg1 of §4.5.1): "Cannot dereference
 			// void pointers".
-			return LV{}, in.ubError(ub.DerefVoid, pos, "Cannot dereference void pointers")
+			return LV{}, in.ubError(siteDerefVoid, pos, "Cannot dereference void pointers")
 		}
 		return LV{Base: p.Base, Off: p.Off, T: ctypes.TVoid}, nil
 	}
@@ -300,7 +299,7 @@ func (in *Interp) evalUnary(e *cast.Unary) (mem.Value, error) {
 	case cast.UPreInc, cast.UPreDec, cast.UPostInc, cast.UPostDec:
 		return in.evalIncDec(e)
 	}
-	return nil, in.ubError(ub.Catalog[0], e.P, "Unhandled unary %v", e.Op)
+	return nil, in.ubError(SiteInternal, e.P, "Unhandled unary %v", e.Op)
 }
 
 // evalAddr implements &. &*p and &a[i] do not dereference (C11 §6.5.3.2:3).
@@ -314,7 +313,7 @@ func (in *Interp) evalAddr(e *cast.Unary) (mem.Value, error) {
 			}
 			p, ok := v.(mem.Ptr)
 			if !ok {
-				return nil, in.ubError(ub.InvalidDeref, e.P, "&* applied to a non-pointer")
+				return nil, in.ubError(SiteNonPtr, e.P, "&* applied to a non-pointer")
 			}
 			p.T = e.T
 			return p, nil
@@ -380,8 +379,8 @@ func (in *Interp) unaryArith(op cast.UnaryOp, v mem.Value, pos token.Pos) (mem.V
 		}
 		r, err := in.model.Arith(op.Arith(), val.T, val.Bits, 0)
 		// -INT_MIN overflows (C11 §6.5:5).
-		if err != nil && in.prof.Overflow {
-			return nil, in.ubError(ub.SignedOverflow, pos,
+		if err != nil && in.armed(siteNegOverflow) {
+			return nil, in.ubError(siteNegOverflow, pos,
 				"Signed integer overflow negating the minimum value of %s", val.T)
 		}
 		return mem.BoxInt(val.T, r), nil
@@ -391,7 +390,7 @@ func (in *Interp) unaryArith(op cast.UnaryOp, v mem.Value, pos token.Pos) (mem.V
 		}
 		return val, nil
 	}
-	return nil, in.ubError(ub.Catalog[0], pos, "Bad operand to unary %v", op)
+	return nil, in.ubError(SiteInternal, pos, "Bad operand to unary %v", op)
 }
 
 // incDec is the value ++ or -- (dir 1 or -1) stores over old. E++ is
@@ -419,7 +418,7 @@ func (in *Interp) incDec(old mem.Value, dir int64, pos token.Pos) (mem.Value, er
 	case mem.Ptr:
 		return in.ptrAdd(v, dir, pos)
 	}
-	return nil, in.ubError(ub.Catalog[0], pos, "Bad operand to ++/--")
+	return nil, in.ubError(SiteInternal, pos, "Bad operand to ++/--")
 }
 
 // ---------- binary ----------
@@ -524,7 +523,7 @@ func (in *Interp) applyBinary(op cast.BinaryOp, xv, yv mem.Value, t *ctypes.Type
 	xi, ok1 := xc.(mem.Int)
 	yi, ok2 := yc.(mem.Int)
 	if !ok1 || !ok2 {
-		return nil, in.ubError(ub.Catalog[0], pos, "Invalid operands to %v", op)
+		return nil, in.ubError(SiteInternal, pos, "Invalid operands to %v", op)
 	}
 	r, err := in.intArith(op, common, xi, yi, pos)
 	if err != nil {
@@ -549,29 +548,29 @@ func (in *Interp) intArith(op cast.BinaryOp, t *ctypes.Type, x, y mem.Int, pos t
 	r, err := m.Arith(op.Arith(), t, x.Bits, y.Bits)
 	switch op {
 	case cast.BAdd, cast.BSub, cast.BMul:
-		if in.prof.Overflow && t.IsSigned(m) {
+		if in.armed(siteOverflow) && t.IsSigned(m) {
 			if err != nil {
-				return 0, in.ubError(ub.SignedOverflow, pos, "Signed integer overflow in %s (%d %v %d as %s)",
+				return 0, in.ubError(siteOverflow, pos, "Signed integer overflow in %s (%d %v %d as %s)",
 					arithNames[op], int64(x.Bits), op, int64(y.Bits), t)
 			}
-			in.obsCheckPass(ub.SignedOverflow, pos)
+			in.obsCheckPass(siteOverflow, pos)
 		}
 	case cast.BDiv, cast.BRem:
 		// ⟨I / J ⇒ reportError⟩ when J = 0 (§4.1.1). With the check off,
 		// the machine traps — the paper's point that a crash is the
 		// (lucky) hardware behavior, not a diagnosis.
 		if err == ctypes.ErrDivZero {
-			if in.prof.DivZero {
-				return 0, in.ubError(ub.DivByZero, pos, "Division by zero")
+			if in.armed(siteDivZero) {
+				return 0, in.ubError(siteDivZero, pos, "Division by zero")
 			}
 			return 0, &CrashError{Signal: "SIGFPE", Detail: "integer division by zero"}
 		}
-		if in.prof.DivZero {
-			in.obsCheckPass(ub.DivByZero, pos)
+		if in.armed(siteDivZero) {
+			in.obsCheckPass(siteDivZero, pos)
 		}
 		if err != nil {
-			if in.prof.DivZero || in.prof.Overflow {
-				return 0, in.ubError(ub.DivOverflow, pos,
+			if in.armed(siteDivOverflow) {
+				return 0, in.ubError(siteDivOverflow, pos,
 					"Signed overflow dividing the minimum value of %s by -1", t)
 			}
 			return 0, &CrashError{Signal: "SIGFPE", Detail: "integer overflow in division"}
@@ -580,27 +579,27 @@ func (in *Interp) intArith(op cast.BinaryOp, t *ctypes.Type, x, y mem.Int, pos t
 		count := int64(y.Bits)
 		if err == ctypes.ErrShiftCount {
 			width := m.Size(t) * 8
-			if in.prof.Shift {
+			if in.armed(siteShiftCount) {
 				if !y.T.IsSigned(m) && y.Bits > uint64(width) {
 					count = width // a huge unsigned count reads as the width
 				}
-				return 0, in.ubError(ub.ShiftTooFar, pos,
+				return 0, in.ubError(siteShiftCount, pos,
 					"Shift count %d is negative or >= the width (%d) of %s", count, width, t)
 			}
 			// The x86 shifter masks the raw count.
 			r, err = m.Arith(op.Arith(), t, x.Bits, y.Bits&uint64(width-1))
-		} else if in.prof.Shift {
-			in.obsCheckPass(ub.ShiftTooFar, pos)
+		} else if in.armed(siteShiftCount) {
+			in.obsCheckPass(siteShiftCount, pos)
 		}
-		if op == cast.BShl && in.prof.Shift && t.IsSigned(m) {
+		if op == cast.BShl && in.armed(siteShiftOverflow) && t.IsSigned(m) {
 			switch err {
 			case ctypes.ErrShiftNeg:
-				return 0, in.ubError(ub.ShiftNegLeft, pos, "Left shift of negative value %d", int64(x.Bits))
+				return 0, in.ubError(siteShiftNeg, pos, "Left shift of negative value %d", int64(x.Bits))
 			case ctypes.ErrOverflow:
-				return 0, in.ubError(ub.ShiftOverflow, pos,
+				return 0, in.ubError(siteShiftOverflow, pos,
 					"Left shift of %d by %d overflows %s", int64(x.Bits), count, t)
 			}
-			in.obsCheckPass(ub.ShiftOverflow, pos)
+			in.obsCheckPass(siteShiftOverflow, pos)
 		}
 	}
 	// Unsigned arithmetic wraps (not UB), and so does signed arithmetic
@@ -634,7 +633,7 @@ func (in *Interp) floatArith(op cast.BinaryOp, x, y mem.Float, pos token.Pos) (m
 	case cast.BNe:
 		return truth(x.F != y.F), nil
 	default:
-		return nil, in.ubError(ub.Catalog[0], pos, "Invalid floating operator %v", op)
+		return nil, in.ubError(SiteInternal, pos, "Invalid floating operator %v", op)
 	}
 	if x.T.Kind == ctypes.Float {
 		f = float64(float32(f))
@@ -678,7 +677,7 @@ func (in *Interp) ptrAddSub(op cast.BinaryOp, xv, yv mem.Value, pos token.Pos) (
 	switch {
 	case xIsPtr && yIsPtr:
 		if op != cast.BSub {
-			return nil, in.ubError(ub.Catalog[0], pos, "Cannot add two pointers")
+			return nil, in.ubError(SiteInternal, pos, "Cannot add two pointers")
 		}
 		return in.ptrSub(xp, yp, pos)
 	case xIsPtr:
@@ -692,7 +691,7 @@ func (in *Interp) ptrAddSub(op cast.BinaryOp, xv, yv mem.Value, pos token.Pos) (
 		return in.ptrAdd(xp, n, pos)
 	case yIsPtr:
 		if op == cast.BSub {
-			return nil, in.ubError(ub.Catalog[0], pos, "Cannot subtract a pointer from an integer")
+			return nil, in.ubError(SiteInternal, pos, "Cannot subtract a pointer from an integer")
 		}
 		n, err := in.intIndex(xv, pos)
 		if err != nil {
@@ -700,7 +699,7 @@ func (in *Interp) ptrAddSub(op cast.BinaryOp, xv, yv mem.Value, pos token.Pos) (
 		}
 		return in.ptrAdd(yp, n, pos)
 	}
-	return nil, in.ubError(ub.Catalog[0], pos, "Invalid pointer arithmetic")
+	return nil, in.ubError(SiteInternal, pos, "Invalid pointer arithmetic")
 }
 
 func (in *Interp) intIndex(v mem.Value, pos token.Pos) (int64, error) {
@@ -708,7 +707,7 @@ func (in *Interp) intIndex(v mem.Value, pos token.Pos) (int64, error) {
 	case mem.Int:
 		return int64(v.Bits), nil
 	}
-	return 0, in.ubError(ub.Catalog[0], pos, "Pointer offset is not an integer")
+	return 0, in.ubError(SiteInternal, pos, "Pointer offset is not an integer")
 }
 
 // ptrAdd forms p + n elements with the §6.5.6:8 bounds side condition:
@@ -718,8 +717,8 @@ func (in *Interp) ptrAdd(p mem.Ptr, n int64, pos token.Pos) (mem.Value, error) {
 		return p, nil
 	}
 	if p.IsNull() {
-		if in.prof.PtrCompare {
-			return nil, in.ubError(ub.PtrArithBounds, pos, "Arithmetic on a null pointer")
+		if in.armed(sitePtrAddNull) {
+			return nil, in.ubError(sitePtrAddNull, pos, "Arithmetic on a null pointer")
 		}
 		return mem.Ptr{T: p.T, Base: mem.InvalidBase, Off: n}, nil
 	}
@@ -732,7 +731,7 @@ func (in *Interp) ptrAdd(p mem.Ptr, n int64, pos token.Pos) (mem.Value, error) {
 	}
 	o, ok := in.store.Obj(p.Base)
 	if !ok {
-		return nil, in.ubError(ub.InvalidDeref, pos, "Arithmetic on an invalid pointer")
+		return nil, in.ubError(sitePtrInvalid, pos, "Arithmetic on an invalid pointer")
 	}
 	esize := int64(1)
 	if p.T.Kind == ctypes.Ptr && p.T.Elem.IsComplete() {
@@ -740,12 +739,8 @@ func (in *Interp) ptrAdd(p mem.Ptr, n int64, pos token.Pos) (mem.Value, error) {
 	}
 	newOff := p.Off + n*esize
 	if newOff < 0 || newOff > o.Size {
-		watched := in.prof.StackBounds
-		if o.Kind == mem.ObjHeap {
-			watched = in.prof.HeapBounds
-		}
-		if watched {
-			return nil, in.ubError(ub.PtrArithBounds, pos,
+		if site := byStorage(o, sitePtrAddHeap, sitePtrAddStack); in.armed(site) {
+			return nil, in.ubError(site, pos,
 				"Pointer arithmetic produces an address outside object %s (offset %d of size %d)",
 				o.Name, newOff, o.Size)
 		}
@@ -763,8 +758,8 @@ func (in *Interp) ptrSub(x, y mem.Ptr, pos token.Pos) (mem.Value, error) {
 		return nil, uerr
 	}
 	if x.Base != y.Base {
-		if in.prof.PtrCompare {
-			return nil, in.ubError(ub.PtrSubDifferent, pos,
+		if in.armed(sitePtrSub) {
+			return nil, in.ubError(sitePtrSub, pos,
 				"Subtracting pointers that point into different objects")
 		}
 		d := int64(x.SynthAddr()) - int64(y.SynthAddr())
@@ -791,9 +786,9 @@ func (in *Interp) ptrCompare(op cast.BinaryOp, x, y mem.Ptr, pos token.Pos) (mem
 		return nil, uerr
 	}
 	if x.Base != y.Base {
-		if in.prof.PtrCompare {
+		if in.armed(sitePtrCompare) {
 			// Evaluation gets stuck: &a < &b has no semantics (§4.3.1).
-			return nil, in.ubError(ub.PtrCompareDifferent, pos,
+			return nil, in.ubError(sitePtrCompare, pos,
 				"Relational comparison of pointers to different objects")
 		}
 		// Fallback: compare the synthetic concrete addresses.
@@ -816,7 +811,7 @@ func (in *Interp) ptrEquality(op cast.BinaryOp, xv, yv mem.Value, pos token.Pos)
 			}
 			return mem.Ptr{T: voidPtrType, Base: mem.InvalidBase, Off: int64(v.Bits)}, nil
 		}
-		return mem.Ptr{}, in.ubError(ub.Catalog[0], pos, "Comparing a pointer with a non-pointer")
+		return mem.Ptr{}, in.ubError(SiteInternal, pos, "Comparing a pointer with a non-pointer")
 	}
 	x, err := toPtr(xv)
 	if err != nil {
@@ -956,7 +951,7 @@ func (in *Interp) evalCondition(e cast.Expr) (bool, error) {
 	}
 	b, ok := mem.IsTruthy(v)
 	if !ok {
-		return false, in.ubError(ub.Catalog[0], e.Pos(), "Condition has no truth value")
+		return false, in.ubError(SiteInternal, e.Pos(), "Condition has no truth value")
 	}
 	return b, nil
 }

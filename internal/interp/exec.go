@@ -8,7 +8,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/spec"
 	"repro/internal/token"
-	"repro/internal/ub"
 )
 
 // Ctrl is the control signal a statement execution produces.
@@ -117,7 +116,7 @@ func (in *Interp) exec(s cast.Stmt) (Ctrl, error) {
 		}
 		return Ctrl{Kind: CtrlReturn, Value: cv}, nil
 	}
-	return flowNone, in.ubError(ub.Catalog[0], s.Pos(), "Unhandled statement %T", s)
+	return flowNone, in.ubError(SiteInternal, s.Pos(), "Unhandled statement %T", s)
 }
 
 // execBlock enters a compound statement: automatic objects declared
@@ -220,7 +219,7 @@ func (in *Interp) enter(s, target cast.Stmt) (Ctrl, error) {
 	case *cast.Switch:
 		return in.switchBody(s, target)
 	}
-	return flowNone, in.ubError(ub.Catalog[0], s.Pos(), "Cannot enter %T at a jump target", s)
+	return flowNone, in.ubError(SiteInternal, s.Pos(), "Cannot enter %T at a jump target", s)
 }
 
 // ---------- loops ----------
@@ -340,7 +339,7 @@ func (in *Interp) execSwitch(s *cast.Switch) (Ctrl, error) {
 	in.seqPoint()
 	iv, ok := v.(mem.Int)
 	if !ok {
-		return flowNone, in.ubError(ub.Catalog[0], s.Tag.Pos(), "Switch tag is not an integer")
+		return flowNone, in.ubError(SiteInternal, s.Tag.Pos(), "Switch tag is not an integer")
 	}
 	// Promote the tag and compare with the case constants converted to
 	// the promoted type (C11 §6.8.4.2:5).
@@ -388,7 +387,7 @@ func (in *Interp) allocLocal(d *cast.Decl) error {
 		return nil
 	}
 	if !d.Type.IsComplete() {
-		return in.ubError(ub.Catalog[0], d.P, "Object %q has incomplete type %s", d.Name, d.Type)
+		return in.ubError(SiteInternal, d.P, "Object %q has incomplete type %s", d.Name, d.Type)
 	}
 	size := in.model.Size(d.Type)
 	o, err := in.store.Alloc(mem.ObjAuto, size, d.Name, d.Type)
@@ -448,7 +447,7 @@ func (in *Interp) execDecl(d *cast.Decl) error {
 			}
 			iv, ok := v.(mem.Int)
 			if !ok {
-				return in.ubError(ub.VLANotPositive, d.P, "VLA size is not an integer")
+				return in.ubError(SiteVLAType, d.P, "VLA size is not an integer")
 			}
 			n = int64(iv.Bits)
 			if !iv.T.IsSigned(in.model) {
@@ -457,13 +456,13 @@ func (in *Interp) execDecl(d *cast.Decl) error {
 		}
 		// C11 §6.7.6.2:5: the size shall be greater than zero.
 		if n <= 0 {
-			if in.prof.VLASize {
-				return in.ubError(ub.VLANotPositive, d.P,
+			if in.armed(SiteVLASize) {
+				return in.ubError(SiteVLASize, d.P,
 					"Variable length array %q declared with non-positive size %d", d.Name, n)
 			}
 			n = 0 // fallback: a zero-sized slab of stack
-		} else if in.prof.VLASize {
-			in.obsCheckPass(ub.VLANotPositive, d.P)
+		} else if in.armed(SiteVLASize) {
+			in.obsCheckPass(SiteVLASize, d.P)
 		}
 		esize := in.model.Size(d.Type.Elem)
 		o, err := in.store.Alloc(mem.ObjAuto, n*esize, d.Name, d.Type)
@@ -560,14 +559,14 @@ func (in *Interp) resolveCall(e *cast.Call, vals []mem.Value) (*cast.FuncDef, []
 	}
 	fp, ok := fnv.(mem.Ptr)
 	if !ok {
-		return nil, nil, nil, in.ubError(ub.InvalidDeref, e.P, "Calling a non-function value")
+		return nil, nil, nil, in.ubError(siteCallTarget, e.P, "Calling a non-function value")
 	}
 	if fp.IsNull() {
-		return nil, nil, nil, in.ubError(ub.InvalidDeref, e.P, "Calling a null function pointer")
+		return nil, nil, nil, in.ubError(siteCallTarget, e.P, "Calling a null function pointer")
 	}
 	fo, ok := in.store.Obj(fp.Base)
 	if !ok || fo.Kind != mem.ObjFunc {
-		return nil, nil, nil, in.ubError(ub.BadFuncPtrCall, e.P, "Calling a pointer that does not point to a function")
+		return nil, nil, nil, in.ubError(siteCallNotFunc, e.P, "Calling a pointer that does not point to a function")
 	}
 	name := fo.Name
 	if err := in.observe(spec.Event{Kind: spec.EvCall, Pos: e.P, Name: name}); err != nil {
@@ -604,7 +603,7 @@ func (in *Interp) resolveCall(e *cast.Call, vals []mem.Value) (*cast.FuncDef, []
 
 	fd, defined := in.prog.Funcs[name]
 	if !defined {
-		return nil, nil, nil, in.ubError(ub.Catalog[82], e.P,
+		return nil, nil, nil, in.ubError(siteUndefinedFunc, e.P,
 			"Calling undefined function %q", name)
 	}
 
@@ -614,19 +613,19 @@ func (in *Interp) resolveCall(e *cast.Call, vals []mem.Value) (*cast.FuncDef, []
 	if callType.Kind == ctypes.Ptr {
 		callType = callType.Elem
 	}
-	if in.prof.CallMismatch && callType.Kind == ctypes.Func {
+	if in.armed(siteCallType) && callType.Kind == ctypes.Func {
 		if !ctypes.Compatible(callType, fd.Type) {
-			return nil, nil, nil, in.ubError(ub.BadFuncPtrCall, e.P,
+			return nil, nil, nil, in.ubError(siteCallType, e.P,
 				"Calling function %q through an incompatible type (%s, defined as %s)",
 				name, callType, fd.Type)
 		}
-		in.obsCheckPass(ub.BadFuncPtrCall, e.P)
+		in.obsCheckPass(siteCallType, e.P)
 	}
 	// Argument count against the actual definition (old-style calls
 	// bypass static checking; C11 §6.5.2.2:6).
 	if len(args) != len(fd.Params) && !fd.Type.Variadic {
-		if in.prof.CallMismatch {
-			return nil, nil, nil, in.ubError(ub.BadCallNoProto, e.P,
+		if in.armed(siteCallArgCount) {
+			return nil, nil, nil, in.ubError(siteCallArgCount, e.P,
 				"Function %q called with %d arguments but defined with %d",
 				name, len(args), len(fd.Params))
 		}
@@ -638,7 +637,7 @@ func (in *Interp) resolveCall(e *cast.Call, vals []mem.Value) (*cast.FuncDef, []
 	}
 	// Old-style calls also require the promoted argument types to be
 	// compatible with the parameters (C11 §6.5.2.2:6).
-	if in.prof.CallMismatch && callType.Kind == ctypes.Func && callType.OldStyle {
+	if in.armed(siteCallArgTypes) && callType.Kind == ctypes.Func && callType.OldStyle {
 		for i, p := range fd.Params {
 			if i >= len(args) {
 				break
@@ -649,7 +648,7 @@ func (in *Interp) resolveCall(e *cast.Call, vals []mem.Value) (*cast.FuncDef, []
 				continue // pointer representation matches
 			}
 			if !ctypes.Compatible(at, pt) {
-				return nil, nil, nil, in.ubError(ub.BadCallArgs, e.P,
+				return nil, nil, nil, in.ubError(siteCallArgTypes, e.P,
 					"Function %q called without a prototype with argument %d of type %s (parameter has type %s)",
 					name, i+1, at, p.Type)
 			}
@@ -733,8 +732,8 @@ func (in *Interp) InvokeUser(fd *cast.FuncDef, args []mem.Value, pos token.Pos, 
 		}
 		return noReturn{T: ret}, nil
 	case CtrlGoto:
-		return nil, in.ubError(ub.Catalog[0], pos, "Goto to label %q escaped function %q", c.Target.Name, fd.Name)
+		return nil, in.ubError(SiteInternal, pos, "Goto to label %q escaped function %q", c.Target.Name, fd.Name)
 	default:
-		return nil, in.ubError(ub.Catalog[0], pos, "Control signal escaped function %q", fd.Name)
+		return nil, in.ubError(SiteInternal, pos, "Control signal escaped function %q", fd.Name)
 	}
 }

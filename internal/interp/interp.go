@@ -125,7 +125,7 @@ type Interp struct {
 	// nil until the run uses a designator.
 	funcVals []mem.Value
 
-	prof *Profile
+	gates gate // the profile's gates and gateAlways; see armed
 
 	frames []*frame
 	seq    []*seqState // one per function activation
@@ -363,10 +363,11 @@ func New(prog *sema.Program, opts Options) *Interp {
 	if t, ok := in.sched.(OperandTracker); ok {
 		in.tracker = t
 	}
-	in.prof = opts.Profile
-	if in.prof == nil {
-		in.prof = KCCProfile()
+	prof := opts.Profile
+	if prof == nil {
+		prof = KCCProfile()
 	}
+	in.gates = prof.gates | gateAlways
 	in.budget = opts.Budget.WithDefaults()
 	in.obs = opts.Observer
 	in.obsKinds = obs.KindsWanted(opts.Observer)
@@ -570,16 +571,16 @@ func (in *Interp) funcName() string {
 	return in.curFrame().fn.Name
 }
 
-// ubError constructs the checker's verdict value. Every fired UB check in
-// the interpreter funnels through here, which makes it the single emission
-// point for fired-check events.
-func (in *Interp) ubError(b *ub.Behavior, pos token.Pos, format string, args ...any) *ub.Error {
-	in.coverageHit(b.Code, true)
+// ubError constructs the checker's verdict value: check site s fired.
+// Every fired UB check in the interpreter funnels through here, which makes
+// it the single emission point for fired-check events.
+func (in *Interp) ubError(s *CheckSite, pos token.Pos, format string, args ...any) *ub.Error {
+	in.coverageHit(s.b.Code, true)
 	if in.obsKinds.Has(obs.EvCheck) {
-		in.obsEv = obs.Event{Kind: obs.EvCheck, Pos: pos, Behavior: b, Fired: true}
+		in.obsEv = obs.Event{Kind: obs.EvCheck, Pos: pos, Behavior: s.b, Fired: true}
 		in.obs.Event(&in.obsEv)
 	}
-	return ub.New(b, pos, in.funcName(), format, args...)
+	return ub.New(s.b, pos, in.funcName(), format, args...)
 }
 
 // ---------- global initialization ----------

@@ -13,7 +13,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/token"
-	"repro/internal/ub"
 )
 
 // benchInterp builds an interpreter the way New does, with one live
@@ -42,7 +41,7 @@ func TestNilObserverPathAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		in.seqPoint()
-		in.obsCheckPass(ub.DivByZero, pos)
+		in.obsCheckPass(siteDivZero, pos)
 		in.obsMem(obs.EvRead, o, 0, 4, pos)
 		in.obsBuiltin("printf", pos)
 	})
@@ -64,7 +63,7 @@ func TestMetricsObserverPathAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		in.seqPoint()
-		in.obsCheckPass(ub.DivByZero, pos)
+		in.obsCheckPass(siteDivZero, pos)
 		in.obsMem(obs.EvRead, o, 0, 4, pos)
 	})
 	if allocs != 0 {

@@ -12,7 +12,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/token"
-	"repro/internal/ub"
 )
 
 // classOf maps a memory object kind to the observability access class.
@@ -43,16 +42,16 @@ func (in *Interp) obsMem(kind obs.EventKind, o *mem.Object, off, size int64, pos
 	in.obs.Event(&in.obsEv)
 }
 
-// obsCheckPass reports one UB check that was evaluated and did not fire.
+// obsCheckPass reports that check site s was evaluated and did not fire.
 // (Fired checks are reported by ubError, the single construction funnel for
 // UB verdicts.)
-func (in *Interp) obsCheckPass(b *ub.Behavior, pos token.Pos) {
+func (in *Interp) obsCheckPass(s *CheckSite, pos token.Pos) {
 	// The coverage ledger counts every evaluation, observer or not.
-	in.coverageHit(b.Code, false)
+	in.coverageHit(s.b.Code, false)
 	if !in.obsKinds.Has(obs.EvCheck) {
 		return
 	}
-	in.obsEv = obs.Event{Kind: obs.EvCheck, Pos: pos, Behavior: b}
+	in.obsEv = obs.Event{Kind: obs.EvCheck, Pos: pos, Behavior: s.b}
 	in.obs.Event(&in.obsEv)
 }
 

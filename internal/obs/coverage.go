@@ -9,10 +9,13 @@ package obs
 //
 // The design splits a static and a dynamic half:
 //
-//   - At init time every interp/vm check site registers a
-//     (behavior code, profile gate, site) triple via RegisterCheckSite.
-//     The registry is written only during package initialization and is
-//     read-only afterwards, so snapshots read it without locks.
+//   - At init time each row of the interpreter's check-site table
+//     (internal/interp/checksites.go) registers its (behavior code,
+//     profile gate, site name) via RegisterCheckSite. A row is one named
+//     check, such as "access.uaf", and every check call names its row, so
+//     the registry is the table. It is written only during package
+//     initialization and is read-only afterwards, so snapshots read it
+//     without locks; the VM names the same rows and registers none.
 //   - At run time the two check funnels (interp.ubError and
 //     interp.obsCheckPass, which the VM reaches through the same exported
 //     wrappers) count into the run's own CoverageTally, which the
@@ -35,9 +38,9 @@ import (
 // CoverageSchema identifies the ledger wire format.
 const CoverageSchema = "undefc.coverage/v1"
 
-// CheckSite is one registered check location: behavior code, the
-// interp.Profile gate that arms it ("Always" for ungated checks), and a
-// stable site name ("access.readLV").
+// CheckSite is one registered check: behavior code, the interp.Profile
+// gate that arms it ("Always" for ungated checks, "DivZero|Overflow" for
+// a check either gate arms), and the row's stable name ("access.uaf").
 type CheckSite struct {
 	Code int    `json:"code"`
 	Gate string `json:"gate"`
@@ -45,8 +48,7 @@ type CheckSite struct {
 }
 
 var (
-	coverageRegMu sync.Mutex
-	coverageSites []CheckSite
+	coverageSites []CheckSite // written at package init only
 
 	// Indexed by ub.Behavior.Code (1-based; index 0 absorbs out-of-range
 	// codes so the hot path never branches on bounds beyond the mask).
@@ -60,25 +62,15 @@ func init() {
 }
 
 // RegisterCheckSite records one check site in the static registry. Call
-// from package init functions only; duplicate (code, gate, site) triples
-// collapse to one entry.
+// from package initialization only.
 func RegisterCheckSite(code int, gate, site string) {
-	coverageRegMu.Lock()
-	defer coverageRegMu.Unlock()
-	for _, s := range coverageSites {
-		if s.Code == code && s.Gate == gate && s.Site == site {
-			return
-		}
-	}
 	coverageSites = append(coverageSites, CheckSite{Code: code, Gate: gate, Site: site})
 }
 
 // CheckSites returns the registered sites sorted by code, then gate, then
 // site — the deterministic registry order every report uses.
 func CheckSites() []CheckSite {
-	coverageRegMu.Lock()
 	out := append([]CheckSite{}, coverageSites...)
-	coverageRegMu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Code != out[j].Code {
 			return out[i].Code < out[j].Code

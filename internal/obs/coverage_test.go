@@ -10,7 +10,6 @@ import (
 
 func TestCoverageRegistryAndSnapshot(t *testing.T) {
 	RegisterCheckSite(16, "Seq", "test.siteA")
-	RegisterCheckSite(16, "Seq", "test.siteA") // duplicate collapses
 	RegisterCheckSite(16, "Seq", "test.siteB")
 	RegisterCheckSite(39, "DivZero", "test.siteC")
 

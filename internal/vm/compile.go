@@ -32,7 +32,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/sema"
 	"repro/internal/token"
-	"repro/internal/ub"
 )
 
 // cexpr is compiled expression code.
@@ -127,7 +126,7 @@ func (c *compiler) compileExpr(e cast.Expr) cexpr {
 			}
 			id, ok := in.LookupObj(sym)
 			if !ok {
-				return nil, in.UBErrorf(ub.OutsideLifetime, pos,
+				return nil, in.UBErrorf(interp.SiteIdentDead, pos,
 					"Referring to object %q outside of its lifetime", name)
 			}
 			return in.LoadOrDecay(interp.LV{Base: id, Off: 0, T: t}, pos)
@@ -260,7 +259,7 @@ func (c *compiler) compileExpr(e cast.Expr) cexpr {
 		if err := in.Step(pos); err != nil {
 			return nil, err
 		}
-		return nil, in.UBErrorf(ub.Catalog[0], pos, "Unhandled expression %T", e)
+		return nil, in.UBErrorf(interp.SiteInternal, pos, "Unhandled expression %T", e)
 	}
 }
 
@@ -275,7 +274,7 @@ func (c *compiler) compileLval(e cast.Expr) clval {
 			if id, ok := in.LookupObj(sym); ok {
 				return interp.LV{Base: id, Off: 0, T: t}, nil
 			}
-			return interp.LV{}, in.UBErrorf(ub.OutsideLifetime, pos,
+			return interp.LV{}, in.UBErrorf(interp.SiteIdentDead, pos,
 				"Referring to object %q outside of its lifetime", name)
 		}
 
@@ -309,7 +308,7 @@ func (c *compiler) compileLval(e cast.Expr) clval {
 	case *cast.Unary:
 		if e.Op != cast.UDeref {
 			return func(in *interp.Interp) (interp.LV, error) {
-				return interp.LV{}, in.UBErrorf(ub.Catalog[0], pos, "Expression is not an LV")
+				return interp.LV{}, in.UBErrorf(interp.SiteInternal, pos, "Expression is not an LV")
 			}
 		}
 		cx := c.compileExpr(e.X)
@@ -345,7 +344,7 @@ func (c *compiler) compileLval(e cast.Expr) clval {
 				}
 				p, ok := v.(mem.Ptr)
 				if !ok {
-					return interp.LV{}, in.UBErrorf(ub.InvalidDeref, pos, "-> applied to a non-pointer value")
+					return interp.LV{}, in.UBErrorf(interp.SiteNonPtr, pos, "-> applied to a non-pointer value")
 				}
 				base, err := in.DerefLV(p, p.T.Elem, pos)
 				if err != nil {
@@ -366,7 +365,7 @@ func (c *compiler) compileLval(e cast.Expr) clval {
 		}
 	}
 	return func(in *interp.Interp) (interp.LV, error) {
-		return interp.LV{}, in.UBErrorf(ub.Catalog[0], pos, "Expression %T is not an LV", e)
+		return interp.LV{}, in.UBErrorf(interp.SiteInternal, pos, "Expression %T is not an LV", e)
 	}
 }
 
@@ -390,7 +389,7 @@ func (c *compiler) compileCond(e cast.Expr) ccond {
 		}
 		b, ok := mem.IsTruthy(v)
 		if !ok {
-			return false, in.UBErrorf(ub.Catalog[0], pos, "Condition has no truth value")
+			return false, in.UBErrorf(interp.SiteInternal, pos, "Condition has no truth value")
 		}
 		return b, nil
 	}
@@ -525,7 +524,7 @@ func (c *compiler) compileUnary(e *cast.Unary) cexpr {
 		if err := in.Step(pos); err != nil {
 			return nil, err
 		}
-		return nil, in.UBErrorf(ub.Catalog[0], pos, "Unhandled unary %v", e.Op)
+		return nil, in.UBErrorf(interp.SiteInternal, pos, "Unhandled unary %v", e.Op)
 	}
 }
 
@@ -547,7 +546,7 @@ func (c *compiler) compileAddr(e *cast.Unary) cexpr {
 				}
 				p, ok := v.(mem.Ptr)
 				if !ok {
-					return nil, in.UBErrorf(ub.InvalidDeref, pos, "&* applied to a non-pointer")
+					return nil, in.UBErrorf(interp.SiteNonPtr, pos, "&* applied to a non-pointer")
 				}
 				p.T = t
 				return p, nil
@@ -938,19 +937,19 @@ func (c *compiler) compileDecl(d *cast.Decl) cdecl {
 				}
 				iv, ok := v.(mem.Int)
 				if !ok {
-					return in.UBErrorf(ub.VLANotPositive, pos, "VLA size is not an integer")
+					return in.UBErrorf(interp.SiteVLAType, pos, "VLA size is not an integer")
 				}
 				n = int64(iv.Bits)
 			}
 			// C11 §6.7.6.2:5: the size shall be greater than zero.
 			if n <= 0 {
-				if in.Prof().VLASize {
-					return in.UBErrorf(ub.VLANotPositive, pos,
+				if in.Armed(interp.SiteVLASize) {
+					return in.UBErrorf(interp.SiteVLASize, pos,
 						"Variable length array %q declared with non-positive size %d", name, n)
 				}
 				n = 0 // fallback: a zero-sized slab of stack
-			} else if in.Prof().VLASize {
-				in.CheckPass(ub.VLANotPositive, pos)
+			} else if in.Armed(interp.SiteVLASize) {
+				in.CheckPass(interp.SiteVLASize, pos)
 			}
 			o, err := in.MemStore().Alloc(mem.ObjAuto, n*esize, name, t)
 			if err != nil {

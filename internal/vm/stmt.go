@@ -11,7 +11,6 @@ import (
 	"repro/internal/ctypes"
 	"repro/internal/interp"
 	"repro/internal/mem"
-	"repro/internal/ub"
 )
 
 func (c *compiler) compileStmt(s cast.Stmt) *cstmt {
@@ -179,7 +178,7 @@ func (c *compiler) compileStmt(s cast.Stmt) *cstmt {
 		if err := in.Step(pos); err != nil {
 			return flowNone, err
 		}
-		return flowNone, in.UBErrorf(ub.Catalog[0], pos, "Unhandled statement %T", s)
+		return flowNone, in.UBErrorf(interp.SiteInternal, pos, "Unhandled statement %T", s)
 	}}
 }
 
@@ -497,7 +496,7 @@ func (c *compiler) compileSwitch(s *cast.Switch) *cstmt {
 			in.SeqPt()
 			iv, ok := v.(mem.Int)
 			if !ok {
-				return flowNone, in.UBErrorf(ub.Catalog[0], tagPos, "Switch tag is not an integer")
+				return flowNone, in.UBErrorf(interp.SiteInternal, tagPos, "Switch tag is not an integer")
 			}
 			// Promote the tag and compare with the case constants converted
 			// to the promoted type (C11 §6.8.4.2:5).
