@@ -19,9 +19,8 @@ import (
 	"repro/internal/ub"
 )
 
-// A CheckSite is one row of the table.
+// A CheckSite is one row of the table; its name lives in the ledger.
 type CheckSite struct {
-	name string
 	b    *ub.Behavior
 	gate gate
 }
@@ -29,7 +28,7 @@ type CheckSite struct {
 // checkSite declares a row and registers it with the coverage ledger.
 func checkSite(name string, b *ub.Behavior, g gate) *CheckSite {
 	obs.RegisterCheckSite(b.Code, g.String(), name)
-	return &CheckSite{name: name, b: b, gate: g}
+	return &CheckSite{b: b, gate: g}
 }
 
 // armed reports whether the run's profile arms check site s.

@@ -184,24 +184,26 @@ int main(void) {
 	}
 }
 
-// TestHugeArrayRejected: an array whose size in bytes does not fit in an
-// int64 is a compile error with gcc's text. The size used to wrap, to a
-// 0-byte object whose 2^62 elements run start then walked one by one.
+// TestHugeArrayRejected: an array or struct whose size in bytes does not
+// fit in an int64 is a compile error, for an array with gcc's text. The
+// size used to wrap, to a 0-byte object whose 2^62 elements run start
+// then walked one by one.
 func TestHugeArrayRejected(t *testing.T) {
-	const tooLarge = `size of array "a" is too large`
-	for _, src := range []string{
-		"int a[1UL << 62]; int main(void) { return 0; }",
-		"int main(void) { long a[1UL << 61]; return 0; }",
+	for _, tc := range []struct{ src, want string }{
+		{"int a[1UL << 62]; int main(void) { return 0; }", `size of array "a" is too large`},
+		{"int main(void) { long a[1UL << 61]; return 0; }", `size of array "a" is too large`},
+		{"struct s { char a[1UL << 62], b[1UL << 62]; } x; int main(void) { return 0; }",
+			`variable "x": struct s: member "b": size is too large`},
 	} {
 		done := make(chan undefc.Result, 1)
-		go func() { done <- undefc.RunSource(src, "big.c", undefc.Options{}) }()
+		go func() { done <- undefc.RunSource(tc.src, "big.c", undefc.Options{}) }()
 		select {
 		case res := <-done:
-			if res.Err == nil || !strings.Contains(res.Err.Error(), tooLarge) {
-				t.Errorf("%s: err=%v ub=%v, want %s", src, res.Err, res.UB, tooLarge)
+			if res.Err == nil || !strings.Contains(res.Err.Error(), tc.want) {
+				t.Errorf("%s: err=%v ub=%v, want %s", tc.src, res.Err, res.UB, tc.want)
 			}
 		case <-time.After(10 * time.Second):
-			t.Fatalf("%s: still running after 10s", src)
+			t.Fatalf("%s: still running after 10s", tc.src)
 		}
 	}
 }
