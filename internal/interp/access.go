@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"strings"
+
 	"repro/internal/ctypes"
 	"repro/internal/mem"
 	"repro/internal/obs"
@@ -19,69 +21,96 @@ type LV struct {
 	BitOff, BitWidth int
 }
 
-// object resolves the LV's object, diagnosing dead and bogus bases.
-// This is the shared liveness side condition of the paper's deref-safest
-// rule (§4.1.2); which violations are *reported* depends on the profile —
-// unreported ones fall back to the de-facto behavior (crash, or access to
-// the retained bytes of the dead object).
-func (in *Interp) object(lv LV, pos token.Pos, forWrite bool) (*mem.Object, error) {
-	if lv.Base == mem.NullBase {
-		return nil, in.ubError(siteDeref, pos, "Dereferencing a null pointer")
-	}
-	if lv.Base == mem.InvalidBase {
-		if in.armed(siteAccessForged) {
-			return nil, in.ubError(siteAccessForged, pos, "Using a pointer forged from an integer")
+// valid decides whether use u may use the n bytes at p: the side
+// conditions of the paper's deref rule (§4.1.2), in one order for every
+// use: null, forged, unknown object, lifetime, function designator, bounds
+// (one past the end kept apart), string literal, const. u gives the check
+// each condition reports, nil where u does not check it (checksites.go).
+// An unreported violation takes the de-facto behavior: on a null or forged
+// pointer a use that touches memory crashes and a value use carries on
+// with no object; out of bounds, u.oob is returned or oob set (a load reads
+// zeroes, a store vanishes); a dead object's bytes are still there.
+func (in *Interp) valid(u *ptrUse, p mem.Ptr, n int64, pos token.Pos) (o *mem.Object, oob bool, err error) {
+	if p.Base == mem.NullBase || p.Base == mem.InvalidBase {
+		c, what := u.null, "a null pointer"
+		if p.Base == mem.InvalidBase {
+			c, what = u.forged, "a forged pointer"
 		}
-		return nil, &CrashError{Signal: "SIGSEGV", Detail: "access through a forged pointer"}
+		switch {
+		case c != nil && in.armed(c.site):
+			return nil, false, in.ptrError(c, nil, 0, 0, pos)
+		case u.touches:
+			return nil, false, &CrashError{Signal: "SIGSEGV", Detail: "access through " + what}
+		}
+		return nil, false, nil
 	}
-	o, ok := in.store.Obj(lv.Base)
+	o, ok := in.store.Obj(p.Base)
 	if !ok {
-		return nil, in.ubError(siteDeref, pos, "Dereferencing an invalid pointer")
+		return nil, false, in.ptrError(u.unknown, nil, 0, 0, pos)
 	}
 	if !o.Live {
-		if o.Kind == mem.ObjHeap {
-			if in.armed(siteAccessUAF) {
-				return nil, in.ubError(siteAccessUAF, pos,
-					"Accessing memory that has been freed")
-			}
-		} else if in.armed(siteAccessDead) {
-			return nil, in.ubError(siteAccessDead, pos,
-				"Referring to an object (%s) outside of its lifetime", o.Name)
+		if c := byStorage(o, u.heapLife, u.stackLife); c != nil && in.armed(c.site) {
+			return nil, false, in.ptrError(c, o, p.Off, n, pos)
 		}
-		// Fallback: the storage may still hold the old bytes.
-		return o, nil
+	} else if c := u.funcDesig; c != nil {
+		if o.Kind == mem.ObjFunc {
+			return nil, false, in.ptrError(c, o, p.Off, n, pos)
+		}
+		in.ptrPass(c, pos)
 	}
-	if o.Kind == mem.ObjFunc {
-		return nil, in.ubError(siteDeref, pos, "Accessing a function designator as an object")
+	if c := byStorage(o, u.heapBounds, u.stackBounds); c != nil {
+		out := p.Off < 0 || p.Off+n > o.Size
+		switch {
+		case !in.armed(c.site):
+			if out && u.oob != nil {
+				return nil, true, u.oob
+			}
+			oob = out
+		case out:
+			if one := byStorage(o, u.heapOnePast, u.stackOnePast); one != nil && p.Off == o.Size {
+				c = one
+			}
+			return nil, true, in.ptrError(c, o, p.Off, n, pos)
+		default:
+			in.ptrPass(c, pos)
+		}
 	}
-	in.obsCheckPass(siteDeref, pos)
-	return o, nil
+	if c := u.stringLit; c != nil && in.armed(c.site) {
+		if o.Kind == mem.ObjString {
+			return nil, oob, in.ptrError(c, o, p.Off, n, pos)
+		}
+		in.ptrPass(c, pos)
+	}
+	if c := u.constObj; c != nil && in.armed(c.site) {
+		if in.store.IsNotWritable(p.Base, p.Off, n) {
+			return nil, oob, in.ptrError(c, o, p.Off, n, pos)
+		}
+		in.ptrPass(c, pos)
+	}
+	return o, oob, nil
 }
 
-// checkBounds verifies [off, off+n) lies within the object: the side
-// condition O < Len of the paper's deref-safest rule. When the profile does
-// not watch this object kind, oob is reported to the caller, which applies
-// fallback semantics (reads yield zeroes, writes vanish — the neighboring
-// stack memory of a real execution).
-func (in *Interp) checkBounds(o *mem.Object, lv LV, n int64, pos token.Pos) (uerr *ub.Error, oob bool) {
-	site := byStorage(o, siteBoundsHeap, siteBoundsStack)
-	watched := in.armed(site)
-	if lv.Off >= 0 && lv.Off+n <= o.Size {
-		if watched {
-			in.obsCheckPass(site, pos)
-		}
-		return nil, false
+// ptrError reports c's violation of n bytes at offset off of object o, or
+// of a pointer with no object.
+func (in *Interp) ptrError(c *ptrCheck, o *mem.Object, off, n int64, pos token.Pos) *ub.Error {
+	if o == nil || !strings.Contains(c.msg, "%") {
+		return in.ubError(c.site, pos, "%s", c.msg)
 	}
-	if !watched {
-		return nil, true
+	return in.ubError(c.site, pos, c.msg, o.Name, off, n, o.Size)
+}
+
+// ptrPass records a held condition under c's pass row, if it has one.
+func (in *Interp) ptrPass(c *ptrCheck, pos token.Pos) {
+	if c.pass != nil {
+		in.obsCheckPass(c.pass, pos)
 	}
-	if lv.Off == o.Size {
-		return in.ubError(byStorage(o, siteOnePastHeap, siteOnePastStack), pos,
-			"Dereferencing a pointer one past the end of an object (%s)", o.Name), true
-	}
-	return in.ubError(byStorage(o, siteOverrunHeap, siteBoundsStack), pos,
-		"Accessing outside the bounds of object %s (offset %d, size %d of %d)",
-		o.Name, lv.Off, n, o.Size), true
+}
+
+// object resolves an LV's object with the liveness side conditions (a
+// VLA's sizeof).
+func (in *Interp) object(lv LV, pos token.Pos) (*mem.Object, error) {
+	o, _, err := in.valid(&useObject, mem.Ptr{Base: lv.Base, Off: lv.Off}, 0, pos)
+	return o, err
 }
 
 // checkAlias enforces the effective-type rule (C11 §6.5:7): an object's
@@ -182,14 +211,10 @@ func (in *Interp) read(lv LV, pos token.Pos) (mem.Value, error) {
 		// any *use* of it is UB and is flagged at the use site.
 		return mem.Void{}, nil
 	}
-	o, err := in.object(lv, pos, false)
+	n := in.model.Size(lv.T)
+	o, oob, err := in.valid(&useLoad, mem.Ptr{Base: lv.Base, Off: lv.Off}, n, pos)
 	if err != nil {
 		return nil, err
-	}
-	n := in.model.Size(lv.T)
-	uerr, oob := in.checkBounds(o, lv, n, pos)
-	if uerr != nil {
-		return nil, uerr
 	}
 	if uerr := in.checkVolatile(lv, n, pos); uerr != nil {
 		return nil, uerr
@@ -347,29 +372,10 @@ func (in *Interp) write(lv LV, v mem.Value, pos token.Pos) error {
 			return err
 		}
 	}
-	o, err := in.object(lv, pos, true)
+	n := in.model.Size(lv.T)
+	o, oob, err := in.valid(&useStore, mem.Ptr{Base: lv.Base, Off: lv.Off}, n, pos)
 	if err != nil {
 		return err
-	}
-	n := in.model.Size(lv.T)
-	uerr, oob := in.checkBounds(o, lv, n, pos)
-	if uerr != nil {
-		return uerr
-	}
-	// §6.4.5:7: modifying a string literal.
-	if in.armed(siteStringLit) {
-		if o.Kind == mem.ObjString {
-			return in.ubError(siteStringLit, pos, "Attempting to modify a string literal")
-		}
-		in.obsCheckPass(siteStringLit, pos)
-	}
-	// §6.7.3:6 via the notWritable set (§4.2.2).
-	if in.armed(siteConst) {
-		if in.store.IsNotWritable(lv.Base, lv.Off, n) {
-			return in.ubError(siteConst, pos,
-				"Modifying an object defined with a const-qualified type")
-		}
-		in.obsCheckPass(siteConst, pos)
 	}
 	if uerr := in.checkVolatile(lv, n, pos); uerr != nil {
 		return uerr
@@ -416,32 +422,13 @@ func (in *Interp) writeBitField(o *mem.Object, lv LV, v mem.Value, pos token.Pos
 	return nil
 }
 
-// checkPtrUsable diagnoses *use* of pointer values whose referent's
-// lifetime has ended (C11 §6.2.4:2) — comparisons, arithmetic, dereference.
-func (in *Interp) checkPtrUsable(p mem.Ptr, pos token.Pos) *ub.Error {
-	if p.IsNull() {
-		return nil
-	}
-	if p.Base == mem.InvalidBase {
-		if in.armed(sitePtrForged) {
-			return in.ubError(sitePtrForged, pos, "Using a pointer forged from an integer")
-		}
-		return nil
-	}
-	o, ok := in.store.Obj(p.Base)
-	if !ok {
-		return in.ubError(sitePtrInvalid, pos, "Using an invalid pointer")
-	}
-	if !o.Live {
-		if o.Kind == mem.ObjHeap {
-			if in.armed(sitePtrUAF) {
-				return in.ubError(sitePtrUAF, pos, "Using a pointer to freed memory")
-			}
-			return nil
-		}
-		if in.armed(sitePtrDangling) {
-			return in.ubError(sitePtrDangling, pos,
-				"Using the value of a pointer to an object (%s) whose lifetime has ended", o.Name)
+// checkPtrUsable checks pointer values that are compared, subtracted,
+// tested or decayed: their provenance and their referents' lifetime (C11
+// §6.2.4:2).
+func (in *Interp) checkPtrUsable(pos token.Pos, ps ...mem.Ptr) error {
+	for _, p := range ps {
+		if _, _, err := in.valid(&usePtrValue, p, 0, pos); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -108,53 +108,9 @@ func (in *Interp) argPtr(args []mem.Value, i int, pos token.Pos) (mem.Ptr, error
 // on a real machine; we make it a no-op.
 var errSilentOOB = fmt.Errorf("unwatched out-of-bounds library access")
 
-// region performs the §7.24.1-style validity check on [p, p+n) and returns
-// the object. Write regions also honor const and string-literal protection.
-func (in *Interp) region(p mem.Ptr, n int64, write bool, pos token.Pos) (*mem.Object, error) {
-	if p.IsNull() {
-		return nil, in.ubError(siteLibPtr, pos, "Null pointer passed to a library function")
-	}
-	if p.Base == mem.InvalidBase {
-		return nil, in.ubError(siteLibForged, pos, "Forged pointer passed to a library function")
-	}
-	o, ok := in.store.Obj(p.Base)
-	if !ok {
-		return nil, in.ubError(siteLibPtr, pos, "Invalid pointer passed to a library function")
-	}
-	if !o.Live {
-		if o.Kind == mem.ObjHeap {
-			if in.armed(siteLibUAF) {
-				return nil, in.ubError(siteLibUAF, pos, "Freed pointer passed to a library function")
-			}
-		} else if in.armed(siteLibDangling) {
-			return nil, in.ubError(siteLibDangling, pos, "Dangling pointer passed to a library function")
-		}
-	}
-	if p.Off < 0 || p.Off+n > o.Size {
-		if site := byStorage(o, siteLibBoundsHeap, siteLibBoundsStack); in.armed(site) {
-			return nil, in.ubError(site, pos,
-				"Library function accesses outside the bounds of object %s (offset %d, %d bytes of %d)",
-				o.Name, p.Off, n, o.Size)
-		}
-		return nil, errSilentOOB
-	}
-	if write {
-		if o.Kind == mem.ObjString && in.armed(siteLibStringLit) {
-			return nil, in.ubError(siteLibStringLit, pos, "Library function modifying a string literal")
-		}
-		if in.armed(siteLibConst) && in.store.IsNotWritable(p.Base, p.Off, n) {
-			return nil, in.ubError(siteLibConst, pos, "Library function modifying a const object")
-		}
-	}
-	return o, nil
-}
-
 // cString reads the NUL-terminated string at p, checking validity.
 func (in *Interp) cString(p mem.Ptr, pos token.Pos) (string, error) {
-	if p.IsNull() {
-		return "", in.ubError(siteLibPtr, pos, "Null pointer passed as a string")
-	}
-	o, err := in.region(p, 0, false, pos)
+	o, _, err := in.valid(&useLibString, p, 0, pos)
 	if err != nil {
 		return "", err
 	}
@@ -214,7 +170,7 @@ func biSprintf(in *Interp, args []mem.Value, e *cast.Call) (mem.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	o, err := in.region(dst, int64(len(s)+1), true, e.P)
+	o, _, err := in.valid(&useLibWrite, dst, int64(len(s)+1), e.P)
 	if err != nil {
 		return nil, err
 	}
@@ -244,7 +200,7 @@ func biSnprintf(in *Interp, args []mem.Value, e *cast.Call) (mem.Value, error) {
 		out = out[:limit-1]
 	}
 	if limit > 0 {
-		o, err := in.region(dst, int64(len(out)+1), true, e.P)
+		o, _, err := in.valid(&useLibWrite, dst, int64(len(out)+1), e.P)
 		if err != nil {
 			return nil, err
 		}
@@ -711,11 +667,11 @@ func (in *Interp) copyBytes(dst, src mem.Ptr, n int64, pos token.Pos) (mem.Value
 	if n == 0 {
 		return dst, nil
 	}
-	so, err := in.region(src, n, false, pos)
+	so, _, err := in.valid(&useLibRead, src, n, pos)
 	if err != nil {
 		return nil, err
 	}
-	do, err := in.region(dst, n, true, pos)
+	do, _, err := in.valid(&useLibWrite, dst, n, pos)
 	if err != nil {
 		return nil, err
 	}
@@ -738,7 +694,7 @@ func biMemset(in *Interp, args []mem.Value, e *cast.Call) (mem.Value, error) {
 		return nil, err
 	}
 	cnt := int64(n.Bits)
-	o, err := in.region(dst, cnt, true, e.P)
+	o, _, err := in.valid(&useLibWrite, dst, cnt, e.P)
 	if err != nil {
 		return nil, err
 	}
@@ -762,11 +718,11 @@ func biMemcmp(in *Interp, args []mem.Value, e *cast.Call) (mem.Value, error) {
 		return nil, err
 	}
 	cnt := int64(n.Bits)
-	ao, err := in.region(a, cnt, false, e.P)
+	ao, _, err := in.valid(&useLibRead, a, cnt, e.P)
 	if err != nil {
 		return nil, err
 	}
-	bo, err := in.region(b, cnt, false, e.P)
+	bo, _, err := in.valid(&useLibRead, b, cnt, e.P)
 	if err != nil {
 		return nil, err
 	}
@@ -805,7 +761,7 @@ func biMemchr(in *Interp, args []mem.Value, e *cast.Call) (mem.Value, error) {
 		return nil, err
 	}
 	cnt := int64(n.Bits)
-	o, err := in.region(p, cnt, false, e.P)
+	o, _, err := in.valid(&useLibRead, p, cnt, e.P)
 	if err != nil {
 		return nil, err
 	}
@@ -846,7 +802,7 @@ func biStrcpy(in *Interp, args []mem.Value, e *cast.Call) (mem.Value, error) {
 	if overlap(dst, src, n) {
 		return nil, in.ubError(siteStrcpyOverlap, e.P, "strcpy between overlapping objects")
 	}
-	o, err := in.region(dst, n, true, e.P)
+	o, _, err := in.valid(&useLibWrite, dst, n, e.P)
 	if err != nil {
 		return nil, err
 	}
@@ -874,11 +830,11 @@ func biStrncpy(in *Interp, args []mem.Value, e *cast.Call) (mem.Value, error) {
 	if overlap(dst, src, n) && n > 0 {
 		return nil, in.ubError(siteStrncpyOverlap, e.P, "strncpy between overlapping objects")
 	}
-	o, err := in.region(dst, n, true, e.P)
+	o, _, err := in.valid(&useLibWrite, dst, n, e.P)
 	if err != nil {
 		return nil, err
 	}
-	so, err := in.region(src, 0, false, e.P)
+	so, _, err := in.valid(&useLibRead, src, 0, e.P)
 	if err != nil {
 		return nil, err
 	}
@@ -923,7 +879,7 @@ func biStrcat(in *Interp, args []mem.Value, e *cast.Call) (mem.Value, error) {
 		return nil, err
 	}
 	need := int64(len(d) + len(s) + 1)
-	o, err := in.region(dst, need, true, e.P)
+	o, _, err := in.valid(&useLibWrite, dst, need, e.P)
 	if err != nil {
 		return nil, err
 	}
@@ -959,7 +915,7 @@ func biStrncat(in *Interp, args []mem.Value, e *cast.Call) (mem.Value, error) {
 		s = s[:nv.Bits]
 	}
 	need := int64(len(d) + len(s) + 1)
-	o, err := in.region(dst, need, true, e.P)
+	o, _, err := in.valid(&useLibWrite, dst, need, e.P)
 	if err != nil {
 		return nil, err
 	}

@@ -34,9 +34,9 @@ func checkSite(name string, b *ub.Behavior, g gate) *CheckSite {
 // armed reports whether the run's profile arms check site s.
 func (in *Interp) armed(s *CheckSite) bool { return in.gates&s.gate != 0 }
 
-// byStorage picks a bounds check's row by the object's storage: heap
-// objects are watched by HeapBounds, all others by StackBounds.
-func byStorage(o *mem.Object, heap, stack *CheckSite) *CheckSite {
+// byStorage picks a check by the object's storage: the Heap gates watch
+// heap objects, the Stack gates all others.
+func byStorage[T any](o *mem.Object, heap, stack T) T {
 	if o.Kind == mem.ObjHeap {
 		return heap
 	}
@@ -44,17 +44,36 @@ func byStorage(o *mem.Object, heap, stack *CheckSite) *CheckSite {
 }
 
 var (
-	// Loads and stores (access.go): the lvalue's object, its bounds,
-	// type and qualifiers, the sequence-point sets and the bytes read.
-	siteDeref         = checkSite("access.deref", ub.InvalidDeref, gateAlways)
-	siteAccessForged  = checkSite("access.forged", ub.PtrFromInt, gateForgedPtr)
-	siteAccessUAF     = checkSite("access.uaf", ub.UseAfterFree, gateHeapLife)
-	siteAccessDead    = checkSite("access.dead", ub.OutsideLifetime, gateStackLife)
-	siteBoundsHeap    = checkSite("access.bounds.heap", ub.PtrArithBounds, gateHeapBounds) // a heap overrun reports access.overrun.heap
-	siteBoundsStack   = checkSite("access.bounds.stack", ub.PtrArithBounds, gateStackBounds)
-	siteOverrunHeap   = checkSite("access.overrun.heap", ub.NegMallocOverrun, gateHeapBounds)
-	siteOnePastHeap   = checkSite("access.one_past.heap", ub.PtrDerefOnePast, gateHeapBounds)
-	siteOnePastStack  = checkSite("access.one_past.stack", ub.PtrDerefOnePast, gateStackBounds)
+	// Pointer validity (valid, access.go): the rows the uses below report.
+	siteDeref          = checkSite("access.deref", ub.InvalidDeref, gateAlways)
+	sitePtrForged      = checkSite("ptr.forged", ub.PtrFromInt, gateForgedPtr)
+	siteAccessUAF      = checkSite("access.uaf", ub.UseAfterFree, gateHeapLife)
+	siteAccessDead     = checkSite("access.dead", ub.OutsideLifetime, gateStackLife)
+	siteBoundsHeap     = checkSite("access.bounds.heap", ub.PtrArithBounds, gateHeapBounds) // a heap overrun reports access.overrun.heap
+	siteBoundsStack    = checkSite("access.bounds.stack", ub.PtrArithBounds, gateStackBounds)
+	siteOverrunHeap    = checkSite("access.overrun.heap", ub.NegMallocOverrun, gateHeapBounds)
+	siteOnePastHeap    = checkSite("access.one_past.heap", ub.PtrDerefOnePast, gateHeapBounds)
+	siteOnePastStack   = checkSite("access.one_past.stack", ub.PtrDerefOnePast, gateStackBounds)
+	siteStringLit      = checkSite("access.string_lit", ub.ModifyStringLit, gateStringLit)
+	siteConst          = checkSite("access.const", ub.ModifyConst, gateConst)
+	sitePtrInvalid     = checkSite("ptr.invalid", ub.InvalidDeref, gateAlways)
+	sitePtrUAF         = checkSite("ptr.uaf", ub.UseAfterFree, gateHeapLife)
+	sitePtrDangling    = checkSite("ptr.dangling", ub.DanglingPointer, gateStackLife)
+	sitePtrAddNull     = checkSite("ptr.add_null", ub.PtrArithBounds, gatePtrCompare)
+	sitePtrAddHeap     = checkSite("ptr.add.heap", ub.PtrArithBounds, gateHeapBounds)
+	sitePtrAddStack    = checkSite("ptr.add.stack", ub.PtrArithBounds, gateStackBounds)
+	siteDerefForged    = checkSite("eval.deref_forged", ub.PtrFromInt, gateAlways)
+	siteLibPtr         = checkSite("lib.ptr", ub.StrFuncBadPtr, gateAlways)
+	siteLibForged      = checkSite("lib.forged", ub.PtrFromInt, gateAlways)
+	siteLibUAF         = checkSite("lib.uaf", ub.UseAfterFree, gateHeapLife)
+	siteLibDangling    = checkSite("lib.dangling", ub.DanglingPointer, gateStackLife)
+	siteLibBoundsHeap  = checkSite("lib.bounds.heap", ub.NegMallocOverrun, gateHeapBounds)
+	siteLibBoundsStack = checkSite("lib.bounds.stack", ub.StrFuncBadPtr, gateStackBounds)
+	siteLibStringLit   = checkSite("lib.string_lit", ub.ModifyStringLit, gateStringLit)
+	siteLibConst       = checkSite("lib.const", ub.ModifyConst, gateConst)
+
+	// Loads and stores (access.go): the lvalue's type and qualifiers, the
+	// sequence-point sets and the bytes read.
 	siteAlias         = checkSite("access.alias", ub.BadAlias, gateAlias)
 	siteVolatile      = checkSite("access.volatile", ub.VolatileNonvolatile, gateVolatile)
 	siteUnseqRead     = checkSite("access.unseq_read", ub.UnseqValueComp, gateSeq)
@@ -64,33 +83,15 @@ var (
 	siteTornPtr       = checkSite("access.torn_ptr", ub.TrapRepresentation, gateUninitPtr)
 	sitePtrBytes      = checkSite("access.ptr_bytes", ub.BadAlias, gateAlias)
 	siteUnsupported   = checkSite("access.unsupported", ub.InvalidDeref, gateAlways)
-	siteStringLit     = checkSite("access.string_lit", ub.ModifyStringLit, gateStringLit)
-	siteConst         = checkSite("access.const", ub.ModifyConst, gateConst)
 	siteBitFieldStore = checkSite("access.bitfield_store", ub.BadAlias, gateAlways)
 
-	// Pointer values (checkPtrUsable; ptrAdd, ptrSub and ptrCompare in
-	// eval.go).
-	sitePtrForged   = checkSite("ptr.forged", ub.PtrFromInt, gateForgedPtr)
-	sitePtrInvalid  = checkSite("ptr.invalid", ub.InvalidDeref, gateAlways)
-	sitePtrUAF      = checkSite("ptr.uaf", ub.UseAfterFree, gateHeapLife)
-	sitePtrDangling = checkSite("ptr.dangling", ub.DanglingPointer, gateStackLife)
-	sitePtrAddNull  = checkSite("ptr.add_null", ub.PtrArithBounds, gatePtrCompare)
-	sitePtrAddHeap  = checkSite("ptr.add.heap", ub.PtrArithBounds, gateHeapBounds)
-	sitePtrAddStack = checkSite("ptr.add.stack", ub.PtrArithBounds, gateStackBounds)
-	sitePtrSub      = checkSite("ptr.sub", ub.PtrSubDifferent, gatePtrCompare)
-	sitePtrCompare  = checkSite("ptr.compare", ub.PtrCompareDifferent, gatePtrCompare)
+	// Pointer values (ptrSub and ptrCompare in eval.go).
+	sitePtrSub     = checkSite("ptr.sub", ub.PtrSubDifferent, gatePtrCompare)
+	sitePtrCompare = checkSite("ptr.compare", ub.PtrCompareDifferent, gatePtrCompare)
 
-	// The library model (builtins.go): arguments, the regions a function
-	// reads or writes, allocation and formatting.
+	// The library model (builtins.go): arguments, strings, allocation and
+	// formatting.
 	siteLibArg         = checkSite("lib.arg", ub.NullLibArg, gateAlways)
-	siteLibPtr         = checkSite("lib.ptr", ub.StrFuncBadPtr, gateAlways)
-	siteLibForged      = checkSite("lib.forged", ub.PtrFromInt, gateAlways)
-	siteLibUAF         = checkSite("lib.uaf", ub.UseAfterFree, gateHeapLife)
-	siteLibDangling    = checkSite("lib.dangling", ub.DanglingPointer, gateStackLife)
-	siteLibBoundsHeap  = checkSite("lib.bounds.heap", ub.NegMallocOverrun, gateHeapBounds)
-	siteLibBoundsStack = checkSite("lib.bounds.stack", ub.StrFuncBadPtr, gateStackBounds)
-	siteLibStringLit   = checkSite("lib.string_lit", ub.ModifyStringLit, gateStringLit)
-	siteLibConst       = checkSite("lib.const", ub.ModifyConst, gateConst)
 	siteLibNoNulHeap   = checkSite("lib.no_nul.heap", ub.StrFuncBadPtr, gateHeapBounds)
 	siteLibNoNulStack  = checkSite("lib.no_nul.stack", ub.StrFuncBadPtr, gateStackBounds)
 	siteLibUninit      = checkSite("lib.uninit", ub.IndeterminateValue, gateUninit)
@@ -121,8 +122,6 @@ var (
 	SiteInternal      = checkSite("interp.internal", ub.Catalog[0], gateAlways) // a program the machine cannot run
 	SiteIdentDead     = checkSite("eval.ident_dead", ub.OutsideLifetime, gateAlways)
 	SiteNonPtr        = checkSite("eval.non_ptr", ub.InvalidDeref, gateAlways)
-	siteDerefNull     = checkSite("eval.deref_null", ub.InvalidDeref, gateAlways)
-	siteDerefForged   = checkSite("eval.deref_forged", ub.PtrFromInt, gateAlways)
 	siteDerefVoid     = checkSite("eval.deref_void", ub.DerefVoid, gateVoidDeref)
 	siteNegOverflow   = checkSite("arith.neg_overflow", ub.SignedOverflow, gateOverflow)
 	siteOverflow      = checkSite("arith.overflow", ub.SignedOverflow, gateOverflow)
@@ -141,4 +140,91 @@ var (
 	siteCallArgTypes  = checkSite("call.arg_types", ub.BadCallArgs, gateCallMismatch)
 	SiteVLAType       = checkSite("decl.vla_type", ub.VLANotPositive, gateAlways)
 	SiteVLASize       = checkSite("decl.vla_size", ub.VLANotPositive, gateVLASize)
+)
+
+// A ptrCheck is a condition of pointer validity as one use reports it:
+// the row, the message (it may name the object, the offset, the byte count
+// and the size: %[1]s, %[2]d, %[3]d, %[4]d) and the row a held condition
+// records its pass under, if any.
+type ptrCheck struct {
+	site *CheckSite
+	msg  string
+	pass *CheckSite
+}
+
+// A ptrUse is one way of using a pointer: the check each condition of
+// valid's order reports, nil where the use does not check it; whether the
+// use touches memory; and what an unwatched out-of-bounds access returns
+// (nil: flag it and go on).
+type ptrUse struct {
+	null, forged, unknown, heapLife, stackLife, funcDesig *ptrCheck
+	heapBounds, stackBounds, heapOnePast, stackOnePast    *ptrCheck
+	stringLit, constObj                                   *ptrCheck
+	touches                                               bool
+	oob                                                   error
+}
+
+var (
+	accessOOB = "Accessing outside the bounds of object %s (offset %d, size %d of %d)"
+	onePast   = "Dereferencing a pointer one past the end of an object (%[1]s)"
+	libOOB    = "Library function accesses outside the bounds of object %s (offset %d, %d bytes of %d)"
+	ptrAddOOB = "Pointer arithmetic produces an address outside object %[1]s (offset %[2]d of size %[4]d)"
+
+	derefNull   = &ptrCheck{siteDeref, "Dereferencing a null pointer", nil}
+	ptrForged   = &ptrCheck{sitePtrForged, "Using a pointer forged from an integer", nil}
+	ptrInvalid  = &ptrCheck{sitePtrInvalid, "Using an invalid pointer", nil}
+	ptrUAF      = &ptrCheck{sitePtrUAF, "Using a pointer to freed memory", nil}
+	ptrDangling = &ptrCheck{sitePtrDangling, "Using the value of a pointer to an object (%[1]s) whose lifetime has ended", nil}
+
+	// An lvalue load (read) checks every condition but the write
+	// protections a store (write) adds, and records the liveness and
+	// bounds passes; a VLA's sizeof (object) checks only its object.
+	useLoad = ptrUse{null: derefNull, forged: ptrForged, touches: true,
+		unknown:      &ptrCheck{siteDeref, "Dereferencing an invalid pointer", nil},
+		heapLife:     &ptrCheck{siteAccessUAF, "Accessing memory that has been freed", nil},
+		stackLife:    &ptrCheck{siteAccessDead, "Referring to an object (%[1]s) outside of its lifetime", nil},
+		funcDesig:    &ptrCheck{siteDeref, "Accessing a function designator as an object", siteDeref},
+		heapBounds:   &ptrCheck{siteOverrunHeap, accessOOB, siteBoundsHeap},
+		stackBounds:  &ptrCheck{siteBoundsStack, accessOOB, siteBoundsStack},
+		heapOnePast:  &ptrCheck{siteOnePastHeap, onePast, nil},
+		stackOnePast: &ptrCheck{siteOnePastStack, onePast, nil}}
+	useStore = func(u ptrUse) ptrUse {
+		u.stringLit = &ptrCheck{siteStringLit, "Attempting to modify a string literal", siteStringLit}
+		u.constObj = &ptrCheck{siteConst, "Modifying an object defined with a const-qualified type", siteConst}
+		return u
+	}(useLoad)
+	useObject = func(u ptrUse) ptrUse { u.heapBounds, u.stackBounds = nil, nil; return u }(useLoad)
+
+	// A library function checks the region it reads or writes.
+	useLibRead = ptrUse{touches: true, oob: errSilentOOB,
+		null:        &ptrCheck{siteLibPtr, "Null pointer passed to a library function", nil},
+		forged:      &ptrCheck{siteLibForged, "Forged pointer passed to a library function", nil},
+		unknown:     &ptrCheck{siteLibPtr, "Invalid pointer passed to a library function", nil},
+		heapLife:    &ptrCheck{siteLibUAF, "Freed pointer passed to a library function", nil},
+		stackLife:   &ptrCheck{siteLibDangling, "Dangling pointer passed to a library function", nil},
+		heapBounds:  &ptrCheck{siteLibBoundsHeap, libOOB, nil},
+		stackBounds: &ptrCheck{siteLibBoundsStack, libOOB, nil}}
+	useLibWrite = func(u ptrUse) ptrUse {
+		u.stringLit = &ptrCheck{siteLibStringLit, "Library function modifying a string literal", nil}
+		u.constObj = &ptrCheck{siteLibConst, "Library function modifying a const object", nil}
+		return u
+	}(useLibRead)
+	useLibString = func(u ptrUse) ptrUse {
+		u.null = &ptrCheck{siteLibPtr, "Null pointer passed as a string", nil}
+		return u
+	}(useLibRead)
+
+	// A pointer value that is compared, subtracted, tested or decayed
+	// (checkPtrUsable) is checked for provenance and lifetime only; a
+	// dereference (derefLValue) adds null, and a void one checks no
+	// further; pointer arithmetic (ptrAdd) adds null and the result's
+	// bounds as a zero-byte region, so one past the end is valid.
+	usePtrValue = ptrUse{forged: ptrForged, unknown: ptrInvalid, heapLife: ptrUAF, stackLife: ptrDangling}
+	useDeref    = ptrUse{null: derefNull, unknown: ptrInvalid, heapLife: ptrUAF, stackLife: ptrDangling,
+		forged: &ptrCheck{siteDerefForged, "Dereferencing a pointer forged from an integer", nil}}
+	useDerefVoid = ptrUse{null: useDeref.null, forged: useDeref.forged, unknown: ptrInvalid}
+	usePtrAdd    = ptrUse{unknown: ptrInvalid, heapLife: ptrUAF, stackLife: ptrDangling,
+		null:        &ptrCheck{sitePtrAddNull, "Arithmetic on a null pointer", nil},
+		heapBounds:  &ptrCheck{sitePtrAddHeap, ptrAddOOB, nil},
+		stackBounds: &ptrCheck{sitePtrAddStack, ptrAddOOB, nil}}
 )

@@ -131,8 +131,8 @@ func (in *Interp) ReadLV(lv LV, pos token.Pos) (mem.Value, error) { return in.re
 func (in *Interp) WriteLV(lv LV, v mem.Value, pos token.Pos) error { return in.write(lv, v, pos) }
 
 // Object resolves an LV's object with the liveness side conditions.
-func (in *Interp) Object(lv LV, pos token.Pos, forWrite bool) (*mem.Object, error) {
-	return in.object(lv, pos, forWrite)
+func (in *Interp) Object(lv LV, pos token.Pos) (*mem.Object, error) {
+	return in.object(lv, pos)
 }
 
 // LoadOrDecay reads an LV as a value, or decays arrays and functions to
@@ -148,8 +148,8 @@ func (in *Interp) DerefLV(v mem.Value, t *ctypes.Type, pos token.Pos) (LV, error
 }
 
 // CheckPtrUsable applies the dangling/forged-pointer side conditions.
-func (in *Interp) CheckPtrUsable(p mem.Ptr, pos token.Pos) *ub.Error {
-	return in.checkPtrUsable(p, pos)
+func (in *Interp) CheckPtrUsable(p mem.Ptr, pos token.Pos) error {
+	return in.checkPtrUsable(pos, p)
 }
 
 // StoreRaw writes a value's representation without the UB checks (legal

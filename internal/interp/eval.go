@@ -107,8 +107,8 @@ func (in *Interp) loadOrDecay(lv LV, pos token.Pos) (mem.Value, error) {
 	case ctypes.Array:
 		// Decay requires the object to still be live (§6.2.4).
 		p := mem.Ptr{T: lv.T.Decay(), Base: lv.Base, Off: lv.Off}
-		if uerr := in.checkPtrUsable(p, pos); uerr != nil {
-			return nil, uerr
+		if err := in.checkPtrUsable(pos, p); err != nil {
+			return nil, err
 		}
 		return p, nil
 	case ctypes.Func:
@@ -218,12 +218,14 @@ func (in *Interp) derefLValue(v mem.Value, t *ctypes.Type, pos token.Pos) (LV, e
 	if err := in.observe(spec.Event{Kind: spec.EvDeref, Pos: pos, Ptr: p, Type: t}); err != nil {
 		return LV{}, err
 	}
-	if p.IsNull() {
-		// when L = NULL (deref-neg2 of §4.5.1)
-		return LV{}, in.ubError(siteDerefNull, pos, "Dereferencing a null pointer")
+	// when L = NULL (deref-neg2 of §4.5.1); T = void is checked after
+	// provenance, before lifetime
+	u := &useDeref
+	if t.Kind == ctypes.Void {
+		u = &useDerefVoid
 	}
-	if p.Base == mem.InvalidBase {
-		return LV{}, in.ubError(siteDerefForged, pos, "Dereferencing a pointer forged from an integer")
+	if _, _, err := in.valid(u, p, 0, pos); err != nil {
+		return LV{}, err
 	}
 	if t.Kind == ctypes.Void {
 		if in.armed(siteDerefVoid) {
@@ -231,10 +233,7 @@ func (in *Interp) derefLValue(v mem.Value, t *ctypes.Type, pos token.Pos) (LV, e
 			// void pointers".
 			return LV{}, in.ubError(siteDerefVoid, pos, "Cannot dereference void pointers")
 		}
-		return LV{Base: p.Base, Off: p.Off, T: ctypes.TVoid}, nil
-	}
-	if uerr := in.checkPtrUsable(p, pos); uerr != nil {
-		return LV{}, uerr
+		t = ctypes.TVoid
 	}
 	return LV{Base: p.Base, Off: p.Off, T: t}, nil
 }
@@ -716,46 +715,27 @@ func (in *Interp) ptrAdd(p mem.Ptr, n int64, pos token.Pos) (mem.Value, error) {
 	if n == 0 {
 		return p, nil
 	}
-	if p.IsNull() {
-		if in.armed(sitePtrAddNull) {
-			return nil, in.ubError(sitePtrAddNull, pos, "Arithmetic on a null pointer")
-		}
-		return mem.Ptr{T: p.T, Base: mem.InvalidBase, Off: n}, nil
-	}
-	if p.Base == mem.InvalidBase {
-		p.Off += n
-		return p, nil
-	}
-	if uerr := in.checkPtrUsable(p, pos); uerr != nil {
-		return nil, uerr
-	}
-	o, ok := in.store.Obj(p.Base)
-	if !ok {
-		return nil, in.ubError(sitePtrInvalid, pos, "Arithmetic on an invalid pointer")
-	}
 	esize := int64(1)
 	if p.T.Kind == ctypes.Ptr && p.T.Elem.IsComplete() {
 		esize = in.model.Size(p.T.Elem)
 	}
-	newOff := p.Off + n*esize
-	if newOff < 0 || newOff > o.Size {
-		if site := byStorage(o, sitePtrAddHeap, sitePtrAddStack); in.armed(site) {
-			return nil, in.ubError(site, pos,
-				"Pointer arithmetic produces an address outside object %s (offset %d of size %d)",
-				o.Name, newOff, o.Size)
-		}
+	q := mem.Ptr{T: p.T, Base: p.Base, Off: p.Off + n*esize}
+	o, _, err := in.valid(&usePtrAdd, q, 0, pos)
+	if err != nil {
+		return nil, err
 	}
-	p.Off = newOff
-	return p, nil
+	if o == nil {
+		// A null or forged pointer has no object to stay within: the
+		// result is forged.
+		return mem.Ptr{T: p.T, Base: mem.InvalidBase, Off: p.Off + n}, nil
+	}
+	return q, nil
 }
 
 // ptrSub implements ptr-ptr with the §6.5.6:9 same-object side condition.
 func (in *Interp) ptrSub(x, y mem.Ptr, pos token.Pos) (mem.Value, error) {
-	if uerr := in.checkPtrUsable(x, pos); uerr != nil {
-		return nil, uerr
-	}
-	if uerr := in.checkPtrUsable(y, pos); uerr != nil {
-		return nil, uerr
+	if err := in.checkPtrUsable(pos, x, y); err != nil {
+		return nil, err
 	}
 	if x.Base != y.Base {
 		if in.armed(sitePtrSub) {
@@ -779,11 +759,8 @@ func (in *Interp) ptrSub(x, y mem.Ptr, pos token.Pos) (mem.Value, error) {
 // ptrCompare implements <, >, <=, >= on pointers. The paper's §4.3.1 rules:
 // only pointers with a common base are comparable.
 func (in *Interp) ptrCompare(op cast.BinaryOp, x, y mem.Ptr, pos token.Pos) (mem.Value, error) {
-	if uerr := in.checkPtrUsable(x, pos); uerr != nil {
-		return nil, uerr
-	}
-	if uerr := in.checkPtrUsable(y, pos); uerr != nil {
-		return nil, uerr
+	if err := in.checkPtrUsable(pos, x, y); err != nil {
+		return nil, err
 	}
 	if x.Base != y.Base {
 		if in.armed(sitePtrCompare) {
@@ -821,11 +798,8 @@ func (in *Interp) ptrEquality(op cast.BinaryOp, xv, yv mem.Value, pos token.Pos)
 	if err != nil {
 		return nil, err
 	}
-	if uerr := in.checkPtrUsable(x, pos); uerr != nil {
-		return nil, uerr
-	}
-	if uerr := in.checkPtrUsable(y, pos); uerr != nil {
-		return nil, uerr
+	if err := in.checkPtrUsable(pos, x, y); err != nil {
+		return nil, err
 	}
 	eq := x.Base == y.Base && x.Off == y.Off || x.IsNull() && y.IsNull()
 	return truth(eq == (op == cast.BEq)), nil
@@ -945,8 +919,8 @@ func (in *Interp) evalCondition(e cast.Expr) (bool, error) {
 		return false, err
 	}
 	if p, ok := v.(mem.Ptr); ok {
-		if uerr := in.checkPtrUsable(p, e.Pos()); uerr != nil {
-			return false, uerr
+		if err := in.checkPtrUsable(e.Pos(), p); err != nil {
+			return false, err
 		}
 	}
 	b, ok := mem.IsTruthy(v)
@@ -967,9 +941,9 @@ func (in *Interp) evalSizeofExpr(e *cast.SizeofExpr) (mem.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		o, uerr := in.object(lv, e.P, false)
-		if uerr != nil {
-			return nil, uerr
+		o, err := in.object(lv, e.P)
+		if err != nil {
+			return nil, err
 		}
 		return mem.Int{T: e.T, Bits: uint64(o.Size)}, nil
 	}

@@ -226,7 +226,7 @@ func (c *compiler) compileExpr(e cast.Expr) cexpr {
 				if err != nil {
 					return nil, err
 				}
-				o, err := in.Object(l, pos, false)
+				o, err := in.Object(l, pos)
 				if err != nil {
 					return nil, err
 				}
