@@ -62,9 +62,9 @@ var (
 	sitePtrAddNull     = checkSite("ptr.add_null", ub.PtrArithBounds, gatePtrCompare)
 	sitePtrAddHeap     = checkSite("ptr.add.heap", ub.PtrArithBounds, gateHeapBounds)
 	sitePtrAddStack    = checkSite("ptr.add.stack", ub.PtrArithBounds, gateStackBounds)
-	siteDerefForged    = checkSite("eval.deref_forged", ub.PtrFromInt, gateAlways)
+	siteDerefForged    = checkSite("eval.deref_forged", ub.PtrFromInt, gateForgedPtr)
 	siteLibPtr         = checkSite("lib.ptr", ub.StrFuncBadPtr, gateAlways)
-	siteLibForged      = checkSite("lib.forged", ub.PtrFromInt, gateAlways)
+	siteLibForged      = checkSite("lib.forged", ub.PtrFromInt, gateForgedPtr)
 	siteLibUAF         = checkSite("lib.uaf", ub.UseAfterFree, gateHeapLife)
 	siteLibDangling    = checkSite("lib.dangling", ub.DanglingPointer, gateStackLife)
 	siteLibBoundsHeap  = checkSite("lib.bounds.heap", ub.NegMallocOverrun, gateHeapBounds)
