@@ -99,10 +99,10 @@ func (in *Interp) ptrError(c *ptrCheck, o *mem.Object, off, n int64, pos token.P
 	return in.ubError(c.site, pos, c.msg, o.Name, off, n, o.Size)
 }
 
-// ptrPass records a held condition under c's pass row, if it has one.
+// ptrPass records a held condition under c's row, if c records passes.
 func (in *Interp) ptrPass(c *ptrCheck, pos token.Pos) {
-	if c.pass != nil {
-		in.obsCheckPass(c.pass, pos)
+	if c.pass {
+		in.obsCheckPass(c.site, pos)
 	}
 }
 

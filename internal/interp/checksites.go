@@ -49,7 +49,6 @@ var (
 	sitePtrForged      = checkSite("ptr.forged", ub.PtrFromInt, gateForgedPtr)
 	siteAccessUAF      = checkSite("access.uaf", ub.UseAfterFree, gateHeapLife)
 	siteAccessDead     = checkSite("access.dead", ub.OutsideLifetime, gateStackLife)
-	siteBoundsHeap     = checkSite("access.bounds.heap", ub.PtrArithBounds, gateHeapBounds) // a heap overrun reports access.overrun.heap
 	siteBoundsStack    = checkSite("access.bounds.stack", ub.PtrArithBounds, gateStackBounds)
 	siteOverrunHeap    = checkSite("access.overrun.heap", ub.NegMallocOverrun, gateHeapBounds)
 	siteOnePastHeap    = checkSite("access.one_past.heap", ub.PtrDerefOnePast, gateHeapBounds)
@@ -144,12 +143,12 @@ var (
 
 // A ptrCheck is a condition of pointer validity as one use reports it:
 // the row, the message (it may name the object, the offset, the byte count
-// and the size: %[1]s, %[2]d, %[3]d, %[4]d) and the row a held condition
-// records its pass under, if any.
+// and the size: %[1]s, %[2]d, %[3]d, %[4]d) and whether a held condition
+// records a pass under the row.
 type ptrCheck struct {
 	site *CheckSite
 	msg  string
-	pass *CheckSite
+	pass bool
 }
 
 // A ptrUse is one way of using a pointer: the check each condition of
@@ -170,61 +169,62 @@ var (
 	libOOB    = "Library function accesses outside the bounds of object %s (offset %d, %d bytes of %d)"
 	ptrAddOOB = "Pointer arithmetic produces an address outside object %[1]s (offset %[2]d of size %[4]d)"
 
-	derefNull   = &ptrCheck{siteDeref, "Dereferencing a null pointer", nil}
-	ptrForged   = &ptrCheck{sitePtrForged, "Using a pointer forged from an integer", nil}
-	ptrInvalid  = &ptrCheck{sitePtrInvalid, "Using an invalid pointer", nil}
-	ptrUAF      = &ptrCheck{sitePtrUAF, "Using a pointer to freed memory", nil}
-	ptrDangling = &ptrCheck{sitePtrDangling, "Using the value of a pointer to an object (%[1]s) whose lifetime has ended", nil}
+	derefNull   = &ptrCheck{site: siteDeref, msg: "Dereferencing a null pointer"}
+	ptrForged   = &ptrCheck{site: sitePtrForged, msg: "Using a pointer forged from an integer"}
+	ptrInvalid  = &ptrCheck{site: sitePtrInvalid, msg: "Using an invalid pointer"}
+	ptrUAF      = &ptrCheck{site: sitePtrUAF, msg: "Using a pointer to freed memory"}
+	ptrDangling = &ptrCheck{site: sitePtrDangling, msg: "Using the value of a pointer to an object (%[1]s) whose lifetime has ended"}
 
 	// An lvalue load (read) checks every condition but the write
 	// protections a store (write) adds, and records the liveness and
 	// bounds passes; a VLA's sizeof (object) checks only its object.
 	useLoad = ptrUse{null: derefNull, forged: ptrForged, touches: true,
-		unknown:      &ptrCheck{siteDeref, "Dereferencing an invalid pointer", nil},
-		heapLife:     &ptrCheck{siteAccessUAF, "Accessing memory that has been freed", nil},
-		stackLife:    &ptrCheck{siteAccessDead, "Referring to an object (%[1]s) outside of its lifetime", nil},
-		funcDesig:    &ptrCheck{siteDeref, "Accessing a function designator as an object", siteDeref},
-		heapBounds:   &ptrCheck{siteOverrunHeap, accessOOB, siteBoundsHeap},
-		stackBounds:  &ptrCheck{siteBoundsStack, accessOOB, siteBoundsStack},
-		heapOnePast:  &ptrCheck{siteOnePastHeap, onePast, nil},
-		stackOnePast: &ptrCheck{siteOnePastStack, onePast, nil}}
+		unknown:      &ptrCheck{site: siteDeref, msg: "Dereferencing an invalid pointer"},
+		heapLife:     &ptrCheck{site: siteAccessUAF, msg: "Accessing memory that has been freed"},
+		stackLife:    &ptrCheck{site: siteAccessDead, msg: "Referring to an object (%[1]s) outside of its lifetime"},
+		funcDesig:    &ptrCheck{site: siteDeref, msg: "Accessing a function designator as an object", pass: true},
+		heapBounds:   &ptrCheck{site: siteOverrunHeap, msg: accessOOB, pass: true},
+		stackBounds:  &ptrCheck{site: siteBoundsStack, msg: accessOOB, pass: true},
+		heapOnePast:  &ptrCheck{site: siteOnePastHeap, msg: onePast},
+		stackOnePast: &ptrCheck{site: siteOnePastStack, msg: onePast}}
 	useStore = func(u ptrUse) ptrUse {
-		u.stringLit = &ptrCheck{siteStringLit, "Attempting to modify a string literal", siteStringLit}
-		u.constObj = &ptrCheck{siteConst, "Modifying an object defined with a const-qualified type", siteConst}
+		u.stringLit = &ptrCheck{site: siteStringLit, msg: "Attempting to modify a string literal", pass: true}
+		u.constObj = &ptrCheck{site: siteConst, msg: "Modifying an object defined with a const-qualified type", pass: true}
 		return u
 	}(useLoad)
 	useObject = func(u ptrUse) ptrUse { u.heapBounds, u.stackBounds = nil, nil; return u }(useLoad)
 
 	// A library function checks the region it reads or writes.
 	useLibRead = ptrUse{touches: true, oob: errSilentOOB,
-		null:        &ptrCheck{siteLibPtr, "Null pointer passed to a library function", nil},
-		forged:      &ptrCheck{siteLibForged, "Forged pointer passed to a library function", nil},
-		unknown:     &ptrCheck{siteLibPtr, "Invalid pointer passed to a library function", nil},
-		heapLife:    &ptrCheck{siteLibUAF, "Freed pointer passed to a library function", nil},
-		stackLife:   &ptrCheck{siteLibDangling, "Dangling pointer passed to a library function", nil},
-		heapBounds:  &ptrCheck{siteLibBoundsHeap, libOOB, nil},
-		stackBounds: &ptrCheck{siteLibBoundsStack, libOOB, nil}}
+		null:        &ptrCheck{site: siteLibPtr, msg: "Null pointer passed to a library function"},
+		forged:      &ptrCheck{site: siteLibForged, msg: "Forged pointer passed to a library function"},
+		unknown:     &ptrCheck{site: siteLibPtr, msg: "Invalid pointer passed to a library function"},
+		heapLife:    &ptrCheck{site: siteLibUAF, msg: "Freed pointer passed to a library function"},
+		stackLife:   &ptrCheck{site: siteLibDangling, msg: "Dangling pointer passed to a library function"},
+		heapBounds:  &ptrCheck{site: siteLibBoundsHeap, msg: libOOB, pass: true},
+		stackBounds: &ptrCheck{site: siteLibBoundsStack, msg: libOOB, pass: true}}
 	useLibWrite = func(u ptrUse) ptrUse {
-		u.stringLit = &ptrCheck{siteLibStringLit, "Library function modifying a string literal", nil}
-		u.constObj = &ptrCheck{siteLibConst, "Library function modifying a const object", nil}
+		u.stringLit = &ptrCheck{site: siteLibStringLit, msg: "Library function modifying a string literal"}
+		u.constObj = &ptrCheck{site: siteLibConst, msg: "Library function modifying a const object"}
 		return u
 	}(useLibRead)
 	useLibString = func(u ptrUse) ptrUse {
-		u.null = &ptrCheck{siteLibPtr, "Null pointer passed as a string", nil}
+		u.null = &ptrCheck{site: siteLibPtr, msg: "Null pointer passed as a string"}
 		return u
 	}(useLibRead)
 
 	// A pointer value that is compared, subtracted, tested or decayed
-	// (checkPtrUsable) is checked for provenance and lifetime only; a
-	// dereference (derefLValue) adds null, and a void one checks no
-	// further; pointer arithmetic (ptrAdd) adds null and the result's
-	// bounds as a zero-byte region, so one past the end is valid.
+	// (checkPtrUsable) is checked for provenance and lifetime; one that is
+	// dereferenced (derefLValue) for null too, but a void one not for its
+	// lifetime; pointer arithmetic (ptrAdd) checks null, not provenance, and
+	// the result's bounds as a zero-byte region, so one past the end is
+	// valid.
 	usePtrValue = ptrUse{forged: ptrForged, unknown: ptrInvalid, heapLife: ptrUAF, stackLife: ptrDangling}
 	useDeref    = ptrUse{null: derefNull, unknown: ptrInvalid, heapLife: ptrUAF, stackLife: ptrDangling,
-		forged: &ptrCheck{siteDerefForged, "Dereferencing a pointer forged from an integer", nil}}
+		forged: &ptrCheck{site: siteDerefForged, msg: "Dereferencing a pointer forged from an integer"}}
 	useDerefVoid = ptrUse{null: useDeref.null, forged: useDeref.forged, unknown: ptrInvalid}
 	usePtrAdd    = ptrUse{unknown: ptrInvalid, heapLife: ptrUAF, stackLife: ptrDangling,
-		null:        &ptrCheck{sitePtrAddNull, "Arithmetic on a null pointer", nil},
-		heapBounds:  &ptrCheck{sitePtrAddHeap, ptrAddOOB, nil},
-		stackBounds: &ptrCheck{sitePtrAddStack, ptrAddOOB, nil}}
+		null:        &ptrCheck{site: sitePtrAddNull, msg: "Arithmetic on a null pointer"},
+		heapBounds:  &ptrCheck{site: sitePtrAddHeap, msg: ptrAddOOB},
+		stackBounds: &ptrCheck{site: sitePtrAddStack, msg: ptrAddOOB}}
 )
