@@ -21,15 +21,13 @@ type LV struct {
 	BitOff, BitWidth int
 }
 
-// valid decides whether use u may use the n bytes at p: the side
-// conditions of the paper's deref rule (§4.1.2), in one order for every
-// use: null, forged, unknown object, lifetime, function designator, bounds
-// (one past the end kept apart), string literal, const. u gives the check
-// each condition reports, nil where u does not check it (checksites.go).
-// An unreported violation takes the de-facto behavior: on a null or forged
-// pointer a use that touches memory crashes and a value use carries on
-// with no object; out of bounds, u.oob is returned or oob set (a load reads
-// zeroes, a store vanishes); a dead object's bytes are still there.
+// valid decides whether use u may use the n bytes at p, by the side
+// conditions of the deref rule (§4.1.2) in one order: null, forged, unknown
+// object, lifetime, function designator, bounds (one past the end kept
+// apart), string literal, const. u names the check each condition reports
+// (checksites.go). Unreported, a null or forged pointer crashes a use that
+// touches memory and leaves a value use with no object; out of bounds, u.oob
+// is returned or oob set (a load reads zeroes, a store vanishes).
 func (in *Interp) valid(u *ptrUse, p mem.Ptr, n int64, pos token.Pos) (o *mem.Object, oob bool, err error) {
 	if p.Base == mem.NullBase || p.Base == mem.InvalidBase {
 		c, what := u.null, "a null pointer"

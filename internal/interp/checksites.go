@@ -8,10 +8,12 @@ package interp
 // The rows are the coverage ledger's registry (obs.CheckSites), and
 // TestCheckSitesNamed fails on a row that no non-test code names.
 //
-// A row is one distinct check; several calls may share it. A bounds check
-// takes its gate from the object's storage, so it is two rows, one per
-// storage class (byStorage picks). The exported rows are the ones the
-// bytecode VM names too.
+// A row is one distinct check; several calls may share it. A bounds or
+// lifetime check takes its gate from the object's storage, so it is two rows
+// (byStorage picks). Pointer validity is decided once, by valid; the per-use
+// table at the end gives each use's row and message per condition. Rows
+// merge only where behavior, gate and message agree, and a pass counts under
+// the row its failure reports. The exported rows are the ones the VM names.
 
 import (
 	"repro/internal/mem"
@@ -141,10 +143,9 @@ var (
 	SiteVLASize       = checkSite("decl.vla_size", ub.VLANotPositive, gateVLASize)
 )
 
-// A ptrCheck is a condition of pointer validity as one use reports it:
-// the row, the message (it may name the object, the offset, the byte count
-// and the size: %[1]s, %[2]d, %[3]d, %[4]d) and whether a held condition
-// records a pass under the row.
+// A ptrCheck is a condition of pointer validity as a use reports it: the
+// row, the message (it may name the object, offset, byte count and size as
+// %[1]s, %[2]d, %[3]d, %[4]d), and whether a held condition records a pass.
 type ptrCheck struct {
 	site *CheckSite
 	msg  string
@@ -152,9 +153,8 @@ type ptrCheck struct {
 }
 
 // A ptrUse is one way of using a pointer: the check each condition of
-// valid's order reports, nil where the use does not check it; whether the
-// use touches memory; and what an unwatched out-of-bounds access returns
-// (nil: flag it and go on).
+// valid's order reports (nil: not checked), whether the use touches memory,
+// and what an unwatched out-of-bounds access returns (nil: flag it, go on).
 type ptrUse struct {
 	null, forged, unknown, heapLife, stackLife, funcDesig *ptrCheck
 	heapBounds, stackBounds, heapOnePast, stackOnePast    *ptrCheck
@@ -163,12 +163,14 @@ type ptrUse struct {
 	oob                                                   error
 }
 
-var (
+const (
 	accessOOB = "Accessing outside the bounds of object %s (offset %d, size %d of %d)"
 	onePast   = "Dereferencing a pointer one past the end of an object (%[1]s)"
 	libOOB    = "Library function accesses outside the bounds of object %s (offset %d, %d bytes of %d)"
 	ptrAddOOB = "Pointer arithmetic produces an address outside object %[1]s (offset %[2]d of size %[4]d)"
+)
 
+var (
 	derefNull   = &ptrCheck{site: siteDeref, msg: "Dereferencing a null pointer"}
 	ptrForged   = &ptrCheck{site: sitePtrForged, msg: "Using a pointer forged from an integer"}
 	ptrInvalid  = &ptrCheck{site: sitePtrInvalid, msg: "Using an invalid pointer"}
@@ -187,11 +189,9 @@ var (
 		stackBounds:  &ptrCheck{site: siteBoundsStack, msg: accessOOB, pass: true},
 		heapOnePast:  &ptrCheck{site: siteOnePastHeap, msg: onePast},
 		stackOnePast: &ptrCheck{site: siteOnePastStack, msg: onePast}}
-	useStore = func(u ptrUse) ptrUse {
-		u.stringLit = &ptrCheck{site: siteStringLit, msg: "Attempting to modify a string literal", pass: true}
-		u.constObj = &ptrCheck{site: siteConst, msg: "Modifying an object defined with a const-qualified type", pass: true}
-		return u
-	}(useLoad)
+	useStore = writing(useLoad,
+		&ptrCheck{site: siteStringLit, msg: "Attempting to modify a string literal", pass: true},
+		&ptrCheck{site: siteConst, msg: "Modifying an object defined with a const-qualified type", pass: true})
 	useObject = func(u ptrUse) ptrUse { u.heapBounds, u.stackBounds = nil, nil; return u }(useLoad)
 
 	// A library function checks the region it reads or writes.
@@ -203,22 +203,19 @@ var (
 		stackLife:   &ptrCheck{site: siteLibDangling, msg: "Dangling pointer passed to a library function"},
 		heapBounds:  &ptrCheck{site: siteLibBoundsHeap, msg: libOOB, pass: true},
 		stackBounds: &ptrCheck{site: siteLibBoundsStack, msg: libOOB, pass: true}}
-	useLibWrite = func(u ptrUse) ptrUse {
-		u.stringLit = &ptrCheck{site: siteLibStringLit, msg: "Library function modifying a string literal"}
-		u.constObj = &ptrCheck{site: siteLibConst, msg: "Library function modifying a const object"}
-		return u
-	}(useLibRead)
+	useLibWrite = writing(useLibRead,
+		&ptrCheck{site: siteLibStringLit, msg: "Library function modifying a string literal"},
+		&ptrCheck{site: siteLibConst, msg: "Library function modifying a const object"})
 	useLibString = func(u ptrUse) ptrUse {
 		u.null = &ptrCheck{site: siteLibPtr, msg: "Null pointer passed as a string"}
 		return u
 	}(useLibRead)
 
-	// A pointer value that is compared, subtracted, tested or decayed
-	// (checkPtrUsable) is checked for provenance and lifetime; one that is
-	// dereferenced (derefLValue) for null too, but a void one not for its
-	// lifetime; pointer arithmetic (ptrAdd) checks null, not provenance, and
-	// the result's bounds as a zero-byte region, so one past the end is
-	// valid.
+	// A pointer value compared, subtracted, tested or decayed
+	// (checkPtrUsable) is checked for provenance and lifetime, a
+	// dereferenced one (derefLValue) for null too, a void one not for
+	// lifetime. Arithmetic (ptrAdd) checks null, not provenance, and the
+	// result as a zero-byte region, so one past the end is valid.
 	usePtrValue = ptrUse{forged: ptrForged, unknown: ptrInvalid, heapLife: ptrUAF, stackLife: ptrDangling}
 	useDeref    = ptrUse{null: derefNull, unknown: ptrInvalid, heapLife: ptrUAF, stackLife: ptrDangling,
 		forged: &ptrCheck{site: siteDerefForged, msg: "Dereferencing a pointer forged from an integer"}}
@@ -228,3 +225,6 @@ var (
 		heapBounds:  &ptrCheck{site: sitePtrAddHeap, msg: ptrAddOOB},
 		stackBounds: &ptrCheck{site: sitePtrAddStack, msg: ptrAddOOB}}
 )
+
+// writing is use u with the write protections str and cst.
+func writing(u ptrUse, str, cst *ptrCheck) ptrUse { u.stringLit, u.constObj = str, cst; return u }

@@ -218,22 +218,18 @@ func (in *Interp) derefLValue(v mem.Value, t *ctypes.Type, pos token.Pos) (LV, e
 	if err := in.observe(spec.Event{Kind: spec.EvDeref, Pos: pos, Ptr: p, Type: t}); err != nil {
 		return LV{}, err
 	}
-	// when L = NULL (deref-neg2 of §4.5.1); T = void is checked after
-	// provenance, before lifetime
 	u := &useDeref
 	if t.Kind == ctypes.Void {
-		u = &useDerefVoid
+		u, t = &useDerefVoid, ctypes.TVoid
 	}
+	// when L = NULL (deref-neg2 of §4.5.1)
 	if _, _, err := in.valid(u, p, 0, pos); err != nil {
 		return LV{}, err
 	}
-	if t.Kind == ctypes.Void {
-		if in.armed(siteDerefVoid) {
-			// when T = void (deref-neg1 of §4.5.1): "Cannot dereference
-			// void pointers".
-			return LV{}, in.ubError(siteDerefVoid, pos, "Cannot dereference void pointers")
-		}
-		t = ctypes.TVoid
+	if u == &useDerefVoid && in.armed(siteDerefVoid) {
+		// when T = void (deref-neg1 of §4.5.1), before lifetime: "Cannot
+		// dereference void pointers".
+		return LV{}, in.ubError(siteDerefVoid, pos, "Cannot dereference void pointers")
 	}
 	return LV{Base: p.Base, Off: p.Off, T: t}, nil
 }
@@ -725,8 +721,7 @@ func (in *Interp) ptrAdd(p mem.Ptr, n int64, pos token.Pos) (mem.Value, error) {
 		return nil, err
 	}
 	if o == nil {
-		// A null or forged pointer has no object to stay within: the
-		// result is forged.
+		// No object to stay within: the result is forged.
 		return mem.Ptr{T: p.T, Base: mem.InvalidBase, Off: p.Off + n}, nil
 	}
 	return q, nil
